@@ -6,7 +6,7 @@ from .curves import InterfaceCurve, LineCurve, TrigCurve, circle, ellipse, flowe
 from .frenet import ChordChart, FrenetChart, FrenetFrame, frenet_apparatus
 from .laplacian import FrenetLaplacian
 from .mesh import ElementTag, MeshTags, RectMesh, build_mesh, classify_elements
-from .quadrature import QuadRule, cut_cell_rules, cut_edge_rule, gauss_rect, interface_line_rule
+from .quadrature import QuadRule, cut_cell_rules, cut_edge_rule, gauss_rect
 from .ife_space import IfeBasis, SpaceSet, TensorBasis, build_spaces, project_l2
 from .assembly import SipdgSystem, assemble, auto_sigma0, solve, trace_constant
 from .analysis import ManufacturedCase, convergence_study, error_norms, geometry_probes, manufactured_circle

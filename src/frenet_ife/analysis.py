@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble, auto_sigma0, edge_segments, solve, trace_constant
+# edge_segments is unused here, but perfbench/tracer.py patches analysis.edge_segments
+from .assembly import assemble, auto_sigma0, edge_segments, solve, trace_constant  # noqa: F401
 from .curves import InterfaceCurve, circle
 from .frenet import FrenetChart, frenet_apparatus
 from .ife_space import SpaceSet, build_spaces, project_l2
@@ -89,10 +90,14 @@ def case_jump_residuals(case: ManufacturedCase, chart: FrenetChart, n_pts: int =
 # error norms
 
 
-def _uh_eval(spaces, coef, e, pts, side):
-    vals, grads = spaces.bases[e].evaluate(pts, side=side)
-    c = coef[spaces.layout.dofs(e)]
-    return c @ vals, np.einsum("b,bpk->pk", c, grads)
+def _volume_errors(coef, case: ManufacturedCase, spaces: SpaceSet, q):
+    """Per element piece: (weights, beta, u - u_h, grad(u - u_h)) at its points."""
+    for e in range(spaces.mesh.n_elements):
+        c = coef[spaces.layout.dofs(e)]
+        for rule, side, vals, grads in spaces.volume(e, q):
+            yield (rule.weights, float(spaces.beta_of(side)),
+                   case.u(rule.points, side) - c @ vals,
+                   case.grad(rule.points, side) - np.einsum("b,bpk->pk", c, grads))
 
 
 def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet,
@@ -104,43 +109,29 @@ def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet,
     exact-solution side of the error.
     """
     mesh = spaces.mesh
-    m = spaces.m
-    q_vol = q_vol if q_vol is not None else m + 2
-    q_edge = q_edge if q_edge is not None else m + 3
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
 
-    l2_sq = 0.0
-    grad_sq = 0.0
-    for e in range(mesh.n_elements):
-        for rule, side in spaces.element_rules(e, q_vol):
-            beta = float(spaces.beta_of(side))
-            uh, guh = _uh_eval(spaces, coef, e, rule.points, side)
-            du = case.u(rule.points, side) - uh
-            dg = case.grad(rule.points, side) - guh
-            l2_sq += rule.weights @ du**2
-            grad_sq += beta * rule.weights @ np.einsum("pk,pk->p", dg, dg)
+    l2_sq = grad_sq = 0.0
+    for w, beta, du, dg in _volume_errors(coef, case, spaces, q_vol):
+        l2_sq += w @ du**2
+        grad_sq += beta * w @ np.einsum("pk,pk->p", dg, dg)
 
-    jump_sq = 0.0
-    flux_sq = 0.0
+    jump_sq = flux_sq = 0.0
     for k in range(mesh.n_edges):
         n_e = mesh.edge_normal[k]
-        e1, e2 = mesh.edge_elems[k]
-        interior = e2 >= 0
-        for pts, w, side in edge_segments(spaces, k, q_edge):
+        avg = 1.0 if mesh.edge_is_boundary[k] else 0.5
+        for pts, w, side, members in spaces.edge(k, q_edge):
             beta = float(spaces.beta_of(side))
-            u1, g1 = _uh_eval(spaces, coef, e1, pts, side)
-            err1 = case.u(pts, side) - u1
-            flux1 = beta * np.einsum("pk,k->p", case.grad(pts, side) - g1, n_e)
-            if interior:
-                u2, g2 = _uh_eval(spaces, coef, e2, pts, side)
-                err2 = case.u(pts, side) - u2
-                flux2 = beta * np.einsum("pk,k->p", case.grad(pts, side) - g2, n_e)
-                jump_sq += w @ (err1 - err2) ** 2
-                flux_sq += w @ (0.5 * (flux1 + flux2)) ** 2
-            else:
-                jump_sq += w @ err1**2
-                flux_sq += w @ flux1**2
+            u, grad = case.u(pts, side), case.grad(pts, side)
+            jump = flux = 0.0
+            for e, sign, vals, grads in members:
+                c = coef[spaces.layout.dofs(e)]
+                jump = jump + sign * (u - c @ vals)
+                flux = flux + beta * np.einsum(
+                    "pk,k->p", grad - np.einsum("b,bpk->pk", c, grads), n_e)
+            jump_sq += w @ jump**2
+            flux_sq += w @ (avg * flux) ** 2
 
     norm_h_sq = grad_sq + pen * jump_sq
     energy_sq = norm_h_sq + flux_sq / pen
@@ -222,14 +213,10 @@ def projection_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
     for n in ns:
         spaces = setup_level(case, box, n, m, line_q)
         coef = project_l2(case.u, spaces, q=m_q)
-        l2_sq, h1_sq = 0.0, 0.0
-        for e in range(spaces.mesh.n_elements):
-            for rule, side in spaces.element_rules(e, m_q):
-                uh, guh = _uh_eval(spaces, coef, e, rule.points, side)
-                du = case.u(rule.points, side) - uh
-                dg = case.grad(rule.points, side) - guh
-                l2_sq += rule.weights @ du**2
-                h1_sq += rule.weights @ np.einsum("pk,pk->p", dg, dg)
+        l2_sq = h1_sq = 0.0
+        for w, _, du, dg in _volume_errors(coef, case, spaces, m_q):
+            l2_sq += w @ du**2
+            h1_sq += w @ np.einsum("pk,pk->p", dg, dg)
         rows.append({"n": n, "h": spaces.mesh.h,
                      "l2": float(np.sqrt(l2_sq)), "h1": float(np.sqrt(h1_sq))})
     out = {"rows": rows}

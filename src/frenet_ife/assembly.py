@@ -49,21 +49,33 @@ def edge_segments(spaces: SpaceSet, k: int, q: int):
     return out
 
 
-class _Triplets:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
+def _csr(blocks, n):
+    """Sum of dense blocks, each (block, row dofs, col dofs), as an n x n CSR."""
+    rows = np.concatenate([np.repeat(r, len(c)) for _, r, c in blocks])
+    cols = np.concatenate([np.tile(c, len(r)) for _, r, c in blocks])
+    vals = np.concatenate([np.ravel(blk) for blk, _, _ in blocks])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
-    def add(self, block, row_dofs, col_dofs):
-        r, c = np.meshgrid(row_dofs, col_dofs, indexing="ij")
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
-        self.vals.append(np.asarray(block).ravel())
 
-    def matrix(self, n):
-        return sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(n, n)).tocsr()
+def _stiffness(spaces: SpaceSet, pieces):
+    """beta-weighted gradient Gram of one element's evaluated pieces."""
+    return sum(float(spaces.beta_of(side))
+               * np.einsum("bpk,p,cpk->bc", grads, rule.weights, grads)
+               for rule, side, _, grads in pieces)
+
+
+def _edge_terms(spaces: SpaceSet, q_edge):
+    """Per edge segment: (points, weights, side, average weight, members),
+    members [(dofs, sign, values, beta-weighted normal derivatives)]."""
+    mesh = spaces.mesh
+    for k in range(mesh.n_edges):
+        n_e = mesh.edge_normal[k]
+        avg = 1.0 if mesh.edge_is_boundary[k] else 0.5
+        for pts, w, side, members in spaces.edge(k, q_edge):
+            beta = float(spaces.beta_of(side))
+            yield pts, w, side, avg, [
+                (spaces.layout.dofs(e), sign, vals, beta * np.einsum("bpk,k->bp", grads, n_e))
+                for e, sign, vals, grads in members]
 
 
 def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
@@ -76,72 +88,42 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     penalized jumps) and the energy norm (plus weighted flux averages).
     """
     mesh, layout = spaces.mesh, spaces.layout
-    m = spaces.m
-    q_vol = q_vol if q_vol is not None else m + 2
-    q_edge = q_edge if q_edge is not None else m + 3
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
 
-    trip = _Triplets()
-    trip_jump = _Triplets() if with_norm_grams else None
-    trip_flux = _Triplets() if with_norm_grams else None
-    trip_vol = _Triplets() if with_norm_grams else None
+    blocks = []
     F = np.zeros(layout.total)
-
     for e in range(mesh.n_elements):
-        basis = spaces.bases[e]
         dofs = layout.dofs(e)
-        K = np.zeros((basis.n_basis, basis.n_basis))
-        Fe = np.zeros(basis.n_basis)
-        for rule, side in spaces.element_rules(e, q_vol):
-            beta = float(spaces.beta_of(side))
-            vals, grads = basis.evaluate(rule.points, side=side)
-            K += beta * np.einsum("bpk,p,cpk->bc", grads, rule.weights, grads)
-            Fe += vals @ (rule.weights * f_source(rule.points, side))
-        trip.add(K, dofs, dofs)
-        if with_norm_grams:
-            trip_vol.add(K, dofs, dofs)
-        F[dofs] += Fe
+        pieces = spaces.volume(e, q_vol)
+        blocks.append((_stiffness(spaces, pieces), dofs, dofs))
+        for rule, side, vals, _ in pieces:
+            F[dofs] += vals @ (rule.weights * f_source(rule.points, side))
 
-    for k in range(mesh.n_edges):
-        n_e = mesh.edge_normal[k]
-        e1, e2 = mesh.edge_elems[k]
-        interior = e2 >= 0
-        members = [(e1, 1.0)] + ([(e2, -1.0)] if interior else [])
-        avg = 0.5 if interior else 1.0
-        for pts, w, side in edge_segments(spaces, k, q_edge):
-            beta = float(spaces.beta_of(side))
-            V, B, D = [], [], []
-            for e, _sign in members:
-                vals, grads = spaces.bases[e].evaluate(pts, side=side)
-                V.append(vals)
-                B.append(beta * np.einsum("bpk,k->bp", grads, n_e))
-                D.append(layout.dofs(e))
-            for ia, (ea, sa) in enumerate(members):
-                for ib, (eb, sb) in enumerate(members):
-                    blk = (-avg * sa * (V[ia] * w) @ B[ib].T
-                           - avg * sb * (B[ia] * w) @ V[ib].T
-                           + pen * sa * sb * (V[ia] * w) @ V[ib].T)
-                    trip.add(blk, D[ia], D[ib])
-                    if with_norm_grams:
-                        trip_jump.add(pen * sa * sb * (V[ia] * w) @ V[ib].T,
-                                      D[ia], D[ib])
-                        trip_flux.add((avg * avg / pen) * (B[ia] * w) @ B[ib].T,
-                                      D[ia], D[ib])
-            if not interior:
-                g = g_dirichlet(pts, side)
-                F[D[0]] += (-B[0] + pen * V[0]) @ (w * g)
+    for pts, w, side, avg, members in _edge_terms(spaces, q_edge):
+        for da, sa, Va, Ba in members:
+            for db, sb, Vb, Bb in members:
+                blocks.append((-avg * sa * (Va * w) @ Bb.T
+                               - avg * sb * (Ba * w) @ Vb.T
+                               + pen * sa * sb * (Va * w) @ Vb.T, da, db))
+        if len(members) == 1:
+            dofs, _, V, B = members[0]
+            F[dofs] += (-B + pen * V) @ (w * g_dirichlet(pts, side))
 
     n = layout.total
-    S = trip.matrix(n)
-    system = SipdgSystem(S=S, F=F, sigma0=sigma0, gamma=gamma, penalty=pen,
-                         spaces=spaces)
+    system = SipdgSystem(S=_csr(blocks, n), F=F, sigma0=sigma0, gamma=gamma,
+                         penalty=pen, spaces=spaces)
     if with_norm_grams:
-        Gv = trip_vol.matrix(n)
-        Gj = trip_jump.matrix(n)
-        Gf = trip_flux.matrix(n)
-        system.norm_gram = Gv + Gj
-        system.energy_gram = Gv + Gj + Gf
+        norm = [(_stiffness(spaces, spaces.volume(e, q_vol)), layout.dofs(e), layout.dofs(e))
+                for e in range(mesh.n_elements)]
+        flux = []
+        for _, w, _, avg, members in _edge_terms(spaces, q_edge):
+            for da, sa, Va, Ba in members:
+                for db, sb, Vb, Bb in members:
+                    norm.append((pen * sa * sb * (Va * w) @ Vb.T, da, db))
+                    flux.append(((avg * avg / pen) * (Ba * w) @ Bb.T, da, db))
+        system.norm_gram = _csr(norm, n)
+        system.energy_gram = system.norm_gram + _csr(flux, n)
     return system
 
 
@@ -182,22 +164,9 @@ def trace_constant(spaces: SpaceSet, e: int,
     beta+; bounded uniformly in h, cut position and beta.
     """
     mesh = spaces.mesh
-    m = spaces.m
-    q_vol = q_vol if q_vol is not None else m + 2
-    q_edge = q_edge if q_edge is not None else m + 3
-    basis = spaces.bases[e]
-    nb = basis.n_basis
-    A = np.zeros((nb, nb))
-    B = np.zeros((nb, nb))
-    for rule, side in spaces.element_rules(e, q_vol):
-        beta = float(spaces.beta_of(side))
-        _, grads = basis.evaluate(rule.points, side=side)
-        A += beta * np.einsum("bpk,p,cpk->bc", grads, rule.weights, grads)
-    for k in mesh.elem_edges[e]:
-        for pts, w, side in edge_segments(spaces, k, q_edge):
-            beta = float(spaces.beta_of(side))
-            _, grads = basis.evaluate(pts, side=side)
-            B += beta**2 * np.einsum("bpk,p,cpk->bc", grads, w, grads)
+    A = _stiffness(spaces, spaces.volume(e, q_vol))
+    B = sum(float(spaces.beta_of(side))**2 * np.einsum("bpk,p,cpk->bc", grads, w, grads)
+            for k in mesh.elem_edges[e] for _, w, side, _, grads in spaces.face(k, e, q_edge))
     lam, vecs = np.linalg.eigh(A)
     keep = lam > 1e-10 * lam[-1]
     if not np.any(keep):

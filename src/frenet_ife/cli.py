@@ -33,10 +33,6 @@ def _load_config(args) -> RunConfig:
         cfg.sigma0 = "auto" if args.sigma0 == "auto" else float(args.sigma0)
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.deterministic:
-        cfg.deterministic = True
-    if args.seed is not None:
-        cfg.seed = args.seed
     return cfg
 
 
@@ -65,14 +61,12 @@ REPORT_FIELDS = ["n", "h", "dofs", "l2", "norm_h", "energy",
                  "rate_l2", "rate_norm_h", "rate_energy"]
 
 
-def _min_cut_fraction(spaces) -> float:
+def _min_cut_fraction(spaces, q_vol) -> float:
     """Smallest sub-region area fraction over all interface elements."""
-    frac = 1.0
-    for e in spaces.tags.interface_elements:
-        area = spaces.mesh.dx * spaces.mesh.dy
-        for rule, _side in spaces.element_rules(e, q=4):
-            frac = min(frac, float(rule.weights.sum()) / area)
-    return frac
+    area = spaces.mesh.dx * spaces.mesh.dy
+    return min((float(rule.weights.sum()) / area
+                for e in spaces.tags.interface_elements
+                for rule, _side in spaces.pieces(e, q_vol)), default=1.0)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -107,9 +101,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     if diag:
         _write_csv(out / "space_diagnostics.csv", diag, list(diag[0]))
     mesh_summary = spaces.tags.summary()
-    mesh_summary["min_cut_fraction"] = _min_cut_fraction(spaces)
+    mesh_summary["min_cut_fraction"] = _min_cut_fraction(spaces, cfg.quad.get("volume"))
     report = {"sigma0": float(sig), "trace_constant": ct,
-              "mesh": mesh_summary, "errors": errs, "seed": cfg.seed}
+              "mesh": mesh_summary, "errors": errs}
     (out / "solve_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"solve: n={n} m={cfg.degree} sigma0={sig:.6g} "
           f"L2={errs['l2']:.3e} energy={errs['energy']:.3e}")
@@ -124,8 +118,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
                                cfg.quad.get("edge"), cfg.quad.get("interface"))
     _write_csv(out / "errors.csv", report.rows(), REPORT_FIELDS)
     summary = {"sigma0": report.sigma0, "trace_constant": report.trace_constant,
-               "rates_l2": report.rates("l2"), "rates_energy": report.rates("energy"),
-               "seed": cfg.seed}
+               "rates_l2": report.rates("l2"), "rates_energy": report.rates("energy")}
     (out / "convergence_report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True))
     for row in report.rows():
@@ -189,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--dump-system", action="store_true",
                         help="write the assembled matrix in MatrixMarket format")
-    parser.add_argument("--deterministic", action="store_true")
-    parser.add_argument("--seed", type=int)
     return parser
 
 

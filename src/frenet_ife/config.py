@@ -25,8 +25,6 @@ class RunConfig:
                                                 "interface": None})
     case: dict = field(default_factory=lambda: {"kind": "circle_power", "p": 4})
     out_dir: str = "out"
-    seed: int = 0
-    deterministic: bool = False
 
     def to_dict(self) -> dict:
         d = asdict(self)

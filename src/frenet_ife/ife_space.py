@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, SingularMass
 from .frenet import FrenetChart
 from .laplacian import FrenetLaplacian
 from .mesh import ElementTag, MeshTags, RectMesh
-from .quadrature import cut_cell_rules, gauss_rect, interface_line_rule
+from .quadrature import cut_cell_rules, gauss_interval, gauss_rect
 
 
 @dataclass
@@ -112,7 +112,7 @@ def build_x0(chart: FrenetChart, interval, m: int, line_q: int | None = None):
         rows.append(r)
     if m >= 2:
         q = line_q if line_q is not None else m + 3
-        rule = interface_line_rule(xi0, xi1, q)
+        rule = gauss_interval(xi0, xi1, q)
         xbar = scaling.xibar(rule.points)
         jets = FrenetLaplacian(chart).coefficient_jets(rule.points, m - 2)
         tests = _legendre_rows(m, xbar)
@@ -260,7 +260,7 @@ class IfeBasis:
             return np.zeros((self.n_basis, 0))
         xi0, xi1 = self.interval
         q = line_q if line_q is not None else m + 6
-        rule = interface_line_rule(xi0, xi1, q)
+        rule = gauss_interval(xi0, xi1, q)
         xbar = self.scaling.xibar(rule.points)
         jets = FrenetLaplacian(self.chart).coefficient_jets(rule.points, m - 2)
         tests = _legendre_rows(m, xbar)
@@ -322,13 +322,20 @@ class TensorBasis:
         self.n_basis = (m + 1) ** 2
         self.nodes = _lobatto_nodes(m)
 
-    def evaluate(self, pts, side=None):
+    def reference_coords(self, pts):
+        """Points mapped onto [-1, 1]^2: xr, yr."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         xl, yl, xh, yh = self.box
-        xr = 2.0 * (pts[:, 0] - xl) / (xh - xl) - 1.0
-        yr = 2.0 * (pts[:, 1] - yl) / (yh - yl) - 1.0
-        vx, dx_ = _lagrange_1d(self.nodes, xr)
-        vy, dy_ = _lagrange_1d(self.nodes, yr)
+        return (2.0 * (pts[:, 0] - xl) / (xh - xl) - 1.0,
+                2.0 * (pts[:, 1] - yl) / (yh - yl) - 1.0)
+
+    def evaluate(self, pts, side=None):
+        return self.combine(*(_lagrange_1d(self.nodes, r) for r in self.reference_coords(pts)))
+
+    def combine(self, x, y):
+        """Values and gradients from 1D Lagrange (values, derivatives) at xr, yr."""
+        (vx, dx_), (vy, dy_) = x, y
+        xl, yl, xh, yh = self.box
         vals = (vx[:, None, :] * vy[None, :, :]).reshape(self.n_basis, -1)
         gx = (dx_[:, None, :] * vy[None, :, :]).reshape(self.n_basis, -1) * (2.0 / (xh - xl))
         gy = (vx[:, None, :] * dy_[None, :, :]).reshape(self.n_basis, -1) * (2.0 / (yh - yl))
@@ -351,7 +358,15 @@ class DofLayout:
 
 
 class SpaceSet:
-    """All local bases of a classified mesh plus the coefficient layout."""
+    """All local bases of a classified mesh, the coefficient layout and the
+    level's quadrature table, filled on first use and keyed by Gauss order
+    (default m+2 points per axis on volumes, m+3 on edges).
+
+    The table keeps, built once, the pieces of interface elements and the
+    segments of their edges; plain ones cost less to rebuild than to keep.
+    Plain bases combine 1D Lagrange tables kept per bit pattern of their
+    reference coordinates, so values are bit-identical to per-element ones.
+    """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
                  m: int, beta_minus: float, beta_plus: float,
@@ -370,6 +385,7 @@ class SpaceSet:
             else:
                 self.bases.append(TensorBasis(mesh.elem_box(e), m, t.side))
         self.layout = DofLayout(mesh.n_elements, (m + 1) ** 2)
+        self._table = {}
 
     def beta_of(self, side) -> float:
         return np.where(np.asarray(side) > 0, self.beta_plus, self.beta_minus)
@@ -381,6 +397,52 @@ class SpaceSet:
             rules = cut_cell_rules(self.mesh, e, t, self.chart, q)
             return [(rules[1], 1), (rules[-1], -1)]
         return [(gauss_rect(self.mesh.elem_box(e), q), t.side)]
+
+    # -- quadrature table --------------------------------------------------------
+    def _cached(self, key, build, keep):
+        if not keep:
+            return build()
+        if key not in self._table:
+            self._table[key] = build()
+        return self._table[key]
+
+    def pieces(self, e: int, q: int | None = None):
+        """element_rules(e, q), kept for interface elements."""
+        q = q if q is not None else self.m + 2
+        return self._cached(("rules", e, q), lambda: self.element_rules(e, q),
+                            self.bases[e].kind != "plain")
+
+    def _values(self, e: int, pts, side):
+        basis = self.bases[e]
+        if basis.kind != "plain":
+            return basis.evaluate(pts, side=side)
+        return basis.combine(*(self._cached(("lagrange", r.tobytes()),
+                                            lambda: _lagrange_1d(basis.nodes, r), True)
+                               for r in basis.reference_coords(pts)))
+
+    def volume(self, e: int, q: int | None = None):
+        """[(rule, side, vals, grads)]: basis e on the pieces of element e."""
+        return [(rule, side, *self._values(e, rule.points, side))
+                for rule, side in self.pieces(e, q)]
+
+    def _segments(self, k: int, q: int | None):
+        from .assembly import edge_segments   # assembly imports this module
+
+        q = q if q is not None else self.m + 3
+        keep = any(self.bases[f].kind != "plain" for f in self.mesh.edge_elems[k] if f >= 0)
+        return self._cached(("segments", k, q), lambda: edge_segments(self, k, q), keep)
+
+    def face(self, k: int, e: int, q: int | None = None):
+        """[(points, weights, side, vals, grads)]: basis e on edge k's segments."""
+        return [(pts, w, side, *self._values(e, pts, side))
+                for pts, w, side in self._segments(k, q)]
+
+    def edge(self, k: int, q: int | None = None):
+        """[(points, weights, side, [(e, sign, vals, grads)])] on edge k: sign +1
+        on the element its normal points out of, -1 on the neighbour if any."""
+        members = [(e, sign) for e, sign in zip(self.mesh.edge_elems[k], (1.0, -1.0)) if e >= 0]
+        return [(pts, w, side, [(e, sign, *self._values(e, pts, side)) for e, sign in members])
+                for pts, w, side in self._segments(k, q)]
 
 
 def build_spaces(mesh, tags, chart, m, beta_minus, beta_plus, line_q=None) -> SpaceSet:
@@ -421,15 +483,12 @@ def project_l2(u, spaces: SpaceSet, q: int | None = None):
     Block-diagonal mass solve with cut-aware quadrature on interface
     elements.  Raises SingularMass if a local mass matrix is unusable.
     """
-    q = q if q is not None else spaces.m + 2
     out = np.zeros(spaces.layout.total)
+    n = spaces.layout.n_local
     for e in range(spaces.mesh.n_elements):
-        basis = spaces.bases[e]
-        n = basis.n_basis
         M = np.zeros((n, n))
         rhs = np.zeros(n)
-        for rule, side in spaces.element_rules(e, q):
-            vals, _ = basis.evaluate(rule.points, side=side)
+        for rule, side, vals, _ in spaces.volume(e, q):
             M += (vals * rule.weights) @ vals.T
             rhs += vals @ (rule.weights * u(rule.points, side))
         if np.linalg.cond(M) > 1e12:

@@ -55,11 +55,6 @@ def gauss_rect(box, q: int) -> QuadRule:
                     weights=W.ravel(), degree=2 * q - 1)
 
 
-def interface_line_rule(xi0: float, xi1: float, q: int) -> QuadRule:
-    """Gauss rule along the interface parameter on [xi0, xi1]."""
-    return gauss_interval(xi0, xi1, q)
-
-
 @dataclass
 class EdgeSegment:
     """Sub-rule of an edge between two consecutive cut parameters."""

@@ -164,3 +164,180 @@ def bisect_root(f, a, b, iters=200):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+# ----------------------------------------------------------------------------
+# per-element reference loops for the level quadrature table
+#
+# These walk every element and edge, rebuild its cut-aware rules and
+# re-evaluate its basis at every quadrature point, with no shared table.
+# Assembly, error norms, the trace probe and the L2 projection, which read
+# one quadrature table per level, must reproduce them.
+
+
+def _triplet_matrix(blocks, n):
+    import scipy.sparse as sp
+
+    rows, cols, vals = [], [], []
+    for block, row_dofs, col_dofs in blocks:
+        r, c = np.meshgrid(row_dofs, col_dofs, indexing="ij")
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(np.asarray(block).ravel())
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+def loop_assemble(spaces, sigma0, f_source, g_dirichlet, q_vol=None, q_edge=None):
+    """(S, F, norm Gram, energy Gram) of the SIPDG form, element by element."""
+    from frenet_ife.assembly import edge_segments
+
+    mesh, layout = spaces.mesh, spaces.layout
+    m = spaces.m
+    q_vol = q_vol if q_vol is not None else m + 2
+    q_edge = q_edge if q_edge is not None else m + 3
+    gamma = spaces.beta_plus**2 / spaces.beta_minus
+    pen = sigma0 * gamma / mesh.h
+    trip, trip_jump, trip_flux, trip_vol = [], [], [], []
+    F = np.zeros(layout.total)
+
+    for e in range(mesh.n_elements):
+        basis = spaces.bases[e]
+        dofs = layout.dofs(e)
+        K = np.zeros((basis.n_basis, basis.n_basis))
+        Fe = np.zeros(basis.n_basis)
+        for rule, side in spaces.element_rules(e, q_vol):
+            beta = float(spaces.beta_of(side))
+            vals, grads = basis.evaluate(rule.points, side=side)
+            K += beta * np.einsum("bpk,p,cpk->bc", grads, rule.weights, grads)
+            Fe += vals @ (rule.weights * f_source(rule.points, side))
+        trip.append((K, dofs, dofs))
+        trip_vol.append((K, dofs, dofs))
+        F[dofs] += Fe
+
+    for k in range(mesh.n_edges):
+        n_e = mesh.edge_normal[k]
+        e1, e2 = mesh.edge_elems[k]
+        interior = e2 >= 0
+        members = [(e1, 1.0)] + ([(e2, -1.0)] if interior else [])
+        avg = 0.5 if interior else 1.0
+        for pts, w, side in edge_segments(spaces, k, q_edge):
+            beta = float(spaces.beta_of(side))
+            V, B, D = [], [], []
+            for e, _sign in members:
+                vals, grads = spaces.bases[e].evaluate(pts, side=side)
+                V.append(vals)
+                B.append(beta * np.einsum("bpk,k->bp", grads, n_e))
+                D.append(layout.dofs(e))
+            for ia, (ea, sa) in enumerate(members):
+                for ib, (eb, sb) in enumerate(members):
+                    blk = (-avg * sa * (V[ia] * w) @ B[ib].T
+                           - avg * sb * (B[ia] * w) @ V[ib].T
+                           + pen * sa * sb * (V[ia] * w) @ V[ib].T)
+                    trip.append((blk, D[ia], D[ib]))
+                    trip_jump.append((pen * sa * sb * (V[ia] * w) @ V[ib].T,
+                                      D[ia], D[ib]))
+                    trip_flux.append(((avg * avg / pen) * (B[ia] * w) @ B[ib].T,
+                                      D[ia], D[ib]))
+            if not interior:
+                g = g_dirichlet(pts, side)
+                F[D[0]] += (-B[0] + pen * V[0]) @ (w * g)
+
+    n = layout.total
+    Gv = _triplet_matrix(trip_vol, n)
+    Gj = _triplet_matrix(trip_jump, n)
+    Gf = _triplet_matrix(trip_flux, n)
+    return _triplet_matrix(trip, n), F, Gv + Gj, Gv + Gj + Gf
+
+
+def _loop_uh(spaces, coef, e, pts, side):
+    vals, grads = spaces.bases[e].evaluate(pts, side=side)
+    c = coef[spaces.layout.dofs(e)]
+    return c @ vals, np.einsum("b,bpk->pk", c, grads)
+
+
+def loop_error_norms(coef, case, spaces, sigma0, q_vol=None, q_edge=None):
+    """L2, broken and energy errors, element by element and edge by edge."""
+    from frenet_ife.assembly import edge_segments
+
+    mesh = spaces.mesh
+    m = spaces.m
+    q_vol = q_vol if q_vol is not None else m + 2
+    q_edge = q_edge if q_edge is not None else m + 3
+    pen = sigma0 * (spaces.beta_plus**2 / spaces.beta_minus) / mesh.h
+    l2_sq = grad_sq = 0.0
+    for e in range(mesh.n_elements):
+        for rule, side in spaces.element_rules(e, q_vol):
+            beta = float(spaces.beta_of(side))
+            uh, guh = _loop_uh(spaces, coef, e, rule.points, side)
+            du = case.u(rule.points, side) - uh
+            dg = case.grad(rule.points, side) - guh
+            l2_sq += rule.weights @ du**2
+            grad_sq += beta * rule.weights @ np.einsum("pk,pk->p", dg, dg)
+    jump_sq = flux_sq = 0.0
+    for k in range(mesh.n_edges):
+        n_e = mesh.edge_normal[k]
+        e1, e2 = mesh.edge_elems[k]
+        for pts, w, side in edge_segments(spaces, k, q_edge):
+            beta = float(spaces.beta_of(side))
+            u1, g1 = _loop_uh(spaces, coef, e1, pts, side)
+            err1 = case.u(pts, side) - u1
+            flux1 = beta * np.einsum("pk,k->p", case.grad(pts, side) - g1, n_e)
+            if e2 >= 0:
+                u2, g2 = _loop_uh(spaces, coef, e2, pts, side)
+                err2 = case.u(pts, side) - u2
+                flux2 = beta * np.einsum("pk,k->p", case.grad(pts, side) - g2, n_e)
+                jump_sq += w @ (err1 - err2) ** 2
+                flux_sq += w @ (0.5 * (flux1 + flux2)) ** 2
+            else:
+                jump_sq += w @ err1**2
+                flux_sq += w @ flux1**2
+    norm_h_sq = grad_sq + pen * jump_sq
+    return {"l2": float(np.sqrt(l2_sq)), "norm_h": float(np.sqrt(norm_h_sq)),
+            "energy": float(np.sqrt(norm_h_sq + flux_sq / pen))}
+
+
+def loop_trace_constant(spaces, e, q_vol=None, q_edge=None):
+    """Normalized trace constant of element e from its own rules."""
+    import scipy.linalg
+
+    from frenet_ife.assembly import edge_segments
+
+    mesh = spaces.mesh
+    m = spaces.m
+    q_vol = q_vol if q_vol is not None else m + 2
+    q_edge = q_edge if q_edge is not None else m + 3
+    basis = spaces.bases[e]
+    A = np.zeros((basis.n_basis, basis.n_basis))
+    B = np.zeros_like(A)
+    for rule, side in spaces.element_rules(e, q_vol):
+        beta = float(spaces.beta_of(side))
+        _, grads = basis.evaluate(rule.points, side=side)
+        A += beta * np.einsum("bpk,p,cpk->bc", grads, rule.weights, grads)
+    for k in mesh.elem_edges[e]:
+        for pts, w, side in edge_segments(spaces, k, q_edge):
+            beta = float(spaces.beta_of(side))
+            _, grads = basis.evaluate(pts, side=side)
+            B += beta**2 * np.einsum("bpk,p,cpk->bc", grads, w, grads)
+    lam, vecs = np.linalg.eigh(A)
+    W = vecs[:, lam > 1e-10 * lam[-1]]
+    lam_max = scipy.linalg.eigh(W.T @ B @ W, W.T @ A @ W, eigvals_only=True)[-1]
+    return float(np.sqrt(lam_max * mesh.h) * np.sqrt(spaces.beta_minus)
+                 / spaces.beta_plus)
+
+
+def loop_project_l2(u, spaces, q=None):
+    """Per-element L2 projection by local mass solves."""
+    q = q if q is not None else spaces.m + 2
+    out = np.zeros(spaces.layout.total)
+    for e in range(spaces.mesh.n_elements):
+        basis = spaces.bases[e]
+        M = np.zeros((basis.n_basis, basis.n_basis))
+        rhs = np.zeros(basis.n_basis)
+        for rule, side in spaces.element_rules(e, q):
+            vals, _ = basis.evaluate(rule.points, side=side)
+            M += (vals * rule.weights) @ vals.T
+            rhs += vals @ (rule.weights * u(rule.points, side))
+        out[spaces.layout.dofs(e)] = np.linalg.solve(M, rhs)
+    return out

@@ -69,7 +69,7 @@ def test_cli_convergence_rows_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         rc = main(["convergence", "--mesh", "8,16", "--degree", "1",
-                   "--sigma0", "6.0", "--out", str(out), "--deterministic"])
+                   "--sigma0", "6.0", "--out", str(out)])
         assert rc == 0
     csv1 = (out1 / "errors.csv").read_bytes()
     csv2 = (out2 / "errors.csv").read_bytes()

@@ -178,9 +178,9 @@ def test_full_constraint_system_cross_check():
     interval = (0.2, 0.5)
     basis = IfeBasis(chart, _FakeTag(interval), m, bm, bp)
     sc = basis.scaling
-    from frenet_ife.quadrature import interface_line_rule
+    from frenet_ife.quadrature import gauss_interval
 
-    rule = interface_line_rule(*interval, 8)
+    rule = gauss_interval(*interval, 8)
     xbar = sc.xibar(rule.points)
     jets = FrenetLaplacian(chart).coefficient_jets(rule.points, m - 2)
     tests = _legendre_rows(m, xbar)

@@ -4,8 +4,8 @@ import pytest
 from frenet_ife.curves import LineCurve, circle, ellipse
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
 from frenet_ife.mesh import build_mesh, classify_elements
-from frenet_ife.quadrature import (cut_cell_rules, cut_edge_rule, gauss_rect,
-                                   interface_line_rule)
+from frenet_ife.quadrature import (cut_cell_rules, cut_edge_rule, gauss_interval,
+                                   gauss_rect)
 
 from oracles import composite_simpson, disk_box_area
 
@@ -38,7 +38,7 @@ def test_cut_edge_rule_uncut_and_midpoint():
 
 def test_interface_line_rule():
     q = 4
-    rule = interface_line_rule(0.2, 0.9, q)
+    rule = gauss_interval(0.2, 0.9, q)
     exact = (0.9 ** (2 * q) - 0.2 ** (2 * q)) / (2 * q)
     assert rule.weights @ rule.points ** (2 * q - 1) == pytest.approx(exact, abs=1e-15)
     assert rule.weights.sum() == pytest.approx(0.7, abs=1e-15)
@@ -62,7 +62,7 @@ def test_interface_line_rule_converges_on_smooth_integrand():
 
     errs = []
     for q in (2, 4, 8, 16):
-        rule = interface_line_rule(0.1, 1.3, q)
+        rule = gauss_interval(0.1, 1.3, q)
         errs.append(abs(rule.weights @ f(rule.points) - ref))
     assert errs[-1] <= 1e-12
     # Below about a hundred ulps of the integral (~0.68) the difference is
