@@ -19,7 +19,8 @@ class InterfaceCurve:
     """A planar parametrized curve g : [xi_start, xi_end] -> R^2.
 
     Subclasses implement ``point``, ``velocity``, ``accel`` and ``jerk``
-    (g and its first three derivatives), each vectorized over the parameter.
+    (g and its first three derivatives), each vectorized over the parameter,
+    and may override ``jet`` to share work between the first three.
 
     Parameters
     ----------
@@ -48,6 +49,10 @@ class InterfaceCurve:
 
     def jerk(self, xi):
         raise NotImplementedError
+
+    def jet(self, xi):
+        """(g, g', g'') at xi, bit-identical to point, velocity and accel."""
+        return self.point(xi), self.velocity(xi), self.accel(xi)
 
     # ----------------------------------------------------------------------
     @property
@@ -95,10 +100,12 @@ class TrigCurve(InterfaceCurve):
         self.ay, self.by = pad(ay), pad(by)
         self._k = np.arange(n, dtype=float)
 
-    def _eval(self, xi, order: int):
-        xi = np.asarray(xi, dtype=float)
-        th = np.multiply.outer(xi, self._k)
-        cos, sin = np.cos(th), np.sin(th)
+    def _cos_sin(self, xi):
+        th = np.multiply.outer(np.asarray(xi, dtype=float), self._k)
+        return np.cos(th), np.sin(th)
+
+    def _eval(self, cos_sin, order: int):
+        cos, sin = cos_sin
         kp = self._k**order
         # d/dxi rotates (cos, sin) -> (-k sin, k cos); apply `order` times.
         if order % 4 == 0:
@@ -114,16 +121,20 @@ class TrigCurve(InterfaceCurve):
         return np.stack([x, y], axis=-1)
 
     def point(self, xi):
-        return self._eval(xi, 0)
+        return self._eval(self._cos_sin(xi), 0)
 
     def velocity(self, xi):
-        return self._eval(xi, 1)
+        return self._eval(self._cos_sin(xi), 1)
 
     def accel(self, xi):
-        return self._eval(xi, 2)
+        return self._eval(self._cos_sin(xi), 2)
 
     def jerk(self, xi):
-        return self._eval(xi, 3)
+        return self._eval(self._cos_sin(xi), 3)
+
+    def jet(self, xi):
+        cos_sin = self._cos_sin(xi)
+        return tuple(self._eval(cos_sin, order) for order in range(3))
 
 
 class LineCurve(InterfaceCurve):

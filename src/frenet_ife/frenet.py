@@ -45,17 +45,20 @@ def frenet_apparatus(curve: InterfaceCurve, xi) -> FrenetFrame:
     input yields arrays with the trailing component axis.
     """
     xi = np.asarray(xi, dtype=float)
-    v = curve.velocity(xi)
-    a = curve.accel(xi)
+    tau, n, kappa, s = _frame(curve.velocity(xi), curve.accel(xi))
+    if xi.ndim == 0:
+        return FrenetFrame(tau=tau, n=n, kappa=float(kappa), speed=float(s))
+    return FrenetFrame(tau=tau, n=n, kappa=kappa, speed=s)
+
+
+def _frame(v, a):
+    """(tau, n, kappa, speed) from g' and g''."""
     s = np.linalg.norm(v, axis=-1)
     if np.any(s < 1e-12):
         raise DegenerateParametrization("||g'(xi)|| < 1e-12")
     tau = v / s[..., None]
-    n = tau @ ROT.T
     kappa = (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / s**3
-    if xi.ndim == 0:
-        return FrenetFrame(tau=tau, n=n, kappa=float(kappa), speed=float(s))
-    return FrenetFrame(tau=tau, n=n, kappa=kappa, speed=s)
+    return tau, tau @ ROT.T, kappa, s
 
 
 def unwrap_near(xi, anchor: float, period: float):
@@ -108,11 +111,9 @@ class FrenetChart:
     def jacobian(self, eta, xi):
         """Jacobian of P: columns (n, (1 + eta*kappa) g').  Shape (..., 2, 2)."""
         eta = np.asarray(eta, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        fr = frenet_apparatus(self.curve, xi)
-        v = self.curve.velocity(xi)
-        col_xi = (1.0 + eta * np.asarray(fr.kappa))[..., None] * v
-        return np.stack([fr.n, col_xi], axis=-1)
+        _, v, a = self.curve.jet(np.asarray(xi, dtype=float))
+        _, n, kappa, _ = _frame(v, a)
+        return np.stack([n, (1.0 + eta * kappa)[..., None] * v], axis=-1)
 
     def jacobian_det(self, eta, xi):
         """det DP = ||g'(xi)|| (1 + eta*kappa(xi))."""
@@ -184,28 +185,31 @@ class FrenetChart:
         single = np.asarray(points).ndim == 1
         c = self.curve
 
+        def residual(eta, xi, idx):
+            # one curve jet per evaluation; its frame serves the next step
+            g, v, a = c.jet(xi)
+            _, n, kappa, _ = _frame(v, a)
+            return g + eta[:, None] * n - pts[idx], v, n, kappa
+
         xi = self.nearest_parameter_estimate(pts)
-        fr = frenet_apparatus(c, xi)
-        eta = np.einsum("ij,ij->i", pts - c.point(xi), np.atleast_2d(fr.n))
+        g, v, a = c.jet(xi)
+        _, n, kappa, _ = _frame(v, a)
+        eta = np.einsum("ij,ij->i", pts - g, n)
+        res = g + eta[:, None] * n - pts
 
         active = np.arange(len(pts))
         for _ in range(self.max_iter):
-            g = c.point(xi[active])
-            fr = frenet_apparatus(c, xi[active])
-            n = np.atleast_2d(fr.n)
-            res = g + eta[active, None] * n - pts[active]
             rnorm = np.linalg.norm(res, axis=1)
             done = rnorm <= self.newton_tol
             if np.any(done):
                 active = active[~done]
                 if len(active) == 0:
                     break
-                g, fr = c.point(xi[active]), frenet_apparatus(c, xi[active])
-                n = np.atleast_2d(fr.n)
-                res = g + eta[active, None] * n - pts[active]
+                # re-evaluate, not subset: a many-term curve's BLAS sums can
+                # round differently on the shrunk batch, as they always have
+                res, v, n, kappa = residual(eta[active], xi[active], active)
                 rnorm = np.linalg.norm(res, axis=1)
-            v = np.atleast_2d(c.velocity(xi[active]))
-            fac = 1.0 + eta[active] * np.asarray(fr.kappa)
+            fac = 1.0 + eta[active] * kappa
             # solve [n | fac*g'] d = -res per point (2x2 closed form)
             a11, a21 = n[:, 0], n[:, 1]
             a12, a22 = fac * v[:, 0], fac * v[:, 1]
@@ -218,18 +222,18 @@ class FrenetChart:
             for _bt in range(30):
                 eta_try = eta[active] + step * d_eta
                 xi_try = xi[active] + step * d_xi
-                res_try = (c.point(xi_try)
-                           + eta_try[:, None] * np.atleast_2d(frenet_apparatus(c, xi_try).n)
-                           - pts[active])
-                worse = np.linalg.norm(res_try, axis=1) > rnorm
+                res, v, n, kappa = residual(eta_try, xi_try, active)
+                worse = np.linalg.norm(res, axis=1) > rnorm
                 if not np.any(worse):
                     break
                 step[worse] *= 0.5
             eta[active] += step * d_eta
             xi[active] += step * d_xi
+            if np.any(worse):
+                # backtracking gave up; its last halving was never evaluated
+                res, v, n, kappa = residual(eta[active], xi[active], active)
         else:
-            res = (c.point(xi) + eta[:, None]
-                   * np.atleast_2d(frenet_apparatus(c, xi).n) - pts)
+            res = residual(eta, xi, slice(None))[0]
             bad = np.linalg.norm(res, axis=1) > self.newton_tol
             if np.any(bad):
                 raise NewtonDivergence(

@@ -205,6 +205,12 @@ class IfeBasis:
                 / self.scaling.h_xi
         return vals, g_eta, g_xi
 
+    def reference_coords(self, pts):
+        """Tubular coordinates (eta, xi) of points of the element."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        anchor = 0.5 * (self.interval[0] + self.interval[1])
+        return self.chart.inverse(pts, xi_anchor=anchor)
+
     def evaluate(self, pts, side=None):
         """Physical values and gradients at points of the element.
 
@@ -212,9 +218,10 @@ class IfeBasis:
         points lying exactly on the interface; by default the sign of eta
         decides.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        anchor = 0.5 * (self.interval[0] + self.interval[1])
-        eta, xi = self.chart.inverse(pts, xi_anchor=anchor)
+        return self.combine(*self.reference_coords(pts), side)
+
+    def combine(self, eta, xi, side=None):
+        """Values and gradients at the points with tubular coordinates (eta, xi)."""
         if side is None:
             side = np.where(eta >= 0.0, 1, -1)
         else:
@@ -362,10 +369,12 @@ class SpaceSet:
     level's quadrature table, filled on first use and keyed by Gauss order
     (default m+2 points per axis on volumes, m+3 on edges).
 
-    The table keeps, built once, the pieces of interface elements and the
-    segments of their edges; plain ones cost less to rebuild than to keep.
-    Plain bases combine 1D Lagrange tables kept per bit pattern of their
-    reference coordinates, so values are bit-identical to per-element ones.
+    The table keeps, built once, the pieces of interface elements, the
+    segments of their edges and the tubular coordinates of both, from one
+    chart inverse per element for its pieces and one for its four edges;
+    plain pieces and segments cost less to rebuild than to keep.  Plain
+    bases combine 1D Lagrange tables kept per bit pattern of their reference
+    coordinates, so values are bit-identical to per-element ones.
     """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
@@ -412,37 +421,63 @@ class SpaceSet:
         return self._cached(("rules", e, q), lambda: self.element_rules(e, q),
                             self.bases[e].kind != "plain")
 
-    def _values(self, e: int, pts, side):
+    def _coords(self, e: int, q: int, volume: bool):
+        """Tubular coordinates of interface element e from one chart inverse:
+        {None: [per piece]} or, over its four edges, {edge: [per segment]}."""
+        if volume:
+            groups = {None: [rule.points for rule, _ in self.pieces(e, q)]}
+        else:
+            groups = {k: [pts for pts, _, _ in self._segments(k, q)]
+                      for k in self.mesh.elem_edges[e]}
+        flat = [pts for g in groups.values() for pts in g]
+        eta, xi = self.bases[e].reference_coords(np.concatenate(flat))
+        cuts = np.cumsum([len(pts) for pts in flat])[:-1]
+        parts = iter(zip(np.split(eta, cuts), np.split(xi, cuts)))
+        return {k: [next(parts) for _ in g] for k, g in groups.items()}
+
+    def _values(self, e: int, q: int, k, items):
+        """(vals, grads) of basis e at each (points, side) of `items`: the
+        pieces of element e (k None) or the segments of its edge k."""
         basis = self.bases[e]
-        if basis.kind != "plain":
-            return basis.evaluate(pts, side=side)
-        return basis.combine(*(self._cached(("lagrange", r.tobytes()),
-                                            lambda: _lagrange_1d(basis.nodes, r), True)
-                               for r in basis.reference_coords(pts)))
+        if basis.kind == "plain":
+            return [basis.combine(*(self._cached(("lagrange", r.tobytes()),
+                                                 lambda: _lagrange_1d(basis.nodes, r), True)
+                                    for r in basis.reference_coords(pts)))
+                    for pts, _ in items]
+        coords = self._cached(("coords", e, q, k is None),
+                              lambda: self._coords(e, q, k is None), True)[k]
+        return [basis.combine(eta, xi, side) for (eta, xi), (_, side) in zip(coords, items)]
 
     def volume(self, e: int, q: int | None = None):
         """[(rule, side, vals, grads)]: basis e on the pieces of element e."""
-        return [(rule, side, *self._values(e, rule.points, side))
-                for rule, side in self.pieces(e, q)]
+        q = q if q is not None else self.m + 2
+        pieces = self.pieces(e, q)
+        values = self._values(e, q, None, [(rule.points, side) for rule, side in pieces])
+        return [(rule, side, *vg) for (rule, side), vg in zip(pieces, values)]
 
-    def _segments(self, k: int, q: int | None):
+    def _segments(self, k: int, q: int):
         from .assembly import edge_segments   # assembly imports this module
 
-        q = q if q is not None else self.m + 3
         keep = any(self.bases[f].kind != "plain" for f in self.mesh.edge_elems[k] if f >= 0)
         return self._cached(("segments", k, q), lambda: edge_segments(self, k, q), keep)
 
     def face(self, k: int, e: int, q: int | None = None):
         """[(points, weights, side, vals, grads)]: basis e on edge k's segments."""
-        return [(pts, w, side, *self._values(e, pts, side))
-                for pts, w, side in self._segments(k, q)]
+        q = q if q is not None else self.m + 3
+        segs = self._segments(k, q)
+        values = self._values(e, q, k, [(pts, side) for pts, _, side in segs])
+        return [(*seg, *vg) for seg, vg in zip(segs, values)]
 
     def edge(self, k: int, q: int | None = None):
         """[(points, weights, side, [(e, sign, vals, grads)])] on edge k: sign +1
         on the element its normal points out of, -1 on the neighbour if any."""
-        members = [(e, sign) for e, sign in zip(self.mesh.edge_elems[k], (1.0, -1.0)) if e >= 0]
-        return [(pts, w, side, [(e, sign, *self._values(e, pts, side)) for e, sign in members])
-                for pts, w, side in self._segments(k, q)]
+        q = q if q is not None else self.m + 3
+        segs = self._segments(k, q)
+        items = [(pts, side) for pts, _, side in segs]
+        members = [(e, sign, self._values(e, q, k, items))
+                   for e, sign in zip(self.mesh.edge_elems[k], (1.0, -1.0)) if e >= 0]
+        return [(*seg, [(e, sign, *values[i]) for e, sign, values in members])
+                for i, seg in enumerate(segs)]
 
 
 def build_spaces(mesh, tags, chart, m, beta_minus, beta_plus, line_q=None) -> SpaceSet:

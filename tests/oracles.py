@@ -341,3 +341,77 @@ def loop_project_l2(u, spaces, q=None):
             rhs += vals @ (rule.weights * u(rule.points, side))
         out[spaces.layout.dofs(e)] = np.linalg.solve(M, rhs)
     return out
+
+
+def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
+    """FrenetChart.inverse as it was before the one-jet Newton loop: every
+    step re-evaluates the curve point by point, derivative by derivative.
+
+    If a list is given as `first_step_backtracks`, the number of points
+    whose first Newton step had to be damped is appended to it.
+    """
+    from frenet_ife.errors import NewtonDivergence
+    from frenet_ife.frenet import frenet_apparatus, unwrap_near
+
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    single = np.asarray(points).ndim == 1
+    c = chart.curve
+
+    xi = chart.nearest_parameter_estimate(pts)
+    fr = frenet_apparatus(c, xi)
+    eta = np.einsum("ij,ij->i", pts - c.point(xi), np.atleast_2d(fr.n))
+
+    active = np.arange(len(pts))
+    for it in range(chart.max_iter):
+        g = c.point(xi[active])
+        fr = frenet_apparatus(c, xi[active])
+        n = np.atleast_2d(fr.n)
+        res = g + eta[active, None] * n - pts[active]
+        rnorm = np.linalg.norm(res, axis=1)
+        done = rnorm <= chart.newton_tol
+        if np.any(done):
+            active = active[~done]
+            if len(active) == 0:
+                break
+            g, fr = c.point(xi[active]), frenet_apparatus(c, xi[active])
+            n = np.atleast_2d(fr.n)
+            res = g + eta[active, None] * n - pts[active]
+            rnorm = np.linalg.norm(res, axis=1)
+        v = np.atleast_2d(c.velocity(xi[active]))
+        fac = 1.0 + eta[active] * np.asarray(fr.kappa)
+        a11, a21 = n[:, 0], n[:, 1]
+        a12, a22 = fac * v[:, 0], fac * v[:, 1]
+        det = a11 * a22 - a12 * a21
+        det[np.abs(det) < 1e-300] = 1e-300
+        d_eta = (-res[:, 0] * a22 + res[:, 1] * a12) / det
+        d_xi = (res[:, 0] * a21 - res[:, 1] * a11) / det
+        step = np.ones(len(active))
+        for _bt in range(30):
+            eta_try = eta[active] + step * d_eta
+            xi_try = xi[active] + step * d_xi
+            res_try = (c.point(xi_try)
+                       + eta_try[:, None] * np.atleast_2d(frenet_apparatus(c, xi_try).n)
+                       - pts[active])
+            worse = np.linalg.norm(res_try, axis=1) > rnorm
+            if not np.any(worse):
+                break
+            step[worse] *= 0.5
+        if it == 0 and first_step_backtracks is not None:
+            first_step_backtracks.append(int(np.sum(step < 1.0)))
+        eta[active] += step * d_eta
+        xi[active] += step * d_xi
+    else:
+        res = (c.point(xi) + eta[:, None]
+               * np.atleast_2d(frenet_apparatus(c, xi).n) - pts)
+        bad = np.linalg.norm(res, axis=1) > chart.newton_tol
+        if np.any(bad):
+            raise NewtonDivergence(f"{int(bad.sum())} point(s) failed to invert")
+
+    if c.periodic:
+        anchor = c.xi_start + 0.5 * c.period if xi_anchor is None else xi_anchor
+        xi = unwrap_near(xi, anchor, c.period)
+        if xi_anchor is None:
+            xi = np.where(xi < c.xi_start, xi + c.period, xi)
+    if single:
+        return float(eta[0]), float(xi[0])
+    return eta, xi

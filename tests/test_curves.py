@@ -93,6 +93,16 @@ def test_trig_curve_derivative_consistency():
                            atol=1e-7)
 
 
+@pytest.mark.parametrize("curve", [circle(0.6), ellipse(1.0, 0.6), flower(0.5, 0.1, 5),
+                                   LineCurve([0.1, -0.2], [0.6, 0.8])])
+def test_jet_is_point_velocity_accel_bitwise(curve):
+    for xi in (np.linspace(-1.0, 7.0, 257), np.asarray(0.7)):
+        jet = curve.jet(xi)
+        assert len(jet) == 3
+        for got, ref in zip(jet, (curve.point(xi), curve.velocity(xi), curve.accel(xi))):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
 def test_curve_from_config_round_trip():
     spec = {"kind": "circle", "radius": 0.6, "center": [0.1, -0.2]}
     c = curve_from_config(spec)

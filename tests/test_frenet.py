@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from frenet_ife.curves import LineCurve, circle, ellipse
+from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import NewtonDivergence, OutsideValidityStrip
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, loop_inverse
 
 
 @pytest.fixture
@@ -45,6 +45,17 @@ def test_jacobian_matches_finite_differences():
         fr = frenet_apparatus(chart.curve, xi)
         det = fr.speed * (1.0 + eta * fr.kappa)
         assert np.linalg.det(J) == pytest.approx(det, abs=1e-12)
+
+
+@pytest.mark.parametrize("curve", [ellipse(1.0, 0.6), flower(0.5, 0.1, 5)])
+def test_jacobian_bitwise_equal_to_frame_columns(curve):
+    chart = FrenetChart(curve, h=0.5 / curve.max_curvature)
+    rng = np.random.default_rng(2)
+    eta = rng.uniform(-chart.h, chart.h, 200)
+    xi = rng.uniform(0.0, 2 * np.pi, 200)
+    fr = frenet_apparatus(curve, xi)
+    ref = np.stack([fr.n, (1.0 + eta * fr.kappa)[:, None] * curve.velocity(xi)], axis=-1)
+    assert np.array_equal(chart.jacobian(eta, xi), ref)
 
 
 def test_jacobian_det_positive_inside_half_curvature_strip():
@@ -99,6 +110,64 @@ def test_newton_divergence_on_iteration_cap():
     chart = FrenetChart(circle(1.0), h=0.3, max_iter=1, newton_tol=1e-15)
     with pytest.raises(NewtonDivergence):
         chart.inverse(np.array([1.21, 0.13]))
+
+
+class _OffsetGuessChart(FrenetChart):
+    """A chart whose Newton guess is moved off the polyline foot by up to
+    `offset` in xi, so that full first steps can overshoot and backtrack."""
+
+    offset = 0.3
+
+    def nearest_parameter_estimate(self, points):
+        xi = super().nearest_parameter_estimate(points)
+        return xi + self.offset * np.sin(1e3 * np.atleast_2d(points)[:, 0])
+
+
+def _same_bits(got, ref):
+    return all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+# the seed polyline's guess is so close that no first step backtracks; with
+# the guess moved off, some do on the ellipse and the flower (a circle's
+# Newton map converges cubically and a line's is exact, so none there)
+@pytest.mark.parametrize("curve, offset, backtracks", [
+    (circle(0.6), 0.3, False), (ellipse(1.0, 0.6), 0.6, True),
+    (flower(0.5, 0.1, 5), 0.3, True), (LineCurve([0.1, -0.2], [0.6, 0.8]), 0.3, False)])
+def test_inverse_bitwise_equal_to_loop_oracle(curve, offset, backtracks):
+    h = 0.5 / curve.max_curvature if curve.max_curvature > 0 else 0.5
+    rng = np.random.default_rng(5)
+    eta = rng.uniform(-h, h, 400)
+    xi = rng.uniform(0.0, 2 * np.pi, 400) if curve.periodic else rng.uniform(-3.0, 3.0, 400)
+    plain = FrenetChart(curve, h=h)
+    offset_chart = _OffsetGuessChart(curve, h=h)
+    offset_chart.offset = offset
+    first_steps = []
+    for chart in (plain, offset_chart):
+        pts = chart.map(eta, xi)
+        for anchor in (None, 1.0):
+            ref = loop_inverse(chart, pts, xi_anchor=anchor, first_step_backtracks=first_steps)
+            assert _same_bits(chart.inverse(pts, xi_anchor=anchor), ref)
+        assert _same_bits(chart.inverse(pts[7]), loop_inverse(chart, pts[7]))
+    assert first_steps[:2] == [0, 0]
+    assert (first_steps[2] > 0) == backtracks
+
+
+def test_inverse_far_outside_strip_raises_like_loop_oracle():
+    # at |x| = 3000 roundoff in P is about newton_tol, so Newton stalls at
+    # some of these points and converges at others
+    chart = FrenetChart(circle(0.6), h=0.2)
+    th = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+    raised = 0
+    for p in 3000.0 * np.stack([np.cos(th), np.sin(th)], axis=1):
+        try:
+            ref = loop_inverse(chart, p)
+        except NewtonDivergence:
+            raised += 1
+            with pytest.raises(NewtonDivergence):
+                chart.inverse(p)
+        else:
+            assert chart.inverse(p) == ref
+    assert 0 < raised < len(th)
 
 
 def test_fictitious_interval_line_exact():

@@ -3,14 +3,16 @@
 Assembly, error norms, the trace probe and the L2 projection read one table
 of cut-aware rules and basis values per level; `oracles.loop_*` rebuild the
 rules and re-evaluate every basis at every point instead.  Both must agree
-to roundoff on the circle benchmark (beta- = 1, beta+ = 10).
+to roundoff on the circle benchmark (beta- = 1, beta+ = 10).  The table also
+keeps the tubular coordinates of interface points, so each interface element
+is inverted through the chart once for its volume and once for its edges.
 """
 
 import numpy as np
 import pytest
 
 from frenet_ife.analysis import error_norms, manufactured_circle, setup_level
-from frenet_ife.assembly import assemble, solve, trace_constant
+from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
 from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import build_spaces, project_l2
 from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
@@ -73,3 +75,42 @@ def test_table_matches_element_loops(n, m, relabel):
 
     proj = project_l2(case.u, spaces)
     assert _rel_max(proj, loop_project_l2(case.u, spaces)) <= RTOL
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_table_interface_values_bitwise_equal_to_evaluate(m):
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, BOX, 8, m)
+    mesh = spaces.mesh
+
+    def same(got, pts, side, e):
+        ref = spaces.bases[e].evaluate(pts, side=side)
+        return all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    for e in spaces.tags.interface_elements:
+        for rule, side, vals, grads in spaces.volume(e):
+            assert same((vals, grads), rule.points, side, e)
+        for k in mesh.elem_edges[e]:
+            for pts, _, side, vals, grads in spaces.face(k, e):
+                assert same((vals, grads), pts, side, e)
+            for pts, _, side, members in spaces.edge(k):
+                for f, _, vals, grads in members:
+                    assert same((vals, grads), pts, side, f)
+
+
+def test_table_inverts_each_interface_element_twice_per_level(monkeypatch):
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, BOX, 16, 2)
+    chart = spaces.chart
+    calls = []
+
+    def inverse(points, xi_anchor=None):
+        calls.append(len(points))
+        return FrenetChart.inverse(chart, points, xi_anchor)
+
+    monkeypatch.setattr(chart, "inverse", inverse)
+    sigma0, _ = auto_sigma0(spaces)
+    system = assemble(spaces, sigma0, case.f, case.dirichlet)
+    error_norms(solve(system, pd_check=False), case, spaces, sigma0)
+    # one call for the volume pieces, one for the four edges' segments
+    assert 0 < len(calls) <= 2 * len(spaces.tags.interface_elements)
