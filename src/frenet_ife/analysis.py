@@ -242,18 +242,23 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1),
         tags = classify_elements(mesh, chart)
         t_dev = dt_dev = det_dev = 0.0
         band_lo, band_hi = np.inf, -np.inf
-        for e in tags.interface_elements:
-            tag = tags.tags[e]
-            xi0, xi1 = tag.interval
+        # one chart inverse for the grids of all interface elements
+        elems, size = tags.interface_elements, grid * grid
+        grids = []
+        for e in elems:
+            xl, yl, xh, yh = mesh.elem_box(e)
+            X, Y = np.meshgrid(np.linspace(xl, xh, grid), np.linspace(yl, yh, grid))
+            grids.append(np.column_stack([X.ravel(), Y.ravel()]))
+        if elems:
+            mids = [0.5 * (lo + hi) for lo, hi in (tags.tags[e].interval for e in elems)]
+            eta_all, xi_all = chart.inverse(np.concatenate(grids),
+                                            xi_anchor=np.repeat(mids, size))
+        for j, (e, pts) in enumerate(zip(elems, grids)):
+            eta, xi = eta_all[j * size:(j + 1) * size], xi_all[j * size:(j + 1) * size]
+            xi0, xi1 = tags.tags[e].interval
             band = (xi1 - xi0) / mesh.h
             band_lo, band_hi = min(band_lo, band), max(band_hi, band)
             cc = chart.chord_chart(xi0, xi1)
-            xl, yl, xh, yh = mesh.elem_box(e)
-            gx = np.linspace(xl, xh, grid)
-            gy = np.linspace(yl, yh, grid)
-            X, Y = np.meshgrid(gx, gy)
-            pts = np.column_stack([X.ravel(), Y.ravel()])
-            eta, xi = chart.inverse(pts, xi_anchor=0.5 * (xi0 + xi1))
             hat = np.column_stack([eta, xi])
             t_dev = max(t_dev, np.max(np.linalg.norm(cc.inverse(pts) - hat, axis=1)))
             DT = cc.transition_jacobian(eta, xi)

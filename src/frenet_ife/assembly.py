@@ -38,15 +38,8 @@ class SipdgSystem:
 def edge_segments(spaces: SpaceSet, k: int, q: int):
     """Quadrature segments of edge k with branch labels: [(pts, w, side)]."""
     mesh = spaces.mesh
-    cuts = spaces.tags.edge_cuts.get(k, [])
-    ts = [c.t for c in cuts if 1e-12 < c.t < 1.0 - 1e-12]
-    a, b = mesh.edge_a[k], mesh.edge_b[k]
-    out = []
-    for seg in cut_edge_rule(a, b, ts, q):
-        mid = a + 0.5 * (seg.t0 + seg.t1) * (b - a)
-        side = 1 if spaces.chart.signed_distance_estimate(mid) > 0 else -1
-        out.append((seg.points, seg.weights, side))
-    return out
+    segs = cut_edge_rule(mesh.edge_a[k], mesh.edge_b[k], spaces.tags.interior_cuts(k), q)
+    return [(seg.points, seg.weights, side) for seg, side in zip(segs, spaces.segment_sides(k))]
 
 
 def _csr(blocks, n):

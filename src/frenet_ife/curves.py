@@ -116,8 +116,12 @@ class TrigCurve(InterfaceCurve):
             cc, ss = -cos, -sin
         else:
             cc, ss = sin, -cos
-        x = cc @ (kp * self.ax) + ss @ (kp * self.bx)
-        y = cc @ (kp * self.ay) + ss @ (kp * self.by)
+        # einsum sums each row in a fixed order; BLAS rounds a row differently
+        # depending on the batch it sits in
+        x = (np.einsum("...k,k->...", cc, kp * self.ax)
+             + np.einsum("...k,k->...", ss, kp * self.bx))
+        y = (np.einsum("...k,k->...", cc, kp * self.ay)
+             + np.einsum("...k,k->...", ss, kp * self.by))
         return np.stack([x, y], axis=-1)
 
     def point(self, xi):

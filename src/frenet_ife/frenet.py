@@ -26,6 +26,11 @@ from .errors import (
 # so the normal points from the minus side toward the plus side.
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# Points per seed-tree query and per Newton batch.  Results do not depend on
+# it (every point is processed on its own); it bounds the temporaries of a
+# whole-level call, which otherwise raise the peak RSS by several MB.
+_BLOCK = 2048
+
 
 @dataclass
 class FrenetFrame:
@@ -141,10 +146,12 @@ class FrenetChart:
         is singular), which is what element classification needs.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tree, xi, curve_pts, normals = self._seeds()
-        _, idx = tree.query(pts)
-        d = pts - curve_pts[idx]
-        eta = np.einsum("ij,ij->i", d, normals[idx])
+        tree, _, curve_pts, normals = self._seeds()
+        eta = np.empty(len(pts))
+        for s in range(0, len(pts), _BLOCK):
+            block = pts[s:s + _BLOCK]
+            _, idx = tree.query(block)
+            eta[s:s + _BLOCK] = np.einsum("ij,ij->i", block - curve_pts[idx], normals[idx])
         return eta if np.asarray(points).ndim > 1 else float(eta[0])
 
     def nearest_parameter_estimate(self, points):
@@ -169,12 +176,13 @@ class FrenetChart:
         return xi[idx] + t * dxi
 
     # -- inverse map ---------------------------------------------------------
-    def inverse(self, points, xi_anchor: float | None = None):
+    def inverse(self, points, xi_anchor: float | np.ndarray | None = None):
         """Invert P at one or many physical points.
 
         Returns (eta, xi) with ||P(eta, xi) - point|| <= newton_tol.  For a
         periodic curve the parameter is unwrapped near `xi_anchor` when given,
-        otherwise reduced to the principal interval.
+        a float or an array with one anchor per point, otherwise reduced to
+        the principal interval.
 
         Raises
         ------
@@ -182,7 +190,22 @@ class FrenetChart:
             If any point fails to converge within max_iter iterations.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        single = np.asarray(points).ndim == 1
+        eta, xi, ok = self._newton(pts)
+        if not np.all(ok):
+            raise NewtonDivergence(
+                f"{int(np.sum(~ok))} point(s) failed to invert; "
+                "outside the tubular strip or mesh too coarse")
+        xi = self._unwrap(xi, xi_anchor)
+        if np.asarray(points).ndim == 1:
+            return float(eta[0]), float(xi[0])
+        return eta, xi
+
+    def _newton(self, pts):
+        """Damped Newton on P(eta, xi) = pts, (n, 2): (eta, xi, converged),
+        with xi not yet unwrapped.  Each point runs as it would alone."""
+        if len(pts) > _BLOCK:
+            parts = [self._newton(pts[s:s + _BLOCK]) for s in range(0, len(pts), _BLOCK)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
         c = self.curve
 
         def residual(eta, xi, idx):
@@ -197,18 +220,19 @@ class FrenetChart:
         eta = np.einsum("ij,ij->i", pts - g, n)
         res = g + eta[:, None] * n - pts
 
+        ok = np.ones(len(pts), dtype=bool)
         active = np.arange(len(pts))
         for _ in range(self.max_iter):
             rnorm = np.linalg.norm(res, axis=1)
             done = rnorm <= self.newton_tol
             if np.any(done):
-                active = active[~done]
-                if len(active) == 0:
-                    break
-                # re-evaluate, not subset: a many-term curve's BLAS sums can
-                # round differently on the shrunk batch, as they always have
-                res, v, n, kappa = residual(eta[active], xi[active], active)
-                rnorm = np.linalg.norm(res, axis=1)
+                keep = ~done
+                active = active[keep]
+                # curve values do not depend on the batch, so the subset is
+                # what re-evaluating the remaining points would give
+                res, v, n, kappa, rnorm = res[keep], v[keep], n[keep], kappa[keep], rnorm[keep]
+            if len(active) == 0:
+                break
             fac = 1.0 + eta[active] * kappa
             # solve [n | fac*g'] d = -res per point (2x2 closed form)
             a11, a21 = n[:, 0], n[:, 1]
@@ -233,70 +257,73 @@ class FrenetChart:
                 # backtracking gave up; its last halving was never evaluated
                 res, v, n, kappa = residual(eta[active], xi[active], active)
         else:
-            res = residual(eta, xi, slice(None))[0]
-            bad = np.linalg.norm(res, axis=1) > self.newton_tol
-            if np.any(bad):
-                raise NewtonDivergence(
-                    f"{int(bad.sum())} point(s) failed to invert; "
-                    "outside the tubular strip or mesh too coarse")
+            res = residual(eta[active], xi[active], active)[0]
+            ok[active] = ~(np.linalg.norm(res, axis=1) > self.newton_tol)
+        return eta, xi, ok
 
+    def _unwrap(self, xi, xi_anchor):
+        """Periodic parameters near `xi_anchor`, or in the principal interval."""
+        c = self.curve
         if c.periodic:
             anchor = c.xi_start + 0.5 * c.period if xi_anchor is None else xi_anchor
             xi = unwrap_near(xi, anchor, c.period)
             if xi_anchor is None:
                 xi = np.where(xi < c.xi_start, xi + c.period, xi)
-        if single:
-            return float(eta[0]), float(xi[0])
-        return eta, xi
+        return xi
 
     # -- fictitious interval ---------------------------------------------------
     def fictitious_interval(self, corners, samples_per_edge: int = 8):
-        """Parameter interval [xi0, xi1] of the fictitious box containing an element.
+        """Parameter interval [xi0, xi1] of the fictitious box containing an
+        element with (4, 2) `corners`; see fictitious_intervals."""
+        xi0, xi1 = self.fictitious_intervals(np.asarray(corners, dtype=float)[None],
+                                             samples_per_edge)
+        return float(xi0[0]), float(xi1[0])
 
-        `corners` is the (4, 2) array of element corners in boundary order.
-        The xi-range of the inverse map is sampled on an ordered loop around
-        the boundary (corners plus edge samples) and each extremum gets one
-        parabolic refinement along the boundary, so the element stays inside
-        P([-h, h] x [xi0, xi1]).
+    def fictitious_intervals(self, corners, samples_per_edge: int = 8):
+        """Parameter intervals [xi0, xi1] of the fictitious boxes containing elements.
+
+        `corners` is the (E, 4, 2) array of element corners in boundary
+        order; returns the arrays xi0 and xi1.  The xi-range of the inverse
+        map is sampled on an ordered loop around each boundary (corners plus
+        edge samples) and each extremum gets one parabolic refinement along
+        the boundary, so the element stays inside P([-h, h] x [xi0, xi1]).  A
+        refinement that fails to invert keeps the sampled extremum.
         """
         corners = np.asarray(corners, dtype=float)
+        n_el = len(corners)
         ts = np.linspace(0.0, 1.0, samples_per_edge + 2)[1:-1]
-        loop = []
-        for k in range(4):
-            a, b = corners[k], corners[(k + 1) % 4]
-            loop.append(a)
-            loop.extend(a + t * (b - a) for t in ts)
-        loop = np.asarray(loop)
+        a = corners[:, :, None, :]
+        d = np.roll(corners, -1, axis=1)[:, :, None, :] - a
+        n_loop = 4 * (samples_per_edge + 1)
+        loops = np.concatenate([a, a + ts[:, None] * d], axis=2).reshape(n_el, n_loop, 2)
         anchor = None
         if self.curve.periodic:
-            _, anchor = self.inverse(corners[0])
-        _, xi = self.inverse(loop, xi_anchor=anchor)
+            _, anchor = self.inverse(corners[:, 0])
+        _, xi = self.inverse(loops.reshape(-1, 2),
+                             xi_anchor=None if anchor is None else np.repeat(anchor, n_loop))
+        xi = xi.reshape(n_el, n_loop)
 
-        lo = self._refine_extremum(loop, xi, int(np.argmin(xi)), sign=-1.0, anchor=anchor)
-        hi = self._refine_extremum(loop, xi, int(np.argmax(xi)), sign=+1.0, anchor=anchor)
-        pad = 1e-10 * max(hi - lo, 1e-30)
+        # parabolic correction along the loop at the sampled min (row 0) and max (row 1)
+        rows = np.arange(n_el)
+        i = np.stack([np.argmin(xi, axis=1), np.argmax(xi, axis=1)])
+        prv, nxt = (i - 1) % n_loop, (i + 1) % n_loop
+        y0, best, y2 = xi[rows, prv], xi[rows, i], xi[rows, nxt]
+        qa = 0.5 * (y0 + y2) - best
+        qb = 0.5 * (y2 - y0)
+        fit = np.abs(qa) > 1e-300
+        t_v = np.clip(-qb / (2.0 * np.where(fit, qa, 1.0)), -1.0, 1.0)[..., None]
+        p = loops[rows, i]
+        p = np.where(t_v >= 0.0, p + t_v * (loops[rows, nxt] - p),
+                     p - t_v * (loops[rows, prv] - p))
+        _, xv, ok = self._newton(p[fit])
+        xv = self._unwrap(xv, None if anchor is None
+                          else np.broadcast_to(anchor, fit.shape)[fit])
+        refined = np.full(fit.shape, np.nan)
+        refined[fit] = np.where(ok, xv, np.nan)
+        lo = np.where(refined[0] < best[0], refined[0], best[0])
+        hi = np.where(refined[1] > best[1], refined[1], best[1])
+        pad = 1e-10 * np.maximum(hi - lo, 1e-30)
         return lo - pad, hi + pad
-
-    def _refine_extremum(self, loop, xi, i, sign, anchor):
-        """Parabolic correction along the boundary loop at sample i."""
-        n = len(loop)
-        prv, nxt = (i - 1) % n, (i + 1) % n
-        y0, y1, y2 = xi[prv], xi[i], xi[nxt]
-        a = 0.5 * (y0 + y2) - y1
-        b = 0.5 * (y2 - y0)
-        best = y1
-        if abs(a) > 1e-300:
-            t_v = float(np.clip(-b / (2.0 * a), -1.0, 1.0))
-            if t_v >= 0.0:
-                p = loop[i] + t_v * (loop[nxt] - loop[i])
-            else:
-                p = loop[i] - t_v * (loop[prv] - loop[i])
-            try:
-                _, xv = self.inverse(p, xi_anchor=anchor)
-                best = max(best, xv) if sign > 0 else min(best, xv)
-            except NewtonDivergence:
-                pass
-        return best
 
     def chord_chart(self, xi0: float, xi1: float) -> "ChordChart":
         """Affine chart through g(xi0), g(xi1); see ChordChart."""

@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, SingularMass
 from .frenet import FrenetChart
 from .laplacian import FrenetLaplacian
 from .mesh import ElementTag, MeshTags, RectMesh
-from .quadrature import cut_cell_rules, gauss_interval, gauss_rect
+from .quadrature import cut_cell_rules, edge_spans, gauss_interval, gauss_rect
 
 
 @dataclass
@@ -205,12 +205,6 @@ class IfeBasis:
                 / self.scaling.h_xi
         return vals, g_eta, g_xi
 
-    def reference_coords(self, pts):
-        """Tubular coordinates (eta, xi) of points of the element."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        anchor = 0.5 * (self.interval[0] + self.interval[1])
-        return self.chart.inverse(pts, xi_anchor=anchor)
-
     def evaluate(self, pts, side=None):
         """Physical values and gradients at points of the element.
 
@@ -218,7 +212,8 @@ class IfeBasis:
         points lying exactly on the interface; by default the sign of eta
         decides.
         """
-        return self.combine(*self.reference_coords(pts), side)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self.combine(*self.chart.inverse(pts, xi_anchor=self.scaling.xi_c), side)
 
     def combine(self, eta, xi, side=None):
         """Values and gradients at the points with tubular coordinates (eta, xi)."""
@@ -371,8 +366,9 @@ class SpaceSet:
 
     The table keeps, built once, the pieces of interface elements, the
     segments of their edges and the tubular coordinates of both, from one
-    chart inverse per element for its pieces and one for its four edges;
-    plain pieces and segments cost less to rebuild than to keep.  Plain
+    chart inverse per level for the pieces of all interface elements and one
+    for their edges; plain pieces and segments cost less to rebuild than to
+    keep.  Segment side labels come from one chart query per level.  Plain
     bases combine 1D Lagrange tables kept per bit pattern of their reference
     coordinates, so values are bit-identical to per-element ones.
     """
@@ -421,19 +417,26 @@ class SpaceSet:
         return self._cached(("rules", e, q), lambda: self.element_rules(e, q),
                             self.bases[e].kind != "plain")
 
-    def _coords(self, e: int, q: int, volume: bool):
-        """Tubular coordinates of interface element e from one chart inverse:
-        {None: [per piece]} or, over its four edges, {edge: [per segment]}."""
-        if volume:
-            groups = {None: [rule.points for rule, _ in self.pieces(e, q)]}
-        else:
-            groups = {k: [pts for pts, _, _ in self._segments(k, q)]
-                      for k in self.mesh.elem_edges[e]}
-        flat = [pts for g in groups.values() for pts in g]
-        eta, xi = self.bases[e].reference_coords(np.concatenate(flat))
-        cuts = np.cumsum([len(pts) for pts in flat])[:-1]
+    def _coords(self, q: int, volume: bool):
+        """Tubular coordinates of all interface elements from one chart inverse,
+        each anchored at its interval midpoint: per element, {None: [per
+        piece]} or, over its four edges, {edge: [per segment]}."""
+        groups = {}
+        for e in self.tags.interface_elements:
+            if volume:
+                groups[e] = {None: [rule.points for rule, _ in self.pieces(e, q)]}
+            else:
+                groups[e] = {k: [pts for pts, _, _ in self._segments(k, q)]
+                             for k in self.mesh.elem_edges[e]}
+        flat = [(e, pts) for e, g in groups.items() for part in g.values() for pts in part]
+        sizes = [len(pts) for _, pts in flat]
+        anchors = np.repeat([self.bases[e].scaling.xi_c for e, _ in flat], sizes)
+        eta, xi = self.chart.inverse(np.concatenate([pts for _, pts in flat]),
+                                     xi_anchor=anchors)
+        cuts = np.cumsum(sizes)[:-1]
         parts = iter(zip(np.split(eta, cuts), np.split(xi, cuts)))
-        return {k: [next(parts) for _ in g] for k, g in groups.items()}
+        return {e: {k: [next(parts) for _ in part] for k, part in g.items()}
+                for e, g in groups.items()}
 
     def _values(self, e: int, q: int, k, items):
         """(vals, grads) of basis e at each (points, side) of `items`: the
@@ -444,8 +447,8 @@ class SpaceSet:
                                                  lambda: _lagrange_1d(basis.nodes, r), True)
                                     for r in basis.reference_coords(pts)))
                     for pts, _ in items]
-        coords = self._cached(("coords", e, q, k is None),
-                              lambda: self._coords(e, q, k is None), True)[k]
+        coords = self._cached(("coords", q, k is None),
+                              lambda: self._coords(q, k is None), True)[e][k]
         return [basis.combine(eta, xi, side) for (eta, xi), (_, side) in zip(coords, items)]
 
     def volume(self, e: int, q: int | None = None):
@@ -460,6 +463,26 @@ class SpaceSet:
 
         keep = any(self.bases[f].kind != "plain" for f in self.mesh.edge_elems[k] if f >= 0)
         return self._cached(("segments", k, q), lambda: edge_segments(self, k, q), keep)
+
+    def segment_sides(self, k: int):
+        """Branch labels of the segments of edge k, in cut_edge_rule order."""
+        sides, split = self._cached("sides", self._label_segments, True)
+        return [sides[i] for i in split.get(k, [k])]
+
+    def _label_segments(self):
+        """One chart query at the segment midpoints of every edge: the labels,
+        uncut edges first by id, and the label range of each split edge."""
+        a, b = self.mesh.edge_a, self.mesh.edge_b
+        n = len(a)
+        mids, split = [a + 0.5 * (b - a)], {}   # an uncut edge is one segment
+        for k in self.tags.edge_cuts:
+            spans = edge_spans(self.tags.interior_cuts(k))
+            if len(spans) > 1:
+                split[k] = range(n, n + len(spans))
+                n += len(spans)
+                mids += [a[k] + 0.5 * (t0 + t1) * (b[k] - a[k]) for t0, t1 in spans]
+        eta = self.chart.signed_distance_estimate(np.vstack(mids))
+        return np.where(eta > 0, 1, -1).tolist(), split
 
     def face(self, k: int, e: int, q: int | None = None):
         """[(points, weights, side, vals, grads)]: basis e on edge k's segments."""

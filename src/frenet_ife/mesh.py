@@ -152,6 +152,10 @@ class MeshTags:
         self.edge_cuts = edge_cuts   # edge id -> sorted list of EdgeCut
         self.chart = chart
 
+    def interior_cuts(self, k) -> list:
+        """Crossing parameters strictly inside edge k; corner crossings split nothing."""
+        return [c.t for c in self.edge_cuts.get(k, []) if 1e-12 < c.t < 1.0 - 1e-12]
+
     @property
     def interface_elements(self):
         return [e for e, t in enumerate(self.tags) if t.kind == "interface"]
@@ -172,17 +176,23 @@ def _edge_point(a, b, t):
     return a + np.multiply.outer(np.asarray(t, dtype=float), b - a)
 
 
-def _root_on_edge(chart: FrenetChart, a, b, t_lo, t_hi, f_lo, f_hi):
-    """Bisection bracket + Newton polish of edge(t) = g(xi)."""
-    curve = chart.curve
+def _bisect(chart: FrenetChart, a, b, t_lo, t_hi, f_lo):
+    """24 bisection steps of the sign brackets [t_lo, t_hi] of edges a->b,
+    all at once: a, b are (n, 2), the rest (n,), f_lo the offsets at t_lo.
+    Returns the midpoints."""
+    d = b - a
     for _ in range(24):
         t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = chart.signed_distance_estimate(_edge_point(a, b, t_mid))
-        if f_lo * f_mid <= 0.0:
-            t_hi, f_hi = t_mid, f_mid
-        else:
-            t_lo, f_lo = t_mid, f_mid
-    t = 0.5 * (t_lo + t_hi)
+        f_mid = chart.signed_distance_estimate(a + t_mid[:, None] * d)
+        left = f_lo * f_mid <= 0.0
+        t_hi = np.where(left, t_mid, t_hi)
+        t_lo, f_lo = np.where(left, t_lo, t_mid), np.where(left, f_lo, f_mid)
+    return 0.5 * (t_lo + t_hi)
+
+
+def _polish_root(chart: FrenetChart, a, b, t):
+    """Newton polish of edge(t) = g(xi) from a bisected t on edge a->b."""
+    curve = chart.curve
     p = _edge_point(a, b, t)
     xi = float(chart.nearest_parameter_estimate(p[None, :])[0])
     d = b - a
@@ -244,6 +254,11 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart,
                       edge_samples: int = 33) -> MeshTags:
     """Tag every element as plain or interface and locate all edge crossings.
 
+    Works in level-wide phases, each one chart call for the whole mesh: the
+    corner offsets, the samples of every edge of an element not rejected
+    outright, the bisection steps of all sign brackets, and the fictitious
+    intervals of all interface elements.
+
     Raises TangentialIntersection for grazing cuts and AmbiguousCut when an
     element sees more than two crossings (interface under-resolved).
     """
@@ -257,59 +272,67 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart,
     gridpts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
     eta_grid = chart.signed_distance_estimate(gridpts).reshape(mesh.nx + 1, mesh.ny + 1)
 
-    edge_cuts: dict[int, list[EdgeCut]] = {}
-    tags: list[ElementTag] = []
-    ts = np.linspace(0.0, 1.0, edge_samples)
-
-    def cuts_of_edge(k: int):
-        if k in edge_cuts:
-            return edge_cuts[k]
-        a, b = mesh.edge_a[k], mesh.edge_b[k]
-        pts = _edge_point(a, b, ts)
-        f = chart.signed_distance_estimate(pts)
-        found = []
-        # bracket between consecutive strict-sign samples (skip near-zeros)
-        strict = [i for i in range(edge_samples) if abs(f[i]) > zero_tol]
-        for i1, i2 in zip(strict[:-1], strict[1:]):
-            if f[i1] * f[i2] < 0.0:
-                t, xi, p = _root_on_edge(chart, a, b, ts[i1], ts[i2], f[i1], f[i2])
-                if not any(abs(t - c.t) < 1e-9 for c in found):
-                    found.append(EdgeCut(edge=k, t=t, xi=xi, point=p))
-        found.sort(key=lambda c: c.t)
-        edge_cuts[k] = found
-        return found
-
+    tags: list[ElementTag | None] = [None] * mesh.n_elements
+    candidates = []
     for e in range(mesh.n_elements):
         ix, iy = e % mesh.nx, e // mesh.nx
         eta_c = np.array([eta_grid[ix, iy], eta_grid[ix + 1, iy],
                           eta_grid[ix + 1, iy + 1], eta_grid[ix, iy + 1]])
         # quick reject: all corners far on one side
         if np.min(np.abs(eta_c)) > 1.000001 * mesh.h:
-            tags.append(ElementTag(kind="plain", side=1 if eta_c[0] > 0 else -1))
-            continue
+            tags[e] = ElementTag(kind="plain", side=1 if eta_c[0] > 0 else -1)
+        else:
+            candidates.append((e, eta_c))
 
-        cuts = []
-        for k in mesh.elem_edges[e]:
-            cuts.extend(cuts_of_edge(k))
+    # offsets at the samples of every candidate edge, one row per edge
+    edges = list(dict.fromkeys(int(k) for e, _ in candidates for k in mesh.elem_edges[e]))
+    row = {k: i for i, k in enumerate(edges)}
+    ts = np.linspace(0.0, 1.0, edge_samples)
+    a, b = mesh.edge_a[edges], mesh.edge_b[edges]
+    f = chart.signed_distance_estimate(
+        (a[:, None, :] + ts[:, None] * (b - a)[:, None, :]).reshape(-1, 2)
+    ).reshape(len(edges), edge_samples)
+
+    # brackets between consecutive strict-sign samples (skip near-zeros), on
+    # the edges that see both strict signs
+    both = np.flatnonzero(np.any(f > zero_tol, axis=1) & np.any(f < -zero_tol, axis=1))
+    r, i = np.nonzero(np.abs(f[both]) > zero_tol)
+    r = both[r]
+    br = np.flatnonzero((r[1:] == r[:-1]) & (f[r[:-1], i[:-1]] * f[r[1:], i[1:]] < 0.0))
+    r, i1, i2 = r[br], i[br], i[br + 1]
+    t_mid = _bisect(chart, a[r], b[r], ts[i1], ts[i2], f[r, i1])
+    edge_cuts: dict[int, list[EdgeCut]] = {k: [] for k in edges}
+    for j, t0 in zip(r, t_mid):
+        k = edges[j]
+        found = edge_cuts[k]
+        t, xi, p = _polish_root(chart, a[j], b[j], t0)
+        if not any(abs(t - c.t) < 1e-9 for c in found):
+            found.append(EdgeCut(edge=k, t=t, xi=xi, point=p))
+    for found in edge_cuts.values():
+        found.sort(key=lambda c: c.t)
+
+    interface = []
+    for e, eta_c in candidates:
+        cuts = [c for k in mesh.elem_edges[e] for c in edge_cuts[k]]
         # merge crossings that coincide at a shared corner
         unique = []
         for c in cuts:
             if not any(np.linalg.norm(c.point - u.point) < 1e-12 * mesh.h for u in unique):
                 unique.append(c)
 
-        edge_pts = np.vstack([_edge_point(mesh.edge_a[k], mesh.edge_b[k], ts)
-                              for k in mesh.elem_edges[e]])
-        eta_all = chart.signed_distance_estimate(edge_pts)
+        eta_all = f[[row[k] for k in mesh.elem_edges[e]]].ravel()
         has_pos = bool(np.any(eta_all > zero_tol))
         has_neg = bool(np.any(eta_all < -zero_tol))
 
         if not (has_pos and has_neg):
             side = 1 if (has_pos or eta_c.mean() > 0) else -1
-            tags.append(ElementTag(kind="plain", side=side))
+            tags[e] = ElementTag(kind="plain", side=side)
             continue
         if len(unique) < 2:
             # a crossing can sit exactly on a corner/node, inside the zero
             # band of the sign filter; recover it by projecting onto the curve
+            edge_pts = np.vstack([_edge_point(mesh.edge_a[k], mesh.edge_b[k], ts)
+                                  for k in mesh.elem_edges[e]])
             for idx in np.where(np.abs(eta_all) <= zero_tol)[0]:
                 cut = _projected_cut(mesh, e, chart, edge_pts[idx], zero_tol)
                 if cut is not None and not any(
@@ -320,8 +343,11 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart,
             raise AmbiguousCut(
                 f"element {e}: {len(unique)} interface crossings; "
                 "interface too coarse for this mesh size")
+        interface.append((e, unique))
 
-        xi0, xi1 = chart.fictitious_interval(mesh.elem_corners(e))
+    corners = np.array([mesh.elem_corners(e) for e, _ in interface]).reshape(-1, 4, 2)
+    for (e, unique), xi0, xi1 in zip(interface, *chart.fictitious_intervals(corners)):
+        xi0, xi1 = float(xi0), float(xi1)
         if curve.periodic:
             # per-element copies: cut records are shared across elements
             anchor = 0.5 * (xi0 + xi1)
@@ -333,6 +359,6 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart,
         for c in local:
             if not (xi0 <= c.xi <= xi1):
                 xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
-        tags.append(ElementTag(kind="interface", interval=(xi0, xi1), cuts=local))
+        tags[e] = ElementTag(kind="interface", interval=(xi0, xi1), cuts=local)
 
     return MeshTags(tags, edge_cuts, chart)

@@ -415,3 +415,175 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
     if single:
         return float(eta[0]), float(xi[0])
     return eta, xi
+
+
+def loop_fictitious_interval(chart, corners, samples_per_edge=8):
+    """FrenetChart.fictitious_interval as it was before the batched
+    intervals: one inverse for the first corner, one for the boundary loop
+    and one per refined extremum, each on its own."""
+    from frenet_ife.errors import NewtonDivergence
+
+    corners = np.asarray(corners, dtype=float)
+    ts = np.linspace(0.0, 1.0, samples_per_edge + 2)[1:-1]
+    loop = []
+    for k in range(4):
+        a, b = corners[k], corners[(k + 1) % 4]
+        loop.append(a)
+        loop.extend(a + t * (b - a) for t in ts)
+    loop = np.asarray(loop)
+    anchor = None
+    if chart.curve.periodic:
+        _, anchor = chart.inverse(corners[0])
+    _, xi = chart.inverse(loop, xi_anchor=anchor)
+
+    def refine(i, sign):
+        n = len(loop)
+        prv, nxt = (i - 1) % n, (i + 1) % n
+        y0, y1, y2 = xi[prv], xi[i], xi[nxt]
+        a = 0.5 * (y0 + y2) - y1
+        b = 0.5 * (y2 - y0)
+        best = y1
+        if abs(a) > 1e-300:
+            t_v = float(np.clip(-b / (2.0 * a), -1.0, 1.0))
+            if t_v >= 0.0:
+                p = loop[i] + t_v * (loop[nxt] - loop[i])
+            else:
+                p = loop[i] - t_v * (loop[prv] - loop[i])
+            try:
+                _, xv = chart.inverse(p, xi_anchor=anchor)
+                best = max(best, xv) if sign > 0 else min(best, xv)
+            except NewtonDivergence:
+                pass
+        return best
+
+    lo = refine(int(np.argmin(xi)), -1.0)
+    hi = refine(int(np.argmax(xi)), +1.0)
+    pad = 1e-10 * max(hi - lo, 1e-30)
+    return lo - pad, hi + pad
+
+
+def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
+    from frenet_ife.errors import AmbiguousCut, TangentialIntersection
+    from frenet_ife.frenet import frenet_apparatus
+
+    def edge_point(t):
+        return a + np.multiply.outer(np.asarray(t, dtype=float), b - a)
+
+    curve = chart.curve
+    for _ in range(24):
+        t_mid = 0.5 * (t_lo + t_hi)
+        f_mid = chart.signed_distance_estimate(edge_point(t_mid))
+        if f_lo * f_mid <= 0.0:
+            t_hi, f_hi = t_mid, f_mid
+        else:
+            t_lo, f_lo = t_mid, f_mid
+    t = 0.5 * (t_lo + t_hi)
+    p = edge_point(t)
+    xi = float(chart.nearest_parameter_estimate(p[None, :])[0])
+    d = b - a
+    scale = max(1.0, np.linalg.norm(d))
+    for _ in range(40):
+        gape = edge_point(t) - curve.point(np.asarray(xi, dtype=float))
+        if np.linalg.norm(gape) <= 1e-14 * scale:
+            break
+        gp = curve.velocity(np.asarray(xi, dtype=float))
+        det = -d[0] * gp[1] + d[1] * gp[0]
+        if abs(det) < 1e-300:
+            break
+        dt = (gape[0] * gp[1] - gape[1] * gp[0]) / det
+        dxi = (gape[0] * d[1] - gape[1] * d[0]) / det
+        t += dt
+        xi += dxi
+    fr = frenet_apparatus(curve, xi)
+    if abs(float(np.dot(fr.n, d))) / np.linalg.norm(d) < 1e-10:
+        raise TangentialIntersection("interface tangent to a mesh edge")
+    gape = edge_point(t) - curve.point(np.asarray(xi, dtype=float))
+    if np.linalg.norm(gape) > 1e-12 * scale:
+        raise AmbiguousCut("edge crossing failed to converge")
+    return float(t), float(xi), edge_point(t)
+
+
+def loop_classify(mesh, chart, edge_samples=33):
+    """classify_elements as it was before the level-wide phases: every edge,
+    element, bisection step and fictitious interval queries the chart on its
+    own, and each element samples its four edges once more."""
+    from frenet_ife.errors import AmbiguousCut
+    from frenet_ife.frenet import unwrap_near
+    from frenet_ife.mesh import EdgeCut, ElementTag, MeshTags, _projected_cut
+
+    def edge_point(a, b, t):
+        return a + np.multiply.outer(np.asarray(t, dtype=float), b - a)
+
+    curve = chart.curve
+    zero_tol = 1e-10 * mesh.h
+    x0, _, y0, _ = mesh.box
+    gx = x0 + mesh.dx * np.arange(mesh.nx + 1)
+    gy = y0 + mesh.dy * np.arange(mesh.ny + 1)
+    gridpts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
+    eta_grid = chart.signed_distance_estimate(gridpts).reshape(mesh.nx + 1, mesh.ny + 1)
+
+    edge_cuts = {}
+    tags = []
+    ts = np.linspace(0.0, 1.0, edge_samples)
+
+    def cuts_of_edge(k):
+        if k in edge_cuts:
+            return edge_cuts[k]
+        a, b = mesh.edge_a[k], mesh.edge_b[k]
+        f = chart.signed_distance_estimate(edge_point(a, b, ts))
+        found = []
+        strict = [i for i in range(edge_samples) if abs(f[i]) > zero_tol]
+        for i1, i2 in zip(strict[:-1], strict[1:]):
+            if f[i1] * f[i2] < 0.0:
+                t, xi, p = _loop_root_on_edge(chart, a, b, ts[i1], ts[i2], f[i1], f[i2])
+                if not any(abs(t - c.t) < 1e-9 for c in found):
+                    found.append(EdgeCut(edge=k, t=t, xi=xi, point=p))
+        found.sort(key=lambda c: c.t)
+        edge_cuts[k] = found
+        return found
+
+    for e in range(mesh.n_elements):
+        ix, iy = e % mesh.nx, e // mesh.nx
+        eta_c = np.array([eta_grid[ix, iy], eta_grid[ix + 1, iy],
+                          eta_grid[ix + 1, iy + 1], eta_grid[ix, iy + 1]])
+        if np.min(np.abs(eta_c)) > 1.000001 * mesh.h:
+            tags.append(ElementTag(kind="plain", side=1 if eta_c[0] > 0 else -1))
+            continue
+        cuts = []
+        for k in mesh.elem_edges[e]:
+            cuts.extend(cuts_of_edge(k))
+        unique = []
+        for c in cuts:
+            if not any(np.linalg.norm(c.point - u.point) < 1e-12 * mesh.h for u in unique):
+                unique.append(c)
+        edge_pts = np.vstack([edge_point(mesh.edge_a[k], mesh.edge_b[k], ts)
+                              for k in mesh.elem_edges[e]])
+        eta_all = chart.signed_distance_estimate(edge_pts)
+        has_pos = bool(np.any(eta_all > zero_tol))
+        has_neg = bool(np.any(eta_all < -zero_tol))
+        if not (has_pos and has_neg):
+            side = 1 if (has_pos or eta_c.mean() > 0) else -1
+            tags.append(ElementTag(kind="plain", side=side))
+            continue
+        if len(unique) < 2:
+            for idx in np.where(np.abs(eta_all) <= zero_tol)[0]:
+                cut = _projected_cut(mesh, e, chart, edge_pts[idx], zero_tol)
+                if cut is not None and not any(
+                        np.linalg.norm(cut.point - u.point) < 1e-9 * mesh.h
+                        for u in unique):
+                    unique.append(cut)
+        if len(unique) != 2:
+            raise AmbiguousCut(f"element {e}: {len(unique)} interface crossings")
+        xi0, xi1 = loop_fictitious_interval(chart, mesh.elem_corners(e))
+        if curve.periodic:
+            anchor = 0.5 * (xi0 + xi1)
+            local = [EdgeCut(edge=c.edge, t=c.t,
+                             xi=float(unwrap_near(c.xi, anchor, curve.period)),
+                             point=c.point) for c in unique]
+        else:
+            local = list(unique)
+        for c in local:
+            if not (xi0 <= c.xi <= xi1):
+                xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
+        tags.append(ElementTag(kind="interface", interval=(xi0, xi1), cuts=local))
+    return MeshTags(tags, edge_cuts, chart)

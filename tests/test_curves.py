@@ -103,6 +103,21 @@ def test_jet_is_point_velocity_accel_bitwise(curve):
             assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("curve", [circle(0.55, (0.13, -0.07)), ellipse(1.0, 0.6),
+                                   flower(0.5, 0.1, 5),
+                                   TrigCurve([0.1, 0.6, 0.05, -0.02], [0.0, 0.01, 0.03],
+                                             [-0.1, 0.02, 0.0, 0.01], [0.0, 0.5, -0.04])])
+def test_evaluation_independent_of_batch(curve):
+    # a point's value must not depend on which points it is evaluated with:
+    # the chart inverse subsets converged points instead of re-evaluating
+    xi = np.linspace(-1.0, 7.0, 1001)
+    for meth in (curve.point, curve.velocity, curve.accel, curve.jerk):
+        full = meth(xi)
+        assert np.array_equal(np.array([meth(np.asarray(x)) for x in xi]), full)
+        assert np.array_equal(np.vstack([meth(xi[i:i + 7]) for i in range(0, 1001, 7)]), full)
+        assert np.array_equal(meth(xi[::-1])[::-1], full)
+
+
 def test_curve_from_config_round_trip():
     spec = {"kind": "circle", "radius": 0.6, "center": [0.1, -0.2]}
     c = curve_from_config(spec)

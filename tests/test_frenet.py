@@ -4,6 +4,7 @@ import pytest
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import NewtonDivergence, OutsideValidityStrip
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
+from frenet_ife.mesh import build_mesh, classify_elements
 
 from oracles import fd_jacobian, loop_inverse
 
@@ -188,6 +189,40 @@ def test_fictitious_interval_containment_and_band():
     pts = np.column_stack([rng.uniform(0.55, 0.8, 200), rng.uniform(-0.1, 0.1, 200)])
     _, xi = chart.inverse(pts, xi_anchor=0.5 * (xi0 + xi1))
     assert np.all(xi >= xi0 - 1e-12) and np.all(xi <= xi1 + 1e-12)
+
+
+class _FailingRefinements(FrenetChart):
+    """Newton fails, and leaves a parameter 1.0 below the true one, on every
+    point not inverted through `inverse`: the extremum refinements of
+    `fictitious_intervals`."""
+
+    _public = False
+
+    def inverse(self, points, xi_anchor=None):
+        self._public = True
+        try:
+            return super().inverse(points, xi_anchor)
+        finally:
+            self._public = False
+
+    def _newton(self, pts):
+        eta, xi, ok = super()._newton(pts)
+        return (eta, xi, ok) if self._public else (eta, xi - 1.0, np.zeros_like(ok))
+
+
+def test_fictitious_intervals_keep_sampled_extremum_when_refinement_fails():
+    mesh = build_mesh((-1, 1, -1, 1), 16)
+    tags = classify_elements(mesh, FrenetChart(ellipse(0.7, 0.5), h=mesh.h))
+    corners = np.array([mesh.elem_corners(e) for e in tags.interface_elements])
+    chart = _FailingRefinements(ellipse(0.7, 0.5), h=mesh.h)
+    lo, hi = chart.fictitious_intervals(corners)
+    ts = np.linspace(0.0, 1.0, 10)[1:-1]
+    for c, xi0, xi1 in zip(corners, lo, hi):
+        loop = np.vstack([[c[k], *(c[k] + t * (c[(k + 1) % 4] - c[k]) for t in ts)]
+                          for k in range(4)])
+        _, xi = chart.inverse(loop, xi_anchor=chart.inverse(c[0])[1])
+        pad = 1e-10 * max(xi.max() - xi.min(), 1e-30)
+        assert (xi0, xi1) == (xi.min() - pad, xi.max() + pad)
 
 
 def test_chord_chart_interpolates_and_inverts():

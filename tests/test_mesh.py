@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
-from frenet_ife.errors import AmbiguousCut, TangentialIntersection
+from frenet_ife.errors import AmbiguousCut, FrenetIfeError, TangentialIntersection
 from frenet_ife.frenet import FrenetChart
-from frenet_ife.mesh import build_mesh, classify_elements, _root_on_edge
+from frenet_ife.mesh import _bisect, _polish_root, build_mesh, classify_elements
 
-from oracles import bisect_root, sign_sample_interface
+from oracles import bisect_root, loop_classify, sign_sample_interface
 
 
 def test_counts_2x2():
@@ -145,8 +145,9 @@ def test_tangential_crossing_detected_directly():
     f_lo = chart.signed_distance_estimate(a)
     f_hi = chart.signed_distance_estimate(b)
     assert f_lo * f_hi < 0
+    (t,) = _bisect(chart, a[None], b[None], np.array([0.0]), np.array([1.0]), np.array([f_lo]))
     with pytest.raises(TangentialIntersection):
-        _root_on_edge(chart, a, b, 0.0, 1.0, f_lo, f_hi)
+        _polish_root(chart, a, b, t)
 
 
 def test_ambiguous_cut_raised_for_quadruple_crossing():
@@ -165,3 +166,66 @@ def test_summary_counts():
     assert s["elements"] == 64
     assert s["interface_elements"] == tags.n_interface
     assert s["plain_elements"] == 64 - tags.n_interface
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def _cut_bits(c):
+    return int(c.edge), _bits(c.t), _bits(c.xi), _bits(c.point)
+
+
+def _assert_same_classification(got, ref):
+    assert len(got.tags) == len(ref.tags)
+    for e, (g, r) in enumerate(zip(got.tags, ref.tags)):
+        assert (g.kind, g.side, _bits(g.interval)) == (r.kind, r.side, _bits(r.interval)), e
+        assert [_cut_bits(c) for c in g.cuts] == [_cut_bits(c) for c in r.cuts], e
+    assert [int(k) for k in got.edge_cuts] == [int(k) for k in ref.edge_cuts]
+    for k, cuts in ref.edge_cuts.items():
+        assert [_cut_bits(c) for c in got.edge_cuts[k]] == [_cut_bits(c) for c in cuts], k
+
+
+ORACLE_CURVES = {
+    "circle": circle(0.6),
+    "off-centre circle": circle(0.55, (0.13, -0.07)),
+    "ellipse": ellipse(0.7, 0.5),
+    "flower": flower(0.5, 0.1, 5),
+    "line": LineCurve([0.1, -0.05], [1.0, 0.37], -4.0, 4.0),
+}
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_classification_bitwise_equal_to_loop_oracle(name, n):
+    curve = ORACLE_CURVES[name]
+    mesh = build_mesh((-1, 1, -1, 1), n)
+    chart = FrenetChart(curve, h=min(mesh.h, 0.5 / max(curve.max_curvature, 1e-30)))
+    ref = loop_classify(mesh, chart)
+    assert ref.n_interface > 0
+    _assert_same_classification(classify_elements(mesh, chart), ref)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_classification_random_placements_bitwise_equal_to_loop_oracle(seed):
+    # an under-resolved placement must raise the oracle's error instead
+    rng = np.random.default_rng(seed)
+    classified = 0
+    for n in (8, 16, 32):
+        for _ in range(3):
+            center = rng.uniform(-0.15, 0.15, 2)
+            if rng.uniform() < 0.5:
+                curve = circle(rng.uniform(0.4, 0.7), center)
+            else:
+                curve = ellipse(rng.uniform(0.5, 0.75), rng.uniform(0.35, 0.55), center)
+            mesh = build_mesh((-1, 1, -1, 1), n)
+            chart = FrenetChart(curve, h=min(mesh.h, 0.9 / curve.max_curvature))
+            try:
+                ref = loop_classify(mesh, chart)
+            except FrenetIfeError as exc:
+                with pytest.raises(type(exc)):
+                    classify_elements(mesh, chart)
+                continue
+            _assert_same_classification(classify_elements(mesh, chart), ref)
+            classified += 1
+    assert classified >= 6

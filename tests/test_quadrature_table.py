@@ -4,8 +4,8 @@ Assembly, error norms, the trace probe and the L2 projection read one table
 of cut-aware rules and basis values per level; `oracles.loop_*` rebuild the
 rules and re-evaluate every basis at every point instead.  Both must agree
 to roundoff on the circle benchmark (beta- = 1, beta+ = 10).  The table also
-keeps the tubular coordinates of interface points, so each interface element
-is inverted through the chart once for its volume and once for its edges.
+keeps the tubular coordinates of interface points, from one chart inverse
+for the volume pieces of all interface elements and one for their edges.
 """
 
 import numpy as np
@@ -13,9 +13,11 @@ import pytest
 
 from frenet_ife.analysis import error_norms, manufactured_circle, setup_level
 from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
+from frenet_ife.curves import circle, ellipse
 from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import build_spaces, project_l2
 from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
+from frenet_ife.quadrature import cut_edge_rule
 
 from oracles import (loop_assemble, loop_error_norms, loop_project_l2,
                      loop_trace_constant)
@@ -112,5 +114,56 @@ def test_table_inverts_each_interface_element_twice_per_level(monkeypatch):
     sigma0, _ = auto_sigma0(spaces)
     system = assemble(spaces, sigma0, case.f, case.dirichlet)
     error_norms(solve(system, pd_check=False), case, spaces, sigma0)
-    # one call for the volume pieces, one for the four edges' segments
-    assert 0 < len(calls) <= 2 * len(spaces.tags.interface_elements)
+    # one call for the volume pieces of all interface elements, one for the
+    # segments of their edges
+    assert len(calls) == 2
+    volume = sum(len(rule.points) for e in spaces.tags.interface_elements
+                 for rule, _ in spaces.pieces(e))
+    assert volume in calls
+
+
+def _chart_calls(monkeypatch, n):
+    """Chart inverse and signed-distance calls of one m=2 level: setup,
+    auto penalty, assembly and error norms."""
+    counts = dict.fromkeys(("inverse", "signed_distance_estimate"), 0)
+    for name in counts:
+        def counted(self, *args, _name=name, _orig=getattr(FrenetChart, name), **kwargs):
+            counts[_name] += 1
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(FrenetChart, name, counted)
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, BOX, n, 2)
+    sigma0, _ = auto_sigma0(spaces)
+    system = assemble(spaces, sigma0, case.f, case.dirichlet)
+    error_norms(solve(system, pd_check=False), case, spaces, sigma0)
+    monkeypatch.undo()
+    return counts, spaces.tags.n_interface
+
+
+def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
+    (c16, n16), (c32, n32) = (_chart_calls(monkeypatch, n) for n in (16, 32))
+    assert n32 > n16
+    # anchors, boundary loops, table volume, table edges
+    assert c16["inverse"] == c32["inverse"] <= 5
+    # only cut_cell_rules labels its two pieces per interface element
+    assert c32["signed_distance_estimate"] - c16["signed_distance_estimate"] == 2 * (n32 - n16)
+
+
+@pytest.mark.parametrize("curve", [circle(0.6), ellipse(0.7, 0.5)])
+def test_segment_sides_match_one_query_per_segment(curve):
+    # the level-wide labels against the sign of the chart's offset at each
+    # segment's own midpoint, queried one segment at a time
+    mesh = build_mesh(BOX, 16)
+    chart = FrenetChart(curve, h=mesh.h)
+    tags = classify_elements(mesh, chart)
+    spaces = build_spaces(mesh, tags, chart, 1, 1.0, 10.0)
+    split = 0
+    for k in range(mesh.n_edges):
+        a, b = mesh.edge_a[k], mesh.edge_b[k]
+        ts = [c.t for c in tags.edge_cuts.get(k, []) if 1e-12 < c.t < 1.0 - 1e-12]
+        segs = cut_edge_rule(a, b, ts, 2)
+        ref = [1 if chart.signed_distance_estimate(a + 0.5 * (s.t0 + s.t1) * (b - a)) > 0 else -1
+               for s in segs]
+        assert spaces.segment_sides(k) == ref, k
+        split += len(segs) > 1
+    assert split > 0
