@@ -91,13 +91,16 @@ def case_jump_residuals(case: ManufacturedCase, chart: FrenetChart, n_pts: int =
 
 
 def _volume_errors(coef, case: ManufacturedCase, spaces: SpaceSet, q):
-    """Per element piece: (weights, beta, u - u_h, grad(u - u_h)) at its points."""
-    for e in range(spaces.mesh.n_elements):
-        c = coef[spaces.layout.dofs(e)]
-        for rule, side, vals, grads in spaces.volume(e, q):
-            yield (rule.weights, float(spaces.beta_of(side)),
-                   case.u(rule.points, side) - c @ vals,
-                   case.grad(rule.points, side) - np.einsum("b,bpk->pk", c, grads))
+    """Per volume group: (weights, beta, u - u_h, grad(u - u_h)) at its
+    points, each shaped per element (E, nq, ...).  u_h takes one vector-matrix
+    product per element, as an element loop would, so no rounding of it is
+    amplified by the cancellation in u - u_h."""
+    C = coef.reshape(spaces.mesh.n_elements, -1)
+    for elems, pts, w, side, vals, grads in spaces.volume_groups(q):
+        c, flat = C[elems], pts.reshape(-1, 2)
+        yield (w, float(spaces.beta_of(side)),
+               case.u(flat, side).reshape(w.shape) - (c[:, None] @ vals)[:, 0],
+               case.grad(flat, side).reshape(pts.shape) - np.einsum("eb,bpk->epk", c, grads))
 
 
 def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet,
@@ -114,24 +117,25 @@ def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet,
 
     l2_sq = grad_sq = 0.0
     for w, beta, du, dg in _volume_errors(coef, case, spaces, q_vol):
-        l2_sq += w @ du**2
-        grad_sq += beta * w @ np.einsum("pk,pk->p", dg, dg)
+        l2_sq += np.sum(w * du**2)
+        grad_sq += beta * np.sum(w * np.einsum("epk,epk->ep", dg, dg))
 
+    C = coef.reshape(mesh.n_elements, -1)
     jump_sq = flux_sq = 0.0
-    for k in range(mesh.n_edges):
-        n_e = mesh.edge_normal[k]
-        avg = 1.0 if mesh.edge_is_boundary[k] else 0.5
-        for pts, w, side, members in spaces.edge(k, q_edge):
-            beta = float(spaces.beta_of(side))
-            u, grad = case.u(pts, side), case.grad(pts, side)
-            jump = flux = 0.0
-            for e, sign, vals, grads in members:
-                c = coef[spaces.layout.dofs(e)]
-                jump = jump + sign * (u - c @ vals)
-                flux = flux + beta * np.einsum(
-                    "pk,k->p", grad - np.einsum("b,bpk->pk", c, grads), n_e)
-            jump_sq += w @ jump**2
-            flux_sq += w @ (avg * flux) ** 2
+    for ks, pts, w, side, members in spaces.edge_groups(q_edge):
+        n_e = mesh.edge_normal[ks[0]]
+        avg = 1.0 if mesh.edge_is_boundary[ks[0]] else 0.5
+        beta = float(spaces.beta_of(side))
+        flat = pts.reshape(-1, 2)
+        u, grad = case.u(flat, side).reshape(w.shape), case.grad(flat, side).reshape(pts.shape)
+        jump = flux = 0.0
+        for j, (_, sign, vals, grads) in enumerate(members):
+            c = C[mesh.edge_elems[ks, j]]
+            jump = jump + sign * (u - (c[:, None] @ vals)[:, 0])
+            flux = flux + beta * np.einsum(
+                "epk,k->ep", grad - np.einsum("eb,bpk->epk", c, grads), n_e)
+        jump_sq += np.sum(w * jump**2)
+        flux_sq += np.sum(w * (avg * flux) ** 2)
 
     norm_h_sq = grad_sq + pen * jump_sq
     energy_sq = norm_h_sq + flux_sq / pen
@@ -215,8 +219,8 @@ def projection_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
         coef = project_l2(case.u, spaces, q=m_q)
         l2_sq = h1_sq = 0.0
         for w, _, du, dg in _volume_errors(coef, case, spaces, m_q):
-            l2_sq += w @ du**2
-            h1_sq += w @ np.einsum("pk,pk->p", dg, dg)
+            l2_sq += np.sum(w * du**2)
+            h1_sq += np.sum(w * np.einsum("epk,epk->ep", dg, dg))
         rows.append({"n": n, "h": spaces.mesh.h,
                      "l2": float(np.sqrt(l2_sq)), "h1": float(np.sqrt(h1_sq))})
     out = {"rows": rows}

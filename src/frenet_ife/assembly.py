@@ -42,33 +42,47 @@ def edge_segments(spaces: SpaceSet, k: int, q: int):
     return [(seg.points, seg.weights, side) for seg, side in zip(segs, spaces.segment_sides(k))]
 
 
-def _csr(blocks, n):
-    """Sum of dense blocks, each (block, row dofs, col dofs), as an n x n CSR."""
-    rows = np.concatenate([np.repeat(r, len(c)) for _, r, c in blocks])
-    cols = np.concatenate([np.tile(c, len(r)) for _, r, c in blocks])
-    vals = np.concatenate([np.ravel(blk) for blk, _, _ in blocks])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _stiffness(spaces: SpaceSet, pieces):
-    """beta-weighted gradient Gram of one element's evaluated pieces."""
-    return sum(float(spaces.beta_of(side))
-               * np.einsum("bpk,p,cpk->bc", grads, rule.weights, grads)
-               for rule, side, _, grads in pieces)
+def _stiffness(spaces: SpaceSet, side, weights, grads):
+    """beta-weighted gradient Gram of one evaluated piece."""
+    return float(spaces.beta_of(side)) * np.einsum("bpk,p,cpk->bc", grads, weights, grads)
 
 
 def _edge_terms(spaces: SpaceSet, q_edge):
-    """Per edge segment: (points, weights, side, average weight, members),
-    members [(dofs, sign, values, beta-weighted normal derivatives)]."""
+    """Per edge group: (edges, points, weights, side, average weight,
+    members [(sign, values, beta-weighted normal derivatives)])."""
     mesh = spaces.mesh
-    for k in range(mesh.n_edges):
-        n_e = mesh.edge_normal[k]
-        avg = 1.0 if mesh.edge_is_boundary[k] else 0.5
-        for pts, w, side, members in spaces.edge(k, q_edge):
-            beta = float(spaces.beta_of(side))
-            yield pts, w, side, avg, [
-                (spaces.layout.dofs(e), sign, vals, beta * np.einsum("bpk,k->bp", grads, n_e))
-                for e, sign, vals, grads in members]
+    terms = []
+    for ks, pts, w, side, members in spaces.edge_groups(q_edge):
+        beta, n_e = float(spaces.beta_of(side)), mesh.edge_normal[ks[0]]
+        terms.append((ks, pts, w, side, 1.0 if mesh.edge_is_boundary[ks[0]] else 0.5,
+                      [(sign, vals, beta * np.einsum("bpk,k->bp", grads, n_e))
+                       for _, sign, vals, grads in members]))
+    return terms
+
+
+def _csr(spaces: SpaceSet, K, terms, block):
+    """Sum, as a CSR matrix on the element-major dofs, of the element blocks
+    K (none, or one per element in element order) and then of block(weights,
+    average weight, member a, member b) for every member pair of every edge
+    segment: computed once per group of `terms`, and entered in the order of
+    a loop over edges, segments, a and b."""
+    nl, n, elems = spaces.layout.n_local, spaces.layout.total, spaces.mesh.edge_elems
+    blocks, rows, cols, edges = [], [], [], []
+    for ks, _, w, _, avg, members in terms:
+        for a, ma in enumerate(members):
+            for b, mb in enumerate(members):
+                blocks.append(np.broadcast_to(block(w[0], avg, ma, mb), (len(ks), nl, nl)))
+                rows.append(elems[ks, a])
+                cols.append(elems[ks, b])
+                edges.append(ks)
+    order = np.argsort(np.concatenate(edges), kind="stable")
+    diag = np.arange(len(K))
+    blocks = np.concatenate([K, np.concatenate(blocks)[order]])
+    rows, cols = (np.concatenate([diag, np.concatenate(x)[order]]) for x in (rows, cols))
+    local = np.arange(nl)
+    r = (rows[:, None] * nl + np.repeat(local, nl)).ravel()
+    c = (cols[:, None] * nl + np.tile(local, nl)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (r, c)), shape=(n, n)).tocsr()
 
 
 def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
@@ -79,44 +93,43 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     f_source(points, side) and g_dirichlet(points, side) return values at
     quadrature points.  The norm Grams realize the broken norm (gradient +
     penalized jumps) and the energy norm (plus weighted flux averages).
+    Blocks shared by a group of plain elements or edges are computed once;
+    S and the Grams are bit-identical to an element-by-element loop.
     """
-    mesh, layout = spaces.mesh, spaces.layout
+    mesh, nl = spaces.mesh, spaces.layout.n_local
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
 
-    blocks = []
-    F = np.zeros(layout.total)
-    for e in range(mesh.n_elements):
-        dofs = layout.dofs(e)
-        pieces = spaces.volume(e, q_vol)
-        blocks.append((_stiffness(spaces, pieces), dofs, dofs))
-        for rule, side, vals, _ in pieces:
-            F[dofs] += vals @ (rule.weights * f_source(rule.points, side))
+    K = np.zeros((mesh.n_elements, nl, nl))
+    F = np.zeros(spaces.layout.total)
+    for elems, pts, w, side, vals, grads in spaces.volume_groups(q_vol):
+        K[elems] += _stiffness(spaces, side, w[0], grads)
+        for e, p, we in zip(elems, pts, w):
+            F[e * nl:(e + 1) * nl] += vals @ (we * f_source(p, side))
 
-    for pts, w, side, avg, members in _edge_terms(spaces, q_edge):
-        for da, sa, Va, Ba in members:
-            for db, sb, Vb, Bb in members:
-                blocks.append((-avg * sa * (Va * w) @ Bb.T
-                               - avg * sb * (Ba * w) @ Vb.T
-                               + pen * sa * sb * (Va * w) @ Vb.T, da, db))
+    def sipdg(w, avg, a, b):
+        (sa, Va, Ba), (sb, Vb, Bb) = a, b
+        return (-avg * sa * (Va * w) @ Bb.T - avg * sb * (Ba * w) @ Vb.T
+                + pen * sa * sb * (Va * w) @ Vb.T)
+
+    terms = _edge_terms(spaces, q_edge)
+    # Dirichlet data, added boundary edge by boundary edge in edge order
+    dirichlet = []
+    for ks, pts, w, side, _, members in terms:
         if len(members) == 1:
-            dofs, _, V, B = members[0]
-            F[dofs] += (-B + pen * V) @ (w * g_dirichlet(pts, side))
+            _, V, B = members[0]
+            dirichlet += [(k, e, (-B + pen * V) @ (we * g_dirichlet(p, side)))
+                          for k, e, p, we in zip(ks, mesh.edge_elems[ks, 0], pts, w)]
+    for _, e, contribution in sorted(dirichlet, key=lambda t: t[0]):
+        F[e * nl:(e + 1) * nl] += contribution
 
-    n = layout.total
-    system = SipdgSystem(S=_csr(blocks, n), F=F, sigma0=sigma0, gamma=gamma,
+    system = SipdgSystem(S=_csr(spaces, K, terms, sipdg), F=F, sigma0=sigma0, gamma=gamma,
                          penalty=pen, spaces=spaces)
     if with_norm_grams:
-        norm = [(_stiffness(spaces, spaces.volume(e, q_vol)), layout.dofs(e), layout.dofs(e))
-                for e in range(mesh.n_elements)]
-        flux = []
-        for _, w, _, avg, members in _edge_terms(spaces, q_edge):
-            for da, sa, Va, Ba in members:
-                for db, sb, Vb, Bb in members:
-                    norm.append((pen * sa * sb * (Va * w) @ Vb.T, da, db))
-                    flux.append(((avg * avg / pen) * (Ba * w) @ Bb.T, da, db))
-        system.norm_gram = _csr(norm, n)
-        system.energy_gram = system.norm_gram + _csr(flux, n)
+        system.norm_gram = _csr(spaces, K, terms, lambda w, avg, a, b:
+                                pen * a[0] * b[0] * (a[1] * w) @ b[1].T)
+        system.energy_gram = system.norm_gram + _csr(spaces, K[:0], terms, lambda w, avg, a, b:
+                                                     (avg * avg / pen) * (a[2] * w) @ b[2].T)
     return system
 
 
@@ -157,7 +170,8 @@ def trace_constant(spaces: SpaceSet, e: int,
     beta+; bounded uniformly in h, cut position and beta.
     """
     mesh = spaces.mesh
-    A = _stiffness(spaces, spaces.volume(e, q_vol))
+    A = sum(_stiffness(spaces, side, rule.weights, grads)
+            for rule, side, _, grads in spaces.volume(e, q_vol))
     B = sum(float(spaces.beta_of(side))**2 * np.einsum("bpk,p,cpk->bc", grads, w, grads)
             for k in mesh.elem_edges[e] for _, w, side, _, grads in spaces.face(k, e, q_edge))
     lam, vecs = np.linalg.eigh(A)

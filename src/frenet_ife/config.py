@@ -57,7 +57,12 @@ class RunConfig:
         return curve_from_config(self.interface)
 
     def validate(self):
-        """Raises ValueError on an unusable configuration."""
+        """Raises ValueError on an unusable configuration.
+
+        The mesh check bounds only h * max curvature, a local quantity; it
+        does not bound the curve's bottleneck distance, so two distant arcs
+        that come closer than the mesh size pass it.
+        """
         if self.degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
         if not (self.beta_plus >= self.beta_minus > 0):

@@ -283,11 +283,12 @@ class FrenetChart:
         """Parameter intervals [xi0, xi1] of the fictitious boxes containing elements.
 
         `corners` is the (E, 4, 2) array of element corners in boundary
-        order; returns the arrays xi0 and xi1.  The xi-range of the inverse
-        map is sampled on an ordered loop around each boundary (corners plus
-        edge samples) and each extremum gets one parabolic refinement along
-        the boundary, so the element stays inside P([-h, h] x [xi0, xi1]).  A
-        refinement that fails to invert keeps the sampled extremum.
+        order; returns the arrays xi0 and xi1: the padded extremes of the
+        inverse map's xi on an ordered loop around each boundary (corners
+        plus edge samples), so the element stays inside P([-h, h] x [xi0,
+        xi1]).  Inside the tubular neighbourhood the xi level sets are the
+        straight normal lines, so xi is monotone along each straight edge and
+        its extremes over the element are at sampled corners.
         """
         corners = np.asarray(corners, dtype=float)
         n_el = len(corners)
@@ -302,26 +303,7 @@ class FrenetChart:
         _, xi = self.inverse(loops.reshape(-1, 2),
                              xi_anchor=None if anchor is None else np.repeat(anchor, n_loop))
         xi = xi.reshape(n_el, n_loop)
-
-        # parabolic correction along the loop at the sampled min (row 0) and max (row 1)
-        rows = np.arange(n_el)
-        i = np.stack([np.argmin(xi, axis=1), np.argmax(xi, axis=1)])
-        prv, nxt = (i - 1) % n_loop, (i + 1) % n_loop
-        y0, best, y2 = xi[rows, prv], xi[rows, i], xi[rows, nxt]
-        qa = 0.5 * (y0 + y2) - best
-        qb = 0.5 * (y2 - y0)
-        fit = np.abs(qa) > 1e-300
-        t_v = np.clip(-qb / (2.0 * np.where(fit, qa, 1.0)), -1.0, 1.0)[..., None]
-        p = loops[rows, i]
-        p = np.where(t_v >= 0.0, p + t_v * (loops[rows, nxt] - p),
-                     p - t_v * (loops[rows, prv] - p))
-        _, xv, ok = self._newton(p[fit])
-        xv = self._unwrap(xv, None if anchor is None
-                          else np.broadcast_to(anchor, fit.shape)[fit])
-        refined = np.full(fit.shape, np.nan)
-        refined[fit] = np.where(ok, xv, np.nan)
-        lo = np.where(refined[0] < best[0], refined[0], best[0])
-        hi = np.where(refined[1] > best[1], refined[1], best[1])
+        lo, hi = xi.min(axis=1), xi.max(axis=1)
         pad = 1e-10 * np.maximum(hi - lo, 1e-30)
         return lo - pad, hi + pad
 

@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, SingularMass
 from .frenet import FrenetChart
 from .laplacian import FrenetLaplacian
 from .mesh import ElementTag, MeshTags, RectMesh
-from .quadrature import cut_cell_rules, edge_spans, gauss_interval, gauss_rect
+from .quadrature import _gauss01, cut_cell_rules, edge_spans, gauss_interval, gauss_rect
 
 
 @dataclass
@@ -312,6 +312,14 @@ def _lagrange_1d(nodes, x):
     return vals, ders
 
 
+def _reference_coords(box, pts):
+    """Points mapped onto [-1, 1]^2 from the rectangle (xl, yl, xh, yh), or
+    from each of a stack of them given as arrays: xr, yr."""
+    xl, yl, xh, yh = (np.asarray(c, dtype=float)[..., None] for c in box)
+    return (2.0 * (pts[..., 0] - xl) / (xh - xl) - 1.0,
+            2.0 * (pts[..., 1] - yl) / (yh - yl) - 1.0)
+
+
 class TensorBasis:
     """Q^m Lagrange basis on Gauss-Lobatto nodes of one uncut element."""
 
@@ -326,10 +334,7 @@ class TensorBasis:
 
     def reference_coords(self, pts):
         """Points mapped onto [-1, 1]^2: xr, yr."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        xl, yl, xh, yh = self.box
-        return (2.0 * (pts[:, 0] - xl) / (xh - xl) - 1.0,
-                2.0 * (pts[:, 1] - yl) / (yh - yl) - 1.0)
+        return _reference_coords(self.box, np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def evaluate(self, pts, side=None):
         return self.combine(*(_lagrange_1d(self.nodes, r) for r in self.reference_coords(pts)))
@@ -369,8 +374,10 @@ class SpaceSet:
     chart inverse per level for the pieces of all interface elements and one
     for their edges; plain pieces and segments cost less to rebuild than to
     keep.  Segment side labels come from one chart query per level.  Plain
-    bases combine 1D Lagrange tables kept per bit pattern of their reference
-    coordinates, so values are bit-identical to per-element ones.
+    elements, and the uncut edges between them, are grouped by the bytes of
+    everything their blocks read, on first use; each group's basis values are
+    computed once, and with the plain values on other edges they come from
+    one 1D Lagrange evaluation per level, bit-identical to per-element ones.
     """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
@@ -438,18 +445,41 @@ class SpaceSet:
         return {e: {k: [next(parts) for _ in part] for k, part in g.items()}
                 for e, g in groups.items()}
 
+    def _tables(self, q: int, volume: bool):
+        """1D Lagrange tables, from one evaluation, at the reference
+        coordinates of the plain values the groups need: the first member of
+        each plain group and the plain elements of the edges outside the
+        groups.  Per element, {None: [per piece]} or {edge: [per segment]}."""
+        groups = {}
+        if volume:
+            for ids, *_ in self._groups(q, True):
+                groups[ids[0]] = {None: [rule.points for rule, _ in self.pieces(ids[0], q)]}
+        else:
+            firsts = [ks[0] for ks, *_ in self._groups(q, False)]
+            for k in [*firsts, *self._ungrouped_edges(q)]:
+                for f in self.mesh.edge_elems[k]:
+                    if f >= 0 and self.bases[f].kind == "plain":
+                        groups.setdefault(f, {})[k] = [pts for pts, _, _ in self._segments(k, q)]
+        r = [r for e, g in groups.items() for part in g.values() for pts in part
+             for r in self.bases[e].reference_coords(pts)]
+        cuts = np.cumsum([len(x) for x in r])[:-1]
+        tables = iter(zip(*(np.split(t, cuts, axis=1) for t in
+                            _lagrange_1d(_lobatto_nodes(self.m), np.concatenate(r or [[]])))))
+        return {e: {k: [(next(tables), next(tables)) for _ in part] for k, part in g.items()}
+                for e, g in groups.items()}
+
     def _values(self, e: int, q: int, k, items):
         """(vals, grads) of basis e at each (points, side) of `items`: the
         pieces of element e (k None) or the segments of its edge k."""
         basis = self.bases[e]
-        if basis.kind == "plain":
-            return [basis.combine(*(self._cached(("lagrange", r.tobytes()),
-                                                 lambda: _lagrange_1d(basis.nodes, r), True)
-                                    for r in basis.reference_coords(pts)))
-                    for pts, _ in items]
-        coords = self._cached(("coords", q, k is None),
-                              lambda: self._coords(q, k is None), True)[e][k]
-        return [basis.combine(eta, xi, side) for (eta, xi), (_, side) in zip(coords, items)]
+        if basis.kind != "plain":
+            coords = self._cached(("coords", q, k is None),
+                                  lambda: self._coords(q, k is None), True)[e][k]
+            return [basis.combine(eta, xi, side) for (eta, xi), (_, side) in zip(coords, items)]
+        tables = self._cached(("tables", q, k is None), lambda: self._tables(q, k is None), True)
+        if k in tables.get(e, {}):
+            return [basis.combine(*t) for t in tables[e][k]]
+        return [basis.evaluate(pts) for pts, _ in items]
 
     def volume(self, e: int, q: int | None = None):
         """[(rule, side, vals, grads)]: basis e on the pieces of element e."""
@@ -483,6 +513,78 @@ class SpaceSet:
                 mids += [a[k] + 0.5 * (t0 + t1) * (b[k] - a[k]) for t0, t1 in spans]
         eta = self.chart.signed_distance_estimate(np.vstack(mids))
         return np.where(eta > 0, 1, -1).tolist(), split
+
+    def _plain_groups(self, q: int, volume: bool):
+        """The plain elements (volume) or the uncut edges whose neighbours are
+        all plain, at Gauss order q, grouped by the bytes of everything their
+        blocks read: the weights, the side, the reference coordinates and box
+        widths of their elements and, on edges, the normal and whether the
+        edge is on the boundary.  [(ids, points (E, nq, 2), weights (E, nq),
+        side)]: members of a group have bit-identical basis values."""
+        mesh = self.mesh
+        plain = np.array([b.kind == "plain" for b in self.bases])
+        if volume:
+            ids = np.flatnonzero(plain)
+            rule = gauss_rect(mesh.elem_box(ids), q)
+            pts, w, elems, head = rule.points, rule.weights, ids[:, None], []
+            sides = np.array([self.tags.tags[e].side for e in ids], dtype=int)
+        else:
+            labels, split = self._cached("sides", self._label_segments, True)
+            e1, e2 = mesh.edge_elems.T
+            keep = plain[e1] & ((e2 < 0) | plain[e2])
+            keep[list(split)] = False
+            ids = np.flatnonzero(keep)
+            a, b = mesh.edge_a[ids, None], mesh.edge_b[ids, None]
+            x, wq = _gauss01(q)
+            pts = a + x[:, None] * (b - a)      # cut_edge_rule on the one segment 0 <= t <= 1
+            w = np.linalg.norm(b - a, axis=-1) * wq
+            elems, sides = mesh.edge_elems[ids], np.array(labels, dtype=int)[ids]
+            head = [mesh.edge_normal[ids], mesh.edge_is_boundary[ids]]
+        key = [w, *head, sides]
+        for p in range(elems.shape[1]):
+            there = elems[:, p, None] >= 0
+            xl, yl, xh, yh = mesh.elem_box(elems[:, p])
+            key += [np.where(there, c, 0.0) for c in (*_reference_coords((xl, yl, xh, yh), pts),
+                                                      np.column_stack([xh - xl, yh - yl]))]
+        group = np.unique(np.column_stack(key).view(np.int64), axis=0,
+                          return_inverse=True)[1].reshape(-1)
+        members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+        return [(ids[mem], pts[mem], w[mem], int(sides[mem[0]])) for mem in members if len(mem)]
+
+    def _groups(self, q: int, volume: bool):
+        return self._cached(("plain", q, volume), lambda: self._plain_groups(q, volume), True)
+
+    def _ungrouped_edges(self, q: int):
+        return np.setdiff1d(np.arange(self.mesh.n_edges),
+                            [k for ks, *_ in self._groups(q, False) for k in ks])
+
+    def volume_groups(self, q: int | None = None):
+        """Every element piece of the level, in groups sharing basis values:
+        [(elements, points (E, nq, 2), weights (E, nq), side, vals, grads)],
+        one per group of plain elements, then one per piece of each interface
+        element in element order."""
+        q = q if q is not None else self.m + 2
+        groups = [(ids, pts, w, side, *self.volume(ids[0], q)[0][2:])
+                  for ids, pts, w, side in self._groups(q, True)]
+        for e in self.tags.interface_elements:
+            groups += [([e], rule.points[None], rule.weights[None], side, vals, grads)
+                       for rule, side, vals, grads in self.volume(e, q)]
+        return groups
+
+    def edge_groups(self, q: int | None = None):
+        """Every edge segment of the level, in groups sharing basis values:
+        [(edges, points (E, nq, 2), weights (E, nq), side, members)], members
+        [(element, sign, vals, grads)] as in `edge` for the first edge; member
+        j of each edge is its element mesh.edge_elems[edge, j].  One per group
+        of plain uncut edges, then one per segment of every other edge in edge
+        order."""
+        q = q if q is not None else self.m + 3
+        groups = [(ks, pts, w, side, self.edge(ks[0], q)[0][3])
+                  for ks, pts, w, side in self._groups(q, False)]
+        for k in self._ungrouped_edges(q):
+            groups += [([k], pts[None], w[None], side, members)
+                       for pts, w, side, members in self.edge(k, q)]
+        return groups
 
     def face(self, k: int, e: int, q: int | None = None):
         """[(points, weights, side, vals, grads)]: basis e on edge k's segments."""
@@ -541,15 +643,13 @@ def project_l2(u, spaces: SpaceSet, q: int | None = None):
     Block-diagonal mass solve with cut-aware quadrature on interface
     elements.  Raises SingularMass if a local mass matrix is unusable.
     """
-    out = np.zeros(spaces.layout.total)
     n = spaces.layout.n_local
-    for e in range(spaces.mesh.n_elements):
-        M = np.zeros((n, n))
-        rhs = np.zeros(n)
-        for rule, side, vals, _ in spaces.volume(e, q):
-            M += (vals * rule.weights) @ vals.T
-            rhs += vals @ (rule.weights * u(rule.points, side))
-        if np.linalg.cond(M) > 1e12:
-            raise SingularMass(f"element {e}: mass condition number > 1e12")
-        out[spaces.layout.dofs(e)] = np.linalg.solve(M, rhs)
-    return out
+    M = np.zeros((spaces.mesh.n_elements, n, n))
+    rhs = np.zeros((spaces.mesh.n_elements, n))
+    for elems, pts, w, side, vals, _ in spaces.volume_groups(q):
+        M[elems] += (vals * w[0]) @ vals.T
+        rhs[elems] += (w * u(pts.reshape(-1, 2), side).reshape(w.shape)) @ vals.T
+    bad = np.flatnonzero(np.linalg.cond(M) > 1e12)
+    if len(bad):
+        raise SingularMass(f"element {bad[0]}: mass condition number > 1e12")
+    return np.linalg.solve(M, rhs[..., None]).ravel()

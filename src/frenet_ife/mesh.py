@@ -96,7 +96,8 @@ class RectMesh:
     def elem_id(self, ix: int, iy: int) -> int:
         return iy * self.nx + ix
 
-    def elem_box(self, e: int):
+    def elem_box(self, e):
+        """(xl, yl, xh, yh) of element e, or arrays of them for an id array."""
         x0, _, y0, _ = self.box
         ix, iy = e % self.nx, e // self.nx
         return (x0 + ix * self.dx, y0 + iy * self.dy,
@@ -106,10 +107,6 @@ class RectMesh:
         """Corners in counterclockwise boundary order."""
         xl, yl, xh, yh = self.elem_box(e)
         return np.array([[xl, yl], [xh, yl], [xh, yh], [xl, yh]])
-
-    def elem_center(self, e: int):
-        xl, yl, xh, yh = self.elem_box(e)
-        return np.array([0.5 * (xl + xh), 0.5 * (yl + yh)])
 
     @property
     def area(self) -> float:
@@ -341,8 +338,8 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart,
                     unique.append(cut)
         if len(unique) != 2:
             raise AmbiguousCut(
-                f"element {e}: {len(unique)} interface crossings; "
-                "interface too coarse for this mesh size")
+                f"element {e}: {len(unique)} interface crossings, expected 2; "
+                "the mesh is too coarse for the interface here, refine the mesh")
         interface.append((e, unique))
 
     corners = np.array([mesh.elem_corners(e) for e, _ in interface]).reshape(-1, 4, 2)

@@ -44,15 +44,19 @@ def gauss_interval(a: float, b: float, q: int) -> QuadRule:
 
 
 def gauss_rect(box, q: int) -> QuadRule:
-    """Tensor Gauss rule on a rectangle (xl, yl, xh, yh); exact on Q^{2q-1}."""
-    xl, yl, xh, yh = box
+    """Tensor Gauss rule on a rectangle (xl, yl, xh, yh), exact on Q^{2q-1};
+    with arrays of corners, one rule per rectangle, stacked on a leading axis.
+
+    Point i*q + j sits at the i-th node in x and the j-th in y.
+    """
+    xl, yl, xh, yh = (np.asarray(c, dtype=float)[..., None] for c in box)
     x, wx = _gauss01(q)
-    px = xl + (xh - xl) * x
-    py = yl + (yh - yl) * x
-    X, Y = np.meshgrid(px, py, indexing="ij")
-    W = np.multiply.outer(wx * (xh - xl), wx * (yh - yl))
-    return QuadRule(points=np.stack([X.ravel(), Y.ravel()], axis=-1),
-                    weights=W.ravel(), degree=2 * q - 1)
+    px = (xl + (xh - xl) * x)[..., :, None]
+    py = (yl + (yh - yl) * x)[..., None, :]
+    W = (wx * (xh - xl))[..., :, None] * (wx * (yh - yl))[..., None, :]
+    lead = W.shape[:-2]
+    return QuadRule(points=np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(*lead, q * q, 2),
+                    weights=W.reshape(*lead, q * q), degree=2 * q - 1)
 
 
 @dataclass

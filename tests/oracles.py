@@ -245,10 +245,10 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet, q_vol=None, q_edge=None
                 F[D[0]] += (-B[0] + pen * V[0]) @ (w * g)
 
     n = layout.total
-    Gv = _triplet_matrix(trip_vol, n)
-    Gj = _triplet_matrix(trip_jump, n)
-    Gf = _triplet_matrix(trip_flux, n)
-    return _triplet_matrix(trip, n), F, Gv + Gj, Gv + Gj + Gf
+    # the broken-norm Gram sums its volume and jump blocks in one pass, and
+    # the energy Gram adds the flux blocks to it as a second matrix
+    G_norm = _triplet_matrix(trip_vol + trip_jump, n)
+    return _triplet_matrix(trip, n), F, G_norm, G_norm + _triplet_matrix(trip_flux, n)
 
 
 def _loop_uh(spaces, coef, e, pts, side):

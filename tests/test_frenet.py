@@ -191,30 +191,11 @@ def test_fictitious_interval_containment_and_band():
     assert np.all(xi >= xi0 - 1e-12) and np.all(xi <= xi1 + 1e-12)
 
 
-class _FailingRefinements(FrenetChart):
-    """Newton fails, and leaves a parameter 1.0 below the true one, on every
-    point not inverted through `inverse`: the extremum refinements of
-    `fictitious_intervals`."""
-
-    _public = False
-
-    def inverse(self, points, xi_anchor=None):
-        self._public = True
-        try:
-            return super().inverse(points, xi_anchor)
-        finally:
-            self._public = False
-
-    def _newton(self, pts):
-        eta, xi, ok = super()._newton(pts)
-        return (eta, xi, ok) if self._public else (eta, xi - 1.0, np.zeros_like(ok))
-
-
-def test_fictitious_intervals_keep_sampled_extremum_when_refinement_fails():
+def test_fictitious_intervals_are_the_padded_loop_extremes():
     mesh = build_mesh((-1, 1, -1, 1), 16)
-    tags = classify_elements(mesh, FrenetChart(ellipse(0.7, 0.5), h=mesh.h))
+    chart = FrenetChart(ellipse(0.7, 0.5), h=mesh.h)
+    tags = classify_elements(mesh, chart)
     corners = np.array([mesh.elem_corners(e) for e in tags.interface_elements])
-    chart = _FailingRefinements(ellipse(0.7, 0.5), h=mesh.h)
     lo, hi = chart.fictitious_intervals(corners)
     ts = np.linspace(0.0, 1.0, 10)[1:-1]
     for c, xi0, xi1 in zip(corners, lo, hi):
@@ -223,6 +204,31 @@ def test_fictitious_intervals_keep_sampled_extremum_when_refinement_fails():
         _, xi = chart.inverse(loop, xi_anchor=chart.inverse(c[0])[1])
         pad = 1e-10 * max(xi.max() - xi.min(), 1e-30)
         assert (xi0, xi1) == (xi.min() - pad, xi.max() + pad)
+
+
+@pytest.mark.parametrize("curve, box, n", [(ellipse(1.0, 0.6), 1.5, 32),
+                                           (ellipse(1.0, 0.6), 1.5, 64),
+                                           (flower(0.5, 0.1, 5), 1.0, 80),
+                                           (flower(0.5, 0.1, 5), 1.0, 128)])
+def test_xi_monotone_along_interface_element_edges(curve, box, n):
+    # inside the tubular neighbourhood the xi level sets are straight normal
+    # lines, so xi is monotone along each straight edge and the interval
+    # extremes sit at corners
+    mesh = build_mesh((-box, box, -box, box), n)
+    chart = FrenetChart(curve, h=mesh.h)
+    tags = classify_elements(mesh, chart)
+    rng = np.random.default_rng(n)
+    elems = rng.choice(tags.interface_elements, size=12, replace=False)
+    ts = np.linspace(0.0, 1.0, 65)
+    for e in elems:
+        c = mesh.elem_corners(e)
+        anchor = 0.5 * sum(tags.tags[e].interval)
+        for k in range(4):
+            pts = c[k] + np.multiply.outer(ts, c[(k + 1) % 4] - c[k])
+            _, xi = chart.inverse(pts, xi_anchor=anchor)
+            d = np.diff(xi)
+            tol = 1e-12 * mesh.h
+            assert np.all(d >= -tol) or np.all(d <= tol), (e, k)
 
 
 def test_chord_chart_interpolates_and_inverts():

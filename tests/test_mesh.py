@@ -154,7 +154,8 @@ def test_ambiguous_cut_raised_for_quadruple_crossing():
     # thin slab through the circle equator: four crossings on one element
     chart = FrenetChart(circle(0.6), h=0.25)
     mesh = build_mesh((-0.65, 0.65, -0.05, 0.05), 1)
-    with pytest.raises(AmbiguousCut):
+    with pytest.raises(AmbiguousCut, match=r"element 0: 4 interface crossings, expected 2; "
+                       r"the mesh is too coarse for the interface here, refine the mesh"):
         classify_elements(mesh, chart)
 
 

@@ -2,15 +2,18 @@
 
 Assembly, error norms, the trace probe and the L2 projection read one table
 of cut-aware rules and basis values per level; `oracles.loop_*` rebuild the
-rules and re-evaluate every basis at every point instead.  Both must agree
-to roundoff on the circle benchmark (beta- = 1, beta+ = 10).  The table also
-keeps the tubular coordinates of interface points, from one chart inverse
-for the volume pieces of all interface elements and one for their edges.
+rules and re-evaluate every basis at every point instead.  Assembly must
+agree bit for bit, the rest to roundoff (beta- = 1, beta+ = 10).  Plain
+elements and the edges between them come in groups whose blocks are computed
+once.  The table keeps the tubular coordinates of interface points, from one
+chart inverse for the volume pieces of all interface elements and one for
+their edges, and the plain 1D Lagrange tables from one evaluation each.
 """
 
 import numpy as np
 import pytest
 
+from frenet_ife import ife_space
 from frenet_ife.analysis import error_norms, manufactured_circle, setup_level
 from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
 from frenet_ife.curves import circle, ellipse
@@ -26,14 +29,15 @@ BOX = (-1, 1, -1, 1)
 RTOL = 1e-12
 
 
-def _relabelled_spaces(case, n, m):
-    # one cut element carries the plain Q^m basis, so plain values are also
-    # needed on the segments of cut faces, at points no whole face has
+def _spaces(curve, n, m, relabel=False):
     mesh = build_mesh(BOX, n)
-    chart = FrenetChart(case.curve, h=mesh.h)
+    chart = FrenetChart(curve, h=mesh.h)
     tags = classify_elements(mesh, chart)
-    tags.tags[tags.interface_elements[0]] = ElementTag(kind="plain", side=1)
-    return build_spaces(mesh, tags, chart, m, case.beta_minus, case.beta_plus)
+    if relabel:
+        # one cut element carries the plain Q^m basis, so plain values are
+        # also needed on the segments of cut faces, at points no whole face has
+        tags.tags[tags.interface_elements[0]] = ElementTag(kind="plain", side=1)
+    return build_spaces(mesh, tags, chart, m, 1.0, 10.0)
 
 
 def _rel_max(a, b):
@@ -41,25 +45,35 @@ def _rel_max(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-# n=24 cells differ in width by roundoff, so plain values come in several
-# bit patterns there
+def _assert_assembly_bitwise_equal(spaces, case, sigma0):
+    system = assemble(spaces, sigma0, case.f, case.dirichlet, with_norm_grams=True)
+    S, F, G_norm, G_energy = loop_assemble(spaces, sigma0, case.f, case.dirichlet)
+    # bit for bit: a cubic solve at n=24 turns 1e-16 changes in S into 1e-8
+    # relative changes of its L2 error
+    assert (system.S != S).nnz == 0 and np.array_equal(system.F, F)
+    assert (system.norm_gram != G_norm).nnz == 0
+    assert (system.energy_gram != G_energy).nnz == 0
+    return system
+
+
+# n=24 cells differ in width by roundoff, so plain blocks come in many groups
+# there (118 volume and 228 edge groups at m=1 on the circle, against 7 and
+# 40 at n=32)
+@pytest.mark.parametrize("curve", [circle(0.6), ellipse(0.7, 0.5)], ids=["circle", "ellipse"])
+@pytest.mark.parametrize("n, m", [(8, 1), (32, 1), (8, 2), (24, 2), (16, 3), (32, 3)])
+def test_assembly_bitwise_equal_to_element_loops(curve, n, m):
+    _assert_assembly_bitwise_equal(_spaces(curve, n, m),
+                                   manufactured_circle(0.6, 1.0, 10.0, p=4), 6.0)
+
+
 @pytest.mark.parametrize("n, m, relabel", [(8, 1, False), (8, 2, False), (8, 3, False),
                                            (16, 1, False), (24, 1, False), (8, 1, True)])
 def test_table_matches_element_loops(n, m, relabel):
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
-    spaces = _relabelled_spaces(case, n, m) if relabel else setup_level(case, BOX, n, m)
+    spaces = _spaces(case.curve, n, m, relabel)
     sigma0 = 6.0
 
-    system = assemble(spaces, sigma0, case.f, case.dirichlet, with_norm_grams=True)
-    S, F, G_norm, G_energy = loop_assemble(spaces, sigma0, case.f, case.dirichlet)
-    assert _rel_max(system.S, S) <= RTOL
-    assert _rel_max(system.F, F) <= RTOL
-    # bit for bit, too: a cubic solve at n=24 turns 1e-16 changes in S into
-    # 1e-8 relative changes of its L2 error
-    assert (system.S != S).nnz == 0 and np.array_equal(system.F, F)
-    assert _rel_max(system.norm_gram, G_norm) <= RTOL
-    assert _rel_max(system.energy_gram, G_energy) <= RTOL
-
+    system = _assert_assembly_bitwise_equal(spaces, case, sigma0)
     coef = solve(system, pd_check=False)
     errs = error_norms(coef, case, spaces, sigma0)
     ref = loop_error_norms(coef, case, spaces, sigma0)
@@ -120,6 +134,31 @@ def test_table_inverts_each_interface_element_twice_per_level(monkeypatch):
     volume = sum(len(rule.points) for e in spaces.tags.interface_elements
                  for rule, _ in spaces.pieces(e))
     assert volume in calls
+
+
+def _plain_lagrange_calls(monkeypatch, n, m):
+    """1D Lagrange evaluations of assembly and error norms on one level."""
+    calls = []
+
+    def counted(nodes, x, _orig=ife_space._lagrange_1d):
+        calls.append(nodes)
+        return _orig(nodes, x)
+
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, BOX, n, m)
+    monkeypatch.setattr(ife_space, "_lagrange_1d", counted)
+    system = assemble(spaces, 6.0, case.f, case.dirichlet)
+    error_norms(solve(system, pd_check=False), case, spaces, 6.0)
+    monkeypatch.undo()
+    return len(calls), spaces.mesh.n_elements - spaces.tags.n_interface
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_plain_lagrange_evaluations_do_not_grow_with_the_mesh(monkeypatch, m):
+    (c16, p16), (c32, p32) = (_plain_lagrange_calls(monkeypatch, n, m) for n in (16, 32))
+    assert p32 > 3 * p16
+    # one for the volume table, one for the edge table
+    assert c16 == c32 == 2
 
 
 def _chart_calls(monkeypatch, n):
