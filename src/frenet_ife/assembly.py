@@ -23,9 +23,10 @@ from .quadrature import cut_edge_rule
 
 @dataclass
 class SipdgSystem:
-    """Assembled sparse system S c = F with its penalty bookkeeping."""
+    """Assembled sparse system S c = F with its penalty bookkeeping; S is
+    stored in the CSC format its sparse LU factors."""
 
-    S: sp.csr_matrix
+    S: sp.csc_matrix
     F: np.ndarray
     sigma0: float
     gamma: float
@@ -123,8 +124,8 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     for _, e, contribution in sorted(dirichlet, key=lambda t: t[0]):
         F[e * nl:(e + 1) * nl] += contribution
 
-    system = SipdgSystem(S=_csr(spaces, K, terms, sipdg), F=F, sigma0=sigma0, gamma=gamma,
-                         penalty=pen, spaces=spaces)
+    system = SipdgSystem(S=_csr(spaces, K, terms, sipdg).tocsc(), F=F, sigma0=sigma0,
+                         gamma=gamma, penalty=pen, spaces=spaces)
     if with_norm_grams:
         system.norm_gram = _csr(spaces, K, terms, lambda w, avg, a, b:
                                 pen * a[0] * b[0] * (a[1] * w) @ b[1].T)
@@ -133,7 +134,7 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     return system
 
 
-def smallest_eigenvalue(S: sp.csr_matrix, dense_limit: int = 2500) -> float:
+def smallest_eigenvalue(S: sp.spmatrix, dense_limit: int = 2500) -> float:
     n = S.shape[0]
     if n <= dense_limit:
         return float(np.linalg.eigvalsh(S.toarray())[0])
@@ -154,7 +155,7 @@ def solve(system: SipdgSystem, pd_check: bool | None = None) -> np.ndarray:
     if pd_check and smallest_eigenvalue(system.S) <= 0.0:
         raise NotPositiveDefinite(
             "stiffness matrix has a non-positive eigenvalue; increase sigma0")
-    c = spla.spsolve(system.S.tocsc(), system.F)
+    c = spla.spsolve(system.S, system.F)
     resid = np.linalg.norm(system.S @ c - system.F) / max(np.linalg.norm(system.F), 1e-300)
     if resid > 1e-11:
         raise NonConvergence(f"linear solve residual {resid:.2e} > 1e-11")

@@ -84,7 +84,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if getattr(cfg, "dump_system", False):
         import scipy.io
 
-        scipy.io.mmwrite(str(out / "system_S.mtx"), system.S)
+        scipy.io.mmwrite(str(out / "system_S.mtx"), system.S.tocsr())   # entries row by row, as CSR
         scipy.io.mmwrite(str(out / "system_F.mtx"), system.F[:, None])
     coef = solve(system, pd_check=False)
     errs = error_norms(coef, case, spaces, sig,

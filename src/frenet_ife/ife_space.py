@@ -213,16 +213,17 @@ class IfeBasis:
         decides.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.combine(*self.chart.inverse(pts, xi_anchor=self.scaling.xi_c), side)
+        eta, xi = self.chart.inverse(pts, xi_anchor=self.scaling.xi_c)
+        return self.combine(eta, xi, self.chart.jacobian(eta, xi), side)
 
-    def combine(self, eta, xi, side=None):
-        """Values and gradients at the points with tubular coordinates (eta, xi)."""
+    def combine(self, eta, xi, J, side=None):
+        """Values and gradients at the points with tubular coordinates (eta, xi),
+        where the chart has Jacobian J (chart.jacobian(eta, xi))."""
         if side is None:
             side = np.where(eta >= 0.0, 1, -1)
         else:
             side = np.broadcast_to(np.asarray(side), eta.shape)
         vals, g_eta, g_xi = self.evaluate_ref(eta, xi, side)
-        J = self.chart.jacobian(eta, xi)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         gx = (J[:, 1, 1] * g_eta - J[:, 1, 0] * g_xi) / det
         gy = (-J[:, 0, 1] * g_eta + J[:, 0, 0] * g_xi) / det
@@ -373,11 +374,15 @@ class SpaceSet:
     segments of their edges and the tubular coordinates of both, from one
     chart inverse per level for the pieces of all interface elements and one
     for their edges; plain pieces and segments cost less to rebuild than to
-    keep.  Segment side labels come from one chart query per level.  Plain
-    elements, and the uncut edges between them, are grouped by the bytes of
-    everything their blocks read, on first use; each group's basis values are
-    computed once, and with the plain values on other edges they come from
-    one 1D Lagrange evaluation per level, bit-identical to per-element ones.
+    keep.  `volume_groups` and `edge_groups` turn those coordinates into the
+    interface elements' basis values, kept in their place, with one chart
+    Jacobian per level; the per-element reads of the trace probe, which use
+    each value once, combine them on the spot instead.  Segment side labels
+    come from one chart query per level.  Plain elements, and the uncut edges
+    between them, are grouped by the bytes of everything their blocks read, on
+    first use; each group's basis values are computed once, and with the plain
+    values on other edges they come from one 1D Lagrange evaluation per level,
+    bit-identical to per-element ones.
     """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
@@ -393,7 +398,10 @@ class SpaceSet:
         for e in range(mesh.n_elements):
             t = tags.tags[e]
             if t.kind == "interface":
-                self.bases.append(IfeBasis(chart, t, m, beta_minus, beta_plus, line_q))
+                try:
+                    self.bases.append(IfeBasis(chart, t, m, beta_minus, beta_plus, line_q))
+                except DimensionMismatch as exc:
+                    raise DimensionMismatch(f"element {e}: {exc}") from exc
             else:
                 self.bases.append(TensorBasis(mesh.elem_box(e), m, t.side))
         self.layout = DofLayout(mesh.n_elements, (m + 1) ** 2)
@@ -473,13 +481,35 @@ class SpaceSet:
         pieces of element e (k None) or the segments of its edge k."""
         basis = self.bases[e]
         if basis.kind != "plain":
+            kept = self._table.get(("values", q, k is None))
+            if kept is not None:
+                return kept[e][k]
             coords = self._cached(("coords", q, k is None),
                                   lambda: self._coords(q, k is None), True)[e][k]
-            return [basis.combine(eta, xi, side) for (eta, xi), (_, side) in zip(coords, items)]
+            return [basis.combine(eta, xi, self.chart.jacobian(eta, xi), side)
+                    for (eta, xi), (_, side) in zip(coords, items)]
         tables = self._cached(("tables", q, k is None), lambda: self._tables(q, k is None), True)
         if k in tables.get(e, {}):
             return [basis.combine(*t) for t in tables[e][k]]
         return [basis.evaluate(pts) for pts, _ in items]
+
+    def _keep_values(self, q: int, volume: bool):
+        """Keep what `_values` gives every interface element on its pieces
+        (volume) or on the segments of its edges, from the table's tubular
+        coordinates and one chart Jacobian at all their points; the
+        coordinates are dropped."""
+        key = ("values", q, volume)
+        if key in self._table or not self.tags.interface_elements:
+            return
+        coords = self._table.pop(("coords", q, volume), None) or self._coords(q, volume)
+        flat = [c for g in coords.values() for part in g.values() for c in part]
+        J = self.chart.jacobian(*(np.concatenate(x) for x in zip(*flat)))
+        J = iter(np.split(J, np.cumsum([len(eta) for eta, _ in flat])[:-1]))
+        self._table[key] = {
+            e: {k: [self.bases[e].combine(eta, xi, next(J), side) for (eta, xi), (*_, side)
+                    in zip(part, self.pieces(e, q) if k is None else self._segments(k, q))]
+                for k, part in g.items()}
+            for e, g in coords.items()}
 
     def volume(self, e: int, q: int | None = None):
         """[(rule, side, vals, grads)]: basis e on the pieces of element e."""
@@ -564,6 +594,7 @@ class SpaceSet:
         one per group of plain elements, then one per piece of each interface
         element in element order."""
         q = q if q is not None else self.m + 2
+        self._keep_values(q, True)
         groups = [(ids, pts, w, side, *self.volume(ids[0], q)[0][2:])
                   for ids, pts, w, side in self._groups(q, True)]
         for e in self.tags.interface_elements:
@@ -579,6 +610,7 @@ class SpaceSet:
         of plain uncut edges, then one per segment of every other edge in edge
         order."""
         q = q if q is not None else self.m + 3
+        self._keep_values(q, False)
         groups = [(ks, pts, w, side, self.edge(ks[0], q)[0][3])
                   for ks, pts, w, side in self._groups(q, False)]
         for k in self._ungrouped_edges(q):

@@ -292,12 +292,15 @@ def cut_cell_rules(mesh: RectMesh, e: int, tag: ElementTag,
         end_pt, end_cut = chain[-1]
         inner = [p for p, c in chain[1:-1]]
         verts = [start_pt, *inner, end_pt]
-        pts, w = _region_rule(verts, end_cut.xi, start_cut.xi, chart, q)
+        try:
+            pts, w = _region_rule(verts, end_cut.xi, start_cut.xi, chart, q)
+        except DegeneratePartition as exc:
+            raise DegeneratePartition(f"element {e}: {exc}") from exc
         # classify by the rule's own deepest point: quadrature points lie in
         # the region, and the farthest from the interface is sign-robust
         eta = chart.signed_distance_estimate(pts)
         side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
         rules[side] = QuadRule(points=pts, weights=w, degree=2 * q - 1)
     if len(rules) != 2:
-        raise DegeneratePartition("both sub-regions landed on the same side")
+        raise DegeneratePartition(f"element {e}: both sub-regions landed on the same side")
     return rules

@@ -7,18 +7,22 @@ trace-constant maximum of `probe-trace-p2`, per level.  The cubic solve's
 sliver cells amplify a 1e-16 change in the stiffness matrix to about 1e-8
 in the L2 error, so any reordering of the assembly arithmetic shows there
 first; all three read the classification and the chart.  The reference
-files are only read.
+files are only read, and so is the benchmark's span tracer, whose patches
+must name functions the package still has.
 """
 
 import csv
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from frenet_ife import cli
 
-REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFS = PERFBENCH / "refs"
 REL_TOL = 1e-10
 
 
@@ -64,3 +68,14 @@ def test_probe_trace_p2_seed0_matches_benchmark_reference(tmp_path):
     out = _run(tmp_path, "probe-trace", 2, [16, 32, 64])
     rows = json.loads((out / "trace_probes.json").read_text())["levels"]
     _assert_levels(rows, _reference("probe-trace-p2"), ("max",))
+
+
+def test_tracer_patches_resolve_to_callables(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.PATCHES
+    for owner, attr, name, *_ in tracer.PATCHES:
+        # Tracer.install reads the attribute from the owner's own namespace
+        assert callable(vars(owner).get(attr)), (owner.__name__, attr, name)

@@ -1,8 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
+import scipy.io
 
+from frenet_ife import assembly
 from frenet_ife.cli import main
 from frenet_ife.config import RunConfig
 
@@ -46,7 +49,14 @@ def test_cli_invalid_beta_exits_2(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
 
 
-def test_cli_solve_writes_artifacts(tmp_path):
+def test_cli_solve_writes_artifacts(tmp_path, monkeypatch):
+    assembled = []
+
+    def csr(*args, _orig=assembly._csr):
+        assembled.append(_orig(*args))
+        return assembled[-1]
+
+    monkeypatch.setattr(assembly, "_csr", csr)
     out = tmp_path / "run"
     rc = main(["solve", "--mesh", "16", "--degree", "1",
                "--out", str(out), "--dump-system"])
@@ -59,7 +69,12 @@ def test_cli_solve_writes_artifacts(tmp_path):
     assert report["sigma0"] >= report["trace_constant"] ** 2 + 0.5
     assert 0.0 < report["mesh"]["min_cut_fraction"] < 1.0
     assert (out / "resolved_config.json").exists()
-    assert (out / "system_S.mtx").exists()
+    # the dump lists S row by row, as the assembled CSR matrix does
+    (S,) = assembled
+    expected = io.BytesIO()
+    scipy.io.mmwrite(expected, S)
+    assert S.format == "csr"
+    assert (out / "system_S.mtx").read_bytes() == expected.getvalue()
     assert (out / "coefficients.npy").exists()
     diag = (out / "space_diagnostics.csv").read_text().splitlines()
     assert len(diag) == report["mesh"]["interface_elements"] + 1

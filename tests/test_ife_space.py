@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frenet_ife.curves import LineCurve, circle
+from frenet_ife.errors import DimensionMismatch
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
 from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces,
                                   build_x0, monomials_x1, project_l2,
@@ -311,3 +312,13 @@ def test_projection_reproduces_members_and_constants(circle_spaces):
                                rng.uniform(*spaces.mesh.elem_box(ee)[1::2], 10)])
         vals, _ = spaces.bases[ee].evaluate(pts)
         assert np.max(np.abs(ones[spaces.layout.dofs(ee)] @ vals - 1.0)) <= 1e-11
+
+
+def test_dimension_mismatch_names_the_element():
+    # one line quadrature point cannot pose the m=2 moment conditions
+    mesh = build_mesh((-1, 1, -1, 1), 8)
+    chart = FrenetChart(circle(0.6), h=mesh.h)
+    tags = classify_elements(mesh, chart)
+    first = tags.interface_elements[0]
+    with pytest.raises(DimensionMismatch, match=rf"^element {first}: X0 nullspace dimension"):
+        build_spaces(mesh, tags, chart, 2, 1.0, 10.0, line_q=1)

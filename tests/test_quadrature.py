@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from frenet_ife import quadrature
 from frenet_ife.curves import LineCurve, circle, ellipse
+from frenet_ife.errors import DegeneratePartition
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import (cut_cell_rules, cut_edge_rule, gauss_interval,
@@ -201,3 +203,20 @@ def test_whole_mesh_cut_areas_sum_to_disk(circle_setup):
         elif t.side == -1:
             total_inside += mesh.dx * mesh.dy
     assert total_inside == pytest.approx(np.pi * 0.36, abs=1e-9)
+
+
+@pytest.mark.parametrize("failure", ["region", "sides"])
+def test_degenerate_partition_names_the_element(monkeypatch, failure):
+    mesh = build_mesh((-1, 1, -1, 1), 8)
+    chart = FrenetChart(circle(0.6), h=mesh.h)
+    tags = classify_elements(mesh, chart)
+    e = tags.interface_elements[0]
+    if failure == "region":
+        def region_rule(*args):
+            raise DegeneratePartition("no star-shaped anchor found for a cut region")
+        monkeypatch.setattr(quadrature, "_region_rule", region_rule)
+    else:
+        # a chart that puts every point on the + side labels both pieces +1
+        monkeypatch.setattr(chart, "signed_distance_estimate", lambda pts: np.ones(len(pts)))
+    with pytest.raises(DegeneratePartition, match=rf"^element {e}: "):
+        cut_cell_rules(mesh, e, tags.tags[e], chart, 4)

@@ -8,12 +8,14 @@ elements and the edges between them come in groups whose blocks are computed
 once.  The table keeps the tubular coordinates of interface points, from one
 chart inverse for the volume pieces of all interface elements and one for
 their edges, and the plain 1D Lagrange tables from one evaluation each.
+Assembly replaces those coordinates by the interface basis values, from one
+chart Jacobian for the volume pieces and one for the edges, and keeps them.
 """
 
 import numpy as np
 import pytest
 
-from frenet_ife import ife_space
+from frenet_ife import assembly, ife_space
 from frenet_ife.analysis import error_norms, manufactured_circle, setup_level
 from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
 from frenet_ife.curves import circle, ellipse
@@ -93,25 +95,34 @@ def test_table_matches_element_loops(n, m, relabel):
     assert _rel_max(proj, loop_project_l2(case.u, spaces)) <= RTOL
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_table_interface_values_bitwise_equal_to_evaluate(m):
-    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
-    spaces = setup_level(case, BOX, 8, m)
+# each value read one element at a time, or from the values assembly keeps
+@pytest.mark.parametrize("curve, m, after_assembly", [
+    pytest.param(curve, m, kept, id=f"{name}-{m}-kept" if kept else
+                 (str(m) if name == "circle" else f"{name}-{m}"))
+    for name, curve in (("circle", circle(0.6)), ("ellipse", ellipse(0.7, 0.5)))
+    for m in (1, 2, 3) for kept in (False, True)])
+def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m, after_assembly):
+    spaces = _spaces(curve, 8, m)
     mesh = spaces.mesh
-
-    def same(got, pts, side, e):
-        ref = spaces.bases[e].evaluate(pts, side=side)
-        return all(np.array_equal(a, b) for a, b in zip(got, ref))
-
+    if after_assembly:
+        # the values assembly keeps, read without a chart call
+        case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+        system = assemble(spaces, 6.0, case.f, case.dirichlet)
+        error_norms(solve(system, pd_check=False), case, spaces, 6.0)
+        for name in ("inverse", "jacobian"):
+            monkeypatch.setattr(spaces.chart, name, None)
+    read = []
     for e in spaces.tags.interface_elements:
-        for rule, side, vals, grads in spaces.volume(e):
-            assert same((vals, grads), rule.points, side, e)
+        read += [(e, rule.points, side, vg) for rule, side, *vg in spaces.volume(e)]
         for k in mesh.elem_edges[e]:
-            for pts, _, side, vals, grads in spaces.face(k, e):
-                assert same((vals, grads), pts, side, e)
-            for pts, _, side, members in spaces.edge(k):
-                for f, _, vals, grads in members:
-                    assert same((vals, grads), pts, side, f)
+            read += [(e, pts, side, vg) for pts, _, side, *vg in spaces.face(k, e)]
+            read += [(f, pts, side, vg) for pts, _, side, members in spaces.edge(k)
+                     for f, _, *vg in members]
+    monkeypatch.undo()
+    assert read
+    for e, pts, side, got in read:
+        ref = spaces.bases[e].evaluate(pts, side=side)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), e
 
 
 def test_table_inverts_each_interface_element_twice_per_level(monkeypatch):
@@ -162,9 +173,9 @@ def test_plain_lagrange_evaluations_do_not_grow_with_the_mesh(monkeypatch, m):
 
 
 def _chart_calls(monkeypatch, n):
-    """Chart inverse and signed-distance calls of one m=2 level: setup,
-    auto penalty, assembly and error norms."""
-    counts = dict.fromkeys(("inverse", "signed_distance_estimate"), 0)
+    """Chart calls of one m=2 level: inverse and signed distance over setup,
+    auto penalty, assembly and error norms; Jacobian over the last two."""
+    counts = dict.fromkeys(("inverse", "signed_distance_estimate", "jacobian"), 0)
     for name in counts:
         def counted(self, *args, _name=name, _orig=getattr(FrenetChart, name), **kwargs):
             counts[_name] += 1
@@ -173,6 +184,7 @@ def _chart_calls(monkeypatch, n):
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     spaces = setup_level(case, BOX, n, 2)
     sigma0, _ = auto_sigma0(spaces)
+    counts["jacobian"] = 0
     system = assemble(spaces, sigma0, case.f, case.dirichlet)
     error_norms(solve(system, pd_check=False), case, spaces, sigma0)
     monkeypatch.undo()
@@ -186,6 +198,24 @@ def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
     assert c16["inverse"] == c32["inverse"] <= 5
     # only cut_cell_rules labels its two pieces per interface element
     assert c32["signed_distance_estimate"] - c16["signed_distance_estimate"] == 2 * (n32 - n16)
+    # the interface values of volume pieces and of edge segments, each kept
+    assert c16["jacobian"] == c32["jacobian"] <= 2
+
+
+def test_solve_factors_the_assembled_matrix_without_a_copy(monkeypatch):
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, BOX, 8, 1)
+    system = assemble(spaces, 6.0, case.f, case.dirichlet)
+    factored = []
+
+    def spsolve(A, b, _orig=assembly.spla.spsolve):
+        factored.append(A)
+        return _orig(A, b)
+
+    monkeypatch.setattr(assembly.spla, "spsolve", spsolve)
+    solve(system, pd_check=False)
+    assert len(factored) == 1
+    assert factored[0] is system.S and factored[0].format == "csc"
 
 
 @pytest.mark.parametrize("curve", [circle(0.6), ellipse(0.7, 0.5)])
