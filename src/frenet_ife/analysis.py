@@ -10,6 +10,7 @@ import numpy as np
 # edge_segments is unused here, but perfbench/tracer.py patches analysis.edge_segments
 from .assembly import assemble, auto_sigma0, edge_segments, solve, trace_constant  # noqa: F401
 from .curves import InterfaceCurve, circle
+from .errors import FrenetIfeError
 from .frenet import FrenetChart, frenet_apparatus
 from .ife_space import SpaceSet, build_spaces, project_l2
 from .mesh import build_mesh, classify_elements
@@ -286,10 +287,14 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1),
 
 def trace_probe_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
                       line_q=None) -> dict:
-    """Max/median normalized trace constants per level."""
+    """Max/median normalized trace constants per level; raises
+    FrenetIfeError on a level with no interface element."""
     levels = []
     for n in ns:
         spaces = setup_level(case, box, n, m, line_q)
+        if not spaces.tags.interface_elements:
+            raise FrenetIfeError(f"mesh n={n}: no interface element to probe; "
+                                 "the interface does not cross the domain")
         cts = [trace_constant(spaces, e) for e in spaces.tags.interface_elements]
         levels.append({"n": n, "h": spaces.mesh.h,
                        "max": float(np.max(cts)), "median": float(np.median(cts)),

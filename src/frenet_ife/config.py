@@ -96,6 +96,8 @@ class RunConfig:
         if kind == "circle_power":
             if self.interface.get("kind") != "circle":
                 raise ValueError("circle_power benchmark needs a circle interface")
+            if any(float(c) != 0.0 for c in self.interface.get("center", (0.0, 0.0))):
+                raise ValueError("circle_power benchmark needs a circle centred at the origin")
             p = int(self.case.get("p", 4))
             if p < 4 or p % 2:
                 raise ValueError("circle_power needs even p >= 4")

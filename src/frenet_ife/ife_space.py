@@ -365,24 +365,36 @@ class DofLayout:
         return np.arange(e * self.n_local, (e + 1) * self.n_local)
 
 
+def _one_call(groups, call, axis=0):
+    """One call over all the parts of groups, {key: {k: [part]}}, each part a
+    tuple of arrays of equal length: call gets each position's arrays
+    concatenated, and each of its outputs is split back along `axis` into
+    the same layout, {key: {k: [outputs on part]}}."""
+    flat = [part for g in groups.values() for parts in g.values() for part in parts]
+    out = call(*(np.concatenate(arrays) for arrays in zip(*flat)))
+    cuts = np.cumsum([len(part[0]) for part in flat])[:-1]
+    split = iter(zip(*(np.split(o, cuts, axis=axis) for o in out)))
+    return {key: {k: [next(split) for _ in parts] for k, parts in g.items()}
+            for key, g in groups.items()}
+
+
 class SpaceSet:
     """All local bases of a classified mesh, the coefficient layout and the
     level's quadrature table, filled on first use and keyed by Gauss order
     (default m+2 points per axis on volumes, m+3 on edges).
 
     The table keeps, built once, the pieces of interface elements, the
-    segments of their edges and the tubular coordinates of both, from one
-    chart inverse per level for the pieces of all interface elements and one
-    for their edges; plain pieces and segments cost less to rebuild than to
-    keep.  `volume_groups` and `edge_groups` turn those coordinates into the
-    interface elements' basis values, kept in their place, with one chart
-    Jacobian per level; the per-element reads of the trace probe, which use
-    each value once, combine them on the spot instead.  Segment side labels
-    come from one chart query per level.  Plain elements, and the uncut edges
-    between them, are grouped by the bytes of everything their blocks read, on
-    first use; each group's basis values are computed once, and with the plain
-    values on other edges they come from one 1D Lagrange evaluation per level,
-    bit-identical to per-element ones.
+    segments of their edges and the basis values of both: on first read of
+    any interface element's values (assembly, error norms, the trace probe
+    or the L2 projection), those of every interface element come from one
+    chart inverse and one chart Jacobian per level for the pieces and one of
+    each for the edge segments.  Plain pieces and segments cost less to
+    rebuild than to keep.  Segment side labels come from one chart query per
+    level.  Plain elements, and the uncut edges between them, are grouped by
+    the bytes of everything their blocks read, on first use; each group's
+    basis values are computed once, and with the plain values on other edges
+    they come from one 1D Lagrange evaluation per level, bit-identical to
+    per-element ones.
     """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
@@ -432,32 +444,34 @@ class SpaceSet:
         return self._cached(("rules", e, q), lambda: self.element_rules(e, q),
                             self.bases[e].kind != "plain")
 
-    def _coords(self, q: int, volume: bool):
-        """Tubular coordinates of all interface elements from one chart inverse,
-        each anchored at its interval midpoint: per element, {None: [per
-        piece]} or, over its four edges, {edge: [per segment]}."""
+    def _interface_values(self, q: int, volume: bool):
+        """(vals, grads) of every interface element on its pieces (volume) or
+        on the segments of its four edges, from one chart inverse at all their
+        points, each anchored at its interval midpoint, and one chart Jacobian
+        there: per element, {None: [per piece]} or {edge: [per segment]}."""
+        def part(e, pts, side):
+            return pts, np.full(len(pts), self.bases[e].scaling.xi_c), np.full(len(pts), side)
+
+        def chart(pts, anchors, sides):
+            eta, xi = self.chart.inverse(pts, xi_anchor=anchors)
+            return eta, xi, self.chart.jacobian(eta, xi), sides
+
         groups = {}
         for e in self.tags.interface_elements:
             if volume:
-                groups[e] = {None: [rule.points for rule, _ in self.pieces(e, q)]}
+                groups[e] = {None: [part(e, rule.points, side) for rule, side in self.pieces(e, q)]}
             else:
-                groups[e] = {k: [pts for pts, _, _ in self._segments(k, q)]
+                groups[e] = {k: [part(e, pts, side) for pts, _, side in self._segments(k, q)]
                              for k in self.mesh.elem_edges[e]}
-        flat = [(e, pts) for e, g in groups.items() for part in g.values() for pts in part]
-        sizes = [len(pts) for _, pts in flat]
-        anchors = np.repeat([self.bases[e].scaling.xi_c for e, _ in flat], sizes)
-        eta, xi = self.chart.inverse(np.concatenate([pts for _, pts in flat]),
-                                     xi_anchor=anchors)
-        cuts = np.cumsum(sizes)[:-1]
-        parts = iter(zip(np.split(eta, cuts), np.split(xi, cuts)))
-        return {e: {k: [next(parts) for _ in part] for k, part in g.items()}
-                for e, g in groups.items()}
+        return {e: {k: [self.bases[e].combine(*c) for c in parts] for k, parts in g.items()}
+                for e, g in _one_call(groups, chart).items()}
 
     def _tables(self, q: int, volume: bool):
         """1D Lagrange tables, from one evaluation, at the reference
         coordinates of the plain values the groups need: the first member of
         each plain group and the plain elements of the edges outside the
-        groups.  Per element, {None: [per piece]} or {edge: [per segment]}."""
+        groups.  Per element, {None: [per piece]} or {edge: [per segment]},
+        each (x values, x derivatives, y values, y derivatives)."""
         groups = {}
         if volume:
             for ids, *_ in self._groups(q, True):
@@ -468,48 +482,26 @@ class SpaceSet:
                 for f in self.mesh.edge_elems[k]:
                     if f >= 0 and self.bases[f].kind == "plain":
                         groups.setdefault(f, {})[k] = [pts for pts, _, _ in self._segments(k, q)]
-        r = [r for e, g in groups.items() for part in g.values() for pts in part
-             for r in self.bases[e].reference_coords(pts)]
-        cuts = np.cumsum([len(x) for x in r])[:-1]
-        tables = iter(zip(*(np.split(t, cuts, axis=1) for t in
-                            _lagrange_1d(_lobatto_nodes(self.m), np.concatenate(r or [[]])))))
-        return {e: {k: [(next(tables), next(tables)) for _ in part] for k, part in g.items()}
-                for e, g in groups.items()}
+
+        def lagrange(x, y):
+            vals, ders = _lagrange_1d(_lobatto_nodes(self.m), np.concatenate([x, y]))
+            return vals[:, :len(x)], ders[:, :len(x)], vals[:, len(x):], ders[:, len(x):]
+
+        return _one_call({e: {k: [self.bases[e].reference_coords(pts) for pts in part]
+                              for k, part in g.items()} for e, g in groups.items()},
+                         lagrange, axis=1)
 
     def _values(self, e: int, q: int, k, items):
         """(vals, grads) of basis e at each (points, side) of `items`: the
         pieces of element e (k None) or the segments of its edge k."""
         basis = self.bases[e]
         if basis.kind != "plain":
-            kept = self._table.get(("values", q, k is None))
-            if kept is not None:
-                return kept[e][k]
-            coords = self._cached(("coords", q, k is None),
-                                  lambda: self._coords(q, k is None), True)[e][k]
-            return [basis.combine(eta, xi, self.chart.jacobian(eta, xi), side)
-                    for (eta, xi), (_, side) in zip(coords, items)]
+            return self._cached(("values", q, k is None),
+                                lambda: self._interface_values(q, k is None), True)[e][k]
         tables = self._cached(("tables", q, k is None), lambda: self._tables(q, k is None), True)
         if k in tables.get(e, {}):
-            return [basis.combine(*t) for t in tables[e][k]]
+            return [basis.combine(t[:2], t[2:]) for t in tables[e][k]]
         return [basis.evaluate(pts) for pts, _ in items]
-
-    def _keep_values(self, q: int, volume: bool):
-        """Keep what `_values` gives every interface element on its pieces
-        (volume) or on the segments of its edges, from the table's tubular
-        coordinates and one chart Jacobian at all their points; the
-        coordinates are dropped."""
-        key = ("values", q, volume)
-        if key in self._table or not self.tags.interface_elements:
-            return
-        coords = self._table.pop(("coords", q, volume), None) or self._coords(q, volume)
-        flat = [c for g in coords.values() for part in g.values() for c in part]
-        J = self.chart.jacobian(*(np.concatenate(x) for x in zip(*flat)))
-        J = iter(np.split(J, np.cumsum([len(eta) for eta, _ in flat])[:-1]))
-        self._table[key] = {
-            e: {k: [self.bases[e].combine(eta, xi, next(J), side) for (eta, xi), (*_, side)
-                    in zip(part, self.pieces(e, q) if k is None else self._segments(k, q))]
-                for k, part in g.items()}
-            for e, g in coords.items()}
 
     def volume(self, e: int, q: int | None = None):
         """[(rule, side, vals, grads)]: basis e on the pieces of element e."""
@@ -594,7 +586,6 @@ class SpaceSet:
         one per group of plain elements, then one per piece of each interface
         element in element order."""
         q = q if q is not None else self.m + 2
-        self._keep_values(q, True)
         groups = [(ids, pts, w, side, *self.volume(ids[0], q)[0][2:])
                   for ids, pts, w, side in self._groups(q, True)]
         for e in self.tags.interface_elements:
@@ -610,7 +601,6 @@ class SpaceSet:
         of plain uncut edges, then one per segment of every other edge in edge
         order."""
         q = q if q is not None else self.m + 3
-        self._keep_values(q, False)
         groups = [(ks, pts, w, side, self.edge(ks[0], q)[0][3])
                   for ks, pts, w, side in self._groups(q, False)]
         for k in self._ungrouped_edges(q):

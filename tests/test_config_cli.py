@@ -36,6 +36,18 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         RunConfig(case={"kind": "circle_power", "p": 3}).validate()
     RunConfig().validate()
+    RunConfig(interface={"kind": "circle", "radius": 0.6, "center": [0, 0]}).validate()
+
+
+def test_off_centre_circle_power_exits_2(tmp_path):
+    # the manufactured solution is radial about the origin
+    spec = {"kind": "circle", "radius": 0.6, "center": [0.2, 0.0]}
+    with pytest.raises(ValueError, match="centred at the origin"):
+        RunConfig(interface=spec).validate()
+    cfg = tmp_path / "off.json"
+    cfg.write_text(json.dumps({"interface": spec, "out_dir": str(tmp_path / "o")}))
+    assert main(["solve", "--config", str(cfg), "--mesh", "8"]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_config_key_rejected():
@@ -119,3 +131,15 @@ def test_cli_probe_trace_and_coercivity(tmp_path):
     assert rc == 0
     probe = json.loads((out2 / "coercivity_probe.json").read_text())
     assert probe["min_ratio"] >= 0.25
+
+
+def test_cli_probe_trace_without_interface_elements_writes_error(tmp_path):
+    # a circle of radius 3 encloses the whole domain: no element is cut
+    cfg = tmp_path / "far.json"
+    out = tmp_path / "t"
+    cfg.write_text(json.dumps({"interface": {"kind": "circle", "radius": 3.0},
+                               "out_dir": str(out)}))
+    assert main(["probe-trace", "--config", str(cfg), "--mesh", "8,16"]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "FrenetIfeError"
+    assert "n=8" in error["message"] and "no interface element" in error["message"]

@@ -5,11 +5,10 @@ of cut-aware rules and basis values per level; `oracles.loop_*` rebuild the
 rules and re-evaluate every basis at every point instead.  Assembly must
 agree bit for bit, the rest to roundoff (beta- = 1, beta+ = 10).  Plain
 elements and the edges between them come in groups whose blocks are computed
-once.  The table keeps the tubular coordinates of interface points, from one
-chart inverse for the volume pieces of all interface elements and one for
-their edges, and the plain 1D Lagrange tables from one evaluation each.
-Assembly replaces those coordinates by the interface basis values, from one
-chart Jacobian for the volume pieces and one for the edges, and keeps them.
+once.  The table keeps the interface basis values, built on first read by
+any of them from one chart inverse and one chart Jacobian for the volume
+pieces of all interface elements and one of each for their edges, and the
+plain 1D Lagrange tables from one evaluation each.
 """
 
 import numpy as np
@@ -95,7 +94,8 @@ def test_table_matches_element_loops(n, m, relabel):
     assert _rel_max(proj, loop_project_l2(case.u, spaces)) <= RTOL
 
 
-# each value read one element at a time, or from the values assembly keeps
+# the kept values, built on the trace probe's per-element reads or by
+# assembly and then read element by element
 @pytest.mark.parametrize("curve, m, after_assembly", [
     pytest.param(curve, m, kept, id=f"{name}-{m}-kept" if kept else
                  (str(m) if name == "circle" else f"{name}-{m}"))
@@ -105,7 +105,7 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
     spaces = _spaces(curve, 8, m)
     mesh = spaces.mesh
     if after_assembly:
-        # the values assembly keeps, read without a chart call
+        # the values assembly builds and keeps, read without a chart call
         case = manufactured_circle(0.6, 1.0, 10.0, p=4)
         system = assemble(spaces, 6.0, case.f, case.dirichlet)
         error_norms(solve(system, pd_check=False), case, spaces, 6.0)
@@ -173,8 +173,8 @@ def test_plain_lagrange_evaluations_do_not_grow_with_the_mesh(monkeypatch, m):
 
 
 def _chart_calls(monkeypatch, n):
-    """Chart calls of one m=2 level: inverse and signed distance over setup,
-    auto penalty, assembly and error norms; Jacobian over the last two."""
+    """Chart calls of one m=2 level over setup, auto penalty, assembly and
+    error norms, and the interface basis combinations of the last two."""
     counts = dict.fromkeys(("inverse", "signed_distance_estimate", "jacobian"), 0)
     for name in counts:
         def counted(self, *args, _name=name, _orig=getattr(FrenetChart, name), **kwargs):
@@ -184,7 +184,13 @@ def _chart_calls(monkeypatch, n):
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     spaces = setup_level(case, BOX, n, 2)
     sigma0, _ = auto_sigma0(spaces)
-    counts["jacobian"] = 0
+    counts["combine"] = 0
+
+    def combine(self, *args, _orig=ife_space.IfeBasis.combine, **kwargs):
+        counts["combine"] += 1
+        return _orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(ife_space.IfeBasis, "combine", combine)
     system = assemble(spaces, sigma0, case.f, case.dirichlet)
     error_norms(solve(system, pd_check=False), case, spaces, sigma0)
     monkeypatch.undo()
@@ -198,8 +204,10 @@ def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
     assert c16["inverse"] == c32["inverse"] <= 5
     # only cut_cell_rules labels its two pieces per interface element
     assert c32["signed_distance_estimate"] - c16["signed_distance_estimate"] == 2 * (n32 - n16)
-    # the interface values of volume pieces and of edge segments, each kept
+    # the interface values of volume pieces and of edge segments, each built
+    # once for the trace probe and kept for assembly and error norms
     assert c16["jacobian"] == c32["jacobian"] <= 2
+    assert c16["combine"] == c32["combine"] == 0
 
 
 def test_solve_factors_the_assembled_matrix_without_a_copy(monkeypatch):
