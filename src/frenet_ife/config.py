@@ -57,7 +57,24 @@ class RunConfig:
         return curve_from_config(self.interface)
 
     def validate(self):
-        """Raises ValueError on an unusable configuration.
+        """Raises ValueError on an unusable configuration: `validate_run`, then
+        the manufactured case, which only the commands that build it need."""
+        self.validate_run()
+        kind = self.case.get("kind", "circle_power")
+        if kind == "circle_power":
+            if self.interface.get("kind") != "circle":
+                raise ValueError("circle_power benchmark needs a circle interface")
+            if any(float(c) != 0.0 for c in self.interface.get("center", (0.0, 0.0))):
+                raise ValueError("circle_power benchmark needs a circle centred at the origin")
+            p = int(self.case.get("p", 4))
+            if p < 4 or p % 2:
+                raise ValueError("circle_power needs even p >= 4")
+        else:
+            raise ValueError(f"unknown benchmark case {kind!r}")
+        return self
+
+    def validate_run(self):
+        """Raises ValueError on an unusable configuration, the case aside.
 
         The mesh check bounds only h * max curvature, a local quantity; it
         does not bound the curve's bottleneck distance, so two distant arcs
@@ -92,17 +109,6 @@ class RunConfig:
                 raise ValueError("sigma0 must be a positive number or 'auto'")
         elif not self.sigma0 > 0:
             raise ValueError("sigma0 must be positive")
-        kind = self.case.get("kind", "circle_power")
-        if kind == "circle_power":
-            if self.interface.get("kind") != "circle":
-                raise ValueError("circle_power benchmark needs a circle interface")
-            if any(float(c) != 0.0 for c in self.interface.get("center", (0.0, 0.0))):
-                raise ValueError("circle_power benchmark needs a circle centred at the origin")
-            p = int(self.case.get("p", 4))
-            if p < 4 or p % 2:
-                raise ValueError("circle_power needs even p >= 4")
-        else:
-            raise ValueError(f"unknown benchmark case {kind!r}")
         return self
 
     def manufactured_case(self):

@@ -40,6 +40,13 @@ class LocalScaling:
     def etabar(self, eta):
         return np.asarray(eta, dtype=float) / self.h_eta
 
+    def series_factors(self, n):
+        """h_eta^-l * (1, 1/h_xi, 1/h_xi^2) for l < n, (3, n): the scales of
+        the eta-series of p, p_xi and p_xixi.  Scalar powers on purpose: an
+        array's ** 2 multiplies, and a rounding of pow can differ."""
+        s = [self.h_eta ** (-l) for l in range(n)]
+        return np.array([s, [v / self.h_xi for v in s], [v / self.h_xi**2 for v in s]])
+
 
 def monomials_x1(m: int):
     """(j, i) exponent pairs spanning the eta-vanishing block."""
@@ -47,7 +54,7 @@ def monomials_x1(m: int):
 
 
 def _legendre_rows(deg_max, xbar):
-    rows = np.zeros((deg_max + 1, len(xbar)))
+    rows = np.zeros((deg_max + 1,) + np.shape(xbar))
     for d in range(deg_max + 1):
         coef = np.zeros(d + 1)
         coef[d] = 1.0
@@ -55,86 +62,117 @@ def _legendre_rows(deg_max, xbar):
     return rows
 
 
-def _poly_line_series(C, scaling: LocalScaling, xbar, n_terms):
+def _poly_line_series(C, factors, xbar, n_terms):
     """eta-series of p, p_xi, p_xixi on the interface line at given nodes.
 
-    C is the (m+1, m+1) coefficient matrix over etabar^j xibar^i; returns
-    three arrays shaped (n_terms, n_nodes).
+    C stacks (m+1, m+1) coefficient matrices over etabar^j xibar^i, (..., m+1,
+    m+1); factors holds LocalScaling.series_factors(m+1), (..., 3, m+1), and
+    xbar the nodes, (..., n_nodes), both broadcasting against C's leading
+    axes.  Returns three arrays shaped (..., n_terms, n_nodes).  Each row is
+    one stacked (1, m+1) @ (m+1, n_nodes) product, laid out as
+    np.vander(xbar).T: a product over the stack would round differently.
     """
-    m = C.shape[0] - 1
-    nq = len(xbar)
-    V = np.vander(xbar, m + 1, increasing=True).T       # V[i] = xibar^i
-    P = np.zeros((n_terms, nq))
-    P1 = np.zeros((n_terms, nq))
-    P2 = np.zeros((n_terms, nq))
+    m = C.shape[-1] - 1
     i_idx = np.arange(m + 1)
-    for l in range(min(n_terms, m + 1)):
-        scale = scaling.h_eta ** (-l)
-        P[l] = scale * (C[l] @ V)
-        d1 = C[l] * i_idx
-        P1[l] = scale / scaling.h_xi * (np.roll(d1, -1)[: m + 1] @ V) if m >= 1 else 0.0
-        d2 = C[l] * i_idx * (i_idx - 1)
-        P2[l] = scale / scaling.h_xi**2 * (np.roll(d2, -2)[: m + 1] @ V) if m >= 2 else 0.0
-    return P, P1, P2
-
-
-def _l_operator_series(C, scaling, jets, xbar, n_out):
-    """eta-series of L(p) on the line: coefficients of eta^l, l < n_out."""
-    A, B, Cc = jets
-    P, P1, P2 = _poly_line_series(C, scaling, xbar, n_out + 2)
-    out = np.zeros((n_out, P.shape[1]))
-    for l in range(n_out):
-        acc = (l + 1) * (l + 2) * P[l + 2]
-        for k in range(l + 1):
-            acc = acc + A[k] * (l - k + 1) * P[l - k + 1]
-            acc = acc + B[k] * P2[l - k]
-            acc = acc + Cc[k] * P1[l - k]
-        out[l] = acc
+    L = min(n_terms, m + 1)
+    V = np.ones(np.shape(xbar) + (m + 1,))
+    V[..., 1:] = xbar[..., None]
+    V = np.swapaxes(np.multiply.accumulate(V, axis=-1), -1, -2)[..., None, :, :]
+    D = [C, np.roll(C * i_idx, -1, axis=-1), np.roll(C * i_idx * (i_idx - 1), -2, axis=-1)]
+    out = np.zeros((3,) + np.broadcast_shapes(C.shape[:-2], factors.shape[:-2], xbar.shape[:-1])
+                   + (n_terms, np.shape(xbar)[-1]))
+    for k in range(min(m, 2) + 1):
+        out[k, ..., :L, :] = factors[..., k, :L, None] * (D[k][..., :L, None, :] @ V)[..., 0, :]
     return out
 
 
-def build_x0(chart: FrenetChart, interval, m: int, line_q: int | None = None):
+def _l_operator_series(C, factors, jets, xbar, n_out):
+    """eta-series of L(p) on the line: coefficients of eta^l, l < n_out.
+    Arguments as for _poly_line_series, jets (..., n_out, n_nodes) each."""
+    A, B, Cc = jets
+    P, P1, P2 = _poly_line_series(C, factors, xbar, n_out + 2)
+    out = np.zeros(P.shape[:-2] + (n_out, P.shape[-1]))
+    for l in range(n_out):
+        acc = (l + 1) * (l + 2) * P[..., l + 2, :]
+        for k in range(l + 1):
+            acc = acc + A[..., k, :] * (l - k + 1) * P[..., l - k + 1, :]
+            acc = acc + B[..., k, :] * P2[..., l - k, :]
+            acc = acc + Cc[..., k, :] * P1[..., l - k, :]
+        out[..., l, :] = acc
+    return out
+
+
+def _line_terms(chart, intervals, scalings, m: int, q: int):
+    """What the moments of L(p)(0, .) need on every interval (xi0, xi1) at
+    once, with its q-point Gauss rule: the series factors (E, 1, 3, m+1),
+    xibar at the nodes (E, 1, q), the jets up to eta^(m-2) from one
+    coefficient_jets call ((E, 1, m-1, q) each) and the weights times the
+    Legendre tests up to degree m (E, m+1, q)."""
+    rule = gauss_interval(*np.array(intervals, dtype=float).reshape(-1, 2).T[..., None], q)
+    xi_c, h_xi = np.array([[s.xi_c, s.h_xi] for s in scalings]).reshape(-1, 2).T[..., None]
+    xbar = (rule.points - xi_c) / h_xi
+    jets = FrenetLaplacian(chart).coefficient_jets(rule.points.ravel(), m - 2)
+    factors = np.array([s.series_factors(m + 1) for s in scalings]).reshape(-1, 1, 3, m + 1)
+    return (factors, xbar[:, None],
+            tuple(np.moveaxis(j.reshape(m - 1, *xbar.shape), 0, 1)[:, None] for j in jets),
+            np.moveaxis(_legendre_rows(m, xbar) * rule.weights, 0, 1))
+
+
+def build_x0(chart: FrenetChart, intervals, m: int, line_q: int | None = None):
     """Constrained continuous polynomials: nullspace of the trace conditions.
 
     Rows: the m+1 coefficients of p_eta(0, .) plus, for each eta-derivative
     order j <= m-2, the moments of L(p)(0, .) against Legendre tests up to
-    degree m.  Returns (vectors (m+1, m+1, m+1), scaling).
+    degree m.  `intervals` is one interval (xi0, xi1), or {element: interval}
+    for the interface elements of a level, all built at once.  Returns
+    (vectors (m+1, m+1, m+1), scaling) for one interval and (vectors (E, m+1,
+    m+1, m+1), [scaling]) in key order for a level.
 
-    Raises DimensionMismatch if the nullspace dimension is not m+1.
+    Raises DimensionMismatch, naming a level's first such element, if the
+    nullspace dimension is not m+1.
     """
-    xi0, xi1 = interval
-    scaling = LocalScaling(h_eta=chart.h, xi_c=0.5 * (xi0 + xi1), h_xi=0.5 * (xi1 - xi0))
+    level = isinstance(intervals, dict)
+    items = intervals if level else {None: intervals}
+    scalings = [LocalScaling(h_eta=chart.h, xi_c=0.5 * (xi0 + xi1), h_xi=0.5 * (xi1 - xi0))
+                for xi0, xi1 in items.values()]
     nb = (m + 1) ** 2
-    rows = []
-    for i in range(m + 1):
-        r = np.zeros(nb)
-        r[1 * (m + 1) + i] = 1.0
-        rows.append(r)
+    M = np.zeros((len(items), m * (m + 1), nb))
+    M[:, range(m + 1), range(m + 1, 2 * (m + 1))] = 1.0
     if m >= 2:
         q = line_q if line_q is not None else m + 3
-        rule = gauss_interval(xi0, xi1, q)
-        xbar = scaling.xibar(rule.points)
-        jets = FrenetLaplacian(chart).coefficient_jets(rule.points, m - 2)
-        tests = _legendre_rows(m, xbar)
-        series = np.zeros((nb, m - 1, len(xbar)))
-        for j in range(m + 1):
-            for i in range(m + 1):
-                C = np.zeros((m + 1, m + 1))
-                C[j, i] = 1.0
-                series[j * (m + 1) + i] = _l_operator_series(C, scaling, jets, xbar, m - 1)
-        for jj in range(m - 1):
-            for d in range(m + 1):
-                rows.append(series[:, jj, :] @ (rule.weights * tests[d]))
-    M = np.vstack(rows)
-    u, s, vt = np.linalg.svd(M)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    null_dim = nb - rank
-    if null_dim != m + 1:
-        raise DimensionMismatch(
-            f"X0 nullspace dimension {null_dim}, expected {m + 1}; "
-            "raise the line quadrature order or check the chart")
-    vecs = vt[rank:]
-    return vecs.reshape(m + 1, m + 1, m + 1), scaling
+        factors, xbar, jets, tests = _line_terms(chart, list(items.values()), scalings, m, q)
+        units = np.eye(nb).reshape(nb, m + 1, m + 1)
+        series = _l_operator_series(units, factors, jets, xbar, m - 1)   # (E, nb, m-1, q)
+        M[:, m + 1:] = (np.swapaxes(series, 1, 2)[:, :, None]   # (nb, q) @ (q,) per row
+                        @ tests[:, None, :, :, None]).reshape(len(items), m * m - 1, nb)
+    _, s, vt = np.linalg.svd(M)
+    null_dim = nb - np.sum(s > 1e-10 * s[:, :1], axis=1)
+    for e, d in zip(items, null_dim):
+        if d != m + 1:
+            raise DimensionMismatch(
+                ("" if e is None else f"element {e}: ")
+                + f"X0 nullspace dimension {d}, expected {m + 1}; "
+                "raise the line quadrature order or check the chart")
+    vecs = vt[:, nb - m - 1:].reshape(-1, m + 1, m + 1, m + 1)
+    return (vecs, scalings) if level else (vecs[0], scalings[0])
+
+
+def _weak_residuals(chart, m: int, bases, line_q: int | None = None):
+    """Moment residuals of the operator jump conditions, all orders j <= m-2,
+    of every interface basis in `bases` at once: (E, n_basis, (m-1)(m+1)).
+    Each moment is one stacked dot product, as per function."""
+    nb = (m + 1) ** 2
+    if m < 2:
+        return np.zeros((len(bases), nb, 0))
+    q = line_q if line_q is not None else m + 6
+    factors, xbar, jets, tests = _line_terms(chart, [b.interval for b in bases],
+                                             [b.scaling for b in bases], m, q)
+    sp, sm = (_l_operator_series(np.array([b.coef[s] for b in bases]).reshape(-1, nb, m + 1, m + 1),
+                                 factors, jets, xbar, m - 1) for s in (1, -1))
+    beta = np.array([[b.beta[1], b.beta[-1]] for b in bases]).reshape(-1, 2, 1, 1, 1)
+    jump = beta[:, 0] * sp - beta[:, 1] * sm
+    moments = jump[..., None, None, :] @ tests[:, None, None, :, :, None]
+    return moments.reshape(len(bases), nb, m * m - 1)
 
 
 class IfeBasis:
@@ -149,28 +187,22 @@ class IfeBasis:
 
     def __init__(self, chart: FrenetChart, tag: ElementTag, m: int,
                  beta_minus: float, beta_plus: float, line_q: int | None = None):
+        self._set(chart, tag, beta_minus, beta_plus, *build_x0(chart, tag.interval, m, line_q))
+
+    def _set(self, chart, tag, beta_minus, beta_plus, x0, scaling):
+        """Set up from build_x0's vectors (m+1, m+1, m+1) and scaling."""
+        m = x0.shape[0] - 1
         self.chart = chart
         self.tag = tag
         self.m = m
         self.beta = {-1: float(beta_minus), 1: float(beta_plus)}
-        x0, scaling = build_x0(chart, tag.interval, m, line_q)
         self.scaling = scaling
         self.interval = tag.interval
         self.n_basis = (m + 1) ** 2
-        c_plus = []
-        c_minus = []
-        self.origins = []
-        for k in range(m + 1):
-            c_plus.append(x0[k])
-            c_minus.append(x0[k])
-            self.origins.append("x0")
-        for j, i in monomials_x1(m):
-            C = np.zeros((m + 1, m + 1))
-            C[j, i] = 1.0
-            c_plus.append(C / beta_plus)
-            c_minus.append(C / beta_minus)
-            self.origins.append("x1")
-        self.coef = {1: np.array(c_plus), -1: np.array(c_minus)}
+        x1 = np.eye(self.n_basis).reshape(-1, m + 1, m + 1)[m + 1:]   # monomials_x1(m)
+        self.origins = ["x0"] * (m + 1) + ["x1"] * len(x1)
+        self.coef = {1: np.concatenate([x0, x1 / beta_plus]),
+                     -1: np.concatenate([x0, x1 / beta_minus])}
 
     # -- evaluation ------------------------------------------------------------
     def _powers(self, ebar, xbar):
@@ -258,26 +290,7 @@ class IfeBasis:
         Uses its own (refinable) quadrature so it can cross-check the
         constraint assembly.
         """
-        m = self.m
-        if m < 2:
-            return np.zeros((self.n_basis, 0))
-        xi0, xi1 = self.interval
-        q = line_q if line_q is not None else m + 6
-        rule = gauss_interval(xi0, xi1, q)
-        xbar = self.scaling.xibar(rule.points)
-        jets = FrenetLaplacian(self.chart).coefficient_jets(rule.points, m - 2)
-        tests = _legendre_rows(m, xbar)
-        out = np.zeros((self.n_basis, (m - 1) * (m + 1)))
-        for bfun in range(self.n_basis):
-            sp = _l_operator_series(self.coef[1][bfun], self.scaling, jets, xbar, m - 1)
-            sm = _l_operator_series(self.coef[-1][bfun], self.scaling, jets, xbar, m - 1)
-            jump = self.beta[1] * sp - self.beta[-1] * sm
-            k = 0
-            for jj in range(m - 1):
-                for d in range(m + 1):
-                    out[bfun, k] = jump[jj] @ (rule.weights * tests[d])
-                    k += 1
-        return out
+        return _weak_residuals(self.chart, self.m, [self], line_q)[0]
 
 
 def _lobatto_nodes(m: int):
@@ -406,16 +419,11 @@ class SpaceSet:
         self.m = m
         self.beta_minus = float(beta_minus)
         self.beta_plus = float(beta_plus)
-        self.bases = []
-        for e in range(mesh.n_elements):
-            t = tags.tags[e]
-            if t.kind == "interface":
-                try:
-                    self.bases.append(IfeBasis(chart, t, m, beta_minus, beta_plus, line_q))
-                except DimensionMismatch as exc:
-                    raise DimensionMismatch(f"element {e}: {exc}") from exc
-            else:
-                self.bases.append(TensorBasis(mesh.elem_box(e), m, t.side))
+        intervals = {e: tags.tags[e].interval for e in tags.interface_elements}
+        self.bases = [IfeBasis.__new__(IfeBasis) if e in intervals
+                      else TensorBasis(mesh.elem_box(e), m, t.side) for e, t in enumerate(tags.tags)]
+        for e, x0, scaling in zip(intervals, *build_x0(chart, intervals, m, line_q)):
+            self.bases[e]._set(chart, tags.tags[e], beta_minus, beta_plus, x0, scaling)
         self.layout = DofLayout(mesh.n_elements, (m + 1) ** 2)
         self._table = {}
 
@@ -638,8 +646,10 @@ def space_diagnostics(spaces: SpaceSet, n_samples: int = 24):
     smallest singular value, plus the maxima of the value/flux jumps on the
     interface and of the weak moment residuals.
     """
+    elements = spaces.tags.interface_elements
+    weak = _weak_residuals(spaces.chart, spaces.m, [spaces.bases[e] for e in elements])
     rows = []
-    for e in spaces.tags.interface_elements:
+    for e, w in zip(elements, weak):
         b = spaces.bases[e]
         g = b.gram_fictitious()
         d = np.sqrt(np.diag(g))
@@ -647,14 +657,13 @@ def space_diagnostics(spaces: SpaceSet, n_samples: int = 24):
         xi0, xi1 = b.interval
         xs = np.linspace(xi0, xi1, n_samples)
         jv, jf = b.interface_jumps(xs)
-        weak = b.weak_condition_residuals()
         rows.append({
             "element": e,
             "gram_cond": float(sv[0] / sv[-1]),
             "gram_min_sv": float(sv[-1]),
             "max_value_jump": float(np.max(np.abs(jv))),
             "max_flux_jump": float(np.max(np.abs(jf))),
-            "max_weak_residual": float(np.max(np.abs(weak))) if weak.size else 0.0,
+            "max_weak_residual": float(np.max(np.abs(w))) if w.size else 0.0,
         })
     return rows
 

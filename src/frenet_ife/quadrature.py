@@ -38,7 +38,7 @@ def _gauss01(q: int):
 
 
 def gauss_interval(a: float, b: float, q: int) -> QuadRule:
-    """1D Gauss rule on [a, b], exact for degree 2q-1."""
+    """1D Gauss rule on [a, b] (one per row for ends shaped (E, 1)), exact for degree 2q-1."""
     x, w = _gauss01(q)
     return QuadRule(points=a + (b - a) * x, weights=(b - a) * w, degree=2 * q - 1)
 

@@ -587,3 +587,123 @@ def loop_classify(mesh, chart, edge_samples=33):
                 xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
         tags.append(ElementTag(kind="interface", interval=(xi0, xi1), cuts=local))
     return MeshTags(tags, edge_cuts, chart)
+
+
+# per-element reference loops for the X0 block and the weak residuals
+#
+# The constraint rows of one interface element, one unit coefficient matrix
+# at a time, and the weak moment residuals of one basis, one function at a
+# time.  The level kernel in ife_space, which builds them for every interface
+# element of a level at once, must reproduce them bit for bit.
+
+
+def _loop_legendre_rows(deg_max, xbar):
+    from numpy.polynomial.legendre import legval
+
+    rows = np.zeros((deg_max + 1, len(xbar)))
+    for d in range(deg_max + 1):
+        coef = np.zeros(d + 1)
+        coef[d] = 1.0
+        rows[d] = legval(xbar, coef)
+    return rows
+
+
+def _loop_poly_line_series(C, scaling, xbar, n_terms):
+    m = C.shape[0] - 1
+    nq = len(xbar)
+    V = np.vander(xbar, m + 1, increasing=True).T       # V[i] = xibar^i
+    P = np.zeros((n_terms, nq))
+    P1 = np.zeros((n_terms, nq))
+    P2 = np.zeros((n_terms, nq))
+    i_idx = np.arange(m + 1)
+    for l in range(min(n_terms, m + 1)):
+        scale = scaling.h_eta ** (-l)
+        P[l] = scale * (C[l] @ V)
+        d1 = C[l] * i_idx
+        P1[l] = scale / scaling.h_xi * (np.roll(d1, -1)[: m + 1] @ V) if m >= 1 else 0.0
+        d2 = C[l] * i_idx * (i_idx - 1)
+        P2[l] = scale / scaling.h_xi**2 * (np.roll(d2, -2)[: m + 1] @ V) if m >= 2 else 0.0
+    return P, P1, P2
+
+
+def _loop_l_operator_series(C, scaling, jets, xbar, n_out):
+    A, B, Cc = jets
+    P, P1, P2 = _loop_poly_line_series(C, scaling, xbar, n_out + 2)
+    out = np.zeros((n_out, P.shape[1]))
+    for l in range(n_out):
+        acc = (l + 1) * (l + 2) * P[l + 2]
+        for k in range(l + 1):
+            acc = acc + A[k] * (l - k + 1) * P[l - k + 1]
+            acc = acc + B[k] * P2[l - k]
+            acc = acc + Cc[k] * P1[l - k]
+        out[l] = acc
+    return out
+
+
+def loop_build_x0(chart, interval, m, line_q=None):
+    """(vectors (m+1, m+1, m+1), scaling) of one interface interval."""
+    from frenet_ife.errors import DimensionMismatch
+    from frenet_ife.ife_space import LocalScaling
+    from frenet_ife.laplacian import FrenetLaplacian
+    from frenet_ife.quadrature import gauss_interval
+
+    xi0, xi1 = interval
+    scaling = LocalScaling(h_eta=chart.h, xi_c=0.5 * (xi0 + xi1), h_xi=0.5 * (xi1 - xi0))
+    nb = (m + 1) ** 2
+    rows = []
+    for i in range(m + 1):
+        r = np.zeros(nb)
+        r[1 * (m + 1) + i] = 1.0
+        rows.append(r)
+    if m >= 2:
+        q = line_q if line_q is not None else m + 3
+        rule = gauss_interval(xi0, xi1, q)
+        xbar = scaling.xibar(rule.points)
+        jets = FrenetLaplacian(chart).coefficient_jets(rule.points, m - 2)
+        tests = _loop_legendre_rows(m, xbar)
+        series = np.zeros((nb, m - 1, len(xbar)))
+        for j in range(m + 1):
+            for i in range(m + 1):
+                C = np.zeros((m + 1, m + 1))
+                C[j, i] = 1.0
+                series[j * (m + 1) + i] = _loop_l_operator_series(C, scaling, jets, xbar, m - 1)
+        for jj in range(m - 1):
+            for d in range(m + 1):
+                rows.append(series[:, jj, :] @ (rule.weights * tests[d]))
+    M = np.vstack(rows)
+    u, s, vt = np.linalg.svd(M)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    null_dim = nb - rank
+    if null_dim != m + 1:
+        raise DimensionMismatch(
+            f"X0 nullspace dimension {null_dim}, expected {m + 1}; "
+            "raise the line quadrature order or check the chart")
+    vecs = vt[rank:]
+    return vecs.reshape(m + 1, m + 1, m + 1), scaling
+
+
+def loop_weak_residuals(basis, line_q=None):
+    """Weak moment residuals (n_basis, (m-1)(m+1)) of one interface basis."""
+    from frenet_ife.laplacian import FrenetLaplacian
+    from frenet_ife.quadrature import gauss_interval
+
+    m = basis.m
+    if m < 2:
+        return np.zeros((basis.n_basis, 0))
+    xi0, xi1 = basis.interval
+    q = line_q if line_q is not None else m + 6
+    rule = gauss_interval(xi0, xi1, q)
+    xbar = basis.scaling.xibar(rule.points)
+    jets = FrenetLaplacian(basis.chart).coefficient_jets(rule.points, m - 2)
+    tests = _loop_legendre_rows(m, xbar)
+    out = np.zeros((basis.n_basis, (m - 1) * (m + 1)))
+    for bfun in range(basis.n_basis):
+        sp = _loop_l_operator_series(basis.coef[1][bfun], basis.scaling, jets, xbar, m - 1)
+        sm = _loop_l_operator_series(basis.coef[-1][bfun], basis.scaling, jets, xbar, m - 1)
+        jump = basis.beta[1] * sp - basis.beta[-1] * sm
+        k = 0
+        for jj in range(m - 1):
+            for d in range(m + 1):
+                out[bfun, k] = jump[jj] @ (rule.weights * tests[d])
+                k += 1
+    return out

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -50,6 +51,18 @@ def test_off_centre_circle_power_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_manufactured_case_checks_only_for_commands_that_build_it(tmp_path):
+    cfg = tmp_path / "ellipse.json"
+    cfg.write_text(json.dumps({"interface": {"kind": "ellipse", "a": 0.7, "b": 0.5}}))
+    out = tmp_path / "g"
+    assert main(["probe-geometry", "--config", str(cfg), "--mesh", "16,32",
+                 "--out", str(out)]) == 0
+    assert len(json.loads((out / "geometry_probes.json").read_text())["levels"]) == 2
+    assert main(["solve", "--config", str(cfg), "--mesh", "16",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert not (tmp_path / "s").exists()
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(ValueError):
         RunConfig.from_dict({"tau": 3})
@@ -90,6 +103,19 @@ def test_cli_solve_writes_artifacts(tmp_path, monkeypatch):
     assert (out / "coefficients.npy").exists()
     diag = (out / "space_diagnostics.csv").read_text().splitlines()
     assert len(diag) == report["mesh"]["interface_elements"] + 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_cli_solve_space_diagnostics_meet_conformity_contract(tmp_path, m):
+    out = tmp_path / "run"
+    assert main(["solve", "--mesh", "16", "--degree", str(m), "--out", str(out)]) == 0
+    with open(out / "space_diagnostics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == json.loads((out / "solve_report.json").read_text())[
+        "mesh"]["interface_elements"]
+    for row in rows:
+        for key in ("max_value_jump", "max_flux_jump", "max_weak_residual"):
+            assert float(row[key]) <= 1e-9, (row["element"], key, row[key])
 
 
 def test_cli_convergence_rows_and_determinism(tmp_path):

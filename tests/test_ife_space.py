@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from frenet_ife.curves import LineCurve, circle
+from frenet_ife.analysis import manufactured_circle, setup_level
+from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import DimensionMismatch
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
 from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces,
                                   build_x0, monomials_x1, project_l2,
-                                  _l_operator_series, _legendre_rows)
+                                  space_diagnostics, _l_operator_series,
+                                  _legendre_rows, _weak_residuals)
 from frenet_ife.laplacian import FrenetLaplacian
 from frenet_ife.mesh import build_mesh, classify_elements
 
-from oracles import composite_simpson
+from oracles import composite_simpson, loop_build_x0, loop_weak_residuals
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +204,7 @@ def test_full_constraint_system_cross_check():
         for i in range(m + 1):
             C = np.zeros((m + 1, m + 1))
             C[j, i] = 1.0
-            series.append(_l_operator_series(C, sc, jets, xbar, m - 1))
+            series.append(_l_operator_series(C, sc.series_factors(m + 1), jets, xbar, m - 1))
     for jj in range(m - 1):
         for d in range(m + 1):
             r = np.zeros(2 * nb)
@@ -322,3 +324,75 @@ def test_dimension_mismatch_names_the_element():
     first = tags.interface_elements[0]
     with pytest.raises(DimensionMismatch, match=rf"^element {first}: X0 nullspace dimension"):
         build_spaces(mesh, tags, chart, 2, 1.0, 10.0, line_q=1)
+
+
+_LEVEL_CURVES = {
+    "circle": (circle(0.6), (-1, 1, -1, 1), 16),
+    "off-centre circle": (circle(0.55, (0.13, -0.07)), (-1, 1, -1, 1), 16),
+    "ellipse": (ellipse(0.7, 0.5), (-1, 1, -1, 1), 16),
+    "flower": (flower(0.5, 0.1, 5), (-0.8, 0.8, -0.8, 0.8), 32),
+    "line": (LineCurve([0.0, 0.013], [1.0, 0.21], -5, 5), (-1, 1, -1, 1), 16),
+}
+
+
+@pytest.fixture(scope="module", params=list(_LEVEL_CURVES))
+def level(request):
+    curve, box, n = _LEVEL_CURVES[request.param]
+    mesh = build_mesh(box, n)
+    chart = FrenetChart(curve, h=mesh.h)
+    tags = classify_elements(mesh, chart)
+    return mesh, chart, tags, {e: tags.tags[e].interval for e in tags.interface_elements}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("line_q", [None, 20])
+def test_level_x0_and_weak_residuals_bitwise_equal_to_loop_oracle(level, m, line_q):
+    mesh, chart, tags, intervals = level
+    vecs, scalings = build_x0(chart, intervals, m, line_q)
+    assert vecs.shape == (len(intervals), m + 1, m + 1, m + 1)
+    for i, interval in enumerate(intervals.values()):
+        ref, ref_scaling = loop_build_x0(chart, interval, m, line_q)
+        assert np.array_equal(vecs[i], ref) and scalings[i] == ref_scaling
+    spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0, line_q)
+    bases = [spaces.bases[e] for e in intervals]
+    assert all(np.array_equal(b.coef[1][:m + 1], vecs[i]) for i, b in enumerate(bases))
+    weak = _weak_residuals(chart, m, bases, line_q)
+    for i, b in enumerate(bases):
+        assert np.array_equal(weak[i], loop_weak_residuals(b, line_q))
+    b = bases[len(bases) // 2]      # the one-element forms are the kernel on one row
+    one, _ = build_x0(chart, b.interval, m, line_q)
+    assert np.array_equal(one, loop_build_x0(chart, b.interval, m, line_q)[0])
+    assert np.array_equal(b.weak_condition_residuals(line_q), loop_weak_residuals(b, line_q))
+
+
+@pytest.mark.parametrize("line_q", [1, 2, 3])
+def test_level_x0_names_the_first_failing_element_like_the_loop_oracle(level, line_q):
+    _, chart, _, intervals = level
+    first = None
+    for e, interval in intervals.items():
+        try:
+            loop_build_x0(chart, interval, 3, line_q)
+        except DimensionMismatch:
+            first = e
+            break
+    assert first is not None
+    with pytest.raises(DimensionMismatch, match=rf"^element {first}: X0 nullspace dimension"):
+        build_x0(chart, intervals, 3, line_q)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_coefficient_jets_called_once_per_level_for_x0_and_residuals(m, monkeypatch):
+    calls = []
+
+    def counted(self, *args, _orig=FrenetLaplacian.coefficient_jets):
+        calls.append(1)
+        return _orig(self, *args)
+
+    monkeypatch.setattr(FrenetLaplacian, "coefficient_jets", counted)
+    case = manufactured_circle(0.6, 1.0, 10.0)
+    for n in (16, 32):
+        calls.clear()
+        spaces = setup_level(case, (-1, 1, -1, 1), n, m)
+        assert len(calls) == 1
+        space_diagnostics(spaces)
+        assert len(calls) == 2
