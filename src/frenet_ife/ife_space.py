@@ -23,7 +23,8 @@ from .errors import DimensionMismatch, SingularMass
 from .frenet import FrenetChart
 from .laplacian import FrenetLaplacian
 from .mesh import ElementTag, MeshTags, RectMesh
-from .quadrature import _gauss01, cut_cell_rules, edge_spans, gauss_interval, gauss_rect
+from .quadrature import (_gauss01, cut_cell_rules, edge_spans, gauss_interval, gauss_rect,
+                         level_cut_cell_rules)
 
 
 @dataclass
@@ -175,6 +176,57 @@ def _weak_residuals(chart, m: int, bases, line_q: int | None = None):
     return moments.reshape(len(bases), nb, m * m - 1)
 
 
+def _ref_values(bases, sides, eta, xi):
+    """Values and (d/deta, d/dxi) gradients in tubular coordinates of
+    interface basis bases[g] on side sides[g] at the points (eta[g], xi[g]),
+    (G, P) each: three (G, n_basis, P) arrays, one einsum each over all rows,
+    each row with the arithmetic of a call on its own."""
+    m = bases[0].m
+    C = np.array([b.coef[s] for b, s in zip(bases, sides)])
+    h_eta, xi_c, h_xi = np.array([[b.scaling.h_eta, b.scaling.xi_c, b.scaling.h_xi]
+                                  for b in bases]).T[..., None]
+    ebar, xbar = eta / h_eta, (xi - xi_c) / h_xi
+    Ve, Vx = (np.vander(x.ravel(), m + 1, increasing=True).reshape(*x.shape, m + 1)
+              for x in (ebar, xbar))
+    j = np.arange(m + 1)
+    dVe = np.zeros_like(Ve)
+    dVe[..., 1:] = Ve[..., :-1] * j[1:]
+    dVx = np.zeros_like(Vx)
+    dVx[..., 1:] = Vx[..., :-1] * j[1:]
+    g_eta = np.einsum("ebji,epj,epi->ebp", C, dVe, Vx)
+    g_eta /= h_eta[..., None]
+    g_xi = np.einsum("ebji,epj,epi->ebp", C, Ve, dVx)
+    g_xi /= h_xi[..., None]
+    return np.einsum("ebji,epj,epi->ebp", C, Ve, Vx), g_eta, g_xi
+
+
+def _physical(vals, g_eta, g_xi, J):
+    """(values, physical gradients (..., n_basis, P, 2)) from tubular ones
+    (..., n_basis, P) and the chart Jacobians J (..., P, 2, 2) there, in
+    place where that rounds the same, to keep the level's peak memory low."""
+    J = J[..., None, :, :, :]
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    grads = np.empty(g_eta.shape + (2,))
+    gx, gy = grads[..., 0], grads[..., 1]
+    np.multiply(J[..., 1, 1], g_eta, out=gx)
+    gx -= J[..., 1, 0] * g_xi
+    gx /= det
+    np.multiply(-J[..., 0, 1], g_eta, out=gy)
+    gy += J[..., 0, 0] * g_xi
+    gy /= det
+    return vals, grads
+
+
+def _interface_jumps(bases, xi):
+    """Value and flux (beta * d_eta) jumps of every function of bases[g] on
+    the interface at parameters xi[g], (G, n): two (G, n_basis, n) arrays."""
+    zeros = np.zeros_like(xi)
+    vp, gp, _ = _ref_values(bases, [1] * len(bases), zeros, xi)
+    vm, gm, _ = _ref_values(bases, [-1] * len(bases), zeros, xi)
+    beta = np.array([[b.beta[1], b.beta[-1]] for b in bases]).T[..., None, None]
+    return vp - vm, beta[0] * gp - beta[1] * gm
+
+
 class IfeBasis:
     """Immersed basis of one interface element: (m+1)^2 piecewise functions.
 
@@ -205,37 +257,18 @@ class IfeBasis:
                      -1: np.concatenate([x0, x1 / beta_minus])}
 
     # -- evaluation ------------------------------------------------------------
-    def _powers(self, ebar, xbar):
-        m = self.m
-        Ve = np.vander(ebar, m + 1, increasing=True)
-        Vx = np.vander(xbar, m + 1, increasing=True)
-        j = np.arange(m + 1)
-        dVe = np.zeros_like(Ve)
-        dVe[:, 1:] = Ve[:, :-1] * j[1:]
-        dVx = np.zeros_like(Vx)
-        dVx[:, 1:] = Vx[:, :-1] * j[1:]
-        return Ve, Vx, dVe, dVx
-
     def evaluate_ref(self, eta, xi, side):
         """Values and (d/deta, d/dxi) gradients in tubular coordinates."""
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         side = np.broadcast_to(np.asarray(side), eta.shape)
-        Ve, Vx, dVe, dVx = self._powers(self.scaling.etabar(eta), self.scaling.xibar(xi))
-        vals = np.empty((self.n_basis, len(eta)))
-        g_eta = np.empty_like(vals)
-        g_xi = np.empty_like(vals)
+        out = np.empty((3, self.n_basis, len(eta)))
         for s in (-1, 1):
             mask = side == s
-            if not np.any(mask):
-                continue
-            C = self.coef[s]
-            vals[:, mask] = np.einsum("bji,pj,pi->bp", C, Ve[mask], Vx[mask])
-            g_eta[:, mask] = np.einsum("bji,pj,pi->bp", C, dVe[mask], Vx[mask]) \
-                / self.scaling.h_eta
-            g_xi[:, mask] = np.einsum("bji,pj,pi->bp", C, Ve[mask], dVx[mask]) \
-                / self.scaling.h_xi
-        return vals, g_eta, g_xi
+            if np.any(mask):
+                for o, r in zip(out, _ref_values([self], [s], eta[None, mask], xi[None, mask])):
+                    o[:, mask] = r[0]
+        return tuple(out)
 
     def evaluate(self, pts, side=None):
         """Physical values and gradients at points of the element.
@@ -253,13 +286,7 @@ class IfeBasis:
         where the chart has Jacobian J (chart.jacobian(eta, xi))."""
         if side is None:
             side = np.where(eta >= 0.0, 1, -1)
-        else:
-            side = np.broadcast_to(np.asarray(side), eta.shape)
-        vals, g_eta, g_xi = self.evaluate_ref(eta, xi, side)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        gx = (J[:, 1, 1] * g_eta - J[:, 1, 0] * g_xi) / det
-        gy = (-J[:, 0, 1] * g_eta + J[:, 0, 0] * g_xi) / det
-        return vals, np.stack([gx, gy], axis=-1)
+        return _physical(*self.evaluate_ref(eta, xi, side), J)
 
     # -- diagnostics -------------------------------------------------------------
     def gram_fictitious(self):
@@ -278,11 +305,8 @@ class IfeBasis:
     def interface_jumps(self, xi):
         """Pointwise value and flux mismatch of every basis function on the
         interface: (jump values, jump of beta * d_eta) at parameters xi."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        zeros = np.zeros_like(xi)
-        vp, gp, _ = self.evaluate_ref(zeros, xi, np.ones_like(xi, dtype=int))
-        vm, gm, _ = self.evaluate_ref(zeros, xi, -np.ones_like(xi, dtype=int))
-        return vp - vm, self.beta[1] * gp - self.beta[-1] * gm
+        jv, jf = _interface_jumps([self], np.atleast_1d(np.asarray(xi, dtype=float))[None])
+        return jv[0], jf[0]
 
     def weak_condition_residuals(self, line_q: int | None = None):
         """Moment residuals of the operator jump conditions, all orders j <= m-2.
@@ -398,12 +422,14 @@ class SpaceSet:
 
     The table keeps, built once, the pieces of interface elements, the
     segments of their edges and the basis values of both: on first read of
-    any interface element's values (assembly, error norms, the trace probe
-    or the L2 projection), those of every interface element come from one
-    chart inverse and one chart Jacobian per level for the pieces and one of
-    each for the edge segments.  Plain pieces and segments cost less to
-    rebuild than to keep.  Segment side labels come from one chart query per
-    level.  Plain elements, and the uncut edges between them, are grouped by
+    any interface element's pieces, those of every interface element come
+    from one level kernel (quadrature.level_cut_cell_rules), and on first
+    read of its values (assembly, error norms, the trace probe or the L2
+    projection), those of every interface element come from one chart
+    inverse, one chart Jacobian and one stacked evaluation per level for the
+    pieces and one of each for the edge segments.  Plain pieces and segments
+    cost less to rebuild than to keep.  Segment side labels come from one
+    chart query per level.  Plain elements, and the uncut edges between them, are grouped by
     the bytes of everything their blocks read, on first use; each group's
     basis values are computed once, and with the plain values on other edges
     they come from one 1D Lagrange evaluation per level, bit-identical to
@@ -438,6 +464,12 @@ class SpaceSet:
             return [(rules[1], 1), (rules[-1], -1)]
         return [(gauss_rect(self.mesh.elem_box(e), q), t.side)]
 
+    def _level_rules(self, q: int):
+        """element_rules of every interface element, from one level kernel."""
+        rules = level_cut_cell_rules(self.mesh, {e: self.tags.tags[e] for e in
+                                                 self.tags.interface_elements}, self.chart, q)
+        return {e: [(r[1], 1), (r[-1], -1)] for e, r in rules.items()}
+
     # -- quadrature table --------------------------------------------------------
     def _cached(self, key, build, keep):
         if not keep:
@@ -447,32 +479,47 @@ class SpaceSet:
         return self._table[key]
 
     def pieces(self, e: int, q: int | None = None):
-        """element_rules(e, q), kept for interface elements."""
+        """element_rules(e, q); those of all interface elements are built on
+        the first read of any and kept."""
         q = q if q is not None else self.m + 2
-        return self._cached(("rules", e, q), lambda: self.element_rules(e, q),
-                            self.bases[e].kind != "plain")
+        if self.bases[e].kind == "plain":
+            return self.element_rules(e, q)
+        return self._cached(("rules", q), lambda: self._level_rules(q), True)[e]
 
     def _interface_values(self, q: int, volume: bool):
         """(vals, grads) of every interface element on its pieces (volume) or
-        on the segments of its four edges, from one chart inverse at all their
-        points, each anchored at its interval midpoint, and one chart Jacobian
-        there: per element, {None: [per piece]} or {edge: [per segment]}."""
-        def part(e, pts, side):
-            return pts, np.full(len(pts), self.bases[e].scaling.xi_c), np.full(len(pts), side)
-
-        def chart(pts, anchors, sides):
-            eta, xi = self.chart.inverse(pts, xi_anchor=anchors)
-            return eta, xi, self.chart.jacobian(eta, xi), sides
-
-        groups = {}
+        on the segments of its four edges: one chart inverse at all their
+        points, each anchored at its interval midpoint, and one chart
+        Jacobian there; then one stacked evaluation per size of piece or
+        segment (all segments share one; a fan piece has 2 to 6 cells of q*q
+        points), each part a row and its values views of the result, so no
+        point is padded or copied.  Per element, {None: [per piece]} or
+        {edge: [per segment]}."""
+        parts = []                                   # (element, edge, side, points)
         for e in self.tags.interface_elements:
             if volume:
-                groups[e] = {None: [part(e, rule.points, side) for rule, side in self.pieces(e, q)]}
+                parts += [(e, None, side, rule.points) for rule, side in self.pieces(e, q)]
             else:
-                groups[e] = {k: [part(e, pts, side) for pts, _, side in self._segments(k, q)]
-                             for k in self.mesh.elem_edges[e]}
-        return {e: {k: [self.bases[e].combine(*c) for c in parts] for k, parts in g.items()}
-                for e, g in _one_call(groups, chart).items()}
+                parts += [(e, k, side, pts) for k in self.mesh.elem_edges[e]
+                          for pts, _, side in self._segments(k, q)]
+        sizes = [len(p[3]) for p in parts]
+        eta, xi = self.chart.inverse(np.concatenate([p[3] for p in parts]), xi_anchor=np.repeat(
+            [self.bases[e].scaling.xi_c for e, *_ in parts], sizes))
+        J = self.chart.jacobian(eta, xi)
+        at = np.split(np.arange(len(eta)), np.cumsum(sizes)[:-1])
+        values = [None] * len(parts)
+        for n in sorted(set(sizes)):
+            idx = [i for i, size in enumerate(sizes) if size == n]
+            take = np.array([at[i] for i in idx])
+            vals, grads = _physical(*_ref_values([self.bases[parts[i][0]] for i in idx],
+                                                 [parts[i][2] for i in idx], eta[take], xi[take]),
+                                    J[take])
+            for i, v, g in zip(idx, vals, grads):
+                values[i] = (v, g)
+        out = {e: {} for e in self.tags.interface_elements}
+        for (e, k, *_), v in zip(parts, values):
+            out[e].setdefault(k, []).append(v)
+        return out
 
     def _tables(self, q: int, volume: bool):
         """1D Lagrange tables, from one evaluation, at the reference
@@ -647,16 +694,16 @@ def space_diagnostics(spaces: SpaceSet, n_samples: int = 24):
     interface and of the weak moment residuals.
     """
     elements = spaces.tags.interface_elements
-    weak = _weak_residuals(spaces.chart, spaces.m, [spaces.bases[e] for e in elements])
+    if not elements:
+        return []
+    bases = [spaces.bases[e] for e in elements]
+    weak = _weak_residuals(spaces.chart, spaces.m, bases)
+    jumps = _interface_jumps(bases, np.array([np.linspace(*b.interval, n_samples) for b in bases]))
     rows = []
-    for e, w in zip(elements, weak):
-        b = spaces.bases[e]
+    for e, b, w, jv, jf in zip(elements, bases, weak, *jumps):
         g = b.gram_fictitious()
         d = np.sqrt(np.diag(g))
         sv = np.linalg.svd(g / np.outer(d, d), compute_uv=False)
-        xi0, xi1 = b.interval
-        xs = np.linspace(xi0, xi1, n_samples)
-        jv, jf = b.interface_jumps(xs)
         rows.append({
             "element": e,
             "gram_cond": float(sv[0] / sv[-1]),

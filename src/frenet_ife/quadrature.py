@@ -5,7 +5,9 @@ along the interface parameter.
 Cut elements are partitioned into straight triangles plus one piece with a
 single curved side lying exactly on the interface parametrization; every
 piece is mapped from the unit square and integrated with tensor
-Gauss-Legendre, so the two sides tile the element exactly.
+Gauss-Legendre, so the two sides tile the element exactly.  The rules of
+all interface elements of a level come from one kernel, with the arithmetic
+of one element at a time.
 """
 
 from __future__ import annotations
@@ -92,67 +94,93 @@ def cut_edge_rule(a, b, cut_ts, q: int) -> list[EdgeSegment]:
 
 # ----------------------------------------------------------------------------
 # cut-cell pieces
+#
+# Every helper below works on a stack of regions (leading axes) with the
+# arithmetic of one region: the level kernel runs it on all regions of a
+# level at once, the per-region fallback on one.
+
+
+@lru_cache(maxsize=64)
+def _square01(q: int):
+    """Tensor Gauss nodes u, v and weights on the unit square, point i*q + j
+    at the i-th node in u and the j-th in v."""
+    x, w = _gauss01(q)
+    U, V = np.meshgrid(x, x, indexing="ij")
+    WU, WV = np.meshgrid(w, w, indexing="ij")
+    return U.ravel(), V.ravel(), (WU * WV).ravel()
+
+
+_SWEEP = np.linspace(0.0, 1.0, 33)   # arc samples of the star-shape test
+
+
+def _arc(chart, xi_s, xi_e, u):
+    """Points g and scaled tangents (xi_e - xi_s) g' of the arcs g([xi_s,
+    xi_e]) (...) at xi_s + u (xi_e - xi_s): (..., len(u), 2) each, from one
+    curve call each on the flattened parameters."""
+    xi_s = np.asarray(xi_s, dtype=float)[..., None]
+    d = np.asarray(xi_e, dtype=float)[..., None] - xi_s
+    xi = (xi_s + u * d).ravel()
+    shape = d.shape[:-1] + (len(u), 2)
+    return (chart.curve.point(xi).reshape(shape),
+            chart.curve.velocity(xi).reshape(shape) * d[..., None])
 
 
 def _tri_rule(A, B, C, q):
-    """Tensor Gauss on a straight triangle via the collapsed-square map."""
-    x, w = _gauss01(q)
-    U, V = np.meshgrid(x, x, indexing="ij")
-    WU, WV = np.meshgrid(w, w, indexing="ij")
-    u, v = U.ravel(), V.ravel()
-    ww = (WU * WV).ravel()
-    A, B, C = (np.asarray(p, dtype=float) for p in (A, B, C))
+    """Tensor Gauss on straight triangles via the collapsed-square map, one
+    per row of the corners (..., 2): points (..., q*q, 2), weights and
+    Jacobians (..., q*q)."""
+    u, v, ww = _square01(q)
+    A, B, C = (np.asarray(p, dtype=float)[..., None, :] for p in (A, B, C))
     du = (1.0 - v)[:, None] * (B - A) + v[:, None] * (C - A)
     dv = u[:, None] * (C - B)
     pts = A + u[:, None] * du
-    det = du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]
+    det = du[..., 0] * dv[..., 1] - du[..., 1] * dv[..., 0]
     return pts, ww * np.abs(det), det
 
 
-def _cone_rule(A, chart, xi_s, xi_e, q):
-    """Tensor Gauss on the cone from apex A over the arc g([xi_s, xi_e])."""
-    x, w = _gauss01(q)
-    U, V = np.meshgrid(x, x, indexing="ij")
-    WU, WV = np.meshgrid(w, w, indexing="ij")
-    u, v = U.ravel(), V.ravel()
-    ww = (WU * WV).ravel()
-    A = np.asarray(A, dtype=float)
-    xi = xi_s + u * (xi_e - xi_s)
-    g = chart.curve.point(xi)
-    gp = chart.curve.velocity(xi) * (xi_e - xi_s)
+def _cone_rule(A, g, gp, q):
+    """Tensor Gauss on the cones from apexes A (..., 2) over arcs given by
+    their points g and scaled tangents gp at the nodes xi_s + u (xi_e - xi_s)
+    of _square01 (..., q*q, 2): points, weights and Jacobians over v."""
+    u, v, ww = _square01(q)
+    A = np.asarray(A, dtype=float)[..., None, :]
     du = v[:, None] * gp
     dv = g - A
     pts = (1.0 - v)[:, None] * A + v[:, None] * g
-    det = du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]
+    det = du[..., 0] * dv[..., 1] - du[..., 1] * dv[..., 0]
     return pts, ww * np.abs(det), det / np.where(v > 0, v, 1.0)
 
 
 def _cone_sign_ok(det):
-    return det.min() * det.max() >= -1e-14 * max(abs(det.min()), abs(det.max()))
+    lo, hi = det.min(axis=-1), det.max(axis=-1)
+    return lo * hi >= -1e-14 * np.maximum(abs(lo), abs(hi))
 
 
 def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _anchor_ok(A, verts, chart, xi_s, xi_e):
-    """Certify that the region is star-shaped from A.
-
-    Every boundary segment and the arc must sweep counterclockwise around
-    the anchor; that makes the polar fan a disjoint exact tiling.
-    """
+def _scale(verts):
+    """Squared longest side of a polyline: the unit of _anchor_ok's
+    tolerance.  One norm per side, as np.linalg.norm rounds it (a BLAS dot)."""
     scale = max(float(np.linalg.norm(verts[i + 1] - verts[i]))
                 for i in range(len(verts) - 1))
-    scale = max(scale, 1e-300) ** 2
-    for i in range(len(verts) - 1):
-        if _cross(verts[i] - A, verts[i + 1] - A) < -1e-13 * scale:
-            return False
-    u = np.linspace(0.0, 1.0, 33)
-    xi = xi_s + u * (xi_e - xi_s)
-    g = chart.curve.point(xi)
-    gp = chart.curve.velocity(xi) * (xi_e - xi_s)
-    sweep = _cross(g - A, gp)
-    return bool(np.all(sweep >= -1e-13 * scale))
+    return max(scale, 1e-300) ** 2
+
+
+def _anchor_ok(A, verts, g, gp, scale):
+    """Certify that a region is star-shaped from each anchor A (..., C, 2).
+
+    Every boundary segment of the polyline verts (..., nv, 2) and the arc,
+    sampled by its points g and scaled tangents gp (..., 33, 2), must sweep
+    counterclockwise around the anchor; that makes the polar fan a disjoint
+    exact tiling.  `scale` (...) is _scale(verts).  Returns (..., C).
+    """
+    tol = (-1e-13 * np.asarray(scale))[..., None, None]
+    A = np.asarray(A, dtype=float)[..., None, :]
+    bad = _cross(verts[..., None, :-1, :] - A, verts[..., None, 1:, :] - A) < tol
+    sweep = _cross(g[..., None, :, :] - A, gp[..., None, :, :])
+    return ~np.any(bad, axis=-1) & np.all(sweep >= tol, axis=-1)
 
 
 def _curved_piece(apex, chart, xi_s, xi_e, q, depth=0):
@@ -162,7 +190,7 @@ def _curved_piece(apex, chart, xi_s, xi_e, q, depth=0):
     (apex, g(xi_s), g(xi_mid)), which tile the same region whenever each
     sub-piece is itself star-shaped from its apex.
     """
-    pts, w, det = _cone_rule(apex, chart, xi_s, xi_e, q)
+    pts, w, det = _cone_rule(apex, *_arc(chart, xi_s, xi_e, _square01(q)[0]), q)
     if not _cone_sign_ok(det):
         if depth >= 3:
             raise DegeneratePartition("curved piece Jacobian changes sign")
@@ -176,10 +204,9 @@ def _curved_piece(apex, chart, xi_s, xi_e, q, depth=0):
     return pts, w
 
 
-def _tangent_intersection(chart, xi_s, xi_e):
-    """Intersection of the arc's endpoint tangent lines (crescent kernel)."""
-    g = chart.curve.point(np.asarray([xi_s, xi_e], dtype=float))
-    v = chart.curve.velocity(np.asarray([xi_s, xi_e], dtype=float))
+def _tangent_intersection(g, v):
+    """Intersection of an arc's end tangent lines (crescent kernel), from its
+    end points g and velocities v (2, 2); None if near parallel or far."""
     det = v[0, 0] * (-v[1, 1]) - (-v[1, 0]) * v[0, 1]
     span = np.linalg.norm(g[1] - g[0])
     if abs(det) < 1e-10 * max(1.0, np.linalg.norm(v[0]) * np.linalg.norm(v[1])):
@@ -190,6 +217,28 @@ def _tangent_intersection(chart, xi_s, xi_e):
     if np.linalg.norm(p - g[0]) > 10.0 * max(span, 1e-30):
         return None
     return p
+
+
+def _first_candidates(verts, nv, xi_s, xi_e, chart):
+    """The first two star anchors to try for each of R regions bounded by the
+    first nv (R,) of its vertices verts (R, k, 2) and the arc g([xi_s, xi_e]):
+    the centroid of those vertices and 9 arc points, summed row by row as
+    np.mean sums, and the intersection of the arc's end tangents or, where
+    there is none, the first vertex.  (R, 2, 2)."""
+    nodes = xi_s[:, None] + np.arange(9.0) * ((xi_e - xi_s) / 8.0)[:, None]
+    nodes[:, -1] = xi_e                          # np.linspace(xi_s, xi_e, 9)
+    arc = chart.curve.point(nodes.ravel()).reshape(-1, 9, 2)
+    total = verts[:, 0]
+    for k in range(1, verts.shape[1]):           # -0.0 adds nothing, exactly
+        total = total + np.where((k < nv)[:, None], verts[:, k], -0.0)
+    for k in range(9):
+        total = total + arc[:, k]
+    ends = np.stack([xi_s, xi_e], axis=-1).ravel()
+    g = chart.curve.point(ends).reshape(-1, 2, 2)
+    v = chart.curve.velocity(ends).reshape(-1, 2, 2)
+    tangent = [_tangent_intersection(*gv) for gv in zip(g, v)]
+    return np.stack([total / (nv + 9)[:, None],
+                     [p if p is not None else vs[0] for p, vs in zip(tangent, verts)]], axis=1)
 
 
 def _closest_on_polyline(verts, p):
@@ -212,23 +261,17 @@ def _region_rule(verts, xi_s, xi_e, chart, q, depth=0):
 
     Convention: verts[0] coincides with g(xi_e) and verts[-1] with g(xi_s);
     the counterclockwise boundary walks the polyline then the arc back.  A
-    star-shaped anchor gives a polar fan; thin crescents, where no single
+    star-shaped anchor gives a polar fan: the first of _first_candidates and
+    the vertices that passes _anchor_ok.  Thin crescents, where no single
     anchor sees everything, are split at the arc midpoint and the nearest
     polyline point.
     """
-    verts = [np.asarray(v, dtype=float) for v in verts]
-    arc_pts = chart.curve.point(np.linspace(xi_s, xi_e, 9))
-    candidates = [np.mean(np.vstack([verts, arc_pts]), axis=0)]
-    ti = _tangent_intersection(chart, xi_s, xi_e)
-    if ti is not None:
-        candidates.append(ti)
-    candidates.extend(verts)
-    anchor = None
-    for cand in candidates:
-        if _anchor_ok(cand, verts, chart, xi_s, xi_e):
-            anchor = cand
-            break
-    if anchor is None:
+    verts = np.array(verts, dtype=float)
+    candidates = np.vstack([_first_candidates(verts[None], np.array([len(verts)]),
+                                              np.array([xi_s]), np.array([xi_e]), chart)[0],
+                            verts])
+    ok = _anchor_ok(candidates, verts, *_arc(chart, xi_s, xi_e, _SWEEP), _scale(verts))
+    if not ok.any():
         if depth >= 4:
             raise DegeneratePartition(
                 "no star-shaped anchor found for a cut region")
@@ -240,15 +283,10 @@ def _region_rule(verts, xi_s, xi_e, chart, q, depth=0):
         p1, w1 = _region_rule(verts1, xi_s, xi_m, chart, q, depth + 1)
         p2, w2 = _region_rule(verts2, xi_m, xi_e, chart, q, depth + 1)
         return np.vstack([p1, p2]), np.concatenate([w1, w2])
-    pts_list, w_list = [], []
-    for i in range(len(verts) - 1):
-        p, w, _ = _tri_rule(anchor, verts[i], verts[i + 1], q)
-        pts_list.append(p)
-        w_list.append(w)
-    p, w = _curved_piece(anchor, chart, xi_s, xi_e, q)
-    pts_list.append(p)
-    w_list.append(w)
-    return np.vstack(pts_list), np.concatenate(w_list)
+    anchor = candidates[np.argmax(ok)]
+    pts, w, _ = _tri_rule(anchor, verts[:-1], verts[1:], q)
+    p, w_c = _curved_piece(anchor, chart, xi_s, xi_e, q)
+    return np.vstack([*pts, p]), np.concatenate([*w, w_c])
 
 
 def _boundary_chains(mesh: RectMesh, e: int, tag: ElementTag):
@@ -277,30 +315,73 @@ def _boundary_chains(mesh: RectMesh, e: int, tag: ElementTag):
     return chain_a, chain_b
 
 
+def level_cut_cell_rules(mesh: RectMesh, tags: dict, chart: FrenetChart,
+                         q: int) -> dict:
+    """The rules of cut_cell_rules for the interface elements {e: tag} of a
+    level, built together: {e: {side: QuadRule}}.
+
+    Each element has two regions, bounded by a chain of its boundary and
+    the interface arc between its cuts.  All regions are tried at once with
+    the anchors of _first_candidates, each with its fan of triangles and one
+    cone over the arc; a region where neither anchor passes, or whose cone
+    Jacobian changes sign, goes through _region_rule.  One chart query at
+    the points of all regions labels their sides.  Raises
+    DegeneratePartition naming the first failing element.
+    """
+    regions = []                                 # (e, vertices, xi_s, xi_e)
+    for e, tag in tags.items():
+        for chain in _boundary_chains(mesh, e, tag):
+            regions.append((e, [p for p, _ in chain], chain[-1][1].xi, chain[0][1].xi))
+    nv = np.array([len(r[1]) for r in regions])
+    verts = np.array([r[1] + r[1][-1:] * (nv.max() - len(r[1])) for r in regions], dtype=float)
+    xi_s, xi_e = (np.array([r[k] for r in regions], dtype=float) for k in (2, 3))
+
+    candidates = _first_candidates(verts, nv, xi_s, xi_e, chart)
+    scale = np.array([_scale(r[1]) for r in regions])
+    ok = _anchor_ok(candidates, verts, *_arc(chart, xi_s, xi_e, _SWEEP), scale)
+    anchor = np.where(ok[:, :1], candidates[:, 0], candidates[:, 1])
+    tri_pts, tri_w, _ = _tri_rule(anchor[:, None], verts[:, :-1], verts[:, 1:], q)
+    cone_pts, cone_w, det = _cone_rule(anchor, *_arc(chart, xi_s, xi_e, _square01(q)[0]), q)
+    fast = ok.any(axis=1) & _cone_sign_ok(det)
+
+    rules, errors = [], {}
+    for i, (e, vs, s, t) in enumerate(regions):
+        if fast[i]:
+            n = nv[i] - 1
+            rules.append((np.vstack([*tri_pts[i, :n], cone_pts[i]]),
+                          np.concatenate([*tri_w[i, :n], cone_w[i]])))
+            continue
+        try:
+            rules.append(_region_rule(vs, s, t, chart, q))
+        except DegeneratePartition as exc:
+            errors.setdefault(e, exc)
+            rules.append(None)
+    # classify by each rule's own deepest point: quadrature points lie in
+    # the region, and the farthest from the interface is sign-robust
+    built = [r[0] for r in rules if r is not None]
+    eta = chart.signed_distance_estimate(np.concatenate([np.zeros((0, 2)), *built]))
+    etas = iter(np.split(eta, np.cumsum([len(p) for p in built])[:-1]))
+    out = {}
+    for (e, *_), rule in zip(regions, rules):
+        if rule is None:
+            continue
+        eta = next(etas)
+        side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
+        out.setdefault(e, {})[side] = QuadRule(points=rule[0], weights=rule[1], degree=2 * q - 1)
+    for e in tags:
+        if e in errors:
+            raise DegeneratePartition(f"element {e}: {errors[e]}") from errors[e]
+        if len(out[e]) != 2:
+            raise DegeneratePartition(f"element {e}: both sub-regions landed on the same side")
+    return out
+
+
 def cut_cell_rules(mesh: RectMesh, e: int, tag: ElementTag,
                    chart: FrenetChart, q: int) -> dict:
     """Quadrature over the two curved sub-regions of interface element `e`.
 
     Returns {+1: QuadRule, -1: QuadRule} in physical coordinates.  Pieces:
-    a fan of straight triangles from the first cut point plus one piece
-    whose curved side lies on the interface arc between the cuts.
+    a fan of straight triangles from a star anchor plus one piece whose
+    curved side lies on the interface arc between the cuts.
     """
-    chains = _boundary_chains(mesh, e, tag)
-    rules = {}
-    for chain in chains:
-        start_pt, start_cut = chain[0]
-        end_pt, end_cut = chain[-1]
-        inner = [p for p, c in chain[1:-1]]
-        verts = [start_pt, *inner, end_pt]
-        try:
-            pts, w = _region_rule(verts, end_cut.xi, start_cut.xi, chart, q)
-        except DegeneratePartition as exc:
-            raise DegeneratePartition(f"element {e}: {exc}") from exc
-        # classify by the rule's own deepest point: quadrature points lie in
-        # the region, and the farthest from the interface is sign-robust
-        eta = chart.signed_distance_estimate(pts)
-        side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
-        rules[side] = QuadRule(points=pts, weights=w, degree=2 * q - 1)
-    if len(rules) != 2:
-        raise DegeneratePartition(f"element {e}: both sub-regions landed on the same side")
-    return rules
+    return level_cut_cell_rules(mesh, {e: tag}, chart, q)[e]

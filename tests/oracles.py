@@ -707,3 +707,296 @@ def loop_weak_residuals(basis, line_q=None):
                 out[bfun, k] = jump[jj] @ (rule.weights * tests[d])
                 k += 1
     return out
+
+
+# ----------------------------------------------------------------------------
+# the cut-cell rules of one interface element, region by region, as
+# quadrature built them before its level kernel: that kernel, which builds
+# the rules of every interface element of a level at once, must reproduce
+# them bit for bit
+
+from frenet_ife.errors import DegeneratePartition  # noqa: E402
+from frenet_ife.quadrature import QuadRule  # noqa: E402
+
+
+def _loop_gauss01(q):
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(q)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _loop_tri_rule(A, B, C, q):
+    """Tensor Gauss on a straight triangle via the collapsed-square map."""
+    x, w = _loop_gauss01(q)
+    U, V = np.meshgrid(x, x, indexing="ij")
+    WU, WV = np.meshgrid(w, w, indexing="ij")
+    u, v = U.ravel(), V.ravel()
+    ww = (WU * WV).ravel()
+    A, B, C = (np.asarray(p, dtype=float) for p in (A, B, C))
+    du = (1.0 - v)[:, None] * (B - A) + v[:, None] * (C - A)
+    dv = u[:, None] * (C - B)
+    pts = A + u[:, None] * du
+    det = du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]
+    return pts, ww * np.abs(det), det
+
+
+def _loop_cone_rule(A, chart, xi_s, xi_e, q):
+    """Tensor Gauss on the cone from apex A over the arc g([xi_s, xi_e])."""
+    x, w = _loop_gauss01(q)
+    U, V = np.meshgrid(x, x, indexing="ij")
+    WU, WV = np.meshgrid(w, w, indexing="ij")
+    u, v = U.ravel(), V.ravel()
+    ww = (WU * WV).ravel()
+    A = np.asarray(A, dtype=float)
+    xi = xi_s + u * (xi_e - xi_s)
+    g = chart.curve.point(xi)
+    gp = chart.curve.velocity(xi) * (xi_e - xi_s)
+    du = v[:, None] * gp
+    dv = g - A
+    pts = (1.0 - v)[:, None] * A + v[:, None] * g
+    det = du[:, 0] * dv[:, 1] - du[:, 1] * dv[:, 0]
+    return pts, ww * np.abs(det), det / np.where(v > 0, v, 1.0)
+
+
+def _loop_cone_sign_ok(det):
+    return det.min() * det.max() >= -1e-14 * max(abs(det.min()), abs(det.max()))
+
+
+def _loop_cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _loop_anchor_ok(A, verts, chart, xi_s, xi_e):
+    """Certify that the region is star-shaped from A.
+
+    Every boundary segment and the arc must sweep counterclockwise around
+    the anchor; that makes the polar fan a disjoint exact tiling.
+    """
+    scale = max(float(np.linalg.norm(verts[i + 1] - verts[i]))
+                for i in range(len(verts) - 1))
+    scale = max(scale, 1e-300) ** 2
+    for i in range(len(verts) - 1):
+        if _loop_cross(verts[i] - A, verts[i + 1] - A) < -1e-13 * scale:
+            return False
+    u = np.linspace(0.0, 1.0, 33)
+    xi = xi_s + u * (xi_e - xi_s)
+    g = chart.curve.point(xi)
+    gp = chart.curve.velocity(xi) * (xi_e - xi_s)
+    sweep = _loop_cross(g - A, gp)
+    return bool(np.all(sweep >= -1e-13 * scale))
+
+
+def _loop_curved_piece(apex, chart, xi_s, xi_e, q, depth=0):
+    """Cone piece over an arc, splitting the arc if the Jacobian flips sign.
+
+    The split replaces the cone by two sub-cones plus the straight triangle
+    (apex, g(xi_s), g(xi_mid)), which tile the same region whenever each
+    sub-piece is itself star-shaped from its apex.
+    """
+    pts, w, det = _loop_cone_rule(apex, chart, xi_s, xi_e, q)
+    if not _loop_cone_sign_ok(det):
+        if depth >= 3:
+            raise DegeneratePartition("curved piece Jacobian changes sign")
+        xi_m = 0.5 * (xi_s + xi_e)
+        g_m = chart.curve.point(np.asarray(xi_m, dtype=float))
+        p1, w1 = _loop_curved_piece(g_m, chart, xi_s, xi_m, q, depth + 1)
+        p2, w2 = _loop_curved_piece(apex, chart, xi_m, xi_e, q, depth + 1)
+        p3, w3, _ = _loop_tri_rule(apex, chart.curve.point(np.asarray(xi_s, dtype=float)),
+                              g_m, q)
+        return np.vstack([p1, p2, p3]), np.concatenate([w1, w2, w3])
+    return pts, w
+
+
+def _loop_tangent_intersection(chart, xi_s, xi_e):
+    """Intersection of the arc's endpoint tangent lines (crescent kernel)."""
+    g = chart.curve.point(np.asarray([xi_s, xi_e], dtype=float))
+    v = chart.curve.velocity(np.asarray([xi_s, xi_e], dtype=float))
+    det = v[0, 0] * (-v[1, 1]) - (-v[1, 0]) * v[0, 1]
+    span = np.linalg.norm(g[1] - g[0])
+    if abs(det) < 1e-10 * max(1.0, np.linalg.norm(v[0]) * np.linalg.norm(v[1])):
+        return None
+    rhs = g[1] - g[0]
+    a = (rhs[0] * (-v[1, 1]) - (-v[1, 0]) * rhs[1]) / det
+    p = g[0] + a * v[0]
+    if np.linalg.norm(p - g[0]) > 10.0 * max(span, 1e-30):
+        return None
+    return p
+
+
+def _loop_closest_on_polyline(verts, p):
+    """(segment index, parameter, point) of the polyline point nearest to p."""
+    best = (0, 0.0, verts[0], np.inf)
+    for j in range(len(verts) - 1):
+        a, b = verts[j], verts[j + 1]
+        ab = b - a
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+        q = a + t * ab
+        d = float(np.linalg.norm(q - p))
+        if d < best[3]:
+            best = (j, t, q, d)
+    return best[0], best[1], best[2]
+
+
+def _loop_region_rule(verts, xi_s, xi_e, chart, q, depth=0):
+    """Quadrature over the region bounded by a polyline and one arc.
+
+    Convention: verts[0] coincides with g(xi_e) and verts[-1] with g(xi_s);
+    the counterclockwise boundary walks the polyline then the arc back.  A
+    star-shaped anchor gives a polar fan; thin crescents, where no single
+    anchor sees everything, are split at the arc midpoint and the nearest
+    polyline point.
+    """
+    verts = [np.asarray(v, dtype=float) for v in verts]
+    arc_pts = chart.curve.point(np.linspace(xi_s, xi_e, 9))
+    candidates = [np.mean(np.vstack([verts, arc_pts]), axis=0)]
+    ti = _loop_tangent_intersection(chart, xi_s, xi_e)
+    if ti is not None:
+        candidates.append(ti)
+    candidates.extend(verts)
+    anchor = None
+    for cand in candidates:
+        if _loop_anchor_ok(cand, verts, chart, xi_s, xi_e):
+            anchor = cand
+            break
+    if anchor is None:
+        if depth >= 4:
+            raise DegeneratePartition(
+                "no star-shaped anchor found for a cut region")
+        xi_m = 0.5 * (xi_s + xi_e)
+        m_pt = chart.curve.point(np.asarray(xi_m, dtype=float))
+        j, t, p_star = _loop_closest_on_polyline(verts, m_pt)
+        verts1 = [m_pt, p_star, *verts[j + 1:]]
+        verts2 = [*verts[:j + 1], p_star, m_pt]
+        p1, w1 = _loop_region_rule(verts1, xi_s, xi_m, chart, q, depth + 1)
+        p2, w2 = _loop_region_rule(verts2, xi_m, xi_e, chart, q, depth + 1)
+        return np.vstack([p1, p2]), np.concatenate([w1, w2])
+    pts_list, w_list = [], []
+    for i in range(len(verts) - 1):
+        p, w, _ = _loop_tri_rule(anchor, verts[i], verts[i + 1], q)
+        pts_list.append(p)
+        w_list.append(w)
+    p, w = _loop_curved_piece(anchor, chart, xi_s, xi_e, q)
+    pts_list.append(p)
+    w_list.append(w)
+    return np.vstack(pts_list), np.concatenate(w_list)
+
+
+def _loop_boundary_chains(mesh, e, tag):
+    """Split the ccw boundary walk of element e at its two cut points.
+
+    Returns two chains, each a dict with the ordered interior corners
+    between the cuts, the start/end cut records, and the list of corner
+    points.  Chain boundary order: cut_start -> corners... -> cut_end.
+    """
+    corners = mesh.elem_corners(e)
+    edge_ids = mesh.elem_edges[e]          # bottom, right, top, left
+    reversed_edge = [False, False, True, True]
+    nodes = []                             # (point, cut_or_None)
+    for k in range(4):
+        nodes.append((corners[k], None))
+        on_edge = [c for c in tag.cuts if c.edge == edge_ids[k]]
+        t_ccw = [(1.0 - c.t if reversed_edge[k] else c.t, c) for c in on_edge]
+        for _, c in sorted(t_ccw, key=lambda p: p[0]):
+            nodes.append((c.point, c))
+    cut_pos = [i for i, (_, c) in enumerate(nodes) if c is not None]
+    assert len(cut_pos) == 2
+    i1, i2 = cut_pos
+    n = len(nodes)
+    chain_a = [nodes[(i1 + k) % n] for k in range(0, (i2 - i1) % n + 1)]
+    chain_b = [nodes[(i2 + k) % n] for k in range(0, (i1 - i2) % n + 1)]
+    return chain_a, chain_b
+
+
+def loop_cut_cell_rules(mesh, e, tag, chart, q):
+    """Quadrature over the two curved sub-regions of interface element `e`.
+
+    Returns {+1: QuadRule, -1: QuadRule} in physical coordinates.  Pieces:
+    a fan of straight triangles from the first cut point plus one piece
+    whose curved side lies on the interface arc between the cuts.
+    """
+    chains = _loop_boundary_chains(mesh, e, tag)
+    rules = {}
+    for chain in chains:
+        start_pt, start_cut = chain[0]
+        end_pt, end_cut = chain[-1]
+        inner = [p for p, c in chain[1:-1]]
+        verts = [start_pt, *inner, end_pt]
+        try:
+            pts, w = _loop_region_rule(verts, end_cut.xi, start_cut.xi, chart, q)
+        except DegeneratePartition as exc:
+            raise DegeneratePartition(f"element {e}: {exc}") from exc
+        # classify by the rule's own deepest point: quadrature points lie in
+        # the region, and the farthest from the interface is sign-robust
+        eta = chart.signed_distance_estimate(pts)
+        side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
+        rules[side] = QuadRule(points=pts, weights=w, degree=2 * q - 1)
+    if len(rules) != 2:
+        raise DegeneratePartition(f"element {e}: both sub-regions landed on the same side")
+    return rules
+
+
+# ----------------------------------------------------------------------------
+# the physical values and gradients of one interface basis, one side at a
+# time, as IfeBasis evaluated them before its stacked kernel: the kernel,
+# which evaluates every (element, side) of a level at once, must reproduce
+# them bit for bit
+
+
+def _loop_powers(m, ebar, xbar):
+    Ve = np.vander(ebar, m + 1, increasing=True)
+    Vx = np.vander(xbar, m + 1, increasing=True)
+    j = np.arange(m + 1)
+    dVe = np.zeros_like(Ve)
+    dVe[:, 1:] = Ve[:, :-1] * j[1:]
+    dVx = np.zeros_like(Vx)
+    dVx[:, 1:] = Vx[:, :-1] * j[1:]
+    return Ve, Vx, dVe, dVx
+
+
+def loop_evaluate_ref(basis, eta, xi, side):
+    """Values and (d/deta, d/dxi) gradients in tubular coordinates."""
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    side = np.broadcast_to(np.asarray(side), eta.shape)
+    Ve, Vx, dVe, dVx = _loop_powers(basis.m, basis.scaling.etabar(eta), basis.scaling.xibar(xi))
+    vals = np.empty((basis.n_basis, len(eta)))
+    g_eta = np.empty_like(vals)
+    g_xi = np.empty_like(vals)
+    for s in (-1, 1):
+        mask = side == s
+        if not np.any(mask):
+            continue
+        C = basis.coef[s]
+        vals[:, mask] = np.einsum("bji,pj,pi->bp", C, Ve[mask], Vx[mask])
+        g_eta[:, mask] = np.einsum("bji,pj,pi->bp", C, dVe[mask], Vx[mask]) \
+            / basis.scaling.h_eta
+        g_xi[:, mask] = np.einsum("bji,pj,pi->bp", C, Ve[mask], dVx[mask]) \
+            / basis.scaling.h_xi
+    return vals, g_eta, g_xi
+
+
+def loop_evaluate(basis, pts, side=None):
+    """Physical values and gradients of an interface basis at points."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    eta, xi = basis.chart.inverse(pts, xi_anchor=basis.scaling.xi_c)
+    J = basis.chart.jacobian(eta, xi)
+    if side is None:
+        side = np.where(eta >= 0.0, 1, -1)
+    else:
+        side = np.broadcast_to(np.asarray(side), eta.shape)
+    vals, g_eta, g_xi = loop_evaluate_ref(basis, eta, xi, side)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    gx = (J[:, 1, 1] * g_eta - J[:, 1, 0] * g_xi) / det
+    gy = (-J[:, 0, 1] * g_eta + J[:, 0, 0] * g_xi) / det
+    return vals, np.stack([gx, gy], axis=-1)
+
+
+def loop_interface_jumps(basis, xi):
+    """(value jumps, flux jumps) of every basis function at parameters xi."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    zeros = np.zeros_like(xi)
+    vp, gp, _ = loop_evaluate_ref(basis, zeros, xi, np.ones_like(xi, dtype=int))
+    vm, gm, _ = loop_evaluate_ref(basis, zeros, xi, -np.ones_like(xi, dtype=int))
+    return vp - vm, basis.beta[1] * gp - basis.beta[-1] * gm

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frenet_ife import ife_space
 from frenet_ife.analysis import manufactured_circle, setup_level
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import DimensionMismatch
@@ -12,7 +13,8 @@ from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces,
 from frenet_ife.laplacian import FrenetLaplacian
 from frenet_ife.mesh import build_mesh, classify_elements
 
-from oracles import composite_simpson, loop_build_x0, loop_weak_residuals
+from oracles import (composite_simpson, loop_build_x0, loop_interface_jumps,
+                     loop_weak_residuals)
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +365,33 @@ def test_level_x0_and_weak_residuals_bitwise_equal_to_loop_oracle(level, m, line
     one, _ = build_x0(chart, b.interval, m, line_q)
     assert np.array_equal(one, loop_build_x0(chart, b.interval, m, line_q)[0])
     assert np.array_equal(b.weak_condition_residuals(line_q), loop_weak_residuals(b, line_q))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_space_diagnostics_jumps_from_one_stacked_kernel_like_the_loop_oracle(
+        level, m, monkeypatch):
+    mesh, chart, tags, intervals = level
+    spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0)
+    calls = []
+
+    def counted(*args, _orig=ife_space._ref_values):
+        calls.append(1)
+        return _orig(*args)
+
+    monkeypatch.setattr(ife_space, "_ref_values", counted)
+    rows = space_diagnostics(spaces)
+    monkeypatch.undo()
+    assert len(calls) == 2              # one per side, whatever the mesh
+    assert [row["element"] for row in rows] == list(intervals)
+    for row in rows:
+        b = spaces.bases[row["element"]]
+        jv, jf = loop_interface_jumps(b, np.linspace(*b.interval, 24))
+        assert row["max_value_jump"] == float(np.max(np.abs(jv)))
+        assert row["max_flux_jump"] == float(np.max(np.abs(jf)))
+    b = spaces.bases[rows[0]["element"]]     # the one-element form is the kernel on one row
+    xs = np.linspace(*b.interval, 9)
+    assert all(np.array_equal(a, r) for a, r in zip(b.interface_jumps(xs),
+                                                     loop_interface_jumps(b, xs)))
 
 
 @pytest.mark.parametrize("line_q", [1, 2, 3])

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from frenet_ife import quadrature
-from frenet_ife.curves import LineCurve, circle, ellipse
+from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import DegeneratePartition
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import (cut_cell_rules, cut_edge_rule, gauss_interval,
-                                   gauss_rect)
+                                   gauss_rect, level_cut_cell_rules)
 
-from oracles import composite_simpson, disk_box_area
+from oracles import composite_simpson, disk_box_area, loop_cut_cell_rules
 
 
 def test_gauss_rect_exactness():
@@ -146,8 +146,6 @@ def test_line_cut_trapezoids_exact():
 def test_cut_cell_tiling_with_edge_lune_and_corner_crossing():
     # the flower dips back through a single edge of one element and passes
     # exactly through a mesh node: the cut rules must still tile exactly
-    from frenet_ife.curves import flower
-
     curve = flower(0.5, 0.02, 5)
     mesh = build_mesh((-1, 1, -1, 1), 12)
     chart = FrenetChart(curve, h=mesh.h)
@@ -212,11 +210,67 @@ def test_degenerate_partition_names_the_element(monkeypatch, failure):
     tags = classify_elements(mesh, chart)
     e = tags.interface_elements[0]
     if failure == "region":
-        def region_rule(*args):
-            raise DegeneratePartition("no star-shaped anchor found for a cut region")
-        monkeypatch.setattr(quadrature, "_region_rule", region_rule)
+        # no anchor passes: every region leaves the level kernel for the
+        # per-region fallback, which splits to its depth limit and gives up
+        monkeypatch.setattr(quadrature, "_anchor_ok",
+                            lambda A, *args: np.zeros(np.shape(A)[:-1], dtype=bool))
+        message = "no star-shaped anchor found"
     else:
         # a chart that puts every point on the + side labels both pieces +1
         monkeypatch.setattr(chart, "signed_distance_estimate", lambda pts: np.ones(len(pts)))
-    with pytest.raises(DegeneratePartition, match=rf"^element {e}: "):
+        message = "both sub-regions landed on the same side"
+    level = {k: tags.tags[k] for k in tags.interface_elements}
+    with pytest.raises(DegeneratePartition, match=rf"^element {e}: {message}"):
+        level_cut_cell_rules(mesh, level, chart, 4)
+    with pytest.raises(DegeneratePartition, match=rf"^element {e}: {message}"):
         cut_cell_rules(mesh, e, tags.tags[e], chart, 4)
+
+
+# (curve, box, n, chart h) of the level oracle: thin crescents off the centre,
+# a lune through one edge and a corner crossing on the flat flower, a flower
+# whose chart needs a finer mesh, and a line cut into trapezoids
+_RULE_CASES = {
+    "circle": (circle(0.6), (-1, 1, -1, 1), 16, None),
+    "crescents": (circle(0.55, (0.137, -0.083)), (-1, 1, -1, 1), 8, None),
+    "ellipse": (ellipse(0.7, 0.5), (-1, 1, -1, 1), 16, None),
+    "flower": (flower(0.5, 0.1, 5), (-1, 1, -1, 1), 48, None),
+    "lune": (flower(0.5, 0.02, 5), (-1, 1, -1, 1), 12, None),
+    "line": (LineCurve([0.0, 0.1], [1.0, 0.3], -5, 5), (0, 1, 0, 1), 7, 2.0),
+}
+
+
+def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
+    # which path each region takes: the first anchor, the second (tangent
+    # intersection or first vertex), or the per-region fallback
+    paths = dict.fromkeys(("first", "second", "fallback"), 0)
+
+    def anchor_ok(A, verts, *args, _orig=quadrature._anchor_ok):
+        ok = _orig(A, verts, *args)
+        if verts.ndim == 3:                      # the level kernel's call
+            paths["first"] += int(ok[:, 0].sum())
+            paths["second"] += int((~ok[:, 0] & ok[:, 1]).sum())
+        return ok
+
+    def region_rule(verts, xi_s, xi_e, chart, q, depth=0, _orig=quadrature._region_rule):
+        paths["fallback"] += depth == 0
+        return _orig(verts, xi_s, xi_e, chart, q, depth)
+
+    monkeypatch.setattr(quadrature, "_anchor_ok", anchor_ok)
+    monkeypatch.setattr(quadrature, "_region_rule", region_rule)
+    for name, (curve, box, n, h) in _RULE_CASES.items():
+        mesh = build_mesh(box, n)
+        chart = FrenetChart(curve, h=h or mesh.h)
+        tags = classify_elements(mesh, chart)
+        level = {e: tags.tags[e] for e in tags.interface_elements}
+        for q in (3, 4, 5, 6):
+            rules = level_cut_cell_rules(mesh, level, chart, q)
+            assert list(rules) == list(level)
+            for e, tag in level.items():
+                ref = loop_cut_cell_rules(mesh, e, tag, chart, q)
+                for got in (rules[e], cut_cell_rules(mesh, e, tag, chart, q)):
+                    assert list(got) == list(ref), (name, q, e)
+                    for side, rule in ref.items():
+                        assert np.array_equal(got[side].points, rule.points), (name, q, e)
+                        assert np.array_equal(got[side].weights, rule.weights), (name, q, e)
+                        assert got[side].degree == rule.degree
+    assert min(paths.values()) > 0, paths

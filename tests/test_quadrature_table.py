@@ -14,7 +14,7 @@ plain 1D Lagrange tables from one evaluation each.
 import numpy as np
 import pytest
 
-from frenet_ife import assembly, ife_space
+from frenet_ife import assembly, ife_space, quadrature
 from frenet_ife.analysis import error_norms, manufactured_circle, setup_level
 from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
 from frenet_ife.curves import circle, ellipse
@@ -23,7 +23,7 @@ from frenet_ife.ife_space import build_spaces, project_l2
 from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
 from frenet_ife.quadrature import cut_edge_rule
 
-from oracles import (loop_assemble, loop_error_norms, loop_project_l2,
+from oracles import (loop_assemble, loop_error_norms, loop_evaluate, loop_project_l2,
                      loop_trace_constant)
 
 BOX = (-1, 1, -1, 1)
@@ -121,8 +121,13 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
     monkeypatch.undo()
     assert read
     for e, pts, side, got in read:
-        ref = spaces.bases[e].evaluate(pts, side=side)
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), e
+        # interface values: the stacked kernel on the table and on one row,
+        # against the per-side evaluation it replaced
+        one = spaces.bases[e].evaluate(pts, side=side)
+        ref = loop_evaluate(spaces.bases[e], pts, side) if e in spaces.tags.interface_elements \
+            else one
+        assert all(np.array_equal(a, b) and np.array_equal(c, b)
+                   for a, b, c in zip(got, ref, one)), e
 
 
 def test_table_inverts_each_interface_element_twice_per_level(monkeypatch):
@@ -174,7 +179,9 @@ def test_plain_lagrange_evaluations_do_not_grow_with_the_mesh(monkeypatch, m):
 
 def _chart_calls(monkeypatch, n):
     """Chart calls of one m=2 level over setup, auto penalty, assembly and
-    error norms, and the interface basis combinations of the last two."""
+    error norms; from the auto penalty on, the interface basis combinations,
+    the stacked evaluations of interface values and the per-region
+    fallbacks of the cut-cell rules."""
     counts = dict.fromkeys(("inverse", "signed_distance_estimate", "jacobian"), 0)
     for name in counts:
         def counted(self, *args, _name=name, _orig=getattr(FrenetChart, name), **kwargs):
@@ -183,14 +190,15 @@ def _chart_calls(monkeypatch, n):
         monkeypatch.setattr(FrenetChart, name, counted)
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     spaces = setup_level(case, BOX, n, 2)
+    for owner, name in ((ife_space.IfeBasis, "combine"), (ife_space, "_ref_values"),
+                        (quadrature, "_region_rule")):
+        counts[name] = 0
+
+        def counted(*args, _name=name, _orig=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
     sigma0, _ = auto_sigma0(spaces)
-    counts["combine"] = 0
-
-    def combine(self, *args, _orig=ife_space.IfeBasis.combine, **kwargs):
-        counts["combine"] += 1
-        return _orig(self, *args, **kwargs)
-
-    monkeypatch.setattr(ife_space.IfeBasis, "combine", combine)
     system = assemble(spaces, sigma0, case.f, case.dirichlet)
     error_norms(solve(system, pd_check=False), case, spaces, sigma0)
     monkeypatch.undo()
@@ -202,12 +210,18 @@ def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
     assert n32 > n16
     # anchors, boundary loops, table volume, table edges
     assert c16["inverse"] == c32["inverse"] <= 5
-    # only cut_cell_rules labels its two pieces per interface element
-    assert c32["signed_distance_estimate"] - c16["signed_distance_estimate"] == 2 * (n32 - n16)
+    # classification, then one query for the sides of all cut-cell regions
+    # and one for those of all edge segments
+    assert c16["signed_distance_estimate"] == c32["signed_distance_estimate"]
     # the interface values of volume pieces and of edge segments, each built
-    # once for the trace probe and kept for assembly and error norms
+    # once for the trace probe and kept for assembly and error norms, from
+    # one stacked evaluation per size of fan piece (2 to 6 cells) and one
+    # for all edge segments
     assert c16["jacobian"] == c32["jacobian"] <= 2
+    assert c16["_ref_values"] == c32["_ref_values"] <= 6
     assert c16["combine"] == c32["combine"] == 0
+    # every region of the circle passes the level kernel's star test
+    assert c16["_region_rule"] == c32["_region_rule"] == 0
 
 
 def test_solve_factors_the_assembled_matrix_without_a_copy(monkeypatch):
