@@ -134,9 +134,12 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     return system
 
 
-def smallest_eigenvalue(S: sp.spmatrix, dense_limit: int = 2500) -> float:
+_DENSE_LIMIT = 2500   # largest order probed by a dense eigensolve
+
+
+def smallest_eigenvalue(S: sp.spmatrix) -> float:
     n = S.shape[0]
-    if n <= dense_limit:
+    if n <= _DENSE_LIMIT:
         return float(np.linalg.eigvalsh(S.toarray())[0])
     w = spla.eigsh(S, k=1, which="SA", tol=1e-6, maxiter=5000,
                    return_eigenvectors=False)
@@ -171,10 +174,10 @@ def trace_constant(spaces: SpaceSet, e: int,
     beta+; bounded uniformly in h, cut position and beta.
     """
     mesh = spaces.mesh
-    A = sum(_stiffness(spaces, side, rule.weights, grads)
-            for rule, side, _, grads in spaces.volume(e, q_vol))
+    A = sum(_stiffness(spaces, side, w, grads)
+            for _, w, side, _, grads in spaces.element_values(e, q_vol))
     B = sum(float(spaces.beta_of(side))**2 * np.einsum("bpk,p,cpk->bc", grads, w, grads)
-            for k in mesh.elem_edges[e] for _, w, side, _, grads in spaces.face(k, e, q_edge))
+            for _, w, side, _, grads in spaces.element_values(e, q_edge, volume=False))
     lam, vecs = np.linalg.eigh(A)
     keep = lam > 1e-10 * lam[-1]
     if not np.any(keep):

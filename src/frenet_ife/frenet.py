@@ -30,6 +30,7 @@ ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # it (every point is processed on its own); it bounds the temporaries of a
 # whole-level call, which otherwise raise the peak RSS by several MB.
 _BLOCK = 2048
+_LOOP_SAMPLES = 8   # samples inside each edge of a fictitious-interval loop
 
 
 @dataclass
@@ -272,14 +273,13 @@ class FrenetChart:
         return xi
 
     # -- fictitious interval ---------------------------------------------------
-    def fictitious_interval(self, corners, samples_per_edge: int = 8):
+    def fictitious_interval(self, corners):
         """Parameter interval [xi0, xi1] of the fictitious box containing an
         element with (4, 2) `corners`; see fictitious_intervals."""
-        xi0, xi1 = self.fictitious_intervals(np.asarray(corners, dtype=float)[None],
-                                             samples_per_edge)
+        xi0, xi1 = self.fictitious_intervals(np.asarray(corners, dtype=float)[None])
         return float(xi0[0]), float(xi1[0])
 
-    def fictitious_intervals(self, corners, samples_per_edge: int = 8):
+    def fictitious_intervals(self, corners):
         """Parameter intervals [xi0, xi1] of the fictitious boxes containing elements.
 
         `corners` is the (E, 4, 2) array of element corners in boundary
@@ -292,10 +292,10 @@ class FrenetChart:
         """
         corners = np.asarray(corners, dtype=float)
         n_el = len(corners)
-        ts = np.linspace(0.0, 1.0, samples_per_edge + 2)[1:-1]
+        ts = np.linspace(0.0, 1.0, _LOOP_SAMPLES + 2)[1:-1]
         a = corners[:, :, None, :]
         d = np.roll(corners, -1, axis=1)[:, :, None, :] - a
-        n_loop = 4 * (samples_per_edge + 1)
+        n_loop = 4 * (_LOOP_SAMPLES + 1)
         loops = np.concatenate([a, a + ts[:, None] * d], axis=2).reshape(n_el, n_loop, 2)
         anchor = None
         if self.curve.periodic:

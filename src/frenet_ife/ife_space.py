@@ -370,12 +370,9 @@ class TensorBasis:
         self.n_basis = (m + 1) ** 2
         self.nodes = _lobatto_nodes(m)
 
-    def reference_coords(self, pts):
-        """Points mapped onto [-1, 1]^2: xr, yr."""
-        return _reference_coords(self.box, np.atleast_2d(np.asarray(pts, dtype=float)))
-
     def evaluate(self, pts, side=None):
-        return self.combine(*(_lagrange_1d(self.nodes, r) for r in self.reference_coords(pts)))
+        xr, yr = _reference_coords(self.box, np.atleast_2d(np.asarray(pts, dtype=float)))
+        return self.combine(_lagrange_1d(self.nodes, xr), _lagrange_1d(self.nodes, yr))
 
     def combine(self, x, y):
         """Values and gradients from 1D Lagrange (values, derivatives) at xr, yr."""
@@ -402,38 +399,22 @@ class DofLayout:
         return np.arange(e * self.n_local, (e + 1) * self.n_local)
 
 
-def _one_call(groups, call, axis=0):
-    """One call over all the parts of groups, {key: {k: [part]}}, each part a
-    tuple of arrays of equal length: call gets each position's arrays
-    concatenated, and each of its outputs is split back along `axis` into
-    the same layout, {key: {k: [outputs on part]}}."""
-    flat = [part for g in groups.values() for parts in g.values() for part in parts]
-    out = call(*(np.concatenate(arrays) for arrays in zip(*flat)))
-    cuts = np.cumsum([len(part[0]) for part in flat])[:-1]
-    split = iter(zip(*(np.split(o, cuts, axis=axis) for o in out)))
-    return {key: {k: [next(split) for _ in parts] for k, parts in g.items()}
-            for key, g in groups.items()}
-
-
 class SpaceSet:
     """All local bases of a classified mesh, the coefficient layout and the
-    level's quadrature table, filled on first use and keyed by Gauss order
-    (default m+2 points per axis on volumes, m+3 on edges).
+    level's quadrature table, keyed by Gauss order (default m+2 points per
+    axis on volumes, m+3 on edges).  Each part of the table is built once
+    for the whole level on its first read; volume_groups, edge_groups and
+    element_values read it, bit-identical to per-element evaluation:
 
-    The table keeps, built once, the pieces of interface elements, the
-    segments of their edges and the basis values of both: on first read of
-    any interface element's pieces, those of every interface element come
-    from one level kernel (quadrature.level_cut_cell_rules), and on first
-    read of its values (assembly, error norms, the trace probe or the L2
-    projection), those of every interface element come from one chart
-    inverse, one chart Jacobian and one stacked evaluation per level for the
-    pieces and one of each for the edge segments.  Plain pieces and segments
-    cost less to rebuild than to keep.  Segment side labels come from one
-    chart query per level.  Plain elements, and the uncut edges between them, are grouped by
-    the bytes of everything their blocks read, on first use; each group's
-    basis values are computed once, and with the plain values on other edges
-    they come from one 1D Lagrange evaluation per level, bit-identical to
-    per-element ones.
+    - the interface pieces, from quadrature.level_cut_cell_rules;
+    - the segment table: every segment of every edge, edge by edge in
+      cut_edge_rule order, labelled by one chart query at all midpoints;
+    - the interface values on those pieces and on the rows of the interface
+      elements' edges, from one chart inverse, one chart Jacobian and one
+      stacked evaluation per size of piece or segment;
+    - the plain groups (plain elements, and one-segment edges between plain
+      elements, grouped by the bytes their blocks read) and the plain values
+      they need, from one 1D Lagrange evaluation.
     """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
@@ -471,9 +452,7 @@ class SpaceSet:
         return {e: [(r[1], 1), (r[-1], -1)] for e, r in rules.items()}
 
     # -- quadrature table --------------------------------------------------------
-    def _cached(self, key, build, keep):
-        if not keep:
-            return build()
+    def _cached(self, key, build):
         if key not in self._table:
             self._table[key] = build()
         return self._table[key]
@@ -484,156 +463,129 @@ class SpaceSet:
         q = q if q is not None else self.m + 2
         if self.bases[e].kind == "plain":
             return self.element_rules(e, q)
-        return self._cached(("rules", q), lambda: self._level_rules(q), True)[e]
+        return self._cached(("rules", q), lambda: self._level_rules(q))[e]
 
-    def _interface_values(self, q: int, volume: bool):
-        """(vals, grads) of every interface element on its pieces (volume) or
-        on the segments of its four edges: one chart inverse at all their
-        points, each anchored at its interval midpoint, and one chart
-        Jacobian there; then one stacked evaluation per size of piece or
-        segment (all segments share one; a fan piece has 2 to 6 cells of q*q
-        points), each part a row and its values views of the result, so no
-        point is padded or copied.  Per element, {None: [per piece]} or
-        {edge: [per segment]}."""
-        parts = []                                   # (element, edge, side, points)
-        for e in self.tags.interface_elements:
-            if volume:
-                parts += [(e, None, side, rule.points) for rule, side in self.pieces(e, q)]
-            else:
-                parts += [(e, k, side, pts) for k in self.mesh.elem_edges[e]
-                          for pts, _, side in self._segments(k, q)]
-        sizes = [len(p[3]) for p in parts]
-        eta, xi = self.chart.inverse(np.concatenate([p[3] for p in parts]), xi_anchor=np.repeat(
-            [self.bases[e].scaling.xi_c for e, *_ in parts], sizes))
-        J = self.chart.jacobian(eta, xi)
-        at = np.split(np.arange(len(eta)), np.cumsum(sizes)[:-1])
-        values = [None] * len(parts)
-        for n in sorted(set(sizes)):
-            idx = [i for i, size in enumerate(sizes) if size == n]
-            take = np.array([at[i] for i in idx])
-            vals, grads = _physical(*_ref_values([self.bases[parts[i][0]] for i in idx],
-                                                 [parts[i][2] for i in idx], eta[take], xi[take]),
-                                    J[take])
-            for i, v, g in zip(idx, vals, grads):
-                values[i] = (v, g)
-        out = {e: {} for e in self.tags.interface_elements}
-        for (e, k, *_), v in zip(parts, values):
-            out[e].setdefault(k, []).append(v)
-        return out
+    def _span_table(self):
+        """Every segment of every edge, edge by edge in cut_edge_rule order:
+        per row its edge, (t0, t1) and branch label, the labels from one chart
+        query at all segment midpoints; and the first row of each edge."""
+        mesh = self.mesh
+        spans = {k: edge_spans(self.tags.interior_cuts(k)) for k in self.tags.edge_cuts}
+        count = np.ones(mesh.n_edges, dtype=int)
+        count[list(spans)] = [len(s) for s in spans.values()]
+        first = np.concatenate([[0], np.cumsum(count)])
+        edge = np.repeat(np.arange(mesh.n_edges), count)
+        t = np.tile([0.0, 1.0], (len(edge), 1))          # an uncut edge is one segment
+        for k, s in spans.items():
+            t[first[k]:first[k + 1]] = s
+        a, b = mesh.edge_a[edge], mesh.edge_b[edge]
+        eta = self.chart.signed_distance_estimate(a + 0.5 * (t[:, :1] + t[:, 1:]) * (b - a))
+        return edge, first, t, np.where(eta > 0, 1, -1)
 
-    def _tables(self, q: int, volume: bool):
-        """1D Lagrange tables, from one evaluation, at the reference
-        coordinates of the plain values the groups need: the first member of
-        each plain group and the plain elements of the edges outside the
-        groups.  Per element, {None: [per piece]} or {edge: [per segment]},
-        each (x values, x derivatives, y values, y derivatives)."""
-        groups = {}
-        if volume:
-            for ids, *_ in self._groups(q, True):
-                groups[ids[0]] = {None: [rule.points for rule, _ in self.pieces(ids[0], q)]}
-        else:
-            firsts = [ks[0] for ks, *_ in self._groups(q, False)]
-            for k in [*firsts, *self._ungrouped_edges(q)]:
-                for f in self.mesh.edge_elems[k]:
-                    if f >= 0 and self.bases[f].kind == "plain":
-                        groups.setdefault(f, {})[k] = [pts for pts, _, _ in self._segments(k, q)]
-
-        def lagrange(x, y):
-            vals, ders = _lagrange_1d(_lobatto_nodes(self.m), np.concatenate([x, y]))
-            return vals[:, :len(x)], ders[:, :len(x)], vals[:, len(x):], ders[:, len(x):]
-
-        return _one_call({e: {k: [self.bases[e].reference_coords(pts) for pts in part]
-                              for k, part in g.items()} for e, g in groups.items()},
-                         lagrange, axis=1)
-
-    def _values(self, e: int, q: int, k, items):
-        """(vals, grads) of basis e at each (points, side) of `items`: the
-        pieces of element e (k None) or the segments of its edge k."""
-        basis = self.bases[e]
-        if basis.kind != "plain":
-            return self._cached(("values", q, k is None),
-                                lambda: self._interface_values(q, k is None), True)[e][k]
-        tables = self._cached(("tables", q, k is None), lambda: self._tables(q, k is None), True)
-        if k in tables.get(e, {}):
-            return [basis.combine(t[:2], t[2:]) for t in tables[e][k]]
-        return [basis.evaluate(pts) for pts, _ in items]
-
-    def volume(self, e: int, q: int | None = None):
-        """[(rule, side, vals, grads)]: basis e on the pieces of element e."""
-        q = q if q is not None else self.m + 2
-        pieces = self.pieces(e, q)
-        values = self._values(e, q, None, [(rule.points, side) for rule, side in pieces])
-        return [(rule, side, *vg) for (rule, side), vg in zip(pieces, values)]
-
-    def _segments(self, k: int, q: int):
-        from .assembly import edge_segments   # assembly imports this module
-
-        keep = any(self.bases[f].kind != "plain" for f in self.mesh.edge_elems[k] if f >= 0)
-        return self._cached(("segments", k, q), lambda: edge_segments(self, k, q), keep)
+    def _rows(self, q: int):
+        """The segment table at Gauss order q: (edge, first row of each edge,
+        side, points (R, q, 2), weights (R, q)), with cut_edge_rule's
+        arithmetic on every row."""
+        edge, first, t, sides = self._cached("spans", self._span_table)
+        if ("segments", q) not in self._table:
+            (x, w), a, b = _gauss01(q), self.mesh.edge_a[edge, None], self.mesh.edge_b[edge, None]
+            t0, t1 = t[:, :1], t[:, 1:]
+            self._table["segments", q] = (a + (t0 + (t1 - t0) * x)[..., None] * (b - a),
+                                          ((t1 - t0) * self.mesh.edge_length[edge, None]) * w)
+        return (edge, first, sides, *self._table["segments", q])
 
     def segment_sides(self, k: int):
         """Branch labels of the segments of edge k, in cut_edge_rule order."""
-        sides, split = self._cached("sides", self._label_segments, True)
-        return [sides[i] for i in split.get(k, [k])]
+        _, first, _, sides = self._cached("spans", self._span_table)
+        return sides[first[k]:first[k + 1]].tolist()
 
-    def _label_segments(self):
-        """One chart query at the segment midpoints of every edge: the labels,
-        uncut edges first by id, and the label range of each split edge."""
-        a, b = self.mesh.edge_a, self.mesh.edge_b
-        n = len(a)
-        mids, split = [a + 0.5 * (b - a)], {}   # an uncut edge is one segment
-        for k in self.tags.edge_cuts:
-            spans = edge_spans(self.tags.interior_cuts(k))
-            if len(spans) > 1:
-                split[k] = range(n, n + len(spans))
-                n += len(spans)
-                mids += [a[k] + 0.5 * (t0 + t1) * (b[k] - a[k]) for t0, t1 in spans]
-        eta = self.chart.signed_distance_estimate(np.vstack(mids))
-        return np.where(eta > 0, 1, -1).tolist(), split
+    def _interface_values(self, q: int, volume: bool):
+        """{(element, piece or row): (vals, grads)} of every interface element
+        on _items: one chart inverse at all their points, each anchored at its
+        interval midpoint, and one chart Jacobian there; then one stacked
+        evaluation per size of piece or segment (a fan piece has 2 to 6 cells
+        of q*q points), so no point is padded."""
+        parts = [i for e in self.tags.interface_elements for i in self._items(e, q, volume)]
+        sizes = [len(p[1]) for p in parts]
+        eta, xi = self.chart.inverse(np.concatenate([p[1] for p in parts]), xi_anchor=np.repeat(
+            [self.bases[e].scaling.xi_c for (e, _), *_ in parts], sizes))
+        J = self.chart.jacobian(eta, xi)
+        at = np.split(np.arange(len(eta)), np.cumsum(sizes)[:-1])
+        values = {}
+        for n in sorted(set(sizes)):
+            idx = [i for i, size in enumerate(sizes) if size == n]
+            take = np.array([at[i] for i in idx])
+            vals, grads = _physical(*_ref_values([self.bases[parts[i][0][0]] for i in idx],
+                                                 [parts[i][3] for i in idx], eta[take], xi[take]),
+                                    J[take])
+            values.update((parts[i][0], (v, g)) for i, v, g in zip(idx, vals, grads))
+        return values
+
+    def _plain_values(self, q: int, volume: bool):
+        """{(element, piece or row): (vals, grads)} of the plain bases where
+        the groups need them: on the first member of each plain group and on
+        the segment rows outside the edge groups; from one 1D Lagrange
+        evaluation at all their reference coordinates."""
+        groups = self._groups(q, volume)
+        if volume:
+            keys, pts = [(ids[0], 0) for ids, *_ in groups], [p[0] for _, p, *_ in groups]
+        else:
+            edge, first, _, seg_pts, _ = self._rows(q)
+            rows = [*(first[ks[0]] for ks, *_ in groups), *np.flatnonzero(~self._grouped_rows())]
+            keys = [(f, r) for r in rows for f in self.mesh.edge_elems[edge[r]]
+                    if f >= 0 and self.bases[f].kind == "plain"]
+            pts = [seg_pts[r] for _, r in keys]
+        if not keys:
+            return {}
+        x, y = _reference_coords(self.mesh.elem_box(np.array([e for e, _ in keys])), np.array(pts))
+        v, d = (a.reshape(len(a), 2, *x.shape) for a in
+                _lagrange_1d(_lobatto_nodes(self.m), np.concatenate([x.ravel(), y.ravel()])))
+        return {key: self.bases[key[0]].combine((v[:, 0, i], d[:, 0, i]), (v[:, 1, i], d[:, 1, i]))
+                for i, key in enumerate(keys)}
+
+    def _kept(self, q: int, volume: bool, kind: str):
+        """The kept basis values of the interface or of the plain elements."""
+        build = self._interface_values if kind == "interface" else self._plain_values
+        return self._cached((kind, q, volume), lambda: build(q, volume))
+
+    def _grouped_rows(self):
+        """Mask of the segment rows of the one-segment edges whose elements
+        are all plain: the rows of the edge groups."""
+        edge, first, _, _ = self._cached("spans", self._span_table)
+        plain = np.array([b.kind == "plain" for b in self.bases] + [True])   # [-1]: no element
+        return (plain[self.mesh.edge_elems].all(axis=1) & (np.diff(first) == 1))[edge]
 
     def _plain_groups(self, q: int, volume: bool):
-        """The plain elements (volume) or the uncut edges whose neighbours are
-        all plain, at Gauss order q, grouped by the bytes of everything their
-        blocks read: the weights, the side, the reference coordinates and box
-        widths of their elements and, on edges, the normal and whether the
-        edge is on the boundary.  [(ids, points (E, nq, 2), weights (E, nq),
-        side)]: members of a group have bit-identical basis values."""
+        """[(ids, points (E, nq, 2), weights (E, nq), side)]: the plain elements
+        (volume) or the edges of _grouped_rows at Gauss order q, grouped by the
+        bytes of everything their blocks read (weights, side, the reference
+        coordinates and box widths of their elements and, on edges, the normal
+        and boundary flag), in their lexicographic order."""
         mesh = self.mesh
-        plain = np.array([b.kind == "plain" for b in self.bases])
         if volume:
-            ids = np.flatnonzero(plain)
+            ids = np.flatnonzero([b.kind == "plain" for b in self.bases])
             rule = gauss_rect(mesh.elem_box(ids), q)
             pts, w, elems, head = rule.points, rule.weights, ids[:, None], []
             sides = np.array([self.tags.tags[e].side for e in ids], dtype=int)
         else:
-            labels, split = self._cached("sides", self._label_segments, True)
-            e1, e2 = mesh.edge_elems.T
-            keep = plain[e1] & ((e2 < 0) | plain[e2])
-            keep[list(split)] = False
-            ids = np.flatnonzero(keep)
-            a, b = mesh.edge_a[ids, None], mesh.edge_b[ids, None]
-            x, wq = _gauss01(q)
-            pts = a + x[:, None] * (b - a)      # cut_edge_rule on the one segment 0 <= t <= 1
-            w = np.linalg.norm(b - a, axis=-1) * wq
-            elems, sides = mesh.edge_elems[ids], np.array(labels, dtype=int)[ids]
-            head = [mesh.edge_normal[ids], mesh.edge_is_boundary[ids]]
+            edge, _, labels, seg_pts, seg_w = self._rows(q)
+            rows = np.flatnonzero(self._grouped_rows())
+            ids, pts, w, sides = edge[rows], seg_pts[rows], seg_w[rows], labels[rows]
+            elems, head = mesh.edge_elems[ids], [mesh.edge_normal[ids], mesh.edge_is_boundary[ids]]
         key = [w, *head, sides]
         for p in range(elems.shape[1]):
             there = elems[:, p, None] >= 0
             xl, yl, xh, yh = mesh.elem_box(elems[:, p])
             key += [np.where(there, c, 0.0) for c in (*_reference_coords((xl, yl, xh, yh), pts),
                                                       np.column_stack([xh - xl, yh - yl]))]
-        group = np.unique(np.column_stack(key).view(np.int64), axis=0,
-                          return_inverse=True)[1].reshape(-1)
-        members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-        return [(ids[mem], pts[mem], w[mem], int(sides[mem[0]])) for mem in members if len(mem)]
+        key = np.column_stack(key).view(np.int64)
+        order = np.lexsort(key.T[::-1])                  # first column first, stable
+        new = np.flatnonzero(np.any(key[order[1:]] != key[order[:-1]], axis=1)) + 1
+        return [(ids[mem], pts[mem], w[mem], int(sides[mem[0]]))
+                for mem in np.split(order, new) if len(mem)]
 
     def _groups(self, q: int, volume: bool):
-        return self._cached(("plain", q, volume), lambda: self._plain_groups(q, volume), True)
-
-    def _ungrouped_edges(self, q: int):
-        return np.setdiff1d(np.arange(self.mesh.n_edges),
-                            [k for ks, *_ in self._groups(q, False) for k in ks])
+        return self._cached(("plain groups", q, volume), lambda: self._plain_groups(q, volume))
 
     def volume_groups(self, q: int | None = None):
         """Every element piece of the level, in groups sharing basis values:
@@ -641,52 +593,64 @@ class SpaceSet:
         one per group of plain elements, then one per piece of each interface
         element in element order."""
         q = q if q is not None else self.m + 2
-        groups = [(ids, pts, w, side, *self.volume(ids[0], q)[0][2:])
+        values = self._kept(q, True, "plain")
+        groups = [(ids, pts, w, side, *values[ids[0], 0])
                   for ids, pts, w, side in self._groups(q, True)]
         for e in self.tags.interface_elements:
-            groups += [([e], rule.points[None], rule.weights[None], side, vals, grads)
-                       for rule, side, vals, grads in self.volume(e, q)]
+            groups += [([e], pts[None], w[None], side, vals, grads)
+                       for pts, w, side, vals, grads in self.element_values(e, q)]
         return groups
 
     def edge_groups(self, q: int | None = None):
         """Every edge segment of the level, in groups sharing basis values:
         [(edges, points (E, nq, 2), weights (E, nq), side, members)], members
-        [(element, sign, vals, grads)] as in `edge` for the first edge; member
-        j of each edge is its element mesh.edge_elems[edge, j].  One per group
-        of plain uncut edges, then one per segment of every other edge in edge
-        order."""
+        [(element, sign, vals, grads)] for the first edge: sign +1 on the
+        element its normal points out of, -1 on the neighbour if any, and
+        member j of each edge its element mesh.edge_elems[edge, j].  One per
+        group of plain edges, then one per other segment row in row order."""
         q = q if q is not None else self.m + 3
-        groups = [(ks, pts, w, side, self.edge(ks[0], q)[0][3])
-                  for ks, pts, w, side in self._groups(q, False)]
-        for k in self._ungrouped_edges(q):
-            groups += [([k], pts[None], w[None], side, members)
-                       for pts, w, side, members in self.edge(k, q)]
-        return groups
+        edge, first, sides, pts, w = self._rows(q)
 
-    def face(self, k: int, e: int, q: int | None = None):
-        """[(points, weights, side, vals, grads)]: basis e on edge k's segments."""
-        q = q if q is not None else self.m + 3
-        segs = self._segments(k, q)
-        values = self._values(e, q, k, [(pts, side) for pts, _, side in segs])
-        return [(*seg, *vg) for seg, vg in zip(segs, values)]
+        def members(r):
+            return [(f, sign, *self._kept(q, False, self.bases[f].kind)[f, r])
+                    for f, sign in zip(self.mesh.edge_elems[edge[r]], (1.0, -1.0)) if f >= 0]
 
-    def edge(self, k: int, q: int | None = None):
-        """[(points, weights, side, [(e, sign, vals, grads)])] on edge k: sign +1
-        on the element its normal points out of, -1 on the neighbour if any."""
-        q = q if q is not None else self.m + 3
-        segs = self._segments(k, q)
-        items = [(pts, side) for pts, _, side in segs]
-        members = [(e, sign, self._values(e, q, k, items))
-                   for e, sign in zip(self.mesh.edge_elems[k], (1.0, -1.0)) if e >= 0]
-        return [(*seg, [(e, sign, *values[i]) for e, sign, values in members])
-                for i, seg in enumerate(segs)]
+        groups = [(ks, p, wk, side, members(first[ks[0]]))
+                  for ks, p, wk, side in self._groups(q, False)]
+        return groups + [([edge[r]], pts[r, None], w[r, None], int(sides[r]), members(r))
+                         for r in np.flatnonzero(~self._grouped_rows())]
+
+    def _items(self, e: int, q: int, volume: bool):
+        """[((e, piece or row), points, weights, side)] on the pieces of
+        element e (volume) or on the segment rows of its four edges in turn."""
+        if volume:
+            return [((e, i), rule.points, rule.weights, side)
+                    for i, (rule, side) in enumerate(self.pieces(e, q))]
+        _, first, sides, pts, w = self._rows(q)
+        return [((e, r), pts[r], w[r], int(sides[r])) for k in self.mesh.elem_edges[e]
+                for r in range(first[k], first[k + 1])]
+
+    def element_values(self, e: int, q: int | None = None, volume: bool = True):
+        """[(points, weights, side, vals, grads)] of basis e on the pieces of
+        element e (volume) or on the segments of its four edges in turn: the
+        kept values of an interface element; a plain element is evaluated on
+        its own points, which gives its group's bits."""
+        q = q if q is not None else self.m + (2 if volume else 3)
+        items = self._items(e, q, volume)
+        if self.bases[e].kind == "plain":
+            return [(p, w, side, *self.bases[e].evaluate(p)) for _, p, w, side in items]
+        values = self._kept(q, volume, "interface")
+        return [(p, w, side, *values[key]) for key, p, w, side in items]
 
 
 def build_spaces(mesh, tags, chart, m, beta_minus, beta_plus, line_q=None) -> SpaceSet:
     return SpaceSet(mesh, tags, chart, m, beta_minus, beta_plus, line_q)
 
 
-def space_diagnostics(spaces: SpaceSet, n_samples: int = 24):
+_JUMP_SAMPLES = 24   # interface points of the diagnostics' jump maxima
+
+
+def space_diagnostics(spaces: SpaceSet):
     """Per-interface-element conditioning and conformity residuals.
 
     One row per interface element: normalized Gram condition number and
@@ -698,7 +662,8 @@ def space_diagnostics(spaces: SpaceSet, n_samples: int = 24):
         return []
     bases = [spaces.bases[e] for e in elements]
     weak = _weak_residuals(spaces.chart, spaces.m, bases)
-    jumps = _interface_jumps(bases, np.array([np.linspace(*b.interval, n_samples) for b in bases]))
+    jumps = _interface_jumps(bases, np.array([np.linspace(*b.interval, _JUMP_SAMPLES)
+                                              for b in bases]))
     rows = []
     for e, b, w, jv, jf in zip(elements, bases, weak, *jumps):
         g = b.gram_fictitious()

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import AmbiguousCut, TangentialIntersection
 from .frenet import FrenetChart, frenet_apparatus, unwrap_near
 
+_EDGE_SAMPLES = 33   # offset samples per candidate edge of the classifier
+
 
 class RectMesh:
     """Axis-aligned uniform nx-by-ny rectangular mesh on a box.
@@ -247,8 +249,7 @@ def _projected_cut(mesh: RectMesh, e: int, chart: FrenetChart, p, tol):
     return None
 
 
-def classify_elements(mesh: RectMesh, chart: FrenetChart,
-                      edge_samples: int = 33) -> MeshTags:
+def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     """Tag every element as plain or interface and locate all edge crossings.
 
     Works in level-wide phases, each one chart call for the whole mesh: the
@@ -284,11 +285,11 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart,
     # offsets at the samples of every candidate edge, one row per edge
     edges = list(dict.fromkeys(int(k) for e, _ in candidates for k in mesh.elem_edges[e]))
     row = {k: i for i, k in enumerate(edges)}
-    ts = np.linspace(0.0, 1.0, edge_samples)
+    ts = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
     a, b = mesh.edge_a[edges], mesh.edge_b[edges]
     f = chart.signed_distance_estimate(
         (a[:, None, :] + ts[:, None] * (b - a)[:, None, :]).reshape(-1, 2)
-    ).reshape(len(edges), edge_samples)
+    ).reshape(len(edges), _EDGE_SAMPLES)
 
     # brackets between consecutive strict-sign samples (skip near-zeros), on
     # the edges that see both strict signs

@@ -2,19 +2,20 @@
 
 Assembly, error norms, the trace probe and the L2 projection read one table
 of cut-aware rules and basis values per level; `oracles.loop_*` rebuild the
-rules and re-evaluate every basis at every point instead.  Assembly must
-agree bit for bit, the rest to roundoff (beta- = 1, beta+ = 10).  Plain
-elements and the edges between them come in groups whose blocks are computed
-once.  The table keeps the interface basis values, built on first read by
-any of them from one chart inverse and one chart Jacobian for the volume
-pieces of all interface elements and one of each for their edges, and the
-plain 1D Lagrange tables from one evaluation each.
+rules and re-evaluate every basis at every point instead.  Assembly and the
+trace constants must agree bit for bit, the rest to roundoff (beta- = 1,
+beta+ = 10).  Plain elements and the edges between them come in groups
+whose blocks are computed once.  The table keeps the segments of every edge
+(the rules of one cut_edge_rule call per edge), the interface basis values,
+built on first read by any of them from one chart inverse and one chart
+Jacobian for the volume pieces of all interface elements and one of each for
+their edges, and the plain values from one 1D Lagrange evaluation each.
 """
 
 import numpy as np
 import pytest
 
-from frenet_ife import assembly, ife_space, quadrature
+from frenet_ife import analysis, assembly, ife_space, quadrature
 from frenet_ife.analysis import error_norms, manufactured_circle, setup_level
 from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
 from frenet_ife.curves import circle, ellipse
@@ -67,6 +68,22 @@ def test_assembly_bitwise_equal_to_element_loops(curve, n, m):
                                    manufactured_circle(0.6, 1.0, 10.0, p=4), 6.0)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_table_on_a_level_without_plain_elements(m):
+    # one element on an arc of the circle: no plain group and no plain value
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    mesh = build_mesh((0.5, 0.7, -0.1, 0.1), 1)
+    chart = FrenetChart(case.curve, h=mesh.h)
+    spaces = build_spaces(mesh, classify_elements(mesh, chart), chart, m, 1.0, 10.0)
+    assert spaces.tags.n_interface == mesh.n_elements == 1
+    system = _assert_assembly_bitwise_equal(spaces, case, 6.0)
+    coef = solve(system, pd_check=False)
+    assert error_norms(coef, case, spaces, 6.0) == pytest.approx(
+        loop_error_norms(coef, case, spaces, 6.0), rel=RTOL, abs=0.0)
+    assert trace_constant(spaces, 0) == loop_trace_constant(spaces, 0)
+    assert _rel_max(project_l2(case.u, spaces), loop_project_l2(case.u, spaces)) <= RTOL
+
+
 @pytest.mark.parametrize("n, m, relabel", [(8, 1, False), (8, 2, False), (8, 3, False),
                                            (16, 1, False), (24, 1, False), (8, 1, True)])
 def test_table_matches_element_loops(n, m, relabel):
@@ -81,14 +98,18 @@ def test_table_matches_element_loops(n, m, relabel):
     for key in ("l2", "norm_h", "energy"):
         assert errs[key] == pytest.approx(ref[key], rel=RTOL, abs=0.0), key
 
+    # trace constants bit for bit: sigma0 = 4 C_t^2 + 1 enters S.  Every
+    # interface element, and the plain elements that are not the first member
+    # of their group, which the probe evaluates on their own points
     mesh = spaces.mesh
     plain = [e for e in range(mesh.n_elements) if spaces.bases[e].kind == "plain"]
     cut_faced = [e for e in plain
                  if any(spaces.tags.edge_cuts.get(k) for k in mesh.elem_edges[e])]
     assert len(cut_faced) == int(relabel)
-    for e in [*spaces.tags.interface_elements, plain[0], *cut_faced]:
-        assert trace_constant(spaces, e) == pytest.approx(
-            loop_trace_constant(spaces, e), rel=RTOL, abs=0.0), e
+    later = [e for ids, *_ in spaces.volume_groups() if len(ids) > 1 for e in ids[1:]]
+    assert later
+    for e in [*spaces.tags.interface_elements, plain[0], *cut_faced, *later]:
+        assert trace_constant(spaces, e) == loop_trace_constant(spaces, e), e
 
     proj = project_l2(case.u, spaces)
     assert _rel_max(proj, loop_project_l2(case.u, spaces)) <= RTOL
@@ -113,11 +134,12 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
             monkeypatch.setattr(spaces.chart, name, None)
     read = []
     for e in spaces.tags.interface_elements:
-        read += [(e, rule.points, side, vg) for rule, side, *vg in spaces.volume(e)]
-        for k in mesh.elem_edges[e]:
-            read += [(e, pts, side, vg) for pts, _, side, *vg in spaces.face(k, e)]
-            read += [(f, pts, side, vg) for pts, _, side, members in spaces.edge(k)
-                     for f, _, *vg in members]
+        for volume in (True, False):
+            read += [(e, pts, side, vg)
+                     for pts, _, side, *vg in spaces.element_values(e, volume=volume)]
+    for ks, pts, _, side, members in spaces.edge_groups():
+        read += [(mesh.edge_elems[ks[0], j], pts[0], side, vg)
+                 for j, (_, _, *vg) in enumerate(members)]
     monkeypatch.undo()
     assert read
     for e, pts, side, got in read:
@@ -238,6 +260,55 @@ def test_solve_factors_the_assembled_matrix_without_a_copy(monkeypatch):
     solve(system, pd_check=False)
     assert len(factored) == 1
     assert factored[0] is system.S and factored[0].format == "csc"
+
+
+@pytest.mark.parametrize("curve, relabel", [(circle(0.6), False), (ellipse(0.7, 0.5), False),
+                                           (circle(0.6), True)], ids=["circle", "ellipse", "relabel"])
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
+    # every row of the level's segment table, as edge_groups and the trace
+    # probe read it, against one cut_edge_rule call per edge
+    spaces = _spaces(curve, n, 2, relabel)
+    mesh, q = spaces.mesh, 5
+    rows = {}
+    for ks, pts, w, side, _ in spaces.edge_groups(q):
+        for k, p, wk in zip(ks, pts, w):
+            rows.setdefault(int(k), []).append((p, wk, side))
+    faces = {}
+    for e in range(mesh.n_elements):
+        segs = iter(spaces.element_values(e, q, volume=False))
+        for k in mesh.elem_edges[e]:
+            faces[e, k] = [next(segs)[:3] for _ in spaces.segment_sides(k)]
+    assert sorted(rows) == list(range(mesh.n_edges))
+    split = 0
+    for k in range(mesh.n_edges):
+        segs = cut_edge_rule(mesh.edge_a[k], mesh.edge_b[k], spaces.tags.interior_cuts(k), q)
+        ref = [(s.points, s.weights, side) for s, side in zip(segs, spaces.segment_sides(k))]
+        for got in (rows[k], *(faces[e, k] for e in mesh.edge_elems[k] if e >= 0)):
+            assert len(got) == len(ref), k
+            assert all(np.array_equal(p, rp) and np.array_equal(w, rw) and s == rs
+                       for (p, w, s), (rp, rw, rs) in zip(got, ref)), k
+        split += len(segs) > 1
+    assert split > 0
+
+
+def test_no_per_edge_rules_in_the_level_chain(monkeypatch):
+    # the segment table serves the trace probe, assembly and error norms
+    calls = []
+    for n in (16, 32):
+        case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+        spaces = setup_level(case, BOX, n, 2)
+        for owner, name in ((assembly, "edge_segments"), (assembly, "cut_edge_rule"),
+                            (quadrature, "cut_edge_rule"), (analysis, "edge_segments")):
+            def counted(*args, _name=name, _orig=getattr(owner, name), **kwargs):
+                calls.append((n, _name))
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        sigma0, _ = auto_sigma0(spaces)
+        system = assemble(spaces, sigma0, case.f, case.dirichlet)
+        error_norms(solve(system, pd_check=False), case, spaces, sigma0)
+        monkeypatch.undo()
+    assert calls == []
 
 
 @pytest.mark.parametrize("curve", [circle(0.6), ellipse(0.7, 0.5)])
