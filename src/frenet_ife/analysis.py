@@ -158,7 +158,7 @@ class ErrorReport:
     n_dofs: list = field(default_factory=list)
     errors: list = field(default_factory=list)   # dicts: l2 / norm_h / energy
     sigma0: float = 0.0
-    trace_constant: float = 0.0
+    trace_constant: float = float("nan")   # probed only for an automatic penalty
 
     def rates(self, key: str):
         es = [row[key] for row in self.errors]
@@ -248,19 +248,19 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1),
         t_dev = dt_dev = det_dev = 0.0
         band_lo, band_hi = np.inf, -np.inf
         # one chart inverse for the grids of all interface elements
-        elems, size = tags.interface_elements, grid * grid
+        size = grid * grid
+        intervals = [t.interval for t in tags.interface.values()]
         grids = []
-        for e in elems:
+        for e in tags.interface:
             xl, yl, xh, yh = mesh.elem_box(e)
             X, Y = np.meshgrid(np.linspace(xl, xh, grid), np.linspace(yl, yh, grid))
             grids.append(np.column_stack([X.ravel(), Y.ravel()]))
-        if elems:
-            mids = [0.5 * (lo + hi) for lo, hi in (tags.tags[e].interval for e in elems)]
+        if intervals:
+            mids = [0.5 * (lo + hi) for lo, hi in intervals]
             eta_all, xi_all = chart.inverse(np.concatenate(grids),
                                             xi_anchor=np.repeat(mids, size))
-        for j, (e, pts) in enumerate(zip(elems, grids)):
+        for j, (pts, (xi0, xi1)) in enumerate(zip(grids, intervals)):
             eta, xi = eta_all[j * size:(j + 1) * size], xi_all[j * size:(j + 1) * size]
-            xi0, xi1 = tags.tags[e].interval
             band = (xi1 - xi0) / mesh.h
             band_lo, band_hi = min(band_lo, band), max(band_hi, band)
             cc = chart.chord_chart(xi0, xi1)

@@ -197,11 +197,7 @@ def auto_sigma0(spaces: SpaceSet, q_vol: int | None = None,
     (sigma0, max C_t).  Satisfies the coercivity requirement
     sigma0 > C_t^2 + 1/2 with margin.
     """
-    elems = list(spaces.tags.interface_elements)
-    for e in range(spaces.mesh.n_elements):
-        if spaces.tags.tags[e].kind == "plain":
-            elems.append(e)
-            break
+    elems = spaces.tags.interface_elements + np.flatnonzero(spaces.tags.tags)[:1].tolist()
     ct = max(trace_constant(spaces, e, q_vol, q_edge) for e in elems)
     return 4.0 * ct**2 + 1.0, ct
 

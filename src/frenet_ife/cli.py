@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         cfg.dump_system = args.dump_system
         (cfg.validate_run if args.command == "probe-geometry" else cfg.validate)()
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     try:

@@ -57,8 +57,9 @@ class RunConfig:
         return curve_from_config(self.interface)
 
     def validate(self):
-        """Raises ValueError on an unusable configuration: `validate_run`, then
-        the manufactured case, which only the commands that build it need."""
+        """Raises ValueError (TypeError on a value of the wrong type) on an
+        unusable configuration: `validate_run`, then the manufactured case,
+        which only the commands that build it need."""
         self.validate_run()
         kind = self.case.get("kind", "circle_power")
         if kind == "circle_power":
@@ -66,15 +67,14 @@ class RunConfig:
                 raise ValueError("circle_power benchmark needs a circle interface")
             if any(float(c) != 0.0 for c in self.interface.get("center", (0.0, 0.0))):
                 raise ValueError("circle_power benchmark needs a circle centred at the origin")
-            p = int(self.case.get("p", 4))
-            if p < 4 or p % 2:
-                raise ValueError("circle_power needs even p >= 4")
+            self.manufactured_case()   # raises on an odd or small p, or a non-numeric radius
         else:
             raise ValueError(f"unknown benchmark case {kind!r}")
         return self
 
     def validate_run(self):
-        """Raises ValueError on an unusable configuration, the case aside.
+        """Raises ValueError on an unusable configuration, the case aside but
+        for the keys of its block.
 
         The mesh check bounds only h * max curvature, a local quantity; it
         does not bound the curve's bottleneck distance, so two distant arcs
@@ -89,6 +89,12 @@ class RunConfig:
             raise ValueError("empty domain box")
         if not self.mesh_sizes:
             raise ValueError("mesh_sizes must be non-empty")
+        for name, block, keys in (("quad", self.quad, {"volume", "edge", "interface"}),
+                                  ("case", self.case, {"kind", "p"})):
+            if not isinstance(block, dict) or set(block) - keys:
+                raise ValueError(f"config key {name!r} takes an object with keys {sorted(keys)}")
+        if not all(q is None or (type(q) is int and q >= 1) for q in self.quad.values()):
+            raise ValueError("quad orders must be null or integers >= 1")
         curve = self.curve()
         kmax = curve.max_curvature
         for n in self.mesh_sizes:

@@ -206,9 +206,20 @@ def flower(r0: float, amp: float, petals: int, center=(0.0, 0.0)) -> TrigCurve:
     return TrigCurve(ax=ax, bx=np.zeros(n), ay=ay, by=by)
 
 
+_CURVE_KEYS = {"circle": {"radius", "center"}, "ellipse": {"a", "b", "center"},
+               "flower": {"r0", "amp", "petals", "center"}, "trig": {"ax", "bx", "ay", "by"},
+               "line": {"origin", "direction", "xi_start", "xi_end"}}
+
+
 def curve_from_config(spec: dict) -> InterfaceCurve:
-    """Build a curve from a config block {"kind": ..., parameters...}."""
+    """Build a curve from a config block {"kind": ..., parameters...}; raises
+    ValueError on an unknown kind or on a key that its kind does not read."""
     kind = spec["kind"]
+    if kind not in _CURVE_KEYS:
+        raise ValueError(f"unknown interface kind {kind!r}")
+    unknown = sorted(set(spec) - _CURVE_KEYS[kind] - {"kind"})
+    if unknown:
+        raise ValueError(f"unknown interface key {unknown[0]!r} for kind {kind!r}")
     if kind == "circle":
         return circle(spec["radius"], tuple(spec.get("center", (0.0, 0.0))))
     if kind == "ellipse":
@@ -218,7 +229,5 @@ def curve_from_config(spec: dict) -> InterfaceCurve:
                       tuple(spec.get("center", (0.0, 0.0))))
     if kind == "trig":
         return TrigCurve(spec["ax"], spec["bx"], spec["ay"], spec["by"])
-    if kind == "line":
-        return LineCurve(spec["origin"], spec["direction"],
-                         spec.get("xi_start", -10.0), spec.get("xi_end", 10.0))
-    raise ValueError(f"unknown interface kind {kind!r}")
+    return LineCurve(spec["origin"], spec["direction"],
+                     spec.get("xi_start", -10.0), spec.get("xi_end", 10.0))

@@ -235,8 +235,6 @@ class IfeBasis:
     members are the same monomial divided by the side's beta.
     """
 
-    kind = "interface"
-
     def __init__(self, chart: FrenetChart, tag: ElementTag, m: int,
                  beta_minus: float, beta_plus: float, line_q: int | None = None):
         self._set(chart, tag, beta_minus, beta_plus, *build_x0(chart, tag.interval, m, line_q))
@@ -361,12 +359,9 @@ def _reference_coords(box, pts):
 class TensorBasis:
     """Q^m Lagrange basis on Gauss-Lobatto nodes of one uncut element."""
 
-    kind = "plain"
-
-    def __init__(self, box, m: int, side: int):
+    def __init__(self, box, m: int):
         self.box = box
         self.m = m
-        self.side = int(side)
         self.n_basis = (m + 1) ** 2
         self.nodes = _lobatto_nodes(m)
 
@@ -400,7 +395,7 @@ class DofLayout:
 
 
 class SpaceSet:
-    """All local bases of a classified mesh, the coefficient layout and the
+    """The bases of a classified mesh, the coefficient layout and the
     level's quadrature table, keyed by Gauss order (default m+2 points per
     axis on volumes, m+3 on edges).  Each part of the table is built once
     for the whole level on its first read; volume_groups, edge_groups and
@@ -426,29 +421,33 @@ class SpaceSet:
         self.m = m
         self.beta_minus = float(beta_minus)
         self.beta_plus = float(beta_plus)
-        intervals = {e: tags.tags[e].interval for e in tags.interface_elements}
-        self.bases = [IfeBasis.__new__(IfeBasis) if e in intervals
-                      else TensorBasis(mesh.elem_box(e), m, t.side) for e, t in enumerate(tags.tags)]
+        intervals = {e: t.interval for e, t in tags.interface.items()}
+        self.bases = {}                  # interface element -> IfeBasis, in element order
         for e, x0, scaling in zip(intervals, *build_x0(chart, intervals, m, line_q)):
-            self.bases[e]._set(chart, tags.tags[e], beta_minus, beta_plus, x0, scaling)
+            self.bases[e] = IfeBasis.__new__(IfeBasis)
+            self.bases[e]._set(chart, tags.interface[e], beta_minus, beta_plus, x0, scaling)
         self.layout = DofLayout(mesh.n_elements, (m + 1) ** 2)
         self._table = {}
 
     def beta_of(self, side) -> float:
         return np.where(np.asarray(side) > 0, self.beta_plus, self.beta_minus)
 
+    def basis(self, e: int):
+        """The basis of element e: kept if it is an interface element, else
+        its tensor basis, built on the call."""
+        return self.bases[e] if e in self.bases else TensorBasis(self.mesh.elem_box(e), self.m)
+
     def element_rules(self, e: int, q: int):
         """[(rule, side)] covering element e with the right branch labels."""
-        t = self.tags.tags[e]
-        if t.kind == "interface":
-            rules = cut_cell_rules(self.mesh, e, t, self.chart, q)
-            return [(rules[1], 1), (rules[-1], -1)]
-        return [(gauss_rect(self.mesh.elem_box(e), q), t.side)]
+        side = int(self.tags.tags[e])
+        if side:
+            return [(gauss_rect(self.mesh.elem_box(e), q), side)]
+        rules = cut_cell_rules(self.mesh, e, self.tags.interface[e], self.chart, q)
+        return [(rules[1], 1), (rules[-1], -1)]
 
     def _level_rules(self, q: int):
         """element_rules of every interface element, from one level kernel."""
-        rules = level_cut_cell_rules(self.mesh, {e: self.tags.tags[e] for e in
-                                                 self.tags.interface_elements}, self.chart, q)
+        rules = level_cut_cell_rules(self.mesh, self.tags.interface, self.chart, q)
         return {e: [(r[1], 1), (r[-1], -1)] for e, r in rules.items()}
 
     # -- quadrature table --------------------------------------------------------
@@ -461,7 +460,7 @@ class SpaceSet:
         """element_rules(e, q); those of all interface elements are built on
         the first read of any and kept."""
         q = q if q is not None else self.m + 2
-        if self.bases[e].kind == "plain":
+        if self.tags.tags[e]:
             return self.element_rules(e, q)
         return self._cached(("rules", q), lambda: self._level_rules(q))[e]
 
@@ -533,26 +532,26 @@ class SpaceSet:
             edge, first, _, seg_pts, _ = self._rows(q)
             rows = [*(first[ks[0]] for ks, *_ in groups), *np.flatnonzero(~self._grouped_rows())]
             keys = [(f, r) for r in rows for f in self.mesh.edge_elems[edge[r]]
-                    if f >= 0 and self.bases[f].kind == "plain"]
+                    if f >= 0 and self.tags.tags[f]]
             pts = [seg_pts[r] for _, r in keys]
         if not keys:
             return {}
         x, y = _reference_coords(self.mesh.elem_box(np.array([e for e, _ in keys])), np.array(pts))
         v, d = (a.reshape(len(a), 2, *x.shape) for a in
                 _lagrange_1d(_lobatto_nodes(self.m), np.concatenate([x.ravel(), y.ravel()])))
-        return {key: self.bases[key[0]].combine((v[:, 0, i], d[:, 0, i]), (v[:, 1, i], d[:, 1, i]))
+        return {key: self.basis(key[0]).combine((v[:, 0, i], d[:, 0, i]), (v[:, 1, i], d[:, 1, i]))
                 for i, key in enumerate(keys)}
 
-    def _kept(self, q: int, volume: bool, kind: str):
-        """The kept basis values of the interface or of the plain elements."""
-        build = self._interface_values if kind == "interface" else self._plain_values
-        return self._cached((kind, q, volume), lambda: build(q, volume))
+    def _kept(self, q: int, volume: bool, plain: bool):
+        """The kept basis values of the plain or of the interface elements."""
+        build = self._plain_values if plain else self._interface_values
+        return self._cached(("values", plain, q, volume), lambda: build(q, volume))
 
     def _grouped_rows(self):
         """Mask of the segment rows of the one-segment edges whose elements
         are all plain: the rows of the edge groups."""
         edge, first, _, _ = self._cached("spans", self._span_table)
-        plain = np.array([b.kind == "plain" for b in self.bases] + [True])   # [-1]: no element
+        plain = np.append(self.tags.tags != 0, True)   # [-1]: no element
         return (plain[self.mesh.edge_elems].all(axis=1) & (np.diff(first) == 1))[edge]
 
     def _plain_groups(self, q: int, volume: bool):
@@ -563,10 +562,10 @@ class SpaceSet:
         and boundary flag), in their lexicographic order."""
         mesh = self.mesh
         if volume:
-            ids = np.flatnonzero([b.kind == "plain" for b in self.bases])
+            ids = np.flatnonzero(self.tags.tags)
             rule = gauss_rect(mesh.elem_box(ids), q)
             pts, w, elems, head = rule.points, rule.weights, ids[:, None], []
-            sides = np.array([self.tags.tags[e].side for e in ids], dtype=int)
+            sides = self.tags.tags[ids]
         else:
             edge, _, labels, seg_pts, seg_w = self._rows(q)
             rows = np.flatnonzero(self._grouped_rows())
@@ -593,7 +592,7 @@ class SpaceSet:
         one per group of plain elements, then one per piece of each interface
         element in element order."""
         q = q if q is not None else self.m + 2
-        values = self._kept(q, True, "plain")
+        values = self._kept(q, True, True)
         groups = [(ids, pts, w, side, *values[ids[0], 0])
                   for ids, pts, w, side in self._groups(q, True)]
         for e in self.tags.interface_elements:
@@ -612,7 +611,7 @@ class SpaceSet:
         edge, first, sides, pts, w = self._rows(q)
 
         def members(r):
-            return [(f, sign, *self._kept(q, False, self.bases[f].kind)[f, r])
+            return [(f, sign, *self._kept(q, False, bool(self.tags.tags[f]))[f, r])
                     for f, sign in zip(self.mesh.edge_elems[edge[r]], (1.0, -1.0)) if f >= 0]
 
         groups = [(ks, p, wk, side, members(first[ks[0]]))
@@ -637,9 +636,10 @@ class SpaceSet:
         its own points, which gives its group's bits."""
         q = q if q is not None else self.m + (2 if volume else 3)
         items = self._items(e, q, volume)
-        if self.bases[e].kind == "plain":
-            return [(p, w, side, *self.bases[e].evaluate(p)) for _, p, w, side in items]
-        values = self._kept(q, volume, "interface")
+        if self.tags.tags[e]:
+            basis = self.basis(e)
+            return [(p, w, side, *basis.evaluate(p)) for _, p, w, side in items]
+        values = self._kept(q, volume, False)
         return [(p, w, side, *values[key]) for key, p, w, side in items]
 
 
@@ -657,15 +657,14 @@ def space_diagnostics(spaces: SpaceSet):
     smallest singular value, plus the maxima of the value/flux jumps on the
     interface and of the weak moment residuals.
     """
-    elements = spaces.tags.interface_elements
-    if not elements:
+    if not spaces.bases:
         return []
-    bases = [spaces.bases[e] for e in elements]
+    bases = list(spaces.bases.values())
     weak = _weak_residuals(spaces.chart, spaces.m, bases)
     jumps = _interface_jumps(bases, np.array([np.linspace(*b.interval, _JUMP_SAMPLES)
                                               for b in bases]))
     rows = []
-    for e, b, w, jv, jf in zip(elements, bases, weak, *jumps):
+    for e, b, w, jv, jf in zip(spaces.bases, bases, weak, *jumps):
         g = b.gram_fictitious()
         d = np.sqrt(np.diag(g))
         sv = np.linalg.svd(g / np.outer(d, d), compute_uv=False)

@@ -9,7 +9,7 @@ precision by a Newton iteration on edge(t) = g(xi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,64 +39,27 @@ class RectMesh:
         self.h = float(np.hypot(self.dx, self.dy))
         self.n_elements = nx * ny
 
-        nv = (nx + 1) * ny      # vertical edges
-        nh = nx * (ny + 1)      # horizontal edges
-        self.n_edges = nv + nh
-        a = np.zeros((self.n_edges, 2))
-        b = np.zeros((self.n_edges, 2))
-        normal = np.zeros((self.n_edges, 2))
-        elems = np.full((self.n_edges, 2), -1, dtype=int)
+        nv = (nx + 1) * ny      # vertical edges, row by row, then horizontal ones
+        self.n_edges = nv + nx * (ny + 1)
+        k = np.arange(self.n_edges)
+        vert = k < nv
+        j, i = np.where(vert, np.divmod(k, nx + 1), np.divmod(k - nv, nx))
+        self.edge_a = np.column_stack([x0 + i * self.dx, y0 + j * self.dy])
+        self.edge_b = np.column_stack([x0 + (i + ~vert) * self.dx, y0 + (j + vert) * self.dy])
+        # the grid line each edge lies on, of 0..count; lines 0 and count are the boundary
+        p, count = np.where(vert, i, j), np.where(vert, nx, ny)
+        self.edge_normal = np.where(np.column_stack([vert, ~vert]),
+                                    np.where(p == 0, -1.0, 1.0)[:, None], 0.0)
+        above = j * nx + i                     # the element above or right of the edge
+        self.edge_elems = np.column_stack([
+            np.where(p == 0, above, above - np.where(vert, 1, nx)),
+            np.where((p > 0) & (p < count), above, -1)])
+        self.edge_is_boundary = self.edge_elems[:, 1] < 0
+        self.edge_length = np.linalg.norm(self.edge_b - self.edge_a, axis=1)
 
-        def vid(i, j):
-            return j * (nx + 1) + i
-
-        def hid(i, j):
-            return nv + j * nx + i
-
-        for j in range(ny):
-            for i in range(nx + 1):
-                k = vid(i, j)
-                a[k] = (x0 + i * self.dx, y0 + j * self.dy)
-                b[k] = (x0 + i * self.dx, y0 + (j + 1) * self.dy)
-                if i == 0:
-                    normal[k] = (-1.0, 0.0)
-                    elems[k, 0] = self.elem_id(0, j)
-                elif i == nx:
-                    normal[k] = (1.0, 0.0)
-                    elems[k, 0] = self.elem_id(nx - 1, j)
-                else:
-                    normal[k] = (1.0, 0.0)
-                    elems[k] = (self.elem_id(i - 1, j), self.elem_id(i, j))
-        for j in range(ny + 1):
-            for i in range(nx):
-                k = hid(i, j)
-                a[k] = (x0 + i * self.dx, y0 + j * self.dy)
-                b[k] = (x0 + (i + 1) * self.dx, y0 + j * self.dy)
-                if j == 0:
-                    normal[k] = (0.0, -1.0)
-                    elems[k, 0] = self.elem_id(i, 0)
-                elif j == ny:
-                    normal[k] = (0.0, 1.0)
-                    elems[k, 0] = self.elem_id(i, ny - 1)
-                else:
-                    normal[k] = (0.0, 1.0)
-                    elems[k] = (self.elem_id(i, j - 1), self.elem_id(i, j))
-
-        self.edge_a, self.edge_b = a, b
-        self.edge_normal = normal
-        self.edge_elems = elems
-        self.edge_is_boundary = elems[:, 1] < 0
-        self.edge_length = np.linalg.norm(b - a, axis=1)
-
-        self.elem_edges = np.zeros((self.n_elements, 4), dtype=int)
-        for j in range(ny):
-            for i in range(nx):
-                e = self.elem_id(i, j)
-                self.elem_edges[e] = (hid(i, j), vid(i + 1, j),
-                                      hid(i, j + 1), vid(i, j))
-
-    def elem_id(self, ix: int, iy: int) -> int:
-        return iy * self.nx + ix
+        e = np.arange(self.n_elements)
+        west = e + e // nx                     # vertical edge left of element e
+        self.elem_edges = np.column_stack([nv + e, west + 1, nv + e + nx, west])
 
     def elem_box(self, e):
         """(xl, yl, xh, yh) of element e, or arrays of them for an id array."""
@@ -135,19 +98,18 @@ class EdgeCut:
 
 @dataclass
 class ElementTag:
-    """Classification record for one element."""
+    """Classification record of one interface element."""
 
-    kind: str                      # "plain" or "interface"
-    side: int = 0                  # +1/-1 for plain elements
-    interval: tuple | None = None  # fictitious [xi0, xi1] for interface elements
-    cuts: list = field(default_factory=list)
+    interval: tuple                # fictitious [xi0, xi1]
+    cuts: list
 
 
 class MeshTags:
     """Classification of a mesh against one interface chart."""
 
-    def __init__(self, tags, edge_cuts, chart):
-        self.tags = tags
+    def __init__(self, tags, interface, edge_cuts, chart):
+        self.tags = tags             # per element: its side +-1 if plain, 0 if cut
+        self.interface = interface   # interface element -> ElementTag, in element order
         self.edge_cuts = edge_cuts   # edge id -> sorted list of EdgeCut
         self.chart = chart
 
@@ -157,11 +119,11 @@ class MeshTags:
 
     @property
     def interface_elements(self):
-        return [e for e, t in enumerate(self.tags) if t.kind == "interface"]
+        return list(self.interface)
 
     @property
     def n_interface(self):
-        return sum(1 for t in self.tags if t.kind == "interface")
+        return len(self.interface)
 
     def summary(self) -> dict:
         return {
@@ -270,20 +232,15 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     gridpts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
     eta_grid = chart.signed_distance_estimate(gridpts).reshape(mesh.nx + 1, mesh.ny + 1)
 
-    tags: list[ElementTag | None] = [None] * mesh.n_elements
-    candidates = []
-    for e in range(mesh.n_elements):
-        ix, iy = e % mesh.nx, e // mesh.nx
-        eta_c = np.array([eta_grid[ix, iy], eta_grid[ix + 1, iy],
-                          eta_grid[ix + 1, iy + 1], eta_grid[ix, iy + 1]])
-        # quick reject: all corners far on one side
-        if np.min(np.abs(eta_c)) > 1.000001 * mesh.h:
-            tags[e] = ElementTag(kind="plain", side=1 if eta_c[0] > 0 else -1)
-        else:
-            candidates.append((e, eta_c))
+    # corner offsets of every element in boundary order; quick reject: all
+    # corners far on one side
+    eta_c = np.stack([eta_grid[:-1, :-1], eta_grid[1:, :-1], eta_grid[1:, 1:],
+                      eta_grid[:-1, 1:]], axis=-1).transpose(1, 0, 2).reshape(-1, 4)
+    tags = np.where(eta_c[:, 0] > 0, 1, -1)
+    candidates = np.flatnonzero(~(np.min(np.abs(eta_c), axis=1) > 1.000001 * mesh.h)).tolist()
 
     # offsets at the samples of every candidate edge, one row per edge
-    edges = list(dict.fromkeys(int(k) for e, _ in candidates for k in mesh.elem_edges[e]))
+    edges = list(dict.fromkeys(mesh.elem_edges[candidates].ravel().tolist()))
     row = {k: i for i, k in enumerate(edges)}
     ts = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
     a, b = mesh.edge_a[edges], mesh.edge_b[edges]
@@ -310,7 +267,7 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
         found.sort(key=lambda c: c.t)
 
     interface = []
-    for e, eta_c in candidates:
+    for e in candidates:
         cuts = [c for k in mesh.elem_edges[e] for c in edge_cuts[k]]
         # merge crossings that coincide at a shared corner
         unique = []
@@ -323,8 +280,7 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
         has_neg = bool(np.any(eta_all < -zero_tol))
 
         if not (has_pos and has_neg):
-            side = 1 if (has_pos or eta_c.mean() > 0) else -1
-            tags[e] = ElementTag(kind="plain", side=side)
+            tags[e] = 1 if (has_pos or eta_c[e].mean() > 0) else -1
             continue
         if len(unique) < 2:
             # a crossing can sit exactly on a corner/node, inside the zero
@@ -344,6 +300,8 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
         interface.append((e, unique))
 
     corners = np.array([mesh.elem_corners(e) for e, _ in interface]).reshape(-1, 4, 2)
+    tags[[e for e, _ in interface]] = 0
+    records = {}
     for (e, unique), xi0, xi1 in zip(interface, *chart.fictitious_intervals(corners)):
         xi0, xi1 = float(xi0), float(xi1)
         if curve.periodic:
@@ -357,6 +315,6 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
         for c in local:
             if not (xi0 <= c.xi <= xi1):
                 xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
-        tags[e] = ElementTag(kind="interface", interval=(xi0, xi1), cuts=local)
+        records[e] = ElementTag(interval=(xi0, xi1), cuts=local)
 
-    return MeshTags(tags, edge_cuts, chart)
+    return MeshTags(tags, records, edge_cuts, chart)

@@ -203,7 +203,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet, q_vol=None, q_edge=None
     F = np.zeros(layout.total)
 
     for e in range(mesh.n_elements):
-        basis = spaces.bases[e]
+        basis = spaces.basis(e)
         dofs = layout.dofs(e)
         K = np.zeros((basis.n_basis, basis.n_basis))
         Fe = np.zeros(basis.n_basis)
@@ -226,7 +226,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet, q_vol=None, q_edge=None
             beta = float(spaces.beta_of(side))
             V, B, D = [], [], []
             for e, _sign in members:
-                vals, grads = spaces.bases[e].evaluate(pts, side=side)
+                vals, grads = spaces.basis(e).evaluate(pts, side=side)
                 V.append(vals)
                 B.append(beta * np.einsum("bpk,k->bp", grads, n_e))
                 D.append(layout.dofs(e))
@@ -252,7 +252,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet, q_vol=None, q_edge=None
 
 
 def _loop_uh(spaces, coef, e, pts, side):
-    vals, grads = spaces.bases[e].evaluate(pts, side=side)
+    vals, grads = spaces.basis(e).evaluate(pts, side=side)
     c = coef[spaces.layout.dofs(e)]
     return c @ vals, np.einsum("b,bpk->pk", c, grads)
 
@@ -308,7 +308,7 @@ def loop_trace_constant(spaces, e, q_vol=None, q_edge=None):
     m = spaces.m
     q_vol = q_vol if q_vol is not None else m + 2
     q_edge = q_edge if q_edge is not None else m + 3
-    basis = spaces.bases[e]
+    basis = spaces.basis(e)
     A = np.zeros((basis.n_basis, basis.n_basis))
     B = np.zeros_like(A)
     for rule, side in spaces.element_rules(e, q_vol):
@@ -332,7 +332,7 @@ def loop_project_l2(u, spaces, q=None):
     q = q if q is not None else spaces.m + 2
     out = np.zeros(spaces.layout.total)
     for e in range(spaces.mesh.n_elements):
-        basis = spaces.bases[e]
+        basis = spaces.basis(e)
         M = np.zeros((basis.n_basis, basis.n_basis))
         rhs = np.zeros(basis.n_basis)
         for rule, side in spaces.element_rules(e, q):
@@ -503,6 +503,81 @@ def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
     return float(t), float(xi), edge_point(t)
 
 
+def loop_rect_mesh(box, nx, ny):
+    """RectMesh's edge and element-edge arrays as they were built before the
+    index arithmetic: one Python loop over every edge and every element."""
+    from types import SimpleNamespace
+
+    self = SimpleNamespace()
+    x0, x1, y0, y1 = map(float, box)
+    self.nx, self.ny = int(nx), int(ny)
+    self.dx = (x1 - x0) / nx
+    self.dy = (y1 - y0) / ny
+    self.n_elements = nx * ny
+
+    def elem_id(ix, iy):
+        return iy * self.nx + ix
+
+    self.elem_id = elem_id
+
+    nv = (nx + 1) * ny      # vertical edges
+    nh = nx * (ny + 1)      # horizontal edges
+    self.n_edges = nv + nh
+    a = np.zeros((self.n_edges, 2))
+    b = np.zeros((self.n_edges, 2))
+    normal = np.zeros((self.n_edges, 2))
+    elems = np.full((self.n_edges, 2), -1, dtype=int)
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    def hid(i, j):
+        return nv + j * nx + i
+
+    for j in range(ny):
+        for i in range(nx + 1):
+            k = vid(i, j)
+            a[k] = (x0 + i * self.dx, y0 + j * self.dy)
+            b[k] = (x0 + i * self.dx, y0 + (j + 1) * self.dy)
+            if i == 0:
+                normal[k] = (-1.0, 0.0)
+                elems[k, 0] = self.elem_id(0, j)
+            elif i == nx:
+                normal[k] = (1.0, 0.0)
+                elems[k, 0] = self.elem_id(nx - 1, j)
+            else:
+                normal[k] = (1.0, 0.0)
+                elems[k] = (self.elem_id(i - 1, j), self.elem_id(i, j))
+    for j in range(ny + 1):
+        for i in range(nx):
+            k = hid(i, j)
+            a[k] = (x0 + i * self.dx, y0 + j * self.dy)
+            b[k] = (x0 + (i + 1) * self.dx, y0 + j * self.dy)
+            if j == 0:
+                normal[k] = (0.0, -1.0)
+                elems[k, 0] = self.elem_id(i, 0)
+            elif j == ny:
+                normal[k] = (0.0, 1.0)
+                elems[k, 0] = self.elem_id(i, ny - 1)
+            else:
+                normal[k] = (0.0, 1.0)
+                elems[k] = (self.elem_id(i, j - 1), self.elem_id(i, j))
+
+    self.edge_a, self.edge_b = a, b
+    self.edge_normal = normal
+    self.edge_elems = elems
+    self.edge_is_boundary = elems[:, 1] < 0
+    self.edge_length = np.linalg.norm(b - a, axis=1)
+
+    self.elem_edges = np.zeros((self.n_elements, 4), dtype=int)
+    for j in range(ny):
+        for i in range(nx):
+            e = self.elem_id(i, j)
+            self.elem_edges[e] = (hid(i, j), vid(i + 1, j),
+                                  hid(i, j + 1), vid(i, j))
+    return self
+
+
 def loop_classify(mesh, chart, edge_samples=33):
     """classify_elements as it was before the level-wide phases: every edge,
     element, bisection step and fictitious interval queries the chart on its
@@ -523,7 +598,7 @@ def loop_classify(mesh, chart, edge_samples=33):
     eta_grid = chart.signed_distance_estimate(gridpts).reshape(mesh.nx + 1, mesh.ny + 1)
 
     edge_cuts = {}
-    tags = []
+    tags, interface = [], {}
     ts = np.linspace(0.0, 1.0, edge_samples)
 
     def cuts_of_edge(k):
@@ -547,7 +622,7 @@ def loop_classify(mesh, chart, edge_samples=33):
         eta_c = np.array([eta_grid[ix, iy], eta_grid[ix + 1, iy],
                           eta_grid[ix + 1, iy + 1], eta_grid[ix, iy + 1]])
         if np.min(np.abs(eta_c)) > 1.000001 * mesh.h:
-            tags.append(ElementTag(kind="plain", side=1 if eta_c[0] > 0 else -1))
+            tags.append(1 if eta_c[0] > 0 else -1)
             continue
         cuts = []
         for k in mesh.elem_edges[e]:
@@ -563,7 +638,7 @@ def loop_classify(mesh, chart, edge_samples=33):
         has_neg = bool(np.any(eta_all < -zero_tol))
         if not (has_pos and has_neg):
             side = 1 if (has_pos or eta_c.mean() > 0) else -1
-            tags.append(ElementTag(kind="plain", side=side))
+            tags.append(side)
             continue
         if len(unique) < 2:
             for idx in np.where(np.abs(eta_all) <= zero_tol)[0]:
@@ -585,8 +660,9 @@ def loop_classify(mesh, chart, edge_samples=33):
         for c in local:
             if not (xi0 <= c.xi <= xi1):
                 xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
-        tags.append(ElementTag(kind="interface", interval=(xi0, xi1), cuts=local))
-    return MeshTags(tags, edge_cuts, chart)
+        tags.append(0)
+        interface[e] = ElementTag(interval=(xi0, xi1), cuts=local)
+    return MeshTags(np.array(tags), interface, edge_cuts, chart)
 
 
 # per-element reference loops for the X0 block and the weak residuals

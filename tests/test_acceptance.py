@@ -67,7 +67,7 @@ def test_criterion_2_exact_conformity(spaces16):
         chart = spaces.chart
         for e in spaces.tags.interface_elements:
             b = spaces.bases[e]
-            xa, xb = sorted(c.xi for c in spaces.tags.tags[e].cuts)
+            xa, xb = sorted(c.xi for c in spaces.tags.interface[e].cuts)
             xs = np.linspace(xa + 1e-10, xb - 1e-10, 50)
             pts = chart.curve.point(xs)
             n = frenet_apparatus(chart.curve, xs).n
@@ -220,7 +220,7 @@ def test_criterion_10_quadrature_integrity():
 
     worst_add = 0.0
     for e in tags.interface_elements:
-        rules = cut_cell_rules(mesh, e, tags.tags[e], chart, q=8)
+        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
         full = gauss_rect(mesh.elem_box(e), 6)
         split = sum(r.weights @ poly(r.points) for r in rules.values())
         whole = full.weights @ poly(full.points)
@@ -228,7 +228,7 @@ def test_criterion_10_quadrature_integrity():
 
     mesh1 = build_mesh((0.25, 0.75, 0.0, 0.5), 1)
     tags1 = classify_elements(mesh1, chart)
-    rules = cut_cell_rules(mesh1, 0, tags1.tags[0], chart, q=10)
+    rules = cut_cell_rules(mesh1, 0, tags1.interface[0], chart, q=10)
     oracle = disk_box_area(0.0, 0.0, 0.6, (0.25, 0.0, 0.75, 0.5))
     area_err = abs(rules[-1].weights.sum() - oracle)
     ok = worst_add <= 1e-12 and area_err <= 1e-10

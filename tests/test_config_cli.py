@@ -74,6 +74,23 @@ def test_cli_invalid_beta_exits_2(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("override", [
+    {"quad": {"volume": 0}}, {"quad": {"volume": -1}}, {"quad": {"volume": 2.5}},
+    {"quad": None}, {"case": None},
+    {"beta_minus": "1"}, {"sigma0": [1]},
+    {"interface": {"kind": "circle", "radius": "0.6"}},
+    {"interface": {"kind": "circle", "radius": 0.6, "centre": [0.0, 0.0]}},
+    {"quad": {"vol": 9}}, {"case": {"kind": "circle_power", "p": 4, "q": 2}},
+], ids=lambda o: json.dumps(o))
+def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, override):
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "o"
+    cfg.write_text(json.dumps({**override, "out_dir": str(out)}))
+    assert main(["solve", "--config", str(cfg), "--mesh", "8"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
 def test_cli_solve_writes_artifacts(tmp_path, monkeypatch):
     assembled = []
 
@@ -131,6 +148,16 @@ def test_cli_convergence_rows_and_determinism(tmp_path):
     assert len(lines) == 3        # header + 2 rows
     rep = json.loads((out1 / "convergence_report.json").read_text())
     assert len(rep["rates_l2"]) == 1
+
+
+def test_cli_convergence_with_given_sigma0_reports_no_trace_constant(tmp_path):
+    # the trace probe runs only for an automatic penalty
+    out = tmp_path / "c"
+    assert main(["convergence", "--mesh", "8", "--degree", "1", "--sigma0", "5",
+                 "--out", str(out)]) == 0
+    rep = json.loads((out / "convergence_report.json").read_text())
+    assert rep["sigma0"] == 5.0
+    assert np.isnan(rep["trace_constant"])
 
 
 def test_cli_probe_geometry(tmp_path):

@@ -222,7 +222,7 @@ def test_xi_monotone_along_interface_element_edges(curve, box, n):
     ts = np.linspace(0.0, 1.0, 65)
     for e in elems:
         c = mesh.elem_corners(e)
-        anchor = 0.5 * sum(tags.tags[e].interval)
+        anchor = 0.5 * sum(tags.interface[e].interval)
         for k in range(4):
             pts = c[k] + np.multiply.outer(ts, c[(k + 1) % 4] - c[k])
             _, xi = chart.inverse(pts, xi_anchor=anchor)

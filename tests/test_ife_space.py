@@ -11,7 +11,7 @@ from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces,
                                   space_diagnostics, _l_operator_series,
                                   _legendre_rows, _weak_residuals)
 from frenet_ife.laplacian import FrenetLaplacian
-from frenet_ife.mesh import build_mesh, classify_elements
+from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
 
 from oracles import (composite_simpson, loop_build_x0, loop_interface_jumps,
                      loop_weak_residuals)
@@ -102,7 +102,6 @@ def test_x0_line_m2_against_explicit_matrix():
 class _FakeTag:
     def __init__(self, interval):
         self.interval = interval
-        self.kind = "interface"
         self.cuts = []
 
 
@@ -138,7 +137,7 @@ def test_line_interface_eta_over_beta_shape():
     chart = FrenetChart(line, h=1.2)
     mesh = build_mesh((0, 1, -0.4, 0.6), 1)
     tags = classify_elements(mesh, chart)
-    assert tags.tags[0].kind == "interface"
+    assert tags.tags[0] == 0
     bm, bp = 2.0, 5.0
     spaces = build_spaces(mesh, tags, chart, 1, bm, bp)
     b = spaces.bases[0]
@@ -230,7 +229,7 @@ def test_physical_conformity(circle_spaces):
     chart = spaces.chart
     for e in spaces.tags.interface_elements[:6]:
         b = spaces.bases[e]
-        tag = spaces.tags.tags[e]
+        tag = spaces.tags.interface[e]
         xa, xb = sorted(c.xi for c in tag.cuts)
         xs = np.linspace(xa + 1e-9, xb - 1e-9, 50)
         pts = chart.curve.point(xs)
@@ -260,7 +259,7 @@ def test_small_cut_sliver_robustness():
     mesh = build_mesh(box, 1)
     chart = FrenetChart(circle(r0), h=0.25 * np.sqrt(2))
     tags = classify_elements(mesh, chart)
-    assert tags.tags[0].kind == "interface"
+    assert tags.tags[0] == 0
     spaces = build_spaces(mesh, tags, chart, 2, 1.0, 10.0)
     b = spaces.bases[0]
     g = b.gram_fictitious()
@@ -270,14 +269,14 @@ def test_small_cut_sliver_robustness():
     # the tiny piece is still integrated consistently
     from frenet_ife.quadrature import cut_cell_rules
 
-    rules = cut_cell_rules(mesh, 0, tags.tags[0], chart, q=8)
+    rules = cut_cell_rules(mesh, 0, tags.interface[0], chart, q=8)
     oracle = disk_box_area(0, 0, r0, (box[0], box[2], box[1], box[3]))
     assert rules[-1].weights.sum() == pytest.approx(oracle, rel=1e-6)
     assert rules[-1].weights.sum() / (s * s) == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_tensor_basis_partition_of_unity_and_gradients():
-    basis = TensorBasis((0.2, -0.1, 0.7, 0.4), m=2, side=1)
+    basis = TensorBasis((0.2, -0.1, 0.7, 0.4), m=2)
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(0.2, 0.7, 40), rng.uniform(-0.1, 0.4, 40)])
     vals, grads = basis.evaluate(pts)
@@ -314,8 +313,24 @@ def test_projection_reproduces_members_and_constants(circle_spaces):
     for ee in (0, e):
         pts = np.column_stack([rng.uniform(*spaces.mesh.elem_box(ee)[0::2], 10),
                                rng.uniform(*spaces.mesh.elem_box(ee)[1::2], 10)])
-        vals, _ = spaces.bases[ee].evaluate(pts)
+        vals, _ = spaces.basis(ee).evaluate(pts)
         assert np.max(np.abs(ones[spaces.layout.dofs(ee)] @ vals - 1.0)) <= 1e-11
+
+
+def test_setup_builds_per_element_objects_for_cut_elements_only(monkeypatch):
+    # plain elements are rows of arrays: no tensor basis or tag of their own
+    built = {"TensorBasis": 0, "ElementTag": 0}
+    for cls in (TensorBasis, ElementTag):
+        def counted(self, *args, _orig=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    spaces = setup_level(manufactured_circle(0.6, 1.0, 10.0, p=4), (-1, 1, -1, 1), 32, 2)
+    tags = spaces.tags
+    assert tags.n_interface > 0
+    assert built == {"TensorBasis": 0, "ElementTag": tags.n_interface}
+    assert set(spaces.bases) == set(tags.interface_elements)
 
 
 def test_dimension_mismatch_names_the_element():
@@ -343,7 +358,7 @@ def level(request):
     mesh = build_mesh(box, n)
     chart = FrenetChart(curve, h=mesh.h)
     tags = classify_elements(mesh, chart)
-    return mesh, chart, tags, {e: tags.tags[e].interval for e in tags.interface_elements}
+    return mesh, chart, tags, {e: t.interval for e, t in tags.interface.items()}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

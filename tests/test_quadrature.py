@@ -96,7 +96,7 @@ def test_cut_cell_additivity_q5(circle_setup):
         return np.einsum("ni,ij,nj->n", vx, coef, vy)
 
     for e in tags.interface_elements:
-        rules = cut_cell_rules(mesh, e, tags.tags[e], chart, q=8)
+        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
         full = gauss_rect(mesh.elem_box(e), 6)
         split = sum(r.weights @ poly(r.points) for r in rules.values())
         whole = full.weights @ poly(full.points)
@@ -109,8 +109,8 @@ def test_cut_cell_area_against_adaptive_subdivision_oracle():
     mesh = build_mesh((0.25, 0.75, 0.0, 0.5), 1)
     chart = FrenetChart(circle(0.6), h=0.3)
     tags = classify_elements(mesh, chart)
-    assert tags.tags[0].kind == "interface"
-    rules = cut_cell_rules(mesh, 0, tags.tags[0], chart, q=10)
+    assert tags.tags[0] == 0
+    rules = cut_cell_rules(mesh, 0, tags.interface[0], chart, q=10)
     area_inside = rules[-1].weights.sum()
     oracle = disk_box_area(0.0, 0.0, 0.6, (0.25, 0.0, 0.75, 0.5))
     assert area_inside == pytest.approx(oracle, abs=1e-10)
@@ -124,7 +124,7 @@ def test_cut_cell_q_refinement_converges(circle_setup):
     oracle = disk_box_area(0.0, 0.0, 0.6, (box[0], box[1], box[2], box[3]))
     errs = []
     for q in (2, 4, 8):
-        rules = cut_cell_rules(mesh, e, tags.tags[e], chart, q=q)
+        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=q)
         errs.append(abs(rules[-1].weights.sum() - oracle))
     assert errs[2] <= 1e-10
     assert errs[0] > errs[2]
@@ -135,8 +135,8 @@ def test_line_cut_trapezoids_exact():
     chart = FrenetChart(line, h=2.0)
     mesh = build_mesh((0, 1, 0, 1), 1)
     tags = classify_elements(mesh, chart)
-    assert tags.tags[0].kind == "interface"
-    rules = cut_cell_rules(mesh, 0, tags.tags[0], chart, q=3)
+    assert tags.tags[0] == 0
+    rules = cut_cell_rules(mesh, 0, tags.interface[0], chart, q=3)
     # below the line is the plus side (normal points downward)
     area_below = 0.5 * (0.1 + 0.4)
     assert rules[1].weights.sum() == pytest.approx(area_below, abs=1e-14)
@@ -160,7 +160,7 @@ def test_cut_cell_tiling_with_edge_lune_and_corner_crossing():
 
     assert tags.n_interface > 0
     for e in tags.interface_elements:
-        rules = cut_cell_rules(mesh, e, tags.tags[e], chart, q=8)
+        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
         full = gauss_rect(mesh.elem_box(e), 5)
         split = sum(r.weights @ poly(r.points) for r in rules.values())
         whole = full.weights @ poly(full.points)
@@ -178,7 +178,7 @@ def test_cut_cell_tiling_on_thin_crescents():
     area = mesh.dx * mesh.dy
     assert tags.n_interface > 0
     for e in tags.interface_elements:
-        rules = cut_cell_rules(mesh, e, tags.tags[e], chart, q=8)
+        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
         total = sum(r.weights.sum() for r in rules.values())
         assert total == pytest.approx(area, abs=1e-13)
         for r in rules.values():
@@ -189,16 +189,15 @@ def test_whole_mesh_cut_areas_sum_to_disk(circle_setup):
     mesh, chart, tags = circle_setup
     total_inside = 0.0
     for e in range(mesh.n_elements):
-        t = tags.tags[e]
-        if t.kind == "interface":
-            rules = cut_cell_rules(mesh, e, t, chart, q=10)
+        if tags.tags[e] == 0:
+            rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=10)
             total_inside += rules[-1].weights.sum()
             area = (mesh.dx * mesh.dy)
             assert rules[1].weights.sum() > 0
             assert rules[-1].weights.sum() > 0
             assert rules[1].weights.sum() + rules[-1].weights.sum() == \
                 pytest.approx(area, abs=1e-11)
-        elif t.side == -1:
+        elif tags.tags[e] == -1:
             total_inside += mesh.dx * mesh.dy
     assert total_inside == pytest.approx(np.pi * 0.36, abs=1e-9)
 
@@ -219,11 +218,11 @@ def test_degenerate_partition_names_the_element(monkeypatch, failure):
         # a chart that puts every point on the + side labels both pieces +1
         monkeypatch.setattr(chart, "signed_distance_estimate", lambda pts: np.ones(len(pts)))
         message = "both sub-regions landed on the same side"
-    level = {k: tags.tags[k] for k in tags.interface_elements}
+    level = dict(tags.interface)
     with pytest.raises(DegeneratePartition, match=rf"^element {e}: {message}"):
         level_cut_cell_rules(mesh, level, chart, 4)
     with pytest.raises(DegeneratePartition, match=rf"^element {e}: {message}"):
-        cut_cell_rules(mesh, e, tags.tags[e], chart, 4)
+        cut_cell_rules(mesh, e, tags.interface[e], chart, 4)
 
 
 # (curve, box, n, chart h) of the level oracle: thin crescents off the centre,
@@ -261,7 +260,7 @@ def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
         mesh = build_mesh(box, n)
         chart = FrenetChart(curve, h=h or mesh.h)
         tags = classify_elements(mesh, chart)
-        level = {e: tags.tags[e] for e in tags.interface_elements}
+        level = dict(tags.interface)
         for q in (3, 4, 5, 6):
             rules = level_cut_cell_rules(mesh, level, chart, q)
             assert list(rules) == list(level)

@@ -21,7 +21,7 @@ from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
 from frenet_ife.curves import circle, ellipse
 from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import build_spaces, project_l2
-from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
+from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_edge_rule
 
 from oracles import (loop_assemble, loop_error_norms, loop_evaluate, loop_project_l2,
@@ -38,7 +38,9 @@ def _spaces(curve, n, m, relabel=False):
     if relabel:
         # one cut element carries the plain Q^m basis, so plain values are
         # also needed on the segments of cut faces, at points no whole face has
-        tags.tags[tags.interface_elements[0]] = ElementTag(kind="plain", side=1)
+        e = tags.interface_elements[0]
+        del tags.interface[e]
+        tags.tags[e] = 1
     return build_spaces(mesh, tags, chart, m, 1.0, 10.0)
 
 
@@ -102,7 +104,7 @@ def test_table_matches_element_loops(n, m, relabel):
     # interface element, and the plain elements that are not the first member
     # of their group, which the probe evaluates on their own points
     mesh = spaces.mesh
-    plain = [e for e in range(mesh.n_elements) if spaces.bases[e].kind == "plain"]
+    plain = np.flatnonzero(spaces.tags.tags).tolist()
     cut_faced = [e for e in plain
                  if any(spaces.tags.edge_cuts.get(k) for k in mesh.elem_edges[e])]
     assert len(cut_faced) == int(relabel)
@@ -145,7 +147,7 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
     for e, pts, side, got in read:
         # interface values: the stacked kernel on the table and on one row,
         # against the per-side evaluation it replaced
-        one = spaces.bases[e].evaluate(pts, side=side)
+        one = spaces.basis(e).evaluate(pts, side=side)
         ref = loop_evaluate(spaces.bases[e], pts, side) if e in spaces.tags.interface_elements \
             else one
         assert all(np.array_equal(a, b) and np.array_equal(c, b)

@@ -29,11 +29,11 @@ def test_random_interface_placements(seed):
         spaces = build_spaces(mesh, tags, chart, 2, 1.0, 10.0)
         assert tags.n_interface > 0
         for e in tags.interface_elements:
-            rules = cut_cell_rules(mesh, e, tags.tags[e], chart, q=6)
+            rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=6)
             total = sum(r.weights.sum() for r in rules.values())
             assert total == pytest.approx(area, abs=1e-12)
             b = spaces.bases[e]
-            t = tags.tags[e]
+            t = tags.interface[e]
             xa, xb = sorted(c.xi for c in t.cuts)
             xs = np.linspace(xa + 1e-9, xb - 1e-9, 10)
             pts = curve.point(xs)
