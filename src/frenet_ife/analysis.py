@@ -91,22 +91,20 @@ def case_jump_residuals(case: ManufacturedCase, chart: FrenetChart, n_pts: int =
 # error norms
 
 
-def _volume_errors(coef, case: ManufacturedCase, spaces: SpaceSet, q):
+def _volume_errors(coef, case: ManufacturedCase, spaces: SpaceSet):
     """Per volume group: (weights, beta, u - u_h, grad(u - u_h)) at its
     points, each shaped per element (E, nq, ...).  u_h takes one vector-matrix
     product per element, as an element loop would, so no rounding of it is
     amplified by the cancellation in u - u_h."""
     C = coef.reshape(spaces.mesh.n_elements, -1)
-    for elems, pts, w, side, vals, grads in spaces.volume_groups(q):
+    for elems, pts, w, side, vals, grads in spaces.volume_groups():
         c, flat = C[elems], pts.reshape(-1, 2)
         yield (w, float(spaces.beta_of(side)),
                case.u(flat, side).reshape(w.shape) - (c[:, None] @ vals)[:, 0],
                case.grad(flat, side).reshape(pts.shape) - np.einsum("eb,bpk->epk", c, grads))
 
 
-def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet,
-                sigma0: float, q_vol: int | None = None,
-                q_edge: int | None = None) -> dict:
+def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet, sigma0: float) -> dict:
     """L2, broken and energy norms of u - u_h with cut-aware quadrature.
 
     The flux-average terms use the exact gradients of the case on the
@@ -117,13 +115,13 @@ def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet,
     pen = sigma0 * gamma / mesh.h
 
     l2_sq = grad_sq = 0.0
-    for w, beta, du, dg in _volume_errors(coef, case, spaces, q_vol):
+    for w, beta, du, dg in _volume_errors(coef, case, spaces):
         l2_sq += np.sum(w * du**2)
         grad_sq += beta * np.sum(w * np.einsum("epk,epk->ep", dg, dg))
 
     C = coef.reshape(mesh.n_elements, -1)
     jump_sq = flux_sq = 0.0
-    for ks, pts, w, side, members in spaces.edge_groups(q_edge):
+    for ks, pts, w, side, members in spaces.edge_groups():
         n_e = mesh.edge_normal[ks[0]]
         avg = 1.0 if mesh.edge_is_boundary[ks[0]] else 0.5
         beta = float(spaces.beta_of(side))
@@ -175,18 +173,17 @@ class ErrorReport:
         return out
 
 
-def setup_level(case: ManufacturedCase, box, n: int, m: int,
-                line_q: int | None = None):
+def setup_level(case: ManufacturedCase, box, n: int, m: int, quad: dict | None = None):
+    """The level n of the case at degree m, its quadrature orders from the
+    config's quad block (None: the degree defaults)."""
     mesh = build_mesh(box, n)
     chart = FrenetChart(case.curve, h=mesh.h)
     tags = classify_elements(mesh, chart)
-    return build_spaces(mesh, tags, chart, m, case.beta_minus, case.beta_plus,
-                        line_q)
+    return build_spaces(mesh, tags, chart, m, case.beta_minus, case.beta_plus, quad)
 
 
 def convergence_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
-                      sigma0="auto", q_vol=None, q_edge=None,
-                      line_q=None) -> ErrorReport:
+                      sigma0="auto", quad=None) -> ErrorReport:
     """Solve on a 2:1 refinement chain and tabulate errors and rates.
 
     An "auto" penalty is probed once on the coarsest level and reused, so
@@ -195,13 +192,13 @@ def convergence_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
     report = ErrorReport()
     sig = sigma0
     for n in ns:
-        spaces = setup_level(case, box, n, m, line_q)
+        spaces = setup_level(case, box, n, m, quad)
         if sig == "auto":
-            sig, ct = auto_sigma0(spaces, q_vol, q_edge)
+            sig, ct = auto_sigma0(spaces)
             report.trace_constant = ct
-        system = assemble(spaces, sig, case.f, case.dirichlet, q_vol, q_edge)
+        system = assemble(spaces, sig, case.f, case.dirichlet)
         coef = solve(system, pd_check=False)
-        errs = error_norms(coef, case, spaces, sig, q_vol, q_edge)
+        errs = error_norms(coef, case, spaces, sig)
         report.ns.append(n)
         report.hs.append(spaces.mesh.h)
         report.n_dofs.append(spaces.layout.total)
@@ -211,15 +208,17 @@ def convergence_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
 
 
 def projection_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
-                     q_vol=None, line_q=None) -> dict:
-    """L2-projection error orders: L2 and broken H1, per refinement level."""
-    m_q = q_vol if q_vol is not None else m + 3
+                     quad=None) -> dict:
+    """L2-projection error orders: L2 and broken H1, per refinement level;
+    the volume order defaults to m+3 here."""
+    quad = dict(quad or {})
+    quad["volume"] = quad.get("volume") or m + 3
     rows = []
     for n in ns:
-        spaces = setup_level(case, box, n, m, line_q)
-        coef = project_l2(case.u, spaces, q=m_q)
+        spaces = setup_level(case, box, n, m, quad)
+        coef = project_l2(case.u, spaces)
         l2_sq = h1_sq = 0.0
-        for w, _, du, dg in _volume_errors(coef, case, spaces, m_q):
+        for w, _, du, dg in _volume_errors(coef, case, spaces):
             l2_sq += np.sum(w * du**2)
             h1_sq += np.sum(w * np.einsum("epk,epk->ep", dg, dg))
         rows.append({"n": n, "h": spaces.mesh.h,
@@ -232,8 +231,10 @@ def projection_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
     return out
 
 
-def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1),
-                    grid: int = 6) -> dict:
+_PROBE_GRID = 6   # grid points per axis sampled in each interface element
+
+
+def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1)) -> dict:
     """Per-level maxima of the chart-vs-chord deviations and interval band.
 
     Reports ||T - id||, ||DT - I||_F, |det DT - 1| maxima over all interface
@@ -248,7 +249,7 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1),
         t_dev = dt_dev = det_dev = 0.0
         band_lo, band_hi = np.inf, -np.inf
         # one chart inverse for the grids of all interface elements
-        size = grid * grid
+        grid, size = _PROBE_GRID, _PROBE_GRID**2
         intervals = [t.interval for t in tags.interface.values()]
         grids = []
         for e in tags.interface:
@@ -286,12 +287,12 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1),
 
 
 def trace_probe_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
-                      line_q=None) -> dict:
+                      quad=None) -> dict:
     """Max/median normalized trace constants per level; raises
     FrenetIfeError on a level with no interface element."""
     levels = []
     for n in ns:
-        spaces = setup_level(case, box, n, m, line_q)
+        spaces = setup_level(case, box, n, m, quad)
         if not spaces.tags.interface_elements:
             raise FrenetIfeError(f"mesh n={n}: no interface element to probe; "
                                  "the interface does not cross the domain")
@@ -305,11 +306,11 @@ def trace_probe_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
 
 
 def coercivity_probe(case: ManufacturedCase, m: int, n: int,
-                     box=(-1, 1, -1, 1), sigma0="auto", line_q=None) -> dict:
+                     box=(-1, 1, -1, 1), sigma0="auto", quad=None) -> dict:
     """Assemble a small level and return the coercivity eigenvalue bound."""
     from .assembly import coercivity_ratio
 
-    spaces = setup_level(case, box, n, m, line_q)
+    spaces = setup_level(case, box, n, m, quad)
     if sigma0 == "auto":
         sigma0, ct = auto_sigma0(spaces)
     else:

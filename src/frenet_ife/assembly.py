@@ -48,12 +48,12 @@ def _stiffness(spaces: SpaceSet, side, weights, grads):
     return float(spaces.beta_of(side)) * np.einsum("bpk,p,cpk->bc", grads, weights, grads)
 
 
-def _edge_terms(spaces: SpaceSet, q_edge):
+def _edge_terms(spaces: SpaceSet):
     """Per edge group: (edges, points, weights, side, average weight,
     members [(sign, values, beta-weighted normal derivatives)])."""
     mesh = spaces.mesh
     terms = []
-    for ks, pts, w, side, members in spaces.edge_groups(q_edge):
+    for ks, pts, w, side, members in spaces.edge_groups():
         beta, n_e = float(spaces.beta_of(side)), mesh.edge_normal[ks[0]]
         terms.append((ks, pts, w, side, 1.0 if mesh.edge_is_boundary[ks[0]] else 0.5,
                       [(sign, vals, beta * np.einsum("bpk,k->bp", grads, n_e))
@@ -87,7 +87,6 @@ def _csr(spaces: SpaceSet, K, terms, block):
 
 
 def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
-             q_vol: int | None = None, q_edge: int | None = None,
              with_norm_grams: bool = False) -> SipdgSystem:
     """Assemble the penalized system; optionally also the norm Gram matrices.
 
@@ -103,7 +102,7 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
 
     K = np.zeros((mesh.n_elements, nl, nl))
     F = np.zeros(spaces.layout.total)
-    for elems, pts, w, side, vals, grads in spaces.volume_groups(q_vol):
+    for elems, pts, w, side, vals, grads in spaces.volume_groups():
         K[elems] += _stiffness(spaces, side, w[0], grads)
         for e, p, we in zip(elems, pts, w):
             F[e * nl:(e + 1) * nl] += vals @ (we * f_source(p, side))
@@ -113,7 +112,7 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
         return (-avg * sa * (Va * w) @ Bb.T - avg * sb * (Ba * w) @ Vb.T
                 + pen * sa * sb * (Va * w) @ Vb.T)
 
-    terms = _edge_terms(spaces, q_edge)
+    terms = _edge_terms(spaces)
     # Dirichlet data, added boundary edge by boundary edge in edge order
     dirichlet = []
     for ks, pts, w, side, _, members in terms:
@@ -165,8 +164,7 @@ def solve(system: SipdgSystem, pd_check: bool | None = None) -> np.ndarray:
     return c
 
 
-def trace_constant(spaces: SpaceSet, e: int,
-                   q_vol: int | None = None, q_edge: int | None = None) -> float:
+def trace_constant(spaces: SpaceSet, e: int) -> float:
     """Normalized trace constant of one element.
 
     Largest generalized eigenvalue of the boundary flux Gram against the
@@ -175,9 +173,9 @@ def trace_constant(spaces: SpaceSet, e: int,
     """
     mesh = spaces.mesh
     A = sum(_stiffness(spaces, side, w, grads)
-            for _, w, side, _, grads in spaces.element_values(e, q_vol))
+            for _, w, side, _, grads in spaces.element_values(e))
     B = sum(float(spaces.beta_of(side))**2 * np.einsum("bpk,p,cpk->bc", grads, w, grads)
-            for _, w, side, _, grads in spaces.element_values(e, q_edge, volume=False))
+            for _, w, side, _, grads in spaces.element_values(e, volume=False))
     lam, vecs = np.linalg.eigh(A)
     keep = lam > 1e-10 * lam[-1]
     if not np.any(keep):
@@ -189,8 +187,7 @@ def trace_constant(spaces: SpaceSet, e: int,
                  / spaces.beta_plus)
 
 
-def auto_sigma0(spaces: SpaceSet, q_vol: int | None = None,
-                q_edge: int | None = None) -> tuple[float, float]:
+def auto_sigma0(spaces: SpaceSet) -> tuple[float, float]:
     """Penalty from the trace probe: sigma0 = 4*max_K C_t(K)^2 + 1.
 
     Probes every interface element plus one uncut element; returns
@@ -198,7 +195,7 @@ def auto_sigma0(spaces: SpaceSet, q_vol: int | None = None,
     sigma0 > C_t^2 + 1/2 with margin.
     """
     elems = spaces.tags.interface_elements + np.flatnonzero(spaces.tags.tags)[:1].tolist()
-    ct = max(trace_constant(spaces, e, q_vol, q_edge) for e in elems)
+    ct = max(trace_constant(spaces, e) for e in elems)
     return 4.0 * ct**2 + 1.0, ct
 
 

@@ -61,34 +61,31 @@ REPORT_FIELDS = ["n", "h", "dofs", "l2", "norm_h", "energy",
                  "rate_l2", "rate_norm_h", "rate_energy"]
 
 
-def _min_cut_fraction(spaces, q_vol) -> float:
+def _min_cut_fraction(spaces) -> float:
     """Smallest sub-region area fraction over all interface elements."""
     area = spaces.mesh.dx * spaces.mesh.dy
     return min((float(rule.weights.sum()) / area
                 for e in spaces.tags.interface_elements
-                for rule, _side in spaces.pieces(e, q_vol)), default=1.0)
+                for rule, _side in spaces.pieces(e)), default=1.0)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     case = cfg.manufactured_case()
     n = cfg.mesh_sizes[0]
-    spaces = setup_level(case, cfg.domain, n, cfg.degree,
-                         line_q=cfg.quad.get("interface"))
+    spaces = setup_level(case, cfg.domain, n, cfg.degree, cfg.quad)
     sig = cfg.sigma0
     ct = float("nan")
     if sig == "auto":
-        sig, ct = auto_sigma0(spaces, cfg.quad.get("volume"), cfg.quad.get("edge"))
-    system = assemble(spaces, sig, case.f, case.dirichlet,
-                      cfg.quad.get("volume"), cfg.quad.get("edge"))
+        sig, ct = auto_sigma0(spaces)
+    system = assemble(spaces, sig, case.f, case.dirichlet)
     if getattr(cfg, "dump_system", False):
         import scipy.io
 
         scipy.io.mmwrite(str(out / "system_S.mtx"), system.S.tocsr())   # entries row by row, as CSR
         scipy.io.mmwrite(str(out / "system_F.mtx"), system.F[:, None])
     coef = solve(system, pd_check=False)
-    errs = error_norms(coef, case, spaces, sig,
-                       cfg.quad.get("volume"), cfg.quad.get("edge"))
+    errs = error_norms(coef, case, spaces, sig)
     np.save(out / "coefficients.npy", coef)
     row = {"n": n, "h": spaces.mesh.h, "dofs": spaces.layout.total, **errs,
            "rate_l2": float("nan"), "rate_norm_h": float("nan"),
@@ -101,7 +98,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if diag:
         _write_csv(out / "space_diagnostics.csv", diag, list(diag[0]))
     mesh_summary = spaces.tags.summary()
-    mesh_summary["min_cut_fraction"] = _min_cut_fraction(spaces, cfg.quad.get("volume"))
+    mesh_summary["min_cut_fraction"] = _min_cut_fraction(spaces)
     report = {"sigma0": float(sig), "trace_constant": ct,
               "mesh": mesh_summary, "errors": errs}
     (out / "solve_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
@@ -114,8 +111,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     case = cfg.manufactured_case()
     report = convergence_study(case, cfg.degree, cfg.mesh_sizes, cfg.domain,
-                               cfg.sigma0, cfg.quad.get("volume"),
-                               cfg.quad.get("edge"), cfg.quad.get("interface"))
+                               cfg.sigma0, cfg.quad)
     _write_csv(out / "errors.csv", report.rows(), REPORT_FIELDS)
     summary = {"sigma0": report.sigma0, "trace_constant": report.trace_constant,
                "rates_l2": report.rates("l2"), "rates_energy": report.rates("energy")}
@@ -140,8 +136,7 @@ def cmd_probe_geometry(cfg: RunConfig) -> int:
 def cmd_probe_trace(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     case = cfg.manufactured_case()
-    probes = trace_probe_study(case, cfg.degree, cfg.mesh_sizes, cfg.domain,
-                               line_q=cfg.quad.get("interface"))
+    probes = trace_probe_study(case, cfg.degree, cfg.mesh_sizes, cfg.domain, cfg.quad)
     (out / "trace_probes.json").write_text(
         json.dumps(probes, indent=2, sort_keys=True))
     print(f"trace constant max/min over levels: {probes['max_ratio']:.3f}")
@@ -152,7 +147,7 @@ def cmd_probe_coercivity(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     case = cfg.manufactured_case()
     probes = coercivity_probe(case, cfg.degree, cfg.mesh_sizes[0], cfg.domain,
-                              cfg.sigma0, line_q=cfg.quad.get("interface"))
+                              cfg.sigma0, cfg.quad)
     (out / "coercivity_probe.json").write_text(
         json.dumps(probes, indent=2, sort_keys=True))
     print(f"coercivity min ratio {probes['min_ratio']:.3f} "

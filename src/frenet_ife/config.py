@@ -39,8 +39,6 @@ class RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, val)
         cfg.domain = tuple(float(v) for v in cfg.domain)
-        cfg.mesh_sizes = [int(n) for n in cfg.mesh_sizes]
-        cfg.degree = int(cfg.degree)
         return cfg
 
     @classmethod
@@ -74,13 +72,14 @@ class RunConfig:
 
     def validate_run(self):
         """Raises ValueError on an unusable configuration, the case aside but
-        for the keys of its block.
+        for the keys of its block and the type of its p.  Integers must be
+        ints (not floats or bools); nothing is coerced.
 
         The mesh check bounds only h * max curvature, a local quantity; it
         does not bound the curve's bottleneck distance, so two distant arcs
         that come closer than the mesh size pass it.
         """
-        if self.degree not in (1, 2, 3):
+        if type(self.degree) is not int or self.degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
         if not (self.beta_plus >= self.beta_minus > 0):
             raise ValueError("need beta_plus >= beta_minus > 0")
@@ -95,11 +94,13 @@ class RunConfig:
                 raise ValueError(f"config key {name!r} takes an object with keys {sorted(keys)}")
         if not all(q is None or (type(q) is int and q >= 1) for q in self.quad.values()):
             raise ValueError("quad orders must be null or integers >= 1")
+        if type(self.case.get("p", 4)) is not int:
+            raise ValueError("case.p must be an integer")
         curve = self.curve()
         kmax = curve.max_curvature
         for n in self.mesh_sizes:
-            if n < 1:
-                raise ValueError("mesh sizes must be >= 1")
+            if type(n) is not int or n < 1:
+                raise ValueError("mesh sizes must be integers >= 1")
             side = max((x1 - x0) / n, (y1 - y0) / n)
             diag = float(np.hypot((x1 - x0) / n, (y1 - y0) / n))
             if kmax > 0 and side * kmax > 0.5:
@@ -121,4 +122,4 @@ class RunConfig:
         from .analysis import manufactured_circle
 
         return manufactured_circle(self.interface["radius"], self.beta_minus,
-                                   self.beta_plus, int(self.case.get("p", 4)))
+                                   self.beta_plus, self.case.get("p", 4))

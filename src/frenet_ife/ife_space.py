@@ -396,10 +396,11 @@ class DofLayout:
 
 class SpaceSet:
     """The bases of a classified mesh, the coefficient layout and the
-    level's quadrature table, keyed by Gauss order (default m+2 points per
-    axis on volumes, m+3 on edges).  Each part of the table is built once
-    for the whole level on its first read; volume_groups, edge_groups and
-    element_values read it, bit-identical to per-element evaluation:
+    level's quadrature table at the level's Gauss orders: q_vol points per
+    axis on volumes (default m+2) and q_edge on edges (default m+3).  Each
+    part of the table is built once for the whole level on its first read;
+    volume_groups, edge_groups and element_values read it, bit-identical to
+    per-element evaluation:
 
     - the interface pieces, from quadrature.level_cut_cell_rules;
     - the segment table: every segment of every edge, edge by edge in
@@ -413,17 +414,20 @@ class SpaceSet:
     """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
-                 m: int, beta_minus: float, beta_plus: float,
-                 line_q: int | None = None):
+                 m: int, beta_minus: float, beta_plus: float, quad: dict | None = None):
+        """quad: the config's {"volume", "edge", "interface"} Gauss orders; a
+        missing or None order takes its default (the interface's is build_x0's)."""
+        quad = {k: v for k, v in (quad or {}).items() if v is not None}
         self.mesh = mesh
         self.tags = tags
         self.chart = chart
         self.m = m
         self.beta_minus = float(beta_minus)
         self.beta_plus = float(beta_plus)
+        self.q_vol, self.q_edge = quad.get("volume", m + 2), quad.get("edge", m + 3)
         intervals = {e: t.interval for e, t in tags.interface.items()}
         self.bases = {}                  # interface element -> IfeBasis, in element order
-        for e, x0, scaling in zip(intervals, *build_x0(chart, intervals, m, line_q)):
+        for e, x0, scaling in zip(intervals, *build_x0(chart, intervals, m, quad.get("interface"))):
             self.bases[e] = IfeBasis.__new__(IfeBasis)
             self.bases[e]._set(chart, tags.interface[e], beta_minus, beta_plus, x0, scaling)
         self.layout = DofLayout(mesh.n_elements, (m + 1) ** 2)
@@ -445,66 +449,54 @@ class SpaceSet:
         rules = cut_cell_rules(self.mesh, e, self.tags.interface[e], self.chart, q)
         return [(rules[1], 1), (rules[-1], -1)]
 
-    def _level_rules(self, q: int):
-        """element_rules of every interface element, from one level kernel."""
-        rules = level_cut_cell_rules(self.mesh, self.tags.interface, self.chart, q)
-        return {e: [(r[1], 1), (r[-1], -1)] for e, r in rules.items()}
-
     # -- quadrature table --------------------------------------------------------
     def _cached(self, key, build):
         if key not in self._table:
             self._table[key] = build()
         return self._table[key]
 
-    def pieces(self, e: int, q: int | None = None):
-        """element_rules(e, q); those of all interface elements are built on
-        the first read of any and kept."""
-        q = q if q is not None else self.m + 2
-        if self.tags.tags[e]:
-            return self.element_rules(e, q)
-        return self._cached(("rules", q), lambda: self._level_rules(q))[e]
+    def pieces(self, e: int):
+        """element_rules(e, q_vol) of interface element e; those of all
+        interface elements are built on the first read of any and kept."""
+        return self._cached("rules", lambda: {
+            f: [(r[1], 1), (r[-1], -1)] for f, r in level_cut_cell_rules(
+                self.mesh, self.tags.interface, self.chart, self.q_vol).items()})[e]
 
-    def _span_table(self):
-        """Every segment of every edge, edge by edge in cut_edge_rule order:
-        per row its edge, (t0, t1) and branch label, the labels from one chart
-        query at all segment midpoints; and the first row of each edge."""
-        mesh = self.mesh
-        spans = {k: edge_spans(self.tags.interior_cuts(k)) for k in self.tags.edge_cuts}
-        count = np.ones(mesh.n_edges, dtype=int)
-        count[list(spans)] = [len(s) for s in spans.values()]
-        first = np.concatenate([[0], np.cumsum(count)])
-        edge = np.repeat(np.arange(mesh.n_edges), count)
-        t = np.tile([0.0, 1.0], (len(edge), 1))          # an uncut edge is one segment
-        for k, s in spans.items():
-            t[first[k]:first[k + 1]] = s
-        a, b = mesh.edge_a[edge], mesh.edge_b[edge]
-        eta = self.chart.signed_distance_estimate(a + 0.5 * (t[:, :1] + t[:, 1:]) * (b - a))
-        return edge, first, t, np.where(eta > 0, 1, -1)
-
-    def _rows(self, q: int):
-        """The segment table at Gauss order q: (edge, first row of each edge,
-        side, points (R, q, 2), weights (R, q)), with cut_edge_rule's
-        arithmetic on every row."""
-        edge, first, t, sides = self._cached("spans", self._span_table)
-        if ("segments", q) not in self._table:
-            (x, w), a, b = _gauss01(q), self.mesh.edge_a[edge, None], self.mesh.edge_b[edge, None]
-            t0, t1 = t[:, :1], t[:, 1:]
-            self._table["segments", q] = (a + (t0 + (t1 - t0) * x)[..., None] * (b - a),
-                                          ((t1 - t0) * self.mesh.edge_length[edge, None]) * w)
-        return (edge, first, sides, *self._table["segments", q])
+    def _segments(self):
+        """The segment table: every segment of every edge, edge by edge in
+        cut_edge_rule order and with its arithmetic at order q_edge: (edge,
+        first row of each edge, side, points (R, q, 2), weights (R, q)), the
+        sides from one chart query at all segment midpoints."""
+        def build():
+            mesh = self.mesh
+            spans = {k: edge_spans(self.tags.interior_cuts(k)) for k in self.tags.edge_cuts}
+            count = np.ones(mesh.n_edges, dtype=int)
+            count[list(spans)] = [len(s) for s in spans.values()]
+            first = np.concatenate([[0], np.cumsum(count)])
+            edge = np.repeat(np.arange(mesh.n_edges), count)
+            t = np.tile([0.0, 1.0], (len(edge), 1))          # an uncut edge is one segment
+            for k, s in spans.items():
+                t[first[k]:first[k + 1]] = s
+            a, b, t0, t1 = mesh.edge_a[edge], mesh.edge_b[edge], t[:, :1], t[:, 1:]
+            eta = self.chart.signed_distance_estimate(a + 0.5 * (t0 + t1) * (b - a))
+            (x, w), a, b = _gauss01(self.q_edge), a[:, None], b[:, None]
+            return (edge, first, np.where(eta > 0, 1, -1),
+                    a + (t0 + (t1 - t0) * x)[..., None] * (b - a),
+                    ((t1 - t0) * mesh.edge_length[edge, None]) * w)
+        return self._cached("segments", build)
 
     def segment_sides(self, k: int):
         """Branch labels of the segments of edge k, in cut_edge_rule order."""
-        _, first, _, sides = self._cached("spans", self._span_table)
+        _, first, sides, _, _ = self._segments()
         return sides[first[k]:first[k + 1]].tolist()
 
-    def _interface_values(self, q: int, volume: bool):
+    def _interface_values(self, volume: bool):
         """{(element, piece or row): (vals, grads)} of every interface element
         on _items: one chart inverse at all their points, each anchored at its
         interval midpoint, and one chart Jacobian there; then one stacked
         evaluation per size of piece or segment (a fan piece has 2 to 6 cells
         of q*q points), so no point is padded."""
-        parts = [i for e in self.tags.interface_elements for i in self._items(e, q, volume)]
+        parts = [i for e in self.tags.interface_elements for i in self._items(e, volume)]
         sizes = [len(p[1]) for p in parts]
         eta, xi = self.chart.inverse(np.concatenate([p[1] for p in parts]), xi_anchor=np.repeat(
             [self.bases[e].scaling.xi_c for (e, _), *_ in parts], sizes))
@@ -520,16 +512,16 @@ class SpaceSet:
             values.update((parts[i][0], (v, g)) for i, v, g in zip(idx, vals, grads))
         return values
 
-    def _plain_values(self, q: int, volume: bool):
+    def _plain_values(self, volume: bool):
         """{(element, piece or row): (vals, grads)} of the plain bases where
         the groups need them: on the first member of each plain group and on
         the segment rows outside the edge groups; from one 1D Lagrange
         evaluation at all their reference coordinates."""
-        groups = self._groups(q, volume)
+        groups = self._groups(volume)
         if volume:
             keys, pts = [(ids[0], 0) for ids, *_ in groups], [p[0] for _, p, *_ in groups]
         else:
-            edge, first, _, seg_pts, _ = self._rows(q)
+            edge, first, _, seg_pts, _ = self._segments()
             rows = [*(first[ks[0]] for ks, *_ in groups), *np.flatnonzero(~self._grouped_rows())]
             keys = [(f, r) for r in rows for f in self.mesh.edge_elems[edge[r]]
                     if f >= 0 and self.tags.tags[f]]
@@ -542,32 +534,32 @@ class SpaceSet:
         return {key: self.basis(key[0]).combine((v[:, 0, i], d[:, 0, i]), (v[:, 1, i], d[:, 1, i]))
                 for i, key in enumerate(keys)}
 
-    def _kept(self, q: int, volume: bool, plain: bool):
+    def _kept(self, volume: bool, plain: bool):
         """The kept basis values of the plain or of the interface elements."""
         build = self._plain_values if plain else self._interface_values
-        return self._cached(("values", plain, q, volume), lambda: build(q, volume))
+        return self._cached(("values", plain, volume), lambda: build(volume))
 
     def _grouped_rows(self):
         """Mask of the segment rows of the one-segment edges whose elements
         are all plain: the rows of the edge groups."""
-        edge, first, _, _ = self._cached("spans", self._span_table)
+        edge, first, _, _, _ = self._segments()
         plain = np.append(self.tags.tags != 0, True)   # [-1]: no element
         return (plain[self.mesh.edge_elems].all(axis=1) & (np.diff(first) == 1))[edge]
 
-    def _plain_groups(self, q: int, volume: bool):
+    def _plain_groups(self, volume: bool):
         """[(ids, points (E, nq, 2), weights (E, nq), side)]: the plain elements
-        (volume) or the edges of _grouped_rows at Gauss order q, grouped by the
-        bytes of everything their blocks read (weights, side, the reference
-        coordinates and box widths of their elements and, on edges, the normal
-        and boundary flag), in their lexicographic order."""
+        (volume) or the edges of _grouped_rows, grouped by the bytes of
+        everything their blocks read (weights, side, the reference coordinates
+        and box widths of their elements and, on edges, the normal and
+        boundary flag), in their lexicographic order."""
         mesh = self.mesh
         if volume:
             ids = np.flatnonzero(self.tags.tags)
-            rule = gauss_rect(mesh.elem_box(ids), q)
+            rule = gauss_rect(mesh.elem_box(ids), self.q_vol)
             pts, w, elems, head = rule.points, rule.weights, ids[:, None], []
             sides = self.tags.tags[ids]
         else:
-            edge, _, labels, seg_pts, seg_w = self._rows(q)
+            edge, _, labels, seg_pts, seg_w = self._segments()
             rows = np.flatnonzero(self._grouped_rows())
             ids, pts, w, sides = edge[rows], seg_pts[rows], seg_w[rows], labels[rows]
             elems, head = mesh.edge_elems[ids], [mesh.edge_normal[ids], mesh.edge_is_boundary[ids]]
@@ -583,68 +575,66 @@ class SpaceSet:
         return [(ids[mem], pts[mem], w[mem], int(sides[mem[0]]))
                 for mem in np.split(order, new) if len(mem)]
 
-    def _groups(self, q: int, volume: bool):
-        return self._cached(("plain groups", q, volume), lambda: self._plain_groups(q, volume))
+    def _groups(self, volume: bool):
+        return self._cached(("plain groups", volume), lambda: self._plain_groups(volume))
 
-    def volume_groups(self, q: int | None = None):
+    def volume_groups(self):
         """Every element piece of the level, in groups sharing basis values:
         [(elements, points (E, nq, 2), weights (E, nq), side, vals, grads)],
         one per group of plain elements, then one per piece of each interface
         element in element order."""
-        q = q if q is not None else self.m + 2
-        values = self._kept(q, True, True)
+        values = self._kept(True, True)
         groups = [(ids, pts, w, side, *values[ids[0], 0])
-                  for ids, pts, w, side in self._groups(q, True)]
+                  for ids, pts, w, side in self._groups(True)]
         for e in self.tags.interface_elements:
             groups += [([e], pts[None], w[None], side, vals, grads)
-                       for pts, w, side, vals, grads in self.element_values(e, q)]
+                       for pts, w, side, vals, grads in self.element_values(e)]
         return groups
 
-    def edge_groups(self, q: int | None = None):
+    def edge_groups(self):
         """Every edge segment of the level, in groups sharing basis values:
         [(edges, points (E, nq, 2), weights (E, nq), side, members)], members
         [(element, sign, vals, grads)] for the first edge: sign +1 on the
         element its normal points out of, -1 on the neighbour if any, and
         member j of each edge its element mesh.edge_elems[edge, j].  One per
         group of plain edges, then one per other segment row in row order."""
-        q = q if q is not None else self.m + 3
-        edge, first, sides, pts, w = self._rows(q)
+        edge, first, sides, pts, w = self._segments()
 
         def members(r):
-            return [(f, sign, *self._kept(q, False, bool(self.tags.tags[f]))[f, r])
+            return [(f, sign, *self._kept(False, bool(self.tags.tags[f]))[f, r])
                     for f, sign in zip(self.mesh.edge_elems[edge[r]], (1.0, -1.0)) if f >= 0]
 
         groups = [(ks, p, wk, side, members(first[ks[0]]))
-                  for ks, p, wk, side in self._groups(q, False)]
+                  for ks, p, wk, side in self._groups(False)]
         return groups + [([edge[r]], pts[r, None], w[r, None], int(sides[r]), members(r))
                          for r in np.flatnonzero(~self._grouped_rows())]
 
-    def _items(self, e: int, q: int, volume: bool):
+    def _items(self, e: int, volume: bool):
         """[((e, piece or row), points, weights, side)] on the pieces of
         element e (volume) or on the segment rows of its four edges in turn."""
         if volume:
+            rules = self.element_rules(e, self.q_vol) if self.tags.tags[e] else self.pieces(e)
             return [((e, i), rule.points, rule.weights, side)
-                    for i, (rule, side) in enumerate(self.pieces(e, q))]
-        _, first, sides, pts, w = self._rows(q)
+                    for i, (rule, side) in enumerate(rules)]
+        _, first, sides, pts, w = self._segments()
         return [((e, r), pts[r], w[r], int(sides[r])) for k in self.mesh.elem_edges[e]
                 for r in range(first[k], first[k + 1])]
 
-    def element_values(self, e: int, q: int | None = None, volume: bool = True):
+    def element_values(self, e: int, volume: bool = True):
         """[(points, weights, side, vals, grads)] of basis e on the pieces of
         element e (volume) or on the segments of its four edges in turn: the
         kept values of an interface element; a plain element is evaluated on
         its own points, which gives its group's bits."""
-        q = q if q is not None else self.m + (2 if volume else 3)
-        items = self._items(e, q, volume)
+        items = self._items(e, volume)
         if self.tags.tags[e]:
             basis = self.basis(e)
             return [(p, w, side, *basis.evaluate(p)) for _, p, w, side in items]
-        values = self._kept(q, volume, False)
+        values = self._kept(volume, False)
         return [(p, w, side, *values[key]) for key, p, w, side in items]
 
 
-def build_spaces(mesh, tags, chart, m, beta_minus, beta_plus, line_q=None) -> SpaceSet:
-    return SpaceSet(mesh, tags, chart, m, beta_minus, beta_plus, line_q)
+def build_spaces(mesh, tags, chart, m, beta_minus, beta_plus, quad=None) -> SpaceSet:
+    return SpaceSet(mesh, tags, chart, m, beta_minus, beta_plus, quad)
 
 
 _JUMP_SAMPLES = 24   # interface points of the diagnostics' jump maxima
@@ -679,7 +669,7 @@ def space_diagnostics(spaces: SpaceSet):
     return rows
 
 
-def project_l2(u, spaces: SpaceSet, q: int | None = None):
+def project_l2(u, spaces: SpaceSet):
     """Per-element L2 projection; u(points, side) -> values.
 
     Block-diagonal mass solve with cut-aware quadrature on interface
@@ -688,7 +678,7 @@ def project_l2(u, spaces: SpaceSet, q: int | None = None):
     n = spaces.layout.n_local
     M = np.zeros((spaces.mesh.n_elements, n, n))
     rhs = np.zeros((spaces.mesh.n_elements, n))
-    for elems, pts, w, side, vals, _ in spaces.volume_groups(q):
+    for elems, pts, w, side, vals, _ in spaces.volume_groups():
         M[elems] += (vals * w[0]) @ vals.T
         rhs[elems] += (w * u(pts.reshape(-1, 2), side).reshape(w.shape)) @ vals.T
     bad = np.flatnonzero(np.linalg.cond(M) > 1e12)

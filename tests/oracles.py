@@ -189,14 +189,13 @@ def _triplet_matrix(blocks, n):
                          shape=(n, n)).tocsr()
 
 
-def loop_assemble(spaces, sigma0, f_source, g_dirichlet, q_vol=None, q_edge=None):
-    """(S, F, norm Gram, energy Gram) of the SIPDG form, element by element."""
+def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
+    """(S, F, norm Gram, energy Gram) of the SIPDG form, element by element,
+    at the level's quadrature orders."""
     from frenet_ife.assembly import edge_segments
 
     mesh, layout = spaces.mesh, spaces.layout
-    m = spaces.m
-    q_vol = q_vol if q_vol is not None else m + 2
-    q_edge = q_edge if q_edge is not None else m + 3
+    q_vol, q_edge = spaces.q_vol, spaces.q_edge
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
     trip, trip_jump, trip_flux, trip_vol = [], [], [], []
@@ -257,14 +256,13 @@ def _loop_uh(spaces, coef, e, pts, side):
     return c @ vals, np.einsum("b,bpk->pk", c, grads)
 
 
-def loop_error_norms(coef, case, spaces, sigma0, q_vol=None, q_edge=None):
-    """L2, broken and energy errors, element by element and edge by edge."""
+def loop_error_norms(coef, case, spaces, sigma0):
+    """L2, broken and energy errors, element by element and edge by edge, at
+    the level's quadrature orders."""
     from frenet_ife.assembly import edge_segments
 
     mesh = spaces.mesh
-    m = spaces.m
-    q_vol = q_vol if q_vol is not None else m + 2
-    q_edge = q_edge if q_edge is not None else m + 3
+    q_vol, q_edge = spaces.q_vol, spaces.q_edge
     pen = sigma0 * (spaces.beta_plus**2 / spaces.beta_minus) / mesh.h
     l2_sq = grad_sq = 0.0
     for e in range(mesh.n_elements):
@@ -298,16 +296,15 @@ def loop_error_norms(coef, case, spaces, sigma0, q_vol=None, q_edge=None):
             "energy": float(np.sqrt(norm_h_sq + flux_sq / pen))}
 
 
-def loop_trace_constant(spaces, e, q_vol=None, q_edge=None):
-    """Normalized trace constant of element e from its own rules."""
+def loop_trace_constant(spaces, e):
+    """Normalized trace constant of element e from its own rules, at the
+    level's quadrature orders."""
     import scipy.linalg
 
     from frenet_ife.assembly import edge_segments
 
     mesh = spaces.mesh
-    m = spaces.m
-    q_vol = q_vol if q_vol is not None else m + 2
-    q_edge = q_edge if q_edge is not None else m + 3
+    q_vol, q_edge = spaces.q_vol, spaces.q_edge
     basis = spaces.basis(e)
     A = np.zeros((basis.n_basis, basis.n_basis))
     B = np.zeros_like(A)
@@ -327,9 +324,10 @@ def loop_trace_constant(spaces, e, q_vol=None, q_edge=None):
                  / spaces.beta_plus)
 
 
-def loop_project_l2(u, spaces, q=None):
-    """Per-element L2 projection by local mass solves."""
-    q = q if q is not None else spaces.m + 2
+def loop_project_l2(u, spaces):
+    """Per-element L2 projection by local mass solves, at the level's volume
+    order."""
+    q = spaces.q_vol
     out = np.zeros(spaces.layout.total)
     for e in range(spaces.mesh.n_elements):
         basis = spaces.basis(e)

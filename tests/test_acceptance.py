@@ -192,8 +192,10 @@ def test_criterion_9_degeneracy_oracle():
         assert spaces.tags.n_interface == 0
         system = assemble(spaces, sigma0, case.f, case.dirichlet)
         coef = solve(system, pd_check=False)
-        # both error integrals at the same high quadrature order
-        err_ife = error_norms(coef, case, spaces, sigma0, q_vol=6, q_edge=6)["l2"]
+        # both error integrals at the same high quadrature order: the IFE
+        # one on the level rebuilt at that order
+        fine = setup_level(case, BOX, n, 1, {"volume": 6, "edge": 6})
+        err_ife = error_norms(coef, case, fine, sigma0)["l2"]
 
         oracle = PlainDG(spaces.mesh, 1, beta=1.0, sigma0=sigma0, gamma=1.0)
         coef2 = oracle.solve(lambda p: case.f(p, -1), lambda p: case.u(p, -1))

@@ -7,8 +7,12 @@ import pytest
 import scipy.io
 
 from frenet_ife import assembly
+from frenet_ife.analysis import setup_level
+from frenet_ife.assembly import auto_sigma0
 from frenet_ife.cli import main
 from frenet_ife.config import RunConfig
+
+from oracles import loop_trace_constant
 
 
 def test_config_round_trip(tmp_path):
@@ -81,12 +85,14 @@ def test_cli_invalid_beta_exits_2(tmp_path):
     {"interface": {"kind": "circle", "radius": "0.6"}},
     {"interface": {"kind": "circle", "radius": 0.6, "centre": [0.0, 0.0]}},
     {"quad": {"vol": 9}}, {"case": {"kind": "circle_power", "p": 4, "q": 2}},
+    {"degree": 2.5}, {"degree": True}, {"mesh_sizes": [8.7]}, {"mesh_sizes": ["8"]},
+    {"case": {"kind": "circle_power", "p": 4.9}},
 ], ids=lambda o: json.dumps(o))
 def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, override):
     cfg = tmp_path / "bad.json"
     out = tmp_path / "o"
     cfg.write_text(json.dumps({**override, "out_dir": str(out)}))
-    assert main(["solve", "--config", str(cfg), "--mesh", "8"]) == 2
+    assert main(["solve", "--config", str(cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
 
@@ -184,6 +190,24 @@ def test_cli_probe_trace_and_coercivity(tmp_path):
     assert rc == 0
     probe = json.loads((out2 / "coercivity_probe.json").read_text())
     assert probe["min_ratio"] >= 0.25
+
+
+def test_cli_probes_build_their_levels_at_the_configured_quad(tmp_path):
+    # probe-trace and probe-coercivity read the quad block, as solve does
+    quad = {"volume": 5, "edge": 6}
+    cfg = tmp_path / "quad.json"
+    cfg.write_text(json.dumps({"degree": 1, "mesh_sizes": [8, 16], "quad": quad}))
+    for cmd in ("probe-trace", "probe-coercivity"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 0
+    trace = json.loads((tmp_path / "probe-trace" / "trace_probes.json").read_text())
+    probe = json.loads((tmp_path / "probe-coercivity" / "coercivity_probe.json").read_text())
+    case, box = RunConfig().manufactured_case(), (-1, 1, -1, 1)
+    for n, level in zip((8, 16), trace["levels"], strict=True):
+        spaces = setup_level(case, box, n, 1, quad)
+        assert level["max"] == max(loop_trace_constant(spaces, e)
+                                   for e in spaces.tags.interface_elements)
+    assert probe["sigma0"] == auto_sigma0(setup_level(case, box, 8, 1, quad))[0]
+    assert probe["sigma0"] != auto_sigma0(setup_level(case, box, 8, 1))[0]   # the orders matter
 
 
 def test_cli_probe_trace_without_interface_elements_writes_error(tmp_path):

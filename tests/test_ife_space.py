@@ -309,7 +309,7 @@ def test_projection_reproduces_members_and_constants(circle_spaces):
     assert np.max(np.abs(coef_loc @ vals - vals[4])) <= 1e-11
 
     # constants live in every local space (through the trace block)
-    ones = project_l2(lambda p, s: np.ones(len(np.atleast_2d(p))), spaces, q=4)
+    ones = project_l2(lambda p, s: np.ones(len(np.atleast_2d(p))), spaces)
     for ee in (0, e):
         pts = np.column_stack([rng.uniform(*spaces.mesh.elem_box(ee)[0::2], 10),
                                rng.uniform(*spaces.mesh.elem_box(ee)[1::2], 10)])
@@ -340,7 +340,7 @@ def test_dimension_mismatch_names_the_element():
     tags = classify_elements(mesh, chart)
     first = tags.interface_elements[0]
     with pytest.raises(DimensionMismatch, match=rf"^element {first}: X0 nullspace dimension"):
-        build_spaces(mesh, tags, chart, 2, 1.0, 10.0, line_q=1)
+        build_spaces(mesh, tags, chart, 2, 1.0, 10.0, {"interface": 1})
 
 
 _LEVEL_CURVES = {
@@ -370,7 +370,7 @@ def test_level_x0_and_weak_residuals_bitwise_equal_to_loop_oracle(level, m, line
     for i, interval in enumerate(intervals.values()):
         ref, ref_scaling = loop_build_x0(chart, interval, m, line_q)
         assert np.array_equal(vecs[i], ref) and scalings[i] == ref_scaling
-    spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0, line_q)
+    spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0, {"interface": line_q})
     bases = [spaces.bases[e] for e in intervals]
     assert all(np.array_equal(b.coef[1][:m + 1], vecs[i]) for i, b in enumerate(bases))
     weak = _weak_residuals(chart, m, bases, line_q)

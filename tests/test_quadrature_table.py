@@ -12,15 +12,17 @@ Jacobian for the volume pieces of all interface elements and one of each for
 their edges, and the plain values from one 1D Lagrange evaluation each.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
-from frenet_ife import analysis, assembly, ife_space, quadrature
+from frenet_ife import analysis, assembly, cli, ife_space, quadrature
 from frenet_ife.analysis import error_norms, manufactured_circle, setup_level
 from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
 from frenet_ife.curves import circle, ellipse
 from frenet_ife.frenet import FrenetChart
-from frenet_ife.ife_space import build_spaces, project_l2
+from frenet_ife.ife_space import SpaceSet, build_spaces, project_l2
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_edge_rule
 
@@ -271,14 +273,14 @@ def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
     # every row of the level's segment table, as edge_groups and the trace
     # probe read it, against one cut_edge_rule call per edge
     spaces = _spaces(curve, n, 2, relabel)
-    mesh, q = spaces.mesh, 5
+    mesh, q = spaces.mesh, spaces.q_edge
     rows = {}
-    for ks, pts, w, side, _ in spaces.edge_groups(q):
+    for ks, pts, w, side, _ in spaces.edge_groups():
         for k, p, wk in zip(ks, pts, w):
             rows.setdefault(int(k), []).append((p, wk, side))
     faces = {}
     for e in range(mesh.n_elements):
-        segs = iter(spaces.element_values(e, q, volume=False))
+        segs = iter(spaces.element_values(e, volume=False))
         for k in mesh.elem_edges[e]:
             faces[e, k] = [next(segs)[:3] for _ in spaces.segment_sides(k)]
     assert sorted(rows) == list(range(mesh.n_edges))
@@ -331,3 +333,21 @@ def test_segment_sides_match_one_query_per_segment(curve):
         assert spaces.segment_sides(k) == ref, k
         split += len(segs) > 1
     assert split > 0
+
+
+def test_no_table_reader_or_study_takes_a_quadrature_order():
+    # the orders belong to the level: SpaceSet fixes them once, and only the
+    # per-element reference reads (element_rules, edge_segments) take one
+    funcs = [SpaceSet.pieces, SpaceSet.volume_groups, SpaceSet.edge_groups,
+             SpaceSet.element_values, project_l2]
+    for mod in (assembly, analysis, cli):
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                funcs += [f for f in vars(obj).values() if inspect.isfunction(f)]
+            elif inspect.isfunction(obj):
+                funcs.append(obj)
+    orders = {"q", "q_vol", "q_edge", "line_q"}
+    taking = {f.__qualname__ for f in funcs if orders & set(inspect.signature(f).parameters)}
+    assert taking == {"edge_segments"}
