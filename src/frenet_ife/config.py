@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .curves import curve_from_config
+
+
+def _numbers(value) -> bool:
+    """Whether value is a real number, or a list of them; a bool is not one."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
 
 
 @dataclass
@@ -38,7 +45,6 @@ class RunConfig:
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, val)
-        cfg.domain = tuple(float(v) for v in cfg.domain)
         return cfg
 
     @classmethod
@@ -73,7 +79,8 @@ class RunConfig:
     def validate_run(self):
         """Raises ValueError on an unusable configuration, the case aside but
         for the keys of its block and the type of its p.  Integers must be
-        ints (not floats or bools); nothing is coerced.
+        ints (not floats or bools), the other values real numbers (not
+        bools or strings); nothing is coerced.
 
         The mesh check bounds only h * max curvature, a local quantity; it
         does not bound the curve's bottleneck distance, so two distant arcs
@@ -81,9 +88,12 @@ class RunConfig:
         """
         if type(self.degree) is not int or self.degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
-        if not (self.beta_plus >= self.beta_minus > 0):
+        if not (_numbers([self.beta_minus, self.beta_plus])
+                and self.beta_plus >= self.beta_minus > 0):
             raise ValueError("need beta_plus >= beta_minus > 0")
         x0, x1, y0, y1 = self.domain
+        if not _numbers(self.domain):
+            raise ValueError("domain entries must be numbers")
         if not (x1 > x0 and y1 > y0):
             raise ValueError("empty domain box")
         if not self.mesh_sizes:
@@ -97,6 +107,9 @@ class RunConfig:
         if type(self.case.get("p", 4)) is not int:
             raise ValueError("case.p must be an integer")
         curve = self.curve()
+        bad = [k for k, v in self.interface.items() if k != "kind" and not _numbers(v)]
+        if bad:
+            raise ValueError(f"interface.{bad[0]} must be a number or a list of numbers")
         kmax = curve.max_curvature
         for n in self.mesh_sizes:
             if type(n) is not int or n < 1:
@@ -114,8 +127,8 @@ class RunConfig:
         if isinstance(self.sigma0, str):
             if self.sigma0 != "auto":
                 raise ValueError("sigma0 must be a positive number or 'auto'")
-        elif not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
+        elif not (_numbers(self.sigma0) and self.sigma0 > 0):
+            raise ValueError("sigma0 must be a positive number or 'auto'")
         return self
 
     def manufactured_case(self):

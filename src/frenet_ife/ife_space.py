@@ -404,7 +404,9 @@ class SpaceSet:
 
     - the interface pieces, from quadrature.level_cut_cell_rules;
     - the segment table: every segment of every edge, edge by edge in
-      cut_edge_rule order, labelled by one chart query at all midpoints;
+      cut_edge_rule order; the one segment of an edge between plain
+      elements of one side takes their side, the others one chart query at
+      their midpoints;
     - the interface values on those pieces and on the rows of the interface
       elements' edges, from one chart inverse, one chart Jacobian and one
       stacked evaluation per size of piece or segment;
@@ -466,7 +468,8 @@ class SpaceSet:
         """The segment table: every segment of every edge, edge by edge in
         cut_edge_rule order and with its arithmetic at order q_edge: (edge,
         first row of each edge, side, points (R, q, 2), weights (R, q)), the
-        sides from one chart query at all segment midpoints."""
+        sides from the tags or from one chart query at the other segments'
+        midpoints."""
         def build():
             mesh = self.mesh
             spans = {k: edge_spans(self.tags.interior_cuts(k)) for k in self.tags.edge_cuts}
@@ -478,9 +481,17 @@ class SpaceSet:
             for k, s in spans.items():
                 t[first[k]:first[k + 1]] = s
             a, b, t0, t1 = mesh.edge_a[edge], mesh.edge_b[edge], t[:, :1], t[:, 1:]
-            eta = self.chart.signed_distance_estimate(a + 0.5 * (t0 + t1) * (b - a))
+            # the one segment of an edge whose elements are plain on one side
+            # lies on that side; the other rows ask the chart at their midpoints
+            elems = mesh.edge_elems[edge]
+            side = self.tags.tags[elems[:, 0]]
+            other = np.where(elems[:, 1] < 0, side, self.tags.tags[elems[:, 1]])
+            side = np.where((count[edge] == 1) & (side == other), side, 0)
+            ask = np.flatnonzero(side == 0)
+            eta = self.chart.signed_distance_estimate(a[ask] + 0.5 * (t0 + t1)[ask] * (b - a)[ask])
+            side[ask] = np.where(eta > 0, 1, -1)
             (x, w), a, b = _gauss01(self.q_edge), a[:, None], b[:, None]
-            return (edge, first, np.where(eta > 0, 1, -1),
+            return (edge, first, side,
                     a + (t0 + (t1 - t0) * x)[..., None] * (b - a),
                     ((t1 - t0) * mesh.edge_length[edge, None]) * w)
         return self._cached("segments", build)

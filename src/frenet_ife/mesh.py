@@ -151,36 +151,56 @@ def _bisect(chart: FrenetChart, a, b, t_lo, t_hi, f_lo):
     return 0.5 * (t_lo + t_hi)
 
 
-def _polish_root(chart: FrenetChart, a, b, t):
-    """Newton polish of edge(t) = g(xi) from a bisected t on edge a->b."""
+def _norms(v):
+    """np.linalg.norm of each row on its own: a lone 2-vector's norm goes
+    through BLAS dot and rounds differently from a row-wise norm."""
+    return np.array([np.linalg.norm(row) for row in v])
+
+
+def _polish_roots(chart: FrenetChart, a, b, t, edges):
+    """Newton polish of edge(t) = g(xi) on edges a->b from bisected t, all
+    roots at once: a, b are (n, 2), t and the edge ids (n,).  Returns the
+    polished t, xi and edge points.
+
+    Each root runs the full-step Newton it would run alone; a step makes one
+    curve point and one velocity call over the roots still active.  Raises,
+    for the first failing root, TangentialIntersection when the interface is
+    tangent to the edge there, else AmbiguousCut when the root did not
+    converge.
+    """
     curve = chart.curve
-    p = _edge_point(a, b, t)
-    xi = float(chart.nearest_parameter_estimate(p[None, :])[0])
+    t = np.array(t, dtype=float)
     d = b - a
-    scale = max(1.0, np.linalg.norm(d))
+    xi = chart.nearest_parameter_estimate(a + t[:, None] * d)
+    length = _norms(d)
+    scale = np.maximum(1.0, length)
+    active = np.arange(len(t))
     for _ in range(40):
-        gape = _edge_point(a, b, t) - curve.point(np.asarray(xi, dtype=float))
-        if np.linalg.norm(gape) <= 1e-14 * scale:
+        gape = a[active] + t[active, None] * d[active] - curve.point(xi[active])
+        keep = ~(_norms(gape) <= 1e-14 * scale[active])
+        active, gape = active[keep], gape[keep]
+        if len(active) == 0:
             break
-        gp = curve.velocity(np.asarray(xi, dtype=float))
+        gp, da = curve.velocity(xi[active]), d[active]
         # solve [d | -g'] (dt, dxi) = -gape by Cramer's rule
-        det = -d[0] * gp[1] + d[1] * gp[0]
-        if abs(det) < 1e-300:
-            break
-        dt = (gape[0] * gp[1] - gape[1] * gp[0]) / det
-        dxi = (gape[0] * d[1] - gape[1] * d[0]) / det
+        det = -da[:, 0] * gp[:, 1] + da[:, 1] * gp[:, 0]
+        keep = ~(np.abs(det) < 1e-300)
+        active, gape, gp, da, det = active[keep], gape[keep], gp[keep], da[keep], det[keep]
         # full steps; the bracket start is already close
-        t += dt
-        xi += dxi
-    fr = frenet_apparatus(curve, xi)
-    tangency = abs(float(np.dot(fr.n, d))) / np.linalg.norm(d)
-    if tangency < 1e-10:
-        raise TangentialIntersection(
-            "interface tangent to a mesh edge; perturb the mesh")
-    gape = _edge_point(a, b, t) - curve.point(np.asarray(xi, dtype=float))
-    if np.linalg.norm(gape) > 1e-12 * scale:
-        raise AmbiguousCut("edge crossing failed to converge")
-    return float(t), float(xi), _edge_point(a, b, t)
+        t[active] += (gape[:, 0] * gp[:, 1] - gape[:, 1] * gp[:, 0]) / det
+        xi[active] += (gape[:, 0] * da[:, 1] - gape[:, 1] * da[:, 0]) / det
+    normal = frenet_apparatus(curve, xi).n
+    tangent = np.array([abs(float(np.dot(n, dk))) for n, dk in zip(normal, d)]) / length < 1e-10
+    points = a + t[:, None] * d
+    diverged = _norms(points - curve.point(xi)) > 1e-12 * scale
+    failed = np.flatnonzero(tangent | diverged)
+    if len(failed):
+        i = failed[0]
+        if tangent[i]:
+            raise TangentialIntersection(
+                f"edge {edges[i]}: interface tangent to a mesh edge; perturb the mesh")
+        raise AmbiguousCut(f"edge {edges[i]}: edge crossing failed to converge")
+    return t, xi, points
 
 
 def _projected_cut(mesh: RectMesh, e: int, chart: FrenetChart, p, tol):
@@ -216,8 +236,9 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
 
     Works in level-wide phases, each one chart call for the whole mesh: the
     corner offsets, the samples of every edge of an element not rejected
-    outright, the bisection steps of all sign brackets, and the fictitious
-    intervals of all interface elements.
+    outright, the bisection steps and the Newton polish of all sign
+    brackets, and the fictitious intervals of all interface elements.  Only
+    the candidates that see both strict signs are checked one by one.
 
     Raises TangentialIntersection for grazing cuts and AmbiguousCut when an
     element sees more than two crossings (interface under-resolved).
@@ -237,11 +258,12 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     eta_c = np.stack([eta_grid[:-1, :-1], eta_grid[1:, :-1], eta_grid[1:, 1:],
                       eta_grid[:-1, 1:]], axis=-1).transpose(1, 0, 2).reshape(-1, 4)
     tags = np.where(eta_c[:, 0] > 0, 1, -1)
-    candidates = np.flatnonzero(~(np.min(np.abs(eta_c), axis=1) > 1.000001 * mesh.h)).tolist()
+    candidates = np.flatnonzero(~(np.min(np.abs(eta_c), axis=1) > 1.000001 * mesh.h))
 
     # offsets at the samples of every candidate edge, one row per edge
     edges = list(dict.fromkeys(mesh.elem_edges[candidates].ravel().tolist()))
-    row = {k: i for i, k in enumerate(edges)}
+    row = np.zeros(mesh.n_edges, dtype=int)
+    row[edges] = np.arange(len(edges))
     ts = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
     a, b = mesh.edge_a[edges], mesh.edge_b[edges]
     f = chart.signed_distance_estimate(
@@ -257,37 +279,35 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     r, i1, i2 = r[br], i[br], i[br + 1]
     t_mid = _bisect(chart, a[r], b[r], ts[i1], ts[i2], f[r, i1])
     edge_cuts: dict[int, list[EdgeCut]] = {k: [] for k in edges}
-    for j, t0 in zip(r, t_mid):
-        k = edges[j]
-        found = edge_cuts[k]
-        t, xi, p = _polish_root(chart, a[j], b[j], t0)
+    for j, t, xi, p in zip(r, *_polish_roots(chart, a[r], b[r], t_mid, np.array(edges)[r])):
+        found = edge_cuts[edges[j]]
         if not any(abs(t - c.t) < 1e-9 for c in found):
-            found.append(EdgeCut(edge=k, t=t, xi=xi, point=p))
+            found.append(EdgeCut(edge=edges[j], t=float(t), xi=float(xi), point=p))
     for found in edge_cuts.values():
         found.sort(key=lambda c: c.t)
 
+    # the samples of each candidate's four edges; a candidate that sees one
+    # strict sign at most is plain
+    eta_all = f[row[mesh.elem_edges[candidates]]].reshape(len(candidates), 4 * _EDGE_SAMPLES)
+    has_pos = np.any(eta_all > zero_tol, axis=1)
+    two_signs = has_pos & np.any(eta_all < -zero_tol, axis=1)
+    plain = candidates[~two_signs]
+    tags[plain] = np.where(has_pos[~two_signs] | (eta_c[plain].mean(axis=1) > 0), 1, -1)
+
     interface = []
-    for e in candidates:
+    for e, eta_e in zip(candidates[two_signs].tolist(), eta_all[two_signs]):
         cuts = [c for k in mesh.elem_edges[e] for c in edge_cuts[k]]
         # merge crossings that coincide at a shared corner
         unique = []
         for c in cuts:
             if not any(np.linalg.norm(c.point - u.point) < 1e-12 * mesh.h for u in unique):
                 unique.append(c)
-
-        eta_all = f[[row[k] for k in mesh.elem_edges[e]]].ravel()
-        has_pos = bool(np.any(eta_all > zero_tol))
-        has_neg = bool(np.any(eta_all < -zero_tol))
-
-        if not (has_pos and has_neg):
-            tags[e] = 1 if (has_pos or eta_c[e].mean() > 0) else -1
-            continue
         if len(unique) < 2:
             # a crossing can sit exactly on a corner/node, inside the zero
             # band of the sign filter; recover it by projecting onto the curve
             edge_pts = np.vstack([_edge_point(mesh.edge_a[k], mesh.edge_b[k], ts)
                                   for k in mesh.elem_edges[e]])
-            for idx in np.where(np.abs(eta_all) <= zero_tol)[0]:
+            for idx in np.where(np.abs(eta_e) <= zero_tol)[0]:
                 cut = _projected_cut(mesh, e, chart, edge_pts[idx], zero_tol)
                 if cut is not None and not any(
                         np.linalg.norm(cut.point - u.point) < 1e-9 * mesh.h

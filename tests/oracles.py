@@ -501,6 +501,42 @@ def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
     return float(t), float(xi), edge_point(t)
 
 
+def loop_polish_root(chart, a, b, t):
+    """Newton polish of edge(t) = g(xi) from a bisected t on edge a->b."""
+    from frenet_ife.errors import AmbiguousCut, TangentialIntersection
+    from frenet_ife.frenet import frenet_apparatus
+    from frenet_ife.mesh import _edge_point
+
+    curve = chart.curve
+    p = _edge_point(a, b, t)
+    xi = float(chart.nearest_parameter_estimate(p[None, :])[0])
+    d = b - a
+    scale = max(1.0, np.linalg.norm(d))
+    for _ in range(40):
+        gape = _edge_point(a, b, t) - curve.point(np.asarray(xi, dtype=float))
+        if np.linalg.norm(gape) <= 1e-14 * scale:
+            break
+        gp = curve.velocity(np.asarray(xi, dtype=float))
+        # solve [d | -g'] (dt, dxi) = -gape by Cramer's rule
+        det = -d[0] * gp[1] + d[1] * gp[0]
+        if abs(det) < 1e-300:
+            break
+        dt = (gape[0] * gp[1] - gape[1] * gp[0]) / det
+        dxi = (gape[0] * d[1] - gape[1] * d[0]) / det
+        # full steps; the bracket start is already close
+        t += dt
+        xi += dxi
+    fr = frenet_apparatus(curve, xi)
+    tangency = abs(float(np.dot(fr.n, d))) / np.linalg.norm(d)
+    if tangency < 1e-10:
+        raise TangentialIntersection(
+            "interface tangent to a mesh edge; perturb the mesh")
+    gape = _edge_point(a, b, t) - curve.point(np.asarray(xi, dtype=float))
+    if np.linalg.norm(gape) > 1e-12 * scale:
+        raise AmbiguousCut("edge crossing failed to converge")
+    return float(t), float(xi), _edge_point(a, b, t)
+
+
 def loop_rect_mesh(box, nx, ny):
     """RectMesh's edge and element-edge arrays as they were built before the
     index arithmetic: one Python loop over every edge and every element."""

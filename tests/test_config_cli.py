@@ -87,12 +87,34 @@ def test_cli_invalid_beta_exits_2(tmp_path):
     {"quad": {"vol": 9}}, {"case": {"kind": "circle_power", "p": 4, "q": 2}},
     {"degree": 2.5}, {"degree": True}, {"mesh_sizes": [8.7]}, {"mesh_sizes": ["8"]},
     {"case": {"kind": "circle_power", "p": 4.9}},
+    {"beta_minus": True}, {"beta_plus": True}, {"sigma0": True},
+    {"domain": [False, True, -1, 1]}, {"domain": [-1, 1, "-1", 1]},
+    {"interface": {"kind": "circle", "radius": True}},
+    {"interface": {"kind": "circle", "radius": 0.6, "center": [False, 0.0]}},
+    {"interface": {"kind": "circle", "radius": 0.6, "center": ["0", 0.0]}},
 ], ids=lambda o: json.dumps(o))
 def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, override):
     cfg = tmp_path / "bad.json"
     out = tmp_path / "o"
     cfg.write_text(json.dumps({**override, "out_dir": str(out)}))
     assert main(["solve", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("interface", [
+    {"kind": "ellipse", "a": 0.7, "b": True},
+    {"kind": "ellipse", "a": 0.7, "b": 0.5, "center": [0.0, "0.1"]},
+    {"kind": "flower", "r0": 0.5, "amp": 0.1, "petals": True},
+    {"kind": "line", "origin": [0.0, 0.0], "direction": [1.0, True]},
+    {"kind": "trig", "ax": [0.0, 0.6], "bx": [0.0], "ay": [False], "by": [0.0, 0.6]},
+], ids=lambda o: json.dumps(o))
+def test_probe_geometry_refuses_non_numeric_curve_parameters(tmp_path, capsys, interface):
+    # probe-geometry reads any curve, so only validate_run stands in the way
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "o"
+    cfg.write_text(json.dumps({"interface": interface, "out_dir": str(out)}))
+    assert main(["probe-geometry", "--config", str(cfg), "--mesh", "16"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
 

@@ -1,12 +1,16 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from frenet_ife import mesh as mesh_module
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import AmbiguousCut, FrenetIfeError, TangentialIntersection
 from frenet_ife.frenet import FrenetChart
-from frenet_ife.mesh import RectMesh, _bisect, _polish_root, build_mesh, classify_elements
+from frenet_ife.mesh import RectMesh, _bisect, _polish_roots, build_mesh, classify_elements
 
-from oracles import bisect_root, loop_classify, loop_rect_mesh, sign_sample_interface
+from oracles import (bisect_root, loop_classify, loop_polish_root, loop_rect_mesh,
+                     sign_sample_interface)
 
 
 def test_counts_2x2():
@@ -163,8 +167,33 @@ def test_tangential_crossing_detected_directly():
     f_hi = chart.signed_distance_estimate(b)
     assert f_lo * f_hi < 0
     (t,) = _bisect(chart, a[None], b[None], np.array([0.0]), np.array([1.0]), np.array([f_lo]))
+    with pytest.raises(TangentialIntersection, match="^edge "):
+        _polish_roots(chart, a[None], b[None], np.array([t]), [7])
+
+
+def test_polish_raises_for_the_first_failing_root_tangency_first():
+    chart = FrenetChart(circle(0.6), h=0.25)
+    edges = {
+        3: ((0.5, 0.0), (0.7, 0.0)),     # crosses at (0.6, 0)
+        4: ((0.7, 0.0), (0.7, 0.1)),     # misses the circle: Newton does not converge
+        9: ((0.9, -0.1), (0.9, 0.1)),    # misses it parallel to the tangent: both checks fail
+    }
+    with pytest.raises(AmbiguousCut):
+        loop_polish_root(chart, *map(np.array, edges[4]), 0.5)
     with pytest.raises(TangentialIntersection):
-        _polish_root(chart, a, b, t)
+        loop_polish_root(chart, *map(np.array, edges[9]), 0.5)
+
+    def polish(ids):
+        a, b = (np.array([edges[k][j] for k in ids]) for j in (0, 1))
+        return _polish_roots(chart, a, b, np.full(len(ids), 0.5), ids)
+
+    assert polish([3])[2].tolist() == [[0.6, 0.0]]
+    with pytest.raises(AmbiguousCut, match="^edge 4: edge crossing failed to converge$"):
+        polish([3, 4, 9])
+    with pytest.raises(TangentialIntersection, match="^edge 9: interface tangent"):
+        polish([3, 9, 4])
+    with pytest.raises(TangentialIntersection, match="^edge 9: "):
+        polish([9])
 
 
 def test_ambiguous_cut_raised_for_quadruple_crossing():
@@ -250,3 +279,69 @@ def test_classification_random_placements_bitwise_equal_to_loop_oracle(seed):
             _assert_same_classification(classify_elements(mesh, chart), ref)
             classified += 1
     assert classified >= 6
+
+
+def _polish_call(monkeypatch, mesh, chart):
+    """The (a, b, t, edges) of the one _polish_roots call of classify_elements."""
+    calls = []
+
+    def record(*args, _orig=mesh_module._polish_roots):
+        calls.append(args[1:])
+        return _orig(*args)
+
+    monkeypatch.setattr(mesh_module, "_polish_roots", record)
+    classify_elements(mesh, chart)
+    monkeypatch.undo()
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_polish_roots_bitwise_equal_to_loop_oracle(name, n, monkeypatch):
+    # every bracket classify_elements polishes, from its bisected t and from
+    # starts moved off it, so that more Newton steps run
+    curve = ORACLE_CURVES[name]
+    mesh = build_mesh((-1, 1, -1, 1), n)
+    chart = FrenetChart(curve, h=min(mesh.h, 0.5 / max(curve.max_curvature, 1e-30)))
+    a, b, t, edges = _polish_call(monkeypatch, mesh, chart)
+    assert len(t) > 0
+    compared = 0
+    for shift in (0.0, 1e-6, -1e-3, 3e-2, -0.4):
+        start = t + shift
+        ref = []
+        for ak, bk, tk in zip(a, b, start):
+            try:
+                ref.append(loop_polish_root(chart, ak, bk, tk))
+            except FrenetIfeError as exc:
+                ref.append(exc)
+        failed = [i for i, r in enumerate(ref) if isinstance(r, FrenetIfeError)]
+        if failed:
+            with pytest.raises(type(ref[failed[0]]), match=f"^edge {edges[failed[0]]}: "):
+                _polish_roots(chart, a, b, start, edges)
+            continue
+        got = _polish_roots(chart, a, b, start, edges)
+        for j, want in enumerate(zip(*ref)):
+            assert np.asarray(got[j]).tobytes() == np.array(want).tobytes(), (shift, j)
+        compared += 1
+    assert compared >= 3
+
+
+def test_classification_chart_calls_do_not_grow_with_the_mesh(monkeypatch):
+    # classification makes one chart query per phase, whatever the number of
+    # crossings; the calls of the chart's own inverse are not counted
+    counts = []
+    for n in (16, 32):
+        calls = []
+        for name in ("nearest_parameter_estimate", "signed_distance_estimate"):
+            def counted(self, *args, _name=name, _orig=getattr(FrenetChart, name)):
+                if inspect.currentframe().f_back.f_globals["__name__"] == mesh_module.__name__:
+                    calls.append(_name)
+                return _orig(self, *args)
+            monkeypatch.setattr(FrenetChart, name, counted)
+        mesh = build_mesh((-1, 1, -1, 1), n)
+        classify_elements(mesh, FrenetChart(circle(0.6), h=mesh.h))
+        monkeypatch.undo()
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert counts[0].count("nearest_parameter_estimate") == 1

@@ -20,7 +20,8 @@ import pytest
 from frenet_ife import analysis, assembly, cli, ife_space, quadrature
 from frenet_ife.analysis import error_norms, manufactured_circle, setup_level
 from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
-from frenet_ife.curves import circle, ellipse
+from frenet_ife.curves import circle, ellipse, flower
+from frenet_ife.errors import FrenetIfeError
 from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import SpaceSet, build_spaces, project_l2
 from frenet_ife.mesh import build_mesh, classify_elements
@@ -315,13 +316,10 @@ def test_no_per_edge_rules_in_the_level_chain(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("curve", [circle(0.6), ellipse(0.7, 0.5)])
-def test_segment_sides_match_one_query_per_segment(curve):
-    # the level-wide labels against the sign of the chart's offset at each
+def _assert_segment_sides_match_one_query_per_segment(mesh, chart, tags):
+    # the table's labels, from the tags on one-segment edges between plain
+    # elements of one side, against the sign of the chart's offset at each
     # segment's own midpoint, queried one segment at a time
-    mesh = build_mesh(BOX, 16)
-    chart = FrenetChart(curve, h=mesh.h)
-    tags = classify_elements(mesh, chart)
     spaces = build_spaces(mesh, tags, chart, 1, 1.0, 10.0)
     split = 0
     for k in range(mesh.n_edges):
@@ -333,6 +331,35 @@ def test_segment_sides_match_one_query_per_segment(curve):
         assert spaces.segment_sides(k) == ref, k
         split += len(segs) > 1
     assert split > 0
+
+
+@pytest.mark.parametrize("curve, n", [
+    *((circle(0.6), n) for n in (8, 16, 32, 64)), (ellipse(0.7, 0.5), 16),
+    (ellipse(0.7, 0.5), 32), (flower(0.5, 0.1, 5), 48)])
+def test_segment_sides_match_one_query_per_segment(curve, n):
+    mesh = build_mesh(BOX, n)
+    chart = FrenetChart(curve, h=mesh.h)
+    _assert_segment_sides_match_one_query_per_segment(mesh, chart, classify_elements(mesh, chart))
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_segment_sides_match_one_query_per_segment_random_placements(seed):
+    # the seeded placements of test_mesh's random classification test
+    rng = np.random.default_rng(seed)
+    for n in (8, 16, 32):
+        for _ in range(3):
+            center = rng.uniform(-0.15, 0.15, 2)
+            if rng.uniform() < 0.5:
+                curve = circle(rng.uniform(0.4, 0.7), center)
+            else:
+                curve = ellipse(rng.uniform(0.5, 0.75), rng.uniform(0.35, 0.55), center)
+            mesh = build_mesh(BOX, n)
+            chart = FrenetChart(curve, h=min(mesh.h, 0.9 / curve.max_curvature))
+            try:
+                tags = classify_elements(mesh, chart)
+            except FrenetIfeError:
+                continue
+            _assert_segment_sides_match_one_query_per_segment(mesh, chart, tags)
 
 
 def test_no_table_reader_or_study_takes_a_quadrature_order():
