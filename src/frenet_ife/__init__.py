@@ -7,7 +7,7 @@ from .frenet import ChordChart, FrenetChart, FrenetFrame, frenet_apparatus
 from .laplacian import FrenetLaplacian
 from .mesh import ElementTag, MeshTags, RectMesh, build_mesh, classify_elements
 from .quadrature import QuadRule, cut_cell_rules, cut_edge_rule, gauss_rect
-from .ife_space import IfeBasis, SpaceSet, TensorBasis, build_spaces, project_l2
+from .ife_space import IfeBasis, SpaceSet, TensorBasis, build_spaces
 from .assembly import SipdgSystem, assemble, auto_sigma0, solve, trace_constant
 from .analysis import ManufacturedCase, convergence_study, error_norms, geometry_probes, manufactured_circle
 from .config import RunConfig

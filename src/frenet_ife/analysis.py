@@ -12,7 +12,7 @@ from .assembly import assemble, auto_sigma0, edge_segments, solve, trace_constan
 from .curves import InterfaceCurve, circle
 from .errors import FrenetIfeError
 from .frenet import FrenetChart, frenet_apparatus
-from .ife_space import SpaceSet, build_spaces, project_l2
+from .ife_space import SpaceSet, build_spaces
 from .mesh import build_mesh, classify_elements
 
 
@@ -205,30 +205,6 @@ def convergence_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
         report.errors.append(errs)
     report.sigma0 = float(sig)
     return report
-
-
-def projection_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
-                     quad=None) -> dict:
-    """L2-projection error orders: L2 and broken H1, per refinement level;
-    the volume order defaults to m+3 here."""
-    quad = dict(quad or {})
-    quad["volume"] = quad.get("volume") or m + 3
-    rows = []
-    for n in ns:
-        spaces = setup_level(case, box, n, m, quad)
-        coef = project_l2(case.u, spaces)
-        l2_sq = h1_sq = 0.0
-        for w, _, du, dg in _volume_errors(coef, case, spaces):
-            l2_sq += np.sum(w * du**2)
-            h1_sq += np.sum(w * np.einsum("epk,epk->ep", dg, dg))
-        rows.append({"n": n, "h": spaces.mesh.h,
-                     "l2": float(np.sqrt(l2_sq)), "h1": float(np.sqrt(h1_sq))})
-    out = {"rows": rows}
-    for key in ("l2", "h1"):
-        es = [r[key] for r in rows]
-        out[f"rates_{key}"] = [float(np.log2(es[i] / es[i + 1]))
-                               for i in range(len(es) - 1)]
-    return out
 
 
 _PROBE_GRID = 6   # grid points per axis sampled in each interface element

@@ -59,9 +59,6 @@ class InterfaceCurve:
     def period(self) -> float:
         return self.xi_end - self.xi_start
 
-    def speed(self, xi):
-        return np.linalg.norm(self.velocity(xi), axis=-1)
-
     def curvature(self, xi):
         """Signed curvature det(g', g'') / ||g'||^3."""
         v = self.velocity(xi)

@@ -37,10 +37,6 @@ class DimensionMismatch(FrenetIfeError):
     """Constraint nullspace dimension differs from the expected local dimension."""
 
 
-class SingularMass(FrenetIfeError):
-    """Local mass matrix too ill-conditioned to invert."""
-
-
 class SingularGram(FrenetIfeError):
     """Gram matrix has no usable non-constant block."""
 

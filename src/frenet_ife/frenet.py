@@ -115,16 +115,12 @@ class FrenetChart:
         return self.curve.point(np.asarray(xi, dtype=float)) + eta[..., None] * fr.n
 
     def jacobian(self, eta, xi):
-        """Jacobian of P: columns (n, (1 + eta*kappa) g').  Shape (..., 2, 2)."""
+        """Jacobian of P: columns (n, (1 + eta*kappa) g').  Shape (..., 2, 2);
+        its determinant is ||g'|| (1 + eta*kappa)."""
         eta = np.asarray(eta, dtype=float)
         _, v, a = self.curve.jet(np.asarray(xi, dtype=float))
         _, n, kappa, _ = _frame(v, a)
         return np.stack([n, (1.0 + eta * kappa)[..., None] * v], axis=-1)
-
-    def jacobian_det(self, eta, xi):
-        """det DP = ||g'(xi)|| (1 + eta*kappa(xi))."""
-        fr = frenet_apparatus(self.curve, np.asarray(xi, dtype=float))
-        return np.asarray(fr.speed) * (1.0 + np.asarray(eta, dtype=float) * np.asarray(fr.kappa))
 
     # -- polyline seed data --------------------------------------------------
     def _seeds(self):
@@ -273,12 +269,6 @@ class FrenetChart:
         return xi
 
     # -- fictitious interval ---------------------------------------------------
-    def fictitious_interval(self, corners):
-        """Parameter interval [xi0, xi1] of the fictitious box containing an
-        element with (4, 2) `corners`; see fictitious_intervals."""
-        xi0, xi1 = self.fictitious_intervals(np.asarray(corners, dtype=float)[None])
-        return float(xi0[0]), float(xi1[0])
-
     def fictitious_intervals(self, corners):
         """Parameter intervals [xi0, xi1] of the fictitious boxes containing elements.
 

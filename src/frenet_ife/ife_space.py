@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legval
 
-from .errors import DimensionMismatch, SingularMass
+from .errors import DimensionMismatch
 from .frenet import FrenetChart
 from .laplacian import FrenetLaplacian
-from .mesh import ElementTag, MeshTags, RectMesh
+from .mesh import MeshTags, RectMesh
 from .quadrature import (_gauss01, cut_cell_rules, edge_spans, gauss_interval, gauss_rect,
                          level_cut_cell_rules)
 
@@ -47,11 +47,6 @@ class LocalScaling:
         array's ** 2 multiplies, and a rounding of pow can differ."""
         s = [self.h_eta ** (-l) for l in range(n)]
         return np.array([s, [v / self.h_xi for v in s], [v / self.h_xi**2 for v in s]])
-
-
-def monomials_x1(m: int):
-    """(j, i) exponent pairs spanning the eta-vanishing block."""
-    return [(j, i) for j in range(1, m + 1) for i in range(m + 1)]
 
 
 def _legendre_rows(deg_max, xbar):
@@ -124,44 +119,40 @@ def build_x0(chart: FrenetChart, intervals, m: int, line_q: int | None = None):
 
     Rows: the m+1 coefficients of p_eta(0, .) plus, for each eta-derivative
     order j <= m-2, the moments of L(p)(0, .) against Legendre tests up to
-    degree m.  `intervals` is one interval (xi0, xi1), or {element: interval}
-    for the interface elements of a level, all built at once.  Returns
-    (vectors (m+1, m+1, m+1), scaling) for one interval and (vectors (E, m+1,
-    m+1, m+1), [scaling]) in key order for a level.
+    degree m.  `intervals` is {element: interval (xi0, xi1)}, all built at
+    once.  Returns (vectors (E, m+1, m+1, m+1), [scaling]) in key order.
 
-    Raises DimensionMismatch, naming a level's first such element, if the
+    Raises DimensionMismatch, naming the first such element, if the
     nullspace dimension is not m+1.
     """
-    level = isinstance(intervals, dict)
-    items = intervals if level else {None: intervals}
     scalings = [LocalScaling(h_eta=chart.h, xi_c=0.5 * (xi0 + xi1), h_xi=0.5 * (xi1 - xi0))
-                for xi0, xi1 in items.values()]
+                for xi0, xi1 in intervals.values()]
     nb = (m + 1) ** 2
-    M = np.zeros((len(items), m * (m + 1), nb))
+    M = np.zeros((len(intervals), m * (m + 1), nb))
     M[:, range(m + 1), range(m + 1, 2 * (m + 1))] = 1.0
     if m >= 2:
         q = line_q if line_q is not None else m + 3
-        factors, xbar, jets, tests = _line_terms(chart, list(items.values()), scalings, m, q)
+        factors, xbar, jets, tests = _line_terms(chart, list(intervals.values()), scalings, m, q)
         units = np.eye(nb).reshape(nb, m + 1, m + 1)
         series = _l_operator_series(units, factors, jets, xbar, m - 1)   # (E, nb, m-1, q)
         M[:, m + 1:] = (np.swapaxes(series, 1, 2)[:, :, None]   # (nb, q) @ (q,) per row
-                        @ tests[:, None, :, :, None]).reshape(len(items), m * m - 1, nb)
+                        @ tests[:, None, :, :, None]).reshape(len(intervals), m * m - 1, nb)
     _, s, vt = np.linalg.svd(M)
     null_dim = nb - np.sum(s > 1e-10 * s[:, :1], axis=1)
-    for e, d in zip(items, null_dim):
+    for e, d in zip(intervals, null_dim):
         if d != m + 1:
             raise DimensionMismatch(
-                ("" if e is None else f"element {e}: ")
-                + f"X0 nullspace dimension {d}, expected {m + 1}; "
+                f"element {e}: X0 nullspace dimension {d}, expected {m + 1}; "
                 "raise the line quadrature order or check the chart")
-    vecs = vt[:, nb - m - 1:].reshape(-1, m + 1, m + 1, m + 1)
-    return (vecs, scalings) if level else (vecs[0], scalings[0])
+    return vt[:, nb - m - 1:].reshape(-1, m + 1, m + 1, m + 1), scalings
 
 
-def _weak_residuals(chart, m: int, bases, line_q: int | None = None):
+def weak_condition_residuals(chart, m: int, bases, line_q: int | None = None):
     """Moment residuals of the operator jump conditions, all orders j <= m-2,
     of every interface basis in `bases` at once: (E, n_basis, (m-1)(m+1)).
-    Each moment is one stacked dot product, as per function."""
+    Each moment is one stacked dot product, as per function.  Its default
+    line order m+6 is finer than build_x0's, so it cross-checks the X0
+    constraints."""
     nb = (m + 1) ** 2
     if m < 2:
         return np.zeros((len(bases), nb, 0))
@@ -217,7 +208,7 @@ def _physical(vals, g_eta, g_xi, J):
     return vals, grads
 
 
-def _interface_jumps(bases, xi):
+def interface_jumps(bases, xi):
     """Value and flux (beta * d_eta) jumps of every function of bases[g] on
     the interface at parameters xi[g], (G, n): two (G, n_basis, n) arrays."""
     zeros = np.zeros_like(xi)
@@ -235,21 +226,19 @@ class IfeBasis:
     members are the same monomial divided by the side's beta.
     """
 
-    def __init__(self, chart: FrenetChart, tag: ElementTag, m: int,
-                 beta_minus: float, beta_plus: float, line_q: int | None = None):
-        self._set(chart, tag, beta_minus, beta_plus, *build_x0(chart, tag.interval, m, line_q))
-
-    def _set(self, chart, tag, beta_minus, beta_plus, x0, scaling):
-        """Set up from build_x0's vectors (m+1, m+1, m+1) and scaling."""
+    def __init__(self, chart: FrenetChart, interval, beta_minus: float, beta_plus: float,
+                 x0, scaling: LocalScaling):
+        """interval: the element's (xi0, xi1); x0, scaling: its X0 vectors
+        (m+1, m+1, m+1) and scaling from build_x0."""
         m = x0.shape[0] - 1
         self.chart = chart
-        self.tag = tag
         self.m = m
         self.beta = {-1: float(beta_minus), 1: float(beta_plus)}
         self.scaling = scaling
-        self.interval = tag.interval
+        self.interval = interval
         self.n_basis = (m + 1) ** 2
-        x1 = np.eye(self.n_basis).reshape(-1, m + 1, m + 1)[m + 1:]   # monomials_x1(m)
+        # the eta-vanishing monomials etabar^j xibar^i, j >= 1
+        x1 = np.eye(self.n_basis).reshape(-1, m + 1, m + 1)[m + 1:]
         self.origins = ["x0"] * (m + 1) + ["x1"] * len(x1)
         self.coef = {1: np.concatenate([x0, x1 / beta_plus]),
                      -1: np.concatenate([x0, x1 / beta_minus])}
@@ -299,20 +288,6 @@ class IfeBasis:
         g = np.einsum("fab,gcd,ac,bd->fg", self.coef[-1], self.coef[-1], m_neg, m_xi)
         g = g + np.einsum("fab,gcd,ac,bd->fg", self.coef[1], self.coef[1], m_pos, m_xi)
         return scale * g
-
-    def interface_jumps(self, xi):
-        """Pointwise value and flux mismatch of every basis function on the
-        interface: (jump values, jump of beta * d_eta) at parameters xi."""
-        jv, jf = _interface_jumps([self], np.atleast_1d(np.asarray(xi, dtype=float))[None])
-        return jv[0], jf[0]
-
-    def weak_condition_residuals(self, line_q: int | None = None):
-        """Moment residuals of the operator jump conditions, all orders j <= m-2.
-
-        Uses its own (refinable) quadrature so it can cross-check the
-        constraint assembly.
-        """
-        return _weak_residuals(self.chart, self.m, [self], line_q)[0]
 
 
 def _lobatto_nodes(m: int):
@@ -390,9 +365,6 @@ class DofLayout:
     def total(self) -> int:
         return self.n_elements * self.n_local
 
-    def dofs(self, e: int):
-        return np.arange(e * self.n_local, (e + 1) * self.n_local)
-
 
 class SpaceSet:
     """The bases of a classified mesh, the coefficient layout and the
@@ -430,8 +402,7 @@ class SpaceSet:
         intervals = {e: t.interval for e, t in tags.interface.items()}
         self.bases = {}                  # interface element -> IfeBasis, in element order
         for e, x0, scaling in zip(intervals, *build_x0(chart, intervals, m, quad.get("interface"))):
-            self.bases[e] = IfeBasis.__new__(IfeBasis)
-            self.bases[e]._set(chart, tags.interface[e], beta_minus, beta_plus, x0, scaling)
+            self.bases[e] = IfeBasis(chart, intervals[e], beta_minus, beta_plus, x0, scaling)
         self.layout = DofLayout(mesh.n_elements, (m + 1) ** 2)
         self._table = {}
 
@@ -661,9 +632,9 @@ def space_diagnostics(spaces: SpaceSet):
     if not spaces.bases:
         return []
     bases = list(spaces.bases.values())
-    weak = _weak_residuals(spaces.chart, spaces.m, bases)
-    jumps = _interface_jumps(bases, np.array([np.linspace(*b.interval, _JUMP_SAMPLES)
-                                              for b in bases]))
+    weak = weak_condition_residuals(spaces.chart, spaces.m, bases)
+    jumps = interface_jumps(bases, np.array([np.linspace(*b.interval, _JUMP_SAMPLES)
+                                             for b in bases]))
     rows = []
     for e, b, w, jv, jf in zip(spaces.bases, bases, weak, *jumps):
         g = b.gram_fictitious()
@@ -679,20 +650,3 @@ def space_diagnostics(spaces: SpaceSet):
         })
     return rows
 
-
-def project_l2(u, spaces: SpaceSet):
-    """Per-element L2 projection; u(points, side) -> values.
-
-    Block-diagonal mass solve with cut-aware quadrature on interface
-    elements.  Raises SingularMass if a local mass matrix is unusable.
-    """
-    n = spaces.layout.n_local
-    M = np.zeros((spaces.mesh.n_elements, n, n))
-    rhs = np.zeros((spaces.mesh.n_elements, n))
-    for elems, pts, w, side, vals, _ in spaces.volume_groups():
-        M[elems] += (vals * w[0]) @ vals.T
-        rhs[elems] += (w * u(pts.reshape(-1, 2), side).reshape(w.shape)) @ vals.T
-    bad = np.flatnonzero(np.linalg.cond(M) > 1e12)
-    if len(bad):
-        raise SingularMass(f"element {bad[0]}: mass condition number > 1e12")
-    return np.linalg.solve(M, rhs[..., None]).ravel()

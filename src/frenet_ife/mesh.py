@@ -166,7 +166,7 @@ def _polish_roots(chart: FrenetChart, a, b, t, edges):
     curve point and one velocity call over the roots still active.  Raises,
     for the first failing root, TangentialIntersection when the interface is
     tangent to the edge there, else AmbiguousCut when the root did not
-    converge.
+    converge or lies off its edge (t outside [0, 1] by more than 1e-12).
     """
     curve = chart.curve
     t = np.array(t, dtype=float)
@@ -193,13 +193,15 @@ def _polish_roots(chart: FrenetChart, a, b, t, edges):
     tangent = np.array([abs(float(np.dot(n, dk))) for n, dk in zip(normal, d)]) / length < 1e-10
     points = a + t[:, None] * d
     diverged = _norms(points - curve.point(xi)) > 1e-12 * scale
-    failed = np.flatnonzero(tangent | diverged)
+    failed = np.flatnonzero(tangent | diverged | (t < -1e-12) | (t > 1.0 + 1e-12))
     if len(failed):
         i = failed[0]
         if tangent[i]:
             raise TangentialIntersection(
                 f"edge {edges[i]}: interface tangent to a mesh edge; perturb the mesh")
-        raise AmbiguousCut(f"edge {edges[i]}: edge crossing failed to converge")
+        why = ("edge crossing failed to converge" if diverged[i]
+               else f"crossing at t = {t[i]:.6g} is off the edge")
+        raise AmbiguousCut(f"edge {edges[i]}: {why}")
     return t, xi, points
 
 

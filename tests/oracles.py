@@ -171,8 +171,9 @@ def bisect_root(f, a, b, iters=200):
 #
 # These walk every element and edge, rebuild its cut-aware rules and
 # re-evaluate its basis at every quadrature point, with no shared table.
-# Assembly, error norms, the trace probe and the L2 projection, which read
-# one quadrature table per level, must reproduce them.
+# Assembly, error norms and the trace probe, which read one quadrature
+# table per level, must reproduce them; the L2 projection is computed only
+# here, for the projection-order checks.
 
 
 def _triplet_matrix(blocks, n):
@@ -195,7 +196,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
     from frenet_ife.assembly import edge_segments
 
     mesh, layout = spaces.mesh, spaces.layout
-    q_vol, q_edge = spaces.q_vol, spaces.q_edge
+    nl, q_vol, q_edge = layout.n_local, spaces.q_vol, spaces.q_edge
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
     trip, trip_jump, trip_flux, trip_vol = [], [], [], []
@@ -203,7 +204,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
 
     for e in range(mesh.n_elements):
         basis = spaces.basis(e)
-        dofs = layout.dofs(e)
+        dofs = np.arange(e * nl, (e + 1) * nl)
         K = np.zeros((basis.n_basis, basis.n_basis))
         Fe = np.zeros(basis.n_basis)
         for rule, side in spaces.element_rules(e, q_vol):
@@ -228,7 +229,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
                 vals, grads = spaces.basis(e).evaluate(pts, side=side)
                 V.append(vals)
                 B.append(beta * np.einsum("bpk,k->bp", grads, n_e))
-                D.append(layout.dofs(e))
+                D.append(np.arange(e * nl, (e + 1) * nl))
             for ia, (ea, sa) in enumerate(members):
                 for ib, (eb, sb) in enumerate(members):
                     blk = (-avg * sa * (V[ia] * w) @ B[ib].T
@@ -252,7 +253,8 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
 
 def _loop_uh(spaces, coef, e, pts, side):
     vals, grads = spaces.basis(e).evaluate(pts, side=side)
-    c = coef[spaces.layout.dofs(e)]
+    nl = spaces.layout.n_local
+    c = coef[e * nl:(e + 1) * nl]
     return c @ vals, np.einsum("b,bpk->pk", c, grads)
 
 
@@ -327,7 +329,7 @@ def loop_trace_constant(spaces, e):
 def loop_project_l2(u, spaces):
     """Per-element L2 projection by local mass solves, at the level's volume
     order."""
-    q = spaces.q_vol
+    q, nl = spaces.q_vol, spaces.layout.n_local
     out = np.zeros(spaces.layout.total)
     for e in range(spaces.mesh.n_elements):
         basis = spaces.basis(e)
@@ -337,7 +339,27 @@ def loop_project_l2(u, spaces):
             vals, _ = basis.evaluate(rule.points, side=side)
             M += (vals * rule.weights) @ vals.T
             rhs += vals @ (rule.weights * u(rule.points, side))
-        out[spaces.layout.dofs(e)] = np.linalg.solve(M, rhs)
+        out[e * nl:(e + 1) * nl] = np.linalg.solve(M, rhs)
+    return out
+
+
+def loop_projection_study(case, m, ns, box=(-1, 1, -1, 1)):
+    """L2-projection errors, L2 and broken H1, of the case on each level of a
+    refinement chain at volume order m+3, and their pairwise log2 rates."""
+    from frenet_ife.analysis import _volume_errors, setup_level
+
+    rows = []
+    for n in ns:
+        spaces = setup_level(case, box, n, m, {"volume": m + 3})
+        l2_sq = h1_sq = 0.0
+        for w, _, du, dg in _volume_errors(loop_project_l2(case.u, spaces), case, spaces):
+            l2_sq += np.sum(w * du**2)
+            h1_sq += np.sum(w * np.einsum("epk,epk->ep", dg, dg))
+        rows.append({"n": n, "l2": float(np.sqrt(l2_sq)), "h1": float(np.sqrt(h1_sq))})
+    out = {"rows": rows}
+    for key in ("l2", "h1"):
+        es = [r[key] for r in rows]
+        out[f"rates_{key}"] = [float(np.log2(es[i] / es[i + 1])) for i in range(len(es) - 1)]
     return out
 
 
@@ -416,8 +438,8 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
 
 
 def loop_fictitious_interval(chart, corners, samples_per_edge=8):
-    """FrenetChart.fictitious_interval as it was before the batched
-    intervals: one inverse for the first corner, one for the boundary loop
+    """FrenetChart.fictitious_intervals of one element as it was before the
+    batched intervals: one inverse for the first corner, one for the boundary loop
     and one per refined extremum, each on its own."""
     from frenet_ife.errors import NewtonDivergence
 
@@ -534,6 +556,8 @@ def loop_polish_root(chart, a, b, t):
     gape = _edge_point(a, b, t) - curve.point(np.asarray(xi, dtype=float))
     if np.linalg.norm(gape) > 1e-12 * scale:
         raise AmbiguousCut("edge crossing failed to converge")
+    if not -1e-12 <= t <= 1.0 + 1e-12:
+        raise AmbiguousCut(f"crossing at t = {t:.6g} is off the edge")
     return float(t), float(xi), _edge_point(a, b, t)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frenet_ife.analysis import (convergence_study, error_norms, geometry_probes,
-                                 manufactured_circle, projection_study, setup_level)
+                                 manufactured_circle, setup_level)
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio, solve,
                                  trace_constant)
 from frenet_ife.curves import circle, ellipse
@@ -16,7 +16,7 @@ from frenet_ife.ife_space import build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_cell_rules, gauss_rect
 
-from oracles import bisect_root, disk_box_area
+from oracles import bisect_root, disk_box_area, loop_projection_study
 from plaindg import PlainDG
 from test_laplacian import analytic_test_functions, pullback_operator_error
 
@@ -58,7 +58,7 @@ def test_criterion_1_convergence(chains):
 
 @pytest.fixture(scope="module")
 def spaces16(benchmark_case):
-    return {m: setup_level(benchmark_case, BOX, 16, m) for m in (1, 2)}
+    return {m: setup_level(benchmark_case, BOX, 16, m) for m in (1, 2, 3)}
 
 
 def test_criterion_2_exact_conformity(spaces16):
@@ -170,8 +170,8 @@ def test_criterion_7_geometry_lemmas():
 
 
 def test_criterion_8_projection_orders(benchmark_case):
-    out1 = projection_study(benchmark_case, 1, [8, 16, 32, 64], BOX)
-    out2 = projection_study(benchmark_case, 2, [8, 16, 32], BOX)
+    out1 = loop_projection_study(benchmark_case, 1, [8, 16, 32, 64], BOX)
+    out2 = loop_projection_study(benchmark_case, 2, [8, 16, 32], BOX)
     r = (out1["rates_l2"][-1], out1["rates_h1"][-1],
          out2["rates_l2"][-1], out2["rates_h1"][-1])
     ok = (abs(r[0] - 2) <= 0.2 and abs(r[1] - 1) <= 0.2

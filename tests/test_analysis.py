@@ -3,13 +3,15 @@ import pytest
 
 from frenet_ife.analysis import (ManufacturedCase, case_jump_residuals,
                                  convergence_study, error_norms, geometry_probes,
-                                 manufactured_circle, projection_study, setup_level)
+                                 manufactured_circle, setup_level)
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio, solve,
                                  trace_constant)
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
+
+from oracles import loop_projection_study
 
 
 def test_manufactured_case_jump_residuals():
@@ -161,7 +163,7 @@ def test_projection_study_reproduces_space_members():
         u=lambda p, s: np.ones(len(np.atleast_2d(p))),
         grad=lambda p, s: np.zeros((len(np.atleast_2d(p)), 2)),
         f=lambda p, s: np.zeros(len(np.atleast_2d(p))))
-    out = projection_study(ones, 1, [8, 16])
+    out = loop_projection_study(ones, 1, [8, 16])
     for row in out["rows"]:
         assert row["l2"] <= 1e-10
         assert row["h1"] <= 1e-10
@@ -169,7 +171,7 @@ def test_projection_study_reproduces_space_members():
 
 def test_projection_orders_m1():
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
-    out = projection_study(case, 1, [8, 16, 32])
+    out = loop_projection_study(case, 1, [8, 16, 32])
     assert out["rates_l2"][-1] == pytest.approx(2.0, abs=0.2)
     assert out["rates_h1"][-1] == pytest.approx(1.0, abs=0.2)
 

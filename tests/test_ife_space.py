@@ -6,15 +6,15 @@ from frenet_ife.analysis import manufactured_circle, setup_level
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import DimensionMismatch
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
-from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces,
-                                  build_x0, monomials_x1, project_l2,
-                                  space_diagnostics, _l_operator_series,
-                                  _legendre_rows, _weak_residuals)
+from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces, build_x0,
+                                  interface_jumps, space_diagnostics,
+                                  weak_condition_residuals, _l_operator_series,
+                                  _legendre_rows)
 from frenet_ife.laplacian import FrenetLaplacian
 from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
 
 from oracles import (composite_simpson, loop_build_x0, loop_interface_jumps,
-                     loop_weak_residuals)
+                     loop_project_l2, loop_weak_residuals)
 
 
 @pytest.fixture(scope="module")
@@ -25,17 +25,29 @@ def circle_spaces():
     return build_spaces(mesh, tags, chart, m=2, beta_minus=1.0, beta_plus=10.0)
 
 
+def _basis(chart, interval, m, beta_minus, beta_plus):
+    """The interface basis of one element with fictitious interval `interval`."""
+    (x0,), (scaling,) = build_x0(chart, {0: interval}, m)
+    return IfeBasis(chart, interval, beta_minus, beta_plus, x0, scaling)
+
+
+def _x1_exponents(m):
+    """(j, i) of the one monomial etabar^j xibar^i of each X1 member of a basis."""
+    x1 = _basis(FrenetChart(circle(1.0), h=0.3), (0.1, 0.4), m, 2.0, 5.0).coef[1][m + 1:]
+    return [tuple(int(v) for v in ji) for (ji,) in map(np.argwhere, x1)]
+
+
 def test_x1_monomials():
-    assert monomials_x1(1) == [(1, 0), (1, 1)]
+    assert _x1_exponents(1) == [(1, 0), (1, 1)]
     for m in (1, 2, 3):
-        mons = monomials_x1(m)
+        mons = _x1_exponents(m)
         assert len(mons) == m * (m + 1)
         assert all(j >= 1 for j, _ in mons)   # all vanish at eta = 0
 
 
 def test_x0_m1_is_trace_polynomials():
     chart = FrenetChart(circle(1.0), h=0.3)
-    vecs, _ = build_x0(chart, (0.1, 0.4), 1)
+    (vecs,), _ = build_x0(chart, {0: (0.1, 0.4)}, 1)
     assert vecs.shape == (2, 2, 2)
     # no eta dependence at all for m=1
     assert np.max(np.abs(vecs[:, 1, :])) == 0.0
@@ -48,7 +60,7 @@ def test_x0_line_m2_against_explicit_matrix():
     line = LineCurve([0.0, 0.0], [1.0, 0.0], -5, 5)
     chart = FrenetChart(line, h=0.5)
     xi0, xi1 = 0.2, 0.9
-    vecs, scaling = build_x0(chart, (xi0, xi1), 2)
+    (vecs,), _ = build_x0(chart, {0: (xi0, xi1)}, 2)
     assert vecs.shape[0] == 3
 
     # independent 6x9 constraint matrix over raw monomials eta^j xi^i
@@ -72,7 +84,7 @@ def test_x0_line_m2_against_explicit_matrix():
 
     # production vectors satisfy the constraints: check via finite differences
     # of the evaluated polynomial plus Simpson moments
-    basis = IfeBasis(chart, _FakeTag((xi0, xi1)), 2, 1.0, 1.0)
+    basis = _basis(chart, (xi0, xi1), 2, 1.0, 1.0)
     for k in range(3):
         coef_fn = k            # X0 members come first
 
@@ -99,18 +111,12 @@ def test_x0_line_m2_against_explicit_matrix():
             assert abs(mom) < 5e-4   # FD-limited accuracy
 
 
-class _FakeTag:
-    def __init__(self, interval):
-        self.interval = interval
-        self.cuts = []
-
-
 def test_x0_circle_m2_dimension_and_residuals():
     chart = FrenetChart(circle(1.0), h=0.3)
-    basis = IfeBasis(chart, _FakeTag((0.0, 0.25)), 2, 1.0, 7.0)
+    basis = _basis(chart, (0.0, 0.25), 2, 1.0, 7.0)
     assert sum(1 for o in basis.origins if o == "x0") == 3
     # residuals evaluated with an independent, much finer line rule
-    res = basis.weak_condition_residuals(line_q=20)
+    res = weak_condition_residuals(chart, 2, [basis], line_q=20)
     assert np.max(np.abs(res)) <= 1e-10
     # the strong eta-derivative condition holds coefficient-wise
     for k in range(3):
@@ -120,12 +126,12 @@ def test_x0_circle_m2_dimension_and_residuals():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_interface_basis_count_and_x1_member(m):
     chart = FrenetChart(circle(1.0), h=0.3)
-    basis = IfeBasis(chart, _FakeTag((0.3, 0.55)), m, 2.0, 5.0)
+    basis = _basis(chart, (0.3, 0.55), m, 2.0, 5.0)
     assert basis.n_basis == (m + 1) ** 2
     # eta/beta is in the basis: X1 monomial (1, 0)
     idx = m + 1   # first X1 member
     assert basis.origins[idx] == "x1"
-    jv, jf = basis.interface_jumps(np.linspace(0.3, 0.55, 9))
+    jv, jf = interface_jumps([basis], np.linspace(0.3, 0.55, 9)[None])
     assert np.max(np.abs(jv)) <= 1e-13
     assert np.max(np.abs(jf)) <= 1e-12
 
@@ -156,7 +162,7 @@ def test_line_interface_eta_over_beta_shape():
 def test_equal_beta_spans_full_tensor_space():
     chart = FrenetChart(circle(1.0), h=0.3)
     for m in (1, 2):
-        basis = IfeBasis(chart, _FakeTag((0.1, 0.4)), m, 3.0, 3.0)
+        basis = _basis(chart, (0.1, 0.4), m, 3.0, 3.0)
         flat = basis.coef[1].reshape(basis.n_basis, -1)
         assert np.linalg.matrix_rank(flat, tol=1e-10) == (m + 1) ** 2
         flat_minus = basis.coef[-1].reshape(basis.n_basis, -1)
@@ -180,7 +186,7 @@ def test_full_constraint_system_cross_check():
     chart = FrenetChart(circle(1.0), h=0.3)
     m, bm, bp = 2, 1.0, 10.0
     interval = (0.2, 0.5)
-    basis = IfeBasis(chart, _FakeTag(interval), m, bm, bp)
+    basis = _basis(chart, interval, m, bm, bp)
     sc = basis.scaling
     from frenet_ife.quadrature import gauss_interval
 
@@ -309,12 +315,13 @@ def test_projection_reproduces_members_and_constants(circle_spaces):
     assert np.max(np.abs(coef_loc @ vals - vals[4])) <= 1e-11
 
     # constants live in every local space (through the trace block)
-    ones = project_l2(lambda p, s: np.ones(len(np.atleast_2d(p))), spaces)
+    ones = loop_project_l2(lambda p, s: np.ones(len(np.atleast_2d(p))), spaces)
+    nl = spaces.layout.n_local
     for ee in (0, e):
         pts = np.column_stack([rng.uniform(*spaces.mesh.elem_box(ee)[0::2], 10),
                                rng.uniform(*spaces.mesh.elem_box(ee)[1::2], 10)])
         vals, _ = spaces.basis(ee).evaluate(pts)
-        assert np.max(np.abs(ones[spaces.layout.dofs(ee)] @ vals - 1.0)) <= 1e-11
+        assert np.max(np.abs(ones[ee * nl:(ee + 1) * nl] @ vals - 1.0)) <= 1e-11
 
 
 def test_setup_builds_per_element_objects_for_cut_elements_only(monkeypatch):
@@ -373,13 +380,9 @@ def test_level_x0_and_weak_residuals_bitwise_equal_to_loop_oracle(level, m, line
     spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0, {"interface": line_q})
     bases = [spaces.bases[e] for e in intervals]
     assert all(np.array_equal(b.coef[1][:m + 1], vecs[i]) for i, b in enumerate(bases))
-    weak = _weak_residuals(chart, m, bases, line_q)
+    weak = weak_condition_residuals(chart, m, bases, line_q)
     for i, b in enumerate(bases):
         assert np.array_equal(weak[i], loop_weak_residuals(b, line_q))
-    b = bases[len(bases) // 2]      # the one-element forms are the kernel on one row
-    one, _ = build_x0(chart, b.interval, m, line_q)
-    assert np.array_equal(one, loop_build_x0(chart, b.interval, m, line_q)[0])
-    assert np.array_equal(b.weak_condition_residuals(line_q), loop_weak_residuals(b, line_q))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -403,10 +406,6 @@ def test_space_diagnostics_jumps_from_one_stacked_kernel_like_the_loop_oracle(
         jv, jf = loop_interface_jumps(b, np.linspace(*b.interval, 24))
         assert row["max_value_jump"] == float(np.max(np.abs(jv)))
         assert row["max_flux_jump"] == float(np.max(np.abs(jf)))
-    b = spaces.bases[rows[0]["element"]]     # the one-element form is the kernel on one row
-    xs = np.linspace(*b.interval, 9)
-    assert all(np.array_equal(a, r) for a, r in zip(b.interface_jumps(xs),
-                                                     loop_interface_jumps(b, xs)))
 
 
 @pytest.mark.parametrize("line_q", [1, 2, 3])

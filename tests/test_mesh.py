@@ -196,6 +196,15 @@ def test_polish_raises_for_the_first_failing_root_tangency_first():
         polish([9])
 
 
+def test_polish_refuses_a_crossing_off_its_edge():
+    # from t = 0.5 the Newton steps reach circle(0.6) at (0.6, 0), which lies
+    # on the line of each edge but not on the edge
+    chart = FrenetChart(circle(0.6), h=0.25)
+    for k, a, b, t in ((5, (0.7, 0.0), (0.8, 0.0), "-1"), (6, (0.0, 0.0), (0.1, 0.0), "6")):
+        with pytest.raises(AmbiguousCut, match=rf"^edge {k}: crossing at t = {t} is off the edge$"):
+            _polish_roots(chart, np.array([a]), np.array([b]), np.array([0.5]), [k])
+
+
 def test_ambiguous_cut_raised_for_quadruple_crossing():
     # thin slab through the circle equator: four crossings on one element
     chart = FrenetChart(circle(0.6), h=0.25)

@@ -1,8 +1,8 @@
 """The per-level quadrature table against per-element reference loops.
 
-Assembly, error norms, the trace probe and the L2 projection read one table
-of cut-aware rules and basis values per level; `oracles.loop_*` rebuild the
-rules and re-evaluate every basis at every point instead.  Assembly and the
+Assembly, error norms and the trace probe read one table of cut-aware rules
+and basis values per level; `oracles.loop_*` rebuild the rules and
+re-evaluate every basis at every point instead.  Assembly and the
 trace constants must agree bit for bit, the rest to roundoff (beta- = 1,
 beta+ = 10).  Plain elements and the edges between them come in groups
 whose blocks are computed once.  The table keeps the segments of every edge
@@ -23,12 +23,11 @@ from frenet_ife.assembly import assemble, auto_sigma0, solve, trace_constant
 from frenet_ife.curves import circle, ellipse, flower
 from frenet_ife.errors import FrenetIfeError
 from frenet_ife.frenet import FrenetChart
-from frenet_ife.ife_space import SpaceSet, build_spaces, project_l2
+from frenet_ife.ife_space import SpaceSet, build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_edge_rule
 
-from oracles import (loop_assemble, loop_error_norms, loop_evaluate, loop_project_l2,
-                     loop_trace_constant)
+from oracles import loop_assemble, loop_error_norms, loop_evaluate, loop_trace_constant
 
 BOX = (-1, 1, -1, 1)
 RTOL = 1e-12
@@ -45,11 +44,6 @@ def _spaces(curve, n, m, relabel=False):
         del tags.interface[e]
         tags.tags[e] = 1
     return build_spaces(mesh, tags, chart, m, 1.0, 10.0)
-
-
-def _rel_max(a, b):
-    a, b = (x.toarray() if hasattr(x, "toarray") else np.asarray(x) for x in (a, b))
-    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 def _assert_assembly_bitwise_equal(spaces, case, sigma0):
@@ -86,7 +80,6 @@ def test_table_on_a_level_without_plain_elements(m):
     assert error_norms(coef, case, spaces, 6.0) == pytest.approx(
         loop_error_norms(coef, case, spaces, 6.0), rel=RTOL, abs=0.0)
     assert trace_constant(spaces, 0) == loop_trace_constant(spaces, 0)
-    assert _rel_max(project_l2(case.u, spaces), loop_project_l2(case.u, spaces)) <= RTOL
 
 
 @pytest.mark.parametrize("n, m, relabel", [(8, 1, False), (8, 2, False), (8, 3, False),
@@ -115,9 +108,6 @@ def test_table_matches_element_loops(n, m, relabel):
     assert later
     for e in [*spaces.tags.interface_elements, plain[0], *cut_faced, *later]:
         assert trace_constant(spaces, e) == loop_trace_constant(spaces, e), e
-
-    proj = project_l2(case.u, spaces)
-    assert _rel_max(proj, loop_project_l2(case.u, spaces)) <= RTOL
 
 
 # the kept values, built on the trace probe's per-element reads or by
@@ -366,7 +356,7 @@ def test_no_table_reader_or_study_takes_a_quadrature_order():
     # the orders belong to the level: SpaceSet fixes them once, and only the
     # per-element reference reads (element_rules, edge_segments) take one
     funcs = [SpaceSet.pieces, SpaceSet.volume_groups, SpaceSet.edge_groups,
-             SpaceSet.element_values, project_l2]
+             SpaceSet.element_values]
     for mod in (assembly, analysis, cli):
         for obj in vars(mod).values():
             if getattr(obj, "__module__", None) != mod.__name__:
