@@ -12,7 +12,7 @@ from .assembly import assemble, auto_sigma0, edge_segments, solve, trace_constan
 from .curves import InterfaceCurve, circle
 from .errors import FrenetIfeError
 from .frenet import FrenetChart, frenet_apparatus
-from .ife_space import SpaceSet, build_spaces
+from .ife_space import SpaceSet, at_points, build_spaces
 from .mesh import build_mesh, classify_elements
 
 
@@ -34,9 +34,6 @@ class ManufacturedCase:
 
     def dirichlet(self, pts, side):
         return self.u(pts, side)
-
-    def beta(self, side):
-        return np.where(np.asarray(side) > 0, self.beta_plus, self.beta_minus)
 
 
 def manufactured_circle(r0: float, beta_minus: float, beta_plus: float,
@@ -91,50 +88,52 @@ def case_jump_residuals(case: ManufacturedCase, chart: FrenetChart, n_pts: int =
 # error norms
 
 
-def _volume_errors(coef, case: ManufacturedCase, spaces: SpaceSet):
-    """Per volume group: (weights, beta, u - u_h, grad(u - u_h)) at its
-    points, each shaped per element (E, nq, ...).  u_h takes one vector-matrix
-    product per element, as an element loop would, so no rounding of it is
-    amplified by the cancellation in u - u_h."""
-    C = coef.reshape(spaces.mesh.n_elements, -1)
-    for elems, pts, w, side, vals, grads in spaces.volume_groups():
-        c, flat = C[elems], pts.reshape(-1, 2)
-        yield (w, float(spaces.beta_of(side)),
-               case.u(flat, side).reshape(w.shape) - (c[:, None] @ vals)[:, 0],
-               case.grad(flat, side).reshape(pts.shape) - np.einsum("eb,bpk->epk", c, grads))
+def _row_sums(x, pos):
+    """Sums of x (E, nq) per value row: of all rows where they share one."""
+    return np.sum(x.reshape(len(pos), -1), axis=-1)
+
+
+def _in_order(parts):
+    """Totals of parts [(pos, sums, ...)], added one at a time in pos order."""
+    pos, *sums = (np.concatenate(x) for x in zip(*parts))
+    return [np.add.accumulate(s[np.argsort(pos)])[-1] for s in sums]
 
 
 def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet, sigma0: float) -> dict:
     """L2, broken and energy norms of u - u_h with cut-aware quadrature.
 
     The flux-average terms use the exact gradients of the case on the
-    exact-solution side of the error.
+    exact-solution side of the error.  u_h takes one vector-matrix product
+    per element, as an element loop would, so no rounding of it is amplified
+    by the cancellation in u - u_h.
     """
     mesh = spaces.mesh
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
-
-    l2_sq = grad_sq = 0.0
-    for w, beta, du, dg in _volume_errors(coef, case, spaces):
-        l2_sq += np.sum(w * du**2)
-        grad_sq += beta * np.sum(w * np.einsum("epk,epk->ep", dg, dg))
-
     C = coef.reshape(mesh.n_elements, -1)
-    jump_sq = flux_sq = 0.0
-    for ks, pts, w, side, members in spaces.edge_groups():
-        n_e = mesh.edge_normal[ks[0]]
-        avg = 1.0 if mesh.edge_is_boundary[ks[0]] else 0.5
-        beta = float(spaces.beta_of(side))
-        flat = pts.reshape(-1, 2)
-        u, grad = case.u(flat, side).reshape(w.shape), case.grad(flat, side).reshape(pts.shape)
+
+    volume = []
+    for elems, pts, w, sides, vals, grads, pos in spaces.volume_groups():
+        c = C[elems]
+        du = at_points(case.u, pts, sides) - (c[:, None] @ vals)[:, 0]
+        dg = at_points(case.grad, pts, sides) - np.einsum("eb,ebpk->epk", c, grads)
+        volume.append((pos, _row_sums(w * du**2, pos), spaces.beta_of(sides[:len(pos)])
+                       * _row_sums(w * np.einsum("epk,epk->ep", dg, dg), pos)))
+    l2_sq, grad_sq = _in_order(volume)
+
+    edges = []
+    for ks, _, pts, w, sides, members, pos in spaces.edge_groups():
+        u, grad = at_points(case.u, pts, sides), at_points(case.grad, pts, sides)
+        beta = spaces.beta_of(sides)[:, None]
         jump = flux = 0.0
-        for j, (_, sign, vals, grads) in enumerate(members):
+        for j, (sign, vals, grads) in enumerate(members):
             c = C[mesh.edge_elems[ks, j]]
             jump = jump + sign * (u - (c[:, None] @ vals)[:, 0])
             flux = flux + beta * np.einsum(
-                "epk,k->ep", grad - np.einsum("eb,bpk->epk", c, grads), n_e)
-        jump_sq += np.sum(w * jump**2)
-        flux_sq += np.sum(w * (avg * flux) ** 2)
+                "epk,ek->ep", grad - np.einsum("eb,ebpk->epk", c, grads), mesh.edge_normal[ks])
+        avg = 1.0 if len(members) == 1 else 0.5
+        edges.append((pos, _row_sums(w * jump**2, pos), _row_sums(w * (avg * flux) ** 2, pos)))
+    jump_sq, flux_sq = _in_order(edges)
 
     norm_h_sq = grad_sq + pen * jump_sq
     energy_sq = norm_h_sq + flux_sq / pen

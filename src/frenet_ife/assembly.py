@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonConvergence, NotPositiveDefinite, SingularGram
-from .ife_space import SpaceSet
+from .ife_space import SpaceSet, at_points
 from .quadrature import cut_edge_rule
 
 
@@ -43,21 +43,22 @@ def edge_segments(spaces: SpaceSet, k: int, q: int):
     return [(seg.points, seg.weights, side) for seg, side in zip(segs, spaces.segment_sides(k))]
 
 
-def _stiffness(spaces: SpaceSet, side, weights, grads):
-    """beta-weighted gradient Gram of one evaluated piece."""
-    return float(spaces.beta_of(side)) * np.einsum("bpk,p,cpk->bc", grads, weights, grads)
+def _stiffness(spaces: SpaceSet, sides, weights, grads):
+    """beta-weighted gradient Gram of an evaluated piece or of each of a stack."""
+    return spaces.beta_of(sides)[..., None, None] * np.einsum(
+        "...bpk,...p,...cpk->...bc", grads, weights, grads)
 
 
 def _edge_terms(spaces: SpaceSet):
-    """Per edge group: (edges, points, weights, side, average weight,
+    """Per edge group: (edges, rows, points, weights, sides, average weight,
     members [(sign, values, beta-weighted normal derivatives)])."""
-    mesh = spaces.mesh
+    normal = spaces.mesh.edge_normal
     terms = []
-    for ks, pts, w, side, members in spaces.edge_groups():
-        beta, n_e = float(spaces.beta_of(side)), mesh.edge_normal[ks[0]]
-        terms.append((ks, pts, w, side, 1.0 if mesh.edge_is_boundary[ks[0]] else 0.5,
-                      [(sign, vals, beta * np.einsum("bpk,k->bp", grads, n_e))
-                       for _, sign, vals, grads in members]))
+    for ks, rows, pts, w, sides, members, pos in spaces.edge_groups():
+        beta = spaces.beta_of(sides[:len(pos)])[:, None, None]
+        terms.append((ks, rows, pts, w, sides, 1.0 if len(members) == 1 else 0.5,
+                      [(sign, vals, beta * np.einsum("ebpk,ek->ebp", grads, normal[ks[:len(pos)]]))
+                       for sign, vals, grads in members]))
     return terms
 
 
@@ -65,21 +66,22 @@ def _csr(spaces: SpaceSet, K, terms, block):
     """Sum, as a CSR matrix on the element-major dofs, of the element blocks
     K (none, or one per element in element order) and then of block(weights,
     average weight, member a, member b) for every member pair of every edge
-    segment: computed once per group of `terms`, and entered in the order of
-    a loop over edges, segments, a and b."""
+    segment: computed once per value row of each group of `terms`, and
+    entered in the order of a loop over edges, segments, a and b."""
     nl, n, elems = spaces.layout.n_local, spaces.layout.total, spaces.mesh.edge_elems
-    blocks, rows, cols, edges = [], [], [], []
-    for ks, _, w, _, avg, members in terms:
+    blocks, take, entries, at = [], [], [], 0
+    for ks, seg_rows, _, w, _, avg, members in terms:
+        lead = len(members[0][1])
         for a, ma in enumerate(members):
             for b, mb in enumerate(members):
-                blocks.append(np.broadcast_to(block(w[0], avg, ma, mb), (len(ks), nl, nl)))
-                rows.append(elems[ks, a])
-                cols.append(elems[ks, b])
-                edges.append(ks)
-    order = np.argsort(np.concatenate(edges), kind="stable")
-    diag = np.arange(len(K))
-    blocks = np.concatenate([K, np.concatenate(blocks)[order]])
-    rows, cols = (np.concatenate([diag, np.concatenate(x)[order]]) for x in (rows, cols))
+                blocks.append(block(w[:lead, None], avg, ma, mb))
+                take.append(np.broadcast_to(at + np.arange(lead), len(ks)))
+                entries.append((elems[ks, a], elems[ks, b], 4 * seg_rows + 2 * a + b))
+                at += lead
+    rows, cols, keys = (np.concatenate(x) for x in zip(*entries))
+    order = np.argsort(keys)
+    blocks = np.concatenate([K, np.concatenate(blocks)[np.concatenate(take)[order]]])
+    rows, cols = (np.concatenate([np.arange(len(K)), x[order]]) for x in (rows, cols))
     local = np.arange(nl)
     r = (rows[:, None] * nl + np.repeat(local, nl)).ravel()
     c = (cols[:, None] * nl + np.tile(local, nl)).ravel()
@@ -91,45 +93,49 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     """Assemble the penalized system; optionally also the norm Gram matrices.
 
     f_source(points, side) and g_dirichlet(points, side) return values at
-    quadrature points.  The norm Grams realize the broken norm (gradient +
-    penalized jumps) and the energy norm (plus weighted flux averages).
-    Blocks shared by a group of plain elements or edges are computed once;
-    S and the Grams are bit-identical to an element-by-element loop.
+    quadrature points, side +-1 per point; each is called once per group.
+    The norm Grams realize the broken norm (gradient + penalized jumps) and
+    the energy norm (plus weighted flux averages).  Blocks are computed once
+    per group of plain elements or edges and row by row in the stacked cut
+    groups; S and the Grams are bit-identical to an element-by-element loop.
     """
     mesh, nl = spaces.mesh, spaces.layout.n_local
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
 
+    # an interface element's two pieces add in either order from zero
     K = np.zeros((mesh.n_elements, nl, nl))
     F = np.zeros(spaces.layout.total)
-    for elems, pts, w, side, vals, grads in spaces.volume_groups():
-        K[elems] += _stiffness(spaces, side, w[0], grads)
-        for e, p, we in zip(elems, pts, w):
-            F[e * nl:(e + 1) * nl] += vals @ (we * f_source(p, side))
+    for elems, pts, w, sides, vals, grads, _ in spaces.volume_groups():
+        np.add.at(K, elems, _stiffness(spaces, sides[:len(vals)], w[:len(vals)], grads))
+        x = w * at_points(f_source, pts, sides)
+        np.add.at(F.reshape(-1, nl), elems, np.matmul(vals, x[..., None])[..., 0])
 
     def sipdg(w, avg, a, b):
         (sa, Va, Ba), (sb, Vb, Bb) = a, b
-        return (-avg * sa * (Va * w) @ Bb.T - avg * sb * (Ba * w) @ Vb.T
-                + pen * sa * sb * (Va * w) @ Vb.T)
+        return (-avg * sa * (Va * w) @ Bb.mT - avg * sb * (Ba * w) @ Vb.mT
+                + pen * sa * sb * (Va * w) @ Vb.mT)
 
     terms = _edge_terms(spaces)
-    # Dirichlet data, added boundary edge by boundary edge in edge order
-    dirichlet = []
-    for ks, pts, w, side, _, members in terms:
+    # Dirichlet data, added boundary segment by boundary segment in row order
+    rows, elems, parts = [], [], []
+    for ks, seg_rows, pts, w, sides, _, members in terms:
         if len(members) == 1:
-            _, V, B = members[0]
-            dirichlet += [(k, e, (-B + pen * V) @ (we * g_dirichlet(p, side)))
-                          for k, e, p, we in zip(ks, mesh.edge_elems[ks, 0], pts, w)]
-    for _, e, contribution in sorted(dirichlet, key=lambda t: t[0]):
-        F[e * nl:(e + 1) * nl] += contribution
+            ((_, V, B),) = members
+            x = w * at_points(g_dirichlet, pts, sides)
+            parts.append(np.matmul(-B + pen * V, x[..., None])[..., 0])
+            rows.append(seg_rows)
+            elems.append(mesh.edge_elems[ks, 0])
+    order = np.argsort(np.concatenate(rows))
+    np.add.at(F.reshape(-1, nl), np.concatenate(elems)[order], np.concatenate(parts)[order])
 
     system = SipdgSystem(S=_csr(spaces, K, terms, sipdg).tocsc(), F=F, sigma0=sigma0,
                          gamma=gamma, penalty=pen, spaces=spaces)
     if with_norm_grams:
         system.norm_gram = _csr(spaces, K, terms, lambda w, avg, a, b:
-                                pen * a[0] * b[0] * (a[1] * w) @ b[1].T)
+                                pen * a[0] * b[0] * (a[1] * w) @ b[1].mT)
         system.energy_gram = system.norm_gram + _csr(spaces, K[:0], terms, lambda w, avg, a, b:
-                                                     (avg * avg / pen) * (a[2] * w) @ b[2].T)
+                                                     (avg * avg / pen) * (a[2] * w) @ b[2].mT)
     return system
 
 

@@ -246,16 +246,9 @@ class IfeBasis:
     # -- evaluation ------------------------------------------------------------
     def evaluate_ref(self, eta, xi, side):
         """Values and (d/deta, d/dxi) gradients in tubular coordinates."""
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        side = np.broadcast_to(np.asarray(side), eta.shape)
-        out = np.empty((3, self.n_basis, len(eta)))
-        for s in (-1, 1):
-            mask = side == s
-            if np.any(mask):
-                for o, r in zip(out, _ref_values([self], [s], eta[None, mask], xi[None, mask])):
-                    o[:, mask] = r[0]
-        return tuple(out)
+        eta, xi = (np.atleast_1d(np.asarray(a, dtype=float))[None].repeat(2, 0) for a in (eta, xi))
+        plus = np.broadcast_to(np.asarray(side), eta.shape[1:]) > 0
+        return tuple(np.where(plus, r[1], r[0]) for r in _ref_values([self, self], [-1, 1], eta, xi))
 
     def evaluate(self, pts, side=None):
         """Physical values and gradients at points of the element.
@@ -266,14 +259,9 @@ class IfeBasis:
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         eta, xi = self.chart.inverse(pts, xi_anchor=self.scaling.xi_c)
-        return self.combine(eta, xi, self.chart.jacobian(eta, xi), side)
-
-    def combine(self, eta, xi, J, side=None):
-        """Values and gradients at the points with tubular coordinates (eta, xi),
-        where the chart has Jacobian J (chart.jacobian(eta, xi))."""
         if side is None:
             side = np.where(eta >= 0.0, 1, -1)
-        return _physical(*self.evaluate_ref(eta, xi, side), J)
+        return _physical(*self.evaluate_ref(eta, xi, side), self.chart.jacobian(eta, xi))
 
     # -- diagnostics -------------------------------------------------------------
     def gram_fictitious(self):
@@ -331,6 +319,13 @@ def _reference_coords(box, pts):
             2.0 * (pts[..., 1] - yl) / (yh - yl) - 1.0)
 
 
+def at_points(fn, pts, sides):
+    """fn(points, side) at every point (E, nq, 2) of a group with sides (E,),
+    in one call: (E, nq, ...)."""
+    out = fn(pts.reshape(-1, 2), np.repeat(sides, pts.shape[1]))
+    return out.reshape(pts.shape[:2] + out.shape[1:])
+
+
 class TensorBasis:
     """Q^m Lagrange basis on Gauss-Lobatto nodes of one uncut element."""
 
@@ -345,12 +340,14 @@ class TensorBasis:
         return self.combine(_lagrange_1d(self.nodes, xr), _lagrange_1d(self.nodes, yr))
 
     def combine(self, x, y):
-        """Values and gradients from 1D Lagrange (values, derivatives) at xr, yr."""
+        """Values and gradients from 1D Lagrange (values, derivatives) at xr,
+        yr, (..., n, P) each; a box of arrays stands for a stack of elements."""
         (vx, dx_), (vy, dy_) = x, y
-        xl, yl, xh, yh = self.box
-        vals = (vx[:, None, :] * vy[None, :, :]).reshape(self.n_basis, -1)
-        gx = (dx_[:, None, :] * vy[None, :, :]).reshape(self.n_basis, -1) * (2.0 / (xh - xl))
-        gy = (vx[:, None, :] * dy_[None, :, :]).reshape(self.n_basis, -1) * (2.0 / (yh - yl))
+        xl, yl, xh, yh = (np.asarray(c, dtype=float)[..., None, None] for c in self.box)
+        shape = vx.shape[:-2] + (self.n_basis, vx.shape[-1])
+        vals = (vx[..., :, None, :] * vy[..., None, :, :]).reshape(shape)
+        gx = (dx_[..., :, None, :] * vy[..., None, :, :]).reshape(shape) * (2.0 / (xh - xl))
+        gy = (vx[..., :, None, :] * dy_[..., None, :, :]).reshape(shape) * (2.0 / (yh - yl))
         return vals, np.stack([gx, gy], axis=-1)
 
 
@@ -382,9 +379,13 @@ class SpaceSet:
     - the interface values on those pieces and on the rows of the interface
       elements' edges, from one chart inverse, one chart Jacobian and one
       stacked evaluation per size of piece or segment;
-    - the plain groups (plain elements, and one-segment edges between plain
-      elements, grouped by the bytes their blocks read) and the plain values
-      they need, from one 1D Lagrange evaluation.
+    - the groups that assembly and error norms loop over: the plain groups
+      (plain elements, and one-segment edges between plain elements, grouped
+      by the bytes their blocks read), then the interface pieces stacked by
+      size and the other segment rows stacked by member count.  Values have
+      a leading axis L of 1 on a plain group, whose rows share them, else
+      one per row, and pos (L,) numbers them in the order of a loop over the
+      plain groups, then the interface pieces or the segment rows.
     """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
@@ -473,67 +474,58 @@ class SpaceSet:
         return sides[first[k]:first[k + 1]].tolist()
 
     def _interface_values(self, volume: bool):
-        """{(element, piece or row): (vals, grads)} of every interface element
-        on _items: one chart inverse at all their points, each anchored at its
-        interval midpoint, and one chart Jacobian there; then one stacked
-        evaluation per size of piece or segment (a fan piece has 2 to 6 cells
-        of q*q points), so no point is padded."""
-        parts = [i for e in self.tags.interface_elements for i in self._items(e, volume)]
-        sizes = [len(p[1]) for p in parts]
-        eta, xi = self.chart.inverse(np.concatenate([p[1] for p in parts]), xi_anchor=np.repeat(
-            [self.bases[e].scaling.xi_c for (e, _), *_ in parts], sizes))
-        J = self.chart.jacobian(eta, xi)
-        at = np.split(np.arange(len(eta)), np.cumsum(sizes)[:-1])
-        values = {}
-        for n in sorted(set(sizes)):
-            idx = [i for i, size in enumerate(sizes) if size == n]
-            take = np.array([at[i] for i in idx])
-            vals, grads = _physical(*_ref_values([self.bases[parts[i][0][0]] for i in idx],
-                                                 [parts[i][3] for i in idx], eta[take], xi[take]),
-                                    J[take])
-            values.update((parts[i][0], (v, g)) for i, v, g in zip(idx, vals, grads))
-        return values
+        """(parts, stacks, views), built on first read and kept: parts the
+        _items of every interface element in element order; their values from
+        one chart inverse at all their points, each anchored at its interval
+        midpoint, one chart Jacobian and one stacked evaluation per size of
+        piece or segment (a fan piece has 2 to 6 cells of q*q points), held
+        in stacks [(part indices, vals, grads)], which views {(element, piece
+        or row): (vals, grads)} index."""
+        def build():
+            parts = [i for e in self.tags.interface_elements for i in self._items(e, volume)]
+            if not parts:
+                return parts, [], {}
+            sizes = [len(p[1]) for p in parts]
+            eta, xi = self.chart.inverse(np.concatenate([p[1] for p in parts]), xi_anchor=np.repeat(
+                [self.bases[e].scaling.xi_c for (e, _), *_ in parts], sizes))
+            J = self.chart.jacobian(eta, xi)
+            at = np.split(np.arange(len(eta)), np.cumsum(sizes)[:-1])
+            stacks, views = [], {}
+            for n in sorted(set(sizes)):
+                idx = np.array([i for i, size in enumerate(sizes) if size == n])
+                take = np.array([at[i] for i in idx])
+                vals, grads = _physical(*_ref_values([self.bases[parts[i][0][0]] for i in idx],
+                                                     [parts[i][3] for i in idx], eta[take],
+                                                     xi[take]), J[take])
+                stacks.append((idx, vals, grads))
+                views.update((parts[i][0], (v, g)) for i, v, g in zip(idx, vals, grads))
+            return parts, stacks, views
+        return self._cached(("values", volume), build)
 
-    def _plain_values(self, volume: bool):
-        """{(element, piece or row): (vals, grads)} of the plain bases where
-        the groups need them: on the first member of each plain group and on
-        the segment rows outside the edge groups; from one 1D Lagrange
+    def _plain_values(self, elems, pts):
+        """Values (K, nl, nq) and gradients (K, nl, nq, 2) of the tensor bases
+        of elements elems (K,) at pts (K, nq, 2), from one 1D Lagrange
         evaluation at all their reference coordinates."""
-        groups = self._groups(volume)
-        if volume:
-            keys, pts = [(ids[0], 0) for ids, *_ in groups], [p[0] for _, p, *_ in groups]
-        else:
-            edge, first, _, seg_pts, _ = self._segments()
-            rows = [*(first[ks[0]] for ks, *_ in groups), *np.flatnonzero(~self._grouped_rows())]
-            keys = [(f, r) for r in rows for f in self.mesh.edge_elems[edge[r]]
-                    if f >= 0 and self.tags.tags[f]]
-            pts = [seg_pts[r] for _, r in keys]
-        if not keys:
-            return {}
-        x, y = _reference_coords(self.mesh.elem_box(np.array([e for e, _ in keys])), np.array(pts))
-        v, d = (a.reshape(len(a), 2, *x.shape) for a in
-                _lagrange_1d(_lobatto_nodes(self.m), np.concatenate([x.ravel(), y.ravel()])))
-        return {key: self.basis(key[0]).combine((v[:, 0, i], d[:, 0, i]), (v[:, 1, i], d[:, 1, i]))
-                for i, key in enumerate(keys)}
-
-    def _kept(self, volume: bool, plain: bool):
-        """The kept basis values of the plain or of the interface elements."""
-        build = self._plain_values if plain else self._interface_values
-        return self._cached(("values", plain, volume), lambda: build(volume))
+        basis = TensorBasis(self.mesh.elem_box(elems), self.m)
+        x, y = _reference_coords(basis.box, pts)
+        v, d = (np.moveaxis(a.reshape(len(a), 2, *x.shape), 0, -2) for a in
+                _lagrange_1d(basis.nodes, np.concatenate([x.ravel(), y.ravel()])))
+        return basis.combine((v[0], d[0]), (v[1], d[1]))
 
     def _grouped_rows(self):
         """Mask of the segment rows of the one-segment edges whose elements
-        are all plain: the rows of the edge groups."""
+        are all plain: the rows of the plain edge groups."""
         edge, first, _, _, _ = self._segments()
         plain = np.append(self.tags.tags != 0, True)   # [-1]: no element
         return (plain[self.mesh.edge_elems].all(axis=1) & (np.diff(first) == 1))[edge]
 
     def _plain_groups(self, volume: bool):
-        """[(ids, points (E, nq, 2), weights (E, nq), side)]: the plain elements
-        (volume) or the edges of _grouped_rows, grouped by the bytes of
-        everything their blocks read (weights, side, the reference coordinates
-        and box widths of their elements and, on edges, the normal and
-        boundary flag), in their lexicographic order."""
+        """[(ids, points (E, nq, 2), weights (E, nq), sides (E,), pos (1,))]:
+        the plain elements (volume) or the segment rows of _grouped_rows,
+        grouped by the bytes of everything their blocks read (weights, side,
+        the reference coordinates and box widths of their elements and, on
+        edges, the normal and boundary flag), in their lexicographic order,
+        which pos numbers."""
         mesh = self.mesh
         if volume:
             ids = np.flatnonzero(self.tags.tags)
@@ -542,9 +534,9 @@ class SpaceSet:
             sides = self.tags.tags[ids]
         else:
             edge, _, labels, seg_pts, seg_w = self._segments()
-            rows = np.flatnonzero(self._grouped_rows())
-            ids, pts, w, sides = edge[rows], seg_pts[rows], seg_w[rows], labels[rows]
-            elems, head = mesh.edge_elems[ids], [mesh.edge_normal[ids], mesh.edge_is_boundary[ids]]
+            ids = np.flatnonzero(self._grouped_rows())
+            pts, w, sides, k = seg_pts[ids], seg_w[ids], labels[ids], edge[ids]
+            elems, head = mesh.edge_elems[k], [mesh.edge_normal[k], mesh.edge_is_boundary[k]]
         key = [w, *head, sides]
         for p in range(elems.shape[1]):
             there = elems[:, p, None] >= 0
@@ -554,42 +546,66 @@ class SpaceSet:
         key = np.column_stack(key).view(np.int64)
         order = np.lexsort(key.T[::-1])                  # first column first, stable
         new = np.flatnonzero(np.any(key[order[1:]] != key[order[:-1]], axis=1)) + 1
-        return [(ids[mem], pts[mem], w[mem], int(sides[mem[0]]))
-                for mem in np.split(order, new) if len(mem)]
-
-    def _groups(self, volume: bool):
-        return self._cached(("plain groups", volume), lambda: self._plain_groups(volume))
+        return [(ids[mem], pts[mem], w[mem], sides[mem], np.array([g]))
+                for g, mem in enumerate(np.split(order, new)) if len(mem)]
 
     def volume_groups(self):
-        """Every element piece of the level, in groups sharing basis values:
-        [(elements, points (E, nq, 2), weights (E, nq), side, vals, grads)],
-        one per group of plain elements, then one per piece of each interface
-        element in element order."""
-        values = self._kept(True, True)
-        groups = [(ids, pts, w, side, *values[ids[0], 0])
-                  for ids, pts, w, side in self._groups(True)]
-        for e in self.tags.interface_elements:
-            groups += [([e], pts[None], w[None], side, vals, grads)
-                       for pts, w, side, vals, grads in self.element_values(e)]
-        return groups
+        """Every element piece of the level in groups: [(elements (E,),
+        points (E, nq, 2), weights (E, nq), sides (E,), vals (L, nl, nq),
+        grads (L, nl, nq, 2), pos (L,))], one per group of plain elements,
+        then one per size of interface piece."""
+        def build():
+            plain = self._plain_groups(True)
+            vals, grads = self._plain_values(np.array([ids[0] for ids, *_ in plain], dtype=int),
+                                             np.reshape([p[0] for _, p, *_ in plain],
+                                                        (len(plain), self.q_vol**2, 2)))
+            groups = [(*group[:4], vals[g:g + 1], grads[g:g + 1], group[4])
+                      for g, group in enumerate(plain)]
+            parts, stacks, _ = self._interface_values(True)
+            for idx, vals, grads in stacks:
+                keys, pts, w, sides = zip(*[parts[i] for i in idx])
+                groups.append((np.array([e for e, _ in keys]), np.array(pts), np.array(w),
+                               np.array(sides), vals, grads, len(plain) + idx))
+            return groups
+        return self._cached(("groups", True), build)
 
     def edge_groups(self):
-        """Every edge segment of the level, in groups sharing basis values:
-        [(edges, points (E, nq, 2), weights (E, nq), side, members)], members
-        [(element, sign, vals, grads)] for the first edge: sign +1 on the
-        element its normal points out of, -1 on the neighbour if any, and
-        member j of each edge its element mesh.edge_elems[edge, j].  One per
-        group of plain edges, then one per other segment row in row order."""
-        edge, first, sides, pts, w = self._segments()
-
-        def members(r):
-            return [(f, sign, *self._kept(False, bool(self.tags.tags[f]))[f, r])
-                    for f, sign in zip(self.mesh.edge_elems[edge[r]], (1.0, -1.0)) if f >= 0]
-
-        groups = [(ks, p, wk, side, members(first[ks[0]]))
-                  for ks, p, wk, side in self._groups(False)]
-        return groups + [([edge[r]], pts[r, None], w[r, None], int(sides[r]), members(r))
-                         for r in np.flatnonzero(~self._grouped_rows())]
+        """Every edge segment of the level in groups: [(edges, segment-table
+        rows, points, weights, sides, members, pos)], members [(sign, vals,
+        grads)] of element mesh.edge_elems[edges, j] for member j, sign +1 on
+        the element the normal points out of and -1 on the neighbour; one
+        per group of plain edges, then one per member count of the others."""
+        def build():
+            edge, _, sides, pts, w = self._segments()
+            elems, plain = self.mesh.edge_elems, self._plain_groups(False)
+            cut = np.flatnonzero(~self._grouped_rows())
+            inner = elems[edge[cut], 1] >= 0
+            groups = plain + [(rows, pts[rows], w[rows], sides[rows], len(plain) + rows)
+                              for rows in (cut[~inner], cut[inner]) if len(rows)]
+            # every member's values on the rows that carry them, member by
+            # member: the plain ones from one Lagrange evaluation, the others
+            # gathered from the kept interface stack (one: all segments have
+            # q_edge points)
+            count = [1 + (elems[edge[rows[0]], 1] >= 0) for rows, *_ in groups]
+            slots = [(rows[:len(pos)], j) for (rows, *_, pos), n in zip(groups, count)
+                     for j in range(n)]
+            f = np.concatenate([elems[edge[rows], j] for rows, j in slots])
+            r = np.concatenate([rows for rows, _ in slots])
+            vals = np.empty((len(f), self.layout.n_local, self.q_edge))
+            grads = np.empty(vals.shape + (2,))
+            flat = self.tags.tags[f] != 0
+            vals[flat], grads[flat] = self._plain_values(f[flat], pts[r[flat]])
+            if not flat.all():
+                parts, ((_, v, g),), _ = self._interface_values(False)
+                known = np.array([e * len(edge) + row for (e, row), *_ in parts])
+                order = np.argsort(known)
+                take = order[np.searchsorted(known[order], (f * len(edge) + r)[~flat])]
+                vals[~flat], grads[~flat] = v[take], g[take]
+            at = np.cumsum([len(rows) for rows, _ in slots])[:-1]
+            members = iter(zip(np.split(vals, at), np.split(grads, at)))
+            return [(edge[rows], rows, p, wk, s, [(sign, *next(members)) for sign in (1.0, -1.0)[:n]],
+                     pos) for (rows, p, wk, s, pos), n in zip(groups, count)]
+        return self._cached(("groups", False), build)
 
     def _items(self, e: int, volume: bool):
         """[((e, piece or row), points, weights, side)] on the pieces of
@@ -611,7 +627,7 @@ class SpaceSet:
         if self.tags.tags[e]:
             basis = self.basis(e)
             return [(p, w, side, *basis.evaluate(p)) for _, p, w, side in items]
-        values = self._kept(volume, False)
+        values = self._interface_values(volume)[2]
         return [(p, w, side, *values[key]) for key, p, w, side in items]
 
 

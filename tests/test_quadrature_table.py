@@ -5,7 +5,8 @@ and basis values per level; `oracles.loop_*` rebuild the rules and
 re-evaluate every basis at every point instead.  Assembly and the
 trace constants must agree bit for bit, the rest to roundoff (beta- = 1,
 beta+ = 10).  Plain elements and the edges between them come in groups
-whose blocks are computed once.  The table keeps the segments of every edge
+whose blocks are computed once; the interface pieces and the other segment
+rows come in a few stacked groups, computed row by row.  The table keeps the segments of every edge
 (the rules of one cut_edge_rule call per edge), the interface basis values,
 built on first read by any of them from one chart inverse and one chart
 Jacobian for the volume pieces of all interface elements and one of each for
@@ -61,7 +62,7 @@ def _assert_assembly_bitwise_equal(spaces, case, sigma0):
 # there (118 volume and 228 edge groups at m=1 on the circle, against 7 and
 # 40 at n=32)
 @pytest.mark.parametrize("curve", [circle(0.6), ellipse(0.7, 0.5)], ids=["circle", "ellipse"])
-@pytest.mark.parametrize("n, m", [(8, 1), (32, 1), (8, 2), (24, 2), (16, 3), (32, 3)])
+@pytest.mark.parametrize("n, m", [(8, 1), (32, 1), (8, 2), (24, 2), (16, 3), (24, 3), (32, 3)])
 def test_assembly_bitwise_equal_to_element_loops(curve, n, m):
     _assert_assembly_bitwise_equal(_spaces(curve, n, m),
                                    manufactured_circle(0.6, 1.0, 10.0, p=4), 6.0)
@@ -82,8 +83,11 @@ def test_table_on_a_level_without_plain_elements(m):
     assert trace_constant(spaces, 0) == loop_trace_constant(spaces, 0)
 
 
+# relabel: stacked cut-edge rows mix plain members on cut faces with
+# interface members
 @pytest.mark.parametrize("n, m, relabel", [(8, 1, False), (8, 2, False), (8, 3, False),
-                                           (16, 1, False), (24, 1, False), (8, 1, True)])
+                                           (16, 1, False), (24, 1, False), (8, 1, True),
+                                           (8, 3, True)])
 def test_table_matches_element_loops(n, m, relabel):
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     spaces = _spaces(case.curve, n, m, relabel)
@@ -104,10 +108,38 @@ def test_table_matches_element_loops(n, m, relabel):
     cut_faced = [e for e in plain
                  if any(spaces.tags.edge_cuts.get(k) for k in mesh.elem_edges[e])]
     assert len(cut_faced) == int(relabel)
-    later = [e for ids, *_ in spaces.volume_groups() if len(ids) > 1 for e in ids[1:]]
+    later = [e for ids, _, _, _, vals, *_ in spaces.volume_groups() if len(vals) < len(ids)
+             for e in ids[1:]]
     assert later
     for e in [*spaces.tags.interface_elements, plain[0], *cut_faced, *later]:
         assert trace_constant(spaces, e) == loop_trace_constant(spaces, e), e
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_cut_pieces_and_cut_edge_rows_come_in_a_few_stacked_groups(monkeypatch, n):
+    # beyond the plain groups, assembly and error norms loop over one group
+    # per size of fan piece (2 to 6 cells) and one per member count of the
+    # other segment rows, however many cut elements the level has
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, BOX, n, 2)
+    mesh = spaces.mesh
+    read = []
+    for name in ("volume_groups", "edge_groups"):
+        def recorded(self, _name=name, _orig=getattr(SpaceSet, name)):
+            read.append((_name, _orig(self)))
+            return read[-1][1]
+        monkeypatch.setattr(SpaceSet, name, recorded)
+    assemble(spaces, 6.0, case.f, case.dirichlet)
+    error_norms(np.zeros(spaces.layout.total), case, spaces, 6.0)
+    monkeypatch.undo()
+    assert [name for name, _ in read] == ["volume_groups", "edge_groups"] * 2
+    interface = np.append(spaces.tags.tags == 0, False)   # [-1]: no element
+    split = np.array([len(spaces.segment_sides(k)) > 1 for k in range(mesh.n_edges)])
+    assert spaces.tags.n_interface > 7 and split.any()
+    for (_, volume), (_, edges) in zip(read[::2], read[1::2]):
+        cut = [elems for elems, *_ in volume if interface[elems].any()]
+        cut += [ks for ks, *_ in edges if split[ks].any() or interface[mesh.edge_elems[ks]].any()]
+        assert 0 < len(cut) <= 7
 
 
 # the kept values, built on the trace probe's per-element reads or by
@@ -132,9 +164,9 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
         for volume in (True, False):
             read += [(e, pts, side, vg)
                      for pts, _, side, *vg in spaces.element_values(e, volume=volume)]
-    for ks, pts, _, side, members in spaces.edge_groups():
-        read += [(mesh.edge_elems[ks[0], j], pts[0], side, vg)
-                 for j, (_, _, *vg) in enumerate(members)]
+    for ks, _, pts, _, sides, members, _ in spaces.edge_groups():
+        read += [(mesh.edge_elems[ks[i], j], pts[i], sides[i], (vals[i], grads[i]))
+                 for j, (_, vals, grads) in enumerate(members) for i in range(len(vals))]
     monkeypatch.undo()
     assert read
     for e, pts, side, got in read:
@@ -196,7 +228,7 @@ def test_plain_lagrange_evaluations_do_not_grow_with_the_mesh(monkeypatch, m):
 
 def _chart_calls(monkeypatch, n):
     """Chart calls of one m=2 level over setup, auto penalty, assembly and
-    error norms; from the auto penalty on, the interface basis combinations,
+    error norms; from the auto penalty on, the interface basis evaluations,
     the stacked evaluations of interface values and the per-region
     fallbacks of the cut-cell rules."""
     counts = dict.fromkeys(("inverse", "signed_distance_estimate", "jacobian"), 0)
@@ -207,7 +239,7 @@ def _chart_calls(monkeypatch, n):
         monkeypatch.setattr(FrenetChart, name, counted)
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     spaces = setup_level(case, BOX, n, 2)
-    for owner, name in ((ife_space.IfeBasis, "combine"), (ife_space, "_ref_values"),
+    for owner, name in ((ife_space.IfeBasis, "evaluate"), (ife_space, "_ref_values"),
                         (quadrature, "_region_rule")):
         counts[name] = 0
 
@@ -236,7 +268,7 @@ def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
     # for all edge segments
     assert c16["jacobian"] == c32["jacobian"] <= 2
     assert c16["_ref_values"] == c32["_ref_values"] <= 6
-    assert c16["combine"] == c32["combine"] == 0
+    assert c16["evaluate"] == c32["evaluate"] == 0
     # every region of the circle passes the level kernel's star test
     assert c16["_region_rule"] == c32["_region_rule"] == 0
 
@@ -266,8 +298,8 @@ def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
     spaces = _spaces(curve, n, 2, relabel)
     mesh, q = spaces.mesh, spaces.q_edge
     rows = {}
-    for ks, pts, w, side, _ in spaces.edge_groups():
-        for k, p, wk in zip(ks, pts, w):
+    for ks, _, pts, w, sides, _, _ in spaces.edge_groups():
+        for k, p, wk, side in zip(ks, pts, w, sides):
             rows.setdefault(int(k), []).append((p, wk, side))
     faces = {}
     for e in range(mesh.n_elements):
