@@ -271,7 +271,7 @@ def trace_probe_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
         if not spaces.tags.interface_elements:
             raise FrenetIfeError(f"mesh n={n}: no interface element to probe; "
                                  "the interface does not cross the domain")
-        cts = [trace_constant(spaces, e) for e in spaces.tags.interface_elements]
+        cts = trace_constant(spaces, spaces.tags.interface_elements)
         levels.append({"n": n, "h": spaces.mesh.h,
                        "max": float(np.max(cts)), "median": float(np.median(cts)),
                        "count": len(cts)})

@@ -170,27 +170,35 @@ def solve(system: SipdgSystem, pd_check: bool | None = None) -> np.ndarray:
     return c
 
 
-def trace_constant(spaces: SpaceSet, e: int) -> float:
-    """Normalized trace constant of one element.
+def trace_constant(spaces: SpaceSet, elems) -> np.ndarray:
+    """Normalized trace constants of distinct elements elems, (K,), in one pass.
 
     Largest generalized eigenvalue of the boundary flux Gram against the
     weighted stiffness (constants deflated), scaled by sqrt(h)*sqrt(beta-)/
-    beta+; bounded uniformly in h, cut position and beta.
+    beta+; bounded uniformly in h, cut position and beta.  The Grams add
+    each element's pieces and face segments in turn, as an element loop
+    does.  Raises SingularGram naming the first element whose stiffness has
+    no non-constant block.
     """
-    mesh = spaces.mesh
-    A = sum(_stiffness(spaces, side, w, grads)
-            for _, w, side, _, grads in spaces.element_values(e))
-    B = sum(float(spaces.beta_of(side))**2 * np.einsum("bpk,p,cpk->bc", grads, w, grads)
-            for _, w, side, _, grads in spaces.element_values(e, volume=False))
-    lam, vecs = np.linalg.eigh(A)
-    keep = lam > 1e-10 * lam[-1]
-    if not np.any(keep):
-        raise SingularGram("element stiffness has no non-constant block")
-    W = vecs[:, keep]
-    lam_max = scipy.linalg.eigh(W.T @ B @ W, W.T @ A @ W,
-                                eigvals_only=True)[-1]
-    return float(np.sqrt(lam_max * mesh.h) * np.sqrt(spaces.beta_minus)
-                 / spaces.beta_plus)
+    elems, nl = np.asarray(elems, dtype=int), spaces.layout.n_local
+    beta2 = {s: float(spaces.beta_of(s))**2 for s in (1, -1)}
+    # the last row gathers the interface rows of elements not asked for
+    A, B = np.zeros((2, len(elems) + 1, nl, nl))
+    for G, volume in ((A, True), (B, False)):
+        for owner, sides, w, grads in spaces.gradients(elems, volume):
+            np.add.at(G, owner, _stiffness(spaces, sides, w, grads) if volume else
+                      np.array([beta2[s] for s in sides])[:, None, None]
+                      * np.einsum("ebpk,ep,ecpk->ebc", grads, w, grads))
+    lam, vecs = np.linalg.eigh(A[:-1])
+    keep = lam > 1e-10 * lam[:, -1:]
+    bad = np.flatnonzero(~keep.any(axis=1))
+    if len(bad):
+        raise SingularGram(f"element {elems[bad[0]]}: stiffness has no non-constant block")
+    # the deflated problems differ in size: one generalized eigensolve each
+    lam_max = [scipy.linalg.eigh(W.T @ b @ W, W.T @ a @ W, eigvals_only=True)[-1]
+               for a, b, W in zip(A, B, (v[:, k] for v, k in zip(vecs, keep)))]
+    return (np.sqrt(np.array(lam_max) * spaces.mesh.h) * np.sqrt(spaces.beta_minus)
+            / spaces.beta_plus)
 
 
 def auto_sigma0(spaces: SpaceSet) -> tuple[float, float]:
@@ -201,7 +209,7 @@ def auto_sigma0(spaces: SpaceSet) -> tuple[float, float]:
     sigma0 > C_t^2 + 1/2 with margin.
     """
     elems = spaces.tags.interface_elements + np.flatnonzero(spaces.tags.tags)[:1].tolist()
-    ct = max(trace_constant(spaces, e) for e in elems)
+    ct = float(np.max(trace_constant(spaces, elems)))
     return 4.0 * ct**2 + 1.0, ct
 
 

@@ -330,10 +330,6 @@ class ChordChart:
         self.b = g0 - xi0 * d
         self.Ainv = np.linalg.inv(self.A)
 
-    def g(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.b + np.multiply.outer(xi, self.A[:, 1])
-
     def map(self, eta, xi):
         coords = np.stack([np.asarray(eta, dtype=float),
                            np.asarray(xi, dtype=float)], axis=-1)

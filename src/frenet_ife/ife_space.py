@@ -23,8 +23,9 @@ from .errors import DimensionMismatch
 from .frenet import FrenetChart
 from .laplacian import FrenetLaplacian
 from .mesh import MeshTags, RectMesh
-from .quadrature import (_gauss01, cut_cell_rules, edge_spans, gauss_interval, gauss_rect,
-                         level_cut_cell_rules)
+# cut_cell_rules is unused here, but perfbench/tracer.py patches ife_space.cut_cell_rules
+from .quadrature import (_gauss01, cut_cell_rules, edge_spans, gauss_interval,  # noqa: F401
+                         gauss_rect, level_cut_cell_rules)
 
 
 @dataclass
@@ -368,7 +369,7 @@ class SpaceSet:
     level's quadrature table at the level's Gauss orders: q_vol points per
     axis on volumes (default m+2) and q_edge on edges (default m+3).  Each
     part of the table is built once for the whole level on its first read;
-    volume_groups, edge_groups and element_values read it, bit-identical to
+    volume_groups, edge_groups and gradients read it, bit-identical to
     per-element evaluation:
 
     - the interface pieces, from quadrature.level_cut_cell_rules;
@@ -410,19 +411,6 @@ class SpaceSet:
     def beta_of(self, side) -> float:
         return np.where(np.asarray(side) > 0, self.beta_plus, self.beta_minus)
 
-    def basis(self, e: int):
-        """The basis of element e: kept if it is an interface element, else
-        its tensor basis, built on the call."""
-        return self.bases[e] if e in self.bases else TensorBasis(self.mesh.elem_box(e), self.m)
-
-    def element_rules(self, e: int, q: int):
-        """[(rule, side)] covering element e with the right branch labels."""
-        side = int(self.tags.tags[e])
-        if side:
-            return [(gauss_rect(self.mesh.elem_box(e), q), side)]
-        rules = cut_cell_rules(self.mesh, e, self.tags.interface[e], self.chart, q)
-        return [(rules[1], 1), (rules[-1], -1)]
-
     # -- quadrature table --------------------------------------------------------
     def _cached(self, key, build):
         if key not in self._table:
@@ -430,8 +418,9 @@ class SpaceSet:
         return self._table[key]
 
     def pieces(self, e: int):
-        """element_rules(e, q_vol) of interface element e; those of all
-        interface elements are built on the first read of any and kept."""
+        """[(rule, side)] of the two pieces of interface element e at order
+        q_vol; those of all interface elements are built on the first read of
+        any and kept."""
         return self._cached("rules", lambda: {
             f: [(r[1], 1), (r[-1], -1)] for f, r in level_cut_cell_rules(
                 self.mesh, self.tags.interface, self.chart, self.q_vol).items()})[e]
@@ -474,23 +463,22 @@ class SpaceSet:
         return sides[first[k]:first[k + 1]].tolist()
 
     def _interface_values(self, volume: bool):
-        """(parts, stacks, views), built on first read and kept: parts the
-        _items of every interface element in element order; their values from
-        one chart inverse at all their points, each anchored at its interval
-        midpoint, one chart Jacobian and one stacked evaluation per size of
-        piece or segment (a fan piece has 2 to 6 cells of q*q points), held
-        in stacks [(part indices, vals, grads)], which views {(element, piece
-        or row): (vals, grads)} index."""
+        """(parts, stacks), built on first read and kept: parts the _items of
+        every interface element in element order; their values from one chart
+        inverse at all their points, each anchored at its interval midpoint,
+        one chart Jacobian and one stacked evaluation per size of piece or
+        segment (a fan piece has 2 to 6 cells of q*q points), held in stacks
+        [(part indices, vals, grads)]."""
         def build():
-            parts = [i for e in self.tags.interface_elements for i in self._items(e, volume)]
+            parts = self._items(self.tags.interface_elements, volume)
             if not parts:
-                return parts, [], {}
+                return parts, []
             sizes = [len(p[1]) for p in parts]
             eta, xi = self.chart.inverse(np.concatenate([p[1] for p in parts]), xi_anchor=np.repeat(
                 [self.bases[e].scaling.xi_c for (e, _), *_ in parts], sizes))
             J = self.chart.jacobian(eta, xi)
             at = np.split(np.arange(len(eta)), np.cumsum(sizes)[:-1])
-            stacks, views = [], {}
+            stacks = []
             for n in sorted(set(sizes)):
                 idx = np.array([i for i, size in enumerate(sizes) if size == n])
                 take = np.array([at[i] for i in idx])
@@ -498,8 +486,7 @@ class SpaceSet:
                                                      [parts[i][3] for i in idx], eta[take],
                                                      xi[take]), J[take])
                 stacks.append((idx, vals, grads))
-                views.update((parts[i][0], (v, g)) for i, v, g in zip(idx, vals, grads))
-            return parts, stacks, views
+            return parts, stacks
         return self._cached(("values", volume), build)
 
     def _plain_values(self, elems, pts):
@@ -561,7 +548,7 @@ class SpaceSet:
                                                         (len(plain), self.q_vol**2, 2)))
             groups = [(*group[:4], vals[g:g + 1], grads[g:g + 1], group[4])
                       for g, group in enumerate(plain)]
-            parts, stacks, _ = self._interface_values(True)
+            parts, stacks = self._interface_values(True)
             for idx, vals, grads in stacks:
                 keys, pts, w, sides = zip(*[parts[i] for i in idx])
                 groups.append((np.array([e for e, _ in keys]), np.array(pts), np.array(w),
@@ -596,7 +583,7 @@ class SpaceSet:
             flat = self.tags.tags[f] != 0
             vals[flat], grads[flat] = self._plain_values(f[flat], pts[r[flat]])
             if not flat.all():
-                parts, ((_, v, g),), _ = self._interface_values(False)
+                parts, ((_, v, g),) = self._interface_values(False)
                 known = np.array([e * len(edge) + row for (e, row), *_ in parts])
                 order = np.argsort(known)
                 take = order[np.searchsorted(known[order], (f * len(edge) + r)[~flat])]
@@ -607,28 +594,38 @@ class SpaceSet:
                      pos) for (rows, p, wk, s, pos), n in zip(groups, count)]
         return self._cached(("groups", False), build)
 
-    def _items(self, e: int, volume: bool):
-        """[((e, piece or row), points, weights, side)] on the pieces of
-        element e (volume) or on the segment rows of its four edges in turn."""
+    def _items(self, elems, volume: bool):
+        """[((element, piece or row), points, weights, side)] on the pieces of
+        interface elements elems (volume) or on the segment-table rows of the
+        four edges of each of elems in turn."""
         if volume:
-            rules = self.element_rules(e, self.q_vol) if self.tags.tags[e] else self.pieces(e)
             return [((e, i), rule.points, rule.weights, side)
-                    for i, (rule, side) in enumerate(rules)]
+                    for e in elems for i, (rule, side) in enumerate(self.pieces(e))]
         _, first, sides, pts, w = self._segments()
-        return [((e, r), pts[r], w[r], int(sides[r])) for k in self.mesh.elem_edges[e]
-                for r in range(first[k], first[k + 1])]
+        return [((e, r), pts[r], w[r], int(sides[r])) for e in elems
+                for k in self.mesh.elem_edges[e] for r in range(first[k], first[k + 1])]
 
-    def element_values(self, e: int, volume: bool = True):
-        """[(points, weights, side, vals, grads)] of basis e on the pieces of
-        element e (volume) or on the segments of its four edges in turn: the
-        kept values of an interface element; a plain element is evaluated on
-        its own points, which gives its group's bits."""
-        items = self._items(e, volume)
-        if self.tags.tags[e]:
-            basis = self.basis(e)
-            return [(p, w, side, *basis.evaluate(p)) for _, p, w, side in items]
-        values = self._interface_values(volume)[2]
-        return [(p, w, side, *values[key]) for key, p, w, side in items]
+    def gradients(self, elems, volume: bool):
+        """Gradients of the bases of elements elems (K,) on their pieces
+        (volume) or on their _items rows: [(index into elems, -1 for an element
+        not in it, sides, weights, grads)], each element's rows in one entry
+        and in their order.  The kept interface stacks are read whole, without
+        a copy; the plain elements are evaluated on their own rule or rows."""
+        tags, at = self.tags.tags, np.full(self.mesh.n_elements, -1)
+        at[elems] = np.arange(len(elems))
+        parts, stacks = self._interface_values(volume) if (tags[elems] == 0).any() else ([], [])
+        out = [(at[[parts[i][0][0] for i in idx]], np.array([parts[i][3] for i in idx]),
+                np.array([parts[i][2] for i in idx]), grads) for idx, _, grads in stacks]
+        plain = elems[tags[elems] != 0]
+        if volume:
+            rule = gauss_rect(self.mesh.elem_box(plain), self.q_vol)
+            f, sides, pts, w = plain, tags[plain], rule.points, rule.weights
+        else:
+            _, _, labels, seg_pts, seg_w = self._segments()
+            f, rows = np.array([key for key, *_ in self._items(plain, False)],
+                               dtype=int).reshape(-1, 2).T
+            sides, pts, w = labels[rows], seg_pts[rows], seg_w[rows]
+        return out + [(at[f], sides, w, self._plain_values(f, pts)[1])]
 
 
 def build_spaces(mesh, tags, chart, m, beta_minus, beta_plus, quad=None) -> SpaceSet:

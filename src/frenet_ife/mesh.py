@@ -73,11 +73,6 @@ class RectMesh:
         xl, yl, xh, yh = self.elem_box(e)
         return np.array([[xl, yl], [xh, yl], [xh, yh], [xl, yh]])
 
-    @property
-    def area(self) -> float:
-        x0, x1, y0, y1 = self.box
-        return (x1 - x0) * (y1 - y0)
-
 
 def build_mesh(box, n) -> RectMesh:
     """Uniform mesh; `n` is either an int (both axes) or (nx, ny)."""

@@ -176,6 +176,25 @@ def bisect_root(f, a, b, iters=200):
 # here, for the projection-order checks.
 
 
+def element_basis(spaces, e):
+    """The basis of element e: kept if it is an interface element, else its
+    tensor basis, built on the call."""
+    from frenet_ife.ife_space import TensorBasis
+
+    return spaces.bases[e] if e in spaces.bases else TensorBasis(spaces.mesh.elem_box(e), spaces.m)
+
+
+def element_rules(spaces, e, q):
+    """[(rule, side)] covering element e with the right branch labels."""
+    from frenet_ife.quadrature import cut_cell_rules, gauss_rect
+
+    side = int(spaces.tags.tags[e])
+    if side:
+        return [(gauss_rect(spaces.mesh.elem_box(e), q), side)]
+    rules = cut_cell_rules(spaces.mesh, e, spaces.tags.interface[e], spaces.chart, q)
+    return [(rules[1], 1), (rules[-1], -1)]
+
+
 def _triplet_matrix(blocks, n):
     import scipy.sparse as sp
 
@@ -203,11 +222,11 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
     F = np.zeros(layout.total)
 
     for e in range(mesh.n_elements):
-        basis = spaces.basis(e)
+        basis = element_basis(spaces, e)
         dofs = np.arange(e * nl, (e + 1) * nl)
         K = np.zeros((basis.n_basis, basis.n_basis))
         Fe = np.zeros(basis.n_basis)
-        for rule, side in spaces.element_rules(e, q_vol):
+        for rule, side in element_rules(spaces, e, q_vol):
             beta = float(spaces.beta_of(side))
             vals, grads = basis.evaluate(rule.points, side=side)
             K += beta * np.einsum("bpk,p,cpk->bc", grads, rule.weights, grads)
@@ -226,7 +245,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
             beta = float(spaces.beta_of(side))
             V, B, D = [], [], []
             for e, _sign in members:
-                vals, grads = spaces.basis(e).evaluate(pts, side=side)
+                vals, grads = element_basis(spaces, e).evaluate(pts, side=side)
                 V.append(vals)
                 B.append(beta * np.einsum("bpk,k->bp", grads, n_e))
                 D.append(np.arange(e * nl, (e + 1) * nl))
@@ -252,7 +271,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
 
 
 def _loop_uh(spaces, coef, e, pts, side):
-    vals, grads = spaces.basis(e).evaluate(pts, side=side)
+    vals, grads = element_basis(spaces, e).evaluate(pts, side=side)
     nl = spaces.layout.n_local
     c = coef[e * nl:(e + 1) * nl]
     return c @ vals, np.einsum("b,bpk->pk", c, grads)
@@ -268,7 +287,7 @@ def loop_error_norms(coef, case, spaces, sigma0):
     pen = sigma0 * (spaces.beta_plus**2 / spaces.beta_minus) / mesh.h
     l2_sq = grad_sq = 0.0
     for e in range(mesh.n_elements):
-        for rule, side in spaces.element_rules(e, q_vol):
+        for rule, side in element_rules(spaces, e, q_vol):
             beta = float(spaces.beta_of(side))
             uh, guh = _loop_uh(spaces, coef, e, rule.points, side)
             du = case.u(rule.points, side) - uh
@@ -307,10 +326,10 @@ def loop_trace_constant(spaces, e):
 
     mesh = spaces.mesh
     q_vol, q_edge = spaces.q_vol, spaces.q_edge
-    basis = spaces.basis(e)
+    basis = element_basis(spaces, e)
     A = np.zeros((basis.n_basis, basis.n_basis))
     B = np.zeros_like(A)
-    for rule, side in spaces.element_rules(e, q_vol):
+    for rule, side in element_rules(spaces, e, q_vol):
         beta = float(spaces.beta_of(side))
         _, grads = basis.evaluate(rule.points, side=side)
         A += beta * np.einsum("bpk,p,cpk->bc", grads, rule.weights, grads)
@@ -332,10 +351,10 @@ def loop_project_l2(u, spaces):
     q, nl = spaces.q_vol, spaces.layout.n_local
     out = np.zeros(spaces.layout.total)
     for e in range(spaces.mesh.n_elements):
-        basis = spaces.basis(e)
+        basis = element_basis(spaces, e)
         M = np.zeros((basis.n_basis, basis.n_basis))
         rhs = np.zeros(basis.n_basis)
-        for rule, side in spaces.element_rules(e, q):
+        for rule, side in element_rules(spaces, e, q):
             vals, _ = basis.evaluate(rule.points, side=side)
             M += (vals * rule.weights) @ vals.T
             rhs += vals @ (rule.weights * u(rule.points, side))
@@ -354,7 +373,7 @@ def loop_projection_study(case, m, ns, box=(-1, 1, -1, 1)):
         coef = loop_project_l2(case.u, spaces)
         l2_sq = h1_sq = 0.0
         for e in range(spaces.mesh.n_elements):
-            for rule, side in spaces.element_rules(e, spaces.q_vol):
+            for rule, side in element_rules(spaces, e, spaces.q_vol):
                 uh, guh = _loop_uh(spaces, coef, e, rule.points, side)
                 du = case.u(rule.points, side) - uh
                 dg = case.grad(rule.points, side) - guh

@@ -6,11 +6,12 @@ from frenet_ife.analysis import manufactured_circle, setup_level
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio,
                                  edge_segments, solve, trace_constant)
 from frenet_ife.curves import circle
-from frenet_ife.errors import NotPositiveDefinite
+from frenet_ife.errors import NotPositiveDefinite, SingularGram
 from frenet_ife.frenet import FrenetChart
-from frenet_ife.ife_space import build_spaces
+from frenet_ife.ife_space import SpaceSet, build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 
+from oracles import element_basis, element_rules
 from plaindg import PlainDG
 
 
@@ -87,7 +88,7 @@ def test_exact_reproduction_of_linear_solution():
         box = spaces.mesh.elem_box(e)
         pts = np.column_stack([rng.uniform(box[0], box[2], 8),
                                rng.uniform(box[1], box[3], 8)])
-        vals, _ = spaces.basis(e).evaluate(pts)
+        vals, _ = element_basis(spaces, e).evaluate(pts)
         uh = coef[e * nl:(e + 1) * nl] @ vals
         assert np.max(np.abs(uh - pts[:, 0])) <= 1e-10
 
@@ -125,9 +126,9 @@ def test_galerkin_consistency(bench):
     pen = system.penalty
     for e in range(mesh.n_elements):
         dofs = slice(e * nl, (e + 1) * nl)
-        for rule, side in spaces.element_rules(e, q=6):
+        for rule, side in element_rules(spaces, e, 6):
             beta = float(spaces.beta_of(side))
-            _, grads = spaces.basis(e).evaluate(rule.points, side=side)
+            _, grads = element_basis(spaces, e).evaluate(rule.points, side=side)
             gu = case.grad(rule.points, side)
             action[dofs] += beta * np.einsum("bpk,p,pk->b", grads, rule.weights, gu)
     for k in range(mesh.n_edges):
@@ -141,7 +142,7 @@ def test_galerkin_consistency(bench):
             # exact solution: zero jump, flux average equals the trace
             flux_ex = beta * np.einsum("pk,k->p", case.grad(pts, side), n_e)
             for e, sgn in members:
-                vals, grads = spaces.basis(e).evaluate(pts, side=side)
+                vals, grads = element_basis(spaces, e).evaluate(pts, side=side)
                 dofs = slice(e * nl, (e + 1) * nl)
                 action[dofs] += -sgn * vals @ (w * flux_ex)
                 if not interior:
@@ -158,7 +159,7 @@ def test_trace_constant_h_independent_on_plain_elements():
         spaces = setup_level(case, (-1, 1, -1, 1), n, 1)
         e_plain = next(e for e in range(spaces.mesh.n_elements)
                        if spaces.tags.tags[e] != 0)
-        cts.append(trace_constant(spaces, e_plain))
+        cts.append(trace_constant(spaces, [e_plain])[0])
     assert cts[0] == pytest.approx(cts[1], rel=1e-9)
 
     # oracle: dense generalized eigenproblem on one reference element,
@@ -168,13 +169,13 @@ def test_trace_constant_h_independent_on_plain_elements():
     tags = classify_elements(mesh, chart)
     assert tags.tags[0] == -1               # unit box lies inside the circle
     spaces = build_spaces(mesh, tags, chart, 1, 1.0, 10.0)
-    ct_ref = trace_constant(spaces, 0)
+    ct_ref = trace_constant(spaces, [0])[0]
     from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(6)
     x01 = 0.5 * (x + 1)
     w01 = 0.5 * w
-    basis = spaces.basis(0)
+    basis = element_basis(spaces, 0)
     X, Y = np.meshgrid(x01, x01, indexing="ij")
     W = np.multiply.outer(w01, w01).ravel()
     pts = np.column_stack([X.ravel(), Y.ravel()])
@@ -193,6 +194,31 @@ def test_trace_constant_h_independent_on_plain_elements():
     expected = np.sqrt(lam_max * beta_side * mesh.h) * np.sqrt(spaces.beta_minus) \
         / spaces.beta_plus
     assert ct_ref == pytest.approx(float(expected), rel=1e-9)
+
+
+def test_singular_stiffness_names_the_first_such_element(monkeypatch):
+    # zero gradients on the pieces of a plain element and of an interface
+    # element: the probe names the one that comes first in its list
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, (-1, 1, -1, 1), 8, 1)
+    elems = spaces.tags.interface_elements + np.flatnonzero(spaces.tags.tags)[:1].tolist()
+    zeroed = [elems[-1], elems[2]]
+
+    def gradients(self, asked, volume, _orig=SpaceSet.gradients):
+        out = _orig(self, asked, volume)
+        if volume:
+            out = [(owner, sides, w, np.where(np.isin(asked[owner], zeroed)[:, None, None, None],
+                                              0.0, grads))
+                   for owner, sides, w, grads in out]
+        return out
+
+    monkeypatch.setattr(SpaceSet, "gradients", gradients)
+    with pytest.raises(SingularGram, match=rf"^element {elems[2]}: "):
+        trace_constant(spaces, elems)
+    with pytest.raises(SingularGram, match=rf"^element {elems[-1]}: "):
+        trace_constant(spaces, elems[::-1])
+    with pytest.raises(SingularGram, match=rf"^element {elems[2]}: "):
+        auto_sigma0(spaces)
 
 
 def test_auto_sigma0_exceeds_coercivity_threshold(bench):

@@ -234,8 +234,9 @@ def test_xi_monotone_along_interface_element_edges(curve, box, n):
 def test_chord_chart_interpolates_and_inverts():
     chart = FrenetChart(circle(1.0), h=0.3)
     cc = chart.chord_chart(0.1, 0.45)
-    assert np.allclose(cc.g(np.asarray(0.1)), chart.curve.point(np.asarray(0.1)), atol=1e-14)
-    assert np.allclose(cc.g(np.asarray(0.45)), chart.curve.point(np.asarray(0.45)), atol=1e-14)
+    # the chord P_chord(0, xi) = A (0, xi)^T + b passes through g(xi0) and g(xi1)
+    for xi in (0.1, 0.45):
+        assert np.allclose(cc.b + xi * cc.A[:, 1], chart.curve.point(np.asarray(xi)), atol=1e-14)
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(50, 2))
     assert np.max(np.linalg.norm(cc.map(*cc.inverse(pts).T) - pts, axis=1)) <= 1e-13

@@ -33,7 +33,8 @@ def test_area_partition():
     for e in range(m.n_elements):
         xl, yl, xh, yh = m.elem_box(e)
         total += (xh - xl) * (yh - yl)
-    assert total == pytest.approx(m.area, abs=1e-12)
+    x0, x1, y0, y1 = m.box
+    assert total == pytest.approx((x1 - x0) * (y1 - y0), abs=1e-12)
 
 
 def test_edge_topology_consistency():

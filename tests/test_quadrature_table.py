@@ -2,15 +2,20 @@
 
 Assembly, error norms and the trace probe read one table of cut-aware rules
 and basis values per level; `oracles.loop_*` rebuild the rules and
-re-evaluate every basis at every point instead.  Assembly and the
+re-evaluate every basis at every point instead, through the per-element
+reads `oracles.element_basis` and `oracles.element_rules`.  Assembly and the
 trace constants must agree bit for bit, the rest to roundoff (beta- = 1,
 beta+ = 10).  Plain elements and the edges between them come in groups
 whose blocks are computed once; the interface pieces and the other segment
-rows come in a few stacked groups, computed row by row.  The table keeps the segments of every edge
-(the rules of one cut_edge_rule call per edge), the interface basis values,
-built on first read by any of them from one chart inverse and one chart
-Jacobian for the volume pieces of all interface elements and one of each for
-their edges, and the plain values from one 1D Lagrange evaluation each.
+rows come in a few stacked groups, computed row by row.  The trace probe is
+one kernel call per level over a list of elements: it reads the kept
+interface stacks whole and evaluates the plain elements it probes on their
+own rules and face rows, without building the groups.  The table keeps the
+segments of every edge (the rules of one cut_edge_rule call per edge), the
+interface basis values, built on first read by any of them from one chart
+inverse and one chart Jacobian for the volume pieces of all interface
+elements and one of each for their edges, and the plain values from one 1D
+Lagrange evaluation each.
 """
 
 import inspect
@@ -28,7 +33,8 @@ from frenet_ife.ife_space import SpaceSet, build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_edge_rule
 
-from oracles import loop_assemble, loop_error_norms, loop_evaluate, loop_trace_constant
+from oracles import (element_basis, loop_assemble, loop_error_norms, loop_evaluate,
+                     loop_trace_constant)
 
 BOX = (-1, 1, -1, 1)
 RTOL = 1e-12
@@ -80,7 +86,7 @@ def test_table_on_a_level_without_plain_elements(m):
     coef = solve(system, pd_check=False)
     assert error_norms(coef, case, spaces, 6.0) == pytest.approx(
         loop_error_norms(coef, case, spaces, 6.0), rel=RTOL, abs=0.0)
-    assert trace_constant(spaces, 0) == loop_trace_constant(spaces, 0)
+    assert trace_constant(spaces, [0])[0] == loop_trace_constant(spaces, 0)
 
 
 # relabel: stacked cut-edge rows mix plain members on cut faces with
@@ -99,10 +105,14 @@ def test_table_matches_element_loops(n, m, relabel):
     ref = loop_error_norms(coef, case, spaces, sigma0)
     for key in ("l2", "norm_h", "energy"):
         assert errs[key] == pytest.approx(ref[key], rel=RTOL, abs=0.0), key
+    _assert_trace_constants_bitwise_equal(spaces, relabel)
 
+
+def _assert_trace_constants_bitwise_equal(spaces, relabel):
     # trace constants bit for bit: sigma0 = 4 C_t^2 + 1 enters S.  Every
-    # interface element, and the plain elements that are not the first member
-    # of their group, which the probe evaluates on their own points
+    # interface element, and plain elements: the first, those with cut faces
+    # and those that are not the first member of their group, which the probe
+    # evaluates on their own points; in one call, and one element a call
     mesh = spaces.mesh
     plain = np.flatnonzero(spaces.tags.tags).tolist()
     cut_faced = [e for e in plain
@@ -111,8 +121,45 @@ def test_table_matches_element_loops(n, m, relabel):
     later = [e for ids, _, _, _, vals, *_ in spaces.volume_groups() if len(vals) < len(ids)
              for e in ids[1:]]
     assert later
-    for e in [*spaces.tags.interface_elements, plain[0], *cut_faced, *later]:
-        assert trace_constant(spaces, e) == loop_trace_constant(spaces, e), e
+    elems = list(dict.fromkeys([*spaces.tags.interface_elements, plain[0], *cut_faced, *later]))
+    ref = [loop_trace_constant(spaces, e) for e in elems]
+    assert trace_constant(spaces, elems).tolist() == ref
+    for e, ct in zip(elems, ref):
+        assert trace_constant(spaces, [e]).tolist() == [ct], e
+
+
+@pytest.mark.parametrize("curve", [ellipse(0.7, 0.5), circle(0.55, (0.1, -0.07))],
+                         ids=["ellipse", "shifted-circle"])
+@pytest.mark.parametrize("n, m, relabel", [(8, 1, False), (16, 1, False), (8, 2, False),
+                                           (16, 3, False), (8, 1, True), (8, 3, True)])
+def test_trace_constants_bitwise_equal_to_element_loops(curve, n, m, relabel):
+    _assert_trace_constants_bitwise_equal(_spaces(curve, n, m, relabel), relabel)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_trace_probe_is_one_kernel_call_per_level(monkeypatch, m):
+    # the penalty probe and the trace study read the level's table in one
+    # call each, evaluate no basis element by element and build no group
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    calls = []
+
+    def counted(spaces, elems, _orig=trace_constant):
+        calls.append(len(elems))
+        return _orig(spaces, elems)
+
+    for owner in (assembly, analysis):
+        monkeypatch.setattr(owner, "trace_constant", counted)
+    for owner, name in ((ife_space.TensorBasis, "evaluate"), (ife_space.IfeBasis, "evaluate"),
+                        (SpaceSet, "volume_groups"), (SpaceSet, "edge_groups")):
+        def recorded(*args, _name=f"{owner.__name__}.{name}", **kwargs):
+            calls.append(_name)
+        monkeypatch.setattr(owner, name, recorded)
+    spaces = setup_level(case, BOX, 16, m)
+    auto_sigma0(spaces)
+    assert calls == [spaces.tags.n_interface + 1]
+    calls.clear()
+    study = analysis.trace_probe_study(case, m, (8, 16))
+    assert calls == [lv["count"] for lv in study["levels"]]
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -142,8 +189,8 @@ def test_cut_pieces_and_cut_edge_rows_come_in_a_few_stacked_groups(monkeypatch, 
         assert 0 < len(cut) <= 7
 
 
-# the kept values, built on the trace probe's per-element reads or by
-# assembly and then read element by element
+# the kept values, built on their first read or by assembly and then read
+# from their stacks
 @pytest.mark.parametrize("curve, m, after_assembly", [
     pytest.param(curve, m, kept, id=f"{name}-{m}-kept" if kept else
                  (str(m) if name == "circle" else f"{name}-{m}"))
@@ -160,10 +207,10 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
         for name in ("inverse", "jacobian"):
             monkeypatch.setattr(spaces.chart, name, None)
     read = []
-    for e in spaces.tags.interface_elements:
-        for volume in (True, False):
-            read += [(e, pts, side, vg)
-                     for pts, _, side, *vg in spaces.element_values(e, volume=volume)]
+    for volume in (True, False):
+        parts, stacks = spaces._interface_values(volume)
+        read += [(parts[i][0][0], parts[i][1], parts[i][3], (v, g))
+                 for idx, vals, grads in stacks for i, v, g in zip(idx, vals, grads)]
     for ks, _, pts, _, sides, members, _ in spaces.edge_groups():
         read += [(mesh.edge_elems[ks[i], j], pts[i], sides[i], (vals[i], grads[i]))
                  for j, (_, vals, grads) in enumerate(members) for i in range(len(vals))]
@@ -172,7 +219,7 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
     for e, pts, side, got in read:
         # interface values: the stacked kernel on the table and on one row,
         # against the per-side evaluation it replaced
-        one = spaces.basis(e).evaluate(pts, side=side)
+        one = element_basis(spaces, e).evaluate(pts, side=side)
         ref = loop_evaluate(spaces.bases[e], pts, side) if e in spaces.tags.interface_elements \
             else one
         assert all(np.array_equal(a, b) and np.array_equal(c, b)
@@ -294,7 +341,8 @@ def test_solve_factors_the_assembled_matrix_without_a_copy(monkeypatch):
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
     # every row of the level's segment table, as edge_groups and the trace
-    # probe read it, against one cut_edge_rule call per edge
+    # probe read it (the rows of each element's faces), against one
+    # cut_edge_rule call per edge
     spaces = _spaces(curve, n, 2, relabel)
     mesh, q = spaces.mesh, spaces.q_edge
     rows = {}
@@ -303,9 +351,9 @@ def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
             rows.setdefault(int(k), []).append((p, wk, side))
     faces = {}
     for e in range(mesh.n_elements):
-        segs = iter(spaces.element_values(e, volume=False))
+        segs = iter(spaces._items([e], False))
         for k in mesh.elem_edges[e]:
-            faces[e, k] = [next(segs)[:3] for _ in spaces.segment_sides(k)]
+            faces[e, k] = [next(segs)[1:] for _ in spaces.segment_sides(k)]
     assert sorted(rows) == list(range(mesh.n_edges))
     split = 0
     for k in range(mesh.n_edges):
@@ -386,9 +434,9 @@ def test_segment_sides_match_one_query_per_segment_random_placements(seed):
 
 def test_no_table_reader_or_study_takes_a_quadrature_order():
     # the orders belong to the level: SpaceSet fixes them once, and only the
-    # per-element reference reads (element_rules, edge_segments) take one
+    # per-edge reference read edge_segments takes one
     funcs = [SpaceSet.pieces, SpaceSet.volume_groups, SpaceSet.edge_groups,
-             SpaceSet.element_values]
+             SpaceSet.gradients]
     for mod in (assembly, analysis, cli):
         for obj in vars(mod).values():
             if getattr(obj, "__module__", None) != mod.__name__:
