@@ -11,7 +11,7 @@ import numpy as np
 from .assembly import assemble, auto_sigma0, edge_segments, solve, trace_constant  # noqa: F401
 from .curves import InterfaceCurve, circle
 from .errors import FrenetIfeError
-from .frenet import FrenetChart, frenet_apparatus
+from .frenet import ChordChart, FrenetChart, frenet_apparatus
 from .ife_space import SpaceSet, at_points, build_spaces
 from .mesh import build_mesh, classify_elements
 
@@ -30,7 +30,6 @@ class ManufacturedCase:
     u: callable
     grad: callable
     f: callable
-    description: str = ""
 
     def dirichlet(self, pts, side):
         return self.u(pts, side)
@@ -69,8 +68,7 @@ def manufactured_circle(r0: float, beta_minus: float, beta_plus: float,
         return -(p**2) * r2 ** (p / 2 - 1)
 
     return ManufacturedCase(curve=circle(r0), beta_minus=beta_minus,
-                            beta_plus=beta_plus, u=u, grad=grad, f=f,
-                            description=f"circle r0={r0} p={p}")
+                            beta_plus=beta_plus, u=u, grad=grad, f=f)
 
 
 def case_jump_residuals(case: ManufacturedCase, chart: FrenetChart, n_pts: int = 100):
@@ -200,7 +198,7 @@ def convergence_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
         errs = error_norms(coef, case, spaces, sig)
         report.ns.append(n)
         report.hs.append(spaces.mesh.h)
-        report.n_dofs.append(spaces.layout.total)
+        report.n_dofs.append(spaces.n_dofs)
         report.errors.append(errs)
     report.sigma0 = float(sig)
     return report
@@ -214,41 +212,35 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1)) -> dict:
 
     Reports ||T - id||, ||DT - I||_F, |det DT - 1| maxima over all interface
     elements (sampled on interior grids), the band of (xi1 - xi0)/h, and
-    least-squares slopes of the log-maxima against log h.
+    least-squares slopes of the log-maxima against log h.  Each level takes
+    one chart inverse, one stack of chord charts and one chart Jacobian; a
+    level with no interface element reports maxima 0 and a band (inf, -inf).
     """
     levels = []
     for n in ns:
         mesh = build_mesh(box, n)
         chart = FrenetChart(curve, h=mesh.h)
         tags = classify_elements(mesh, chart)
-        t_dev = dt_dev = det_dev = 0.0
-        band_lo, band_hi = np.inf, -np.inf
-        # one chart inverse for the grids of all interface elements
-        grid, size = _PROBE_GRID, _PROBE_GRID**2
-        intervals = [t.interval for t in tags.interface.values()]
-        grids = []
-        for e in tags.interface:
-            xl, yl, xh, yh = mesh.elem_box(e)
-            X, Y = np.meshgrid(np.linspace(xl, xh, grid), np.linspace(yl, yh, grid))
-            grids.append(np.column_stack([X.ravel(), Y.ravel()]))
-        if intervals:
-            mids = [0.5 * (lo + hi) for lo, hi in intervals]
-            eta_all, xi_all = chart.inverse(np.concatenate(grids),
-                                            xi_anchor=np.repeat(mids, size))
-        for j, (pts, (xi0, xi1)) in enumerate(zip(grids, intervals)):
-            eta, xi = eta_all[j * size:(j + 1) * size], xi_all[j * size:(j + 1) * size]
-            band = (xi1 - xi0) / mesh.h
-            band_lo, band_hi = min(band_lo, band), max(band_hi, band)
-            cc = chart.chord_chart(xi0, xi1)
-            hat = np.column_stack([eta, xi])
-            t_dev = max(t_dev, np.max(np.linalg.norm(cc.inverse(pts) - hat, axis=1)))
-            DT = cc.transition_jacobian(eta, xi)
-            dt_dev = max(dt_dev, np.max(np.linalg.norm(DT - np.eye(2), axis=(1, 2))))
-            det = DT[:, 0, 0] * DT[:, 1, 1] - DT[:, 0, 1] * DT[:, 1, 0]
-            det_dev = max(det_dev, np.max(np.abs(det - 1.0)))
-        levels.append({"n": n, "h": mesh.h, "t_dev": t_dev, "dt_dev": dt_dev,
-                       "det_dev": det_dev, "band_lo": band_lo, "band_hi": band_hi,
-                       "n_interface": tags.n_interface})
+        xi0, xi1 = np.array([t.interval for t in tags.interface.values()]).reshape(-1, 2).T
+        # the grids of all interface elements, (E, grid^2, 2) in meshgrid order
+        xl, yl, xh, yh = mesh.elem_box(np.array(tags.interface_elements, dtype=int))
+        gx, gy = (np.linspace(lo, hi, _PROBE_GRID, axis=-1) for lo, hi in ((xl, xh), (yl, yh)))
+        pts = np.stack(np.broadcast_arrays(gx[:, None, :], gy[:, :, None]), axis=-1)
+        pts = pts.reshape(len(xi0), _PROBE_GRID**2, 2)
+        eta, xi = (c.reshape(pts.shape[:2]) for c in chart.inverse(
+            pts.reshape(-1, 2), xi_anchor=np.repeat(0.5 * (xi0 + xi1), pts.shape[1])))
+        cc = ChordChart(chart, xi0, xi1)
+        DT = cc.transition_jacobian(eta, xi)
+        det = DT[..., 0, 0] * DT[..., 1, 1] - DT[..., 0, 1] * DT[..., 1, 0]
+        band = (xi1 - xi0) / mesh.h
+        levels.append({
+            "n": n, "h": mesh.h,
+            "t_dev": np.linalg.norm(cc.inverse(pts) - np.stack([eta, xi], axis=-1),
+                                    axis=-1).max(initial=0.0),
+            "dt_dev": np.linalg.norm(DT - np.eye(2), axis=(-2, -1)).max(initial=0.0),
+            "det_dev": np.abs(det - 1.0).max(initial=0.0),
+            "band_lo": band.min(initial=np.inf), "band_hi": band.max(initial=-np.inf),
+            "n_interface": tags.n_interface})
 
     hs = np.array([lv["h"] for lv in levels])
     out = {"levels": levels}

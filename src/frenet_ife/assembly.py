@@ -31,7 +31,6 @@ class SipdgSystem:
     sigma0: float
     gamma: float
     penalty: float
-    spaces: SpaceSet
     norm_gram: sp.csr_matrix | None = None
     energy_gram: sp.csr_matrix | None = None
 
@@ -68,7 +67,7 @@ def _csr(spaces: SpaceSet, K, terms, block):
     average weight, member a, member b) for every member pair of every edge
     segment: computed once per value row of each group of `terms`, and
     entered in the order of a loop over edges, segments, a and b."""
-    nl, n, elems = spaces.layout.n_local, spaces.layout.total, spaces.mesh.edge_elems
+    nl, n, elems = spaces.n_local, spaces.n_dofs, spaces.mesh.edge_elems
     blocks, take, entries, at = [], [], [], 0
     for ks, seg_rows, _, w, _, avg, members in terms:
         lead = len(members[0][1])
@@ -99,13 +98,13 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     per group of plain elements or edges and row by row in the stacked cut
     groups; S and the Grams are bit-identical to an element-by-element loop.
     """
-    mesh, nl = spaces.mesh, spaces.layout.n_local
+    mesh, nl = spaces.mesh, spaces.n_local
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
 
     # an interface element's two pieces add in either order from zero
     K = np.zeros((mesh.n_elements, nl, nl))
-    F = np.zeros(spaces.layout.total)
+    F = np.zeros(spaces.n_dofs)
     for elems, pts, w, sides, vals, grads, _ in spaces.volume_groups():
         np.add.at(K, elems, _stiffness(spaces, sides[:len(vals)], w[:len(vals)], grads))
         x = w * at_points(f_source, pts, sides)
@@ -130,7 +129,7 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     np.add.at(F.reshape(-1, nl), np.concatenate(elems)[order], np.concatenate(parts)[order])
 
     system = SipdgSystem(S=_csr(spaces, K, terms, sipdg).tocsc(), F=F, sigma0=sigma0,
-                         gamma=gamma, penalty=pen, spaces=spaces)
+                         gamma=gamma, penalty=pen)
     if with_norm_grams:
         system.norm_gram = _csr(spaces, K, terms, lambda w, avg, a, b:
                                 pen * a[0] * b[0] * (a[1] * w) @ b[1].mT)
@@ -177,10 +176,17 @@ def trace_constant(spaces: SpaceSet, elems) -> np.ndarray:
     weighted stiffness (constants deflated), scaled by sqrt(h)*sqrt(beta-)/
     beta+; bounded uniformly in h, cut position and beta.  The Grams add
     each element's pieces and face segments in turn, as an element loop
-    does.  Raises SingularGram naming the first element whose stiffness has
-    no non-constant block.
+    does.  Raises ValueError naming the first repeated element, and
+    SingularGram naming the first element whose stiffness has no
+    non-constant block.
     """
-    elems, nl = np.asarray(elems, dtype=int), spaces.layout.n_local
+    elems, nl = np.asarray(elems, dtype=int), spaces.n_local
+    _, first = np.unique(elems, return_index=True)
+    if len(first) < len(elems):
+        # one row per element: a repeat would take the Grams of its first
+        # occurrence, leaving that one singular
+        e = elems[np.setdiff1d(np.arange(len(elems)), first)[0]]
+        raise ValueError(f"element {e} is repeated; the elements must be distinct")
     beta2 = {s: float(spaces.beta_of(s))**2 for s in (1, -1)}
     # the last row gathers the interface rows of elements not asked for
     A, B = np.zeros((2, len(elems) + 1, nl, nl))

@@ -64,9 +64,8 @@ REPORT_FIELDS = ["n", "h", "dofs", "l2", "norm_h", "energy",
 def _min_cut_fraction(spaces) -> float:
     """Smallest sub-region area fraction over all interface elements."""
     area = spaces.mesh.dx * spaces.mesh.dy
-    return min((float(rule.weights.sum()) / area
-                for e in spaces.tags.interface_elements
-                for rule, _side in spaces.pieces(e)), default=1.0)
+    return min((float(np.min(w.sum(axis=1) / area))
+                for _, _, _, w, *_ in spaces.interface_stacks(True)), default=1.0)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -87,7 +86,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     coef = solve(system, pd_check=False)
     errs = error_norms(coef, case, spaces, sig)
     np.save(out / "coefficients.npy", coef)
-    row = {"n": n, "h": spaces.mesh.h, "dofs": spaces.layout.total, **errs,
+    row = {"n": n, "h": spaces.mesh.h, "dofs": spaces.n_dofs, **errs,
            "rate_l2": float("nan"), "rate_norm_h": float("nan"),
            "rate_energy": float("nan")}
     _write_csv(out / "errors.csv", [row], REPORT_FIELDS)

@@ -297,47 +297,49 @@ class FrenetChart:
         pad = 1e-10 * np.maximum(hi - lo, 1e-30)
         return lo - pad, hi + pad
 
-    def chord_chart(self, xi0: float, xi1: float) -> "ChordChart":
-        """Affine chart through g(xi0), g(xi1); see ChordChart."""
-        return ChordChart(self, xi0, xi1)
+
+def _norms(v):
+    """np.linalg.norm of each 2-vector of v (..., 2) on its own: a lone
+    2-vector's norm goes through BLAS dot and rounds differently from a
+    row-wise norm."""
+    v = np.asarray(v)
+    return np.array([np.linalg.norm(row) for row in v.reshape(-1, 2)]).reshape(v.shape[:-1])
 
 
 class ChordChart:
-    """Affine stand-in for the Frenet chart on one fictitious interval.
+    """Affine stand-ins for the Frenet chart on fictitious intervals.
 
     Interpolates the curve linearly between g(xi0) and g(xi1) and carries
     the exact closed-form inverse of the resulting affine map.  The
     transition map T = chord_inverse o P measures how far the true chart
-    is from this linearization.
+    is from this linearization.  xi0 and xi1 are floats, or arrays (E,)
+    for a stack of E charts: A and Ainv are then (E, 2, 2) and b (E, 2),
+    and point arrays carry a leading axis E.
     """
 
-    def __init__(self, chart: FrenetChart, xi0: float, xi1: float):
-        if not xi1 > xi0:
+    def __init__(self, chart: FrenetChart, xi0, xi1):
+        xi0, xi1 = np.asarray(xi0, dtype=float), np.asarray(xi1, dtype=float)
+        if not np.all(xi1 > xi0):
             raise ValueError("need xi1 > xi0")
         self.chart = chart
-        self.xi0, self.xi1 = float(xi0), float(xi1)
-        curve = chart.curve
-        g0 = curve.point(np.asarray(xi0, dtype=float))
-        g1 = curve.point(np.asarray(xi1, dtype=float))
-        if np.linalg.norm(g1 - g0) < 1e-12:
+        g0, g1 = chart.curve.point(xi0), chart.curve.point(xi1)
+        if np.any(_norms(g1 - g0) < 1e-12):
             raise DegenerateChord("||g(xi1) - g(xi0)|| < 1e-12")
-        d = (g1 - g0) / (xi1 - xi0)
-        tau = d / np.linalg.norm(d)
-        n = ROT @ tau
-        self.tau, self.n = tau, n
+        d = (g1 - g0) / (xi1 - xi0)[..., None]
+        n = (d / _norms(d)[..., None]) @ ROT.T
         # P_chord(eta, xi) = A (eta, xi)^T + b
-        self.A = np.column_stack([n, d])
-        self.b = g0 - xi0 * d
+        self.A = np.stack([n, d], axis=-1)
+        self.b = g0 - xi0[..., None] * d
         self.Ainv = np.linalg.inv(self.A)
 
     def map(self, eta, xi):
         coords = np.stack([np.asarray(eta, dtype=float),
                            np.asarray(xi, dtype=float)], axis=-1)
-        return coords @ self.A.T + self.b
+        return coords @ self.A.mT + self.b[..., None, :]
 
     def inverse(self, points):
         pts = np.asarray(points, dtype=float)
-        return (pts - self.b) @ self.Ainv.T
+        return (pts - self.b[..., None, :]) @ self.Ainv.mT
 
     def transition(self, eta, xi):
         """T(eta, xi) = chord_inverse(P(eta, xi)); identity for straight interfaces."""
@@ -346,4 +348,4 @@ class ChordChart:
     def transition_jacobian(self, eta, xi):
         """DT = A^{-1} DP, shape (..., 2, 2)."""
         J = self.chart.jacobian(eta, xi)
-        return np.einsum("ab,...bc->...ac", self.Ainv, J)
+        return np.einsum("...ab,...pbc->...pac", self.Ainv, J)

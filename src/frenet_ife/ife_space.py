@@ -264,20 +264,6 @@ class IfeBasis:
             side = np.where(eta >= 0.0, 1, -1)
         return _physical(*self.evaluate_ref(eta, xi, side), self.chart.jacobian(eta, xi))
 
-    # -- diagnostics -------------------------------------------------------------
-    def gram_fictitious(self):
-        """Exact L2 Gram over the fictitious box (both sides)."""
-        m = self.m
-        a = np.arange(m + 1)
-        apb = a[:, None] + a[None, :]
-        m_neg = ((-1.0) ** apb) / (apb + 1.0)
-        m_pos = 1.0 / (apb + 1.0)
-        m_xi = np.where(apb % 2 == 0, 2.0 / (apb + 1.0), 0.0)
-        scale = self.scaling.h_eta * self.scaling.h_xi
-        g = np.einsum("fab,gcd,ac,bd->fg", self.coef[-1], self.coef[-1], m_neg, m_xi)
-        g = g + np.einsum("fab,gcd,ac,bd->fg", self.coef[1], self.coef[1], m_pos, m_xi)
-        return scale * g
-
 
 def _lobatto_nodes(m: int):
     if m == 1:
@@ -352,34 +338,22 @@ class TensorBasis:
         return vals, np.stack([gx, gy], axis=-1)
 
 
-@dataclass
-class DofLayout:
-    """Contiguous per-element blocks of (m+1)^2 coefficients."""
-
-    n_elements: int
-    n_local: int
-
-    @property
-    def total(self) -> int:
-        return self.n_elements * self.n_local
-
-
 class SpaceSet:
-    """The bases of a classified mesh, the coefficient layout and the
-    level's quadrature table at the level's Gauss orders: q_vol points per
-    axis on volumes (default m+2) and q_edge on edges (default m+3).  Each
-    part of the table is built once for the whole level on its first read;
-    volume_groups, edge_groups and gradients read it, bit-identical to
+    """The bases of a classified mesh, the coefficient layout (contiguous
+    per-element blocks of n_local = (m+1)^2 of the n_dofs coefficients) and
+    the level's quadrature table at the level's Gauss orders: q_vol points
+    per axis on volumes (default m+2) and q_edge on edges (default m+3).
+    Each part of the table is built once for the whole level on its first
+    read; volume_groups, edge_groups and gradients read it, bit-identical to
     per-element evaluation:
 
-    - the interface pieces, from quadrature.level_cut_cell_rules;
     - the segment table: every segment of every edge, edge by edge in
       cut_edge_rule order; the one segment of an edge between plain
       elements of one side takes their side, the others one chart query at
       their midpoints;
-    - the interface values on those pieces and on the rows of the interface
-      elements' edges, from one chart inverse, one chart Jacobian and one
-      stacked evaluation per size of piece or segment;
+    - the interface stacks: the pieces of the interface elements, from
+      quadrature.level_cut_cell_rules, and the segment rows of their edges,
+      as arrays with their basis values;
     - the groups that assembly and error norms loop over: the plain groups
       (plain elements, and one-segment edges between plain elements, grouped
       by the bytes their blocks read), then the interface pieces stacked by
@@ -405,7 +379,8 @@ class SpaceSet:
         self.bases = {}                  # interface element -> IfeBasis, in element order
         for e, x0, scaling in zip(intervals, *build_x0(chart, intervals, m, quad.get("interface"))):
             self.bases[e] = IfeBasis(chart, intervals[e], beta_minus, beta_plus, x0, scaling)
-        self.layout = DofLayout(mesh.n_elements, (m + 1) ** 2)
+        self.n_local = (m + 1) ** 2
+        self.n_dofs = mesh.n_elements * self.n_local
         self._table = {}
 
     def beta_of(self, side) -> float:
@@ -416,14 +391,6 @@ class SpaceSet:
         if key not in self._table:
             self._table[key] = build()
         return self._table[key]
-
-    def pieces(self, e: int):
-        """[(rule, side)] of the two pieces of interface element e at order
-        q_vol; those of all interface elements are built on the first read of
-        any and kept."""
-        return self._cached("rules", lambda: {
-            f: [(r[1], 1), (r[-1], -1)] for f, r in level_cut_cell_rules(
-                self.mesh, self.tags.interface, self.chart, self.q_vol).items()})[e]
 
     def _segments(self):
         """The segment table: every segment of every edge, edge by edge in
@@ -462,32 +429,58 @@ class SpaceSet:
         _, first, sides, _, _ = self._segments()
         return sides[first[k]:first[k + 1]].tolist()
 
-    def _interface_values(self, volume: bool):
-        """(parts, stacks), built on first read and kept: parts the _items of
-        every interface element in element order; their values from one chart
-        inverse at all their points, each anchored at its interval midpoint,
-        one chart Jacobian and one stacked evaluation per size of piece or
-        segment (a fan piece has 2 to 6 cells of q*q points), held in stacks
-        [(part indices, vals, grads)]."""
+    def _face_rows(self, elems):
+        """(index into elems, segment-table row) of every segment of the four
+        edges of each of elems (K,) in turn, in cut_edge_rule order."""
+        _, first, *_ = self._segments()
+        k = self.mesh.elem_edges[elems].ravel()
+        count = first[k + 1] - first[k]
+        slot = np.repeat(np.arange(len(k)), count)        # the (element, edge) of each row
+        return slot // 4, first[k][slot] + np.arange(len(slot)) - (np.cumsum(count) - count)[slot]
+
+    def interface_stacks(self, volume: bool):
+        """The pieces of the interface elements (volume) or the segment-table
+        rows of their four edges, element by element, as one array record
+        per size P of piece or segment (a fan piece has 2 to 6 cells of q*q
+        points; every segment has q_edge): [(elements (G,), keys (G,),
+        points (G, P, 2), weights (G, P), sides (G,), vals (G, nl, P), grads
+        (G, nl, P, 2), pos (G,))].  keys is the piece index (0: the plus
+        piece, 1: the minus one) or the segment-table row, pos numbers the
+        pieces or rows in element order.  Built on the first read and kept:
+        one chart inverse at all their points, each anchored at its
+        interval midpoint, one chart Jacobian and one stacked evaluation
+        per size."""
         def build():
-            parts = self._items(self.tags.interface_elements, volume)
-            if not parts:
-                return parts, []
-            sizes = [len(p[1]) for p in parts]
-            eta, xi = self.chart.inverse(np.concatenate([p[1] for p in parts]), xi_anchor=np.repeat(
-                [self.bases[e].scaling.xi_c for (e, _), *_ in parts], sizes))
+            elems = np.array(self.tags.interface_elements, dtype=int)
+            bases = list(self.bases.values())
+            if not bases:
+                return []
+            if volume:
+                rules = level_cut_cell_rules(self.mesh, self.tags.interface, self.chart, self.q_vol)
+                rules = [rules[e][side] for e in elems for side in (1, -1)]
+                at, keys = np.repeat(np.arange(len(elems)), 2), np.tile([0, 1], len(elems))
+                sides = np.tile([1, -1], len(elems))
+                pts, w = [r.points for r in rules], [r.weights for r in rules]
+            else:
+                _, _, labels, seg_pts, seg_w = self._segments()
+                at, keys = self._face_rows(elems)
+                sides, pts, w = labels[keys], seg_pts[keys], seg_w[keys]
+            sizes = np.array([len(p) for p in pts])
+            pts, w = np.concatenate(pts), np.concatenate(w)
+            xi_c = np.array([b.scaling.xi_c for b in bases])
+            eta, xi = self.chart.inverse(pts, xi_anchor=np.repeat(xi_c[at], sizes))
             J = self.chart.jacobian(eta, xi)
-            at = np.split(np.arange(len(eta)), np.cumsum(sizes)[:-1])
+            first = np.cumsum(sizes) - sizes
             stacks = []
-            for n in sorted(set(sizes)):
-                idx = np.array([i for i, size in enumerate(sizes) if size == n])
-                take = np.array([at[i] for i in idx])
-                vals, grads = _physical(*_ref_values([self.bases[parts[i][0][0]] for i in idx],
-                                                     [parts[i][3] for i in idx], eta[take],
-                                                     xi[take]), J[take])
-                stacks.append((idx, vals, grads))
-            return parts, stacks
-        return self._cached(("values", volume), build)
+            for n in np.unique(sizes):
+                pos = np.flatnonzero(sizes == n)
+                take = first[pos, None] + np.arange(n)
+                vals, grads = _physical(*_ref_values([bases[i] for i in at[pos]], sides[pos],
+                                                     eta[take], xi[take]), J[take])
+                stacks.append((elems[at[pos]], keys[pos], pts[take], w[take], sides[pos],
+                               vals, grads, pos))
+            return stacks
+        return self._cached(("stacks", volume), build)
 
     def _plain_values(self, elems, pts):
         """Values (K, nl, nq) and gradients (K, nl, nq, 2) of the tensor bases
@@ -546,14 +539,10 @@ class SpaceSet:
             vals, grads = self._plain_values(np.array([ids[0] for ids, *_ in plain], dtype=int),
                                              np.reshape([p[0] for _, p, *_ in plain],
                                                         (len(plain), self.q_vol**2, 2)))
-            groups = [(*group[:4], vals[g:g + 1], grads[g:g + 1], group[4])
-                      for g, group in enumerate(plain)]
-            parts, stacks = self._interface_values(True)
-            for idx, vals, grads in stacks:
-                keys, pts, w, sides = zip(*[parts[i] for i in idx])
-                groups.append((np.array([e for e, _ in keys]), np.array(pts), np.array(w),
-                               np.array(sides), vals, grads, len(plain) + idx))
-            return groups
+            return [(*group[:4], vals[g:g + 1], grads[g:g + 1], group[4])
+                    for g, group in enumerate(plain)] + \
+                [(elems, pts, w, sides, vals, grads, len(plain) + pos)
+                 for elems, _, pts, w, sides, vals, grads, pos in self.interface_stacks(True)]
         return self._cached(("groups", True), build)
 
     def edge_groups(self):
@@ -578,13 +567,13 @@ class SpaceSet:
                      for j in range(n)]
             f = np.concatenate([elems[edge[rows], j] for rows, j in slots])
             r = np.concatenate([rows for rows, _ in slots])
-            vals = np.empty((len(f), self.layout.n_local, self.q_edge))
+            vals = np.empty((len(f), self.n_local, self.q_edge))
             grads = np.empty(vals.shape + (2,))
             flat = self.tags.tags[f] != 0
             vals[flat], grads[flat] = self._plain_values(f[flat], pts[r[flat]])
             if not flat.all():
-                parts, ((_, v, g),) = self._interface_values(False)
-                known = np.array([e * len(edge) + row for (e, row), *_ in parts])
+                ((owner, keys, _, _, _, v, g, _),) = self.interface_stacks(False)
+                known = owner * len(edge) + keys
                 order = np.argsort(known)
                 take = order[np.searchsorted(known[order], (f * len(edge) + r)[~flat])]
                 vals[~flat], grads[~flat] = v[take], g[take]
@@ -594,37 +583,25 @@ class SpaceSet:
                      pos) for (rows, p, wk, s, pos), n in zip(groups, count)]
         return self._cached(("groups", False), build)
 
-    def _items(self, elems, volume: bool):
-        """[((element, piece or row), points, weights, side)] on the pieces of
-        interface elements elems (volume) or on the segment-table rows of the
-        four edges of each of elems in turn."""
-        if volume:
-            return [((e, i), rule.points, rule.weights, side)
-                    for e in elems for i, (rule, side) in enumerate(self.pieces(e))]
-        _, first, sides, pts, w = self._segments()
-        return [((e, r), pts[r], w[r], int(sides[r])) for e in elems
-                for k in self.mesh.elem_edges[e] for r in range(first[k], first[k + 1])]
-
     def gradients(self, elems, volume: bool):
         """Gradients of the bases of elements elems (K,) on their pieces
-        (volume) or on their _items rows: [(index into elems, -1 for an element
-        not in it, sides, weights, grads)], each element's rows in one entry
-        and in their order.  The kept interface stacks are read whole, without
-        a copy; the plain elements are evaluated on their own rule or rows."""
+        (volume) or on the segment rows of their faces: [(index into elems,
+        -1 for an element not in it, sides, weights, grads)], one entry per
+        interface stack, read whole without a copy, then one for the plain
+        elements of elems, evaluated on their own rule or rows, each
+        element's in turn."""
         tags, at = self.tags.tags, np.full(self.mesh.n_elements, -1)
         at[elems] = np.arange(len(elems))
-        parts, stacks = self._interface_values(volume) if (tags[elems] == 0).any() else ([], [])
-        out = [(at[[parts[i][0][0] for i in idx]], np.array([parts[i][3] for i in idx]),
-                np.array([parts[i][2] for i in idx]), grads) for idx, _, grads in stacks]
+        stacks = self.interface_stacks(volume) if (tags[elems] == 0).any() else []
+        out = [(at[owner], sides, w, grads) for owner, _, _, w, sides, _, grads, _ in stacks]
         plain = elems[tags[elems] != 0]
         if volume:
             rule = gauss_rect(self.mesh.elem_box(plain), self.q_vol)
             f, sides, pts, w = plain, tags[plain], rule.points, rule.weights
         else:
             _, _, labels, seg_pts, seg_w = self._segments()
-            f, rows = np.array([key for key, *_ in self._items(plain, False)],
-                               dtype=int).reshape(-1, 2).T
-            sides, pts, w = labels[rows], seg_pts[rows], seg_w[rows]
+            i, rows = self._face_rows(plain)
+            f, sides, pts, w = plain[i], labels[rows], seg_pts[rows], seg_w[rows]
         return out + [(at[f], sides, w, self._plain_values(f, pts)[1])]
 
 
@@ -635,12 +612,29 @@ def build_spaces(mesh, tags, chart, m, beta_minus, beta_plus, quad=None) -> Spac
 _JUMP_SAMPLES = 24   # interface points of the diagnostics' jump maxima
 
 
+def gram_fictitious(bases):
+    """Exact L2 Grams over the fictitious boxes (both sides) of every
+    interface basis in bases of one degree: (E, n_basis, n_basis)."""
+    m = bases[0].m
+    a = np.arange(m + 1)
+    apb = a[:, None] + a[None, :]
+    m_neg = ((-1.0) ** apb) / (apb + 1.0)
+    m_pos = 1.0 / (apb + 1.0)
+    m_xi = np.where(apb % 2 == 0, 2.0 / (apb + 1.0), 0.0)
+    scale = np.array([b.scaling.h_eta * b.scaling.h_xi for b in bases])
+    c_neg, c_pos = (np.array([b.coef[s] for b in bases]) for s in (-1, 1))
+    g = np.einsum("efab,egcd,ac,bd->efg", c_neg, c_neg, m_neg, m_xi)
+    g = g + np.einsum("efab,egcd,ac,bd->efg", c_pos, c_pos, m_pos, m_xi)
+    return scale[:, None, None] * g
+
+
 def space_diagnostics(spaces: SpaceSet):
     """Per-interface-element conditioning and conformity residuals.
 
     One row per interface element: normalized Gram condition number and
     smallest singular value, plus the maxima of the value/flux jumps on the
-    interface and of the weak moment residuals.
+    interface and of the weak moment residuals; each from one kernel over
+    all interface elements.
     """
     if not spaces.bases:
         return []
@@ -648,18 +642,11 @@ def space_diagnostics(spaces: SpaceSet):
     weak = weak_condition_residuals(spaces.chart, spaces.m, bases)
     jumps = interface_jumps(bases, np.array([np.linspace(*b.interval, _JUMP_SAMPLES)
                                              for b in bases]))
-    rows = []
-    for e, b, w, jv, jf in zip(spaces.bases, bases, weak, *jumps):
-        g = b.gram_fictitious()
-        d = np.sqrt(np.diag(g))
-        sv = np.linalg.svd(g / np.outer(d, d), compute_uv=False)
-        rows.append({
-            "element": e,
-            "gram_cond": float(sv[0] / sv[-1]),
-            "gram_min_sv": float(sv[-1]),
-            "max_value_jump": float(np.max(np.abs(jv))),
-            "max_flux_jump": float(np.max(np.abs(jf))),
-            "max_weak_residual": float(np.max(np.abs(w))) if w.size else 0.0,
-        })
-    return rows
-
+    g = gram_fictitious(bases)
+    d = np.sqrt(np.diagonal(g, axis1=1, axis2=2))
+    sv = np.linalg.svd(g / (d[:, :, None] * d[:, None, :]), compute_uv=False)
+    columns = (sv[:, 0] / sv[:, -1], sv[:, -1], *(np.abs(j).max(axis=(1, 2)) for j in jumps),
+               np.abs(weak).max(axis=(1, 2), initial=0.0))
+    keys = ("gram_cond", "gram_min_sv", "max_value_jump", "max_flux_jump", "max_weak_residual")
+    return [{"element": e, **{k: float(v) for k, v in zip(keys, row)}}
+            for e, *row in zip(spaces.bases, *columns)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousCut, TangentialIntersection
-from .frenet import FrenetChart, frenet_apparatus, unwrap_near
+from .frenet import FrenetChart, _norms, frenet_apparatus, unwrap_near
 
 _EDGE_SAMPLES = 33   # offset samples per candidate edge of the classifier
 
@@ -74,11 +74,9 @@ class RectMesh:
         return np.array([[xl, yl], [xh, yl], [xh, yh], [xl, yh]])
 
 
-def build_mesh(box, n) -> RectMesh:
-    """Uniform mesh; `n` is either an int (both axes) or (nx, ny)."""
-    if np.isscalar(n):
-        return RectMesh(box, int(n), int(n))
-    return RectMesh(box, int(n[0]), int(n[1]))
+def build_mesh(box, n: int) -> RectMesh:
+    """Uniform n-by-n mesh."""
+    return RectMesh(box, int(n), int(n))
 
 
 @dataclass
@@ -102,11 +100,10 @@ class ElementTag:
 class MeshTags:
     """Classification of a mesh against one interface chart."""
 
-    def __init__(self, tags, interface, edge_cuts, chart):
+    def __init__(self, tags, interface, edge_cuts):
         self.tags = tags             # per element: its side +-1 if plain, 0 if cut
         self.interface = interface   # interface element -> ElementTag, in element order
         self.edge_cuts = edge_cuts   # edge id -> sorted list of EdgeCut
-        self.chart = chart
 
     def interior_cuts(self, k) -> list:
         """Crossing parameters strictly inside edge k; corner crossings split nothing."""
@@ -144,12 +141,6 @@ def _bisect(chart: FrenetChart, a, b, t_lo, t_hi, f_lo):
         t_hi = np.where(left, t_mid, t_hi)
         t_lo, f_lo = np.where(left, t_lo, t_mid), np.where(left, f_lo, f_mid)
     return 0.5 * (t_lo + t_hi)
-
-
-def _norms(v):
-    """np.linalg.norm of each row on its own: a lone 2-vector's norm goes
-    through BLAS dot and rounds differently from a row-wise norm."""
-    return np.array([np.linalg.norm(row) for row in v])
 
 
 def _polish_roots(chart: FrenetChart, a, b, t, edges):
@@ -334,4 +325,4 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
                 xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
         records[e] = ElementTag(interval=(xi0, xi1), cuts=local)
 
-    return MeshTags(tags, records, edge_cuts, chart)
+    return MeshTags(tags, records, edge_cuts)

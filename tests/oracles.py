@@ -214,12 +214,12 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
     at the level's quadrature orders."""
     from frenet_ife.assembly import edge_segments
 
-    mesh, layout = spaces.mesh, spaces.layout
-    nl, q_vol, q_edge = layout.n_local, spaces.q_vol, spaces.q_edge
+    mesh = spaces.mesh
+    nl, q_vol, q_edge = spaces.n_local, spaces.q_vol, spaces.q_edge
     gamma = spaces.beta_plus**2 / spaces.beta_minus
     pen = sigma0 * gamma / mesh.h
     trip, trip_jump, trip_flux, trip_vol = [], [], [], []
-    F = np.zeros(layout.total)
+    F = np.zeros(spaces.n_dofs)
 
     for e in range(mesh.n_elements):
         basis = element_basis(spaces, e)
@@ -263,7 +263,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
                 g = g_dirichlet(pts, side)
                 F[D[0]] += (-B[0] + pen * V[0]) @ (w * g)
 
-    n = layout.total
+    n = spaces.n_dofs
     # the broken-norm Gram sums its volume and jump blocks in one pass, and
     # the energy Gram adds the flux blocks to it as a second matrix
     G_norm = _triplet_matrix(trip_vol + trip_jump, n)
@@ -272,7 +272,7 @@ def loop_assemble(spaces, sigma0, f_source, g_dirichlet):
 
 def _loop_uh(spaces, coef, e, pts, side):
     vals, grads = element_basis(spaces, e).evaluate(pts, side=side)
-    nl = spaces.layout.n_local
+    nl = spaces.n_local
     c = coef[e * nl:(e + 1) * nl]
     return c @ vals, np.einsum("b,bpk->pk", c, grads)
 
@@ -348,8 +348,8 @@ def loop_trace_constant(spaces, e):
 def loop_project_l2(u, spaces):
     """Per-element L2 projection by local mass solves, at the level's volume
     order."""
-    q, nl = spaces.q_vol, spaces.layout.n_local
-    out = np.zeros(spaces.layout.total)
+    q, nl = spaces.q_vol, spaces.n_local
+    out = np.zeros(spaces.n_dofs)
     for e in range(spaces.mesh.n_elements):
         basis = element_basis(spaces, e)
         M = np.zeros((basis.n_basis, basis.n_basis))
@@ -744,7 +744,7 @@ def loop_classify(mesh, chart, edge_samples=33):
                 xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
         tags.append(0)
         interface[e] = ElementTag(interval=(xi0, xi1), cuts=local)
-    return MeshTags(np.array(tags), interface, edge_cuts, chart)
+    return MeshTags(np.array(tags), interface, edge_cuts)
 
 
 # per-element reference loops for the X0 block and the weak residuals
@@ -1158,3 +1158,138 @@ def loop_interface_jumps(basis, xi):
     vp, gp, _ = loop_evaluate_ref(basis, zeros, xi, np.ones_like(xi, dtype=int))
     vm, gm, _ = loop_evaluate_ref(basis, zeros, xi, -np.ones_like(xi, dtype=int))
     return vp - vm, basis.beta[1] * gp - basis.beta[-1] * gm
+
+
+# ----------------------------------------------------------------------------
+# per-element geometry probe and space diagnostics, as the library computed
+# them before their level kernels: one chord chart, one chart Jacobian and
+# one Gram with its SVD per interface element.  The level kernels must
+# reproduce them bit for bit.
+
+
+class LoopChordChart:
+    """Affine stand-in for the Frenet chart on one fictitious interval."""
+
+    def __init__(self, chart, xi0: float, xi1: float):
+        from frenet_ife.errors import DegenerateChord
+        from frenet_ife.frenet import ROT
+
+        if not xi1 > xi0:
+            raise ValueError("need xi1 > xi0")
+        self.chart = chart
+        self.xi0, self.xi1 = float(xi0), float(xi1)
+        curve = chart.curve
+        g0 = curve.point(np.asarray(xi0, dtype=float))
+        g1 = curve.point(np.asarray(xi1, dtype=float))
+        if np.linalg.norm(g1 - g0) < 1e-12:
+            raise DegenerateChord("||g(xi1) - g(xi0)|| < 1e-12")
+        d = (g1 - g0) / (xi1 - xi0)
+        tau = d / np.linalg.norm(d)
+        n = ROT @ tau
+        self.tau, self.n = tau, n
+        # P_chord(eta, xi) = A (eta, xi)^T + b
+        self.A = np.column_stack([n, d])
+        self.b = g0 - xi0 * d
+        self.Ainv = np.linalg.inv(self.A)
+
+    def inverse(self, points):
+        pts = np.asarray(points, dtype=float)
+        return (pts - self.b) @ self.Ainv.T
+
+    def transition_jacobian(self, eta, xi):
+        """DT = A^{-1} DP, shape (..., 2, 2)."""
+        J = self.chart.jacobian(eta, xi)
+        return np.einsum("ab,...bc->...ac", self.Ainv, J)
+
+
+def loop_geometry_probes(curve, ns, box=(-1, 1, -1, 1)):
+    """Per-level maxima of the chart-vs-chord deviations and interval band,
+    one chord chart per interface element."""
+    from frenet_ife.frenet import FrenetChart
+    from frenet_ife.mesh import build_mesh, classify_elements
+
+    _PROBE_GRID = 6
+    levels = []
+    for n in ns:
+        mesh = build_mesh(box, n)
+        chart = FrenetChart(curve, h=mesh.h)
+        tags = classify_elements(mesh, chart)
+        t_dev = dt_dev = det_dev = 0.0
+        band_lo, band_hi = np.inf, -np.inf
+        # one chart inverse for the grids of all interface elements
+        grid, size = _PROBE_GRID, _PROBE_GRID**2
+        intervals = [t.interval for t in tags.interface.values()]
+        grids = []
+        for e in tags.interface:
+            xl, yl, xh, yh = mesh.elem_box(e)
+            X, Y = np.meshgrid(np.linspace(xl, xh, grid), np.linspace(yl, yh, grid))
+            grids.append(np.column_stack([X.ravel(), Y.ravel()]))
+        if intervals:
+            mids = [0.5 * (lo + hi) for lo, hi in intervals]
+            eta_all, xi_all = chart.inverse(np.concatenate(grids),
+                                            xi_anchor=np.repeat(mids, size))
+        for j, (pts, (xi0, xi1)) in enumerate(zip(grids, intervals)):
+            eta, xi = eta_all[j * size:(j + 1) * size], xi_all[j * size:(j + 1) * size]
+            band = (xi1 - xi0) / mesh.h
+            band_lo, band_hi = min(band_lo, band), max(band_hi, band)
+            cc = LoopChordChart(chart, xi0, xi1)
+            hat = np.column_stack([eta, xi])
+            t_dev = max(t_dev, np.max(np.linalg.norm(cc.inverse(pts) - hat, axis=1)))
+            DT = cc.transition_jacobian(eta, xi)
+            dt_dev = max(dt_dev, np.max(np.linalg.norm(DT - np.eye(2), axis=(1, 2))))
+            det = DT[:, 0, 0] * DT[:, 1, 1] - DT[:, 0, 1] * DT[:, 1, 0]
+            det_dev = max(det_dev, np.max(np.abs(det - 1.0)))
+        levels.append({"n": n, "h": mesh.h, "t_dev": t_dev, "dt_dev": dt_dev,
+                       "det_dev": det_dev, "band_lo": band_lo, "band_hi": band_hi,
+                       "n_interface": tags.n_interface})
+
+    hs = np.array([lv["h"] for lv in levels])
+    out = {"levels": levels}
+    for key in ("t_dev", "dt_dev", "det_dev"):
+        vals = np.array([lv[key] for lv in levels])
+        if np.all(vals > 0):
+            out[f"slope_{key}"] = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
+        else:
+            out[f"slope_{key}"] = float("nan")
+    return out
+
+
+def loop_gram_fictitious(basis):
+    """Exact L2 Gram over the fictitious box (both sides) of one basis."""
+    m = basis.m
+    a = np.arange(m + 1)
+    apb = a[:, None] + a[None, :]
+    m_neg = ((-1.0) ** apb) / (apb + 1.0)
+    m_pos = 1.0 / (apb + 1.0)
+    m_xi = np.where(apb % 2 == 0, 2.0 / (apb + 1.0), 0.0)
+    scale = basis.scaling.h_eta * basis.scaling.h_xi
+    g = np.einsum("fab,gcd,ac,bd->fg", basis.coef[-1], basis.coef[-1], m_neg, m_xi)
+    g = g + np.einsum("fab,gcd,ac,bd->fg", basis.coef[1], basis.coef[1], m_pos, m_xi)
+    return scale * g
+
+
+def loop_space_diagnostics(spaces):
+    """Per-interface-element conditioning and conformity residuals, one Gram
+    and one SVD per element."""
+    from frenet_ife.ife_space import interface_jumps, weak_condition_residuals
+
+    if not spaces.bases:
+        return []
+    bases = list(spaces.bases.values())
+    weak = weak_condition_residuals(spaces.chart, spaces.m, bases)
+    jumps = interface_jumps(bases, np.array([np.linspace(*b.interval, 24)
+                                             for b in bases]))
+    rows = []
+    for e, b, w, jv, jf in zip(spaces.bases, bases, weak, *jumps):
+        g = loop_gram_fictitious(b)
+        d = np.sqrt(np.diag(g))
+        sv = np.linalg.svd(g / np.outer(d, d), compute_uv=False)
+        rows.append({
+            "element": e,
+            "gram_cond": float(sv[0] / sv[-1]),
+            "gram_min_sv": float(sv[-1]),
+            "max_value_jump": float(np.max(np.abs(jv))),
+            "max_flux_jump": float(np.max(np.abs(jf))),
+            "max_weak_residual": float(np.max(np.abs(w))) if w.size else 0.0,
+        })
+    return rows

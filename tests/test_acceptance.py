@@ -12,7 +12,7 @@ from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio, solve,
                                  trace_constant)
 from frenet_ife.curves import circle, ellipse
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
-from frenet_ife.ife_space import build_spaces
+from frenet_ife.ife_space import build_spaces, gram_fictitious
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_cell_rules, gauss_rect
 
@@ -89,7 +89,7 @@ def test_criterion_3_space_dimension(benchmark_case):
         for e in spaces.tags.interface_elements:
             b = spaces.bases[e]
             assert b.n_basis == (m + 1) ** 2
-            g = b.gram_fictitious()
+            g = gram_fictitious([b])[0]
             d = np.sqrt(np.diag(g))
             sv = np.linalg.svd(g / np.outer(d, d), compute_uv=False)
             worst = min(worst, sv[-1])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,11 @@ from frenet_ife.analysis import (ManufacturedCase, case_jump_residuals,
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio, solve,
                                  trace_constant)
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
-from frenet_ife.frenet import FrenetChart
+from frenet_ife.frenet import ChordChart, FrenetChart
 from frenet_ife.ife_space import build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 
-from oracles import loop_projection_study
+from oracles import LoopChordChart, loop_geometry_probes, loop_projection_study
 
 
 def test_manufactured_case_jump_residuals():
@@ -77,7 +79,7 @@ def test_error_norms_against_standalone_edge_oracle():
                                            np.zeros(len(np.atleast_2d(p)))]),
         f=lambda p, s: np.zeros(len(np.atleast_2d(p))))
     sigma0 = spaces.mesh.h     # so the penalty sigma0*gamma/h equals 1
-    coef = np.zeros(spaces.layout.total)
+    coef = np.zeros(spaces.n_dofs)
     errs = error_norms(coef, ux, spaces, sigma0)
 
     pen = 1.0
@@ -153,6 +155,66 @@ def test_geometry_probes_circle_slopes_and_band():
     assert 0.7 <= probes["slope_dt_dev"] <= 1.3
     for lv in probes["levels"]:
         assert 0.2 <= lv["band_lo"] <= lv["band_hi"] <= 5.0
+
+
+_OUTSIDE = circle(0.6, (5.0, 5.0))   # no interface element in the box
+
+
+@pytest.mark.parametrize("curve, ns", [
+    (circle(0.6), [8, 16, 32]), (circle(0.55, (0.1, -0.07)), [8, 16, 32]),
+    (ellipse(0.7, 0.5), [16, 32, 64]), (flower(0.5, 0.1, 5), [48, 64]),
+    (LineCurve([0.0, 0.31], [1.0, 0.17], -5, 5), [4, 8]),
+    (_OUTSIDE, [8, 16])],
+    ids=["circle", "off-centre-circle", "ellipse", "flower", "line", "outside"])
+def test_geometry_probes_bitwise_equal_to_loop_oracle(curve, ns):
+    # one chord chart per level against one per interface element: the
+    # report the CLI writes, byte for byte
+    probes = geometry_probes(curve, ns)
+    assert json.dumps(probes, sort_keys=True) == json.dumps(loop_geometry_probes(curve, ns),
+                                                             sort_keys=True)
+    empty = [lv for lv in probes["levels"] if lv["n_interface"] == 0]
+    assert len(empty) == (len(ns) if curve is _OUTSIDE else 0)
+    assert all((lv["t_dev"], lv["dt_dev"], lv["det_dev"], lv["band_lo"], lv["band_hi"])
+               == (0.0, 0.0, 0.0, np.inf, -np.inf) for lv in empty)
+
+
+@pytest.mark.parametrize("curve", [circle(0.6), ellipse(0.7, 0.5)], ids=["circle", "ellipse"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_stacked_chord_charts_bitwise_equal_to_one_per_interval(curve, n):
+    mesh = build_mesh((-1, 1, -1, 1), n)
+    chart = FrenetChart(curve, h=mesh.h)
+    intervals = [t.interval for t in classify_elements(mesh, chart).interface.values()]
+    cc = ChordChart(chart, *np.array(intervals).T)
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-1, 1, (len(intervals), 7, 2))
+    eta, xi = rng.uniform(-mesh.h, mesh.h, (2, len(intervals), 7))
+    xi += np.array(intervals)[:, :1]
+    inverse, dt = cc.inverse(pts), cc.transition_jacobian(eta, xi)
+    for i, (xi0, xi1) in enumerate(intervals):
+        ref = LoopChordChart(chart, xi0, xi1)
+        assert np.array_equal(cc.A[i], ref.A) and np.array_equal(cc.b[i], ref.b)
+        assert np.array_equal(cc.Ainv[i], ref.Ainv)
+        assert np.array_equal(inverse[i], ref.inverse(pts[i]))
+        assert np.array_equal(dt[i], ref.transition_jacobian(eta[i], xi[i]))
+    one = ChordChart(chart, *intervals[0])
+    assert one.A.shape == (2, 2) and one.b.shape == (2,)
+    assert np.array_equal(one.A, cc.A[0]) and np.array_equal(one.Ainv, cc.Ainv[0])
+
+
+def test_geometry_probe_makes_one_chord_chart_and_one_jacobian_per_level(monkeypatch):
+    calls = []
+
+    def counted(name, orig):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ChordChart, "__init__", counted("chord", ChordChart.__init__))
+    monkeypatch.setattr(FrenetChart, "jacobian", counted("jacobian", FrenetChart.jacobian))
+    probes = geometry_probes(circle(0.6), [8, 16, 32])
+    assert all(lv["n_interface"] > 1 for lv in probes["levels"])
+    assert calls == ["chord", "jacobian"] * 3
 
 
 def test_projection_study_reproduces_space_members():

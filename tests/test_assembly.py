@@ -39,7 +39,7 @@ def test_gamma_value(bench):
 def test_sparsity_is_edge_local(bench):
     _, spaces, system = bench
     mesh = spaces.mesh
-    nloc = spaces.layout.n_local
+    nloc = spaces.n_local
     neighbours = [set([e]) for e in range(mesh.n_elements)]
     for k in range(mesh.n_edges):
         e1, e2 = mesh.edge_elems[k]
@@ -83,7 +83,7 @@ def test_exact_reproduction_of_linear_solution():
 
     system = assemble(spaces, 8.0, f, g)
     coef = solve(system)
-    rng, nl = np.random.default_rng(0), spaces.layout.n_local
+    rng, nl = np.random.default_rng(0), spaces.n_local
     for e in range(spaces.mesh.n_elements):
         box = spaces.mesh.elem_box(e)
         pts = np.column_stack([rng.uniform(box[0], box[2], 8),
@@ -121,8 +121,8 @@ def test_galerkin_consistency(bench):
     case, _, _ = bench
     spaces = setup_level(case, (-1, 1, -1, 1), 8, 1, {"volume": 6, "edge": 6})
     system = assemble(spaces, 6.0, case.f, case.dirichlet)
-    mesh, layout = spaces.mesh, spaces.layout
-    nl, action = layout.n_local, np.zeros(layout.total)
+    mesh = spaces.mesh
+    nl, action = spaces.n_local, np.zeros(spaces.n_dofs)
     pen = system.penalty
     for e in range(mesh.n_elements):
         dofs = slice(e * nl, (e + 1) * nl)

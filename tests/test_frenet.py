@@ -3,7 +3,7 @@ import pytest
 
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import NewtonDivergence, OutsideValidityStrip
-from frenet_ife.frenet import FrenetChart, frenet_apparatus
+from frenet_ife.frenet import ChordChart, FrenetChart, frenet_apparatus
 from frenet_ife.mesh import build_mesh, classify_elements
 
 from oracles import fd_jacobian, loop_inverse
@@ -233,7 +233,7 @@ def test_xi_monotone_along_interface_element_edges(curve, box, n):
 
 def test_chord_chart_interpolates_and_inverts():
     chart = FrenetChart(circle(1.0), h=0.3)
-    cc = chart.chord_chart(0.1, 0.45)
+    cc = ChordChart(chart, 0.1, 0.45)
     # the chord P_chord(0, xi) = A (0, xi)^T + b passes through g(xi0) and g(xi1)
     for xi in (0.1, 0.45):
         assert np.allclose(cc.b + xi * cc.A[:, 1], chart.curve.point(np.asarray(xi)), atol=1e-14)
@@ -244,7 +244,7 @@ def test_chord_chart_interpolates_and_inverts():
 
 def test_transition_identity_for_line():
     chart = FrenetChart(LineCurve([0.0, 0.0], [1.0, 0.0]), h=1.0)
-    cc = chart.chord_chart(0.2, 0.8)
+    cc = ChordChart(chart, 0.2, 0.8)
     rng = np.random.default_rng(6)
     eta = rng.uniform(-0.5, 0.5, 40)
     xi = rng.uniform(0.2, 0.8, 40)
@@ -259,7 +259,7 @@ def test_transition_near_identity_scales_with_h():
     chart = FrenetChart(circle(1.0), h=0.3)
     devs = []
     for w in (0.2, 0.1):
-        cc = chart.chord_chart(0.3, 0.3 + w)
+        cc = ChordChart(chart, 0.3, 0.3 + w)
         eta = np.linspace(-w / 2, w / 2, 9)
         xi = np.linspace(0.3, 0.3 + w, 9)
         E, X = np.meshgrid(eta, xi)

@@ -7,14 +7,15 @@ from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import DimensionMismatch
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
 from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces, build_x0,
-                                  interface_jumps, space_diagnostics,
+                                  gram_fictitious, interface_jumps, space_diagnostics,
                                   weak_condition_residuals, _l_operator_series,
                                   _legendre_rows)
 from frenet_ife.laplacian import FrenetLaplacian
 from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
 
 from oracles import (composite_simpson, element_basis, element_rules, loop_build_x0,
-                     loop_interface_jumps, loop_project_l2, loop_weak_residuals)
+                     loop_gram_fictitious, loop_interface_jumps, loop_project_l2,
+                     loop_space_diagnostics, loop_weak_residuals)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +173,7 @@ def test_equal_beta_spans_full_tensor_space():
 def test_direct_sum_gram_well_conditioned(circle_spaces):
     for e in circle_spaces.tags.interface_elements:
         b = circle_spaces.bases[e]
-        g = b.gram_fictitious()
+        g = gram_fictitious([b])[0]
         d = np.sqrt(np.diag(g))
         gn = g / np.outer(d, d)
         w = np.linalg.eigvalsh(gn)
@@ -268,7 +269,7 @@ def test_small_cut_sliver_robustness():
     assert tags.tags[0] == 0
     spaces = build_spaces(mesh, tags, chart, 2, 1.0, 10.0)
     b = spaces.bases[0]
-    g = b.gram_fictitious()
+    g = gram_fictitious([b])[0]
     d = np.sqrt(np.diag(g))
     w = np.linalg.eigvalsh(g / np.outer(d, d))
     assert w[0] > 1e-8 and w[-1] / w[0] < 1e8
@@ -316,7 +317,7 @@ def test_projection_reproduces_members_and_constants(circle_spaces):
 
     # constants live in every local space (through the trace block)
     ones = loop_project_l2(lambda p, s: np.ones(len(np.atleast_2d(p))), spaces)
-    nl = spaces.layout.n_local
+    nl = spaces.n_local
     for ee in (0, e):
         pts = np.column_stack([rng.uniform(*spaces.mesh.elem_box(ee)[0::2], 10),
                                rng.uniform(*spaces.mesh.elem_box(ee)[1::2], 10)])
@@ -406,6 +407,25 @@ def test_space_diagnostics_jumps_from_one_stacked_kernel_like_the_loop_oracle(
         jv, jf = loop_interface_jumps(b, np.linspace(*b.interval, 24))
         assert row["max_value_jump"] == float(np.max(np.abs(jv)))
         assert row["max_flux_jump"] == float(np.max(np.abs(jf)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_space_diagnostics_bitwise_equal_to_loop_oracle(level, m):
+    # one stacked Gram and one stacked SVD against one of each per element
+    mesh, chart, tags, intervals = level
+    spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0)
+    bases = list(spaces.bases.values())
+    grams = gram_fictitious(bases)
+    assert all(np.array_equal(g, loop_gram_fictitious(b)) for g, b in zip(grams, bases))
+    rows = space_diagnostics(spaces)
+    assert len(rows) == len(intervals) and rows == loop_space_diagnostics(spaces)
+
+
+def test_space_diagnostics_on_a_level_without_interface_elements():
+    mesh = build_mesh((-1, 1, -1, 1), 8)
+    chart = FrenetChart(circle(0.6, (5.0, 5.0)), h=mesh.h)
+    spaces = build_spaces(mesh, classify_elements(mesh, chart), chart, 2, 1.0, 10.0)
+    assert space_diagnostics(spaces) == loop_space_diagnostics(spaces) == []
 
 
 @pytest.mark.parametrize("line_q", [1, 2, 3])

@@ -38,7 +38,7 @@ def test_area_partition():
 
 
 def test_edge_topology_consistency():
-    m = build_mesh((0, 2, 0, 1), (4, 3))
+    m = RectMesh((0, 2, 0, 1), 4, 3)
     for k in range(m.n_edges):
         e1, e2 = m.edge_elems[k]
         assert e1 >= 0

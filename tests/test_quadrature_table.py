@@ -136,6 +136,17 @@ def test_trace_constants_bitwise_equal_to_element_loops(curve, n, m, relabel):
     _assert_trace_constants_bitwise_equal(_spaces(curve, n, m, relabel), relabel)
 
 
+def test_trace_constant_refuses_repeated_elements():
+    # one Gram row per element: a repeat must not leave a healthy element
+    # with the zero stiffness of an unfilled row
+    spaces = _spaces(circle(0.6), 8, 1)
+    e, f = spaces.tags.interface_elements[:2]
+    with pytest.raises(ValueError, match=rf"^element {f} is repeated"):
+        trace_constant(spaces, [e, f, 0, f, e])
+    assert trace_constant(spaces, [e, f, 0]).tolist() == [
+        loop_trace_constant(spaces, k) for k in (e, f, 0)]
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_trace_probe_is_one_kernel_call_per_level(monkeypatch, m):
     # the penalty probe and the trace study read the level's table in one
@@ -177,7 +188,7 @@ def test_cut_pieces_and_cut_edge_rows_come_in_a_few_stacked_groups(monkeypatch, 
             return read[-1][1]
         monkeypatch.setattr(SpaceSet, name, recorded)
     assemble(spaces, 6.0, case.f, case.dirichlet)
-    error_norms(np.zeros(spaces.layout.total), case, spaces, 6.0)
+    error_norms(np.zeros(spaces.n_dofs), case, spaces, 6.0)
     monkeypatch.undo()
     assert [name for name, _ in read] == ["volume_groups", "edge_groups"] * 2
     interface = np.append(spaces.tags.tags == 0, False)   # [-1]: no element
@@ -208,9 +219,9 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
             monkeypatch.setattr(spaces.chart, name, None)
     read = []
     for volume in (True, False):
-        parts, stacks = spaces._interface_values(volume)
-        read += [(parts[i][0][0], parts[i][1], parts[i][3], (v, g))
-                 for idx, vals, grads in stacks for i, v, g in zip(idx, vals, grads)]
+        read += [(e, p, side, (v, g))
+                 for elems, _, pts, _, sides, vals, grads, _ in spaces.interface_stacks(volume)
+                 for e, p, side, v, g in zip(elems, pts, sides, vals, grads)]
     for ks, _, pts, _, sides, members, _ in spaces.edge_groups():
         read += [(mesh.edge_elems[ks[i], j], pts[i], sides[i], (vals[i], grads[i]))
                  for j, (_, vals, grads) in enumerate(members) for i in range(len(vals))]
@@ -243,8 +254,9 @@ def test_table_inverts_each_interface_element_twice_per_level(monkeypatch):
     # one call for the volume pieces of all interface elements, one for the
     # segments of their edges
     assert len(calls) == 2
-    volume = sum(len(rule.points) for e in spaces.tags.interface_elements
-                 for rule, _ in spaces.pieces(e))
+    rules = quadrature.level_cut_cell_rules(spaces.mesh, spaces.tags.interface, chart,
+                                            spaces.q_vol)
+    volume = sum(len(rule.points) for pieces in rules.values() for rule in pieces.values())
     assert volume in calls
 
 
@@ -349,11 +361,14 @@ def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
     for ks, _, pts, w, sides, _, _ in spaces.edge_groups():
         for k, p, wk, side in zip(ks, pts, w, sides):
             rows.setdefault(int(k), []).append((p, wk, side))
+    _, _, labels, seg_pts, seg_w = spaces._segments()
+    segs = zip(*spaces._face_rows(np.arange(mesh.n_elements)))
     faces = {}
     for e in range(mesh.n_elements):
-        segs = iter(spaces._items([e], False))
         for k in mesh.elem_edges[e]:
-            faces[e, k] = [next(segs)[1:] for _ in spaces.segment_sides(k)]
+            face = [next(segs) for _ in spaces.segment_sides(k)]
+            assert all(i == e for i, _ in face), (e, k)
+            faces[e, k] = [(seg_pts[r], seg_w[r], labels[r]) for _, r in face]
     assert sorted(rows) == list(range(mesh.n_edges))
     split = 0
     for k in range(mesh.n_edges):
@@ -435,7 +450,7 @@ def test_segment_sides_match_one_query_per_segment_random_placements(seed):
 def test_no_table_reader_or_study_takes_a_quadrature_order():
     # the orders belong to the level: SpaceSet fixes them once, and only the
     # per-edge reference read edge_segments takes one
-    funcs = [SpaceSet.pieces, SpaceSet.volume_groups, SpaceSet.edge_groups,
+    funcs = [SpaceSet.interface_stacks, SpaceSet.volume_groups, SpaceSet.edge_groups,
              SpaceSet.gradients]
     for mod in (assembly, analysis, cli):
         for obj in vars(mod).values():

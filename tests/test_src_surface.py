@@ -1,11 +1,15 @@
-"""Every function, method and class in src/ is reached from src/.
+"""Every function, method, class and piece of object state in src/ is
+reached from src/.
 
 A definition that nothing in the package refers to (by a loaded name, a
 loaded attribute or an import) runs only when a test calls it, so it is not
-part of what the commands run.  The checks below are name-based: an
-attribute `x.evaluate` counts for every `evaluate` of the package.  A method
-counts as referenced only through a loaded attribute: a bare name `g` is a
-local or a function, never the method `ChordChart.g`.
+part of what the commands run; a dataclass field or an attribute stored on
+`self` that nothing loads is state no command reads.  The checks below are
+name-based: an attribute `x.evaluate` counts for every `evaluate` of the
+package.  A method or a piece of state counts as referenced only through a
+loaded attribute: a bare name `g` is a local or a function, never the
+method `ChordChart.g`.  So the check cannot see state whose name other
+objects load, such as a `chart` attribute next to `SpaceSet.chart`.
 """
 
 import ast
@@ -27,6 +31,18 @@ TEST_REFERENCES = {
     ("ife_space", "LocalScaling.etabar"),
 }
 
+# State no command reads that tests read, to check what the commands computed.
+TEST_READ_STATE = {
+    ("assembly", "SipdgSystem.gamma"),        # the penalty bookkeeping
+    ("assembly", "SipdgSystem.penalty"),
+    ("frenet", "FrenetFrame.tau"),            # the frame the chart is built on
+    ("frenet", "FrenetFrame.kappa"),
+    ("frenet", "FrenetFrame.speed"),
+    ("ife_space", "IfeBasis.origins"),        # which functions are X0 and X1
+    ("quadrature", "EdgeSegment.t0"),         # the span of an edge segment
+    ("quadrature", "EdgeSegment.t1"),
+}
+
 
 def _definitions():
     """{(module, qualified name): whether it is a method} of every function,
@@ -45,6 +61,23 @@ def _definitions():
 
     for path in SRC.glob("*.py"):
         walk(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def _state():
+    """{(module, class.attribute)} of every dataclass field and every
+    attribute a method stores on self."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                found.update((path.stem, f"{cls.name}.{node.target.id}") for node in cls.body
+                             if isinstance(node, ast.AnnAssign))
+            found.update((path.stem, f"{cls.name}.{node.attr}") for node in ast.walk(cls)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name) and node.value.id == "self")
     return found
 
 
@@ -79,8 +112,15 @@ def test_every_definition_in_src_is_referenced_from_src():
     assert sorted(unused - _traced() - TEST_REFERENCES) == []
 
 
+def test_all_state_in_src_is_read_from_src():
+    _, attrs = _references()
+    unread = {(mod, name) for mod, name in _state() if name.rsplit(".", 1)[-1] not in attrs}
+    assert sorted(unread - TEST_READ_STATE) == []
+
+
 def test_allow_lists_name_live_definitions():
     # a stale exception would hide the next dead definition of that name
     defined = set(_definitions())
     assert TEST_REFERENCES <= defined
     assert _traced() <= defined
+    assert TEST_READ_STATE <= _state()
