@@ -110,18 +110,23 @@ def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet, sigma0: float) -
     pen = sigma0 * gamma / mesh.h
     C = coef.reshape(mesh.n_elements, -1)
 
+    groups = spaces.volume_groups()
+    at = [(pts, sides) for _, pts, _, sides, *_ in groups]
     volume = []
-    for elems, pts, w, sides, vals, grads, pos in spaces.volume_groups():
+    for (elems, _, w, sides, vals, grads, pos), u, grad in zip(
+            groups, at_points(case.u, at), at_points(case.grad, at)):
         c = C[elems]
-        du = at_points(case.u, pts, sides) - (c[:, None] @ vals)[:, 0]
-        dg = at_points(case.grad, pts, sides) - np.einsum("eb,ebpk->epk", c, grads)
+        du = u - (c[:, None] @ vals)[:, 0]
+        dg = grad - np.einsum("eb,ebpk->epk", c, grads)
         volume.append((pos, _row_sums(w * du**2, pos), spaces.beta_of(sides[:len(pos)])
                        * _row_sums(w * np.einsum("epk,epk->ep", dg, dg), pos)))
     l2_sq, grad_sq = _in_order(volume)
 
+    groups = spaces.edge_groups()
+    at = [(pts, sides) for _, _, pts, _, sides, *_ in groups]
     edges = []
-    for ks, _, pts, w, sides, members, pos in spaces.edge_groups():
-        u, grad = at_points(case.u, pts, sides), at_points(case.grad, pts, sides)
+    for (ks, _, _, w, sides, members, pos), u, grad in zip(
+            groups, at_points(case.u, at), at_points(case.grad, at)):
         beta = spaces.beta_of(sides)[:, None]
         jump = flux = 0.0
         for j, (sign, vals, grads) in enumerate(members):

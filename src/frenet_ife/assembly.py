@@ -28,7 +28,6 @@ class SipdgSystem:
 
     S: sp.csc_matrix
     F: np.ndarray
-    sigma0: float
     gamma: float
     penalty: float
     norm_gram: sp.csr_matrix | None = None
@@ -92,7 +91,8 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     """Assemble the penalized system; optionally also the norm Gram matrices.
 
     f_source(points, side) and g_dirichlet(points, side) return values at
-    quadrature points, side +-1 per point; each is called once per group.
+    quadrature points, side +-1 per point; each is called once per level, on
+    the points of all its volume groups or boundary segments.
     The norm Grams realize the broken norm (gradient + penalized jumps) and
     the energy norm (plus weighted flux averages).  Blocks are computed once
     per group of plain elements or edges and row by row in the stacked cut
@@ -105,9 +105,11 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     # an interface element's two pieces add in either order from zero
     K = np.zeros((mesh.n_elements, nl, nl))
     F = np.zeros(spaces.n_dofs)
-    for elems, pts, w, sides, vals, grads, _ in spaces.volume_groups():
+    groups = spaces.volume_groups()
+    sources = at_points(f_source, [(pts, sides) for _, pts, _, sides, *_ in groups])
+    for (elems, _, w, sides, vals, grads, _), f in zip(groups, sources):
         np.add.at(K, elems, _stiffness(spaces, sides[:len(vals)], w[:len(vals)], grads))
-        x = w * at_points(f_source, pts, sides)
+        x = w * f
         np.add.at(F.reshape(-1, nl), elems, np.matmul(vals, x[..., None])[..., 0])
 
     def sipdg(w, avg, a, b):
@@ -117,19 +119,17 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
 
     terms = _edge_terms(spaces)
     # Dirichlet data, added boundary segment by boundary segment in row order
+    boundary = [t for t in terms if len(t[-1]) == 1]       # one member: a boundary edge
+    data = at_points(g_dirichlet, [(pts, sides) for _, _, pts, _, sides, *_ in boundary])
     rows, elems, parts = [], [], []
-    for ks, seg_rows, pts, w, sides, _, members in terms:
-        if len(members) == 1:
-            ((_, V, B),) = members
-            x = w * at_points(g_dirichlet, pts, sides)
-            parts.append(np.matmul(-B + pen * V, x[..., None])[..., 0])
-            rows.append(seg_rows)
-            elems.append(mesh.edge_elems[ks, 0])
+    for (ks, seg_rows, _, w, _, _, ((_, V, B),)), g in zip(boundary, data):
+        parts.append(np.matmul(-B + pen * V, (w * g)[..., None])[..., 0])
+        rows.append(seg_rows)
+        elems.append(mesh.edge_elems[ks, 0])
     order = np.argsort(np.concatenate(rows))
     np.add.at(F.reshape(-1, nl), np.concatenate(elems)[order], np.concatenate(parts)[order])
 
-    system = SipdgSystem(S=_csr(spaces, K, terms, sipdg).tocsc(), F=F, sigma0=sigma0,
-                         gamma=gamma, penalty=pen)
+    system = SipdgSystem(S=_csr(spaces, K, terms, sipdg).tocsc(), F=F, gamma=gamma, penalty=pen)
     if with_norm_grams:
         system.norm_gram = _csr(spaces, K, terms, lambda w, avg, a, b:
                                 pen * a[0] * b[0] * (a[1] * w) @ b[1].mT)

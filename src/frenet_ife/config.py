@@ -104,6 +104,13 @@ class RunConfig:
                 raise ValueError(f"config key {name!r} takes an object with keys {sorted(keys)}")
         if not all(q is None or (type(q) is int and q >= 1) for q in self.quad.values()):
             raise ValueError("quad orders must be null or integers >= 1")
+        # q Gauss points are exact to degree 2q-1; the Q^m stiffness and the
+        # edge jump products have degree 2m in each variable
+        for key in ("volume", "edge"):
+            q = self.quad.get(key)
+            if q is not None and q < self.degree + 1:
+                raise ValueError(f"quad.{key} = {q} cannot integrate degree {self.degree}; "
+                                 f"it needs at least degree + 1 = {self.degree + 1}")
         if type(self.case.get("p", 4)) is not int:
             raise ValueError("case.p must be an integer")
         curve = self.curve()

@@ -14,8 +14,6 @@ etabar = eta/h, xibar = (xi - xi_c)/h_xi for conditioning at small h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial.legendre import legval
 
@@ -28,26 +26,20 @@ from .quadrature import (_gauss01, cut_cell_rules, edge_spans, gauss_interval,  
                          gauss_rect, level_cut_cell_rules)
 
 
-@dataclass
-class LocalScaling:
-    """Affine normalization of (eta, xi) onto the unit box of one element."""
+def _scalings(intervals):
+    """Centres xi_c and half-widths h_xi of intervals (E, 2), (E,) each."""
+    xi0, xi1 = intervals.T
+    return 0.5 * (xi0 + xi1), 0.5 * (xi1 - xi0)
 
-    h_eta: float
-    xi_c: float
-    h_xi: float
 
-    def xibar(self, xi):
-        return (np.asarray(xi, dtype=float) - self.xi_c) / self.h_xi
-
-    def etabar(self, eta):
-        return np.asarray(eta, dtype=float) / self.h_eta
-
-    def series_factors(self, n):
-        """h_eta^-l * (1, 1/h_xi, 1/h_xi^2) for l < n, (3, n): the scales of
-        the eta-series of p, p_xi and p_xixi.  Scalar powers on purpose: an
-        array's ** 2 multiplies, and a rounding of pow can differ."""
-        s = [self.h_eta ** (-l) for l in range(n)]
-        return np.array([s, [v / self.h_xi for v in s], [v / self.h_xi**2 for v in s]])
+def series_factors(h_eta, h_xi, n):
+    """h_eta^-l * (1, 1/h_xi, 1/h_xi^2) for l < n and each of h_xi (E,), (E,
+    3, n): the scales of the eta-series of p, p_xi and p_xixi.  Scalar powers
+    per element on purpose: an array's ** 2 multiplies, and a rounding of
+    pow can differ."""
+    s = [h_eta ** (-l) for l in range(n)]
+    return np.array([[s, [v / hx for v in s], [v / hx**2 for v in s]]
+                     for hx in h_xi.tolist()]).reshape(-1, 3, n)
 
 
 def _legendre_rows(deg_max, xbar):
@@ -63,7 +55,7 @@ def _poly_line_series(C, factors, xbar, n_terms):
     """eta-series of p, p_xi, p_xixi on the interface line at given nodes.
 
     C stacks (m+1, m+1) coefficient matrices over etabar^j xibar^i, (..., m+1,
-    m+1); factors holds LocalScaling.series_factors(m+1), (..., 3, m+1), and
+    m+1); factors holds series_factors(h_eta, h_xi, m+1), (..., 3, m+1), and
     xbar the nodes, (..., n_nodes), both broadcasting against C's leading
     axes.  Returns three arrays shaped (..., n_terms, n_nodes).  Each row is
     one stacked (1, m+1) @ (m+1, n_nodes) product, laid out as
@@ -99,18 +91,16 @@ def _l_operator_series(C, factors, jets, xbar, n_out):
     return out
 
 
-def _line_terms(chart, intervals, scalings, m: int, q: int):
-    """What the moments of L(p)(0, .) need on every interval (xi0, xi1) at
-    once, with its q-point Gauss rule: the series factors (E, 1, 3, m+1),
-    xibar at the nodes (E, 1, q), the jets up to eta^(m-2) from one
-    coefficient_jets call ((E, 1, m-1, q) each) and the weights times the
-    Legendre tests up to degree m (E, m+1, q)."""
-    rule = gauss_interval(*np.array(intervals, dtype=float).reshape(-1, 2).T[..., None], q)
-    xi_c, h_xi = np.array([[s.xi_c, s.h_xi] for s in scalings]).reshape(-1, 2).T[..., None]
-    xbar = (rule.points - xi_c) / h_xi
+def _line_terms(chart, intervals, xi_c, h_xi, m: int, q: int):
+    """What the moments of L(p)(0, .) need on every interval (E, 2) at once,
+    with its q-point Gauss rule and its centre xi_c and half-width h_xi (E,):
+    the series factors (E, 1, 3, m+1), xibar at the nodes (E, 1, q), the jets
+    up to eta^(m-2) from one coefficient_jets call ((E, 1, m-1, q) each) and
+    the weights times the Legendre tests up to degree m (E, m+1, q)."""
+    rule = gauss_interval(*intervals.T[..., None], q)
+    xbar = (rule.points - xi_c[:, None]) / h_xi[:, None]
     jets = FrenetLaplacian(chart).coefficient_jets(rule.points.ravel(), m - 2)
-    factors = np.array([s.series_factors(m + 1) for s in scalings]).reshape(-1, 1, 3, m + 1)
-    return (factors, xbar[:, None],
+    return (series_factors(chart.h, h_xi, m + 1)[:, None], xbar[:, None],
             tuple(np.moveaxis(j.reshape(m - 1, *xbar.shape), 0, 1)[:, None] for j in jets),
             np.moveaxis(_legendre_rows(m, xbar) * rule.weights, 0, 1))
 
@@ -121,23 +111,22 @@ def build_x0(chart: FrenetChart, intervals, m: int, line_q: int | None = None):
     Rows: the m+1 coefficients of p_eta(0, .) plus, for each eta-derivative
     order j <= m-2, the moments of L(p)(0, .) against Legendre tests up to
     degree m.  `intervals` is {element: interval (xi0, xi1)}, all built at
-    once.  Returns (vectors (E, m+1, m+1, m+1), [scaling]) in key order.
+    once.  Returns the vectors (E, m+1, m+1, m+1) in key order.
 
     Raises DimensionMismatch, naming the first such element, if the
     nullspace dimension is not m+1.
     """
-    scalings = [LocalScaling(h_eta=chart.h, xi_c=0.5 * (xi0 + xi1), h_xi=0.5 * (xi1 - xi0))
-                for xi0, xi1 in intervals.values()]
+    spans = np.array(list(intervals.values()), dtype=float).reshape(-1, 2)
     nb = (m + 1) ** 2
-    M = np.zeros((len(intervals), m * (m + 1), nb))
+    M = np.zeros((len(spans), m * (m + 1), nb))
     M[:, range(m + 1), range(m + 1, 2 * (m + 1))] = 1.0
     if m >= 2:
         q = line_q if line_q is not None else m + 3
-        factors, xbar, jets, tests = _line_terms(chart, list(intervals.values()), scalings, m, q)
+        factors, xbar, jets, tests = _line_terms(chart, spans, *_scalings(spans), m, q)
         units = np.eye(nb).reshape(nb, m + 1, m + 1)
         series = _l_operator_series(units, factors, jets, xbar, m - 1)   # (E, nb, m-1, q)
         M[:, m + 1:] = (np.swapaxes(series, 1, 2)[:, :, None]   # (nb, q) @ (q,) per row
-                        @ tests[:, None, :, :, None]).reshape(len(intervals), m * m - 1, nb)
+                        @ tests[:, None, :, :, None]).reshape(len(spans), m * m - 1, nb)
     _, s, vt = np.linalg.svd(M)
     null_dim = nb - np.sum(s > 1e-10 * s[:, :1], axis=1)
     for e, d in zip(intervals, null_dim):
@@ -145,38 +134,37 @@ def build_x0(chart: FrenetChart, intervals, m: int, line_q: int | None = None):
             raise DimensionMismatch(
                 f"element {e}: X0 nullspace dimension {d}, expected {m + 1}; "
                 "raise the line quadrature order or check the chart")
-    return vt[:, nb - m - 1:].reshape(-1, m + 1, m + 1, m + 1), scalings
+    return vt[:, nb - m - 1:].reshape(-1, m + 1, m + 1, m + 1)
 
 
-def weak_condition_residuals(chart, m: int, bases, line_q: int | None = None):
+def weak_condition_residuals(bases, line_q: int | None = None):
     """Moment residuals of the operator jump conditions, all orders j <= m-2,
-    of every interface basis in `bases` at once: (E, n_basis, (m-1)(m+1)).
+    of every row of the interface bases at once: (E, n_basis, (m-1)(m+1)).
     Each moment is one stacked dot product, as per function.  Its default
     line order m+6 is finer than build_x0's, so it cross-checks the X0
     constraints."""
-    nb = (m + 1) ** 2
+    m, nb, E = bases.m, bases.n_basis, len(bases.interval)
     if m < 2:
-        return np.zeros((len(bases), nb, 0))
+        return np.zeros((E, nb, 0))
     q = line_q if line_q is not None else m + 6
-    factors, xbar, jets, tests = _line_terms(chart, [b.interval for b in bases],
-                                             [b.scaling for b in bases], m, q)
-    sp, sm = (_l_operator_series(np.array([b.coef[s] for b in bases]).reshape(-1, nb, m + 1, m + 1),
-                                 factors, jets, xbar, m - 1) for s in (1, -1))
-    beta = np.array([[b.beta[1], b.beta[-1]] for b in bases]).reshape(-1, 2, 1, 1, 1)
-    jump = beta[:, 0] * sp - beta[:, 1] * sm
+    factors, xbar, jets, tests = _line_terms(bases.chart, bases.interval, bases.xi_c,
+                                             bases.h_xi, m, q)
+    sp, sm = (_l_operator_series(bases.coef[s], factors, jets, xbar, m - 1) for s in (1, -1))
+    jump = bases.beta[1] * sp - bases.beta[-1] * sm
     moments = jump[..., None, None, :] @ tests[:, None, None, :, :, None]
-    return moments.reshape(len(bases), nb, m * m - 1)
+    return moments.reshape(E, nb, m * m - 1)
 
 
-def _ref_values(bases, sides, eta, xi):
-    """Values and (d/deta, d/dxi) gradients in tubular coordinates of
-    interface basis bases[g] on side sides[g] at the points (eta[g], xi[g]),
-    (G, P) each: three (G, n_basis, P) arrays, one einsum each over all rows,
-    each row with the arithmetic of a call on its own."""
-    m = bases[0].m
-    C = np.array([b.coef[s] for b, s in zip(bases, sides)])
-    h_eta, xi_c, h_xi = np.array([[b.scaling.h_eta, b.scaling.xi_c, b.scaling.h_xi]
-                                  for b in bases]).T[..., None]
+def _ref_values(bases, rows, sides, eta, xi):
+    """Values and (d/deta, d/dxi) gradients in tubular coordinates of the
+    interface basis of row rows[g] on side sides[g] at the points (eta[g],
+    xi[g]), (G, P) each: three (G, n_basis, P) arrays, one einsum each over
+    all rows, each row with the arithmetic of a call on its own."""
+    m, rows, sides = bases.m, np.asarray(rows), np.asarray(sides)
+    C = np.empty((len(rows),) + bases.coef[1].shape[1:])
+    for s in (1, -1):
+        C[sides == s] = bases.coef[s][rows[sides == s]]
+    h_eta, xi_c, h_xi = bases.chart.h, bases.xi_c[rows, None], bases.h_xi[rows, None]
     ebar, xbar = eta / h_eta, (xi - xi_c) / h_xi
     Ve, Vx = (np.vander(x.ravel(), m + 1, increasing=True).reshape(*x.shape, m + 1)
               for x in (ebar, xbar))
@@ -186,7 +174,7 @@ def _ref_values(bases, sides, eta, xi):
     dVx = np.zeros_like(Vx)
     dVx[..., 1:] = Vx[..., :-1] * j[1:]
     g_eta = np.einsum("ebji,epj,epi->ebp", C, dVe, Vx)
-    g_eta /= h_eta[..., None]
+    g_eta /= h_eta
     g_xi = np.einsum("ebji,epj,epi->ebp", C, Ve, dVx)
     g_xi /= h_xi[..., None]
     return np.einsum("ebji,epj,epi->ebp", C, Ve, Vx), g_eta, g_xi
@@ -210,46 +198,47 @@ def _physical(vals, g_eta, g_xi, J):
 
 
 def interface_jumps(bases, xi):
-    """Value and flux (beta * d_eta) jumps of every function of bases[g] on
-    the interface at parameters xi[g], (G, n): two (G, n_basis, n) arrays."""
-    zeros = np.zeros_like(xi)
-    vp, gp, _ = _ref_values(bases, [1] * len(bases), zeros, xi)
-    vm, gm, _ = _ref_values(bases, [-1] * len(bases), zeros, xi)
-    beta = np.array([[b.beta[1], b.beta[-1]] for b in bases]).T[..., None, None]
-    return vp - vm, beta[0] * gp - beta[1] * gm
+    """Value and flux (beta * d_eta) jumps of every function of every row of
+    the interface bases on the interface at parameters xi, (E, n): two (E,
+    n_basis, n) arrays."""
+    rows, zeros = np.arange(len(xi)), np.zeros_like(xi)
+    vp, gp, _ = _ref_values(bases, rows, np.ones_like(rows), zeros, xi)
+    vm, gm, _ = _ref_values(bases, rows, -np.ones_like(rows), zeros, xi)
+    return vp - vm, bases.beta[1] * gp - bases.beta[-1] * gm
 
 
 class IfeBasis:
-    """Immersed basis of one interface element: (m+1)^2 piecewise functions.
+    """Immersed bases of the interface elements of a level, one row per
+    element: (m+1)^2 piecewise functions each.
 
     Each function is a pair of coefficient matrices over (etabar, xibar),
     one per side of the interface; X0 members coincide on both sides, X1
     members are the same monomial divided by the side's beta.
     """
 
-    def __init__(self, chart: FrenetChart, interval, beta_minus: float, beta_plus: float,
-                 x0, scaling: LocalScaling):
-        """interval: the element's (xi0, xi1); x0, scaling: its X0 vectors
-        (m+1, m+1, m+1) and scaling from build_x0."""
-        m = x0.shape[0] - 1
+    def __init__(self, chart: FrenetChart, intervals, beta_minus: float, beta_plus: float, x0):
+        """intervals (E, 2): the elements' (xi0, xi1); x0 (E, m+1, m+1, m+1):
+        their X0 vectors from build_x0."""
+        m = x0.shape[-1] - 1
         self.chart = chart
         self.m = m
         self.beta = {-1: float(beta_minus), 1: float(beta_plus)}
-        self.scaling = scaling
-        self.interval = interval
+        self.interval = np.asarray(intervals, dtype=float).reshape(-1, 2)
+        self.xi_c, self.h_xi = _scalings(self.interval)
         self.n_basis = (m + 1) ** 2
         # the eta-vanishing monomials etabar^j xibar^i, j >= 1
-        x1 = np.eye(self.n_basis).reshape(-1, m + 1, m + 1)[m + 1:]
-        self.origins = ["x0"] * (m + 1) + ["x1"] * len(x1)
-        self.coef = {1: np.concatenate([x0, x1 / beta_plus]),
-                     -1: np.concatenate([x0, x1 / beta_minus])}
+        x1 = np.eye(self.n_basis).reshape(-1, m + 1, m + 1)[None, m + 1:].repeat(len(x0), 0)
+        self.origins = ["x0"] * (m + 1) + ["x1"] * x1.shape[1]
+        self.coef = {1: np.concatenate([x0, x1 / beta_plus], axis=1),
+                     -1: np.concatenate([x0, x1 / beta_minus], axis=1)}
 
-    # -- evaluation ------------------------------------------------------------
+    # -- evaluation of a one-row record -------------------------------------------
     def evaluate_ref(self, eta, xi, side):
         """Values and (d/deta, d/dxi) gradients in tubular coordinates."""
         eta, xi = (np.atleast_1d(np.asarray(a, dtype=float))[None].repeat(2, 0) for a in (eta, xi))
         plus = np.broadcast_to(np.asarray(side), eta.shape[1:]) > 0
-        return tuple(np.where(plus, r[1], r[0]) for r in _ref_values([self, self], [-1, 1], eta, xi))
+        return tuple(np.where(plus, r[1], r[0])
+                     for r in _ref_values(self, [0, 0], [-1, 1], eta, xi))
 
     def evaluate(self, pts, side=None):
         """Physical values and gradients at points of the element.
@@ -258,8 +247,9 @@ class IfeBasis:
         points lying exactly on the interface; by default the sign of eta
         decides.
         """
+        (xi_c,) = self.xi_c
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        eta, xi = self.chart.inverse(pts, xi_anchor=self.scaling.xi_c)
+        eta, xi = self.chart.inverse(pts, xi_anchor=xi_c)
         if side is None:
             side = np.where(eta >= 0.0, 1, -1)
         return _physical(*self.evaluate_ref(eta, xi, side), self.chart.jacobian(eta, xi))
@@ -306,11 +296,13 @@ def _reference_coords(box, pts):
             2.0 * (pts[..., 1] - yl) / (yh - yl) - 1.0)
 
 
-def at_points(fn, pts, sides):
-    """fn(points, side) at every point (E, nq, 2) of a group with sides (E,),
-    in one call: (E, nq, ...)."""
-    out = fn(pts.reshape(-1, 2), np.repeat(sides, pts.shape[1]))
-    return out.reshape(pts.shape[:2] + out.shape[1:])
+def at_points(fn, groups):
+    """fn(points, side) at every point (E, nq, 2) of each of groups [(points,
+    sides (E,))], in one call over all of them: [(E, nq, ...)] per group."""
+    out = fn(np.concatenate([p.reshape(-1, 2) for p, _ in groups]),
+             np.concatenate([np.repeat(s, p.shape[1]) for p, s in groups]))
+    at = np.cumsum([p.shape[0] * p.shape[1] for p, _ in groups])[:-1]
+    return [o.reshape(p.shape[:2] + out.shape[1:]) for o, (p, _) in zip(np.split(out, at), groups)]
 
 
 class TensorBasis:
@@ -318,7 +310,6 @@ class TensorBasis:
 
     def __init__(self, box, m: int):
         self.box = box
-        self.m = m
         self.n_basis = (m + 1) ** 2
         self.nodes = _lobatto_nodes(m)
 
@@ -376,9 +367,9 @@ class SpaceSet:
         self.beta_plus = float(beta_plus)
         self.q_vol, self.q_edge = quad.get("volume", m + 2), quad.get("edge", m + 3)
         intervals = {e: t.interval for e, t in tags.interface.items()}
-        self.bases = {}                  # interface element -> IfeBasis, in element order
-        for e, x0, scaling in zip(intervals, *build_x0(chart, intervals, m, quad.get("interface"))):
-            self.bases[e] = IfeBasis(chart, intervals[e], beta_minus, beta_plus, x0, scaling)
+        # one row per interface element, in tags.interface_elements order
+        self.bases = IfeBasis(chart, list(intervals.values()), beta_minus, beta_plus,
+                              build_x0(chart, intervals, m, quad.get("interface")))
         self.n_local = (m + 1) ** 2
         self.n_dofs = mesh.n_elements * self.n_local
         self._table = {}
@@ -452,8 +443,7 @@ class SpaceSet:
         per size."""
         def build():
             elems = np.array(self.tags.interface_elements, dtype=int)
-            bases = list(self.bases.values())
-            if not bases:
+            if not len(elems):
                 return []
             if volume:
                 rules = level_cut_cell_rules(self.mesh, self.tags.interface, self.chart, self.q_vol)
@@ -467,15 +457,14 @@ class SpaceSet:
                 sides, pts, w = labels[keys], seg_pts[keys], seg_w[keys]
             sizes = np.array([len(p) for p in pts])
             pts, w = np.concatenate(pts), np.concatenate(w)
-            xi_c = np.array([b.scaling.xi_c for b in bases])
-            eta, xi = self.chart.inverse(pts, xi_anchor=np.repeat(xi_c[at], sizes))
+            eta, xi = self.chart.inverse(pts, xi_anchor=np.repeat(self.bases.xi_c[at], sizes))
             J = self.chart.jacobian(eta, xi)
             first = np.cumsum(sizes) - sizes
             stacks = []
             for n in np.unique(sizes):
                 pos = np.flatnonzero(sizes == n)
                 take = first[pos, None] + np.arange(n)
-                vals, grads = _physical(*_ref_values([bases[i] for i in at[pos]], sides[pos],
+                vals, grads = _physical(*_ref_values(self.bases, at[pos], sides[pos],
                                                      eta[take], xi[take]), J[take])
                 stacks.append((elems[at[pos]], keys[pos], pts[take], w[take], sides[pos],
                                vals, grads, pos))
@@ -613,19 +602,18 @@ _JUMP_SAMPLES = 24   # interface points of the diagnostics' jump maxima
 
 
 def gram_fictitious(bases):
-    """Exact L2 Grams over the fictitious boxes (both sides) of every
-    interface basis in bases of one degree: (E, n_basis, n_basis)."""
-    m = bases[0].m
+    """Exact L2 Grams over the fictitious boxes (both sides) of every row of
+    the interface bases: (E, n_basis, n_basis)."""
+    m = bases.m
     a = np.arange(m + 1)
     apb = a[:, None] + a[None, :]
     m_neg = ((-1.0) ** apb) / (apb + 1.0)
     m_pos = 1.0 / (apb + 1.0)
     m_xi = np.where(apb % 2 == 0, 2.0 / (apb + 1.0), 0.0)
-    scale = np.array([b.scaling.h_eta * b.scaling.h_xi for b in bases])
-    c_neg, c_pos = (np.array([b.coef[s] for b in bases]) for s in (-1, 1))
-    g = np.einsum("efab,egcd,ac,bd->efg", c_neg, c_neg, m_neg, m_xi)
-    g = g + np.einsum("efab,egcd,ac,bd->efg", c_pos, c_pos, m_pos, m_xi)
-    return scale[:, None, None] * g
+    c = bases.coef
+    g = np.einsum("efab,egcd,ac,bd->efg", c[-1], c[-1], m_neg, m_xi)
+    g = g + np.einsum("efab,egcd,ac,bd->efg", c[1], c[1], m_pos, m_xi)
+    return (bases.chart.h * bases.h_xi)[:, None, None] * g
 
 
 def space_diagnostics(spaces: SpaceSet):
@@ -636,12 +624,11 @@ def space_diagnostics(spaces: SpaceSet):
     interface and of the weak moment residuals; each from one kernel over
     all interface elements.
     """
-    if not spaces.bases:
+    bases = spaces.bases
+    if not len(bases.interval):
         return []
-    bases = list(spaces.bases.values())
-    weak = weak_condition_residuals(spaces.chart, spaces.m, bases)
-    jumps = interface_jumps(bases, np.array([np.linspace(*b.interval, _JUMP_SAMPLES)
-                                             for b in bases]))
+    weak = weak_condition_residuals(bases)
+    jumps = interface_jumps(bases, np.linspace(*bases.interval.T, _JUMP_SAMPLES, axis=1))
     g = gram_fictitious(bases)
     d = np.sqrt(np.diagonal(g, axis1=1, axis2=2))
     sv = np.linalg.svd(g / (d[:, :, None] * d[:, None, :]), compute_uv=False)
@@ -649,4 +636,4 @@ def space_diagnostics(spaces: SpaceSet):
                np.abs(weak).max(axis=(1, 2), initial=0.0))
     keys = ("gram_cond", "gram_min_sv", "max_value_jump", "max_flux_jump", "max_weak_residual")
     return [{"element": e, **{k: float(v) for k, v in zip(keys, row)}}
-            for e, *row in zip(spaces.bases, *columns)]
+            for e, *row in zip(spaces.tags.interface_elements, *columns)]

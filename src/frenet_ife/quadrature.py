@@ -25,11 +25,10 @@ from .mesh import ElementTag, RectMesh
 
 @dataclass
 class QuadRule:
-    """Points (physical or parameter coordinates), weights, exactness degree."""
+    """Points (physical or parameter coordinates) and weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 @lru_cache(maxsize=64)
@@ -42,7 +41,7 @@ def _gauss01(q: int):
 def gauss_interval(a: float, b: float, q: int) -> QuadRule:
     """1D Gauss rule on [a, b] (one per row for ends shaped (E, 1)), exact for degree 2q-1."""
     x, w = _gauss01(q)
-    return QuadRule(points=a + (b - a) * x, weights=(b - a) * w, degree=2 * q - 1)
+    return QuadRule(points=a + (b - a) * x, weights=(b - a) * w)
 
 
 def gauss_rect(box, q: int) -> QuadRule:
@@ -58,7 +57,7 @@ def gauss_rect(box, q: int) -> QuadRule:
     W = (wx * (xh - xl))[..., :, None] * (wx * (yh - yl))[..., None, :]
     lead = W.shape[:-2]
     return QuadRule(points=np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(*lead, q * q, 2),
-                    weights=W.reshape(*lead, q * q), degree=2 * q - 1)
+                    weights=W.reshape(*lead, q * q))
 
 
 @dataclass
@@ -367,7 +366,7 @@ def level_cut_cell_rules(mesh: RectMesh, tags: dict, chart: FrenetChart,
             continue
         eta = next(etas)
         side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
-        out.setdefault(e, {})[side] = QuadRule(points=rule[0], weights=rule[1], degree=2 * q - 1)
+        out.setdefault(e, {})[side] = QuadRule(points=rule[0], weights=rule[1])
     for e in tags:
         if e in errors:
             raise DegeneratePartition(f"element {e}: {errors[e]}") from errors[e]

@@ -6,6 +6,8 @@ rather than the library's own charts and rules, so it can serve as an
 oracle for them.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -176,12 +178,91 @@ def bisect_root(f, a, b, iters=200):
 # here, for the projection-order checks.
 
 
+@dataclass
+class LocalScaling:
+    """Affine normalization of (eta, xi) onto the unit box of one element."""
+
+    h_eta: float
+    xi_c: float
+    h_xi: float
+
+    def xibar(self, xi):
+        return (np.asarray(xi, dtype=float) - self.xi_c) / self.h_xi
+
+    def etabar(self, eta):
+        return np.asarray(eta, dtype=float) / self.h_eta
+
+    def series_factors(self, n):
+        """h_eta^-l * (1, 1/h_xi, 1/h_xi^2) for l < n, (3, n): the scales of
+        the eta-series of p, p_xi and p_xixi.  Scalar powers on purpose: an
+        array's ** 2 multiplies, and a rounding of pow can differ."""
+        s = [self.h_eta ** (-l) for l in range(n)]
+        return np.array([s, [v / self.h_xi for v in s], [v / self.h_xi**2 for v in s]])
+
+
+class LoopIfeBasis:
+    """Immersed basis of one interface element: (m+1)^2 piecewise functions,
+    as ife_space held it, one object per element, before its level record.
+
+    Each function is a pair of coefficient matrices over (etabar, xibar),
+    one per side of the interface; X0 members coincide on both sides, X1
+    members are the same monomial divided by the side's beta.
+    """
+
+    def __init__(self, chart, interval, beta_minus, beta_plus, x0, scaling):
+        """interval: the element's (xi0, xi1); x0, scaling: its X0 vectors
+        (m+1, m+1, m+1) and scaling."""
+        m = x0.shape[0] - 1
+        self.chart = chart
+        self.m = m
+        self.beta = {-1: float(beta_minus), 1: float(beta_plus)}
+        self.scaling = scaling
+        self.interval = interval
+        self.n_basis = (m + 1) ** 2
+        # the eta-vanishing monomials etabar^j xibar^i, j >= 1
+        x1 = np.eye(self.n_basis).reshape(-1, m + 1, m + 1)[m + 1:]
+        self.origins = ["x0"] * (m + 1) + ["x1"] * len(x1)
+        self.coef = {1: np.concatenate([x0, x1 / beta_plus]),
+                     -1: np.concatenate([x0, x1 / beta_minus])}
+
+    def evaluate_ref(self, eta, xi, side):
+        """Values and (d/deta, d/dxi) gradients in tubular coordinates: the
+        level kernel on this element's one-row record."""
+        from frenet_ife.ife_space import IfeBasis
+
+        row = IfeBasis(self.chart, [self.interval], self.beta[-1], self.beta[1],
+                       self.coef[1][None, :self.m + 1])
+        return row.evaluate_ref(eta, xi, side)
+
+    def evaluate(self, pts, side=None):
+        """Physical values and gradients at points of the element.
+
+        `side` may be +-1 (scalar or array) to force the branch, e.g. on
+        points lying exactly on the interface; by default the sign of eta
+        decides.
+        """
+        from frenet_ife.ife_space import _physical
+
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        eta, xi = self.chart.inverse(pts, xi_anchor=self.scaling.xi_c)
+        if side is None:
+            side = np.where(eta >= 0.0, 1, -1)
+        return _physical(*self.evaluate_ref(eta, xi, side), self.chart.jacobian(eta, xi))
+
+
 def element_basis(spaces, e):
-    """The basis of element e: kept if it is an interface element, else its
-    tensor basis, built on the call."""
+    """The basis of element e: a LoopIfeBasis from its row of the level's
+    interface bases if it is an interface element, else its tensor basis,
+    built on the call."""
     from frenet_ife.ife_space import TensorBasis
 
-    return spaces.bases[e] if e in spaces.bases else TensorBasis(spaces.mesh.elem_box(e), spaces.m)
+    if e not in spaces.tags.interface:
+        return TensorBasis(spaces.mesh.elem_box(e), spaces.m)
+    b, i = spaces.bases, spaces.tags.interface_elements.index(e)
+    xi0, xi1 = b.interval[i]
+    return LoopIfeBasis(b.chart, (xi0, xi1), b.beta[-1], b.beta[1], b.coef[1][i, :b.m + 1],
+                        LocalScaling(h_eta=b.chart.h, xi_c=0.5 * (xi0 + xi1),
+                                     h_xi=0.5 * (xi1 - xi0)))
 
 
 def element_rules(spaces, e, q):
@@ -801,7 +882,6 @@ def _loop_l_operator_series(C, scaling, jets, xbar, n_out):
 def loop_build_x0(chart, interval, m, line_q=None):
     """(vectors (m+1, m+1, m+1), scaling) of one interface interval."""
     from frenet_ife.errors import DimensionMismatch
-    from frenet_ife.ife_space import LocalScaling
     from frenet_ife.laplacian import FrenetLaplacian
     from frenet_ife.quadrature import gauss_interval
 
@@ -1089,7 +1169,7 @@ def loop_cut_cell_rules(mesh, e, tag, chart, q):
         # the region, and the farthest from the interface is sign-robust
         eta = chart.signed_distance_estimate(pts)
         side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
-        rules[side] = QuadRule(points=pts, weights=w, degree=2 * q - 1)
+        rules[side] = QuadRule(points=pts, weights=w)
     if len(rules) != 2:
         raise DegeneratePartition(f"element {e}: both sub-regions landed on the same side")
     return rules
@@ -1273,15 +1353,15 @@ def loop_space_diagnostics(spaces):
     and one SVD per element."""
     from frenet_ife.ife_space import interface_jumps, weak_condition_residuals
 
-    if not spaces.bases:
+    elems = spaces.tags.interface_elements
+    if not elems:
         return []
-    bases = list(spaces.bases.values())
-    weak = weak_condition_residuals(spaces.chart, spaces.m, bases)
-    jumps = interface_jumps(bases, np.array([np.linspace(*b.interval, 24)
-                                             for b in bases]))
+    weak = weak_condition_residuals(spaces.bases)
+    jumps = interface_jumps(spaces.bases, np.array(
+        [np.linspace(*spaces.tags.interface[e].interval, 24) for e in elems]))
     rows = []
-    for e, b, w, jv, jf in zip(spaces.bases, bases, weak, *jumps):
-        g = loop_gram_fictitious(b)
+    for e, w, jv, jf in zip(elems, weak, *jumps):
+        g = loop_gram_fictitious(element_basis(spaces, e))
         d = np.sqrt(np.diag(g))
         sv = np.linalg.svd(g / np.outer(d, d), compute_uv=False)
         rows.append({

@@ -16,7 +16,7 @@ from frenet_ife.ife_space import build_spaces, gram_fictitious
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_cell_rules, gauss_rect
 
-from oracles import bisect_root, disk_box_area, loop_projection_study
+from oracles import bisect_root, disk_box_area, element_basis, loop_projection_study
 from plaindg import PlainDG
 from test_laplacian import analytic_test_functions, pullback_operator_error
 
@@ -66,7 +66,7 @@ def test_criterion_2_exact_conformity(spaces16):
     for m, spaces in spaces16.items():
         chart = spaces.chart
         for e in spaces.tags.interface_elements:
-            b = spaces.bases[e]
+            b = element_basis(spaces, e)
             xa, xb = sorted(c.xi for c in spaces.tags.interface[e].cuts)
             xs = np.linspace(xa + 1e-10, xb - 1e-10, 50)
             pts = chart.curve.point(xs)
@@ -86,10 +86,10 @@ def test_criterion_3_space_dimension(benchmark_case):
     worst = np.inf
     for m in (1, 2, 3):
         spaces = setup_level(benchmark_case, BOX, 16, m)
-        for e in spaces.tags.interface_elements:
-            b = spaces.bases[e]
-            assert b.n_basis == (m + 1) ** 2
-            g = gram_fictitious([b])[0]
+        bases = spaces.bases
+        assert bases.n_basis == (m + 1) ** 2
+        assert bases.coef[1].shape[:2] == (spaces.tags.n_interface, (m + 1) ** 2)
+        for g in gram_fictitious(bases):
             d = np.sqrt(np.diag(g))
             sv = np.linalg.svd(g / np.outer(d, d), compute_uv=False)
             worst = min(worst, sv[-1])

@@ -102,6 +102,33 @@ def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, overr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("degree, quad, key", [
+    (1, {"volume": 1}, "volume"), (2, {"volume": 1}, "volume"), (2, {"edge": 1}, "edge"),
+    (2, {"volume": 3, "edge": 2}, "edge"), (3, {"volume": 2}, "volume"),
+    (3, {"volume": 3, "edge": 4}, "volume"),
+], ids=lambda o: json.dumps(o))
+def test_quad_orders_that_cannot_integrate_the_degree_exit_2(tmp_path, capsys, degree, quad, key):
+    # q Gauss points are exact to degree 2q-1, and the Q^m stiffness and the
+    # edge jump products have degree 2m in each variable: q >= m+1.  Below
+    # it a solve used to exit 0 with a wrong answer (m=2 n=16 with one volume
+    # point per axis reported L2 = 5.8e2)
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "o"
+    cfg.write_text(json.dumps({"degree": degree, "quad": quad, "out_dir": str(out)}))
+    assert main(["solve", "--config", str(cfg), "--mesh", "16"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and f"quad.{key} = {quad[key]}" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_quad_orders_of_degree_plus_one_and_the_defaults_are_accepted(degree):
+    RunConfig.from_dict({"degree": degree, "mesh_sizes": [16],
+                         "quad": {"volume": degree + 1, "edge": degree + 1}}).validate()
+    RunConfig.from_dict({"degree": degree, "mesh_sizes": [16],
+                         "quad": {"volume": None, "edge": None, "interface": 1}}).validate()
+
+
 @pytest.mark.parametrize("interface", [
     {"kind": "ellipse", "a": 0.7, "b": True},
     {"kind": "ellipse", "a": 0.7, "b": 0.5, "center": [0.0, "0.1"]},

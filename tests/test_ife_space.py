@@ -7,15 +7,16 @@ from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import DimensionMismatch
 from frenet_ife.frenet import FrenetChart, frenet_apparatus
 from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces, build_x0,
-                                  gram_fictitious, interface_jumps, space_diagnostics,
-                                  weak_condition_residuals, _l_operator_series,
-                                  _legendre_rows)
+                                  gram_fictitious, interface_jumps, series_factors,
+                                  space_diagnostics, weak_condition_residuals,
+                                  _l_operator_series, _legendre_rows)
 from frenet_ife.laplacian import FrenetLaplacian
 from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
 
-from oracles import (composite_simpson, element_basis, element_rules, loop_build_x0,
-                     loop_gram_fictitious, loop_interface_jumps, loop_project_l2,
-                     loop_space_diagnostics, loop_weak_residuals)
+from oracles import (LoopIfeBasis, composite_simpson, element_basis, element_rules,
+                     loop_build_x0, loop_evaluate, loop_evaluate_ref, loop_gram_fictitious,
+                     loop_interface_jumps, loop_project_l2, loop_space_diagnostics,
+                     loop_weak_residuals)
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +28,14 @@ def circle_spaces():
 
 
 def _basis(chart, interval, m, beta_minus, beta_plus):
-    """The interface basis of one element with fictitious interval `interval`."""
-    (x0,), (scaling,) = build_x0(chart, {0: interval}, m)
-    return IfeBasis(chart, interval, beta_minus, beta_plus, x0, scaling)
+    """The one-row interface bases of one element with fictitious interval
+    `interval`."""
+    return IfeBasis(chart, [interval], beta_minus, beta_plus, build_x0(chart, {0: interval}, m))
 
 
 def _x1_exponents(m):
     """(j, i) of the one monomial etabar^j xibar^i of each X1 member of a basis."""
-    x1 = _basis(FrenetChart(circle(1.0), h=0.3), (0.1, 0.4), m, 2.0, 5.0).coef[1][m + 1:]
+    x1 = _basis(FrenetChart(circle(1.0), h=0.3), (0.1, 0.4), m, 2.0, 5.0).coef[1][0, m + 1:]
     return [tuple(int(v) for v in ji) for (ji,) in map(np.argwhere, x1)]
 
 
@@ -48,7 +49,7 @@ def test_x1_monomials():
 
 def test_x0_m1_is_trace_polynomials():
     chart = FrenetChart(circle(1.0), h=0.3)
-    (vecs,), _ = build_x0(chart, {0: (0.1, 0.4)}, 1)
+    (vecs,) = build_x0(chart, {0: (0.1, 0.4)}, 1)
     assert vecs.shape == (2, 2, 2)
     # no eta dependence at all for m=1
     assert np.max(np.abs(vecs[:, 1, :])) == 0.0
@@ -61,7 +62,7 @@ def test_x0_line_m2_against_explicit_matrix():
     line = LineCurve([0.0, 0.0], [1.0, 0.0], -5, 5)
     chart = FrenetChart(line, h=0.5)
     xi0, xi1 = 0.2, 0.9
-    (vecs,), _ = build_x0(chart, {0: (xi0, xi1)}, 2)
+    (vecs,) = build_x0(chart, {0: (xi0, xi1)}, 2)
     assert vecs.shape[0] == 3
 
     # independent 6x9 constraint matrix over raw monomials eta^j xi^i
@@ -117,11 +118,11 @@ def test_x0_circle_m2_dimension_and_residuals():
     basis = _basis(chart, (0.0, 0.25), 2, 1.0, 7.0)
     assert sum(1 for o in basis.origins if o == "x0") == 3
     # residuals evaluated with an independent, much finer line rule
-    res = weak_condition_residuals(chart, 2, [basis], line_q=20)
+    res = weak_condition_residuals(basis, line_q=20)
     assert np.max(np.abs(res)) <= 1e-10
     # the strong eta-derivative condition holds coefficient-wise
     for k in range(3):
-        assert np.max(np.abs(basis.coef[1][k][1, :])) <= 1e-12
+        assert np.max(np.abs(basis.coef[1][0, k, 1, :])) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -132,7 +133,7 @@ def test_interface_basis_count_and_x1_member(m):
     # eta/beta is in the basis: X1 monomial (1, 0)
     idx = m + 1   # first X1 member
     assert basis.origins[idx] == "x1"
-    jv, jf = interface_jumps([basis], np.linspace(0.3, 0.55, 9)[None])
+    jv, jf = interface_jumps(basis, np.linspace(0.3, 0.55, 9)[None])
     assert np.max(np.abs(jv)) <= 1e-13
     assert np.max(np.abs(jf)) <= 1e-12
 
@@ -147,14 +148,14 @@ def test_line_interface_eta_over_beta_shape():
     assert tags.tags[0] == 0
     bm, bp = 2.0, 5.0
     spaces = build_spaces(mesh, tags, chart, 1, bm, bp)
-    b = spaces.bases[0]
+    b = spaces.bases             # one interface element: a one-row record
     idx = 2                      # first X1 member: the (1, 0) monomial
     assert b.origins[idx] == "x1"
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(-0.4, 0.6, 40)])
     vals, grads = b.evaluate(pts)
     beta = np.where(pts[:, 1] < 0.0, bp, bm)   # below the line is the plus side
-    h_eta = b.scaling.h_eta
+    h_eta = b.chart.h
     assert np.allclose(vals[idx] * h_eta, -pts[:, 1] / beta, atol=1e-12)
     assert np.allclose(grads[idx, :, 0] * h_eta, 0.0, atol=1e-12)
     assert np.allclose(grads[idx, :, 1] * h_eta, -1.0 / beta, atol=1e-12)
@@ -164,16 +165,16 @@ def test_equal_beta_spans_full_tensor_space():
     chart = FrenetChart(circle(1.0), h=0.3)
     for m in (1, 2):
         basis = _basis(chart, (0.1, 0.4), m, 3.0, 3.0)
-        flat = basis.coef[1].reshape(basis.n_basis, -1)
+        flat = basis.coef[1][0].reshape(basis.n_basis, -1)
         assert np.linalg.matrix_rank(flat, tol=1e-10) == (m + 1) ** 2
-        flat_minus = basis.coef[-1].reshape(basis.n_basis, -1)
+        flat_minus = basis.coef[-1][0].reshape(basis.n_basis, -1)
         assert np.allclose(flat, flat_minus)
 
 
 def test_direct_sum_gram_well_conditioned(circle_spaces):
-    for e in circle_spaces.tags.interface_elements:
-        b = circle_spaces.bases[e]
-        g = gram_fictitious([b])[0]
+    grams = gram_fictitious(circle_spaces.bases)
+    assert len(grams) == circle_spaces.tags.n_interface
+    for g in grams:
         d = np.sqrt(np.diag(g))
         gn = g / np.outer(d, d)
         w = np.linalg.eigvalsh(gn)
@@ -188,11 +189,10 @@ def test_full_constraint_system_cross_check():
     m, bm, bp = 2, 1.0, 10.0
     interval = (0.2, 0.5)
     basis = _basis(chart, interval, m, bm, bp)
-    sc = basis.scaling
     from frenet_ife.quadrature import gauss_interval
 
     rule = gauss_interval(*interval, 8)
-    xbar = sc.xibar(rule.points)
+    xbar = (rule.points - basis.xi_c[0]) / basis.h_xi[0]
     jets = FrenetLaplacian(chart).coefficient_jets(rule.points, m - 2)
     tests = _legendre_rows(m, xbar)
     nb = (m + 1) ** 2
@@ -212,7 +212,8 @@ def test_full_constraint_system_cross_check():
         for i in range(m + 1):
             C = np.zeros((m + 1, m + 1))
             C[j, i] = 1.0
-            series.append(_l_operator_series(C, sc.series_factors(m + 1), jets, xbar, m - 1))
+            series.append(_l_operator_series(C, series_factors(chart.h, basis.h_xi, m + 1)[0],
+                                             jets, xbar, m - 1))
     for jj in range(m - 1):
         for d in range(m + 1):
             r = np.zeros(2 * nb)
@@ -227,7 +228,7 @@ def test_full_constraint_system_cross_check():
     # every constructed basis function satisfies the full system
     row_norm = np.linalg.norm(M, axis=1, keepdims=True)
     for k in range(basis.n_basis):
-        vec = np.concatenate([basis.coef[1][k].ravel(), basis.coef[-1][k].ravel()])
+        vec = np.concatenate([basis.coef[1][0, k].ravel(), basis.coef[-1][0, k].ravel()])
         assert np.max(np.abs((M / row_norm) @ vec)) <= 1e-9
 
 
@@ -235,7 +236,7 @@ def test_physical_conformity(circle_spaces):
     spaces = circle_spaces
     chart = spaces.chart
     for e in spaces.tags.interface_elements[:6]:
-        b = spaces.bases[e]
+        b = element_basis(spaces, e)
         tag = spaces.tags.interface[e]
         xa, xb = sorted(c.xi for c in tag.cuts)
         xs = np.linspace(xa + 1e-9, xb - 1e-9, 50)
@@ -268,8 +269,7 @@ def test_small_cut_sliver_robustness():
     tags = classify_elements(mesh, chart)
     assert tags.tags[0] == 0
     spaces = build_spaces(mesh, tags, chart, 2, 1.0, 10.0)
-    b = spaces.bases[0]
-    g = gram_fictitious([b])[0]
+    (g,) = gram_fictitious(spaces.bases)
     d = np.sqrt(np.diag(g))
     w = np.linalg.eigvalsh(g / np.outer(d, d))
     assert w[0] > 1e-8 and w[-1] / w[0] < 1e8
@@ -299,7 +299,7 @@ def test_projection_reproduces_members_and_constants(circle_spaces):
     spaces = circle_spaces
     rng = np.random.default_rng(8)
     e = spaces.tags.interface_elements[0]
-    b = spaces.bases[e]
+    b = element_basis(spaces, e)
 
     # local mass solve reproduces a member of the local space exactly
     M = np.zeros((b.n_basis, b.n_basis))
@@ -338,7 +338,7 @@ def test_setup_builds_per_element_objects_for_cut_elements_only(monkeypatch):
     tags = spaces.tags
     assert tags.n_interface > 0
     assert built == {"TensorBasis": 0, "ElementTag": tags.n_interface}
-    assert set(spaces.bases) == set(tags.interface_elements)
+    assert len(spaces.bases.interval) == tags.n_interface
 
 
 def test_dimension_mismatch_names_the_element():
@@ -373,17 +373,18 @@ def level(request):
 @pytest.mark.parametrize("line_q", [None, 20])
 def test_level_x0_and_weak_residuals_bitwise_equal_to_loop_oracle(level, m, line_q):
     mesh, chart, tags, intervals = level
-    vecs, scalings = build_x0(chart, intervals, m, line_q)
+    vecs = build_x0(chart, intervals, m, line_q)
     assert vecs.shape == (len(intervals), m + 1, m + 1, m + 1)
-    for i, interval in enumerate(intervals.values()):
-        ref, ref_scaling = loop_build_x0(chart, interval, m, line_q)
-        assert np.array_equal(vecs[i], ref) and scalings[i] == ref_scaling
     spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0, {"interface": line_q})
-    bases = [spaces.bases[e] for e in intervals]
-    assert all(np.array_equal(b.coef[1][:m + 1], vecs[i]) for i, b in enumerate(bases))
-    weak = weak_condition_residuals(chart, m, bases, line_q)
-    for i, b in enumerate(bases):
-        assert np.array_equal(weak[i], loop_weak_residuals(b, line_q))
+    for i, (e, interval) in enumerate(intervals.items()):
+        ref, ref_scaling = loop_build_x0(chart, interval, m, line_q)
+        assert np.array_equal(vecs[i], ref)
+        assert (chart.h, spaces.bases.xi_c[i], spaces.bases.h_xi[i]) == \
+            (ref_scaling.h_eta, ref_scaling.xi_c, ref_scaling.h_xi)
+    assert np.array_equal(spaces.bases.coef[1][:, :m + 1], vecs)
+    weak = weak_condition_residuals(spaces.bases, line_q)
+    for i, e in enumerate(intervals):
+        assert np.array_equal(weak[i], loop_weak_residuals(element_basis(spaces, e), line_q))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -403,7 +404,7 @@ def test_space_diagnostics_jumps_from_one_stacked_kernel_like_the_loop_oracle(
     assert len(calls) == 2              # one per side, whatever the mesh
     assert [row["element"] for row in rows] == list(intervals)
     for row in rows:
-        b = spaces.bases[row["element"]]
+        b = element_basis(spaces, row["element"])
         jv, jf = loop_interface_jumps(b, np.linspace(*b.interval, 24))
         assert row["max_value_jump"] == float(np.max(np.abs(jv)))
         assert row["max_flux_jump"] == float(np.max(np.abs(jf)))
@@ -414,11 +415,53 @@ def test_space_diagnostics_bitwise_equal_to_loop_oracle(level, m):
     # one stacked Gram and one stacked SVD against one of each per element
     mesh, chart, tags, intervals = level
     spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0)
-    bases = list(spaces.bases.values())
-    grams = gram_fictitious(bases)
-    assert all(np.array_equal(g, loop_gram_fictitious(b)) for g, b in zip(grams, bases))
+    grams = gram_fictitious(spaces.bases)
+    assert len(grams) == len(intervals)
+    assert all(np.array_equal(g, loop_gram_fictitious(element_basis(spaces, e)))
+               for g, e in zip(grams, intervals))
     rows = space_diagnostics(spaces)
     assert len(rows) == len(intervals) and rows == loop_space_diagnostics(spaces)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_level_bases_are_one_record_bitwise_equal_to_the_per_element_oracle(level, m):
+    # SpaceSet.bases is one IfeBasis with a row per interface element, in
+    # element order; each row and every level kernel on the record match the
+    # per-element basis it replaced (LoopIfeBasis on loop_build_x0) bit for bit
+    mesh, chart, tags, intervals = level
+    spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0)
+    bases, nb = spaces.bases, (m + 1) ** 2
+    assert isinstance(bases, IfeBasis) and (bases.m, bases.n_basis) == (m, nb)
+    assert np.array_equal(bases.interval, list(intervals.values()))
+    assert all(c.shape == (len(intervals), nb, m + 1, m + 1) for c in bases.coef.values())
+    factors = series_factors(chart.h, bases.h_xi, m + 1)
+    xi = np.linspace(*bases.interval.T, 24, axis=1)
+    jumps = interface_jumps(bases, xi)
+    weak = weak_condition_residuals(bases)
+    grams = gram_fictitious(bases)
+    rng = np.random.default_rng(m)
+    rows = np.repeat(np.arange(len(intervals)), 2)
+    sides = np.tile([1, -1], len(intervals))
+    eta = rng.uniform(-mesh.h, mesh.h, (len(rows), 7))
+    pts_xi = bases.interval[rows, :1] + rng.uniform(0, 1, eta.shape) * np.diff(bases.interval[rows])
+    values = ife_space._ref_values(bases, rows, sides, eta, pts_xi)
+    for i, (e, interval) in enumerate(intervals.items()):
+        ref = LoopIfeBasis(chart, interval, 1.0, 10.0, *loop_build_x0(chart, interval, m))
+        assert all(np.array_equal(bases.coef[s][i], ref.coef[s]) for s in (1, -1))
+        assert (chart.h, bases.xi_c[i], bases.h_xi[i]) == \
+            (ref.scaling.h_eta, ref.scaling.xi_c, ref.scaling.h_xi)
+        assert np.array_equal(factors[i], ref.scaling.series_factors(m + 1))
+        assert all(np.array_equal(a[i], b) for a, b in zip(jumps, loop_interface_jumps(ref, xi[i])))
+        assert np.array_equal(weak[i], loop_weak_residuals(ref))
+        assert np.array_equal(grams[i], loop_gram_fictitious(ref))
+        for g in (2 * i, 2 * i + 1):
+            assert all(np.array_equal(a[g], b) for a, b in
+                       zip(values, loop_evaluate_ref(ref, eta[g], pts_xi[g], sides[g])))
+        # the one-row record's own evaluation, as read by the reference loops
+        xl, yl, xh, yh = mesh.elem_box(e)
+        pts = np.column_stack([rng.uniform(xl, xh, 5), rng.uniform(yl, yh, 5)])
+        row = IfeBasis(chart, [interval], 1.0, 10.0, bases.coef[1][i:i + 1, :m + 1])
+        assert all(np.array_equal(a, b) for a, b in zip(row.evaluate(pts), loop_evaluate(ref, pts)))
 
 
 def test_space_diagnostics_on_a_level_without_interface_elements():

@@ -271,5 +271,4 @@ def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
                     for side, rule in ref.items():
                         assert np.array_equal(got[side].points, rule.points), (name, q, e)
                         assert np.array_equal(got[side].weights, rule.weights), (name, q, e)
-                        assert got[side].degree == rule.degree
     assert min(paths.values()) > 0, paths

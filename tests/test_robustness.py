@@ -10,6 +10,8 @@ from frenet_ife.ife_space import build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_cell_rules
 
+from oracles import element_basis
+
 
 @pytest.mark.parametrize("seed", [7, 19, 23, 101])
 def test_random_interface_placements(seed):
@@ -32,7 +34,7 @@ def test_random_interface_placements(seed):
             rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=6)
             total = sum(r.weights.sum() for r in rules.values())
             assert total == pytest.approx(area, abs=1e-12)
-            b = spaces.bases[e]
+            b = element_basis(spaces, e)
             t = tags.interface[e]
             xa, xb = sorted(c.xi for c in t.cuts)
             xs = np.linspace(xa + 1e-9, xb - 1e-9, 10)

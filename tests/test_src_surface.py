@@ -27,8 +27,6 @@ TEST_REFERENCES = {
     ("laplacian", "FrenetLaplacian.map_second_xi_derivative"),
     ("analysis", "case_jump_residuals"),      # the manufactured case's own jumps
     ("frenet", "ChordChart.transition"),      # T, whose Jacobian the probes use
-    ("ife_space", "LocalScaling.xibar"),      # the scaled coordinates of X0
-    ("ife_space", "LocalScaling.etabar"),
 }
 
 # State no command reads that tests read, to check what the commands computed.

@@ -1,0 +1,92 @@
+"""SHA-256 digests of every CLI output of the benchmark workloads.
+
+    python3 tools/digest_outputs.py SRC [--seeds 0 3 7] [--work DIR]
+
+Imports ``frenet_ife`` from the directory SRC (for example ``src`` of this
+checkout, or of a second checkout to compare against) and runs, through
+``frenet_ife.cli.main`` in this process:
+
+- every workload of ``perfbench/workloads.py`` at each seed, with the config
+  that workload's benchmark command receives (``solve`` with
+  ``--dump-system``);
+- ``probe-geometry`` on the default circle (n = 8..128) and on
+  ellipse(0.7, 0.5) (n = 16..128).
+
+Prints one line ``<sha256>  <run>/<file>`` per output file, and one per
+command's exit code and standard output; ``resolved_config.json`` is left
+out, since it records the output directory.  Two trees whose printouts are
+equal wrote byte-identical outputs.  The outputs go to a temporary
+directory, or to ``--work`` when given (kept).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+GEOMETRY = {
+    "geometry-circle": ({"kind": "circle", "radius": 0.6}, [8, 16, 32, 64, 128]),
+    "geometry-ellipse": ({"kind": "ellipse", "a": 0.7, "b": 0.5}, [16, 32, 64, 128]),
+}
+
+
+def runs(workloads, seeds, work: Path):
+    """(name, argv, output directory) of every command, configs written."""
+    for seed in seeds:
+        for w in workloads.WORKLOADS.values():
+            out = work / f"{w.name}-s{seed}"
+            cfg = work / f"{w.name}-s{seed}.json"
+            cfg.write_text(json.dumps(workloads.config(w, seed, out)))
+            extra = ["--dump-system"] if w.command == "solve" else []
+            yield out.name, [w.command, "--config", str(cfg), *extra], out
+    for name, (interface, sizes) in GEOMETRY.items():
+        out = work / name
+        cfg = work / f"{name}.json"
+        cfg.write_text(json.dumps({"interface": interface, "mesh_sizes": sizes,
+                                   "out_dir": str(out)}))
+        yield name, ["probe-geometry", "--config", str(cfg)], out
+
+
+def digest(src: Path, seeds, work: Path) -> list[str]:
+    sys.path[:0] = [str(src.resolve()), str(PERFBENCH)]
+    import workloads
+    from frenet_ife import cli
+
+    lines = []
+    for name, argv, out in runs(workloads, seeds, work):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(argv)
+        sha = hashlib.sha256(f"exit {rc}\n{stdout.getvalue()}".encode()).hexdigest()
+        lines.append(f"{sha}  {name}/<exit code and stdout>")
+        for path in sorted(out.iterdir()):
+            if path.name != "resolved_config.json":
+                lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", type=Path, help="directory that holds the frenet_ife package")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3, 7])
+    parser.add_argument("--work", type=Path, help="keep the outputs here")
+    args = parser.parse_args(argv)
+    if not (args.src / "frenet_ife").is_dir():
+        parser.error(f"{args.src} holds no frenet_ife package")
+    with contextlib.ExitStack() as stack:
+        work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        work.mkdir(parents=True, exist_ok=True)
+        print("\n".join(digest(args.src, args.seeds, work)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
