@@ -199,7 +199,7 @@ def convergence_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
             sig, ct = auto_sigma0(spaces)
             report.trace_constant = ct
         system = assemble(spaces, sig, case.f, case.dirichlet)
-        coef = solve(system, pd_check=False)
+        coef = solve(system)
         errs = error_norms(coef, case, spaces, sig)
         report.ns.append(n)
         report.hs.append(spaces.mesh.h)

@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NonConvergence, NotPositiveDefinite, SingularGram
+from .errors import NonConvergence, SingularGram
 from .ife_space import SpaceSet, at_points
 from .quadrature import cut_edge_rule
 
@@ -138,30 +138,8 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     return system
 
 
-_DENSE_LIMIT = 2500   # largest order probed by a dense eigensolve
-
-
-def smallest_eigenvalue(S: sp.spmatrix) -> float:
-    n = S.shape[0]
-    if n <= _DENSE_LIMIT:
-        return float(np.linalg.eigvalsh(S.toarray())[0])
-    w = spla.eigsh(S, k=1, which="SA", tol=1e-6, maxiter=5000,
-                   return_eigenvectors=False)
-    return float(w[0])
-
-
-def solve(system: SipdgSystem, pd_check: bool | None = None) -> np.ndarray:
-    """Direct sparse solve with a residual contract of 1e-11.
-
-    pd_check defaults to on for small systems; a non-positive eigenvalue
-    reports NotPositiveDefinite (penalty below the coercivity threshold).
-    """
-    n = system.S.shape[0]
-    if pd_check is None:
-        pd_check = n <= 2500
-    if pd_check and smallest_eigenvalue(system.S) <= 0.0:
-        raise NotPositiveDefinite(
-            "stiffness matrix has a non-positive eigenvalue; increase sigma0")
+def solve(system: SipdgSystem) -> np.ndarray:
+    """Direct sparse solve with a residual contract of 1e-11."""
     c = spla.spsolve(system.S, system.F)
     resid = np.linalg.norm(system.S @ c - system.F) / max(np.linalg.norm(system.F), 1e-300)
     if resid > 1e-11:

@@ -83,7 +83,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
         scipy.io.mmwrite(str(out / "system_S.mtx"), system.S.tocsr())   # entries row by row, as CSR
         scipy.io.mmwrite(str(out / "system_F.mtx"), system.F[:, None])
-    coef = solve(system, pd_check=False)
+    coef = solve(system)
     errs = error_norms(coef, case, spaces, sig)
     np.save(out / "coefficients.npy", coef)
     row = {"n": n, "h": spaces.mesh.h, "dofs": spaces.n_dofs, **errs,

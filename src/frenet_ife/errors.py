@@ -30,7 +30,8 @@ class AmbiguousCut(FrenetIfeError):
 
 
 class DegeneratePartition(FrenetIfeError):
-    """Cut-cell piece Jacobian changed sign even after subdivision."""
+    """A cut region has no star-shaped anchor even after subdivision, or both
+    regions of an element lie on one side."""
 
 
 class DimensionMismatch(FrenetIfeError):
@@ -39,10 +40,6 @@ class DimensionMismatch(FrenetIfeError):
 
 class SingularGram(FrenetIfeError):
     """Gram matrix has no usable non-constant block."""
-
-
-class NotPositiveDefinite(FrenetIfeError):
-    """Stiffness matrix is not positive definite (penalty too small)."""
 
 
 class NonConvergence(FrenetIfeError):

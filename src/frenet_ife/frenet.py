@@ -30,7 +30,9 @@ ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # it (every point is processed on its own); it bounds the temporaries of a
 # whole-level call, which otherwise raise the peak RSS by several MB.
 _BLOCK = 2048
-_LOOP_SAMPLES = 8   # samples inside each edge of a fictitious-interval loop
+_NEWTON_TOL = 1e-13   # absolute tolerance on ||P(eta, xi) - x|| of the inverse map
+_MAX_ITER = 40        # Newton iterations before the inverse reports divergence
+_LOOP_SAMPLES = 8     # samples inside each edge of a fictitious-interval loop
 
 
 @dataclass
@@ -82,14 +84,9 @@ class FrenetChart:
         Strip half-width; normally the mesh element diagonal.  Construction
         requires h * max_curvature < 1 so the Jacobian determinant
         ||g'||(1 + eta*kappa) stays positive on the strip |eta| <= h.
-    newton_tol : float
-        Absolute tolerance on ||P(eta, xi) - x|| for the inverse map.
-    max_iter : int
-        Newton iteration cap before reporting divergence.
     """
 
-    def __init__(self, curve: InterfaceCurve, h: float,
-                 newton_tol: float = 1e-13, max_iter: int = 40):
+    def __init__(self, curve: InterfaceCurve, h: float):
         if h <= 0:
             raise ValueError("strip half-width h must be positive")
         kmax = curve.max_curvature
@@ -98,8 +95,6 @@ class FrenetChart:
                 f"h*max_curvature = {h * kmax:.3f} >= 1: strip not invertible")
         self.curve = curve
         self.h = float(h)
-        self.newton_tol = float(newton_tol)
-        self.max_iter = int(max_iter)
         self._seed_tree = None
         self._seed_xi = None
         self._seed_pts = None
@@ -176,7 +171,7 @@ class FrenetChart:
     def inverse(self, points, xi_anchor: float | np.ndarray | None = None):
         """Invert P at one or many physical points.
 
-        Returns (eta, xi) with ||P(eta, xi) - point|| <= newton_tol.  For a
+        Returns (eta, xi) with ||P(eta, xi) - point|| <= _NEWTON_TOL.  For a
         periodic curve the parameter is unwrapped near `xi_anchor` when given,
         a float or an array with one anchor per point, otherwise reduced to
         the principal interval.
@@ -184,7 +179,7 @@ class FrenetChart:
         Raises
         ------
         NewtonDivergence
-            If any point fails to converge within max_iter iterations.
+            If any point fails to converge within _MAX_ITER iterations.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         eta, xi, ok = self._newton(pts)
@@ -219,9 +214,9 @@ class FrenetChart:
 
         ok = np.ones(len(pts), dtype=bool)
         active = np.arange(len(pts))
-        for _ in range(self.max_iter):
+        for _ in range(_MAX_ITER):
             rnorm = np.linalg.norm(res, axis=1)
-            done = rnorm <= self.newton_tol
+            done = rnorm <= _NEWTON_TOL
             if np.any(done):
                 keep = ~done
                 active = active[keep]
@@ -255,7 +250,7 @@ class FrenetChart:
                 res, v, n, kappa = residual(eta[active], xi[active], active)
         else:
             res = residual(eta[active], xi[active], active)[0]
-            ok[active] = ~(np.linalg.norm(res, axis=1) > self.newton_tol)
+            ok[active] = ~(np.linalg.norm(res, axis=1) > _NEWTON_TOL)
         return eta, xi, ok
 
     def _unwrap(self, xi, xi_anchor):

@@ -95,8 +95,8 @@ def cut_edge_rule(a, b, cut_ts, q: int) -> list[EdgeSegment]:
 # cut-cell pieces
 #
 # Every helper below works on a stack of regions (leading axes) with the
-# arithmetic of one region: the level kernel runs it on all regions of a
-# level at once, the per-region fallback on one.
+# arithmetic of one region: the level kernel runs it on all pending regions
+# of a level at once.
 
 
 @lru_cache(maxsize=64)
@@ -140,7 +140,8 @@ def _tri_rule(A, B, C, q):
 def _cone_rule(A, g, gp, q):
     """Tensor Gauss on the cones from apexes A (..., 2) over arcs given by
     their points g and scaled tangents gp at the nodes xi_s + u (xi_e - xi_s)
-    of _square01 (..., q*q, 2): points, weights and Jacobians over v."""
+    of _square01 (..., q*q, 2), leading axes broadcast: points, weights and
+    Jacobians over v."""
     u, v, ww = _square01(q)
     A = np.asarray(A, dtype=float)[..., None, :]
     du = v[:, None] * gp
@@ -182,27 +183,6 @@ def _anchor_ok(A, verts, g, gp, scale):
     return ~np.any(bad, axis=-1) & np.all(sweep >= tol, axis=-1)
 
 
-def _curved_piece(apex, chart, xi_s, xi_e, q, depth=0):
-    """Cone piece over an arc, splitting the arc if the Jacobian flips sign.
-
-    The split replaces the cone by two sub-cones plus the straight triangle
-    (apex, g(xi_s), g(xi_mid)), which tile the same region whenever each
-    sub-piece is itself star-shaped from its apex.
-    """
-    pts, w, det = _cone_rule(apex, *_arc(chart, xi_s, xi_e, _square01(q)[0]), q)
-    if not _cone_sign_ok(det):
-        if depth >= 3:
-            raise DegeneratePartition("curved piece Jacobian changes sign")
-        xi_m = 0.5 * (xi_s + xi_e)
-        g_m = chart.curve.point(np.asarray(xi_m, dtype=float))
-        p1, w1 = _curved_piece(g_m, chart, xi_s, xi_m, q, depth + 1)
-        p2, w2 = _curved_piece(apex, chart, xi_m, xi_e, q, depth + 1)
-        p3, w3, _ = _tri_rule(apex, chart.curve.point(np.asarray(xi_s, dtype=float)),
-                              g_m, q)
-        return np.vstack([p1, p2, p3]), np.concatenate([w1, w2, w3])
-    return pts, w
-
-
 def _tangent_intersection(g, v):
     """Intersection of an arc's end tangent lines (crescent kernel), from its
     end points g and velocities v (2, 2); None if near parallel or far."""
@@ -241,8 +221,8 @@ def _first_candidates(verts, nv, xi_s, xi_e, chart):
 
 
 def _closest_on_polyline(verts, p):
-    """(segment index, parameter, point) of the polyline point nearest to p."""
-    best = (0, 0.0, verts[0], np.inf)
+    """(segment index, point) of the polyline point nearest to p."""
+    best = (0, verts[0], np.inf)
     for j in range(len(verts) - 1):
         a, b = verts[j], verts[j + 1]
         ab = b - a
@@ -250,42 +230,9 @@ def _closest_on_polyline(verts, p):
         t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
         q = a + t * ab
         d = float(np.linalg.norm(q - p))
-        if d < best[3]:
-            best = (j, t, q, d)
-    return best[0], best[1], best[2]
-
-
-def _region_rule(verts, xi_s, xi_e, chart, q, depth=0):
-    """Quadrature over the region bounded by a polyline and one arc.
-
-    Convention: verts[0] coincides with g(xi_e) and verts[-1] with g(xi_s);
-    the counterclockwise boundary walks the polyline then the arc back.  A
-    star-shaped anchor gives a polar fan: the first of _first_candidates and
-    the vertices that passes _anchor_ok.  Thin crescents, where no single
-    anchor sees everything, are split at the arc midpoint and the nearest
-    polyline point.
-    """
-    verts = np.array(verts, dtype=float)
-    candidates = np.vstack([_first_candidates(verts[None], np.array([len(verts)]),
-                                              np.array([xi_s]), np.array([xi_e]), chart)[0],
-                            verts])
-    ok = _anchor_ok(candidates, verts, *_arc(chart, xi_s, xi_e, _SWEEP), _scale(verts))
-    if not ok.any():
-        if depth >= 4:
-            raise DegeneratePartition(
-                "no star-shaped anchor found for a cut region")
-        xi_m = 0.5 * (xi_s + xi_e)
-        m_pt = chart.curve.point(np.asarray(xi_m, dtype=float))
-        j, t, p_star = _closest_on_polyline(verts, m_pt)
-        verts1 = [m_pt, p_star, *verts[j + 1:]]
-        verts2 = [*verts[:j + 1], p_star, m_pt]
-        p1, w1 = _region_rule(verts1, xi_s, xi_m, chart, q, depth + 1)
-        p2, w2 = _region_rule(verts2, xi_m, xi_e, chart, q, depth + 1)
-        return np.vstack([p1, p2]), np.concatenate([w1, w2])
-    anchor = candidates[np.argmax(ok)]
-    pts, w, _ = _tri_rule(anchor, verts[:-1], verts[1:], q)
-    p, w_c = _curved_piece(anchor, chart, xi_s, xi_e, q)
-    return np.vstack([*pts, p]), np.concatenate([*w, w_c])
+        if d < best[2]:
+            best = (j, q, d)
+    return best[:2]
 
 
 def _boundary_chains(mesh: RectMesh, e: int, tag: ElementTag):
@@ -314,62 +261,84 @@ def _boundary_chains(mesh: RectMesh, e: int, tag: ElementTag):
     return chain_a, chain_b
 
 
+_MAX_SPLITS = 4   # halvings of a region before its element is given up
+
+
 def level_cut_cell_rules(mesh: RectMesh, tags: dict, chart: FrenetChart,
                          q: int) -> dict:
     """The rules of cut_cell_rules for the interface elements {e: tag} of a
     level, built together: {e: {side: QuadRule}}.
 
     Each element has two regions, bounded by a chain of its boundary and
-    the interface arc between its cuts.  All regions are tried at once with
-    the anchors of _first_candidates, each with its fan of triangles and one
-    cone over the arc; a region where neither anchor passes, or whose cone
-    Jacobian changes sign, goes through _region_rule.  One chart query at
-    the points of all regions labels their sides.  Raises
-    DegeneratePartition naming the first failing element.
+    the interface arc between its cuts; verts[0] of a chain coincides with
+    g(xi_e) and verts[-1] with g(xi_s), so the counterclockwise boundary
+    walks the polyline then the arc back.  Each round tries all pending
+    regions at once.  A region's candidate anchors are the two of
+    _first_candidates, then its vertices; the first that passes _anchor_ok
+    and whose cone Jacobian keeps its sign anchors a fan of triangles plus
+    one cone over the arc.  A region no candidate sees (a thin crescent) is
+    split at its arc midpoint and the nearest polyline point, and both
+    halves join the next round; a region's points are those of its leaves,
+    first half first, each fan then cone.  One chart query at the points of
+    all regions labels their sides.  Raises DegeneratePartition naming the
+    first failing element.
     """
-    regions = []                                 # (e, vertices, xi_s, xi_e)
+    owner, pending = [], []                      # (leaf path, vertices, xi_s, xi_e)
     for e, tag in tags.items():
         for chain in _boundary_chains(mesh, e, tag):
-            regions.append((e, [p for p, _ in chain], chain[-1][1].xi, chain[0][1].xi))
-    nv = np.array([len(r[1]) for r in regions])
-    verts = np.array([r[1] + r[1][-1:] * (nv.max() - len(r[1])) for r in regions], dtype=float)
-    xi_s, xi_e = (np.array([r[k] for r in regions], dtype=float) for k in (2, 3))
-
-    candidates = _first_candidates(verts, nv, xi_s, xi_e, chart)
-    scale = np.array([_scale(r[1]) for r in regions])
-    ok = _anchor_ok(candidates, verts, *_arc(chart, xi_s, xi_e, _SWEEP), scale)
-    anchor = np.where(ok[:, :1], candidates[:, 0], candidates[:, 1])
-    tri_pts, tri_w, _ = _tri_rule(anchor[:, None], verts[:, :-1], verts[:, 1:], q)
-    cone_pts, cone_w, det = _cone_rule(anchor, *_arc(chart, xi_s, xi_e, _square01(q)[0]), q)
-    fast = ok.any(axis=1) & _cone_sign_ok(det)
-
-    rules, errors = [], {}
-    for i, (e, vs, s, t) in enumerate(regions):
-        if fast[i]:
+            pending.append(((len(owner),), [p for p, _ in chain], chain[-1][1].xi, chain[0][1].xi))
+            owner.append(e)
+    leaves, failed = [], set()                   # (leaf path, [(points, weights)])
+    for depth in range(_MAX_SPLITS + 1):
+        if not pending:
+            break
+        nv = np.array([len(r[1]) for r in pending])
+        verts = np.array([r[1] + r[1][-1:] * (nv.max() - len(r[1])) for r in pending], dtype=float)
+        xi_s, xi_e = (np.array([r[k] for r in pending], dtype=float) for k in (2, 3))
+        candidates = np.concatenate([_first_candidates(verts, nv, xi_s, xi_e, chart), verts],
+                                    axis=1)
+        scale = np.array([_scale(r[1]) for r in pending])
+        g, gp = _arc(chart, xi_s, xi_e, _square01(q)[0])
+        cone_pts, cone_w, det = _cone_rule(candidates, g[:, None], gp[:, None], q)
+        ok = (_anchor_ok(candidates, verts, *_arc(chart, xi_s, xi_e, _SWEEP), scale)
+              & _cone_sign_ok(det))
+        rows, pick = np.arange(len(pending)), np.argmax(ok, axis=1)
+        tri_pts, tri_w, _ = _tri_rule(candidates[rows, pick][:, None], verts[:, :-1],
+                                      verts[:, 1:], q)
+        for i in np.flatnonzero(ok.any(axis=1)):
             n = nv[i] - 1
-            rules.append((np.vstack([*tri_pts[i, :n], cone_pts[i]]),
-                          np.concatenate([*tri_w[i, :n], cone_w[i]])))
-            continue
-        try:
-            rules.append(_region_rule(vs, s, t, chart, q))
-        except DegeneratePartition as exc:
-            errors.setdefault(e, exc)
-            rules.append(None)
+            leaves.append((pending[i][0], [*zip(tri_pts[i, :n], tri_w[i, :n]),
+                                           (cone_pts[i, pick[i]], cone_w[i, pick[i]])]))
+        stuck = [pending[i] for i in np.flatnonzero(~ok.any(axis=1))]
+        if depth == _MAX_SPLITS:
+            failed.update(owner[path[0]] for path, *_ in stuck)
+            break
+        pending = []
+        for path, vs, s, t in stuck:
+            xi_m = 0.5 * (s + t)
+            m_pt = chart.curve.point(np.asarray(xi_m, dtype=float))
+            j, p_star = _closest_on_polyline(vs, m_pt)
+            pending += [(path + (0,), [m_pt, p_star, *vs[j + 1:]], s, xi_m),
+                        (path + (1,), [*vs[:j + 1], p_star, m_pt], xi_m, t)]
+
+    regions = {}                                 # region: the pieces of its leaves, in order
+    for path, pieces in sorted(leaves, key=lambda leaf: leaf[0]):
+        regions.setdefault(path[0], []).extend(pieces)
+    rules = {i: (np.concatenate([p for p, _ in pieces]), np.concatenate([w for _, w in pieces]))
+             for i, pieces in regions.items()}
     # classify by each rule's own deepest point: quadrature points lie in
     # the region, and the farthest from the interface is sign-robust
-    built = [r[0] for r in rules if r is not None]
-    eta = chart.signed_distance_estimate(np.concatenate([np.zeros((0, 2)), *built]))
-    etas = iter(np.split(eta, np.cumsum([len(p) for p in built])[:-1]))
+    eta = chart.signed_distance_estimate(np.concatenate([np.zeros((0, 2)),
+                                                         *(p for p, _ in rules.values())]))
+    etas = iter(np.split(eta, np.cumsum([len(p) for p, _ in rules.values()])[:-1]))
     out = {}
-    for (e, *_), rule in zip(regions, rules):
-        if rule is None:
-            continue
+    for i, (pts, w) in rules.items():
         eta = next(etas)
         side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
-        out.setdefault(e, {})[side] = QuadRule(points=rule[0], weights=rule[1])
+        out.setdefault(owner[i], {})[side] = QuadRule(points=pts, weights=w)
     for e in tags:
-        if e in errors:
-            raise DegeneratePartition(f"element {e}: {errors[e]}") from errors[e]
+        if e in failed:
+            raise DegeneratePartition(f"element {e}: no star-shaped anchor found for a cut region")
         if len(out[e]) != 2:
             raise DegeneratePartition(f"element {e}: both sub-regions landed on the same side")
     return out

@@ -276,6 +276,11 @@ def element_rules(spaces, e, q):
     return [(rules[1], 1), (rules[-1], -1)]
 
 
+def smallest_eigenvalue(S):
+    """Smallest eigenvalue of a sparse symmetric matrix, from a dense solve."""
+    return float(np.linalg.eigvalsh(S.toarray())[0])
+
+
 def _triplet_matrix(blocks, n):
     import scipy.sparse as sp
 
@@ -475,6 +480,7 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
     If a list is given as `first_step_backtracks`, the number of points
     whose first Newton step had to be damped is appended to it.
     """
+    from frenet_ife import frenet
     from frenet_ife.errors import NewtonDivergence
     from frenet_ife.frenet import frenet_apparatus, unwrap_near
 
@@ -487,13 +493,13 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
     eta = np.einsum("ij,ij->i", pts - c.point(xi), np.atleast_2d(fr.n))
 
     active = np.arange(len(pts))
-    for it in range(chart.max_iter):
+    for it in range(frenet._MAX_ITER):
         g = c.point(xi[active])
         fr = frenet_apparatus(c, xi[active])
         n = np.atleast_2d(fr.n)
         res = g + eta[active, None] * n - pts[active]
         rnorm = np.linalg.norm(res, axis=1)
-        done = rnorm <= chart.newton_tol
+        done = rnorm <= frenet._NEWTON_TOL
         if np.any(done):
             active = active[~done]
             if len(active) == 0:
@@ -528,7 +534,7 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
     else:
         res = (c.point(xi) + eta[:, None]
                * np.atleast_2d(frenet_apparatus(c, xi).n) - pts)
-        bad = np.linalg.norm(res, axis=1) > chart.newton_tol
+        bad = np.linalg.norm(res, axis=1) > frenet._NEWTON_TOL
         if np.any(bad):
             raise NewtonDivergence(f"{int(bad.sum())} point(s) failed to invert")
 

@@ -191,7 +191,7 @@ def test_criterion_9_degeneracy_oracle():
         spaces = setup_level(case, BOX, n, 1)
         assert spaces.tags.n_interface == 0
         system = assemble(spaces, sigma0, case.f, case.dirichlet)
-        coef = solve(system, pd_check=False)
+        coef = solve(system)
         # both error integrals at the same high quadrature order: the IFE
         # one on the level rebuilt at that order
         fine = setup_level(case, BOX, n, 1, {"volume": 6, "edge": 6})

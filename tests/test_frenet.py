@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frenet_ife import frenet
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import NewtonDivergence, OutsideValidityStrip
 from frenet_ife.frenet import ChordChart, FrenetChart, frenet_apparatus
@@ -107,8 +108,10 @@ def test_round_trip_random_points(curve, h):
     assert np.max(np.linalg.norm(chart.map(eta2, xi2) - pts, axis=1)) <= 1e-12
 
 
-def test_newton_divergence_on_iteration_cap():
-    chart = FrenetChart(circle(1.0), h=0.3, max_iter=1, newton_tol=1e-15)
+def test_newton_divergence_on_iteration_cap(monkeypatch):
+    monkeypatch.setattr(frenet, "_MAX_ITER", 1)
+    monkeypatch.setattr(frenet, "_NEWTON_TOL", 1e-15)
+    chart = FrenetChart(circle(1.0), h=0.3)
     with pytest.raises(NewtonDivergence):
         chart.inverse(np.array([1.21, 0.13]))
 
@@ -154,7 +157,7 @@ def test_inverse_bitwise_equal_to_loop_oracle(curve, offset, backtracks):
 
 
 def test_inverse_far_outside_strip_raises_like_loop_oracle():
-    # at |x| = 3000 roundoff in P is about newton_tol, so Newton stalls at
+    # at |x| = 3000 roundoff in P is about _NEWTON_TOL, so Newton stalls at
     # some of these points and converges at others
     chart = FrenetChart(circle(0.6), h=0.2)
     th = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)

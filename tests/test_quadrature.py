@@ -169,20 +169,21 @@ def test_cut_cell_tiling_with_edge_lune_and_corner_crossing():
 
 def test_cut_cell_tiling_on_thin_crescents():
     # an off-center circle grazing element tops produces thin crescent
-    # regions that are star-shaped from almost nowhere; the split fallback
-    # must keep the tiling exact
-    curve = circle(0.55, (0.137, -0.083))
-    mesh = build_mesh((-1, 1, -1, 1), 8)
-    chart = FrenetChart(curve, h=mesh.h)
-    tags = classify_elements(mesh, chart)
-    area = mesh.dx * mesh.dy
-    assert tags.n_interface > 0
-    for e in tags.interface_elements:
-        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
-        total = sum(r.weights.sum() for r in rules.values())
-        assert total == pytest.approx(area, abs=1e-13)
-        for r in rules.values():
-            assert np.all(r.weights > -1e-15)
+    # regions, which the level kernel's first two anchors see; on the
+    # flower at n = 48 some regions are seen by no anchor and are split.
+    # Both must keep the tiling exact
+    for curve, n in ((circle(0.55, (0.137, -0.083)), 8), (flower(0.5, 0.1, 5), 48)):
+        mesh = build_mesh((-1, 1, -1, 1), n)
+        chart = FrenetChart(curve, h=mesh.h)
+        tags = classify_elements(mesh, chart)
+        area = mesh.dx * mesh.dy
+        assert tags.n_interface > 0
+        for e in tags.interface_elements:
+            rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
+            total = sum(r.weights.sum() for r in rules.values())
+            assert total == pytest.approx(area, abs=1e-13)
+            for r in rules.values():
+                assert np.all(r.weights > -1e-15)
 
 
 def test_whole_mesh_cut_areas_sum_to_disk(circle_setup):
@@ -209,8 +210,8 @@ def test_degenerate_partition_names_the_element(monkeypatch, failure):
     tags = classify_elements(mesh, chart)
     e = tags.interface_elements[0]
     if failure == "region":
-        # no anchor passes: every region leaves the level kernel for the
-        # per-region fallback, which splits to its depth limit and gives up
+        # no anchor passes: every region is split to the depth limit of the
+        # level kernel, which then gives up
         monkeypatch.setattr(quadrature, "_anchor_ok",
                             lambda A, *args: np.zeros(np.shape(A)[:-1], dtype=bool))
         message = "no star-shaped anchor found"
@@ -240,22 +241,21 @@ _RULE_CASES = {
 
 def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
     # which path each region takes: the first anchor, the second (tangent
-    # intersection or first vertex), or the per-region fallback
-    paths = dict.fromkeys(("first", "second", "fallback"), 0)
+    # intersection or first vertex), a vertex, or a split; a candidate is
+    # accepted when it passes both the star test and the cone sign test,
+    # which the level kernel runs once each per round
+    stars, cones = [], []
 
-    def anchor_ok(A, verts, *args, _orig=quadrature._anchor_ok):
-        ok = _orig(A, verts, *args)
-        if verts.ndim == 3:                      # the level kernel's call
-            paths["first"] += int(ok[:, 0].sum())
-            paths["second"] += int((~ok[:, 0] & ok[:, 1]).sum())
-        return ok
+    def anchor_ok(*args, _orig=quadrature._anchor_ok):
+        stars.append(_orig(*args))
+        return stars[-1]
 
-    def region_rule(verts, xi_s, xi_e, chart, q, depth=0, _orig=quadrature._region_rule):
-        paths["fallback"] += depth == 0
-        return _orig(verts, xi_s, xi_e, chart, q, depth)
+    def cone_sign_ok(det, _orig=quadrature._cone_sign_ok):
+        cones.append(_orig(det))
+        return cones[-1]
 
     monkeypatch.setattr(quadrature, "_anchor_ok", anchor_ok)
-    monkeypatch.setattr(quadrature, "_region_rule", region_rule)
+    monkeypatch.setattr(quadrature, "_cone_sign_ok", cone_sign_ok)
     for name, (curve, box, n, h) in _RULE_CASES.items():
         mesh = build_mesh(box, n)
         chart = FrenetChart(curve, h=h or mesh.h)
@@ -271,4 +271,12 @@ def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
                     for side, rule in ref.items():
                         assert np.array_equal(got[side].points, rule.points), (name, q, e)
                         assert np.array_equal(got[side].weights, rule.weights), (name, q, e)
+    assert len(stars) == len(cones)
+    paths = dict.fromkeys(("first", "second", "vertex", "split"), 0)
+    for star, cone in zip(stars, cones):
+        ok = star & cone                         # (regions, candidates) of one round
+        paths["first"] += int(ok[:, 0].sum())
+        paths["second"] += int((~ok[:, 0] & ok[:, 1]).sum())
+        paths["vertex"] += int((~ok[:, :2].any(axis=1) & ok[:, 2:].any(axis=1)).sum())
+        paths["split"] += int((~ok.any(axis=1)).sum())
     assert min(paths.values()) > 0, paths

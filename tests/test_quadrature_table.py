@@ -83,7 +83,7 @@ def test_table_on_a_level_without_plain_elements(m):
     spaces = build_spaces(mesh, classify_elements(mesh, chart), chart, m, 1.0, 10.0)
     assert spaces.tags.n_interface == mesh.n_elements == 1
     system = _assert_assembly_bitwise_equal(spaces, case, 6.0)
-    coef = solve(system, pd_check=False)
+    coef = solve(system)
     assert error_norms(coef, case, spaces, 6.0) == pytest.approx(
         loop_error_norms(coef, case, spaces, 6.0), rel=RTOL, abs=0.0)
     assert trace_constant(spaces, [0])[0] == loop_trace_constant(spaces, 0)
@@ -100,7 +100,7 @@ def test_table_matches_element_loops(n, m, relabel):
     sigma0 = 6.0
 
     system = _assert_assembly_bitwise_equal(spaces, case, sigma0)
-    coef = solve(system, pd_check=False)
+    coef = solve(system)
     errs = error_norms(coef, case, spaces, sigma0)
     ref = loop_error_norms(coef, case, spaces, sigma0)
     for key in ("l2", "norm_h", "energy"):
@@ -214,7 +214,7 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
         # the values assembly builds and keeps, read without a chart call
         case = manufactured_circle(0.6, 1.0, 10.0, p=4)
         system = assemble(spaces, 6.0, case.f, case.dirichlet)
-        error_norms(solve(system, pd_check=False), case, spaces, 6.0)
+        error_norms(solve(system), case, spaces, 6.0)
         for name in ("inverse", "jacobian"):
             monkeypatch.setattr(spaces.chart, name, None)
     read = []
@@ -250,7 +250,7 @@ def test_table_inverts_each_interface_element_twice_per_level(monkeypatch):
     monkeypatch.setattr(chart, "inverse", inverse)
     sigma0, _ = auto_sigma0(spaces)
     system = assemble(spaces, sigma0, case.f, case.dirichlet)
-    error_norms(solve(system, pd_check=False), case, spaces, sigma0)
+    error_norms(solve(system), case, spaces, sigma0)
     # one call for the volume pieces of all interface elements, one for the
     # segments of their edges
     assert len(calls) == 2
@@ -272,7 +272,7 @@ def _plain_lagrange_calls(monkeypatch, n, m):
     spaces = setup_level(case, BOX, n, m)
     monkeypatch.setattr(ife_space, "_lagrange_1d", counted)
     system = assemble(spaces, 6.0, case.f, case.dirichlet)
-    error_norms(solve(system, pd_check=False), case, spaces, 6.0)
+    error_norms(solve(system), case, spaces, 6.0)
     monkeypatch.undo()
     return len(calls), spaces.mesh.n_elements - spaces.tags.n_interface
 
@@ -288,8 +288,8 @@ def test_plain_lagrange_evaluations_do_not_grow_with_the_mesh(monkeypatch, m):
 def _chart_calls(monkeypatch, n):
     """Chart calls of one m=2 level over setup, auto penalty, assembly and
     error norms; from the auto penalty on, the interface basis evaluations,
-    the stacked evaluations of interface values and the per-region
-    fallbacks of the cut-cell rules."""
+    the stacked evaluations of interface values, and the builds of the
+    cut-cell rules with their star-test rounds."""
     counts = dict.fromkeys(("inverse", "signed_distance_estimate", "jacobian"), 0)
     for name in counts:
         def counted(self, *args, _name=name, _orig=getattr(FrenetChart, name), **kwargs):
@@ -299,7 +299,7 @@ def _chart_calls(monkeypatch, n):
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     spaces = setup_level(case, BOX, n, 2)
     for owner, name in ((ife_space.IfeBasis, "evaluate"), (ife_space, "_ref_values"),
-                        (quadrature, "_region_rule")):
+                        (ife_space, "level_cut_cell_rules"), (quadrature, "_anchor_ok")):
         counts[name] = 0
 
         def counted(*args, _name=name, _orig=getattr(owner, name), **kwargs):
@@ -308,7 +308,7 @@ def _chart_calls(monkeypatch, n):
         monkeypatch.setattr(owner, name, counted)
     sigma0, _ = auto_sigma0(spaces)
     system = assemble(spaces, sigma0, case.f, case.dirichlet)
-    error_norms(solve(system, pd_check=False), case, spaces, sigma0)
+    error_norms(solve(system), case, spaces, sigma0)
     monkeypatch.undo()
     return counts, spaces.tags.n_interface
 
@@ -328,8 +328,10 @@ def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
     assert c16["jacobian"] == c32["jacobian"] <= 2
     assert c16["_ref_values"] == c32["_ref_values"] <= 6
     assert c16["evaluate"] == c32["evaluate"] == 0
-    # every region of the circle passes the level kernel's star test
-    assert c16["_region_rule"] == c32["_region_rule"] == 0
+    # every region of the circle finds its anchor in the level kernel's
+    # first round: one star test per build of the rules
+    assert c16["level_cut_cell_rules"] == c32["level_cut_cell_rules"] > 0
+    assert c16["_anchor_ok"] == c32["_anchor_ok"] == c16["level_cut_cell_rules"]
 
 
 def test_solve_factors_the_assembled_matrix_without_a_copy(monkeypatch):
@@ -343,7 +345,7 @@ def test_solve_factors_the_assembled_matrix_without_a_copy(monkeypatch):
         return _orig(A, b)
 
     monkeypatch.setattr(assembly.spla, "spsolve", spsolve)
-    solve(system, pd_check=False)
+    solve(system)
     assert len(factored) == 1
     assert factored[0] is system.S and factored[0].format == "csc"
 
@@ -396,7 +398,7 @@ def test_no_per_edge_rules_in_the_level_chain(monkeypatch):
             monkeypatch.setattr(owner, name, counted)
         sigma0, _ = auto_sigma0(spaces)
         system = assemble(spaces, sigma0, case.f, case.dirichlet)
-        error_norms(solve(system, pd_check=False), case, spaces, sigma0)
+        error_norms(solve(system), case, spaces, sigma0)
         monkeypatch.undo()
     assert calls == []
 

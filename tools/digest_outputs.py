@@ -1,4 +1,5 @@
-"""SHA-256 digests of every CLI output of the benchmark workloads.
+"""SHA-256 digests of every CLI output of the benchmark workloads, and of
+the cut-cell rules of the quadrature tests' placements.
 
     python3 tools/digest_outputs.py SRC [--seeds 0 3 7] [--work DIR]
 
@@ -10,13 +11,19 @@ checkout, or of a second checkout to compare against) and runs, through
   that workload's benchmark command receives (``solve`` with
   ``--dump-system``);
 - ``probe-geometry`` on the default circle (n = 8..128) and on
-  ellipse(0.7, 0.5) (n = 16..128).
+  ellipse(0.7, 0.5) (n = 16..128);
+- ``quadrature.level_cut_cell_rules`` on every placement of
+  ``_RULE_CASES`` in ``tests/test_quadrature.py`` at q = 3..6.  These
+  placements reach every path of the cut-cell kernel (vertex anchors and
+  region splits included), which no workload does.
 
 Prints one line ``<sha256>  <run>/<file>`` per output file, and one per
 command's exit code and standard output; ``resolved_config.json`` is left
-out, since it records the output directory.  Two trees whose printouts are
-equal wrote byte-identical outputs.  The outputs go to a temporary
-directory, or to ``--work`` when given (kept).
+out, since it records the output directory.  Each cut-cell line
+``<sha256>  rules-<placement>-q<q>`` digests the bytes of each rule's
+points and then its weights, element by element, side by side.  Two trees
+whose printouts are equal wrote byte-identical outputs and rules.  The
+outputs go to a temporary directory, or to ``--work`` when given (kept).
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = PERFBENCH.parent / "tests"
 
 GEOMETRY = {
     "geometry-circle": ({"kind": "circle", "radius": 0.6}, [8, 16, 32, 64, 128]),
@@ -55,8 +63,30 @@ def runs(workloads, seeds, work: Path):
         yield name, ["probe-geometry", "--config", str(cfg)], out
 
 
+def rule_digests() -> list[str]:
+    """One line per (_RULE_CASES placement, q) of the cut-cell rules."""
+    from frenet_ife.frenet import FrenetChart
+    from frenet_ife.mesh import build_mesh, classify_elements
+    from frenet_ife.quadrature import level_cut_cell_rules
+    from test_quadrature import _RULE_CASES
+
+    lines = []
+    for name, (curve, box, n, h) in _RULE_CASES.items():
+        mesh = build_mesh(box, n)
+        chart = FrenetChart(curve, h=h or mesh.h)
+        level = dict(classify_elements(mesh, chart).interface)
+        for q in (3, 4, 5, 6):
+            sha = hashlib.sha256()
+            for pieces in level_cut_cell_rules(mesh, level, chart, q).values():
+                for rule in pieces.values():
+                    sha.update(rule.points.tobytes())
+                    sha.update(rule.weights.tobytes())
+            lines.append(f"{sha.hexdigest()}  rules-{name}-q{q}")
+    return lines
+
+
 def digest(src: Path, seeds, work: Path) -> list[str]:
-    sys.path[:0] = [str(src.resolve()), str(PERFBENCH)]
+    sys.path[:0] = [str(src.resolve()), str(PERFBENCH), str(TESTS)]
     import workloads
     from frenet_ife import cli
 
@@ -70,7 +100,7 @@ def digest(src: Path, seeds, work: Path) -> list[str]:
         for path in sorted(out.iterdir()):
             if path.name != "resolved_config.json":
                 lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
-    return lines
+    return lines + rule_digests()
 
 
 def main(argv=None) -> int:
