@@ -2,8 +2,8 @@
 symmetric interior-penalty DG solver for 2D elliptic interface problems on
 unfitted rectangular meshes."""
 
-from .curves import InterfaceCurve, LineCurve, TrigCurve, circle, ellipse, flower
-from .frenet import ChordChart, FrenetChart, FrenetFrame, frenet_apparatus
+from .curves import InterfaceCurve, LineCurve, TrigCurve, circle, ellipse, flower, frenet_frame
+from .frenet import ChordChart, FrenetChart
 from .laplacian import FrenetLaplacian
 from .mesh import ElementTag, MeshTags, RectMesh, build_mesh, classify_elements
 from .quadrature import QuadRule, cut_cell_rules, cut_edge_rule, gauss_rect

@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # edge_segments is unused here, but perfbench/tracer.py patches analysis.edge_segments
-from .assembly import assemble, auto_sigma0, edge_segments, solve, trace_constant  # noqa: F401
+from .assembly import (assemble, auto_sigma0, edge_segments, penalty_weight,  # noqa: F401
+                       solve, trace_constant)
 from .curves import InterfaceCurve, circle
 from .errors import FrenetIfeError
-from .frenet import ChordChart, FrenetChart, frenet_apparatus
+from .frenet import ChordChart, FrenetChart
 from .ife_space import SpaceSet, at_points, build_spaces
 from .mesh import build_mesh, classify_elements
 
@@ -71,17 +72,6 @@ def manufactured_circle(r0: float, beta_minus: float, beta_plus: float,
                             beta_plus=beta_plus, u=u, grad=grad, f=f)
 
 
-def case_jump_residuals(case: ManufacturedCase, chart: FrenetChart, n_pts: int = 100):
-    """Value/flux mismatch of the exact solution across the interface."""
-    xi = np.linspace(chart.curve.xi_start, chart.curve.xi_end, n_pts, endpoint=False)
-    pts = chart.curve.point(xi)
-    n = frenet_apparatus(chart.curve, xi).n
-    ju = case.u(pts, 1) - case.u(pts, -1)
-    flux_p = case.beta_plus * np.einsum("pk,pk->p", case.grad(pts, 1), n)
-    flux_m = case.beta_minus * np.einsum("pk,pk->p", case.grad(pts, -1), n)
-    return ju, flux_p - flux_m
-
-
 # ----------------------------------------------------------------------------
 # error norms
 
@@ -106,8 +96,7 @@ def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet, sigma0: float) -
     by the cancellation in u - u_h.
     """
     mesh = spaces.mesh
-    gamma = spaces.beta_plus**2 / spaces.beta_minus
-    pen = sigma0 * gamma / mesh.h
+    pen = penalty_weight(spaces, sigma0)
     C = coef.reshape(mesh.n_elements, -1)
 
     groups = spaces.volume_groups()

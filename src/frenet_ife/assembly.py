@@ -23,15 +23,19 @@ from .quadrature import cut_edge_rule
 
 @dataclass
 class SipdgSystem:
-    """Assembled sparse system S c = F with its penalty bookkeeping; S is
-    stored in the CSC format its sparse LU factors."""
+    """Assembled sparse system S c = F; S is stored in the CSC format its
+    sparse LU factors."""
 
     S: sp.csc_matrix
     F: np.ndarray
-    gamma: float
-    penalty: float
     norm_gram: sp.csr_matrix | None = None
     energy_gram: sp.csr_matrix | None = None
+
+
+def penalty_weight(spaces: SpaceSet, sigma0: float) -> float:
+    """The jump penalty sigma0 * gamma / h, gamma = beta_plus^2 / beta_minus."""
+    gamma = spaces.beta_plus**2 / spaces.beta_minus
+    return sigma0 * gamma / spaces.mesh.h
 
 
 def edge_segments(spaces: SpaceSet, k: int, q: int):
@@ -99,8 +103,7 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     groups; S and the Grams are bit-identical to an element-by-element loop.
     """
     mesh, nl = spaces.mesh, spaces.n_local
-    gamma = spaces.beta_plus**2 / spaces.beta_minus
-    pen = sigma0 * gamma / mesh.h
+    pen = penalty_weight(spaces, sigma0)
 
     # an interface element's two pieces add in either order from zero
     K = np.zeros((mesh.n_elements, nl, nl))
@@ -129,7 +132,7 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     order = np.argsort(np.concatenate(rows))
     np.add.at(F.reshape(-1, nl), np.concatenate(elems)[order], np.concatenate(parts)[order])
 
-    system = SipdgSystem(S=_csr(spaces, K, terms, sipdg).tocsc(), F=F, gamma=gamma, penalty=pen)
+    system = SipdgSystem(S=_csr(spaces, K, terms, sipdg).tocsc(), F=F)
     if with_norm_grams:
         system.norm_gram = _csr(spaces, K, terms, lambda w, avg, a, b:
                                 pen * a[0] * b[0] * (a[1] * w) @ b[1].mT)

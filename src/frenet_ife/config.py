@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .curves import curve_from_config
+from .errors import DegenerateParametrization
 
 
 def _numbers(value) -> bool:
@@ -80,7 +81,8 @@ class RunConfig:
         """Raises ValueError on an unusable configuration, the case aside but
         for the keys of its block and the type of its p.  Integers must be
         ints (not floats or bools), the other values real numbers (not
-        bools or strings); nothing is coerced.
+        bools or strings); nothing is coerced.  An interface whose speed
+        ||g'|| drops below 1e-12 is unusable too.
 
         The mesh check bounds only h * max curvature, a local quantity; it
         does not bound the curve's bottleneck distance, so two distant arcs
@@ -113,11 +115,14 @@ class RunConfig:
                                  f"it needs at least degree + 1 = {self.degree + 1}")
         if type(self.case.get("p", 4)) is not int:
             raise ValueError("case.p must be an integer")
-        curve = self.curve()
-        bad = [k for k, v in self.interface.items() if k != "kind" and not _numbers(v)]
-        if bad:
-            raise ValueError(f"interface.{bad[0]} must be a number or a list of numbers")
-        kmax = curve.max_curvature
+        try:
+            curve = self.curve()
+            bad = [k for k, v in self.interface.items() if k != "kind" and not _numbers(v)]
+            if bad:
+                raise ValueError(f"interface.{bad[0]} must be a number or a list of numbers")
+            kmax = curve.max_curvature
+        except DegenerateParametrization as exc:
+            raise ValueError(f"degenerate interface: {exc}") from exc
         for n in self.mesh_sizes:
             if type(n) is not int or n < 1:
                 raise ValueError("mesh sizes must be integers >= 1")

@@ -14,6 +14,22 @@ from .errors import DegenerateParametrization
 
 _SPEED_TOL = 1e-12
 
+# Rotation taking the unit tangent to the unit normal (tau rotated by -90 deg),
+# so the normal points from the minus side toward the plus side.
+ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def frenet_frame(v, a):
+    """The Frenet apparatus (tau, n, kappa, speed) from g' and g'' (..., 2):
+    tau = g'/||g'||, n = ROT tau, signed curvature kappa = det(g', g'')/||g'||^3
+    and speed ||g'||.  Raises DegenerateParametrization where ||g'|| < 1e-12."""
+    s = np.linalg.norm(v, axis=-1)
+    if np.any(s < _SPEED_TOL):
+        raise DegenerateParametrization("||g'(xi)|| < 1e-12")
+    tau = v / s[..., None]
+    kappa = (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / s**3
+    return tau, tau @ ROT.T, kappa, s
+
 
 class InterfaceCurve:
     """A planar parametrized curve g : [xi_start, xi_end] -> R^2.
@@ -59,21 +75,13 @@ class InterfaceCurve:
     def period(self) -> float:
         return self.xi_end - self.xi_start
 
-    def curvature(self, xi):
-        """Signed curvature det(g', g'') / ||g'||^3."""
-        v = self.velocity(xi)
-        a = self.accel(xi)
-        s = np.linalg.norm(v, axis=-1)
-        if np.any(s < _SPEED_TOL):
-            raise DegenerateParametrization("||g'|| < 1e-12 at some parameter")
-        return (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / s**3
-
     @property
     def max_curvature(self) -> float:
         """Upper bound on |curvature|, sampled densely once and cached."""
         if self._max_curvature is None:
             xi = np.linspace(self.xi_start, self.xi_end, 8192, endpoint=False)
-            self._max_curvature = float(np.max(np.abs(self.curvature(xi))))
+            _, _, kappa, _ = frenet_frame(self.velocity(xi), self.accel(xi))
+            self._max_curvature = float(np.max(np.abs(kappa)))
         return self._max_curvature
 
 

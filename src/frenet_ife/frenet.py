@@ -9,22 +9,11 @@ chord charts used to probe how far P is from its linearization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .curves import InterfaceCurve
-from .errors import (
-    DegenerateChord,
-    DegenerateParametrization,
-    NewtonDivergence,
-    OutsideValidityStrip,
-)
-
-# Rotation taking the unit tangent to the unit normal (tau rotated by -90 deg),
-# so the normal points from the minus side toward the plus side.
-ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+from .curves import ROT, InterfaceCurve, frenet_frame
+from .errors import DegenerateChord, NewtonDivergence, OutsideValidityStrip
 
 # Points per seed-tree query and per Newton batch.  Results do not depend on
 # it (every point is processed on its own); it bounds the temporaries of a
@@ -33,40 +22,6 @@ _BLOCK = 2048
 _NEWTON_TOL = 1e-13   # absolute tolerance on ||P(eta, xi) - x|| of the inverse map
 _MAX_ITER = 40        # Newton iterations before the inverse reports divergence
 _LOOP_SAMPLES = 8     # samples inside each edge of a fictitious-interval loop
-
-
-@dataclass
-class FrenetFrame:
-    """Unit tangent, unit normal, signed curvature and speed at one parameter."""
-
-    tau: np.ndarray
-    n: np.ndarray
-    kappa: float
-    speed: float
-
-
-def frenet_apparatus(curve: InterfaceCurve, xi) -> FrenetFrame:
-    """Evaluate the Frenet frame of `curve` at parameter(s) `xi`.
-
-    Returns tau = g'/||g'||, n = ROT tau, signed curvature
-    kappa = det(g', g'')/||g'||^3 and speed ||g'||.  Vectorized: array
-    input yields arrays with the trailing component axis.
-    """
-    xi = np.asarray(xi, dtype=float)
-    tau, n, kappa, s = _frame(curve.velocity(xi), curve.accel(xi))
-    if xi.ndim == 0:
-        return FrenetFrame(tau=tau, n=n, kappa=float(kappa), speed=float(s))
-    return FrenetFrame(tau=tau, n=n, kappa=kappa, speed=s)
-
-
-def _frame(v, a):
-    """(tau, n, kappa, speed) from g' and g''."""
-    s = np.linalg.norm(v, axis=-1)
-    if np.any(s < 1e-12):
-        raise DegenerateParametrization("||g'(xi)|| < 1e-12")
-    tau = v / s[..., None]
-    kappa = (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / s**3
-    return tau, tau @ ROT.T, kappa, s
 
 
 def unwrap_near(xi, anchor: float, period: float):
@@ -100,21 +55,13 @@ class FrenetChart:
         self._seed_pts = None
         self._seed_normals = None
 
-    # -- forward map -------------------------------------------------------
-    def map(self, eta, xi):
-        """P(eta, xi) = g(xi) + eta n(xi).  Requires |eta|*max_curvature < 1."""
-        eta = np.asarray(eta, dtype=float)
-        if np.any(np.abs(eta) * self.curve.max_curvature >= 1.0):
-            raise OutsideValidityStrip("|eta|*max_curvature >= 1")
-        fr = frenet_apparatus(self.curve, xi)
-        return self.curve.point(np.asarray(xi, dtype=float)) + eta[..., None] * fr.n
-
+    # -- Jacobian of the forward map P ------------------------------------
     def jacobian(self, eta, xi):
         """Jacobian of P: columns (n, (1 + eta*kappa) g').  Shape (..., 2, 2);
         its determinant is ||g'|| (1 + eta*kappa)."""
         eta = np.asarray(eta, dtype=float)
         _, v, a = self.curve.jet(np.asarray(xi, dtype=float))
-        _, n, kappa, _ = _frame(v, a)
+        _, n, kappa, _ = frenet_frame(v, a)
         return np.stack([n, (1.0 + eta * kappa)[..., None] * v], axis=-1)
 
     # -- polyline seed data --------------------------------------------------
@@ -124,10 +71,10 @@ class FrenetChart:
             m = 4096
             xi = np.linspace(c.xi_start, c.xi_end, m, endpoint=not c.periodic)
             pts = c.point(xi)
-            fr = frenet_apparatus(c, xi)
+            _, normals, _, _ = frenet_frame(c.velocity(xi), c.accel(xi))
             self._seed_xi = xi
             self._seed_pts = pts
-            self._seed_normals = fr.n
+            self._seed_normals = normals
             self._seed_tree = cKDTree(pts)
         return self._seed_tree, self._seed_xi, self._seed_pts, self._seed_normals
 
@@ -144,7 +91,7 @@ class FrenetChart:
             block = pts[s:s + _BLOCK]
             _, idx = tree.query(block)
             eta[s:s + _BLOCK] = np.einsum("ij,ij->i", block - curve_pts[idx], normals[idx])
-        return eta if np.asarray(points).ndim > 1 else float(eta[0])
+        return eta
 
     def nearest_parameter_estimate(self, points):
         """Chord-projection foot on the seed polyline (Newton initial guess)."""
@@ -169,7 +116,7 @@ class FrenetChart:
 
     # -- inverse map ---------------------------------------------------------
     def inverse(self, points, xi_anchor: float | np.ndarray | None = None):
-        """Invert P at one or many physical points.
+        """Invert P at the physical points (n, 2).
 
         Returns (eta, xi) with ||P(eta, xi) - point|| <= _NEWTON_TOL.  For a
         periodic curve the parameter is unwrapped near `xi_anchor` when given,
@@ -187,10 +134,7 @@ class FrenetChart:
             raise NewtonDivergence(
                 f"{int(np.sum(~ok))} point(s) failed to invert; "
                 "outside the tubular strip or mesh too coarse")
-        xi = self._unwrap(xi, xi_anchor)
-        if np.asarray(points).ndim == 1:
-            return float(eta[0]), float(xi[0])
-        return eta, xi
+        return eta, self._unwrap(xi, xi_anchor)
 
     def _newton(self, pts):
         """Damped Newton on P(eta, xi) = pts, (n, 2): (eta, xi, converged),
@@ -203,12 +147,12 @@ class FrenetChart:
         def residual(eta, xi, idx):
             # one curve jet per evaluation; its frame serves the next step
             g, v, a = c.jet(xi)
-            _, n, kappa, _ = _frame(v, a)
+            _, n, kappa, _ = frenet_frame(v, a)
             return g + eta[:, None] * n - pts[idx], v, n, kappa
 
         xi = self.nearest_parameter_estimate(pts)
         g, v, a = c.jet(xi)
-        _, n, kappa, _ = _frame(v, a)
+        _, n, kappa, _ = frenet_frame(v, a)
         eta = np.einsum("ij,ij->i", pts - g, n)
         res = g + eta[:, None] * n - pts
 
@@ -327,18 +271,9 @@ class ChordChart:
         self.b = g0 - xi0[..., None] * d
         self.Ainv = np.linalg.inv(self.A)
 
-    def map(self, eta, xi):
-        coords = np.stack([np.asarray(eta, dtype=float),
-                           np.asarray(xi, dtype=float)], axis=-1)
-        return coords @ self.A.mT + self.b[..., None, :]
-
     def inverse(self, points):
         pts = np.asarray(points, dtype=float)
         return (pts - self.b[..., None, :]) @ self.Ainv.mT
-
-    def transition(self, eta, xi):
-        """T(eta, xi) = chord_inverse(P(eta, xi)); identity for straight interfaces."""
-        return self.inverse(self.chart.map(eta, xi))
 
     def transition_jacobian(self, eta, xi):
         """DT = A^{-1} DP, shape (..., 2, 2)."""

@@ -228,7 +228,6 @@ class IfeBasis:
         self.n_basis = (m + 1) ** 2
         # the eta-vanishing monomials etabar^j xibar^i, j >= 1
         x1 = np.eye(self.n_basis).reshape(-1, m + 1, m + 1)[None, m + 1:].repeat(len(x0), 0)
-        self.origins = ["x0"] * (m + 1) + ["x1"] * x1.shape[1]
         self.coef = {1: np.concatenate([x0, x1 / beta_plus], axis=1),
                      -1: np.concatenate([x0, x1 / beta_minus], axis=1)}
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutsideValidityStrip
+from .curves import frenet_frame
 from .frenet import FrenetChart
 
 
@@ -46,10 +46,9 @@ def _series_reciprocal(A):
 
 
 class FrenetLaplacian:
-    """Coefficient evaluators and eta-jets for the tubular-coordinate Laplacian."""
+    """Eta-jets of the tubular-coordinate Laplacian's coefficients."""
 
     def __init__(self, chart: FrenetChart):
-        self.chart = chart
         self.curve = chart.curve
 
     # -- pointwise curve data ------------------------------------------------
@@ -59,31 +58,11 @@ class FrenetLaplacian:
         v = self.curve.velocity(xi)
         acc = self.curve.accel(xi)
         jrk = self.curve.jerk(xi)
-        s = np.linalg.norm(v, axis=-1)
-        det_va = v[..., 0] * acc[..., 1] - v[..., 1] * acc[..., 0]
+        _, _, kappa, s = frenet_frame(v, acc)
         det_vj = v[..., 0] * jrk[..., 1] - v[..., 1] * jrk[..., 0]
         sp = np.einsum("...i,...i->...", v, acc) / s
-        kappa = det_va / s**3
         kappa_p = det_vj / s**3 - 3.0 * kappa * sp / s
         return s, kappa, sp, kappa_p
-
-    def coefficients(self, eta, xi):
-        """(a, b, c) at strip points; raises outside |eta|*kappa_max < 1."""
-        eta = np.asarray(eta, dtype=float)
-        if np.any(np.abs(eta) * self.curve.max_curvature >= 1.0):
-            raise OutsideValidityStrip("|eta|*max_curvature >= 1")
-        s, kappa, sp, kappa_p = self.curve_data(xi)
-        J = s * (1.0 + eta * kappa)
-        J_xi = sp * (1.0 + eta * kappa) + s * eta * kappa_p
-        return s * kappa / J, 1.0 / J**2, -J_xi / J**3
-
-    def map_second_xi_derivative(self, eta, xi):
-        """P_xixi = eta*kappa'*g' + (1 + eta*kappa)*g'' (for chain-rule checks)."""
-        eta = np.asarray(eta, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        _, kappa, _, kappa_p = self.curve_data(xi)
-        return (eta * kappa_p)[..., None] * self.curve.velocity(xi) \
-            + (1.0 + eta * kappa)[..., None] * self.curve.accel(xi)
 
     def coefficient_jets(self, xi, order: int):
         """eta-series coefficients of (a, b, c) at eta = 0, up to eta^order.

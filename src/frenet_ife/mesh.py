@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import frenet_frame
 from .errors import AmbiguousCut, TangentialIntersection
-from .frenet import FrenetChart, _norms, frenet_apparatus, unwrap_near
+from .frenet import FrenetChart, _norms, unwrap_near
 
 _EDGE_SAMPLES = 33   # offset samples per candidate edge of the classifier
 
@@ -175,7 +176,7 @@ def _polish_roots(chart: FrenetChart, a, b, t, edges):
         # full steps; the bracket start is already close
         t[active] += (gape[:, 0] * gp[:, 1] - gape[:, 1] * gp[:, 0]) / det
         xi[active] += (gape[:, 0] * da[:, 1] - gape[:, 1] * da[:, 0]) / det
-    normal = frenet_apparatus(curve, xi).n
+    _, normal, _, _ = frenet_frame(curve.velocity(xi), curve.accel(xi))
     tangent = np.array([abs(float(np.dot(n, dk))) for n, dk in zip(normal, d)]) / length < 1e-10
     points = a + t[:, None] * d
     diverged = _norms(points - curve.point(xi)) > 1e-12 * scale

@@ -42,6 +42,78 @@ def composite_simpson(f, a, b, panels=10000):
 
 
 # ----------------------------------------------------------------------------
+# the Frenet frame at parameters, and the chart maps and operator
+# coefficients that no command evaluates
+
+
+def frame_at(curve, xi):
+    """(tau, n, kappa, speed) of `curve` at parameter(s) xi."""
+    from frenet_ife.curves import frenet_frame
+
+    xi = np.asarray(xi, dtype=float)
+    return frenet_frame(curve.velocity(xi), curve.accel(xi))
+
+
+def chart_map(chart, eta, xi):
+    """P(eta, xi) = g(xi) + eta n(xi) of a FrenetChart.  Requires
+    |eta|*max_curvature < 1."""
+    from frenet_ife.errors import OutsideValidityStrip
+
+    eta = np.asarray(eta, dtype=float)
+    if np.any(np.abs(eta) * chart.curve.max_curvature >= 1.0):
+        raise OutsideValidityStrip("|eta|*max_curvature >= 1")
+    _, n, _, _ = frame_at(chart.curve, xi)
+    return chart.curve.point(np.asarray(xi, dtype=float)) + eta[..., None] * n
+
+
+def chord_map(cc, eta, xi):
+    """P_chord(eta, xi) = A (eta, xi)^T + b of a ChordChart."""
+    coords = np.stack([np.asarray(eta, dtype=float),
+                       np.asarray(xi, dtype=float)], axis=-1)
+    return coords @ cc.A.mT + cc.b[..., None, :]
+
+
+def chord_transition(cc, eta, xi):
+    """T(eta, xi) = chord_inverse(P(eta, xi)); identity for straight interfaces."""
+    return cc.inverse(chart_map(cc.chart, eta, xi))
+
+
+def laplacian_coefficients(lap, eta, xi):
+    """(a, b, c) of a FrenetLaplacian at strip points; raises outside
+    |eta|*kappa_max < 1."""
+    from frenet_ife.errors import OutsideValidityStrip
+
+    eta = np.asarray(eta, dtype=float)
+    if np.any(np.abs(eta) * lap.curve.max_curvature >= 1.0):
+        raise OutsideValidityStrip("|eta|*max_curvature >= 1")
+    s, kappa, sp, kappa_p = lap.curve_data(xi)
+    J = s * (1.0 + eta * kappa)
+    J_xi = sp * (1.0 + eta * kappa) + s * eta * kappa_p
+    return s * kappa / J, 1.0 / J**2, -J_xi / J**3
+
+
+def map_second_xi_derivative(lap, eta, xi):
+    """P_xixi = eta*kappa'*g' + (1 + eta*kappa)*g'' (for chain-rule checks)."""
+    eta = np.asarray(eta, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    _, kappa, _, kappa_p = lap.curve_data(xi)
+    return (eta * kappa_p)[..., None] * lap.curve.velocity(xi) \
+        + (1.0 + eta * kappa)[..., None] * lap.curve.accel(xi)
+
+
+def case_jump_residuals(case, chart, n_pts=100):
+    """Value/flux mismatch of a manufactured case's exact solution across
+    the interface."""
+    xi = np.linspace(chart.curve.xi_start, chart.curve.xi_end, n_pts, endpoint=False)
+    pts = chart.curve.point(xi)
+    _, n, _, _ = frame_at(chart.curve, xi)
+    ju = case.u(pts, 1) - case.u(pts, -1)
+    flux_p = case.beta_plus * np.einsum("pk,pk->p", case.grad(pts, 1), n)
+    flux_m = case.beta_minus * np.einsum("pk,pk->p", case.grad(pts, -1), n)
+    return ju, flux_p - flux_m
+
+
+# ----------------------------------------------------------------------------
 # exact circle-vs-box area by adaptive subdivision
 
 
@@ -482,21 +554,19 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
     """
     from frenet_ife import frenet
     from frenet_ife.errors import NewtonDivergence
-    from frenet_ife.frenet import frenet_apparatus, unwrap_near
+    from frenet_ife.frenet import unwrap_near
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    single = np.asarray(points).ndim == 1
     c = chart.curve
 
     xi = chart.nearest_parameter_estimate(pts)
-    fr = frenet_apparatus(c, xi)
-    eta = np.einsum("ij,ij->i", pts - c.point(xi), np.atleast_2d(fr.n))
+    _, n, _, _ = frame_at(c, xi)
+    eta = np.einsum("ij,ij->i", pts - c.point(xi), n)
 
     active = np.arange(len(pts))
     for it in range(frenet._MAX_ITER):
         g = c.point(xi[active])
-        fr = frenet_apparatus(c, xi[active])
-        n = np.atleast_2d(fr.n)
+        _, n, kappa, _ = frame_at(c, xi[active])
         res = g + eta[active, None] * n - pts[active]
         rnorm = np.linalg.norm(res, axis=1)
         done = rnorm <= frenet._NEWTON_TOL
@@ -504,12 +574,12 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
             active = active[~done]
             if len(active) == 0:
                 break
-            g, fr = c.point(xi[active]), frenet_apparatus(c, xi[active])
-            n = np.atleast_2d(fr.n)
+            g = c.point(xi[active])
+            _, n, kappa, _ = frame_at(c, xi[active])
             res = g + eta[active, None] * n - pts[active]
             rnorm = np.linalg.norm(res, axis=1)
-        v = np.atleast_2d(c.velocity(xi[active]))
-        fac = 1.0 + eta[active] * np.asarray(fr.kappa)
+        v = c.velocity(xi[active])
+        fac = 1.0 + eta[active] * kappa
         a11, a21 = n[:, 0], n[:, 1]
         a12, a22 = fac * v[:, 0], fac * v[:, 1]
         det = a11 * a22 - a12 * a21
@@ -520,9 +590,7 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
         for _bt in range(30):
             eta_try = eta[active] + step * d_eta
             xi_try = xi[active] + step * d_xi
-            res_try = (c.point(xi_try)
-                       + eta_try[:, None] * np.atleast_2d(frenet_apparatus(c, xi_try).n)
-                       - pts[active])
+            res_try = c.point(xi_try) + eta_try[:, None] * frame_at(c, xi_try)[1] - pts[active]
             worse = np.linalg.norm(res_try, axis=1) > rnorm
             if not np.any(worse):
                 break
@@ -532,8 +600,7 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
         eta[active] += step * d_eta
         xi[active] += step * d_xi
     else:
-        res = (c.point(xi) + eta[:, None]
-               * np.atleast_2d(frenet_apparatus(c, xi).n) - pts)
+        res = c.point(xi) + eta[:, None] * frame_at(c, xi)[1] - pts
         bad = np.linalg.norm(res, axis=1) > frenet._NEWTON_TOL
         if np.any(bad):
             raise NewtonDivergence(f"{int(bad.sum())} point(s) failed to invert")
@@ -543,8 +610,6 @@ def loop_inverse(chart, points, xi_anchor=None, first_step_backtracks=None):
         xi = unwrap_near(xi, anchor, c.period)
         if xi_anchor is None:
             xi = np.where(xi < c.xi_start, xi + c.period, xi)
-    if single:
-        return float(eta[0]), float(xi[0])
     return eta, xi
 
 
@@ -564,7 +629,7 @@ def loop_fictitious_interval(chart, corners, samples_per_edge=8):
     loop = np.asarray(loop)
     anchor = None
     if chart.curve.periodic:
-        _, anchor = chart.inverse(corners[0])
+        anchor = float(chart.inverse(corners[:1])[1][0])
     _, xi = chart.inverse(loop, xi_anchor=anchor)
 
     def refine(i, sign):
@@ -581,7 +646,7 @@ def loop_fictitious_interval(chart, corners, samples_per_edge=8):
             else:
                 p = loop[i] - t_v * (loop[prv] - loop[i])
             try:
-                _, xv = chart.inverse(p, xi_anchor=anchor)
+                xv = float(chart.inverse(p[None], xi_anchor=anchor)[1][0])
                 best = max(best, xv) if sign > 0 else min(best, xv)
             except NewtonDivergence:
                 pass
@@ -595,7 +660,6 @@ def loop_fictitious_interval(chart, corners, samples_per_edge=8):
 
 def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
     from frenet_ife.errors import AmbiguousCut, TangentialIntersection
-    from frenet_ife.frenet import frenet_apparatus
 
     def edge_point(t):
         return a + np.multiply.outer(np.asarray(t, dtype=float), b - a)
@@ -603,7 +667,7 @@ def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
     curve = chart.curve
     for _ in range(24):
         t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = chart.signed_distance_estimate(edge_point(t_mid))
+        f_mid = float(chart.signed_distance_estimate(edge_point(t_mid)[None])[0])
         if f_lo * f_mid <= 0.0:
             t_hi, f_hi = t_mid, f_mid
         else:
@@ -625,8 +689,8 @@ def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
         dxi = (gape[0] * d[1] - gape[1] * d[0]) / det
         t += dt
         xi += dxi
-    fr = frenet_apparatus(curve, xi)
-    if abs(float(np.dot(fr.n, d))) / np.linalg.norm(d) < 1e-10:
+    _, n, _, _ = frame_at(curve, xi)
+    if abs(float(np.dot(n, d))) / np.linalg.norm(d) < 1e-10:
         raise TangentialIntersection("interface tangent to a mesh edge")
     gape = edge_point(t) - curve.point(np.asarray(xi, dtype=float))
     if np.linalg.norm(gape) > 1e-12 * scale:
@@ -637,7 +701,6 @@ def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
 def loop_polish_root(chart, a, b, t):
     """Newton polish of edge(t) = g(xi) from a bisected t on edge a->b."""
     from frenet_ife.errors import AmbiguousCut, TangentialIntersection
-    from frenet_ife.frenet import frenet_apparatus
     from frenet_ife.mesh import _edge_point
 
     curve = chart.curve
@@ -659,8 +722,8 @@ def loop_polish_root(chart, a, b, t):
         # full steps; the bracket start is already close
         t += dt
         xi += dxi
-    fr = frenet_apparatus(curve, xi)
-    tangency = abs(float(np.dot(fr.n, d))) / np.linalg.norm(d)
+    _, n, _, _ = frame_at(curve, xi)
+    tangency = abs(float(np.dot(n, d))) / np.linalg.norm(d)
     if tangency < 1e-10:
         raise TangentialIntersection(
             "interface tangent to a mesh edge; perturb the mesh")

@@ -11,12 +11,12 @@ from frenet_ife.analysis import (convergence_study, error_norms, geometry_probes
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio, solve,
                                  trace_constant)
 from frenet_ife.curves import circle, ellipse
-from frenet_ife.frenet import FrenetChart, frenet_apparatus
+from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import build_spaces, gram_fictitious
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_cell_rules, gauss_rect
 
-from oracles import bisect_root, disk_box_area, element_basis, loop_projection_study
+from oracles import bisect_root, disk_box_area, element_basis, frame_at, loop_projection_study
 from plaindg import PlainDG
 from test_laplacian import analytic_test_functions, pullback_operator_error
 
@@ -70,7 +70,7 @@ def test_criterion_2_exact_conformity(spaces16):
             xa, xb = sorted(c.xi for c in spaces.tags.interface[e].cuts)
             xs = np.linspace(xa + 1e-10, xb - 1e-10, 50)
             pts = chart.curve.point(xs)
-            n = frenet_apparatus(chart.curve, xs).n
+            _, n, _, _ = frame_at(chart.curve, xs)
             vp, gp = b.evaluate(pts, side=1)
             vm, gm = b.evaluate(pts, side=-1)
             fp = spaces.beta_plus * np.einsum("bpk,pk->bp", gp, n)

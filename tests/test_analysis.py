@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from frenet_ife.analysis import (ManufacturedCase, case_jump_residuals,
-                                 convergence_study, error_norms, geometry_probes,
-                                 manufactured_circle, setup_level)
+from frenet_ife.analysis import (ManufacturedCase, convergence_study, error_norms,
+                                 geometry_probes, manufactured_circle, setup_level)
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio, solve,
                                  trace_constant)
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
@@ -13,7 +12,8 @@ from frenet_ife.frenet import ChordChart, FrenetChart
 from frenet_ife.ife_space import build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 
-from oracles import LoopChordChart, loop_geometry_probes, loop_projection_study
+from oracles import (LoopChordChart, case_jump_residuals, loop_geometry_probes,
+                     loop_projection_study)
 
 
 def test_manufactured_case_jump_residuals():

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from frenet_ife.analysis import manufactured_circle, setup_level
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio,
-                                 edge_segments, solve, trace_constant)
+                                 edge_segments, penalty_weight, solve, trace_constant)
 from frenet_ife.curves import circle
 from frenet_ife.errors import SingularGram
 from frenet_ife.frenet import FrenetChart
@@ -31,9 +31,9 @@ def test_symmetry(bench):
 
 
 def test_gamma_value(bench):
-    _, spaces, system = bench
-    assert system.gamma == pytest.approx(100.0)
-    assert system.penalty == pytest.approx(6.0 * 100.0 / spaces.mesh.h)
+    _, spaces, _ = bench
+    assert spaces.beta_plus**2 / spaces.beta_minus == pytest.approx(100.0)
+    assert penalty_weight(spaces, 6.0) == pytest.approx(6.0 * 100.0 / spaces.mesh.h)
 
 
 def test_sparsity_is_edge_local(bench):
@@ -123,7 +123,7 @@ def test_galerkin_consistency(bench):
     system = assemble(spaces, 6.0, case.f, case.dirichlet)
     mesh = spaces.mesh
     nl, action = spaces.n_local, np.zeros(spaces.n_dofs)
-    pen = system.penalty
+    pen = penalty_weight(spaces, 6.0)
     for e in range(mesh.n_elements):
         dofs = slice(e * nl, (e + 1) * nl)
         for rule, side in element_rules(spaces, e, 6):

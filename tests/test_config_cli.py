@@ -9,8 +9,9 @@ import scipy.io
 from frenet_ife import assembly
 from frenet_ife.analysis import setup_level
 from frenet_ife.assembly import auto_sigma0
-from frenet_ife.cli import main
+from frenet_ife.cli import COMMANDS, main
 from frenet_ife.config import RunConfig
+from frenet_ife.errors import FrenetIfeError
 
 from oracles import loop_trace_constant
 
@@ -92,6 +93,10 @@ def test_cli_invalid_beta_exits_2(tmp_path):
     {"interface": {"kind": "circle", "radius": True}},
     {"interface": {"kind": "circle", "radius": 0.6, "center": [False, 0.0]}},
     {"interface": {"kind": "circle", "radius": 0.6, "center": ["0", 0.0]}},
+    # degenerate interfaces: ||g'|| vanishes somewhere, or everywhere
+    {"interface": {"kind": "circle", "radius": 0.0}},
+    {"interface": {"kind": "ellipse", "a": 0.0, "b": 0.5}},
+    {"interface": {"kind": "line", "origin": [0, 0], "direction": [0, 0]}},
 ], ids=lambda o: json.dumps(o))
 def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, override):
     cfg = tmp_path / "bad.json"
@@ -241,6 +246,17 @@ def test_cli_probe_trace_and_coercivity(tmp_path):
     assert probe["min_ratio"] >= 0.25
 
 
+def test_cli_probe_coercivity_with_given_sigma0_reports_no_trace_constant(tmp_path):
+    # the trace probe runs only for an automatic penalty
+    out = tmp_path / "c"
+    assert main(["probe-coercivity", "--mesh", "8", "--degree", "1", "--sigma0", "20",
+                 "--out", str(out)]) == 0
+    probe = json.loads((out / "coercivity_probe.json").read_text())
+    assert probe["sigma0"] == 20.0
+    assert np.isnan(probe["trace_constant"])
+    assert probe["min_ratio"] >= 0.25
+
+
 def test_cli_probes_build_their_levels_at_the_configured_quad(tmp_path):
     # probe-trace and probe-coercivity read the quad block, as solve does
     quad = {"volume": 5, "edge": 6}
@@ -269,3 +285,18 @@ def test_cli_probe_trace_without_interface_elements_writes_error(tmp_path):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "FrenetIfeError"
     assert "n=8" in error["message"] and "no interface element" in error["message"]
+
+
+def test_runtime_error_with_an_unwritable_output_still_exits_1(tmp_path, capsys, monkeypatch):
+    # error.json goes into the output directory; when that cannot be made
+    # the error is still reported on stderr and the exit code is 1
+    def fail(cfg):
+        raise FrenetIfeError("the run failed")
+
+    monkeypatch.setitem(COMMANDS, "solve", fail)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["solve", "--mesh", "8", "--out", str(blocker / "o")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "FrenetIfeError",
+                                                   "message": "the run failed"}
+    assert not (blocker / "o").exists()

@@ -3,57 +3,55 @@ import pytest
 
 from frenet_ife.curves import LineCurve, TrigCurve, circle, curve_from_config, ellipse, flower
 from frenet_ife.errors import DegenerateParametrization
-from frenet_ife.frenet import ROT, frenet_apparatus
+from frenet_ife.frenet import ROT
 
-from oracles import fd_derivative
+from oracles import fd_derivative, frame_at
 
 
 def test_unit_circle_frame_identities():
     c = circle(1.0)
-    fr = frenet_apparatus(c, 0.0)
-    assert np.allclose(fr.tau, [0.0, 1.0], atol=1e-15)
-    assert np.allclose(fr.n, [1.0, 0.0], atol=1e-15)
-    assert fr.kappa == pytest.approx(1.0, abs=1e-14)
-    assert fr.speed == pytest.approx(1.0, abs=1e-14)
+    tau, n, kappa, speed = frame_at(c, 0.0)
+    assert np.allclose(tau, [0.0, 1.0], atol=1e-15)
+    assert np.allclose(n, [1.0, 0.0], atol=1e-15)
+    assert kappa == pytest.approx(1.0, abs=1e-14)
+    assert speed == pytest.approx(1.0, abs=1e-14)
 
 
 def test_line_frame():
     c = LineCurve([0.0, 0.0], [1.0, 0.0])
     for xi in (-2.0, 0.0, 3.7):
-        fr = frenet_apparatus(c, xi)
-        assert np.allclose(fr.tau, [1.0, 0.0])
-        assert np.allclose(fr.n, [0.0, -1.0])
-        assert fr.kappa == 0.0
-        assert fr.speed == 1.0
+        tau, n, kappa, speed = frame_at(c, xi)
+        assert np.allclose(tau, [1.0, 0.0])
+        assert np.allclose(n, [0.0, -1.0])
+        assert kappa == 0.0
+        assert speed == 1.0
 
 
 def test_ellipse_curvature_against_finite_differences():
     c = ellipse(2.0, 1.0)
-    fr = frenet_apparatus(c, 0.0)
-    assert fr.kappa == pytest.approx(2.0, abs=1e-12)
+    assert frame_at(c, 0.0)[2] == pytest.approx(2.0, abs=1e-12)
     # independent check: curvature from finite-difference derivatives
     for xi in np.linspace(0.1, 6.0, 7):
         v = fd_derivative(lambda t: c.point(np.asarray(t)), xi, order=1)
         a = fd_derivative(lambda t: c.point(np.asarray(t)), xi, order=2)
         s = np.linalg.norm(v)
         kappa_fd = (v[0] * a[1] - v[1] * a[0]) / s**3
-        assert frenet_apparatus(c, xi).kappa == pytest.approx(kappa_fd, rel=1e-4)
+        assert frame_at(c, xi)[2] == pytest.approx(kappa_fd, rel=1e-4)
 
 
 @pytest.mark.parametrize("curve", [circle(0.6), ellipse(0.65, 0.5),
                                    flower(0.5, 0.02, 5)])
 def test_curve_invariants(curve):
     xi = np.linspace(curve.xi_start, curve.xi_end, 701)
-    speeds = frenet_apparatus(curve, xi).speed
+    tau, n, kappa, speeds = frame_at(curve, xi)
     assert np.all(speeds > 0)
     assert np.allclose(curve.point(np.asarray(curve.xi_end)),
                        curve.point(np.asarray(curve.xi_start)), atol=1e-14)
-    assert curve.max_curvature >= np.max(np.abs(curve.curvature(xi))) - 1e-12
-    fr = frenet_apparatus(curve, xi)
-    assert np.max(np.abs(np.linalg.norm(fr.tau, axis=1) - 1.0)) <= 1e-14
-    assert np.max(np.abs(np.linalg.norm(fr.n, axis=1) - 1.0)) <= 1e-14
-    assert np.max(np.abs(np.einsum("ij,ij->i", fr.tau, fr.n))) <= 1e-14
-    assert np.allclose(fr.n, fr.tau @ ROT.T, atol=1e-15)
+    assert curve.max_curvature >= np.max(np.abs(kappa)) - 1e-12
+    assert np.max(np.abs(np.linalg.norm(tau, axis=1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.einsum("ij,ij->i", tau, n))) <= 1e-14
+    assert np.allclose(n, tau @ ROT.T, atol=1e-15)
 
 
 def test_flower_is_polar_graph():
@@ -73,8 +71,8 @@ def test_cusp_parametrization_rejected_pointwise():
     # x = cos t, y = cos(2t)/2 has g'(0) = 0 (a cusp)
     cusp = TrigCurve(ax=[0, 1], bx=[0], ay=[0, 0, 0.5], by=[0])
     with pytest.raises(DegenerateParametrization):
-        frenet_apparatus(cusp, 0.0)
-    frenet_apparatus(cusp, 0.4)   # regular elsewhere
+        frame_at(cusp, 0.0)
+    frame_at(cusp, 0.4)   # regular elsewhere
 
 
 def test_trig_curve_derivative_consistency():

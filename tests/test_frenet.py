@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from frenet_ife import frenet
-from frenet_ife.curves import LineCurve, circle, ellipse, flower
+from frenet_ife.curves import LineCurve, TrigCurve, circle, ellipse, flower
 from frenet_ife.errors import NewtonDivergence, OutsideValidityStrip
-from frenet_ife.frenet import ChordChart, FrenetChart, frenet_apparatus
+from frenet_ife.frenet import ChordChart, FrenetChart
 from frenet_ife.mesh import build_mesh, classify_elements
 
-from oracles import fd_jacobian, loop_inverse
+from oracles import (chart_map, chord_map, chord_transition, fd_jacobian, frame_at,
+                     loop_inverse)
 
 
 @pytest.fixture
@@ -16,13 +17,13 @@ def circle_chart():
 
 
 def test_map_radial_offset(circle_chart):
-    assert np.allclose(circle_chart.map(np.asarray(0.1), 0.0), [1.1, 0.0], atol=1e-14)
+    assert np.allclose(chart_map(circle_chart, np.asarray(0.1), 0.0), [1.1, 0.0], atol=1e-14)
 
 
 def test_map_restricts_to_curve():
     for chart in (FrenetChart(circle(0.6), h=0.2), FrenetChart(ellipse(0.65, 0.5), h=0.15)):
         xi = np.linspace(0, 2 * np.pi, 17)
-        assert np.allclose(chart.map(np.zeros_like(xi), xi),
+        assert np.allclose(chart_map(chart, np.zeros_like(xi), xi),
                            chart.curve.point(xi), atol=1e-15)
 
 
@@ -41,11 +42,11 @@ def test_jacobian_matches_finite_differences():
         eta = rng.uniform(-0.15, 0.15)
         xi = rng.uniform(0, 2 * np.pi)
         J = chart.jacobian(np.asarray(eta), np.asarray(xi))
-        J_fd = fd_jacobian(lambda p: chart.map(np.asarray(p[0]), np.asarray(p[1])),
+        J_fd = fd_jacobian(lambda p: chart_map(chart, np.asarray(p[0]), np.asarray(p[1])),
                            [eta, xi])
         assert np.allclose(J, J_fd, atol=1e-8)
-        fr = frenet_apparatus(chart.curve, xi)
-        det = fr.speed * (1.0 + eta * fr.kappa)
+        _, _, kappa, speed = frame_at(chart.curve, xi)
+        det = speed * (1.0 + eta * kappa)
         assert np.linalg.det(J) == pytest.approx(det, abs=1e-12)
 
 
@@ -55,8 +56,8 @@ def test_jacobian_bitwise_equal_to_frame_columns(curve):
     rng = np.random.default_rng(2)
     eta = rng.uniform(-chart.h, chart.h, 200)
     xi = rng.uniform(0.0, 2 * np.pi, 200)
-    fr = frenet_apparatus(curve, xi)
-    ref = np.stack([fr.n, (1.0 + eta * fr.kappa)[:, None] * curve.velocity(xi)], axis=-1)
+    _, n, kappa, _ = frame_at(curve, xi)
+    ref = np.stack([n, (1.0 + eta * kappa)[:, None] * curve.velocity(xi)], axis=-1)
     assert np.array_equal(chart.jacobian(eta, xi), ref)
 
 
@@ -66,13 +67,13 @@ def test_jacobian_det_positive_inside_half_curvature_strip():
     rng = np.random.default_rng(5)
     eta = rng.uniform(-0.25, 0.25, 400)
     xi = rng.uniform(0, 2 * np.pi, 400)
-    s_min = np.min(frenet_apparatus(chart.curve, np.linspace(0, 2 * np.pi, 1000)).speed)
+    s_min = np.min(frame_at(chart.curve, np.linspace(0, 2 * np.pi, 1000))[3])
     assert np.all(np.linalg.det(chart.jacobian(eta, xi)) >= s_min / 2)
 
 
 def test_map_outside_strip_raises(circle_chart):
     with pytest.raises(OutsideValidityStrip):
-        circle_chart.map(np.asarray(1.5), 0.0)
+        chart_map(circle_chart, np.asarray(1.5), 0.0)
 
 
 def test_chart_construction_requires_invertible_strip():
@@ -81,14 +82,14 @@ def test_chart_construction_requires_invertible_strip():
 
 
 def test_inverse_radial(circle_chart):
-    eta, xi = circle_chart.inverse(np.array([1.2, 0.0]))
+    (eta,), (xi,) = circle_chart.inverse(np.array([[1.2, 0.0]]))
     assert eta == pytest.approx(0.2, abs=1e-12)
     assert xi == pytest.approx(0.0, abs=1e-12) or xi == pytest.approx(2 * np.pi, abs=1e-12)
 
 
 def test_inverse_line():
     chart = FrenetChart(LineCurve([0.0, 0.0], [1.0, 0.0]), h=0.5)
-    eta, xi = chart.inverse(np.array([0.3, -0.05]))
+    (eta,), (xi,) = chart.inverse(np.array([[0.3, -0.05]]))
     assert eta == pytest.approx(0.05, abs=1e-13)
     assert xi == pytest.approx(0.3, abs=1e-13)
 
@@ -99,13 +100,13 @@ def test_round_trip_random_points(curve, h):
     rng = np.random.default_rng(11)
     eta = rng.uniform(-h, h, 100)
     xi = rng.uniform(0, 2 * np.pi, 100)
-    pts = chart.map(eta, xi)
+    pts = chart_map(chart, eta, xi)
     eta2, xi2 = chart.inverse(pts)
     assert np.max(np.abs(eta2 - eta)) <= 1e-12
     dxi = np.abs(np.remainder(xi2 - xi + np.pi, 2 * np.pi) - np.pi)
     assert np.max(dxi) <= 1e-11
     # forward of inverse reproduces the points too
-    assert np.max(np.linalg.norm(chart.map(eta2, xi2) - pts, axis=1)) <= 1e-12
+    assert np.max(np.linalg.norm(chart_map(chart, eta2, xi2) - pts, axis=1)) <= 1e-12
 
 
 def test_newton_divergence_on_iteration_cap(monkeypatch):
@@ -113,7 +114,7 @@ def test_newton_divergence_on_iteration_cap(monkeypatch):
     monkeypatch.setattr(frenet, "_NEWTON_TOL", 1e-15)
     chart = FrenetChart(circle(1.0), h=0.3)
     with pytest.raises(NewtonDivergence):
-        chart.inverse(np.array([1.21, 0.13]))
+        chart.inverse(np.array([[1.21, 0.13]]))
 
 
 class _OffsetGuessChart(FrenetChart):
@@ -147,13 +148,35 @@ def test_inverse_bitwise_equal_to_loop_oracle(curve, offset, backtracks):
     offset_chart.offset = offset
     first_steps = []
     for chart in (plain, offset_chart):
-        pts = chart.map(eta, xi)
+        pts = chart_map(chart, eta, xi)
         for anchor in (None, 1.0):
             ref = loop_inverse(chart, pts, xi_anchor=anchor, first_step_backtracks=first_steps)
             assert _same_bits(chart.inverse(pts, xi_anchor=anchor), ref)
-        assert _same_bits(chart.inverse(pts[7]), loop_inverse(chart, pts[7]))
+        assert _same_bits(chart.inverse(pts[7:8]), loop_inverse(chart, pts[7:8]))
     assert first_steps[:2] == [0, 0]
     assert (first_steps[2] > 0) == backtracks
+
+
+class _ReversedVelocity(TrigCurve):
+    """A circle whose g' has the wrong sign: every Newton step of the chart
+    inverse points uphill, so its backtracking gives up."""
+
+    def velocity(self, xi):
+        return -super().velocity(xi)
+
+    def jet(self, xi):
+        g, v, a = super().jet(xi)
+        return g, -v, a
+
+
+def test_backtracking_give_up_matches_loop_oracle():
+    chart = FrenetChart(_ReversedVelocity(ax=[0, 0.6], bx=[0, 0], ay=[0, 0], by=[0, 0.6]), h=0.3)
+    pts = np.array([[0.7, 0.1], [0.5, -0.2], [0.0, 0.65]])
+    with pytest.raises(NewtonDivergence) as ref:
+        loop_inverse(chart, pts)
+    with pytest.raises(NewtonDivergence) as got:
+        chart.inverse(pts)
+    assert str(got.value).startswith("2 point(s)") and str(ref.value).startswith("2 point(s)")
 
 
 def test_inverse_far_outside_strip_raises_like_loop_oracle():
@@ -162,7 +185,7 @@ def test_inverse_far_outside_strip_raises_like_loop_oracle():
     chart = FrenetChart(circle(0.6), h=0.2)
     th = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
     raised = 0
-    for p in 3000.0 * np.stack([np.cos(th), np.sin(th)], axis=1):
+    for p in 3000.0 * np.stack([np.cos(th), np.sin(th)], axis=1)[:, None]:
         try:
             ref = loop_inverse(chart, p)
         except NewtonDivergence:
@@ -170,7 +193,7 @@ def test_inverse_far_outside_strip_raises_like_loop_oracle():
             with pytest.raises(NewtonDivergence):
                 chart.inverse(p)
         else:
-            assert chart.inverse(p) == ref
+            assert _same_bits(chart.inverse(p), ref)
     assert 0 < raised < len(th)
 
 
@@ -204,7 +227,7 @@ def test_fictitious_intervals_are_the_padded_loop_extremes():
     for c, xi0, xi1 in zip(corners, lo, hi):
         loop = np.vstack([[c[k], *(c[k] + t * (c[(k + 1) % 4] - c[k]) for t in ts)]
                           for k in range(4)])
-        _, xi = chart.inverse(loop, xi_anchor=chart.inverse(c[0])[1])
+        _, xi = chart.inverse(loop, xi_anchor=chart.inverse(c[:1])[1][0])
         pad = 1e-10 * max(xi.max() - xi.min(), 1e-30)
         assert (xi0, xi1) == (xi.min() - pad, xi.max() + pad)
 
@@ -242,7 +265,7 @@ def test_chord_chart_interpolates_and_inverts():
         assert np.allclose(cc.b + xi * cc.A[:, 1], chart.curve.point(np.asarray(xi)), atol=1e-14)
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(50, 2))
-    assert np.max(np.linalg.norm(cc.map(*cc.inverse(pts).T) - pts, axis=1)) <= 1e-13
+    assert np.max(np.linalg.norm(chord_map(cc, *cc.inverse(pts).T) - pts, axis=1)) <= 1e-13
 
 
 def test_transition_identity_for_line():
@@ -251,7 +274,7 @@ def test_transition_identity_for_line():
     rng = np.random.default_rng(6)
     eta = rng.uniform(-0.5, 0.5, 40)
     xi = rng.uniform(0.2, 0.8, 40)
-    T = cc.transition(eta, xi)
+    T = chord_transition(cc, eta, xi)
     assert np.max(np.abs(T - np.column_stack([eta, xi]))) <= 1e-14
     DT = cc.transition_jacobian(eta, xi)
     assert np.max(np.abs(DT - np.eye(2))) <= 1e-14
@@ -266,6 +289,6 @@ def test_transition_near_identity_scales_with_h():
         eta = np.linspace(-w / 2, w / 2, 9)
         xi = np.linspace(0.3, 0.3 + w, 9)
         E, X = np.meshgrid(eta, xi)
-        T = cc.transition(E.ravel(), X.ravel())
+        T = chord_transition(cc, E.ravel(), X.ravel())
         devs.append(np.max(np.linalg.norm(T - np.column_stack([E.ravel(), X.ravel()]), axis=1)))
     assert devs[1] <= devs[0] / 2.5

@@ -5,7 +5,7 @@ from frenet_ife import ife_space
 from frenet_ife.analysis import manufactured_circle, setup_level
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import DimensionMismatch
-from frenet_ife.frenet import FrenetChart, frenet_apparatus
+from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces, build_x0,
                                   gram_fictitious, interface_jumps, series_factors,
                                   space_diagnostics, weak_condition_residuals,
@@ -13,7 +13,7 @@ from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces, build_x0,
 from frenet_ife.laplacian import FrenetLaplacian
 from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
 
-from oracles import (LoopIfeBasis, composite_simpson, element_basis, element_rules,
+from oracles import (LoopIfeBasis, composite_simpson, element_basis, element_rules, frame_at,
                      loop_build_x0, loop_evaluate, loop_evaluate_ref, loop_gram_fictitious,
                      loop_interface_jumps, loop_project_l2, loop_space_diagnostics,
                      loop_weak_residuals)
@@ -113,10 +113,17 @@ def test_x0_line_m2_against_explicit_matrix():
             assert abs(mom) < 5e-4   # FD-limited accuracy
 
 
+def _origins(basis):
+    """"x0" or "x1" per function of a one-row basis: X0 members coincide on
+    both sides, X1 members are divided by the side's beta."""
+    plus, minus = basis.coef[1][0], basis.coef[-1][0]
+    return ["x0" if np.array_equal(p, q) else "x1" for p, q in zip(plus, minus)]
+
+
 def test_x0_circle_m2_dimension_and_residuals():
     chart = FrenetChart(circle(1.0), h=0.3)
     basis = _basis(chart, (0.0, 0.25), 2, 1.0, 7.0)
-    assert sum(1 for o in basis.origins if o == "x0") == 3
+    assert sum(1 for o in _origins(basis) if o == "x0") == 3
     # residuals evaluated with an independent, much finer line rule
     res = weak_condition_residuals(basis, line_q=20)
     assert np.max(np.abs(res)) <= 1e-10
@@ -132,7 +139,7 @@ def test_interface_basis_count_and_x1_member(m):
     assert basis.n_basis == (m + 1) ** 2
     # eta/beta is in the basis: X1 monomial (1, 0)
     idx = m + 1   # first X1 member
-    assert basis.origins[idx] == "x1"
+    assert _origins(basis)[idx] == "x1"
     jv, jf = interface_jumps(basis, np.linspace(0.3, 0.55, 9)[None])
     assert np.max(np.abs(jv)) <= 1e-13
     assert np.max(np.abs(jf)) <= 1e-12
@@ -150,7 +157,7 @@ def test_line_interface_eta_over_beta_shape():
     spaces = build_spaces(mesh, tags, chart, 1, bm, bp)
     b = spaces.bases             # one interface element: a one-row record
     idx = 2                      # first X1 member: the (1, 0) monomial
-    assert b.origins[idx] == "x1"
+    assert _origins(b)[idx] == "x1"
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(-0.4, 0.6, 40)])
     vals, grads = b.evaluate(pts)
@@ -241,7 +248,7 @@ def test_physical_conformity(circle_spaces):
         xa, xb = sorted(c.xi for c in tag.cuts)
         xs = np.linspace(xa + 1e-9, xb - 1e-9, 50)
         pts = chart.curve.point(xs)
-        n = frenet_apparatus(chart.curve, xs).n
+        _, n, _, _ = frame_at(chart.curve, xs)
         vp, gp = b.evaluate(pts, side=1)
         vm, gm = b.evaluate(pts, side=-1)
         flux_p = spaces.beta_plus * np.einsum("bpk,pk->bp", gp, n)

@@ -9,7 +9,7 @@ from frenet_ife.errors import AmbiguousCut, FrenetIfeError, TangentialIntersecti
 from frenet_ife.frenet import FrenetChart
 from frenet_ife.mesh import RectMesh, _bisect, _polish_roots, build_mesh, classify_elements
 
-from oracles import (bisect_root, loop_classify, loop_polish_root, loop_rect_mesh,
+from oracles import (bisect_root, chart_map, loop_classify, loop_polish_root, loop_rect_mesh,
                      sign_sample_interface)
 
 
@@ -154,7 +154,7 @@ def test_interval_band_and_finite_overlap(n):
         eta_s = np.linspace(-mesh.h, mesh.h, 12)
         xi_s = np.linspace(xi0, xi1, 12)
         E, X = np.meshgrid(eta_s, xi_s)
-        pts = chart.map(E.ravel(), X.ravel())
+        pts = chart_map(chart, E.ravel(), X.ravel())
         ix = np.clip(((pts[:, 0] - x0) / mesh.dx).astype(int), 0, mesh.nx - 1)
         iy = np.clip(((pts[:, 1] - y0) / mesh.dy).astype(int), 0, mesh.ny - 1)
         assert len(set(zip(ix, iy))) <= 49
@@ -164,8 +164,8 @@ def test_tangential_crossing_detected_directly():
     # interface crossing an edge at slope 1e-12: below the tangency threshold
     chart = FrenetChart(LineCurve([0.0, 0.0], [1.0, 1e-12], -5, 5), h=1.0)
     a, b = np.array([0.3, 3.5e-13]), np.array([0.7, 3.5e-13])
-    f_lo = chart.signed_distance_estimate(a)
-    f_hi = chart.signed_distance_estimate(b)
+    (f_lo,) = chart.signed_distance_estimate(a[None])
+    (f_hi,) = chart.signed_distance_estimate(b[None])
     assert f_lo * f_hi < 0
     (t,) = _bisect(chart, a[None], b[None], np.array([0.0]), np.array([1.0]), np.array([f_lo]))
     with pytest.raises(TangentialIntersection, match="^edge "):

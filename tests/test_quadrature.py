@@ -4,12 +4,12 @@ import pytest
 from frenet_ife import quadrature
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import DegeneratePartition
-from frenet_ife.frenet import FrenetChart, frenet_apparatus
+from frenet_ife.frenet import FrenetChart
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import (cut_cell_rules, cut_edge_rule, gauss_interval,
                                    gauss_rect, level_cut_cell_rules)
 
-from oracles import composite_simpson, disk_box_area, loop_cut_cell_rules
+from oracles import composite_simpson, disk_box_area, frame_at, loop_cut_cell_rules
 
 
 def test_gauss_rect_exactness():
@@ -54,7 +54,7 @@ def test_interface_line_rule_converges_on_smooth_integrand():
     curve = ellipse(1.0, 0.6)
 
     def f(xi):
-        return frenet_apparatus(curve, xi).kappa * xi**2
+        return frame_at(curve, xi)[2] * xi**2
 
     # The Simpson reference agrees with a 100-panel composite 10-point Gauss
     # sum to about 1e-16 on this ellipse; halving its panels must leave it
@@ -184,6 +184,18 @@ def test_cut_cell_tiling_on_thin_crescents():
             assert total == pytest.approx(area, abs=1e-13)
             for r in rules.values():
                 assert np.all(r.weights > -1e-15)
+
+
+def test_tangent_intersection_refuses_parallel_and_far_tangents():
+    # a crescent's kernel point is where the arc's end tangents meet; near
+    # parallel tangents, or tangents that meet more than ten spans away (an
+    # arc with an inflection), give none
+    g = np.array([[0.0, 0.0], [1.0, 0.0]])
+    meet = quadrature._tangent_intersection(g, np.array([[1.0, 0.01], [1.0, -0.01]]))
+    assert np.allclose(meet, [0.5, 0.005], atol=1e-15)
+    assert quadrature._tangent_intersection(g, np.array([[1.0, 0.0], [2.0, 0.0]])) is None
+    far = np.array([[1.0, 0.01], [1.0, 0.011]])   # the tangents meet at (11, 0.11)
+    assert quadrature._tangent_intersection(g, far) is None
 
 
 def test_whole_mesh_cut_areas_sum_to_disk(circle_setup):

@@ -413,8 +413,8 @@ def _assert_segment_sides_match_one_query_per_segment(mesh, chart, tags):
         a, b = mesh.edge_a[k], mesh.edge_b[k]
         ts = [c.t for c in tags.edge_cuts.get(k, []) if 1e-12 < c.t < 1.0 - 1e-12]
         segs = cut_edge_rule(a, b, ts, 2)
-        ref = [1 if chart.signed_distance_estimate(a + 0.5 * (s.t0 + s.t1) * (b - a)) > 0 else -1
-               for s in segs]
+        ref = [1 if chart.signed_distance_estimate(a[None] + 0.5 * (s.t0 + s.t1) * (b - a))[0] > 0
+               else -1 for s in segs]
         assert spaces.segment_sides(k) == ref, k
         split += len(segs) > 1
     assert split > 0

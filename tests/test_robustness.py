@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from frenet_ife.curves import circle, ellipse
-from frenet_ife.frenet import FrenetChart, frenet_apparatus
+from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import cut_cell_rules
 
-from oracles import element_basis
+from oracles import element_basis, frame_at
 
 
 @pytest.mark.parametrize("seed", [7, 19, 23, 101])
@@ -39,7 +39,7 @@ def test_random_interface_placements(seed):
             xa, xb = sorted(c.xi for c in t.cuts)
             xs = np.linspace(xa + 1e-9, xb - 1e-9, 10)
             pts = curve.point(xs)
-            n = frenet_apparatus(curve, xs).n
+            _, n, _, _ = frame_at(curve, xs)
             vp, gp = b.evaluate(pts, side=1)
             vm, gm = b.evaluate(pts, side=-1)
             fp = 10.0 * np.einsum("bpk,pk->bp", gp, n)

@@ -19,24 +19,8 @@ from test_bench_refs import _perfbench
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "frenet_ife"
 
-# Definitions no command runs that tests compare the live code against.
-TEST_REFERENCES = {
-    # the operator coefficients and the chart's second xi-derivative, which
-    # the coefficient jets reproduce
-    ("laplacian", "FrenetLaplacian.coefficients"),
-    ("laplacian", "FrenetLaplacian.map_second_xi_derivative"),
-    ("analysis", "case_jump_residuals"),      # the manufactured case's own jumps
-    ("frenet", "ChordChart.transition"),      # T, whose Jacobian the probes use
-}
-
 # State no command reads that tests read, to check what the commands computed.
 TEST_READ_STATE = {
-    ("assembly", "SipdgSystem.gamma"),        # the penalty bookkeeping
-    ("assembly", "SipdgSystem.penalty"),
-    ("frenet", "FrenetFrame.tau"),            # the frame the chart is built on
-    ("frenet", "FrenetFrame.kappa"),
-    ("frenet", "FrenetFrame.speed"),
-    ("ife_space", "IfeBasis.origins"),        # which functions are X0 and X1
     ("quadrature", "EdgeSegment.t0"),         # the span of an edge segment
     ("quadrature", "EdgeSegment.t1"),
 }
@@ -107,7 +91,7 @@ def test_every_definition_in_src_is_referenced_from_src():
     refs, attrs = _references()
     unused = {(mod, name) for (mod, name), method in _definitions().items()
               if name.rsplit(".", 1)[-1] not in (attrs if method else refs)}
-    assert sorted(unused - _traced() - TEST_REFERENCES) == []
+    assert sorted(unused - _traced()) == []
 
 
 def test_all_state_in_src_is_read_from_src():
@@ -118,7 +102,5 @@ def test_all_state_in_src_is_read_from_src():
 
 def test_allow_lists_name_live_definitions():
     # a stale exception would hide the next dead definition of that name
-    defined = set(_definitions())
-    assert TEST_REFERENCES <= defined
-    assert _traced() <= defined
+    assert _traced() <= set(_definitions())
     assert TEST_READ_STATE <= _state()

@@ -1,5 +1,6 @@
-"""SHA-256 digests of every CLI output of the benchmark workloads, and of
-the cut-cell rules of the quadrature tests' placements.
+"""SHA-256 digests of every CLI output of the benchmark workloads, of the
+cut-cell rules of the quadrature tests' placements, and of the curve frame
+on the interface tests' curves.
 
     python3 tools/digest_outputs.py SRC [--seeds 0 3 7] [--work DIR]
 
@@ -15,15 +16,22 @@ checkout, or of a second checkout to compare against) and runs, through
 - ``quadrature.level_cut_cell_rules`` on every placement of
   ``_RULE_CASES`` in ``tests/test_quadrature.py`` at q = 3..6.  These
   placements reach every path of the cut-cell kernel (vertex anchors and
-  region splits included), which no workload does.
+  region splits included), which no workload does;
+- on each curve of ``_LEVEL_CURVES`` in ``tests/test_ife_space.py``, the
+  curve's ``max_curvature`` and, at fixed parameters, ``FrenetChart.jacobian``
+  and ``FrenetLaplacian.coefficient_jets`` to order 2.  These read the
+  Frenet frame on every curve kind; the workloads read the jets only on
+  the circle.
 
 Prints one line ``<sha256>  <run>/<file>`` per output file, and one per
 command's exit code and standard output; ``resolved_config.json`` is left
 out, since it records the output directory.  Each cut-cell line
 ``<sha256>  rules-<placement>-q<q>`` digests the bytes of each rule's
-points and then its weights, element by element, side by side.  Two trees
-whose printouts are equal wrote byte-identical outputs and rules.  The
-outputs go to a temporary directory, or to ``--work`` when given (kept).
+points and then its weights, element by element, side by side; each line
+``<sha256>  frame-<curve>`` digests the maximum curvature, the Jacobians
+and the three jets, in that order.  Two trees whose printouts are equal
+wrote byte-identical outputs, rules and frames.  The outputs go to a
+temporary directory, or to ``--work`` when given (kept).
 """
 
 from __future__ import annotations
@@ -85,6 +93,26 @@ def rule_digests() -> list[str]:
     return lines
 
 
+def frame_digests() -> list[str]:
+    """One line per _LEVEL_CURVES curve of its frame-derived quantities."""
+    import numpy as np
+    from frenet_ife.frenet import FrenetChart
+    from frenet_ife.laplacian import FrenetLaplacian
+    from frenet_ife.mesh import build_mesh
+    from test_ife_space import _LEVEL_CURVES
+
+    xi = np.linspace(-1.0, 7.0, 257)
+    lines = []
+    for name, (curve, box, n) in _LEVEL_CURVES.items():
+        chart = FrenetChart(curve, h=build_mesh(box, n).h)
+        sha = hashlib.sha256(np.float64(curve.max_curvature).tobytes())
+        sha.update(chart.jacobian(np.linspace(-chart.h, chart.h, len(xi)), xi).tobytes())
+        for jet in FrenetLaplacian(chart).coefficient_jets(xi, 2):
+            sha.update(jet.tobytes())
+        lines.append(f"{sha.hexdigest()}  frame-{name.replace(' ', '-')}")
+    return lines
+
+
 def digest(src: Path, seeds, work: Path) -> list[str]:
     sys.path[:0] = [str(src.resolve()), str(PERFBENCH), str(TESTS)]
     import workloads
@@ -100,7 +128,7 @@ def digest(src: Path, seeds, work: Path) -> list[str]:
         for path in sorted(out.iterdir()):
             if path.name != "resolved_config.json":
                 lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
-    return lines + rule_digests()
+    return lines + rule_digests() + frame_digests()
 
 
 def main(argv=None) -> int:
