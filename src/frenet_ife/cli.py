@@ -2,8 +2,9 @@
 
 Every command reads one JSON config (plus flag overrides), writes the
 resolved configuration next to its outputs, and emits plot-ready CSV/JSON.
-Exit codes: 0 success, 2 configuration error, 1 runtime failure (with a
-machine-readable error.json in the output directory when possible).
+Exit codes: 0 success, 2 configuration error (an output directory that
+cannot be made included), 1 runtime failure (with a machine-readable
+error.json in the output directory when possible).
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ def _min_cut_fraction(spaces) -> float:
                 for _, _, _, w, *_ in spaces.interface_stacks(True)), default=1.0)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
+def cmd_solve(cfg: RunConfig, out: Path) -> int:
     case = cfg.manufactured_case()
     n = cfg.mesh_sizes[0]
     spaces = setup_level(case, cfg.domain, n, cfg.degree, cfg.quad)
@@ -106,8 +106,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
+def cmd_convergence(cfg: RunConfig, out: Path) -> int:
     case = cfg.manufactured_case()
     report = convergence_study(case, cfg.degree, cfg.mesh_sizes, cfg.domain,
                                cfg.sigma0, cfg.quad)
@@ -122,8 +121,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_probe_geometry(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
+def cmd_probe_geometry(cfg: RunConfig, out: Path) -> int:
     probes = geometry_probes(cfg.curve(), cfg.mesh_sizes, cfg.domain)
     (out / "geometry_probes.json").write_text(
         json.dumps(probes, indent=2, sort_keys=True))
@@ -132,8 +130,7 @@ def cmd_probe_geometry(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_probe_trace(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
+def cmd_probe_trace(cfg: RunConfig, out: Path) -> int:
     case = cfg.manufactured_case()
     probes = trace_probe_study(case, cfg.degree, cfg.mesh_sizes, cfg.domain, cfg.quad)
     (out / "trace_probes.json").write_text(
@@ -142,8 +139,7 @@ def cmd_probe_trace(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_probe_coercivity(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
+def cmd_probe_coercivity(cfg: RunConfig, out: Path) -> int:
     case = cfg.manufactured_case()
     probes = coercivity_probe(case, cfg.degree, cfg.mesh_sizes[0], cfg.domain,
                               cfg.sigma0, cfg.quad)
@@ -185,17 +181,16 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         cfg.dump_system = args.dump_system
         (cfg.validate_run if args.command == "probe-geometry" else cfg.validate)()
+        out = _prepare_out(cfg)
     except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](cfg, out)
     except FrenetIfeError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         try:
-            out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             (out / "error.json").write_text(json.dumps(payload, indent=2))
         except OSError:
             pass

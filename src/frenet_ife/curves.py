@@ -8,11 +8,15 @@ coefficient tables of the same form.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateParametrization
 
 _SPEED_TOL = 1e-12
+_SEED_POINTS = 4096   # points of a curve's seed polyline
 
 # Rotation taking the unit tangent to the unit normal (tau rotated by -90 deg),
 # so the normal points from the minus side toward the plus side.
@@ -29,6 +33,17 @@ def frenet_frame(v, a):
     tau = v / s[..., None]
     kappa = (v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]) / s**3
     return tau, tau @ ROT.T, kappa, s
+
+
+class SeedPolyline(NamedTuple):
+    """Dense samples of a curve, evenly spaced in the parameter."""
+
+    xi: np.ndarray        # (m,) parameters
+    points: np.ndarray    # (m, 2) curve points g(xi)
+    normals: np.ndarray   # (m, 2) unit normals there
+    tree: cKDTree         # nearest-point tree of `points`
+    max_gap: float        # largest distance between consecutive points, the
+                          # closing pair of a closed curve included
 
 
 class InterfaceCurve:
@@ -52,6 +67,7 @@ class InterfaceCurve:
         self.xi_end = float(xi_end)
         self.periodic = bool(periodic)
         self._max_curvature = None
+        self._seed_polyline = None
 
     # -- derivatives, implemented by subclasses ---------------------------
     def point(self, xi):
@@ -83,6 +99,19 @@ class InterfaceCurve:
             _, _, kappa, _ = frenet_frame(self.velocity(xi), self.accel(xi))
             self._max_curvature = float(np.max(np.abs(kappa)))
         return self._max_curvature
+
+    @property
+    def seed_polyline(self) -> SeedPolyline:
+        """The curve's seed polyline, built once: the sign field of element
+        classification and the Newton seeds of every chart on this curve."""
+        if self._seed_polyline is None:
+            xi = np.linspace(self.xi_start, self.xi_end, _SEED_POINTS, endpoint=not self.periodic)
+            pts = self.point(xi)
+            _, normals, _, _ = frenet_frame(self.velocity(xi), self.accel(xi))
+            chain = np.vstack([pts, pts[:1]]) if self.periodic else pts
+            gap = float(np.max(np.linalg.norm(np.diff(chain, axis=0), axis=1)))
+            self._seed_polyline = SeedPolyline(xi, pts, normals, cKDTree(pts), gap)
+        return self._seed_polyline
 
 
 class TrigCurve(InterfaceCurve):

@@ -10,7 +10,6 @@ chord charts used to probe how far P is from its linearization.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curves import ROT, InterfaceCurve, frenet_frame
 from .errors import DegenerateChord, NewtonDivergence, OutsideValidityStrip
@@ -50,10 +49,6 @@ class FrenetChart:
                 f"h*max_curvature = {h * kmax:.3f} >= 1: strip not invertible")
         self.curve = curve
         self.h = float(h)
-        self._seed_tree = None
-        self._seed_xi = None
-        self._seed_pts = None
-        self._seed_normals = None
 
     # -- Jacobian of the forward map P ------------------------------------
     def jacobian(self, eta, xi):
@@ -65,19 +60,6 @@ class FrenetChart:
         return np.stack([n, (1.0 + eta * kappa)[..., None] * v], axis=-1)
 
     # -- polyline seed data --------------------------------------------------
-    def _seeds(self):
-        if self._seed_tree is None:
-            c = self.curve
-            m = 4096
-            xi = np.linspace(c.xi_start, c.xi_end, m, endpoint=not c.periodic)
-            pts = c.point(xi)
-            _, normals, _, _ = frenet_frame(c.velocity(xi), c.accel(xi))
-            self._seed_xi = xi
-            self._seed_pts = pts
-            self._seed_normals = normals
-            self._seed_tree = cKDTree(pts)
-        return self._seed_tree, self._seed_xi, self._seed_pts, self._seed_normals
-
     def signed_distance_estimate(self, points):
         """Polyline-based signed normal offset; sign-exact near the curve.
 
@@ -85,19 +67,21 @@ class FrenetChart:
         is singular), which is what element classification needs.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tree, _, curve_pts, normals = self._seeds()
+        seeds = self.curve.seed_polyline
         eta = np.empty(len(pts))
         for s in range(0, len(pts), _BLOCK):
             block = pts[s:s + _BLOCK]
-            _, idx = tree.query(block)
-            eta[s:s + _BLOCK] = np.einsum("ij,ij->i", block - curve_pts[idx], normals[idx])
+            _, idx = seeds.tree.query(block)
+            eta[s:s + _BLOCK] = np.einsum("ij,ij->i", block - seeds.points[idx],
+                                          seeds.normals[idx])
         return eta
 
     def nearest_parameter_estimate(self, points):
         """Chord-projection foot on the seed polyline (Newton initial guess)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tree, xi, curve_pts, _ = self._seeds()
-        _, idx = tree.query(pts)
+        seeds = self.curve.seed_polyline
+        xi, curve_pts = seeds.xi, seeds.points
+        _, idx = seeds.tree.query(pts)
         nseed = len(xi)
         c = self.curve
         if c.periodic:

@@ -47,6 +47,9 @@ class RectMesh:
         j, i = np.where(vert, np.divmod(k, nx + 1), np.divmod(k - nv, nx))
         self.edge_a = np.column_stack([x0 + i * self.dx, y0 + j * self.dy])
         self.edge_b = np.column_stack([x0 + (i + ~vert) * self.dx, y0 + (j + vert) * self.dy])
+        # the grid vertices at a and b, numbered ix*(ny + 1) + iy
+        self.edge_vertices = np.column_stack([i * (ny + 1) + j,
+                                              (i + ~vert) * (ny + 1) + j + vert])
         # the grid line each edge lies on, of 0..count; lines 0 and count are the boundary
         p, count = np.where(vert, i, j), np.where(vert, nx, ny)
         self.edge_normal = np.where(np.column_stack([vert, ~vert]),
@@ -220,14 +223,57 @@ def _projected_cut(mesh: RectMesh, e: int, chart: FrenetChart, p, tol):
     return None
 
 
+def _one_sided(mesh: RectMesh, chart: FrenetChart, eta_grid, k, zero_tol):
+    """Which of the edges k (an id array) keep one sign beyond zero_tol at
+    every point, shown from the offsets at their ends alone.
+
+    An edge a->b of length L passes when eta(a) and eta(b) have the same
+    strict sign beyond zero_tol and |eta(a)| + |eta(b)| > L + 2*delta, with
+    delta = 2*G + zero_tol and G the largest gap between consecutive seeds of
+    the polyline.  Why that is enough:
+
+    - eta(x) is the offset of x along the unit normal of its nearest seed, so
+      |eta(x)| <= D(x), the distance from x to the nearest seed, and D is
+      1-Lipschitz.  A point of the edge at distance s from a therefore has
+      D >= max(|eta(a)| - s, |eta(b)| - (L - s)) >= (|eta(a)| + |eta(b)| - L)/2,
+      which is more than delta.
+    - Every curve point lies within G of a seed, so no curve point lies within
+      D - G > G + zero_tol of such a point: the edge does not meet the curve
+      and lies on one side of it.
+    - The seeds on either side of the nearest seed p lie within G of p and
+      are no nearer to x; so x - p has a component of at most about
+      (1 + D*kappa)*G/2 along the tangent at p, and leaves p close to
+      +-n(p).  Within G of p the curve stays close to its tangent line, and
+      farther from p the segment from p to x lies within D - G of x, where
+      there is no curve point; so the segment meets the curve only at p.
+      For a closed curve that the polyline resolves (kappa*G small, no two
+      arcs within a few G of each other) eta(x) then has the sign of x's
+      side, and |eta(x)| is close to D, far above zero_tol.
+
+    So every sample of the edge lies beyond zero_tol with the sign of its
+    ends.  An open curve has no sides: past its end the nearest seed is the
+    last one, and eta changes sign across the tangent line extended beyond
+    it, where there is no curve.  So no edge passes for an open curve.
+    """
+    if not chart.curve.periodic:
+        return np.zeros(len(k), dtype=bool)
+    delta = 2.0 * chart.curve.seed_polyline.max_gap + zero_tol
+    ends = eta_grid.ravel()[mesh.edge_vertices[k]]
+    same = np.all(ends > zero_tol, axis=1) | np.all(ends < -zero_tol, axis=1)
+    return same & (np.abs(ends).sum(axis=1) > mesh.edge_length[k] + 2.0 * delta)
+
+
 def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     """Tag every element as plain or interface and locate all edge crossings.
 
     Works in level-wide phases, each one chart call for the whole mesh: the
-    corner offsets, the samples of every edge of an element not rejected
-    outright, the bisection steps and the Newton polish of all sign
-    brackets, and the fictitious intervals of all interface elements.  Only
-    the candidates that see both strict signs are checked one by one.
+    corner offsets, the samples of the candidate edges whose sign can change
+    along them, the bisection steps and the Newton polish of all sign
+    brackets, and the fictitious intervals of all interface elements.  A
+    candidate edge is an edge of an element not rejected outright by its
+    corners; one that `_one_sided` shows keeps its ends' sign is not sampled,
+    and stands for 33 samples of that sign.  Only the candidates that see
+    both strict signs are checked one by one.
 
     Raises TangentialIntersection for grazing cuts and AmbiguousCut when an
     element sees more than two crossings (interface under-resolved).
@@ -249,15 +295,20 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     tags = np.where(eta_c[:, 0] > 0, 1, -1)
     candidates = np.flatnonzero(~(np.min(np.abs(eta_c), axis=1) > 1.000001 * mesh.h))
 
-    # offsets at the samples of every candidate edge, one row per edge
+    # offsets at the samples of every candidate edge, one row per edge; the
+    # row of a one-sided edge holds its offset at a, which has the sign of
+    # all its samples
     edges = list(dict.fromkeys(mesh.elem_edges[candidates].ravel().tolist()))
+    ids = np.array(edges, dtype=int)
     row = np.zeros(mesh.n_edges, dtype=int)
-    row[edges] = np.arange(len(edges))
+    row[ids] = np.arange(len(ids))
     ts = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
-    a, b = mesh.edge_a[edges], mesh.edge_b[edges]
-    f = chart.signed_distance_estimate(
-        (a[:, None, :] + ts[:, None] * (b - a)[:, None, :]).reshape(-1, 2)
-    ).reshape(len(edges), _EDGE_SAMPLES)
+    a, b = mesh.edge_a[ids], mesh.edge_b[ids]
+    f = np.repeat(eta_grid.ravel()[mesh.edge_vertices[ids, 0]][:, None], _EDGE_SAMPLES, axis=1)
+    sampled = np.flatnonzero(~_one_sided(mesh, chart, eta_grid, ids, zero_tol))
+    f[sampled] = chart.signed_distance_estimate(
+        (a[sampled, None, :] + ts[:, None] * (b - a)[sampled, None, :]).reshape(-1, 2)
+    ).reshape(len(sampled), _EDGE_SAMPLES)
 
     # brackets between consecutive strict-sign samples (skip near-zeros), on
     # the edges that see both strict signs
@@ -268,7 +319,7 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     r, i1, i2 = r[br], i[br], i[br + 1]
     t_mid = _bisect(chart, a[r], b[r], ts[i1], ts[i2], f[r, i1])
     edge_cuts: dict[int, list[EdgeCut]] = {k: [] for k in edges}
-    for j, t, xi, p in zip(r, *_polish_roots(chart, a[r], b[r], t_mid, np.array(edges)[r])):
+    for j, t, xi, p in zip(r, *_polish_roots(chart, a[r], b[r], t_mid, ids[r])):
         found = edge_cuts[edges[j]]
         if not any(abs(t - c.t) < 1e-9 for c in found):
             found.append(EdgeCut(edge=edges[j], t=float(t), xi=float(xi), point=p))

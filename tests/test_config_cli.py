@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -288,15 +289,27 @@ def test_cli_probe_trace_without_interface_elements_writes_error(tmp_path):
 
 
 def test_runtime_error_with_an_unwritable_output_still_exits_1(tmp_path, capsys, monkeypatch):
-    # error.json goes into the output directory; when that cannot be made
-    # the error is still reported on stderr and the exit code is 1
-    def fail(cfg):
+    # error.json goes into the output directory; when it cannot be written
+    # there the error is still reported on stderr and the exit code is 1
+    def fail(cfg, out):
+        shutil.rmtree(out)
+        out.write_text("")        # a file where the output directory was
         raise FrenetIfeError("the run failed")
 
     monkeypatch.setitem(COMMANDS, "solve", fail)
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    assert main(["solve", "--mesh", "8", "--out", str(blocker / "o")]) == 1
+    out = tmp_path / "o"
+    assert main(["solve", "--mesh", "8", "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "FrenetIfeError",
                                                    "message": "the run failed"}
-    assert not (blocker / "o").exists()
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "probe-geometry"])
+def test_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, capsys, command):
+    # a regular file stands where a parent of the output directory should be
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([command, "--mesh", "8", "--out", str(blocker / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and str(blocker) in error["message"]
+    assert blocker.read_text() == ""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frenet_ife import frenet
+from frenet_ife import curves, frenet
 from frenet_ife.curves import LineCurve, TrigCurve, circle, ellipse, flower
 from frenet_ife.errors import NewtonDivergence, OutsideValidityStrip
 from frenet_ife.frenet import ChordChart, FrenetChart
@@ -292,3 +292,23 @@ def test_transition_near_identity_scales_with_h():
         T = chord_transition(cc, E.ravel(), X.ravel())
         devs.append(np.max(np.linalg.norm(T - np.column_stack([E.ravel(), X.ravel()]), axis=1)))
     assert devs[1] <= devs[0] / 2.5
+
+
+def test_charts_on_one_curve_share_its_seed_polyline(monkeypatch):
+    # the polyline depends on the curve alone, so the charts of every level
+    # query one tree
+    builds = []
+
+    def tree(points, _orig=curves.cKDTree):
+        builds.append(len(points))
+        return _orig(points)
+
+    monkeypatch.setattr(curves, "cKDTree", tree)
+    curve = ellipse(0.7, 0.5)
+    coarse, fine = FrenetChart(curve, h=0.2), FrenetChart(curve, h=0.05)
+    pts = np.array([[0.71, 0.02], [-0.1, 0.48], [0.3, -0.3]])
+    eta = coarse.signed_distance_estimate(pts)
+    assert fine.signed_distance_estimate(pts).tobytes() == eta.tobytes()
+    assert fine.nearest_parameter_estimate(pts).tobytes() == \
+        coarse.nearest_parameter_estimate(pts).tobytes()
+    assert builds == [4096]

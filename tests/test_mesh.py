@@ -7,7 +7,8 @@ from frenet_ife import mesh as mesh_module
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import AmbiguousCut, FrenetIfeError, TangentialIntersection
 from frenet_ife.frenet import FrenetChart
-from frenet_ife.mesh import RectMesh, _bisect, _polish_roots, build_mesh, classify_elements
+from frenet_ife.mesh import (_EDGE_SAMPLES, RectMesh, _bisect, _polish_roots, build_mesh,
+                             classify_elements)
 
 from oracles import (bisect_root, chart_map, loop_classify, loop_polish_root, loop_rect_mesh,
                      sign_sample_interface)
@@ -266,11 +267,10 @@ def test_classification_bitwise_equal_to_loop_oracle(name, n):
     _assert_same_classification(classify_elements(mesh, chart), ref)
 
 
-@pytest.mark.parametrize("seed", [3, 11, 29])
-def test_classification_random_placements_bitwise_equal_to_loop_oracle(seed):
-    # an under-resolved placement must raise the oracle's error instead
+def _random_placements(seed):
+    """(mesh, chart) of nine seeded circles and ellipses near the origin, at
+    n = 8, 16 and 32."""
     rng = np.random.default_rng(seed)
-    classified = 0
     for n in (8, 16, 32):
         for _ in range(3):
             center = rng.uniform(-0.15, 0.15, 2)
@@ -279,15 +279,22 @@ def test_classification_random_placements_bitwise_equal_to_loop_oracle(seed):
             else:
                 curve = ellipse(rng.uniform(0.5, 0.75), rng.uniform(0.35, 0.55), center)
             mesh = build_mesh((-1, 1, -1, 1), n)
-            chart = FrenetChart(curve, h=min(mesh.h, 0.9 / curve.max_curvature))
-            try:
-                ref = loop_classify(mesh, chart)
-            except FrenetIfeError as exc:
-                with pytest.raises(type(exc)):
-                    classify_elements(mesh, chart)
-                continue
-            _assert_same_classification(classify_elements(mesh, chart), ref)
-            classified += 1
+            yield mesh, FrenetChart(curve, h=min(mesh.h, 0.9 / curve.max_curvature))
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_classification_random_placements_bitwise_equal_to_loop_oracle(seed):
+    # an under-resolved placement must raise the oracle's error instead
+    classified = 0
+    for mesh, chart in _random_placements(seed):
+        try:
+            ref = loop_classify(mesh, chart)
+        except FrenetIfeError as exc:
+            with pytest.raises(type(exc)):
+                classify_elements(mesh, chart)
+            continue
+        _assert_same_classification(classify_elements(mesh, chart), ref)
+        classified += 1
     assert classified >= 6
 
 
@@ -355,3 +362,86 @@ def test_classification_chart_calls_do_not_grow_with_the_mesh(monkeypatch):
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
     assert counts[0].count("nearest_parameter_estimate") == 1
+
+
+def _classify_recording(monkeypatch, mesh, chart):
+    """Classify; return the edge ids classify_elements asks `_one_sided`
+    about, its answer, and the number of points of each of the chart's
+    `signed_distance_estimate` calls.  An error of the classification after
+    the test ran is ignored."""
+    seen, sizes = [], []
+
+    def one_sided(*args, _orig=mesh_module._one_sided):
+        seen.append((args[3], _orig(*args)))
+        return seen[-1][1]
+
+    def counted(self, points, _orig=FrenetChart.signed_distance_estimate):
+        sizes.append(len(points))
+        return _orig(self, points)
+
+    monkeypatch.setattr(mesh_module, "_one_sided", one_sided)
+    monkeypatch.setattr(FrenetChart, "signed_distance_estimate", counted)
+    try:
+        classify_elements(mesh, chart)
+    except FrenetIfeError:
+        pass
+    monkeypatch.undo()
+    ((ids, skip),) = seen
+    return ids, skip, sizes
+
+
+def _assert_skipped_edges_keep_their_sign(monkeypatch, mesh, chart):
+    """Every sample of every edge the classifier skips lies beyond zero_tol
+    with the sign of the edge's ends.  Returns (skipped, candidate edges)."""
+    ids, skip, _ = _classify_recording(monkeypatch, mesh, chart)
+    zero_tol = 1e-10 * mesh.h
+    a, b = mesh.edge_a[ids[skip]], mesh.edge_b[ids[skip]]
+    ts = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
+    ends = chart.signed_distance_estimate(np.vstack([a, b])).reshape(2, -1)
+    samples = chart.signed_distance_estimate(
+        (a[:, None, :] + ts[:, None] * (b - a)[:, None, :]).reshape(-1, 2)
+    ).reshape(-1, _EDGE_SAMPLES)
+    assert np.all(np.sign(ends[0]) == np.sign(ends[1]))
+    assert np.all(samples * np.sign(ends[0])[:, None] > zero_tol)
+    return int(skip.sum()), len(ids)
+
+
+CLOSED_CURVES = {name: curve for name, curve in ORACLE_CURVES.items() if curve.periodic}
+CLOSED_CURVES["shallow flower"] = flower(0.5, 0.02, 5)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_CURVES))
+def test_skipped_edges_keep_their_sign_on_closed_curves(name, monkeypatch):
+    curve = CLOSED_CURVES[name]
+    skipped = candidates = 0
+    for n in (8, 16, 32, 64, 128):
+        mesh = build_mesh((-1, 1, -1, 1), n)
+        chart = FrenetChart(curve, h=min(mesh.h, 0.5 / curve.max_curvature))
+        s, c = _assert_skipped_edges_keep_their_sign(monkeypatch, mesh, chart)
+        skipped, candidates = skipped + s, candidates + c
+    assert skipped > 0.5 * candidates
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_skipped_edges_keep_their_sign_on_random_placements(seed, monkeypatch):
+    for mesh, chart in _random_placements(seed):
+        _assert_skipped_edges_keep_their_sign(monkeypatch, mesh, chart)
+
+
+def test_no_edge_is_skipped_for_an_open_curve(monkeypatch):
+    # the line ends at (0.5, 0.098), inside the box; an open curve has no
+    # sides, so every candidate edge is sampled
+    curve = LineCurve([0.1, -0.05], [1.0, 0.37], -4.0, 0.4)
+    for n in (8, 32):
+        mesh = build_mesh((-1, 1, -1, 1), n)
+        ids, skip, sizes = _classify_recording(monkeypatch, mesh, FrenetChart(curve, h=mesh.h))
+        assert len(ids) > 0 and not np.any(skip)
+        assert sizes[1] == _EDGE_SAMPLES * len(ids)
+
+
+def test_classifier_samples_at_most_two_fifths_of_the_candidate_edges(monkeypatch):
+    # the second polyline query of the classifier holds the edge samples
+    mesh = build_mesh((-1, 1, -1, 1), 64)
+    ids, skip, sizes = _classify_recording(monkeypatch, mesh, FrenetChart(circle(0.6), h=mesh.h))
+    assert sizes[1] == _EDGE_SAMPLES * int(np.sum(~skip))
+    assert sizes[1] <= 0.4 * _EDGE_SAMPLES * len(ids)

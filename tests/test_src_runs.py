@@ -116,8 +116,8 @@ ALLOWED = {
         1, "a repeated element",
         ["test_quadrature_table.py::test_trace_constant_refuses_repeated_elements"]),
     ("cli", "main"): (
-        1, "an error.json that cannot be written; every command makes its "
-        "output directory before it can fail",
+        1, "an error.json that cannot be written; the config phase makes the "
+        "output directory before a command can fail",
         ["test_config_cli.py::test_runtime_error_with_an_unwritable_output_still_exits_1"]),
 }
 

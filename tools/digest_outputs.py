@@ -1,6 +1,6 @@
 """SHA-256 digests of every CLI output of the benchmark workloads, of the
-cut-cell rules of the quadrature tests' placements, and of the curve frame
-on the interface tests' curves.
+classification and the cut-cell rules of the quadrature tests' placements,
+and of the curve frame on the interface tests' curves.
 
     python3 tools/digest_outputs.py SRC [--seeds 0 3 7] [--work DIR]
 
@@ -13,10 +13,12 @@ checkout, or of a second checkout to compare against) and runs, through
   ``--dump-system``);
 - ``probe-geometry`` on the default circle (n = 8..128) and on
   ellipse(0.7, 0.5) (n = 16..128);
-- ``quadrature.level_cut_cell_rules`` on every placement of
-  ``_RULE_CASES`` in ``tests/test_quadrature.py`` at q = 3..6.  These
-  placements reach every path of the cut-cell kernel (vertex anchors and
-  region splits included), which no workload does;
+- ``mesh.classify_elements`` on every placement of ``_RULE_CASES`` in
+  ``tests/test_quadrature.py``, and ``quadrature.level_cut_cell_rules`` on
+  its interface elements at q = 3..6.  These placements reach every path of
+  the cut-cell kernel (vertex anchors and region splits included), which no
+  workload does, and curves that no workload classifies (an ellipse, two
+  flowers and an open line);
 - on each curve of ``_LEVEL_CURVES`` in ``tests/test_ife_space.py``, the
   curve's ``max_curvature`` and, at fixed parameters, ``FrenetChart.jacobian``
   and ``FrenetLaplacian.coefficient_jets`` to order 2.  These read the
@@ -71,8 +73,19 @@ def runs(workloads, seeds, work: Path):
         yield name, ["probe-geometry", "--config", str(cfg)], out
 
 
+def _cuts_bytes(sha, cuts):
+    import numpy as np
+
+    for c in cuts:
+        sha.update(np.array([c.edge]).tobytes())
+        sha.update(np.array([c.t, c.xi]).tobytes())
+        sha.update(np.asarray(c.point).tobytes())
+
+
 def rule_digests() -> list[str]:
-    """One line per (_RULE_CASES placement, q) of the cut-cell rules."""
+    """Per _RULE_CASES placement, one line of its classification and one
+    per q of its cut-cell rules."""
+    import numpy as np
     from frenet_ife.frenet import FrenetChart
     from frenet_ife.mesh import build_mesh, classify_elements
     from frenet_ife.quadrature import level_cut_cell_rules
@@ -82,7 +95,17 @@ def rule_digests() -> list[str]:
     for name, (curve, box, n, h) in _RULE_CASES.items():
         mesh = build_mesh(box, n)
         chart = FrenetChart(curve, h=h or mesh.h)
-        level = dict(classify_elements(mesh, chart).interface)
+        tags = classify_elements(mesh, chart)
+        sha = hashlib.sha256(tags.tags.tobytes())
+        for e, tag in tags.interface.items():
+            sha.update(np.array([e]).tobytes())
+            sha.update(np.array(tag.interval).tobytes())
+            _cuts_bytes(sha, tag.cuts)
+        sha.update(np.array(list(tags.edge_cuts), dtype=int).tobytes())
+        for cuts in tags.edge_cuts.values():
+            _cuts_bytes(sha, cuts)
+        lines.append(f"{sha.hexdigest()}  tags-{name}")
+        level = dict(tags.interface)
         for q in (3, 4, 5, 6):
             sha = hashlib.sha256()
             for pieces in level_cut_cell_rules(mesh, level, chart, q).values():
