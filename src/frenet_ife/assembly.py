@@ -150,6 +150,16 @@ def solve(system: SipdgSystem) -> np.ndarray:
     return c
 
 
+def _largest_eigenvalue(b, a) -> float:
+    """scipy.linalg.eigh(b, a, eigvals_only=True)[-1] bit for bit: its LAPACK
+    driver (dsygvd for float64) and arguments, without eigh's per-call
+    driver lookup and checks; a failure of the driver raises LinAlgError."""
+    w, _, info = scipy.linalg.lapack.dsygvd(b, a, itype=1, jobz="N", uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"generalized eigensolve failed: LAPACK sygvd info = {info}")
+    return w[-1]
+
+
 def trace_constant(spaces: SpaceSet, elems) -> np.ndarray:
     """Normalized trace constants of distinct elements elems, (K,), in one pass.
 
@@ -182,7 +192,7 @@ def trace_constant(spaces: SpaceSet, elems) -> np.ndarray:
     if len(bad):
         raise SingularGram(f"element {elems[bad[0]]}: stiffness has no non-constant block")
     # the deflated problems differ in size: one generalized eigensolve each
-    lam_max = [scipy.linalg.eigh(W.T @ b @ W, W.T @ a @ W, eigvals_only=True)[-1]
+    lam_max = [_largest_eigenvalue(W.T @ b @ W, W.T @ a @ W)
                for a, b, W in zip(A, B, (v[:, k] for v, k in zip(vecs, keep)))]
     return (np.sqrt(np.array(lam_max) * spaces.mesh.h) * np.sqrt(spaces.beta_minus)
             / spaces.beta_plus)

@@ -26,7 +26,8 @@ class TangentialIntersection(FrenetIfeError):
 
 
 class AmbiguousCut(FrenetIfeError):
-    """More than two interface crossings on one element; mesh too coarse."""
+    """An element does not see two interface crossings: the mesh is too
+    coarse there, or the interface passes through a mesh vertex."""
 
 
 class DegeneratePartition(FrenetIfeError):

@@ -221,12 +221,18 @@ class FrenetChart:
         return lo - pad, hi + pad
 
 
-def _norms(v):
-    """np.linalg.norm of each 2-vector of v (..., 2) on its own: a lone
-    2-vector's norm goes through BLAS dot and rounds differently from a
-    row-wise norm."""
-    v = np.asarray(v)
-    return np.array([np.linalg.norm(row) for row in v.reshape(-1, 2)]).reshape(v.shape[:-1])
+def _bdot(a, b):
+    """np.dot of each pair of 2-vectors of a and b (..., 2) on its own: one
+    BLAS dot per row, which may fuse a multiply into the add, so a sum of
+    products rounds differently.  On C-contiguous rows np.vecdot calls that
+    dot per row; on other strides it may sum the products itself."""
+    return np.vecdot(np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
+def _bnorm(v):
+    """np.linalg.norm of each 2-vector of v (..., 2) on its own: the root of
+    its BLAS dot, which a row-wise norm (a sum of squares) can miss."""
+    return np.sqrt(_bdot(v, v))
 
 
 class ChordChart:
@@ -246,10 +252,10 @@ class ChordChart:
             raise ValueError("need xi1 > xi0")
         self.chart = chart
         g0, g1 = chart.curve.point(xi0), chart.curve.point(xi1)
-        if np.any(_norms(g1 - g0) < 1e-12):
+        if np.any(_bnorm(g1 - g0) < 1e-12):
             raise DegenerateChord("||g(xi1) - g(xi0)|| < 1e-12")
         d = (g1 - g0) / (xi1 - xi0)[..., None]
-        n = (d / _norms(d)[..., None]) @ ROT.T
+        n = (d / _bnorm(d)[..., None]) @ ROT.T
         # P_chord(eta, xi) = A (eta, xi)^T + b
         self.A = np.stack([n, d], axis=-1)
         self.b = g0 - xi0[..., None] * d

@@ -437,9 +437,9 @@ class SpaceSet:
         (G, nl, P, 2), pos (G,))].  keys is the piece index (0: the plus
         piece, 1: the minus one) or the segment-table row, pos numbers the
         pieces or rows in element order.  Built on the first read and kept:
-        one chart inverse at all their points, each anchored at its
-        interval midpoint, one chart Jacobian and one stacked evaluation
-        per size."""
+        one chart inverse at all their points (for the pieces, the one of
+        level_cut_cell_rules), each anchored at its interval midpoint, one
+        chart Jacobian and one stacked evaluation per size."""
         def build():
             elems = np.array(self.tags.interface_elements, dtype=int)
             if not len(elems):
@@ -449,14 +449,17 @@ class SpaceSet:
                 rules = [rules[e][side] for e in elems for side in (1, -1)]
                 at, keys = np.repeat(np.arange(len(elems)), 2), np.tile([0, 1], len(elems))
                 sides = np.tile([1, -1], len(elems))
-                pts, w = [r.points for r in rules], [r.weights for r in rules]
+                pts, w, eta, xi = zip(*((r.points, r.weights, r.eta, r.xi) for r in rules))
             else:
                 _, _, labels, seg_pts, seg_w = self._segments()
                 at, keys = self._face_rows(elems)
                 sides, pts, w = labels[keys], seg_pts[keys], seg_w[keys]
             sizes = np.array([len(p) for p in pts])
             pts, w = np.concatenate(pts), np.concatenate(w)
-            eta, xi = self.chart.inverse(pts, xi_anchor=np.repeat(self.bases.xi_c[at], sizes))
+            if volume:
+                eta, xi = np.concatenate(eta), np.concatenate(xi)
+            else:
+                eta, xi = self.chart.inverse(pts, xi_anchor=np.repeat(self.bases.xi_c[at], sizes))
             J = self.chart.jacobian(eta, xi)
             first = np.cumsum(sizes) - sizes
             stacks = []

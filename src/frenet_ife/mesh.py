@@ -15,7 +15,7 @@ import numpy as np
 
 from .curves import frenet_frame
 from .errors import AmbiguousCut, TangentialIntersection
-from .frenet import FrenetChart, _norms, unwrap_near
+from .frenet import FrenetChart, _bdot, _bnorm, unwrap_near
 
 _EDGE_SAMPLES = 33   # offset samples per candidate edge of the classifier
 
@@ -72,10 +72,12 @@ class RectMesh:
         return (x0 + ix * self.dx, y0 + iy * self.dy,
                 x0 + (ix + 1) * self.dx, y0 + (iy + 1) * self.dy)
 
-    def elem_corners(self, e: int):
-        """Corners in counterclockwise boundary order."""
+    def elem_corners(self, e):
+        """Corners in counterclockwise boundary order, (4, 2), or (E, 4, 2)
+        for an id array."""
         xl, yl, xh, yh = self.elem_box(e)
-        return np.array([[xl, yl], [xh, yl], [xh, yh], [xl, yh]])
+        return np.stack([np.stack(c, axis=-1) for c in ((xl, yl), (xh, yl), (xh, yh), (xl, yh))],
+                        axis=-2)
 
 
 def build_mesh(box, n: int) -> RectMesh:
@@ -162,12 +164,12 @@ def _polish_roots(chart: FrenetChart, a, b, t, edges):
     t = np.array(t, dtype=float)
     d = b - a
     xi = chart.nearest_parameter_estimate(a + t[:, None] * d)
-    length = _norms(d)
+    length = _bnorm(d)
     scale = np.maximum(1.0, length)
     active = np.arange(len(t))
     for _ in range(40):
         gape = a[active] + t[active, None] * d[active] - curve.point(xi[active])
-        keep = ~(_norms(gape) <= 1e-14 * scale[active])
+        keep = ~(_bnorm(gape) <= 1e-14 * scale[active])
         active, gape = active[keep], gape[keep]
         if len(active) == 0:
             break
@@ -180,9 +182,9 @@ def _polish_roots(chart: FrenetChart, a, b, t, edges):
         t[active] += (gape[:, 0] * gp[:, 1] - gape[:, 1] * gp[:, 0]) / det
         xi[active] += (gape[:, 0] * da[:, 1] - gape[:, 1] * da[:, 0]) / det
     _, normal, _, _ = frenet_frame(curve.velocity(xi), curve.accel(xi))
-    tangent = np.array([abs(float(np.dot(n, dk))) for n, dk in zip(normal, d)]) / length < 1e-10
+    tangent = np.abs(_bdot(normal, d)) / length < 1e-10
     points = a + t[:, None] * d
-    diverged = _norms(points - curve.point(xi)) > 1e-12 * scale
+    diverged = _bnorm(points - curve.point(xi)) > 1e-12 * scale
     failed = np.flatnonzero(tangent | diverged | (t < -1e-12) | (t > 1.0 + 1e-12))
     if len(failed):
         i = failed[0]
@@ -354,12 +356,19 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
                         for u in unique):
                     unique.append(cut)
         if len(unique) != 2:
+            # a mesh vertex on the interface stays on it under refinement
+            corners = mesh.elem_corners(e)
+            eta_v, _, inverted = chart._newton(corners)
+            on = corners[inverted & (np.abs(eta_v) <= zero_tol)]
+            advice = (f"the interface passes through the mesh vertex ({on[0, 0]:.6g}, "
+                      f"{on[0, 1]:.6g}), which every refinement keeps; perturb the domain or "
+                      "the interface" if len(on) else
+                      "the mesh is too coarse for the interface here, refine the mesh")
             raise AmbiguousCut(
-                f"element {e}: {len(unique)} interface crossings, expected 2; "
-                "the mesh is too coarse for the interface here, refine the mesh")
+                f"element {e}: {len(unique)} interface crossings, expected 2; {advice}")
         interface.append((e, unique))
 
-    corners = np.array([mesh.elem_corners(e) for e, _ in interface]).reshape(-1, 4, 2)
+    corners = mesh.elem_corners(np.array([e for e, _ in interface], dtype=int))
     tags[[e for e, _ in interface]] = 0
     records = {}
     for (e, unique), xi0, xi1 in zip(interface, *chart.fictitious_intervals(corners)):

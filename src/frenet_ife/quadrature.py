@@ -19,16 +19,19 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegeneratePartition
-from .frenet import FrenetChart
+from .frenet import FrenetChart, _bdot, _bnorm
 from .mesh import ElementTag, RectMesh
 
 
 @dataclass
 class QuadRule:
-    """Points (physical or parameter coordinates) and weights."""
+    """Points (physical or parameter coordinates) and weights; a cut-cell
+    rule also carries the chart coordinates eta and xi of its points."""
 
     points: np.ndarray
     weights: np.ndarray
+    eta: np.ndarray | None = None
+    xi: np.ndarray | None = None
 
 
 @lru_cache(maxsize=64)
@@ -160,23 +163,20 @@ def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _scale(verts):
-    """Squared longest side of a polyline: the unit of _anchor_ok's
-    tolerance.  One norm per side, as np.linalg.norm rounds it (a BLAS dot)."""
-    scale = max(float(np.linalg.norm(verts[i + 1] - verts[i]))
-                for i in range(len(verts) - 1))
-    return max(scale, 1e-300) ** 2
-
-
-def _anchor_ok(A, verts, g, gp, scale):
+def _anchor_ok(A, verts, g, gp):
     """Certify that a region is star-shaped from each anchor A (..., C, 2).
 
-    Every boundary segment of the polyline verts (..., nv, 2) and the arc,
-    sampled by its points g and scaled tangents gp (..., 33, 2), must sweep
-    counterclockwise around the anchor; that makes the polar fan a disjoint
-    exact tiling.  `scale` (...) is _scale(verts).  Returns (..., C).
+    Every boundary segment of the polyline verts (..., nv, 2), padded by
+    repeating its last vertex, and the arc, sampled by its points g and
+    scaled tangents gp (..., 33, 2), must sweep counterclockwise around the
+    anchor; that makes the polar fan a disjoint exact tiling.  The tolerance
+    is 1e-13 of the squared longest side, each side's norm rounding as
+    np.linalg.norm of a lone side and each square as a float's ** 2 (an
+    array's ** 2 multiplies).  Returns (..., C).
     """
-    tol = (-1e-13 * np.asarray(scale))[..., None, None]
+    longest = _bnorm(np.diff(verts, axis=-2)).max(axis=-1)
+    scale = np.reshape([max(s, 1e-300) ** 2 for s in longest.ravel().tolist()], longest.shape)
+    tol = (-1e-13 * scale)[..., None, None]
     A = np.asarray(A, dtype=float)[..., None, :]
     bad = _cross(verts[..., None, :-1, :] - A, verts[..., None, 1:, :] - A) < tol
     sweep = _cross(g[..., None, :, :] - A, gp[..., None, :, :])
@@ -184,18 +184,18 @@ def _anchor_ok(A, verts, g, gp, scale):
 
 
 def _tangent_intersection(g, v):
-    """Intersection of an arc's end tangent lines (crescent kernel), from its
-    end points g and velocities v (2, 2); None if near parallel or far."""
-    det = v[0, 0] * (-v[1, 1]) - (-v[1, 0]) * v[0, 1]
-    span = np.linalg.norm(g[1] - g[0])
-    if abs(det) < 1e-10 * max(1.0, np.linalg.norm(v[0]) * np.linalg.norm(v[1])):
-        return None
-    rhs = g[1] - g[0]
-    a = (rhs[0] * (-v[1, 1]) - (-v[1, 0]) * rhs[1]) / det
-    p = g[0] + a * v[0]
-    if np.linalg.norm(p - g[0]) > 10.0 * max(span, 1e-30):
-        return None
-    return p
+    """Intersections of arcs' end tangent lines (crescent kernels), from their
+    end points g and velocities v (R, 2, 2): points (R, 2) and whether each
+    exists; none where the tangents are near parallel or meet far away."""
+    det = v[:, 0, 0] * (-v[:, 1, 1]) - (-v[:, 1, 0]) * v[:, 0, 1]
+    rhs = g[:, 1] - g[:, 0]
+    span = _bnorm(rhs)
+    speeds = _bnorm(v[:, 0]) * _bnorm(v[:, 1])
+    parallel = np.abs(det) < 1e-10 * np.where(speeds > 1.0, speeds, 1.0)
+    a = (rhs[:, 0] * (-v[:, 1, 1]) - (-v[:, 1, 0]) * rhs[:, 1]) / np.where(parallel, 1.0, det)
+    p = g[:, 0] + a[:, None] * v[:, 0]
+    far = _bnorm(p - g[:, 0]) > 10.0 * np.where(1e-30 > span, 1e-30, span)
+    return p, ~(parallel | far)
 
 
 def _first_candidates(verts, nv, xi_s, xi_e, chart):
@@ -213,52 +213,49 @@ def _first_candidates(verts, nv, xi_s, xi_e, chart):
     for k in range(9):
         total = total + arc[:, k]
     ends = np.stack([xi_s, xi_e], axis=-1).ravel()
-    g = chart.curve.point(ends).reshape(-1, 2, 2)
-    v = chart.curve.velocity(ends).reshape(-1, 2, 2)
-    tangent = [_tangent_intersection(*gv) for gv in zip(g, v)]
+    tangent, meets = _tangent_intersection(chart.curve.point(ends).reshape(-1, 2, 2),
+                                           chart.curve.velocity(ends).reshape(-1, 2, 2))
     return np.stack([total / (nv + 9)[:, None],
-                     [p if p is not None else vs[0] for p, vs in zip(tangent, verts)]], axis=1)
+                     np.where(meets[:, None], tangent, verts[:, 0])], axis=1)
 
 
-def _closest_on_polyline(verts, p):
-    """(segment index, point) of the polyline point nearest to p."""
-    best = (0, verts[0], np.inf)
-    for j in range(len(verts) - 1):
-        a, b = verts[j], verts[j + 1]
-        ab = b - a
-        denom = float(ab @ ab)
-        t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-        q = a + t * ab
-        d = float(np.linalg.norm(q - p))
-        if d < best[2]:
-            best = (j, q, d)
-    return best[:2]
+def _closest_on_polyline(verts, nv, p):
+    """(segment index, point) of the point nearest to p (R, 2) on each
+    polyline of the first nv (R,) of verts (R, k, 2), the first nearest
+    segment winning as in a loop over them."""
+    a, ab = verts[:, :-1], np.diff(verts, axis=1)
+    denom = _bdot(ab, ab)
+    t = np.where(denom == 0.0, 0.0, np.clip(_bdot(p[:, None] - a, ab)
+                                            / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0))
+    near = a + t[..., None] * ab
+    d = np.where(np.arange(ab.shape[1]) < (nv - 1)[:, None], _bnorm(near - p[:, None]), np.inf)
+    j = np.argmin(d, axis=1)
+    return j, near[np.arange(len(j)), j]
 
 
-def _boundary_chains(mesh: RectMesh, e: int, tag: ElementTag):
-    """Split the ccw boundary walk of element e at its two cut points.
-
-    Returns two chains, each a dict with the ordered interior corners
-    between the cuts, the start/end cut records, and the list of corner
-    points.  Chain boundary order: cut_start -> corners... -> cut_end.
+def _regions(mesh: RectMesh, tags: dict):
+    """The two regions of each interface element {e: tag}, element by
+    element: their boundary chains verts (2E, 6, 2), padded with the last
+    vertex, their vertex counts nv and their arcs' ends xi_s, xi_e (2E,).
+    The counterclockwise walk around an element passes each corner, then the
+    cuts on the edge that starts there; its first cut to its second bounds
+    region 0, and its second back to its first region 1.
     """
-    corners = mesh.elem_corners(e)
-    edge_ids = mesh.elem_edges[e]          # bottom, right, top, left
-    reversed_edge = [False, False, True, True]
-    nodes = []                             # (point, cut_or_None)
-    for k in range(4):
-        nodes.append((corners[k], None))
-        on_edge = [c for c in tag.cuts if c.edge == edge_ids[k]]
-        t_ccw = [(1.0 - c.t if reversed_edge[k] else c.t, c) for c in on_edge]
-        for _, c in sorted(t_ccw, key=lambda p: p[0]):
-            nodes.append((c.point, c))
-    cut_pos = [i for i, (_, c) in enumerate(nodes) if c is not None]
-    assert len(cut_pos) == 2
-    i1, i2 = cut_pos
-    n = len(nodes)
-    chain_a = [nodes[(i1 + k) % n] for k in range(0, (i2 - i1) % n + 1)]
-    chain_b = [nodes[(i2 + k) % n] for k in range(0, (i1 - i2) % n + 1)]
-    return chain_a, chain_b
+    cuts = [c for tag in tags.values() for c in tag.cuts]
+    edge, t, xi = np.reshape([(c.edge, c.t, c.xi) for c in cuts], (-1, 2, 3)).transpose(2, 0, 1)
+    elems = np.fromiter(tags, dtype=int, count=len(tags))
+    side = np.argmax(mesh.elem_edges[elems][:, None, :] == edge[..., None], axis=2)
+    # the order along the walk, on which the top and left edges run backwards
+    first = np.lexsort((np.where(side >= 2, 1.0 - t, t), side))
+    side, xi = np.take_along_axis(side, first, axis=1), np.take_along_axis(xi, first, axis=1)
+    point = np.take_along_axis(np.reshape([c.point for c in cuts], (-1, 2, 2)), first[..., None], 1)
+    pool = np.concatenate([mesh.elem_corners(elems), point], axis=1)
+    between = (side[:, 1] - side[:, 0])[:, None, None]
+    inner = np.concatenate([between, 4 - between], axis=1)    # corners of each region
+    i = np.arange(6)                                          # pool: corners 0..3, cuts 4, 5
+    at = np.where(i == 0, [[4], [5]], np.where(i <= inner, (side[..., None] + i) % 4, [[5], [4]]))
+    verts = np.take_along_axis(pool[:, None], at[..., None], axis=2).reshape(-1, 6, 2)
+    return verts, (inner + 2).ravel(), xi[:, ::-1].ravel(), xi.ravel()
 
 
 _MAX_SPLITS = 4   # halvings of a region before its element is given up
@@ -267,7 +264,8 @@ _MAX_SPLITS = 4   # halvings of a region before its element is given up
 def level_cut_cell_rules(mesh: RectMesh, tags: dict, chart: FrenetChart,
                          q: int) -> dict:
     """The rules of cut_cell_rules for the interface elements {e: tag} of a
-    level, built together: {e: {side: QuadRule}}.
+    level, built together: {e: {side: QuadRule}}, each rule with the chart
+    coordinates eta and xi of its points.
 
     Each element has two regions, bounded by a chain of its boundary and
     the interface arc between its cuts; verts[0] of a chain coincides with
@@ -279,69 +277,85 @@ def level_cut_cell_rules(mesh: RectMesh, tags: dict, chart: FrenetChart,
     one cone over the arc.  A region no candidate sees (a thin crescent) is
     split at its arc midpoint and the nearest polyline point, and both
     halves join the next round; a region's points are those of its leaves,
-    first half first, each fan then cone.  One chart query at the points of
-    all regions labels their sides.  Raises DegeneratePartition naming the
-    first failing element.
+    first half first, each fan then cone.
+
+    One chart inverse at the points of all regions, each xi unwrapped at
+    its element's interval midpoint, labels each region by the sign of eta
+    at its point of largest |eta|.  The region lies on one side of the
+    interface and that point far beyond the seed polyline's sagitta error
+    (about 2e-7 on the default circle), so the polyline's estimate at its
+    own deepest point gave the same side.  Raises DegeneratePartition naming
+    the first element with a region no anchor sees after _MAX_SPLITS
+    halvings, then NewtonDivergence when a point does not invert, then
+    DegeneratePartition naming the first element with both regions on one
+    side.
     """
-    owner, pending = [], []                      # (leaf path, vertices, xi_s, xi_e)
-    for e, tag in tags.items():
-        for chain in _boundary_chains(mesh, e, tag):
-            pending.append(((len(owner),), [p for p, _ in chain], chain[-1][1].xi, chain[0][1].xi))
-            owner.append(e)
-    leaves, failed = [], set()                   # (leaf path, [(points, weights)])
+    verts, nv, xi_s, xi_e = _regions(mesh, tags)
+    # each pending region's root region and the place of its leaf in a full
+    # binary split: root * 2**_MAX_SPLITS + code orders leaves as their paths
+    root, code = np.arange(len(nv)), np.zeros(len(nv), dtype=int)
+    pieces, failed = [], np.zeros(len(nv), dtype=bool)    # per round: (key, points, weights)
     for depth in range(_MAX_SPLITS + 1):
-        if not pending:
-            break
-        nv = np.array([len(r[1]) for r in pending])
-        verts = np.array([r[1] + r[1][-1:] * (nv.max() - len(r[1])) for r in pending], dtype=float)
-        xi_s, xi_e = (np.array([r[k] for r in pending], dtype=float) for k in (2, 3))
+        k = nv.max()
+        verts = verts[:, :k]
         candidates = np.concatenate([_first_candidates(verts, nv, xi_s, xi_e, chart), verts],
                                     axis=1)
-        scale = np.array([_scale(r[1]) for r in pending])
         g, gp = _arc(chart, xi_s, xi_e, _square01(q)[0])
         cone_pts, cone_w, det = _cone_rule(candidates, g[:, None], gp[:, None], q)
-        ok = (_anchor_ok(candidates, verts, *_arc(chart, xi_s, xi_e, _SWEEP), scale)
-              & _cone_sign_ok(det))
-        rows, pick = np.arange(len(pending)), np.argmax(ok, axis=1)
+        ok = _anchor_ok(candidates, verts, *_arc(chart, xi_s, xi_e, _SWEEP)) & _cone_sign_ok(det)
+        rows, pick = np.arange(len(nv)), np.argmax(ok, axis=1)
         tri_pts, tri_w, _ = _tri_rule(candidates[rows, pick][:, None], verts[:, :-1],
                                       verts[:, 1:], q)
-        for i in np.flatnonzero(ok.any(axis=1)):
-            n = nv[i] - 1
-            leaves.append((pending[i][0], [*zip(tri_pts[i, :n], tri_w[i, :n]),
-                                           (cone_pts[i, pick[i]], cone_w[i, pick[i]])]))
-        stuck = [pending[i] for i in np.flatnonzero(~ok.any(axis=1))]
-        if depth == _MAX_SPLITS:
-            failed.update(owner[path[0]] for path, *_ in stuck)
+        # a seen region's pieces: its nv - 1 triangles, then the cone
+        seen, slot = ok.any(axis=1), np.arange(k)
+        take = seen[:, None] & ((slot < (nv - 1)[:, None]) | (slot == k - 1))
+        pieces.append((np.broadcast_to((root * 2**_MAX_SPLITS + code)[:, None], take.shape)[take],
+                       np.concatenate([tri_pts, cone_pts[rows, pick][:, None]], axis=1)[take],
+                       np.concatenate([tri_w, cone_w[rows, pick][:, None]], axis=1)[take]))
+        if depth == _MAX_SPLITS or seen.all():
+            failed[root[~seen]] = True
             break
-        pending = []
-        for path, vs, s, t in stuck:
-            xi_m = 0.5 * (s + t)
-            m_pt = chart.curve.point(np.asarray(xi_m, dtype=float))
-            j, p_star = _closest_on_polyline(vs, m_pt)
-            pending += [(path + (0,), [m_pt, p_star, *vs[j + 1:]], s, xi_m),
-                        (path + (1,), [*vs[:j + 1], p_star, m_pt], xi_m, t)]
+        # the halves [m_pt, p_star, *vs[j + 1:]] on [s, xi_m] and
+        # [*vs[:j + 1], p_star, m_pt] on [xi_m, t], padded as verts is
+        vs, n, s, t = verts[~seen], nv[~seen], xi_s[~seen], xi_e[~seen]
+        xi_m = 0.5 * (s + t)
+        m_pt = chart.curve.point(xi_m)
+        j, p_star = _closest_on_polyline(vs, n, m_pt)
+        ext = np.concatenate([vs, p_star[:, None], m_pt[:, None]], axis=1)   # at k, k + 1
+        i, jc, last = np.arange(k + 1), j[:, None], n[:, None] - 1
+        lower = np.where(i == 0, k + 1, np.where(i == 1, k, np.minimum(jc + i - 1, last)))
+        upper = np.where(i <= jc, i, np.where(i == jc + 1, k, k + 1))
+        verts = np.take_along_axis(ext[:, None], np.stack([lower, upper], axis=1)[..., None],
+                                   axis=2).reshape(-1, k + 1, 2)
+        nv = np.stack([n - j + 1, j + 3], axis=1).ravel()
+        xi_s, xi_e = np.stack([s, xi_m], axis=1).ravel(), np.stack([xi_m, t], axis=1).ravel()
+        root = np.repeat(root[~seen], 2)
+        code = (code[~seen, None] + [0, 2**(_MAX_SPLITS - 1 - depth)]).ravel()
 
-    regions = {}                                 # region: the pieces of its leaves, in order
-    for path, pieces in sorted(leaves, key=lambda leaf: leaf[0]):
-        regions.setdefault(path[0], []).extend(pieces)
-    rules = {i: (np.concatenate([p for p, _ in pieces]), np.concatenate([w for _, w in pieces]))
-             for i, pieces in regions.items()}
-    # classify by each rule's own deepest point: quadrature points lie in
-    # the region, and the farthest from the interface is sign-robust
-    eta = chart.signed_distance_estimate(np.concatenate([np.zeros((0, 2)),
-                                                         *(p for p, _ in rules.values())]))
-    etas = iter(np.split(eta, np.cumsum([len(p) for p, _ in rules.values()])[:-1]))
-    out = {}
-    for i, (pts, w) in rules.items():
-        eta = next(etas)
-        side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
-        out.setdefault(owner[i], {})[side] = QuadRule(points=pts, weights=w)
-    for e in tags:
-        if e in failed:
-            raise DegeneratePartition(f"element {e}: no star-shaped anchor found for a cut region")
-        if len(out[e]) != 2:
-            raise DegeneratePartition(f"element {e}: both sub-regions landed on the same side")
-    return out
+    elems = list(tags)
+    given_up = np.flatnonzero(failed.reshape(-1, 2).any(axis=1))
+    if len(given_up):
+        raise DegeneratePartition(
+            f"element {elems[given_up[0]]}: no star-shaped anchor found for a cut region")
+    key, pts, w = (np.concatenate(part) for part in zip(*pieces))
+    order = np.argsort(key, kind="stable")               # each region's leaves in turn
+    pts, w = pts[order].reshape(-1, 2), w[order].ravel()
+    count = np.bincount(key // 2**_MAX_SPLITS, minlength=len(failed)) * (q * q)
+    anchor = np.repeat([0.5 * (tag.interval[0] + tag.interval[1]) for tag in tags.values()], 2)
+    eta, xi = chart.inverse(pts, xi_anchor=np.repeat(anchor, count))
+    # each region's first point of largest |eta|
+    region, mag = np.repeat(np.arange(len(count)), count), np.abs(eta)
+    deep = np.flatnonzero(mag == np.repeat(np.maximum.reduceat(mag, np.cumsum(count) - count),
+                                           count))
+    side = np.where(eta[deep[np.unique(region[deep], return_index=True)[1]]] > 0, 1, -1)
+    same = np.flatnonzero(side[0::2] == side[1::2])
+    if len(same):
+        raise DegeneratePartition(
+            f"element {elems[same[0]]}: both sub-regions landed on the same side")
+    end = np.cumsum(count).tolist()
+    rules = [QuadRule(pts[i:j], w[i:j], eta[i:j], xi[i:j]) for i, j in zip([0] + end, end)]
+    return {e: {s: rules[2 * i + r] for r, s in enumerate(side[2 * i:2 * i + 2].tolist())}
+            for i, e in enumerate(elems)}
 
 
 def cut_cell_rules(mesh: RectMesh, e: int, tag: ElementTag,

@@ -1216,6 +1216,16 @@ def _loop_boundary_chains(mesh, e, tag):
     return chain_a, chain_b
 
 
+def polyline_side(chart, pts):
+    """The side of a cut-cell region from the seed polyline, as the level
+    kernel took it before it inverted the chart there: the sign of
+    signed_distance_estimate at the region's point where it is largest in
+    magnitude (quadrature points lie in the region, and the farthest from
+    the interface is sign-robust)."""
+    eta = chart.signed_distance_estimate(pts)
+    return 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
+
+
 def loop_cut_cell_rules(mesh, e, tag, chart, q):
     """Quadrature over the two curved sub-regions of interface element `e`.
 
@@ -1234,11 +1244,7 @@ def loop_cut_cell_rules(mesh, e, tag, chart, q):
             pts, w = _loop_region_rule(verts, end_cut.xi, start_cut.xi, chart, q)
         except DegeneratePartition as exc:
             raise DegeneratePartition(f"element {e}: {exc}") from exc
-        # classify by the rule's own deepest point: quadrature points lie in
-        # the region, and the farthest from the interface is sign-robust
-        eta = chart.signed_distance_estimate(pts)
-        side = 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
-        rules[side] = QuadRule(points=pts, weights=w)
+        rules[polyline_side(chart, pts)] = QuadRule(points=pts, weights=w)
     if len(rules) != 2:
         raise DegeneratePartition(f"element {e}: both sub-regions landed on the same side")
     return rules

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from frenet_ife import assembly
 from frenet_ife.analysis import manufactured_circle, setup_level
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio,
                                  edge_segments, penalty_weight, solve, trace_constant)
@@ -219,6 +220,24 @@ def test_singular_stiffness_names_the_first_such_element(monkeypatch):
         trace_constant(spaces, elems[::-1])
     with pytest.raises(SingularGram, match=rf"^element {elems[2]}: "):
         auto_sigma0(spaces)
+
+
+def test_largest_eigenvalue_is_eighs_bit_for_bit():
+    # the trace probe's eigensolves call LAPACK's sygvd directly, with the
+    # arguments scipy.linalg.eigh passes it; random SPD pairs of the probe's
+    # sizes (deflated blocks of up to 16 functions) and scales
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 8, 15, 16):
+        for scale in (1e-8, 1.0, 1e6):
+            m = rng.normal(size=(n, n))
+            a = m @ m.T + n * np.eye(n)
+            b = rng.normal(size=(n, n)) * scale
+            b = b @ b.T
+            ref = scipy.linalg.eigh(b, a, eigvals_only=True)[-1]
+            assert assembly._largest_eigenvalue(b, a).tobytes() == ref.tobytes()
+    # as eigh, a failure of the driver (here: a not positive definite) raises
+    with pytest.raises(np.linalg.LinAlgError, match="sygvd info = "):
+        assembly._largest_eigenvalue(np.eye(2), -np.eye(2))
 
 
 def test_auto_sigma0_exceeds_coercivity_threshold(bench):

@@ -288,6 +288,23 @@ def test_cli_probe_trace_without_interface_elements_writes_error(tmp_path):
     assert "n=8" in error["message"] and "no interface element" in error["message"]
 
 
+def test_interface_through_a_mesh_vertex_names_the_vertex(tmp_path, capsys):
+    # circle(0.625) passes through the vertex (-0.375, -0.5) whenever 16
+    # divides n (a 3-4-5 triangle), so refining cannot help: the message
+    # names the vertex and says to perturb the domain or the interface
+    cfg = tmp_path / "c.json"
+    out = tmp_path / "o"
+    cfg.write_text(json.dumps({"interface": {"kind": "circle", "radius": 0.625},
+                               "out_dir": str(out)}))
+    assert main(["solve", "--config", str(cfg), "--mesh", "32", "--degree", "1"]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert json.loads(capsys.readouterr().err) == error
+    assert error == {"error": "AmbiguousCut", "message": (
+        "element 233: 1 interface crossings, expected 2; the interface passes through "
+        "the mesh vertex (-0.375, -0.5), which every refinement keeps; perturb the "
+        "domain or the interface")}
+
+
 def test_runtime_error_with_an_unwritable_output_still_exits_1(tmp_path, capsys, monkeypatch):
     # error.json goes into the output directory; when it cannot be written
     # there the error is still reported on stderr and the exit code is 1

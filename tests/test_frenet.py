@@ -312,3 +312,34 @@ def test_charts_on_one_curve_share_its_seed_polyline(monkeypatch):
     assert fine.nearest_parameter_estimate(pts).tobytes() == \
         coarse.nearest_parameter_estimate(pts).tobytes()
     assert builds == [4096]
+
+
+def test_row_norms_and_dots_round_as_lone_vectors():
+    # _bnorm and _bdot give, row by row, what np.linalg.norm and np.dot give
+    # a lone 2-vector (a BLAS dot), bit for bit, whatever the strides
+    rng = np.random.default_rng(17)
+    n = 20000
+    v = rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-160, 150, (n, 2))
+    v[:50] = 0.0
+    v[50:100, 0] = -0.0
+    v[100:150] = 5e-324 * rng.integers(1, 10**6, (50, 2))        # subnormals
+    v[150:160, 0] = np.inf
+    v[160:170, 1] = -np.inf
+    v[170:180, 0] = np.nan
+    v[180:190] = [np.inf, np.nan]
+    w = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-100, 100, (n, 1))
+
+    def same(a, b):
+        return np.array_equal(np.isnan(a), np.isnan(b)) and \
+            a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+    wide = np.zeros((n, 5))
+    wide[:, 1:3] = v
+    for rows in (v, wide[:, 1:3], v[::-3], v[::-1], np.asfortranarray(v)):
+        ref = np.array([np.linalg.norm(np.array(r)) for r in rows])
+        assert same(frenet._bnorm(rows), ref)
+        stack = rows[: len(rows) // 4 * 4].reshape(-1, 4, 2)      # leading axes
+        assert same(frenet._bnorm(stack), ref[: len(stack) * 4].reshape(-1, 4))
+    for a, b in ((v, w), (v[::-1], w[::2][: n // 2].repeat(2, axis=0))):
+        ref = np.array([np.dot(np.array(x), np.array(y)) for x, y in zip(a, b)])
+        assert same(frenet._bdot(a, b), ref)

@@ -3,13 +3,15 @@ import pytest
 
 from frenet_ife import quadrature
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
-from frenet_ife.errors import DegeneratePartition
+from frenet_ife.errors import AmbiguousCut, DegeneratePartition
 from frenet_ife.frenet import FrenetChart
 from frenet_ife.mesh import build_mesh, classify_elements
 from frenet_ife.quadrature import (cut_cell_rules, cut_edge_rule, gauss_interval,
                                    gauss_rect, level_cut_cell_rules)
 
-from oracles import composite_simpson, disk_box_area, frame_at, loop_cut_cell_rules
+from oracles import (composite_simpson, disk_box_area, frame_at, loop_cut_cell_rules,
+                     polyline_side)
+from test_mesh import _random_placements
 
 
 def test_gauss_rect_exactness():
@@ -189,13 +191,15 @@ def test_cut_cell_tiling_on_thin_crescents():
 def test_tangent_intersection_refuses_parallel_and_far_tangents():
     # a crescent's kernel point is where the arc's end tangents meet; near
     # parallel tangents, or tangents that meet more than ten spans away (an
-    # arc with an inflection), give none
+    # arc with an inflection), give none; three arcs with the same ends, in
+    # one call
     g = np.array([[0.0, 0.0], [1.0, 0.0]])
-    meet = quadrature._tangent_intersection(g, np.array([[1.0, 0.01], [1.0, -0.01]]))
-    assert np.allclose(meet, [0.5, 0.005], atol=1e-15)
-    assert quadrature._tangent_intersection(g, np.array([[1.0, 0.0], [2.0, 0.0]])) is None
-    far = np.array([[1.0, 0.01], [1.0, 0.011]])   # the tangents meet at (11, 0.11)
-    assert quadrature._tangent_intersection(g, far) is None
+    v = np.array([[[1.0, 0.01], [1.0, -0.01]],
+                  [[1.0, 0.0], [2.0, 0.0]],
+                  [[1.0, 0.01], [1.0, 0.011]]])     # the last meet at (11, 0.11)
+    meet, exists = quadrature._tangent_intersection(np.repeat(g[None], 3, axis=0), v)
+    assert exists.tolist() == [True, False, False]
+    assert np.allclose(meet[0], [0.5, 0.005], atol=1e-15)
 
 
 def test_whole_mesh_cut_areas_sum_to_disk(circle_setup):
@@ -228,8 +232,12 @@ def test_degenerate_partition_names_the_element(monkeypatch, failure):
                             lambda A, *args: np.zeros(np.shape(A)[:-1], dtype=bool))
         message = "no star-shaped anchor found"
     else:
-        # a chart that puts every point on the + side labels both pieces +1
-        monkeypatch.setattr(chart, "signed_distance_estimate", lambda pts: np.ones(len(pts)))
+        # a chart whose inverse puts every point on the + side labels both
+        # pieces +1
+        def newton(pts, _orig=chart._newton):
+            eta, xi, ok = _orig(pts)
+            return np.abs(eta), xi, ok
+        monkeypatch.setattr(chart, "_newton", newton)
         message = "both sub-regions landed on the same side"
     level = dict(tags.interface)
     with pytest.raises(DegeneratePartition, match=rf"^element {e}: {message}"):
@@ -292,3 +300,44 @@ def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
         paths["vertex"] += int((~ok[:, :2].any(axis=1) & ok[:, 2:].any(axis=1)).sum())
         paths["split"] += int((~ok.any(axis=1)).sum())
     assert min(paths.values()) > 0, paths
+
+
+def _placements():
+    """(name, mesh, chart) of every _RULE_CASES placement and of the seeded
+    random placements of the classification tests that classify."""
+    for name, (curve, box, n, h) in _RULE_CASES.items():
+        mesh = build_mesh(box, n)
+        yield name, mesh, FrenetChart(curve, h=h or mesh.h)
+    for seed in (3, 11, 29):
+        for i, (mesh, chart) in enumerate(_random_placements(seed)):
+            yield f"random-{seed}-{i}", mesh, chart
+
+
+def test_chart_labels_are_the_polyline_labels_and_rules_carry_the_inverse():
+    # the kernel labels each region by the exact eta at its deepest point;
+    # the seed polyline's estimate at its own deepest point gave the same
+    # side on every placement, and the eta and xi a rule carries are the
+    # chart inverse at its points, xi unwrapped at its element's interval
+    # midpoint
+    levels = 0
+    for name, mesh, chart in _placements():
+        try:
+            tags = classify_elements(mesh, chart)
+        except AmbiguousCut:                     # an under-resolved placement
+            continue
+        try:
+            rules = level_cut_cell_rules(mesh, tags.interface, chart, 4)
+        except DegeneratePartition as exc:       # the per-element oracle gives up too
+            e = int(str(exc).split(":")[0].split()[1])
+            with pytest.raises(DegeneratePartition, match=str(exc)):
+                loop_cut_cell_rules(mesh, e, tags.interface[e], chart, 4)
+            continue
+        levels += 1
+        for e, pieces in rules.items():
+            anchor = 0.5 * sum(tags.interface[e].interval)
+            for side, rule in pieces.items():
+                assert side == polyline_side(chart, rule.points), (name, e)
+                eta, xi = chart.inverse(rule.points, xi_anchor=anchor)
+                assert eta.tobytes() == rule.eta.tobytes(), (name, e)
+                assert xi.tobytes() == rule.xi.tobytes(), (name, e)
+    assert levels >= len(_RULE_CASES) + 18

@@ -42,9 +42,12 @@ COMMANDS = [
                     "ay": [0.0, 0.0, 0.03], "by": [0.0, 0.5]}}, 0),
     (["probe-geometry", "--mesh", "8,16"],
      {"interface": {"kind": "line", "origin": [0.0, 0.013], "direction": [1.0, 0.21]}}, 0),
-    # a configuration error, and a run that fails
+    # a configuration error, and runs that fail: no interface element, and
+    # an interface through a mesh vertex
     (["solve", "--mesh", "8"], {"beta_minus": -1.0}, 2),
     (["probe-trace", "--mesh", "8"], {"interface": {"kind": "circle", "radius": 3.0}}, 1),
+    (["solve", "--mesh", "16", "--degree", "1"],
+     {"interface": {"kind": "circle", "radius": 0.625}}, 1),
 ]
 
 # The statements no command runs, by function: (module, function) ->
@@ -81,17 +84,12 @@ ALLOWED = {
         ["test_ife_space.py::test_level_x0_and_weak_residuals_bitwise_equal_to_loop_oracle"]),
     # robustness paths that only placements built by tests reach
     ("quadrature", "level_cut_cell_rules"): (
-        6, "a region no candidate anchor sees is split, and an element still "
-        "unseen after four splits is given up; no command's level needs either",
+        13, "a region no candidate anchor sees is split; no command's level needs it",
         ["test_quadrature.py::test_cut_cell_tiling_on_thin_crescents",
          "test_quadrature.py::test_degenerate_partition_names_the_element"]),
     ("quadrature", "_closest_on_polyline"): (
-        9, "called only for a region split",
+        7, "called only for a region split",
         ["test_quadrature.py::test_cut_cell_tiling_on_thin_crescents"]),
-    ("quadrature", "_tangent_intersection"): (
-        2, "end tangents that are parallel, or that meet far from the arc (an "
-        "inflection inside one element)",
-        ["test_quadrature.py::test_tangent_intersection_refuses_parallel_and_far_tangents"]),
     ("frenet", "FrenetChart._newton"): (
         4, "a damped step, a backtracking that gives up (30 halvings that all "
         "raise the residual) and the iteration cap; no command's point needs them",
