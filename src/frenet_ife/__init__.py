@@ -5,7 +5,7 @@ unfitted rectangular meshes."""
 from .curves import InterfaceCurve, LineCurve, TrigCurve, circle, ellipse, flower, frenet_frame
 from .frenet import ChordChart, FrenetChart
 from .laplacian import FrenetLaplacian
-from .mesh import ElementTag, MeshTags, RectMesh, build_mesh, classify_elements
+from .mesh import InterfaceCuts, MeshTags, RectMesh, build_mesh, classify_elements
 from .quadrature import QuadRule, cut_cell_rules, cut_edge_rule, gauss_rect
 from .ife_space import IfeBasis, SpaceSet, TensorBasis, build_spaces
 from .assembly import SipdgSystem, assemble, auto_sigma0, solve, trace_constant

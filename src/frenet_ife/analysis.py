@@ -206,7 +206,8 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1)) -> dict:
 
     Reports ||T - id||, ||DT - I||_F, |det DT - 1| maxima over all interface
     elements (sampled on interior grids), the band of (xi1 - xi0)/h, and
-    least-squares slopes of the log-maxima against log h.  Each level takes
+    least-squares slopes of the log-maxima against log h, NaN unless every
+    maximum is positive and the levels have two distinct h.  Each level takes
     one chart inverse, one stack of chord charts and one chart Jacobian; a
     level with no interface element reports maxima 0 and a band (inf, -inf).
     """
@@ -215,9 +216,9 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1)) -> dict:
         mesh = build_mesh(box, n)
         chart = FrenetChart(curve, h=mesh.h)
         tags = classify_elements(mesh, chart)
-        xi0, xi1 = np.array([t.interval for t in tags.interface.values()]).reshape(-1, 2).T
+        xi0, xi1 = tags.interface.interval.T
         # the grids of all interface elements, (E, grid^2, 2) in meshgrid order
-        xl, yl, xh, yh = mesh.elem_box(np.array(tags.interface_elements, dtype=int))
+        xl, yl, xh, yh = mesh.elem_box(tags.interface.elements)
         gx, gy = (np.linspace(lo, hi, _PROBE_GRID, axis=-1) for lo, hi in ((xl, xh), (yl, yh)))
         pts = np.stack(np.broadcast_arrays(gx[:, None, :], gy[:, :, None]), axis=-1)
         pts = pts.reshape(len(xi0), _PROBE_GRID**2, 2)
@@ -240,7 +241,7 @@ def geometry_probes(curve: InterfaceCurve, ns, box=(-1, 1, -1, 1)) -> dict:
     out = {"levels": levels}
     for key in ("t_dev", "dt_dev", "det_dev"):
         vals = np.array([lv[key] for lv in levels])
-        if np.all(vals > 0):
+        if np.all(vals > 0) and len(np.unique(hs)) > 1:
             out[f"slope_{key}"] = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
         else:
             out[f"slope_{key}"] = float("nan")
@@ -254,10 +255,10 @@ def trace_probe_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
     levels = []
     for n in ns:
         spaces = setup_level(case, box, n, m, quad)
-        if not spaces.tags.interface_elements:
+        if not spaces.tags.n_interface:
             raise FrenetIfeError(f"mesh n={n}: no interface element to probe; "
                                  "the interface does not cross the domain")
-        cts = trace_constant(spaces, spaces.tags.interface_elements)
+        cts = trace_constant(spaces, spaces.tags.interface.elements)
         levels.append({"n": n, "h": spaces.mesh.h,
                        "max": float(np.max(cts)), "median": float(np.median(cts)),
                        "count": len(cts)})

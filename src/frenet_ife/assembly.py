@@ -205,7 +205,7 @@ def auto_sigma0(spaces: SpaceSet) -> tuple[float, float]:
     (sigma0, max C_t).  Satisfies the coercivity requirement
     sigma0 > C_t^2 + 1/2 with margin.
     """
-    elems = spaces.tags.interface_elements + np.flatnonzero(spaces.tags.tags)[:1].tolist()
+    elems = np.concatenate([spaces.tags.interface.elements, np.flatnonzero(spaces.tags.tags)[:1]])
     ct = float(np.max(trace_constant(spaces, elems)))
     return 4.0 * ct**2 + 1.0, ct
 

@@ -115,6 +115,9 @@ class RunConfig:
                                  f"it needs at least degree + 1 = {self.degree + 1}")
         if type(self.case.get("p", 4)) is not int:
             raise ValueError("case.p must be an integer")
+        petals = self.interface.get("petals")
+        if self.interface.get("kind") == "flower" and not (type(petals) is int and petals >= 1):
+            raise ValueError("interface.petals must be an integer >= 1")
         try:
             curve = self.curve()
             bad = [k for k, v in self.interface.items() if k != "kind" and not _numbers(v)]

@@ -105,18 +105,19 @@ def _line_terms(chart, intervals, xi_c, h_xi, m: int, q: int):
             np.moveaxis(_legendre_rows(m, xbar) * rule.weights, 0, 1))
 
 
-def build_x0(chart: FrenetChart, intervals, m: int, line_q: int | None = None):
+def build_x0(chart: FrenetChart, elements, intervals, m: int, line_q: int | None = None):
     """Constrained continuous polynomials: nullspace of the trace conditions.
 
     Rows: the m+1 coefficients of p_eta(0, .) plus, for each eta-derivative
     order j <= m-2, the moments of L(p)(0, .) against Legendre tests up to
-    degree m.  `intervals` is {element: interval (xi0, xi1)}, all built at
-    once.  Returns the vectors (E, m+1, m+1, m+1) in key order.
+    degree m.  `intervals` (E, 2) holds the (xi0, xi1) of the elements
+    `elements` (E,), all built at once.  Returns the vectors (E, m+1, m+1,
+    m+1), one per row.
 
     Raises DimensionMismatch, naming the first such element, if the
     nullspace dimension is not m+1.
     """
-    spans = np.array(list(intervals.values()), dtype=float).reshape(-1, 2)
+    spans = np.asarray(intervals, dtype=float).reshape(-1, 2)
     nb = (m + 1) ** 2
     M = np.zeros((len(spans), m * (m + 1), nb))
     M[:, range(m + 1), range(m + 1, 2 * (m + 1))] = 1.0
@@ -129,7 +130,7 @@ def build_x0(chart: FrenetChart, intervals, m: int, line_q: int | None = None):
                         @ tests[:, None, :, :, None]).reshape(len(spans), m * m - 1, nb)
     _, s, vt = np.linalg.svd(M)
     null_dim = nb - np.sum(s > 1e-10 * s[:, :1], axis=1)
-    for e, d in zip(intervals, null_dim):
+    for e, d in zip(elements, null_dim):
         if d != m + 1:
             raise DimensionMismatch(
                 f"element {e}: X0 nullspace dimension {d}, expected {m + 1}; "
@@ -365,10 +366,9 @@ class SpaceSet:
         self.beta_minus = float(beta_minus)
         self.beta_plus = float(beta_plus)
         self.q_vol, self.q_edge = quad.get("volume", m + 2), quad.get("edge", m + 3)
-        intervals = {e: t.interval for e, t in tags.interface.items()}
-        # one row per interface element, in tags.interface_elements order
-        self.bases = IfeBasis(chart, list(intervals.values()), beta_minus, beta_plus,
-                              build_x0(chart, intervals, m, quad.get("interface")))
+        cuts = tags.interface       # one basis row per row of the record
+        x0 = build_x0(chart, cuts.elements, cuts.interval, m, quad.get("interface"))
+        self.bases = IfeBasis(chart, cuts.interval, beta_minus, beta_plus, x0)
         self.n_local = (m + 1) ** 2
         self.n_dofs = mesh.n_elements * self.n_local
         self._table = {}
@@ -441,24 +441,19 @@ class SpaceSet:
         level_cut_cell_rules), each anchored at its interval midpoint, one
         chart Jacobian and one stacked evaluation per size."""
         def build():
-            elems = np.array(self.tags.interface_elements, dtype=int)
+            elems = self.tags.interface.elements
             if not len(elems):
                 return []
             if volume:
-                rules = level_cut_cell_rules(self.mesh, self.tags.interface, self.chart, self.q_vol)
-                rules = [rules[e][side] for e in elems for side in (1, -1)]
+                pts, w, eta, xi, sizes = level_cut_cell_rules(self.mesh, self.tags.interface,
+                                                              self.chart, self.q_vol)
                 at, keys = np.repeat(np.arange(len(elems)), 2), np.tile([0, 1], len(elems))
                 sides = np.tile([1, -1], len(elems))
-                pts, w, eta, xi = zip(*((r.points, r.weights, r.eta, r.xi) for r in rules))
             else:
                 _, _, labels, seg_pts, seg_w = self._segments()
                 at, keys = self._face_rows(elems)
-                sides, pts, w = labels[keys], seg_pts[keys], seg_w[keys]
-            sizes = np.array([len(p) for p in pts])
-            pts, w = np.concatenate(pts), np.concatenate(w)
-            if volume:
-                eta, xi = np.concatenate(eta), np.concatenate(xi)
-            else:
+                sides, sizes = labels[keys], np.full(len(keys), self.q_edge)
+                pts, w = seg_pts[keys].reshape(-1, 2), seg_w[keys].ravel()
                 eta, xi = self.chart.inverse(pts, xi_anchor=np.repeat(self.bases.xi_c[at], sizes))
             J = self.chart.jacobian(eta, xi)
             first = np.cumsum(sizes) - sizes
@@ -638,4 +633,4 @@ def space_diagnostics(spaces: SpaceSet):
                np.abs(weak).max(axis=(1, 2), initial=0.0))
     keys = ("gram_cond", "gram_min_sv", "max_value_jump", "max_flux_jump", "max_weak_residual")
     return [{"element": e, **{k: float(v) for k, v in zip(keys, row)}}
-            for e, *row in zip(spaces.tags.interface_elements, *columns)]
+            for e, *row in zip(spaces.tags.interface.elements.tolist(), *columns)]

@@ -9,7 +9,7 @@ precision by a Newton iteration on edge(t) = g(xi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,43 +85,33 @@ def build_mesh(box, n: int) -> RectMesh:
     return RectMesh(box, int(n), int(n))
 
 
-@dataclass
-class EdgeCut:
-    """One transversal interface crossing of a mesh edge."""
+class InterfaceCuts(NamedTuple):
+    """The interface elements of a level, one row each in element order."""
 
-    edge: int
-    t: float
-    xi: float
-    point: np.ndarray
-
-
-@dataclass
-class ElementTag:
-    """Classification record of one interface element."""
-
-    interval: tuple                # fictitious [xi0, xi1]
-    cuts: list
+    elements: np.ndarray       # (E,) element ids
+    interval: np.ndarray       # (E, 2) fictitious [xi0, xi1]
+    edge: np.ndarray           # (E, 2) the edge of each of the two cuts
+    t: np.ndarray              # (E, 2) their edge parameters
+    xi: np.ndarray             # (E, 2) their curve parameters, on a closed curve unwrapped
+                               # at the interval midpoint
+    point: np.ndarray          # (E, 2, 2) their points
 
 
 class MeshTags:
     """Classification of a mesh against one interface chart."""
 
-    def __init__(self, tags, interface, edge_cuts):
+    def __init__(self, tags, interface: InterfaceCuts, edge_cuts):
         self.tags = tags             # per element: its side +-1 if plain, 0 if cut
-        self.interface = interface   # interface element -> ElementTag, in element order
-        self.edge_cuts = edge_cuts   # edge id -> sorted list of EdgeCut
+        self.interface = interface
+        self.edge_cuts = edge_cuts   # candidate edge id -> sorted crossing parameters t
 
     def interior_cuts(self, k) -> list:
         """Crossing parameters strictly inside edge k; corner crossings split nothing."""
-        return [c.t for c in self.edge_cuts.get(k, []) if 1e-12 < c.t < 1.0 - 1e-12]
-
-    @property
-    def interface_elements(self):
-        return list(self.interface)
+        return [t for t in self.edge_cuts.get(k, []) if 1e-12 < t < 1.0 - 1e-12]
 
     @property
     def n_interface(self):
-        return len(self.interface)
+        return len(self.interface.elements)
 
     def summary(self) -> dict:
         return {
@@ -198,7 +188,8 @@ def _polish_roots(chart: FrenetChart, a, b, t, edges):
 
 
 def _projected_cut(mesh: RectMesh, e: int, chart: FrenetChart, p, tol):
-    """Exact curve point nearest to a boundary sample lying in the zero band."""
+    """Exact curve point nearest to a boundary sample lying in the zero band,
+    as a crossing (edge, t, xi, point), or None."""
     curve = chart.curve
     xi = float(chart.nearest_parameter_estimate(p[None, :])[0])
     for _ in range(30):
@@ -221,7 +212,7 @@ def _projected_cut(mesh: RectMesh, e: int, chart: FrenetChart, p, tol):
         a, b = mesh.edge_a[kid], mesh.edge_b[kid]
         t = float(np.clip((g - a) @ (b - a) / mesh.edge_length[kid] ** 2, 0.0, 1.0))
         if np.linalg.norm(a + t * (b - a) - g) < tol:
-            return EdgeCut(edge=int(kid), t=t, xi=xi, point=np.asarray(g))
+            return int(kid), t, xi, np.asarray(g)
     return None
 
 
@@ -277,8 +268,10 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     and stands for 33 samples of that sign.  Only the candidates that see
     both strict signs are checked one by one.
 
-    Raises TangentialIntersection for grazing cuts and AmbiguousCut when an
-    element sees more than two crossings (interface under-resolved).
+    The interface elements come out as one InterfaceCuts record; the
+    intervals are widened, as arrays, to any cut outside them.  Raises
+    TangentialIntersection for grazing cuts and AmbiguousCut when an element
+    sees more than two crossings (interface under-resolved).
     """
     curve = chart.curve
     zero_tol = 1e-10 * mesh.h
@@ -320,13 +313,14 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     br = np.flatnonzero((r[1:] == r[:-1]) & (f[r[:-1], i[:-1]] * f[r[1:], i[1:]] < 0.0))
     r, i1, i2 = r[br], i[br], i[br + 1]
     t_mid = _bisect(chart, a[r], b[r], ts[i1], ts[i2], f[r, i1])
-    edge_cuts: dict[int, list[EdgeCut]] = {k: [] for k in edges}
+    # the crossings (edge, t, xi, point) of every candidate edge, by t
+    crossings = {k: [] for k in edges}
     for j, t, xi, p in zip(r, *_polish_roots(chart, a[r], b[r], t_mid, ids[r])):
-        found = edge_cuts[edges[j]]
-        if not any(abs(t - c.t) < 1e-9 for c in found):
-            found.append(EdgeCut(edge=edges[j], t=float(t), xi=float(xi), point=p))
-    for found in edge_cuts.values():
-        found.sort(key=lambda c: c.t)
+        found = crossings[edges[j]]
+        if not any(abs(t - c[1]) < 1e-9 for c in found):
+            found.append((edges[j], float(t), float(xi), p))
+    for found in crossings.values():
+        found.sort(key=lambda c: c[1])
 
     # the samples of each candidate's four edges; a candidate that sees one
     # strict sign at most is plain
@@ -336,13 +330,13 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     plain = candidates[~two_signs]
     tags[plain] = np.where(has_pos[~two_signs] | (eta_c[plain].mean(axis=1) > 0), 1, -1)
 
-    interface = []
+    found_cuts = []     # the two crossings of each interface element
     for e, eta_e in zip(candidates[two_signs].tolist(), eta_all[two_signs]):
-        cuts = [c for k in mesh.elem_edges[e] for c in edge_cuts[k]]
+        cuts = [c for k in mesh.elem_edges[e] for c in crossings[k]]
         # merge crossings that coincide at a shared corner
         unique = []
         for c in cuts:
-            if not any(np.linalg.norm(c.point - u.point) < 1e-12 * mesh.h for u in unique):
+            if not any(np.linalg.norm(c[3] - u[3]) < 1e-12 * mesh.h for u in unique):
                 unique.append(c)
         if len(unique) < 2:
             # a crossing can sit exactly on a corner/node, inside the zero
@@ -352,8 +346,7 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
             for idx in np.where(np.abs(eta_e) <= zero_tol)[0]:
                 cut = _projected_cut(mesh, e, chart, edge_pts[idx], zero_tol)
                 if cut is not None and not any(
-                        np.linalg.norm(cut.point - u.point) < 1e-9 * mesh.h
-                        for u in unique):
+                        np.linalg.norm(cut[3] - u[3]) < 1e-9 * mesh.h for u in unique):
                     unique.append(cut)
         if len(unique) != 2:
             # a mesh vertex on the interface stays on it under refinement
@@ -366,24 +359,19 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
                       "the mesh is too coarse for the interface here, refine the mesh")
             raise AmbiguousCut(
                 f"element {e}: {len(unique)} interface crossings, expected 2; {advice}")
-        interface.append((e, unique))
+        found_cuts.append(unique)
 
-    corners = mesh.elem_corners(np.array([e for e, _ in interface], dtype=int))
-    tags[[e for e, _ in interface]] = 0
-    records = {}
-    for (e, unique), xi0, xi1 in zip(interface, *chart.fictitious_intervals(corners)):
-        xi0, xi1 = float(xi0), float(xi1)
-        if curve.periodic:
-            # per-element copies: cut records are shared across elements
-            anchor = 0.5 * (xi0 + xi1)
-            local = [EdgeCut(edge=c.edge, t=c.t,
-                             xi=float(unwrap_near(c.xi, anchor, curve.period)),
-                             point=c.point) for c in unique]
-        else:
-            local = list(unique)
-        for c in local:
-            if not (xi0 <= c.xi <= xi1):
-                xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
-        records[e] = ElementTag(interval=(xi0, xi1), cuts=local)
-
-    return MeshTags(tags, records, edge_cuts)
+    elements = candidates[two_signs]
+    tags[elements] = 0
+    rows = [c for cuts in found_cuts for c in cuts]
+    edge = np.array([c[0] for c in rows], dtype=int).reshape(-1, 2)
+    t, xi = (np.array([c[i] for c in rows], dtype=float).reshape(-1, 2) for i in (1, 2))
+    point = np.array([c[3] for c in rows], dtype=float).reshape(-1, 2, 2)
+    lo, hi = chart.fictitious_intervals(mesh.elem_corners(elements))
+    if curve.periodic:
+        xi = unwrap_near(xi, 0.5 * (lo + hi)[:, None], curve.period)
+    for x in xi.T:        # widen an interval to a cut outside it, as float min/max do
+        lo, hi = np.where(x < lo, x, lo), np.where(x > hi, x, hi)
+    interface = InterfaceCuts(elements, np.stack([lo, hi], axis=1), edge, t, xi, point)
+    edge_cuts = {k: [c[1] for c in found] for k, found in crossings.items()}
+    return MeshTags(tags, interface, edge_cuts)

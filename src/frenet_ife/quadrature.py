@@ -20,18 +20,15 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DegeneratePartition
 from .frenet import FrenetChart, _bdot, _bnorm
-from .mesh import ElementTag, RectMesh
+from .mesh import InterfaceCuts, RectMesh
 
 
 @dataclass
 class QuadRule:
-    """Points (physical or parameter coordinates) and weights; a cut-cell
-    rule also carries the chart coordinates eta and xi of its points."""
+    """Points (physical or parameter coordinates) and weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    eta: np.ndarray | None = None
-    xi: np.ndarray | None = None
 
 
 @lru_cache(maxsize=64)
@@ -233,23 +230,20 @@ def _closest_on_polyline(verts, nv, p):
     return j, near[np.arange(len(j)), j]
 
 
-def _regions(mesh: RectMesh, tags: dict):
-    """The two regions of each interface element {e: tag}, element by
+def _regions(mesh: RectMesh, cuts: InterfaceCuts):
+    """The two regions of each interface element of the record, element by
     element: their boundary chains verts (2E, 6, 2), padded with the last
     vertex, their vertex counts nv and their arcs' ends xi_s, xi_e (2E,).
     The counterclockwise walk around an element passes each corner, then the
     cuts on the edge that starts there; its first cut to its second bounds
     region 0, and its second back to its first region 1.
     """
-    cuts = [c for tag in tags.values() for c in tag.cuts]
-    edge, t, xi = np.reshape([(c.edge, c.t, c.xi) for c in cuts], (-1, 2, 3)).transpose(2, 0, 1)
-    elems = np.fromiter(tags, dtype=int, count=len(tags))
-    side = np.argmax(mesh.elem_edges[elems][:, None, :] == edge[..., None], axis=2)
+    side = np.argmax(mesh.elem_edges[cuts.elements][:, None, :] == cuts.edge[..., None], axis=2)
     # the order along the walk, on which the top and left edges run backwards
-    first = np.lexsort((np.where(side >= 2, 1.0 - t, t), side))
-    side, xi = np.take_along_axis(side, first, axis=1), np.take_along_axis(xi, first, axis=1)
-    point = np.take_along_axis(np.reshape([c.point for c in cuts], (-1, 2, 2)), first[..., None], 1)
-    pool = np.concatenate([mesh.elem_corners(elems), point], axis=1)
+    first = np.lexsort((np.where(side >= 2, 1.0 - cuts.t, cuts.t), side))
+    side, xi = np.take_along_axis(side, first, axis=1), np.take_along_axis(cuts.xi, first, axis=1)
+    point = np.take_along_axis(cuts.point, first[..., None], 1)
+    pool = np.concatenate([mesh.elem_corners(cuts.elements), point], axis=1)
     between = (side[:, 1] - side[:, 0])[:, None, None]
     inner = np.concatenate([between, 4 - between], axis=1)    # corners of each region
     i = np.arange(6)                                          # pool: corners 0..3, cuts 4, 5
@@ -261,11 +255,12 @@ def _regions(mesh: RectMesh, tags: dict):
 _MAX_SPLITS = 4   # halvings of a region before its element is given up
 
 
-def level_cut_cell_rules(mesh: RectMesh, tags: dict, chart: FrenetChart,
-                         q: int) -> dict:
-    """The rules of cut_cell_rules for the interface elements {e: tag} of a
-    level, built together: {e: {side: QuadRule}}, each rule with the chart
-    coordinates eta and xi of its points.
+def level_cut_cell_rules(mesh: RectMesh, cuts: InterfaceCuts, chart: FrenetChart, q: int):
+    """The rules of cut_cell_rules for every interface element of the
+    record, built together: (points (P, 2), weights, eta, xi (P,), count
+    (2E,)), the regions in turn, each element's plus region then its minus
+    region, count[r] points each, with the chart coordinates eta and xi of
+    every point.
 
     Each element has two regions, bounded by a chain of its boundary and
     the interface arc between its cuts; verts[0] of a chain coincides with
@@ -290,7 +285,7 @@ def level_cut_cell_rules(mesh: RectMesh, tags: dict, chart: FrenetChart,
     DegeneratePartition naming the first element with both regions on one
     side.
     """
-    verts, nv, xi_s, xi_e = _regions(mesh, tags)
+    verts, nv, xi_s, xi_e = _regions(mesh, cuts)
     # each pending region's root region and the place of its leaf in a full
     # binary split: root * 2**_MAX_SPLITS + code orders leaves as their paths
     root, code = np.arange(len(nv)), np.zeros(len(nv), dtype=int)
@@ -332,38 +327,41 @@ def level_cut_cell_rules(mesh: RectMesh, tags: dict, chart: FrenetChart,
         root = np.repeat(root[~seen], 2)
         code = (code[~seen, None] + [0, 2**(_MAX_SPLITS - 1 - depth)]).ravel()
 
-    elems = list(tags)
     given_up = np.flatnonzero(failed.reshape(-1, 2).any(axis=1))
     if len(given_up):
-        raise DegeneratePartition(
-            f"element {elems[given_up[0]]}: no star-shaped anchor found for a cut region")
+        raise DegeneratePartition(f"element {cuts.elements[given_up[0]]}: "
+                                  "no star-shaped anchor found for a cut region")
     key, pts, w = (np.concatenate(part) for part in zip(*pieces))
     order = np.argsort(key, kind="stable")               # each region's leaves in turn
     pts, w = pts[order].reshape(-1, 2), w[order].ravel()
     count = np.bincount(key // 2**_MAX_SPLITS, minlength=len(failed)) * (q * q)
-    anchor = np.repeat([0.5 * (tag.interval[0] + tag.interval[1]) for tag in tags.values()], 2)
-    eta, xi = chart.inverse(pts, xi_anchor=np.repeat(anchor, count))
+    lo, hi = cuts.interval.T
+    eta, xi = chart.inverse(pts, xi_anchor=np.repeat(0.5 * (lo + hi), count.reshape(-1, 2).sum(1)))
     # each region's first point of largest |eta|
-    region, mag = np.repeat(np.arange(len(count)), count), np.abs(eta)
-    deep = np.flatnonzero(mag == np.repeat(np.maximum.reduceat(mag, np.cumsum(count) - count),
-                                           count))
+    start, mag = np.cumsum(count) - count, np.abs(eta)
+    region = np.repeat(np.arange(len(count)), count)
+    deep = np.flatnonzero(mag == np.repeat(np.maximum.reduceat(mag, start), count))
     side = np.where(eta[deep[np.unique(region[deep], return_index=True)[1]]] > 0, 1, -1)
     same = np.flatnonzero(side[0::2] == side[1::2])
     if len(same):
         raise DegeneratePartition(
-            f"element {elems[same[0]]}: both sub-regions landed on the same side")
-    end = np.cumsum(count).tolist()
-    rules = [QuadRule(pts[i:j], w[i:j], eta[i:j], xi[i:j]) for i, j in zip([0] + end, end)]
-    return {e: {s: rules[2 * i + r] for r, s in enumerate(side[2 * i:2 * i + 2].tolist())}
-            for i, e in enumerate(elems)}
+            f"element {cuts.elements[same[0]]}: both sub-regions landed on the same side")
+    # the plus region of each element first, gathered from the region starts
+    plus = np.arange(len(count)) ^ (side[0::2] < 0).repeat(2)
+    count = count[plus]
+    at = np.arange(len(pts)) + np.repeat(start[plus] - (np.cumsum(count) - count), count)
+    return pts[at], w[at], eta[at], xi[at], count
 
 
-def cut_cell_rules(mesh: RectMesh, e: int, tag: ElementTag,
+def cut_cell_rules(mesh: RectMesh, e: int, cuts: InterfaceCuts,
                    chart: FrenetChart, q: int) -> dict:
-    """Quadrature over the two curved sub-regions of interface element `e`.
+    """Quadrature over the two curved sub-regions of interface element `e`
+    of the record `cuts`.
 
     Returns {+1: QuadRule, -1: QuadRule} in physical coordinates.  Pieces:
     a fan of straight triangles from a star anchor plus one piece whose
     curved side lies on the interface arc between the cuts.
     """
-    return level_cut_cell_rules(mesh, {e: tag}, chart, q)[e]
+    row = cuts._make(a[cuts.elements == e] for a in cuts)
+    pts, w, _, _, (n, _) = level_cut_cell_rules(mesh, row, chart, q)
+    return {1: QuadRule(pts[:n], w[:n]), -1: QuadRule(pts[n:], w[n:])}

@@ -328,9 +328,9 @@ def element_basis(spaces, e):
     built on the call."""
     from frenet_ife.ife_space import TensorBasis
 
-    if e not in spaces.tags.interface:
+    if e not in spaces.tags.interface.elements:
         return TensorBasis(spaces.mesh.elem_box(e), spaces.m)
-    b, i = spaces.bases, spaces.tags.interface_elements.index(e)
+    b, i = spaces.bases, spaces.tags.interface.elements.tolist().index(e)
     xi0, xi1 = b.interval[i]
     return LoopIfeBasis(b.chart, (xi0, xi1), b.beta[-1], b.beta[1], b.coef[1][i, :b.m + 1],
                         LocalScaling(h_eta=b.chart.h, xi_c=0.5 * (xi0 + xi1),
@@ -344,7 +344,7 @@ def element_rules(spaces, e, q):
     side = int(spaces.tags.tags[e])
     if side:
         return [(gauss_rect(spaces.mesh.elem_box(e), q), side)]
-    rules = cut_cell_rules(spaces.mesh, e, spaces.tags.interface[e], spaces.chart, q)
+    rules = cut_cell_rules(spaces.mesh, e, spaces.tags.interface, spaces.chart, q)
     return [(rules[1], 1), (rules[-1], -1)]
 
 
@@ -810,13 +810,46 @@ def loop_rect_mesh(box, nx, ny):
     return self
 
 
+@dataclass
+class EdgeCut:
+    """One transversal interface crossing of a mesh edge."""
+
+    edge: int
+    t: float
+    xi: float
+    point: np.ndarray
+
+
+@dataclass
+class ElementTag:
+    """Classification record of one interface element."""
+
+    interval: tuple                # fictitious [xi0, xi1]
+    cuts: list
+
+
+@dataclass
+class LoopTags:
+    """loop_classify's output, one record per interface element."""
+
+    tags: np.ndarray               # per element: its side +-1 if plain, 0 if cut
+    interface: dict                # interface element -> ElementTag, in element order
+    edge_cuts: dict                # candidate edge id -> sorted list of EdgeCut
+
+    @property
+    def n_interface(self):
+        return len(self.interface)
+
+
 def loop_classify(mesh, chart, edge_samples=33):
     """classify_elements as it was before the level-wide phases: every edge,
     element, bisection step and fictitious interval queries the chart on its
-    own, and each element samples its four edges once more."""
+    own, and each element samples its four edges once more.  Returns the
+    per-element records of a LoopTags; as_level_record turns them into the
+    arrays of classify_elements."""
     from frenet_ife.errors import AmbiguousCut
     from frenet_ife.frenet import unwrap_near
-    from frenet_ife.mesh import EdgeCut, ElementTag, MeshTags, _projected_cut
+    from frenet_ife.mesh import _projected_cut
 
     def edge_point(a, b, t):
         return a + np.multiply.outer(np.asarray(t, dtype=float), b - a)
@@ -875,6 +908,7 @@ def loop_classify(mesh, chart, edge_samples=33):
         if len(unique) < 2:
             for idx in np.where(np.abs(eta_all) <= zero_tol)[0]:
                 cut = _projected_cut(mesh, e, chart, edge_pts[idx], zero_tol)
+                cut = None if cut is None else EdgeCut(*cut)
                 if cut is not None and not any(
                         np.linalg.norm(cut.point - u.point) < 1e-9 * mesh.h
                         for u in unique):
@@ -894,7 +928,23 @@ def loop_classify(mesh, chart, edge_samples=33):
                 xi0, xi1 = min(xi0, c.xi), max(xi1, c.xi)
         tags.append(0)
         interface[e] = ElementTag(interval=(xi0, xi1), cuts=local)
-    return MeshTags(np.array(tags), interface, edge_cuts)
+    return LoopTags(np.array(tags), interface, edge_cuts)
+
+
+def as_level_record(ref):
+    """The per-element records of a LoopTags as classify_elements holds them:
+    (the InterfaceCuts record, {edge: sorted crossing parameters t})."""
+    from frenet_ife.mesh import InterfaceCuts
+
+    tags = list(ref.interface.values())
+    cuts = [c for tag in tags for c in tag.cuts]
+    record = InterfaceCuts(
+        np.array(list(ref.interface), dtype=int),
+        np.array([tag.interval for tag in tags], dtype=float).reshape(-1, 2),
+        np.array([c.edge for c in cuts], dtype=int).reshape(-1, 2),
+        *(np.array([getattr(c, k) for c in cuts], dtype=float).reshape(-1, 2) for k in ("t", "xi")),
+        np.array([c.point for c in cuts], dtype=float).reshape(-1, 2, 2))
+    return record, {k: [c.t for c in found] for k, found in ref.edge_cuts.items()}
 
 
 # per-element reference loops for the X0 block and the weak residuals
@@ -1226,13 +1276,19 @@ def polyline_side(chart, pts):
     return 1 if eta[int(np.argmax(np.abs(eta)))] > 0 else -1
 
 
-def loop_cut_cell_rules(mesh, e, tag, chart, q):
-    """Quadrature over the two curved sub-regions of interface element `e`.
+def loop_cut_cell_rules(mesh, e, cuts, chart, q):
+    """Quadrature over the two curved sub-regions of interface element `e`
+    of the record `cuts`, read into one ElementTag.
 
-    Returns {+1: QuadRule, -1: QuadRule} in physical coordinates.  Pieces:
-    a fan of straight triangles from the first cut point plus one piece
-    whose curved side lies on the interface arc between the cuts.
+    Returns {+1: QuadRule, -1: QuadRule} in physical coordinates, in region
+    order.  Pieces: a fan of straight triangles from the first cut point
+    plus one piece whose curved side lies on the interface arc between the
+    cuts.
     """
+    i = cuts.elements.tolist().index(e)
+    tag = ElementTag(interval=tuple(cuts.interval[i].tolist()), cuts=[
+        EdgeCut(int(cuts.edge[i, j]), float(cuts.t[i, j]), float(cuts.xi[i, j]), cuts.point[i, j])
+        for j in range(2)])
     chains = _loop_boundary_chains(mesh, e, tag)
     rules = {}
     for chain in chains:
@@ -1373,9 +1429,9 @@ def loop_geometry_probes(curve, ns, box=(-1, 1, -1, 1)):
         band_lo, band_hi = np.inf, -np.inf
         # one chart inverse for the grids of all interface elements
         grid, size = _PROBE_GRID, _PROBE_GRID**2
-        intervals = [t.interval for t in tags.interface.values()]
+        intervals = tags.interface.interval.tolist()
         grids = []
-        for e in tags.interface:
+        for e in tags.interface.elements.tolist():
             xl, yl, xh, yh = mesh.elem_box(e)
             X, Y = np.meshgrid(np.linspace(xl, xh, grid), np.linspace(yl, yh, grid))
             grids.append(np.column_stack([X.ravel(), Y.ravel()]))
@@ -1402,7 +1458,7 @@ def loop_geometry_probes(curve, ns, box=(-1, 1, -1, 1)):
     out = {"levels": levels}
     for key in ("t_dev", "dt_dev", "det_dev"):
         vals = np.array([lv[key] for lv in levels])
-        if np.all(vals > 0):
+        if np.all(vals > 0) and len(set(hs.tolist())) > 1:
             out[f"slope_{key}"] = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
         else:
             out[f"slope_{key}"] = float("nan")
@@ -1428,12 +1484,12 @@ def loop_space_diagnostics(spaces):
     and one SVD per element."""
     from frenet_ife.ife_space import interface_jumps, weak_condition_residuals
 
-    elems = spaces.tags.interface_elements
+    elems = spaces.tags.interface.elements.tolist()
     if not elems:
         return []
     weak = weak_condition_residuals(spaces.bases)
     jumps = interface_jumps(spaces.bases, np.array(
-        [np.linspace(*spaces.tags.interface[e].interval, 24) for e in elems]))
+        [np.linspace(*interval, 24) for interval in spaces.tags.interface.interval]))
     rows = []
     for e, w, jv, jf in zip(elems, weak, *jumps):
         g = loop_gram_fictitious(element_basis(spaces, e))

@@ -15,7 +15,7 @@ def test_ab_reports_paired_ratios_of_one_tree_against_itself():
                          capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(out.stdout)
     assert set(report) == {"workload", "seed", "pairs", "run_s", "setup_s", "peak_rss_mb",
-                           "failed"}
+                           "failed", "loadavg"}
     assert report["failed"] == {"a": 0, "b": 0} and report["pairs"] >= 3
     for metric in ("run_s", "setup_s"):
         stats = report[metric]
@@ -26,3 +26,6 @@ def test_ab_reports_paired_ratios_of_one_tree_against_itself():
         assert 0 < lo <= stats["median_ratio"] <= hi
     rss = report["peak_rss_mb"]
     assert rss["diff"] == rss["b"] - rss["a"] and rss["a"] > 0
+    load = report["loadavg"]
+    assert set(load) == {"start", "end"}
+    assert all(len(v) == 3 and min(v) >= 0.0 for v in load.values())

@@ -65,9 +65,9 @@ def test_criterion_2_exact_conformity(spaces16):
     worst_v = worst_f = 0.0
     for m, spaces in spaces16.items():
         chart = spaces.chart
-        for e in spaces.tags.interface_elements:
+        for e, cut_xi in zip(spaces.tags.interface.elements, spaces.tags.interface.xi):
             b = element_basis(spaces, e)
-            xa, xb = sorted(c.xi for c in spaces.tags.interface[e].cuts)
+            xa, xb = sorted(cut_xi)
             xs = np.linspace(xa + 1e-10, xb - 1e-10, 50)
             pts = chart.curve.point(xs)
             _, n, _, _ = frame_at(chart.curve, xs)
@@ -132,7 +132,7 @@ def test_criterion_6_trace_constant_bounded(benchmark_case):
     medians = []
     for n in (8, 16, 32, 64):
         spaces = setup_level(benchmark_case, BOX, n, 1)
-        cts = trace_constant(spaces, spaces.tags.interface_elements)
+        cts = trace_constant(spaces, spaces.tags.interface.elements)
         maxima.append(max(cts))
         medians.append(float(np.median(cts)))
     variation = max(maxima) / min(maxima)
@@ -221,8 +221,8 @@ def test_criterion_10_quadrature_integrity():
         return np.einsum("ni,ij,nj->n", vx, coef, vy)
 
     worst_add = 0.0
-    for e in tags.interface_elements:
-        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
+    for e in tags.interface.elements:
+        rules = cut_cell_rules(mesh, e, tags.interface, chart, q=8)
         full = gauss_rect(mesh.elem_box(e), 6)
         split = sum(r.weights @ poly(r.points) for r in rules.values())
         whole = full.weights @ poly(full.points)
@@ -230,7 +230,7 @@ def test_criterion_10_quadrature_integrity():
 
     mesh1 = build_mesh((0.25, 0.75, 0.0, 0.5), 1)
     tags1 = classify_elements(mesh1, chart)
-    rules = cut_cell_rules(mesh1, 0, tags1.interface[0], chart, q=10)
+    rules = cut_cell_rules(mesh1, 0, tags1.interface, chart, q=10)
     oracle = disk_box_area(0.0, 0.0, 0.6, (0.25, 0.0, 0.75, 0.5))
     area_err = abs(rules[-1].weights.sum() - oracle)
     ok = worst_add <= 1e-12 and area_err <= 1e-10

@@ -183,7 +183,7 @@ def test_geometry_probes_bitwise_equal_to_loop_oracle(curve, ns):
 def test_stacked_chord_charts_bitwise_equal_to_one_per_interval(curve, n):
     mesh = build_mesh((-1, 1, -1, 1), n)
     chart = FrenetChart(curve, h=mesh.h)
-    intervals = [t.interval for t in classify_elements(mesh, chart).interface.values()]
+    intervals = classify_elements(mesh, chart).interface.interval.tolist()
     cc = ChordChart(chart, *np.array(intervals).T)
     rng = np.random.default_rng(n)
     pts = rng.uniform(-1, 1, (len(intervals), 7, 2))
@@ -257,7 +257,7 @@ def test_lemma_probes_on_other_interfaces(curve, ns):
         chart = FrenetChart(curve, h=mesh.h)
         tags = classify_elements(mesh, chart)
         spaces = build_spaces(mesh, tags, chart, 1, 1.0, 10.0)
-        cts = trace_constant(spaces, spaces.tags.interface_elements)
+        cts = trace_constant(spaces, spaces.tags.interface.elements)
         maxima.append(max(cts))
     assert max(maxima) / min(maxima) <= 2.0
 

@@ -202,7 +202,7 @@ def test_singular_stiffness_names_the_first_such_element(monkeypatch):
     # element: the probe names the one that comes first in its list
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     spaces = setup_level(case, (-1, 1, -1, 1), 8, 1)
-    elems = spaces.tags.interface_elements + np.flatnonzero(spaces.tags.tags)[:1].tolist()
+    elems = spaces.tags.interface.elements.tolist() + np.flatnonzero(spaces.tags.tags)[:1].tolist()
     zeroed = [elems[-1], elems[2]]
 
     def gradients(self, asked, volume, _orig=SpaceSet.gradients):

@@ -152,6 +152,34 @@ def test_probe_geometry_refuses_non_numeric_curve_parameters(tmp_path, capsys, i
     assert not out.exists()
 
 
+@pytest.mark.parametrize("petals", [2.5, 0, -3, True])
+def test_flower_refuses_petals_that_are_not_integers_of_at_least_one(tmp_path, capsys, petals):
+    # a fractional count would be truncated to a flower of another shape
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "o"
+    cfg.write_text(json.dumps({"interface": {"kind": "flower", "r0": 0.5, "amp": 0.05,
+                                             "petals": petals}, "out_dir": str(out)}))
+    assert main(["probe-geometry", "--config", str(cfg), "--mesh", "16"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": "interface.petals must be an integer >= 1"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mesh", ["16", "16,16"])
+def test_probe_geometry_fits_no_slope_through_one_mesh_size(tmp_path, capsys, mesh):
+    # a slope needs two distinct h: one level, or one size twice, gives NaN
+    # slopes and no warning from a degenerate fit (the suite's warnings are
+    # errors)
+    out = tmp_path / "g"
+    assert main(["probe-geometry", "--mesh", mesh, "--out", str(out)]) == 0
+    probes = json.loads((out / "geometry_probes.json").read_text())
+    assert len(probes["levels"]) == len(mesh.split(","))
+    assert all(lv["t_dev"] > 0 for lv in probes["levels"])
+    assert all(np.isnan(probes[f"slope_{k}"]) for k in ("t_dev", "dt_dev", "det_dev"))
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("slopes: T-id nan, DT-I nan, det nan\n", "")
+
+
 def test_cli_solve_writes_artifacts(tmp_path, monkeypatch):
     assembled = []
 
@@ -271,7 +299,7 @@ def test_cli_probes_build_their_levels_at_the_configured_quad(tmp_path):
     for n, level in zip((8, 16), trace["levels"], strict=True):
         spaces = setup_level(case, box, n, 1, quad)
         assert level["max"] == max(loop_trace_constant(spaces, e)
-                                   for e in spaces.tags.interface_elements)
+                                   for e in spaces.tags.interface.elements)
     assert probe["sigma0"] == auto_sigma0(setup_level(case, box, 8, 1, quad))[0]
     assert probe["sigma0"] != auto_sigma0(setup_level(case, box, 8, 1))[0]   # the orders matter
 

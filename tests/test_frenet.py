@@ -221,7 +221,7 @@ def test_fictitious_intervals_are_the_padded_loop_extremes():
     mesh = build_mesh((-1, 1, -1, 1), 16)
     chart = FrenetChart(ellipse(0.7, 0.5), h=mesh.h)
     tags = classify_elements(mesh, chart)
-    corners = np.array([mesh.elem_corners(e) for e in tags.interface_elements])
+    corners = np.array([mesh.elem_corners(e) for e in tags.interface.elements])
     lo, hi = chart.fictitious_intervals(corners)
     ts = np.linspace(0.0, 1.0, 10)[1:-1]
     for c, xi0, xi1 in zip(corners, lo, hi):
@@ -244,11 +244,11 @@ def test_xi_monotone_along_interface_element_edges(curve, box, n):
     chart = FrenetChart(curve, h=mesh.h)
     tags = classify_elements(mesh, chart)
     rng = np.random.default_rng(n)
-    elems = rng.choice(tags.interface_elements, size=12, replace=False)
+    rows = rng.choice(tags.n_interface, size=12, replace=False)
     ts = np.linspace(0.0, 1.0, 65)
-    for e in elems:
+    for e, (xi0, xi1) in zip(tags.interface.elements[rows], tags.interface.interval[rows]):
         c = mesh.elem_corners(e)
-        anchor = 0.5 * sum(tags.interface[e].interval)
+        anchor = 0.5 * (xi0 + xi1)
         for k in range(4):
             pts = c[k] + np.multiply.outer(ts, c[(k + 1) % 4] - c[k])
             _, xi = chart.inverse(pts, xi_anchor=anchor)

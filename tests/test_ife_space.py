@@ -11,7 +11,7 @@ from frenet_ife.ife_space import (IfeBasis, TensorBasis, build_spaces, build_x0,
                                   space_diagnostics, weak_condition_residuals,
                                   _l_operator_series, _legendre_rows)
 from frenet_ife.laplacian import FrenetLaplacian
-from frenet_ife.mesh import ElementTag, build_mesh, classify_elements
+from frenet_ife.mesh import build_mesh, classify_elements
 
 from oracles import (LoopIfeBasis, composite_simpson, element_basis, element_rules, frame_at,
                      loop_build_x0, loop_evaluate, loop_evaluate_ref, loop_gram_fictitious,
@@ -30,7 +30,7 @@ def circle_spaces():
 def _basis(chart, interval, m, beta_minus, beta_plus):
     """The one-row interface bases of one element with fictitious interval
     `interval`."""
-    return IfeBasis(chart, [interval], beta_minus, beta_plus, build_x0(chart, {0: interval}, m))
+    return IfeBasis(chart, [interval], beta_minus, beta_plus, build_x0(chart, [0], [interval], m))
 
 
 def _x1_exponents(m):
@@ -49,7 +49,7 @@ def test_x1_monomials():
 
 def test_x0_m1_is_trace_polynomials():
     chart = FrenetChart(circle(1.0), h=0.3)
-    (vecs,) = build_x0(chart, {0: (0.1, 0.4)}, 1)
+    (vecs,) = build_x0(chart, [0], [(0.1, 0.4)], 1)
     assert vecs.shape == (2, 2, 2)
     # no eta dependence at all for m=1
     assert np.max(np.abs(vecs[:, 1, :])) == 0.0
@@ -62,7 +62,7 @@ def test_x0_line_m2_against_explicit_matrix():
     line = LineCurve([0.0, 0.0], [1.0, 0.0], -5, 5)
     chart = FrenetChart(line, h=0.5)
     xi0, xi1 = 0.2, 0.9
-    (vecs,) = build_x0(chart, {0: (xi0, xi1)}, 2)
+    (vecs,) = build_x0(chart, [0], [(xi0, xi1)], 2)
     assert vecs.shape[0] == 3
 
     # independent 6x9 constraint matrix over raw monomials eta^j xi^i
@@ -242,10 +242,9 @@ def test_full_constraint_system_cross_check():
 def test_physical_conformity(circle_spaces):
     spaces = circle_spaces
     chart = spaces.chart
-    for e in spaces.tags.interface_elements[:6]:
+    for e, cut_xi in zip(spaces.tags.interface.elements[:6], spaces.tags.interface.xi):
         b = element_basis(spaces, e)
-        tag = spaces.tags.interface[e]
-        xa, xb = sorted(c.xi for c in tag.cuts)
+        xa, xb = sorted(cut_xi)
         xs = np.linspace(xa + 1e-9, xb - 1e-9, 50)
         pts = chart.curve.point(xs)
         _, n, _, _ = frame_at(chart.curve, xs)
@@ -283,7 +282,7 @@ def test_small_cut_sliver_robustness():
     # the tiny piece is still integrated consistently
     from frenet_ife.quadrature import cut_cell_rules
 
-    rules = cut_cell_rules(mesh, 0, tags.interface[0], chart, q=8)
+    rules = cut_cell_rules(mesh, 0, tags.interface, chart, q=8)
     oracle = disk_box_area(0, 0, r0, (box[0], box[2], box[1], box[3]))
     assert rules[-1].weights.sum() == pytest.approx(oracle, rel=1e-6)
     assert rules[-1].weights.sum() / (s * s) == pytest.approx(1e-6, rel=1e-3)
@@ -305,7 +304,7 @@ def test_tensor_basis_partition_of_unity_and_gradients():
 def test_projection_reproduces_members_and_constants(circle_spaces):
     spaces = circle_spaces
     rng = np.random.default_rng(8)
-    e = spaces.tags.interface_elements[0]
+    e = spaces.tags.interface.elements[0]
     b = element_basis(spaces, e)
 
     # local mass solve reproduces a member of the local space exactly
@@ -333,18 +332,22 @@ def test_projection_reproduces_members_and_constants(circle_spaces):
 
 
 def test_setup_builds_per_element_objects_for_cut_elements_only(monkeypatch):
-    # plain elements are rows of arrays: no tensor basis or tag of their own
-    built = {"TensorBasis": 0, "ElementTag": 0}
-    for cls in (TensorBasis, ElementTag):
-        def counted(self, *args, _orig=cls.__init__, _name=cls.__name__, **kwargs):
-            built[_name] += 1
-            _orig(self, *args, **kwargs)
+    # plain elements are rows of arrays, with no tensor basis of their own,
+    # and the interface elements are the rows of one record
+    from frenet_ife.mesh import InterfaceCuts
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    built = []
+
+    def counted(self, *args, _orig=TensorBasis.__init__, **kwargs):
+        built.append(1)
+        _orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorBasis, "__init__", counted)
     spaces = setup_level(manufactured_circle(0.6, 1.0, 10.0, p=4), (-1, 1, -1, 1), 32, 2)
     tags = spaces.tags
-    assert tags.n_interface > 0
-    assert built == {"TensorBasis": 0, "ElementTag": tags.n_interface}
+    assert tags.n_interface > 0 and built == []
+    assert isinstance(tags.interface, InterfaceCuts)
+    assert [len(a) for a in tags.interface] == [tags.n_interface] * 6
     assert len(spaces.bases.interval) == tags.n_interface
 
 
@@ -353,7 +356,7 @@ def test_dimension_mismatch_names_the_element():
     mesh = build_mesh((-1, 1, -1, 1), 8)
     chart = FrenetChart(circle(0.6), h=mesh.h)
     tags = classify_elements(mesh, chart)
-    first = tags.interface_elements[0]
+    first = tags.interface.elements[0]
     with pytest.raises(DimensionMismatch, match=rf"^element {first}: X0 nullspace dimension"):
         build_spaces(mesh, tags, chart, 2, 1.0, 10.0, {"interface": 1})
 
@@ -373,14 +376,15 @@ def level(request):
     mesh = build_mesh(box, n)
     chart = FrenetChart(curve, h=mesh.h)
     tags = classify_elements(mesh, chart)
-    return mesh, chart, tags, {e: t.interval for e, t in tags.interface.items()}
+    cuts = tags.interface
+    return mesh, chart, tags, dict(zip(cuts.elements.tolist(), map(tuple, cuts.interval.tolist())))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("line_q", [None, 20])
 def test_level_x0_and_weak_residuals_bitwise_equal_to_loop_oracle(level, m, line_q):
     mesh, chart, tags, intervals = level
-    vecs = build_x0(chart, intervals, m, line_q)
+    vecs = build_x0(chart, tags.interface.elements, tags.interface.interval, m, line_q)
     assert vecs.shape == (len(intervals), m + 1, m + 1, m + 1)
     spaces = build_spaces(mesh, tags, chart, m, 1.0, 10.0, {"interface": line_q})
     for i, (e, interval) in enumerate(intervals.items()):
@@ -480,7 +484,7 @@ def test_space_diagnostics_on_a_level_without_interface_elements():
 
 @pytest.mark.parametrize("line_q", [1, 2, 3])
 def test_level_x0_names_the_first_failing_element_like_the_loop_oracle(level, line_q):
-    _, chart, _, intervals = level
+    _, chart, tags, intervals = level
     first = None
     for e, interval in intervals.items():
         try:
@@ -490,7 +494,7 @@ def test_level_x0_names_the_first_failing_element_like_the_loop_oracle(level, li
             break
     assert first is not None
     with pytest.raises(DimensionMismatch, match=rf"^element {first}: X0 nullspace dimension"):
-        build_x0(chart, intervals, 3, line_q)
+        build_x0(chart, tags.interface.elements, tags.interface.interval, 3, line_q)
 
 
 @pytest.mark.parametrize("m", [2, 3])

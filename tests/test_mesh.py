@@ -10,8 +10,8 @@ from frenet_ife.frenet import FrenetChart
 from frenet_ife.mesh import (_EDGE_SAMPLES, RectMesh, _bisect, _polish_roots, build_mesh,
                              classify_elements)
 
-from oracles import (bisect_root, chart_map, loop_classify, loop_polish_root, loop_rect_mesh,
-                     sign_sample_interface)
+from oracles import (as_level_record, bisect_root, chart_map, loop_classify, loop_polish_root,
+                     loop_rect_mesh, sign_sample_interface)
 
 
 def test_counts_2x2():
@@ -119,13 +119,16 @@ def test_intersection_point_against_bisection_oracle():
     chart = FrenetChart(circle(0.6), h=0.3)
     mesh = build_mesh((-1, 1, -1, 1), 4)
     tags = classify_elements(mesh, chart)
-    pts = np.vstack([c.point for cuts in tags.edge_cuts.values() for c in cuts])
+    pts = tags.interface.point.reshape(-1, 2)
     d = np.linalg.norm(pts - np.array([0.5, y_star]), axis=1)
     assert d.min() <= 1e-10
-    # every recorded crossing sits on the curve
-    for cuts in tags.edge_cuts.values():
-        for c in cuts:
-            assert np.linalg.norm(c.point - chart.curve.point(np.asarray(c.xi))) <= 1e-12
+    # every recorded crossing sits on the curve, at its edge parameter
+    cuts = tags.interface
+    for k, t, xi, p in zip(cuts.edge.ravel(), cuts.t.ravel(), cuts.xi.ravel(), pts):
+        assert np.linalg.norm(p - chart.curve.point(np.asarray(xi))) <= 1e-12
+        assert t in tags.edge_cuts[k]
+    assert sorted({int(k) for k in cuts.edge.ravel()}) == \
+        sorted(k for k, found in tags.edge_cuts.items() if found)
 
 
 def test_interface_tags_have_two_cuts_and_interval():
@@ -133,13 +136,12 @@ def test_interface_tags_have_two_cuts_and_interval():
     mesh = build_mesh((-1, 1, -1, 1), 8)
     tags = classify_elements(mesh, chart)
     assert tags.n_interface > 0
-    for e in tags.interface_elements:
-        t = tags.interface[e]
-        assert len(t.cuts) == 2
-        xi0, xi1 = t.interval
+    cuts = tags.interface
+    assert cuts.edge.shape == cuts.t.shape == cuts.xi.shape == (tags.n_interface, 2)
+    for (xi0, xi1), cut_xi in zip(cuts.interval, cuts.xi):
         assert xi0 < xi1
-        for c in t.cuts:
-            assert xi0 <= c.xi <= xi1
+        for xi in cut_xi:
+            assert xi0 <= xi <= xi1
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -148,8 +150,7 @@ def test_interval_band_and_finite_overlap(n):
     chart = FrenetChart(circle(0.6), h=mesh.h)
     tags = classify_elements(mesh, chart)
     x0, _, y0, _ = mesh.box
-    for e in tags.interface_elements:
-        xi0, xi1 = tags.interface[e].interval
+    for xi0, xi1 in tags.interface.interval:
         assert 0.2 <= (xi1 - xi0) / mesh.h <= 5.0
         # fictitious element touches at most 7x7 elements
         eta_s = np.linspace(-mesh.h, mesh.h, 12)
@@ -230,21 +231,18 @@ def _bits(x):
     return None if x is None else np.asarray(x, dtype=float).tobytes()
 
 
-def _cut_bits(c):
-    return int(c.edge), _bits(c.t), _bits(c.xi), _bits(c.point)
-
-
 def _assert_same_classification(got, ref):
+    # the loop oracle's per-element records, read into the record arrays,
+    # field by field and bit for bit
     assert got.tags.dtype == ref.tags.dtype
     assert got.tags.tobytes() == ref.tags.tobytes()
-    assert list(got.interface) == list(ref.interface)
-    for e, r in ref.interface.items():
-        g = got.interface[e]
-        assert _bits(g.interval) == _bits(r.interval), e
-        assert [_cut_bits(c) for c in g.cuts] == [_cut_bits(c) for c in r.cuts], e
-    assert [int(k) for k in got.edge_cuts] == [int(k) for k in ref.edge_cuts]
-    for k, cuts in ref.edge_cuts.items():
-        assert [_cut_bits(c) for c in got.edge_cuts[k]] == [_cut_bits(c) for c in cuts], k
+    record, edge_cuts = as_level_record(ref)
+    for field, g, r in zip(record._fields, got.interface, record):
+        assert (g.dtype, g.shape) == (r.dtype, r.shape), field
+        assert g.tobytes() == r.tobytes(), field
+    assert [int(k) for k in got.edge_cuts] == [int(k) for k in edge_cuts]
+    for k, ts in edge_cuts.items():
+        assert [_bits(t) for t in got.edge_cuts[k]] == [_bits(t) for t in ts], k
 
 
 ORACLE_CURVES = {

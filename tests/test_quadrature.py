@@ -97,8 +97,8 @@ def test_cut_cell_additivity_q5(circle_setup):
         vy = np.vander(pts[:, 1], 6, increasing=True)
         return np.einsum("ni,ij,nj->n", vx, coef, vy)
 
-    for e in tags.interface_elements:
-        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
+    for e in tags.interface.elements:
+        rules = cut_cell_rules(mesh, e, tags.interface, chart, q=8)
         full = gauss_rect(mesh.elem_box(e), 6)
         split = sum(r.weights @ poly(r.points) for r in rules.values())
         whole = full.weights @ poly(full.points)
@@ -112,7 +112,7 @@ def test_cut_cell_area_against_adaptive_subdivision_oracle():
     chart = FrenetChart(circle(0.6), h=0.3)
     tags = classify_elements(mesh, chart)
     assert tags.tags[0] == 0
-    rules = cut_cell_rules(mesh, 0, tags.interface[0], chart, q=10)
+    rules = cut_cell_rules(mesh, 0, tags.interface, chart, q=10)
     area_inside = rules[-1].weights.sum()
     oracle = disk_box_area(0.0, 0.0, 0.6, (0.25, 0.0, 0.75, 0.5))
     assert area_inside == pytest.approx(oracle, abs=1e-10)
@@ -121,12 +121,12 @@ def test_cut_cell_area_against_adaptive_subdivision_oracle():
 
 def test_cut_cell_q_refinement_converges(circle_setup):
     mesh, chart, tags = circle_setup
-    e = tags.interface_elements[0]
+    e = tags.interface.elements[0]
     box = mesh.elem_box(e)
     oracle = disk_box_area(0.0, 0.0, 0.6, (box[0], box[1], box[2], box[3]))
     errs = []
     for q in (2, 4, 8):
-        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=q)
+        rules = cut_cell_rules(mesh, e, tags.interface, chart, q=q)
         errs.append(abs(rules[-1].weights.sum() - oracle))
     assert errs[2] <= 1e-10
     assert errs[0] > errs[2]
@@ -138,7 +138,7 @@ def test_line_cut_trapezoids_exact():
     mesh = build_mesh((0, 1, 0, 1), 1)
     tags = classify_elements(mesh, chart)
     assert tags.tags[0] == 0
-    rules = cut_cell_rules(mesh, 0, tags.interface[0], chart, q=3)
+    rules = cut_cell_rules(mesh, 0, tags.interface, chart, q=3)
     # below the line is the plus side (normal points downward)
     area_below = 0.5 * (0.1 + 0.4)
     assert rules[1].weights.sum() == pytest.approx(area_below, abs=1e-14)
@@ -161,8 +161,8 @@ def test_cut_cell_tiling_with_edge_lune_and_corner_crossing():
         return np.einsum("ni,ij,nj->n", vx, coef, vy)
 
     assert tags.n_interface > 0
-    for e in tags.interface_elements:
-        rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
+    for e in tags.interface.elements:
+        rules = cut_cell_rules(mesh, e, tags.interface, chart, q=8)
         full = gauss_rect(mesh.elem_box(e), 5)
         split = sum(r.weights @ poly(r.points) for r in rules.values())
         whole = full.weights @ poly(full.points)
@@ -180,8 +180,8 @@ def test_cut_cell_tiling_on_thin_crescents():
         tags = classify_elements(mesh, chart)
         area = mesh.dx * mesh.dy
         assert tags.n_interface > 0
-        for e in tags.interface_elements:
-            rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=8)
+        for e in tags.interface.elements:
+            rules = cut_cell_rules(mesh, e, tags.interface, chart, q=8)
             total = sum(r.weights.sum() for r in rules.values())
             assert total == pytest.approx(area, abs=1e-13)
             for r in rules.values():
@@ -207,7 +207,7 @@ def test_whole_mesh_cut_areas_sum_to_disk(circle_setup):
     total_inside = 0.0
     for e in range(mesh.n_elements):
         if tags.tags[e] == 0:
-            rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=10)
+            rules = cut_cell_rules(mesh, e, tags.interface, chart, q=10)
             total_inside += rules[-1].weights.sum()
             area = (mesh.dx * mesh.dy)
             assert rules[1].weights.sum() > 0
@@ -224,7 +224,7 @@ def test_degenerate_partition_names_the_element(monkeypatch, failure):
     mesh = build_mesh((-1, 1, -1, 1), 8)
     chart = FrenetChart(circle(0.6), h=mesh.h)
     tags = classify_elements(mesh, chart)
-    e = tags.interface_elements[0]
+    e = tags.interface.elements[0]
     if failure == "region":
         # no anchor passes: every region is split to the depth limit of the
         # level kernel, which then gives up
@@ -239,11 +239,10 @@ def test_degenerate_partition_names_the_element(monkeypatch, failure):
             return np.abs(eta), xi, ok
         monkeypatch.setattr(chart, "_newton", newton)
         message = "both sub-regions landed on the same side"
-    level = dict(tags.interface)
     with pytest.raises(DegeneratePartition, match=rf"^element {e}: {message}"):
-        level_cut_cell_rules(mesh, level, chart, 4)
+        level_cut_cell_rules(mesh, tags.interface, chart, 4)
     with pytest.raises(DegeneratePartition, match=rf"^element {e}: {message}"):
-        cut_cell_rules(mesh, e, tags.interface[e], chart, 4)
+        cut_cell_rules(mesh, e, tags.interface, chart, 4)
 
 
 # (curve, box, n, chart h) of the level oracle: thin crescents off the centre,
@@ -257,6 +256,13 @@ _RULE_CASES = {
     "lune": (flower(0.5, 0.02, 5), (-1, 1, -1, 1), 12, None),
     "line": (LineCurve([0.0, 0.1], [1.0, 0.3], -5, 5), (0, 1, 0, 1), 7, 2.0),
 }
+
+
+def _regions_of(rules):
+    """(points, weights, eta, xi) of each region of the output of
+    level_cut_cell_rules, in turn."""
+    *parts, count = rules
+    return list(zip(*(np.split(a, np.cumsum(count)[:-1]) for a in parts)))
 
 
 def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
@@ -279,18 +285,18 @@ def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
     for name, (curve, box, n, h) in _RULE_CASES.items():
         mesh = build_mesh(box, n)
         chart = FrenetChart(curve, h=h or mesh.h)
-        tags = classify_elements(mesh, chart)
-        level = dict(tags.interface)
+        cuts = classify_elements(mesh, chart).interface
         for q in (3, 4, 5, 6):
-            rules = level_cut_cell_rules(mesh, level, chart, q)
-            assert list(rules) == list(level)
-            for e, tag in level.items():
-                ref = loop_cut_cell_rules(mesh, e, tag, chart, q)
-                for got in (rules[e], cut_cell_rules(mesh, e, tag, chart, q)):
-                    assert list(got) == list(ref), (name, q, e)
-                    for side, rule in ref.items():
-                        assert np.array_equal(got[side].points, rule.points), (name, q, e)
-                        assert np.array_equal(got[side].weights, rule.weights), (name, q, e)
+            regions = _regions_of(level_cut_cell_rules(mesh, cuts, chart, q))
+            assert len(regions) == 2 * len(cuts.elements)
+            for i, e in enumerate(cuts.elements.tolist()):
+                ref = loop_cut_cell_rules(mesh, e, cuts, chart, q)
+                one = cut_cell_rules(mesh, e, cuts, chart, q)
+                assert sorted(ref) == [-1, 1] and list(one) == [1, -1], (name, q, e)
+                for r, side in enumerate((1, -1)):
+                    for pts, w in (regions[2 * i + r][:2], (one[side].points, one[side].weights)):
+                        assert np.array_equal(pts, ref[side].points), (name, q, e)
+                        assert np.array_equal(w, ref[side].weights), (name, q, e)
     assert len(stars) == len(cones)
     paths = dict.fromkeys(("first", "second", "vertex", "split"), 0)
     for star, cone in zip(stars, cones):
@@ -300,6 +306,31 @@ def test_level_rules_bitwise_equal_to_loop_oracle(monkeypatch):
         paths["vertex"] += int((~ok[:, :2].any(axis=1) & ok[:, 2:].any(axis=1)).sum())
         paths["split"] += int((~ok.any(axis=1)).sum())
     assert min(paths.values()) > 0, paths
+
+
+def test_level_rules_put_each_plus_region_first():
+    # the kernel's rows are, element by element, the oracle's plus rule and
+    # then its minus rule, count giving their sizes, whichever of the two
+    # regions of the boundary walk is the plus one
+    swapped = 0
+    for name, (curve, box, n, h) in _RULE_CASES.items():
+        mesh = build_mesh(box, n)
+        chart = FrenetChart(curve, h=h or mesh.h)
+        cuts = classify_elements(mesh, chart).interface
+        pts, w, eta, xi, count = level_cut_cell_rules(mesh, cuts, chart, 4)
+        assert count.shape == (2 * len(cuts.elements),)
+        assert len(pts) == len(w) == len(eta) == len(xi) == count.sum()
+        start = 0
+        for i, e in enumerate(cuts.elements.tolist()):
+            ref = loop_cut_cell_rules(mesh, e, cuts, chart, 4)
+            swapped += list(ref) == [-1, 1]
+            for r, side in enumerate((1, -1)):
+                n_pts = len(ref[side].points)
+                assert count[2 * i + r] == n_pts, (name, e, side)
+                assert np.array_equal(pts[start:start + n_pts], ref[side].points), (name, e, side)
+                assert np.array_equal(w[start:start + n_pts], ref[side].weights), (name, e, side)
+                start += n_pts
+    assert swapped > 0
 
 
 def _placements():
@@ -325,19 +356,20 @@ def test_chart_labels_are_the_polyline_labels_and_rules_carry_the_inverse():
             tags = classify_elements(mesh, chart)
         except AmbiguousCut:                     # an under-resolved placement
             continue
+        cuts = tags.interface
         try:
-            rules = level_cut_cell_rules(mesh, tags.interface, chart, 4)
+            regions = _regions_of(level_cut_cell_rules(mesh, cuts, chart, 4))
         except DegeneratePartition as exc:       # the per-element oracle gives up too
             e = int(str(exc).split(":")[0].split()[1])
             with pytest.raises(DegeneratePartition, match=str(exc)):
-                loop_cut_cell_rules(mesh, e, tags.interface[e], chart, 4)
+                loop_cut_cell_rules(mesh, e, cuts, chart, 4)
             continue
         levels += 1
-        for e, pieces in rules.items():
-            anchor = 0.5 * sum(tags.interface[e].interval)
-            for side, rule in pieces.items():
-                assert side == polyline_side(chart, rule.points), (name, e)
-                eta, xi = chart.inverse(rule.points, xi_anchor=anchor)
-                assert eta.tobytes() == rule.eta.tobytes(), (name, e)
-                assert xi.tobytes() == rule.xi.tobytes(), (name, e)
+        for i, (e, (xi0, xi1)) in enumerate(zip(cuts.elements, cuts.interval)):
+            anchor = 0.5 * (xi0 + xi1)
+            for side, (pts, _, rule_eta, rule_xi) in zip((1, -1), regions[2 * i:2 * i + 2]):
+                assert side == polyline_side(chart, pts), (name, e)
+                eta, xi = chart.inverse(pts, xi_anchor=anchor)
+                assert eta.tobytes() == rule_eta.tobytes(), (name, e)
+                assert xi.tobytes() == rule_xi.tobytes(), (name, e)
     assert levels >= len(_RULE_CASES) + 18

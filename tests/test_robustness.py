@@ -30,13 +30,12 @@ def test_random_interface_placements(seed):
         tags = classify_elements(mesh, chart)
         spaces = build_spaces(mesh, tags, chart, 2, 1.0, 10.0)
         assert tags.n_interface > 0
-        for e in tags.interface_elements:
-            rules = cut_cell_rules(mesh, e, tags.interface[e], chart, q=6)
+        for e, cut_xi in zip(tags.interface.elements, tags.interface.xi):
+            rules = cut_cell_rules(mesh, e, tags.interface, chart, q=6)
             total = sum(r.weights.sum() for r in rules.values())
             assert total == pytest.approx(area, abs=1e-12)
             b = element_basis(spaces, e)
-            t = tags.interface[e]
-            xa, xb = sorted(c.xi for c in t.cuts)
+            xa, xb = sorted(cut_xi)
             xs = np.linspace(xa + 1e-9, xb - 1e-9, 10)
             pts = curve.point(xs)
             _, n, _, _ = frame_at(curve, xs)

@@ -67,7 +67,7 @@ ALLOWED = {
         2, "tracer-pinned; edge_segments is its only caller",
         ["test_quadrature_table.py::test_segment_sides_match_one_query_per_segment"]),
     ("quadrature", "cut_cell_rules"): (
-        1, "tracer-pinned; level_cut_cell_rules on one element",
+        3, "tracer-pinned; level_cut_cell_rules on one element",
         ["test_quadrature.py::test_cut_cell_tiling_on_thin_crescents"]),
     ("ife_space", "TensorBasis.evaluate"): (
         2, "tracer-pinned; the tests' per-element reference reads",
@@ -102,10 +102,6 @@ ALLOWED = {
         "curve point within the band of a sample on an edge but near none of "
         "the element's edges",
         ["test_analysis.py::test_lemma_probes_on_other_interfaces"]),
-    ("mesh", "classify_elements"): (
-        1, "no input reaches it: an interval is widened to a cut outside it, "
-        "but the padded loop extremes already hold every cut of the boundary",
-        []),
     # the lines that build an error's message
     ("mesh", "_polish_roots"): (
         2, "a crossing that is tangent, diverged or off its edge",

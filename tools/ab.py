@@ -20,8 +20,11 @@ them.  Prints one JSON line: for each of the two, the median of each side,
 the median of the per-pair ratios B/A with a bootstrap 95% interval (2000
 resamples of the pairs, stdlib ``random`` with a fixed seed) and the share
 of the pairs in which B is lower; the peak RSS of each worker and B - A;
-the pair count; and the failed commands of each side (their pairs are left
-out of the ratios).
+the pair count; the failed commands of each side (their pairs are left out
+of the ratios); and the host's 1, 5 and 15 minute load averages
+(``os.getloadavg``) at the start and at the end of the run.  Other
+CPU-bound processes on the host bias the ratios: run it alone, and an A/A
+run of one tree against itself beside the A/B run shows the bias.
 """
 
 from __future__ import annotations
@@ -125,6 +128,7 @@ def paired(a: list, b: list, rng: random.Random) -> dict:
 
 def measure(args) -> dict:
     """Run the pairs and summarize them."""
+    load = {"start": list(os.getloadavg())}
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         workers = []
         for name, src in (("a", args.parent), ("b", args.change)):
@@ -151,6 +155,7 @@ def measure(args) -> dict:
     rss = {side: pairs[-1][i]["peak_rss_mb"] for i, side in enumerate("ab")}
     out["peak_rss_mb"] = {**rss, "diff": rss["b"] - rss["a"]}
     out["failed"] = {side: sum(p[i]["rc"] != 0 for p in pairs) for i, side in enumerate("ab")}
+    out["loadavg"] = {**load, "end": list(os.getloadavg())}
     return out
 
 

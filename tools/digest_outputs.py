@@ -27,13 +27,20 @@ checkout, or of a second checkout to compare against) and runs, through
 
 Prints one line ``<sha256>  <run>/<file>`` per output file, and one per
 command's exit code and standard output; ``resolved_config.json`` is left
-out, since it records the output directory.  Each cut-cell line
-``<sha256>  rules-<placement>-q<q>`` digests the bytes of each rule's
-points and then its weights, element by element, side by side; each line
-``<sha256>  frame-<curve>`` digests the maximum curvature, the Jacobians
-and the three jets, in that order.  Two trees whose printouts are equal
-wrote byte-identical outputs, rules and frames.  The outputs go to a
-temporary directory, or to ``--work`` when given (kept).
+out, since it records the output directory.  Each line
+``<sha256>  tags-<placement>`` digests the element tags, then each
+interface element's id, interval and its two cuts' edge, t, xi and point,
+then the ids of the candidate edges and their crossing parameters t; each
+cut-cell line ``<sha256>  rules-<placement>-q<q>`` digests the bytes of
+each rule's points, weights, eta and xi, element by element, the plus side
+first; each line ``<sha256>  frame-<curve>`` digests the maximum
+curvature, the Jacobians and the three jets, in that order.  The tags and
+rules lines read either form of the classification (the record arrays
+``MeshTags.interface``, or per-element records keyed by element as in
+older trees) and hash the same bytes from both.  Two trees whose printouts
+are equal wrote byte-identical outputs, classifications, rules and frames.
+The outputs go to a temporary directory, or to ``--work`` when given
+(kept).
 """
 
 from __future__ import annotations
@@ -73,13 +80,31 @@ def runs(workloads, seeds, work: Path):
         yield name, ["probe-geometry", "--config", str(cfg)], out
 
 
-def _cuts_bytes(sha, cuts):
-    import numpy as np
+def _interface_rows(interface):
+    """(element, interval, [(edge, t, xi, point)] of its two cuts) of each
+    interface element, from the record arrays or from per-element records."""
+    if hasattr(interface, "elements"):
+        for i, e in enumerate(interface.elements.tolist()):
+            yield e, interface.interval[i], [
+                (interface.edge[i, j], interface.t[i, j], interface.xi[i, j],
+                 interface.point[i, j]) for j in range(2)]
+    else:
+        for e, tag in interface.items():
+            yield e, tag.interval, [(c.edge, c.t, c.xi, c.point) for c in tag.cuts]
 
-    for c in cuts:
-        sha.update(np.array([c.edge]).tobytes())
-        sha.update(np.array([c.t, c.xi]).tobytes())
-        sha.update(np.asarray(c.point).tobytes())
+
+def _rules(mesh, interface, chart, q):
+    """(points, weights, eta, xi) of each cut-cell rule of the level, element
+    by element, the plus side first, from either form of the kernel."""
+    import numpy as np
+    from frenet_ife.quadrature import level_cut_cell_rules
+
+    if hasattr(interface, "elements"):
+        *parts, count = level_cut_cell_rules(mesh, interface, chart, q)
+        return zip(*(np.split(a, np.cumsum(count)[:-1]) for a in parts))
+    return ((r.points, r.weights, r.eta, r.xi)
+            for pieces in level_cut_cell_rules(mesh, dict(interface), chart, q).values()
+            for r in (pieces[1], pieces[-1]))
 
 
 def rule_digests() -> list[str]:
@@ -88,7 +113,6 @@ def rule_digests() -> list[str]:
     import numpy as np
     from frenet_ife.frenet import FrenetChart
     from frenet_ife.mesh import build_mesh, classify_elements
-    from frenet_ife.quadrature import level_cut_cell_rules
     from test_quadrature import _RULE_CASES
 
     lines = []
@@ -97,21 +121,22 @@ def rule_digests() -> list[str]:
         chart = FrenetChart(curve, h=h or mesh.h)
         tags = classify_elements(mesh, chart)
         sha = hashlib.sha256(tags.tags.tobytes())
-        for e, tag in tags.interface.items():
+        for e, interval, cuts in _interface_rows(tags.interface):
             sha.update(np.array([e]).tobytes())
-            sha.update(np.array(tag.interval).tobytes())
-            _cuts_bytes(sha, tag.cuts)
+            sha.update(np.array(interval, dtype=float).tobytes())
+            for edge, t, xi, point in cuts:
+                sha.update(np.array([edge]).tobytes())
+                sha.update(np.array([t, xi]).tobytes())
+                sha.update(np.asarray(point).tobytes())
         sha.update(np.array(list(tags.edge_cuts), dtype=int).tobytes())
         for cuts in tags.edge_cuts.values():
-            _cuts_bytes(sha, cuts)
+            sha.update(np.array([getattr(c, "t", c) for c in cuts], dtype=float).tobytes())
         lines.append(f"{sha.hexdigest()}  tags-{name}")
-        level = dict(tags.interface)
         for q in (3, 4, 5, 6):
             sha = hashlib.sha256()
-            for pieces in level_cut_cell_rules(mesh, level, chart, q).values():
-                for rule in pieces.values():
-                    sha.update(rule.points.tobytes())
-                    sha.update(rule.weights.tobytes())
+            for rule in _rules(mesh, tags.interface, chart, q):
+                for part in rule:
+                    sha.update(part.tobytes())
             lines.append(f"{sha.hexdigest()}  rules-{name}-q{q}")
     return lines
 
