@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # edge_segments is unused here, but perfbench/tracer.py patches analysis.edge_segments
-from .assembly import (assemble, auto_sigma0, edge_segments, penalty_weight,  # noqa: F401
-                       solve, trace_constant)
+from .assembly import (assemble, auto_sigma0, coercivity_ratio, edge_segments,  # noqa: F401
+                       penalty_weight, solve, trace_constant)
 from .curves import InterfaceCurve, circle
 from .errors import FrenetIfeError
 from .frenet import ChordChart, FrenetChart
@@ -270,8 +270,6 @@ def trace_probe_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
 def coercivity_probe(case: ManufacturedCase, m: int, n: int,
                      box=(-1, 1, -1, 1), sigma0="auto", quad=None) -> dict:
     """Assemble a small level and return the coercivity eigenvalue bound."""
-    from .assembly import coercivity_ratio
-
     spaces = setup_level(case, box, n, m, quad)
     if sigma0 == "auto":
         sigma0, ct = auto_sigma0(spaces)

@@ -41,6 +41,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValueError("a config must be a JSON object")
         cfg = cls()
         for key, val in d.items():
             if not hasattr(cfg, key):
@@ -104,6 +106,8 @@ class RunConfig:
                                   ("case", self.case, {"kind", "p"})):
             if not isinstance(block, dict) or set(block) - keys:
                 raise ValueError(f"config key {name!r} takes an object with keys {sorted(keys)}")
+        if not isinstance(self.interface, dict):
+            raise ValueError("config key 'interface' takes an object")
         if not all(q is None or (type(q) is int and q >= 1) for q in self.quad.values()):
             raise ValueError("quad orders must be null or integers >= 1")
         # q Gauss points are exact to degree 2q-1; the Q^m stiffness and the

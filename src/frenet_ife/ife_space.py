@@ -232,27 +232,11 @@ class IfeBasis:
         self.coef = {1: np.concatenate([x0, x1 / beta_plus], axis=1),
                      -1: np.concatenate([x0, x1 / beta_minus], axis=1)}
 
-    # -- evaluation of a one-row record -------------------------------------------
-    def evaluate_ref(self, eta, xi, side):
-        """Values and (d/deta, d/dxi) gradients in tubular coordinates."""
-        eta, xi = (np.atleast_1d(np.asarray(a, dtype=float))[None].repeat(2, 0) for a in (eta, xi))
-        plus = np.broadcast_to(np.asarray(side), eta.shape[1:]) > 0
-        return tuple(np.where(plus, r[1], r[0])
-                     for r in _ref_values(self, [0, 0], [-1, 1], eta, xi))
-
-    def evaluate(self, pts, side=None):
-        """Physical values and gradients at points of the element.
-
-        `side` may be +-1 (scalar or array) to force the branch, e.g. on
-        points lying exactly on the interface; by default the sign of eta
-        decides.
-        """
-        (xi_c,) = self.xi_c
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        eta, xi = self.chart.inverse(pts, xi_anchor=xi_c)
-        if side is None:
-            side = np.where(eta >= 0.0, 1, -1)
-        return _physical(*self.evaluate_ref(eta, xi, side), self.chart.jacobian(eta, xi))
+    def evaluate(self, rows, sides, eta, xi, J):
+        """Physical values (G, n_basis, P) and gradients (G, n_basis, P, 2) of
+        the basis of row rows[g] on side sides[g] at the points (eta[g],
+        xi[g]), (G, P) each, with chart Jacobians J (G, P, 2, 2) there."""
+        return _physical(*_ref_values(self, rows, sides, eta, xi), J)
 
 
 def _lobatto_nodes(m: int):
@@ -306,7 +290,9 @@ def at_points(fn, groups):
 
 
 class TensorBasis:
-    """Q^m Lagrange basis on Gauss-Lobatto nodes of one uncut element."""
+    """Q^m Lagrange basis on Gauss-Lobatto nodes of an uncut element, or of
+    each of a stack of them: a box (xl, yl, xh, yh) of scalars or of (K,)
+    arrays."""
 
     def __init__(self, box, m: int):
         self.box = box
@@ -314,13 +300,13 @@ class TensorBasis:
         self.nodes = _lobatto_nodes(m)
 
     def evaluate(self, pts, side=None):
-        xr, yr = _reference_coords(self.box, np.atleast_2d(np.asarray(pts, dtype=float)))
-        return self.combine(_lagrange_1d(self.nodes, xr), _lagrange_1d(self.nodes, yr))
-
-    def combine(self, x, y):
-        """Values and gradients from 1D Lagrange (values, derivatives) at xr,
-        yr, (..., n, P) each; a box of arrays stands for a stack of elements."""
-        (vx, dx_), (vy, dy_) = x, y
+        """Values (nl, P) and gradients (nl, P, 2) at pts (P, 2) of the one
+        element, or (K, nl, P) and (K, nl, P, 2) at pts (K, P, 2) of a stack,
+        from one 1D Lagrange evaluation at all their reference coordinates;
+        side is ignored."""
+        x, y = _reference_coords(self.box, np.atleast_2d(np.asarray(pts, dtype=float)))
+        (vx, vy), (dx_, dy_) = (np.moveaxis(a.reshape(len(a), 2, *x.shape), 0, -2) for a in
+                                _lagrange_1d(self.nodes, np.concatenate([x.ravel(), y.ravel()])))
         xl, yl, xh, yh = (np.asarray(c, dtype=float)[..., None, None] for c in self.box)
         shape = vx.shape[:-2] + (self.n_basis, vx.shape[-1])
         vals = (vx[..., :, None, :] * vy[..., None, :, :]).reshape(shape)
@@ -461,22 +447,12 @@ class SpaceSet:
             for n in np.unique(sizes):
                 pos = np.flatnonzero(sizes == n)
                 take = first[pos, None] + np.arange(n)
-                vals, grads = _physical(*_ref_values(self.bases, at[pos], sides[pos],
-                                                     eta[take], xi[take]), J[take])
+                vals, grads = self.bases.evaluate(at[pos], sides[pos], eta[take], xi[take],
+                                                  J[take])
                 stacks.append((elems[at[pos]], keys[pos], pts[take], w[take], sides[pos],
                                vals, grads, pos))
             return stacks
         return self._cached(("stacks", volume), build)
-
-    def _plain_values(self, elems, pts):
-        """Values (K, nl, nq) and gradients (K, nl, nq, 2) of the tensor bases
-        of elements elems (K,) at pts (K, nq, 2), from one 1D Lagrange
-        evaluation at all their reference coordinates."""
-        basis = TensorBasis(self.mesh.elem_box(elems), self.m)
-        x, y = _reference_coords(basis.box, pts)
-        v, d = (np.moveaxis(a.reshape(len(a), 2, *x.shape), 0, -2) for a in
-                _lagrange_1d(basis.nodes, np.concatenate([x.ravel(), y.ravel()])))
-        return basis.combine((v[0], d[0]), (v[1], d[1]))
 
     def _grouped_rows(self):
         """Mask of the segment rows of the one-segment edges whose elements
@@ -522,9 +498,9 @@ class SpaceSet:
         then one per size of interface piece."""
         def build():
             plain = self._plain_groups(True)
-            vals, grads = self._plain_values(np.array([ids[0] for ids, *_ in plain], dtype=int),
-                                             np.reshape([p[0] for _, p, *_ in plain],
-                                                        (len(plain), self.q_vol**2, 2)))
+            first = np.array([ids[0] for ids, *_ in plain], dtype=int)
+            vals, grads = TensorBasis(self.mesh.elem_box(first), self.m).evaluate(
+                np.reshape([p[0] for _, p, *_ in plain], (len(plain), self.q_vol**2, 2)))
             return [(*group[:4], vals[g:g + 1], grads[g:g + 1], group[4])
                     for g, group in enumerate(plain)] + \
                 [(elems, pts, w, sides, vals, grads, len(plain) + pos)
@@ -556,7 +532,8 @@ class SpaceSet:
             vals = np.empty((len(f), self.n_local, self.q_edge))
             grads = np.empty(vals.shape + (2,))
             flat = self.tags.tags[f] != 0
-            vals[flat], grads[flat] = self._plain_values(f[flat], pts[r[flat]])
+            vals[flat], grads[flat] = TensorBasis(self.mesh.elem_box(f[flat]),
+                                                  self.m).evaluate(pts[r[flat]])
             if not flat.all():
                 ((owner, keys, _, _, _, v, g, _),) = self.interface_stacks(False)
                 known = owner * len(edge) + keys
@@ -588,7 +565,8 @@ class SpaceSet:
             _, _, labels, seg_pts, seg_w = self._segments()
             i, rows = self._face_rows(plain)
             f, sides, pts, w = plain[i], labels[rows], seg_pts[rows], seg_w[rows]
-        return out + [(at[f], sides, w, self._plain_values(f, pts)[1])]
+        _, grads = TensorBasis(self.mesh.elem_box(f), self.m).evaluate(pts)
+        return out + [(at[f], sides, w, grads)]
 
 
 def build_spaces(mesh, tags, chart, m, beta_minus, beta_plus, quad=None) -> SpaceSet:

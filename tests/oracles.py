@@ -299,12 +299,15 @@ class LoopIfeBasis:
 
     def evaluate_ref(self, eta, xi, side):
         """Values and (d/deta, d/dxi) gradients in tubular coordinates: the
-        level kernel on this element's one-row record."""
-        from frenet_ife.ife_space import IfeBasis
+        level kernel on this element's one-row record, both sides at every
+        point, each point's side kept."""
+        from frenet_ife.ife_space import IfeBasis, _ref_values
 
         row = IfeBasis(self.chart, [self.interval], self.beta[-1], self.beta[1],
                        self.coef[1][None, :self.m + 1])
-        return row.evaluate_ref(eta, xi, side)
+        eta, xi = (np.atleast_1d(np.asarray(a, dtype=float))[None].repeat(2, 0) for a in (eta, xi))
+        plus = np.broadcast_to(np.asarray(side), eta.shape[1:]) > 0
+        return tuple(np.where(plus, r[1], r[0]) for r in _ref_values(row, [0, 0], [-1, 1], eta, xi))
 
     def evaluate(self, pts, side=None):
         """Physical values and gradients at points of the element.

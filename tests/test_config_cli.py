@@ -98,6 +98,8 @@ def test_cli_invalid_beta_exits_2(tmp_path):
     {"interface": {"kind": "circle", "radius": 0.0}},
     {"interface": {"kind": "ellipse", "a": 0.0, "b": 0.5}},
     {"interface": {"kind": "line", "origin": [0, 0], "direction": [0, 0]}},
+    # an interface that is not an object
+    {"interface": None}, {"interface": "circle"}, {"interface": [1]},
 ], ids=lambda o: json.dumps(o))
 def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, override):
     cfg = tmp_path / "bad.json"
@@ -106,6 +108,17 @@ def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, overr
     assert main(["solve", "--config", str(cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("top", [[1, 2], "solve", None], ids=json.dumps)
+def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsys, monkeypatch, top):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(top))
+    monkeypatch.chdir(tmp_path)          # the default output directory is ./out
+    assert main(["solve", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config", "message": "a config must be a JSON object"}
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("degree, quad, key", [

@@ -94,15 +94,15 @@ def test_x0_line_m2_against_explicit_matrix():
             d = 1e-5
             vals = []
             for eta in (-d, 0.0, d):
-                v, _, _ = basis.evaluate_ref(np.full_like(xi, eta), xi,
-                                             np.ones_like(xi, dtype=int))
-                vals.append(v[coef_fn])
+                v, _, _ = ife_space._ref_values(basis, [0], [1], np.full_like(xi, eta)[None],
+                                                xi[None])
+                vals.append(v[0, coef_fn])
             p_etaeta = (vals[0] - 2 * vals[1] + vals[2]) / d**2
             vxx = []
             for dx in (-d, 0.0, d):
-                v, _, _ = basis.evaluate_ref(np.zeros_like(xi), xi + dx,
-                                             np.ones_like(xi, dtype=int))
-                vxx.append(v[coef_fn])
+                v, _, _ = ife_space._ref_values(basis, [0], [1], np.zeros_like(xi)[None],
+                                                (xi + dx)[None])
+                vxx.append(v[0, coef_fn])
             p_xixi = (vxx[0] - 2 * vxx[1] + vxx[2]) / d**2
             return p_etaeta + p_xixi
 
@@ -160,7 +160,7 @@ def test_line_interface_eta_over_beta_shape():
     assert _origins(b)[idx] == "x1"
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(-0.4, 0.6, 40)])
-    vals, grads = b.evaluate(pts)
+    vals, grads = element_basis(spaces, 0).evaluate(pts)   # its row, each point's side
     beta = np.where(pts[:, 1] < 0.0, bp, bm)   # below the line is the plus side
     h_eta = b.chart.h
     assert np.allclose(vals[idx] * h_eta, -pts[:, 1] / beta, atol=1e-12)
@@ -468,11 +468,54 @@ def test_level_bases_are_one_record_bitwise_equal_to_the_per_element_oracle(leve
         for g in (2 * i, 2 * i + 1):
             assert all(np.array_equal(a[g], b) for a, b in
                        zip(values, loop_evaluate_ref(ref, eta[g], pts_xi[g], sides[g])))
-        # the one-row record's own evaluation, as read by the reference loops
+        # the row's one-row record, as the reference loops read it
         xl, yl, xh, yh = mesh.elem_box(e)
         pts = np.column_stack([rng.uniform(xl, xh, 5), rng.uniform(yl, yh, 5)])
-        row = IfeBasis(chart, [interval], 1.0, 10.0, bases.coef[1][i:i + 1, :m + 1])
-        assert all(np.array_equal(a, b) for a, b in zip(row.evaluate(pts), loop_evaluate(ref, pts)))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(element_basis(spaces, e).evaluate(pts), loop_evaluate(ref, pts)))
+
+
+def _points_in(mesh, ids, count, rng):
+    """count uniform random points (len(ids), count, 2) in each element's box."""
+    xl, yl, xh, yh = mesh.elem_box(ids)
+    u = rng.uniform(0, 1, (len(ids), count, 2))
+    return np.stack([xl[:, None] + u[..., 0] * (xh - xl)[:, None],
+                     yl[:, None] + u[..., 1] * (yh - yl)[:, None]], axis=-1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_tensor_evaluation_bitwise_equal_to_one_element_at_a_time(m):
+    # a box of arrays evaluates a stack of elements in one call; each
+    # element's slice is its own one-box evaluation
+    mesh = build_mesh((-0.7, 1.3, -1.0, 0.5), 8)
+    rng = np.random.default_rng(20 + m)
+    ids = rng.integers(0, mesh.n_elements, 11)
+    pts = _points_in(mesh, ids, 9, rng)
+    stacked = TensorBasis(mesh.elem_box(ids), m).evaluate(pts)
+    assert [a.shape for a in stacked] == [(11, (m + 1) ** 2, 9), (11, (m + 1) ** 2, 9, 2)]
+    for i, e in enumerate(ids):
+        one = TensorBasis(mesh.elem_box(e), m).evaluate(pts[i])
+        assert all(np.array_equal(a[i], b) for a, b in zip(stacked, one)), e
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_ife_evaluation_bitwise_equal_to_the_loop_oracle(level, m):
+    # IfeBasis.evaluate over both sides of every row of the level in one
+    # call, at each row's chart reads, against one element and side a call
+    mesh, chart, tags, intervals = level
+    bases = build_spaces(mesh, tags, chart, m, 1.0, 10.0).bases
+    pts = _points_in(mesh, tags.interface.elements, 6, np.random.default_rng(30 + m))
+    refs = [LoopIfeBasis(chart, interval, 1.0, 10.0, *loop_build_x0(chart, interval, m))
+            for interval in intervals.values()]
+    eta, xi = np.array([chart.inverse(p, xi_anchor=ref.scaling.xi_c)
+                        for p, ref in zip(pts, refs)]).swapaxes(0, 1)
+    J = np.array([chart.jacobian(a, b) for a, b in zip(eta, xi)])
+    rows = np.repeat(np.arange(len(refs)), 2)
+    sides = np.tile([1, -1], len(refs))
+    vals, grads = bases.evaluate(rows, sides, eta[rows], xi[rows], J[rows])
+    for g, (i, side) in enumerate(zip(rows, sides)):
+        v, gr = loop_evaluate(refs[i], pts[i], side)
+        assert np.array_equal(vals[g], v) and np.array_equal(grads[g], gr), (i, side)
 
 
 def test_space_diagnostics_on_a_level_without_interface_elements():

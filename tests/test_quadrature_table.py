@@ -152,27 +152,44 @@ def test_trace_constant_refuses_repeated_elements():
 @pytest.mark.parametrize("m", [1, 2])
 def test_trace_probe_is_one_kernel_call_per_level(monkeypatch, m):
     # the penalty probe and the trace study read the level's table in one
-    # call each, evaluate no basis element by element and build no group
+    # call each and build no group; each call evaluates the interface bases
+    # once per interface stack and the plain ones once per gradients read,
+    # as often at every n
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
-    calls = []
+    calls, reads, counts = [], [], []
 
     def counted(spaces, elems, _orig=trace_constant):
         calls.append(len(elems))
-        return _orig(spaces, elems)
+        reads.clear()
+        out = _orig(spaces, elems)
+        counts.append((reads.count("IfeBasis.evaluate"), reads.count("TensorBasis.evaluate"),
+                       reads.count("SpaceSet.gradients"),
+                       sum(len(spaces.interface_stacks(v)) for v in (True, False))))
+        return out
 
     for owner in (assembly, analysis):
         monkeypatch.setattr(owner, "trace_constant", counted)
-    for owner, name in ((ife_space.TensorBasis, "evaluate"), (ife_space.IfeBasis, "evaluate"),
-                        (SpaceSet, "volume_groups"), (SpaceSet, "edge_groups")):
+    for owner, name in ((SpaceSet, "volume_groups"), (SpaceSet, "edge_groups")):
         def recorded(*args, _name=f"{owner.__name__}.{name}", **kwargs):
             calls.append(_name)
         monkeypatch.setattr(owner, name, recorded)
+    for owner, name in ((ife_space.TensorBasis, "evaluate"), (ife_space.IfeBasis, "evaluate"),
+                        (SpaceSet, "gradients")):
+        def read(*args, _name=f"{owner.__name__}.{name}", _orig=getattr(owner, name), **kwargs):
+            reads.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, read)
     spaces = setup_level(case, BOX, 16, m)
     auto_sigma0(spaces)
     assert calls == [spaces.tags.n_interface + 1]
     calls.clear()
     study = analysis.trace_probe_study(case, m, (8, 16))
     assert calls == [lv["count"] for lv in study["levels"]]
+    # (IfeBasis.evaluate calls, TensorBasis.evaluate calls, gradients reads,
+    # interface stacks) of n=16, then of the study's n=8 and n=16
+    ife, plain, grads, stacks = counts[0]
+    assert ife == stacks > 0 and plain == grads == 2
+    assert counts == [counts[0]] * 3
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -290,7 +307,8 @@ def _chart_calls(monkeypatch, n):
     """Chart calls of one m=2 level over setup, auto penalty, assembly and
     error norms; from the auto penalty on, the interface basis evaluations,
     the stacked evaluations of interface values, and the builds of the
-    cut-cell rules with their star-test rounds."""
+    cut-cell rules with their star-test rounds; then the level's number of
+    interface elements and of interface stacks."""
     counts = dict.fromkeys(("inverse", "signed_distance_estimate", "jacobian"), 0)
     for name in counts:
         def counted(self, *args, _name=name, _orig=getattr(FrenetChart, name), **kwargs):
@@ -311,11 +329,12 @@ def _chart_calls(monkeypatch, n):
     system = assemble(spaces, sigma0, case.f, case.dirichlet)
     error_norms(solve(system), case, spaces, sigma0)
     monkeypatch.undo()
-    return counts, spaces.tags.n_interface
+    return counts, spaces.tags.n_interface, sum(len(spaces.interface_stacks(v))
+                                                for v in (True, False))
 
 
 def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
-    (c16, n16), (c32, n32) = (_chart_calls(monkeypatch, n) for n in (16, 32))
+    (c16, n16, s16), (c32, n32, s32) = (_chart_calls(monkeypatch, n) for n in (16, 32))
     assert n32 > n16
     # anchors, boundary loops, table volume, table edges
     assert c16["inverse"] == c32["inverse"] <= 5
@@ -325,10 +344,10 @@ def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
     # the interface values of volume pieces and of edge segments, each built
     # once for the trace probe and kept for assembly and error norms, from
     # one stacked evaluation per size of fan piece (2 to 6 cells) and one
-    # for all edge segments
+    # for all edge segments: one evaluate per interface stack, none per element
     assert c16["jacobian"] == c32["jacobian"] <= 2
     assert c16["_ref_values"] == c32["_ref_values"] <= 6
-    assert c16["evaluate"] == c32["evaluate"] == 0
+    assert c16["evaluate"] == c32["evaluate"] == c16["_ref_values"] == s16 == s32
     # every region of the circle finds its anchor in the level kernel's
     # first round: one star test per build of the rules
     assert c16["level_cut_cell_rules"] == c32["level_cut_cell_rules"] > 0

@@ -69,15 +69,6 @@ ALLOWED = {
     ("quadrature", "cut_cell_rules"): (
         3, "tracer-pinned; level_cut_cell_rules on one element",
         ["test_quadrature.py::test_cut_cell_tiling_on_thin_crescents"]),
-    ("ife_space", "TensorBasis.evaluate"): (
-        2, "tracer-pinned; the tests' per-element reference reads",
-        ["test_assembly.py::test_exact_reproduction_of_linear_solution"]),
-    ("ife_space", "IfeBasis.evaluate"): (
-        5, "tracer-pinned; the tests' per-element reference reads",
-        ["test_ife_space.py::test_line_interface_eta_over_beta_shape"]),
-    ("ife_space", "IfeBasis.evaluate_ref"): (
-        3, "called only by IfeBasis.evaluate",
-        ["test_ife_space.py::test_line_interface_eta_over_beta_shape"]),
     ("curves", "LineCurve.jerk"): (
         1, "tracer-pinned; the jets that read it build interface bases, and "
         "no command builds them on a line",

@@ -25,8 +25,11 @@ checkout, or of a second checkout to compare against) and runs, through
   Frenet frame on every curve kind; the workloads read the jets only on
   the circle.
 
-Prints one line ``<sha256>  <run>/<file>`` per output file, and one per
-command's exit code and standard output; ``resolved_config.json`` is left
+Prints first the OpenBLAS kernel that numpy's bundled OpenBLAS picked on
+this host (``openblas-kernel SkylakeX``, or ``unknown`` where the library
+does not say), since the outputs' bits depend on it; then one line
+``<sha256>  <run>/<file>`` per output file, and one per command's exit code
+and standard output; ``resolved_config.json`` is left
 out, since it records the output directory.  Each line
 ``<sha256>  tags-<placement>`` digests the element tags, then each
 interface element's id, interval and its two cuts' edge, t, xi and point,
@@ -35,10 +38,10 @@ cut-cell line ``<sha256>  rules-<placement>-q<q>`` digests the bytes of
 each rule's points, weights, eta and xi, element by element, the plus side
 first; each line ``<sha256>  frame-<curve>`` digests the maximum
 curvature, the Jacobians and the three jets, in that order.  The tags and
-rules lines read either form of the classification (the record arrays
-``MeshTags.interface``, or per-element records keyed by element as in
-older trees) and hash the same bytes from both.  Two trees whose printouts
-are equal wrote byte-identical outputs, classifications, rules and frames.
+rules lines read the record arrays of ``MeshTags.interface`` and of
+``quadrature.level_cut_cell_rules``.  Two trees whose printouts are equal
+on one host wrote byte-identical outputs, classifications, rules and
+frames there.
 The outputs go to a temporary directory, or to ``--work`` when given
 (kept).
 """
@@ -80,31 +83,19 @@ def runs(workloads, seeds, work: Path):
         yield name, ["probe-geometry", "--config", str(cfg)], out
 
 
-def _interface_rows(interface):
-    """(element, interval, [(edge, t, xi, point)] of its two cuts) of each
-    interface element, from the record arrays or from per-element records."""
-    if hasattr(interface, "elements"):
-        for i, e in enumerate(interface.elements.tolist()):
-            yield e, interface.interval[i], [
-                (interface.edge[i, j], interface.t[i, j], interface.xi[i, j],
-                 interface.point[i, j]) for j in range(2)]
-    else:
-        for e, tag in interface.items():
-            yield e, tag.interval, [(c.edge, c.t, c.xi, c.point) for c in tag.cuts]
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs on this host (``SkylakeX``,
+    ``Haswell``, ...), or ``unknown`` where its library does not export
+    ``scipy_openblas_get_corename64_``."""
+    import ctypes
 
+    from numpy._core import _multiarray_umath
 
-def _rules(mesh, interface, chart, q):
-    """(points, weights, eta, xi) of each cut-cell rule of the level, element
-    by element, the plus side first, from either form of the kernel."""
-    import numpy as np
-    from frenet_ife.quadrature import level_cut_cell_rules
-
-    if hasattr(interface, "elements"):
-        *parts, count = level_cut_cell_rules(mesh, interface, chart, q)
-        return zip(*(np.split(a, np.cumsum(count)[:-1]) for a in parts))
-    return ((r.points, r.weights, r.eta, r.xi)
-            for pieces in level_cut_cell_rules(mesh, dict(interface), chart, q).values()
-            for r in (pieces[1], pieces[-1]))
+    get = getattr(ctypes.CDLL(_multiarray_umath.__file__), "scipy_openblas_get_corename64_", None)
+    if get is None:
+        return "unknown"
+    get.restype = ctypes.c_char_p
+    return get().decode()
 
 
 def rule_digests() -> list[str]:
@@ -113,6 +104,7 @@ def rule_digests() -> list[str]:
     import numpy as np
     from frenet_ife.frenet import FrenetChart
     from frenet_ife.mesh import build_mesh, classify_elements
+    from frenet_ife.quadrature import level_cut_cell_rules
     from test_quadrature import _RULE_CASES
 
     lines = []
@@ -120,21 +112,23 @@ def rule_digests() -> list[str]:
         mesh = build_mesh(box, n)
         chart = FrenetChart(curve, h=h or mesh.h)
         tags = classify_elements(mesh, chart)
+        cut = tags.interface
         sha = hashlib.sha256(tags.tags.tobytes())
-        for e, interval, cuts in _interface_rows(tags.interface):
+        for i, e in enumerate(cut.elements.tolist()):
             sha.update(np.array([e]).tobytes())
-            sha.update(np.array(interval, dtype=float).tobytes())
-            for edge, t, xi, point in cuts:
-                sha.update(np.array([edge]).tobytes())
-                sha.update(np.array([t, xi]).tobytes())
-                sha.update(np.asarray(point).tobytes())
+            sha.update(np.array(cut.interval[i], dtype=float).tobytes())
+            for j in range(2):
+                sha.update(np.array([cut.edge[i, j]]).tobytes())
+                sha.update(np.array([cut.t[i, j], cut.xi[i, j]]).tobytes())
+                sha.update(np.asarray(cut.point[i, j]).tobytes())
         sha.update(np.array(list(tags.edge_cuts), dtype=int).tobytes())
-        for cuts in tags.edge_cuts.values():
-            sha.update(np.array([getattr(c, "t", c) for c in cuts], dtype=float).tobytes())
+        for ts in tags.edge_cuts.values():
+            sha.update(np.array(ts, dtype=float).tobytes())
         lines.append(f"{sha.hexdigest()}  tags-{name}")
         for q in (3, 4, 5, 6):
             sha = hashlib.sha256()
-            for rule in _rules(mesh, tags.interface, chart, q):
+            *parts, count = level_cut_cell_rules(mesh, cut, chart, q)
+            for rule in zip(*(np.split(a, np.cumsum(count)[:-1]) for a in parts)):
                 for part in rule:
                     sha.update(part.tobytes())
             lines.append(f"{sha.hexdigest()}  rules-{name}-q{q}")
@@ -166,7 +160,7 @@ def digest(src: Path, seeds, work: Path) -> list[str]:
     import workloads
     from frenet_ife import cli
 
-    lines = []
+    lines = [f"openblas-kernel {blas_kernel()}"]
     for name, argv, out in runs(workloads, seeds, work):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
