@@ -40,9 +40,12 @@ def penalty_weight(spaces: SpaceSet, sigma0: float) -> float:
 
 def edge_segments(spaces: SpaceSet, k: int, q: int):
     """Quadrature segments of edge k with branch labels: [(pts, w, side)]."""
-    mesh = spaces.mesh
-    segs = cut_edge_rule(mesh.edge_a[k], mesh.edge_b[k], spaces.tags.interior_cuts(k), q)
-    return [(seg.points, seg.weights, side) for seg, side in zip(segs, spaces.segment_sides(k))]
+    mesh, (edge, t) = spaces.mesh, spaces.tags.crossings
+    ts = t[(edge == k) & (t > 1e-12) & (t < 1.0 - 1e-12)]   # corners split nothing
+    segs = cut_edge_rule(mesh.edge_a[k], mesh.edge_b[k], ts, q)
+    _, first, sides, _, _ = spaces._segments()
+    return [(seg.points, seg.weights, side)
+            for seg, side in zip(segs, sides[first[k]:first[k + 1]].tolist())]
 
 
 def _stiffness(spaces: SpaceSet, sides, weights, grads):
@@ -145,7 +148,7 @@ def solve(system: SipdgSystem) -> np.ndarray:
     """Direct sparse solve with a residual contract of 1e-11."""
     c = spla.spsolve(system.S, system.F)
     resid = np.linalg.norm(system.S @ c - system.F) / max(np.linalg.norm(system.F), 1e-300)
-    if resid > 1e-11:
+    if not resid <= 1e-11:     # a NaN residual fails too
         raise NonConvergence(f"linear solve residual {resid:.2e} > 1e-11")
     return c
 

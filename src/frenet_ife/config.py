@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -13,9 +14,10 @@ from .errors import DegenerateParametrization
 
 
 def _numbers(value) -> bool:
-    """Whether value is a real number, or a list of them; a bool is not one."""
+    """Whether value is a finite real number, or a list of them; a bool is not one."""
     items = value if isinstance(value, (list, tuple)) else [value]
-    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in items)
 
 
 @dataclass
@@ -82,8 +84,8 @@ class RunConfig:
     def validate_run(self):
         """Raises ValueError on an unusable configuration, the case aside but
         for the keys of its block and the type of its p.  Integers must be
-        ints (not floats or bools), the other values real numbers (not
-        bools or strings); nothing is coerced.  An interface whose speed
+        ints (not floats or bools), the other values finite real numbers
+        (not bools or strings); nothing is coerced.  An interface whose speed
         ||g'|| drops below 1e-12 is unusable too.
 
         The mesh check bounds only h * max curvature, a local quantity; it
@@ -94,10 +96,10 @@ class RunConfig:
             raise ValueError("degree must be 1, 2 or 3")
         if not (_numbers([self.beta_minus, self.beta_plus])
                 and self.beta_plus >= self.beta_minus > 0):
-            raise ValueError("need beta_plus >= beta_minus > 0")
+            raise ValueError("need finite beta_plus >= beta_minus > 0")
         x0, x1, y0, y1 = self.domain
         if not _numbers(self.domain):
-            raise ValueError("domain entries must be numbers")
+            raise ValueError("domain entries must be finite numbers")
         if not (x1 > x0 and y1 > y0):
             raise ValueError("empty domain box")
         if not self.mesh_sizes:
@@ -126,7 +128,7 @@ class RunConfig:
             curve = self.curve()
             bad = [k for k, v in self.interface.items() if k != "kind" and not _numbers(v)]
             if bad:
-                raise ValueError(f"interface.{bad[0]} must be a number or a list of numbers")
+                raise ValueError(f"interface.{bad[0]} must be a finite number or a list of them")
             kmax = curve.max_curvature
         except DegenerateParametrization as exc:
             raise ValueError(f"degenerate interface: {exc}") from exc
@@ -143,11 +145,8 @@ class RunConfig:
                 raise ValueError(
                     f"mesh n={n}: element diagonal * max curvature >= 1 "
                     "(tubular chart not invertible)")
-        if isinstance(self.sigma0, str):
-            if self.sigma0 != "auto":
-                raise ValueError("sigma0 must be a positive number or 'auto'")
-        elif not (_numbers(self.sigma0) and self.sigma0 > 0):
-            raise ValueError("sigma0 must be a positive number or 'auto'")
+        if self.sigma0 != "auto" and not (_numbers(self.sigma0) and self.sigma0 > 0):
+            raise ValueError("sigma0 must be a finite positive number or 'auto'")
         return self
 
     def manufactured_case(self):

@@ -22,8 +22,8 @@ from .frenet import FrenetChart
 from .laplacian import FrenetLaplacian
 from .mesh import MeshTags, RectMesh
 # cut_cell_rules is unused here, but perfbench/tracer.py patches ife_space.cut_cell_rules
-from .quadrature import (_gauss01, cut_cell_rules, edge_spans, gauss_interval,  # noqa: F401
-                         gauss_rect, level_cut_cell_rules)
+from .quadrature import (_gauss01, cut_cell_rules, gauss_interval, gauss_rect,  # noqa: F401
+                         level_cut_cell_rules)
 
 
 def _scalings(intervals):
@@ -375,22 +375,24 @@ class SpaceSet:
         sides from the tags or from one chart query at the other segments'
         midpoints."""
         def build():
-            mesh = self.mesh
-            spans = {k: edge_spans(self.tags.interior_cuts(k)) for k in self.tags.edge_cuts}
-            count = np.ones(mesh.n_edges, dtype=int)
-            count[list(spans)] = [len(s) for s in spans.values()]
-            first = np.concatenate([[0], np.cumsum(count)])
-            edge = np.repeat(np.arange(mesh.n_edges), count)
-            t = np.tile([0.0, 1.0], (len(edge), 1))          # an uncut edge is one segment
-            for k, s in spans.items():
-                t[first[k]:first[k + 1]] = s
-            a, b, t0, t1 = mesh.edge_a[edge], mesh.edge_b[edge], t[:, :1], t[:, 1:]
+            mesh, (k, t) = self.mesh, self.tags.crossings
+            # the spans of each edge join its knots, 0, its interior crossings
+            # and 1, in turn, but for those shorter than 1e-14
+            inner = (t > 1e-12) & (t < 1.0 - 1e-12)
+            k, t, ends = k[inner], t[inner], np.arange(mesh.n_edges)
+            start = np.searchsorted(k, ends)
+            edge, t0 = np.insert(k, start, ends), np.insert(t, start, 0.0)
+            t1 = np.insert(t, np.searchsorted(k, ends, side="right"), 1.0)
+            keep = ~(t1 - t0 < 1e-14)
+            edge, t0, t1 = edge[keep], t0[keep, None], t1[keep, None]
+            first = np.searchsorted(edge, np.arange(mesh.n_edges + 1))
+            a, b = mesh.edge_a[edge], mesh.edge_b[edge]
             # the one segment of an edge whose elements are plain on one side
             # lies on that side; the other rows ask the chart at their midpoints
             elems = mesh.edge_elems[edge]
             side = self.tags.tags[elems[:, 0]]
             other = np.where(elems[:, 1] < 0, side, self.tags.tags[elems[:, 1]])
-            side = np.where((count[edge] == 1) & (side == other), side, 0)
+            side = np.where((np.diff(first)[edge] == 1) & (side == other), side, 0)
             ask = np.flatnonzero(side == 0)
             eta = self.chart.signed_distance_estimate(a[ask] + 0.5 * (t0 + t1)[ask] * (b - a)[ask])
             side[ask] = np.where(eta > 0, 1, -1)
@@ -399,20 +401,6 @@ class SpaceSet:
                     a + (t0 + (t1 - t0) * x)[..., None] * (b - a),
                     ((t1 - t0) * mesh.edge_length[edge, None]) * w)
         return self._cached("segments", build)
-
-    def segment_sides(self, k: int):
-        """Branch labels of the segments of edge k, in cut_edge_rule order."""
-        _, first, sides, _, _ = self._segments()
-        return sides[first[k]:first[k + 1]].tolist()
-
-    def _face_rows(self, elems):
-        """(index into elems, segment-table row) of every segment of the four
-        edges of each of elems (K,) in turn, in cut_edge_rule order."""
-        _, first, *_ = self._segments()
-        k = self.mesh.elem_edges[elems].ravel()
-        count = first[k + 1] - first[k]
-        slot = np.repeat(np.arange(len(k)), count)        # the (element, edge) of each row
-        return slot // 4, first[k][slot] + np.arange(len(slot)) - (np.cumsum(count) - count)[slot]
 
     def interface_stacks(self, volume: bool):
         """The pieces of the interface elements (volume) or the segment-table
@@ -436,8 +424,8 @@ class SpaceSet:
                 at, keys = np.repeat(np.arange(len(elems)), 2), np.tile([0, 1], len(elems))
                 sides = np.tile([1, -1], len(elems))
             else:
-                _, _, labels, seg_pts, seg_w = self._segments()
-                at, keys = self._face_rows(elems)
+                _, first, labels, seg_pts, seg_w = self._segments()
+                at, keys = self.mesh.face_rows(first, elems)
                 sides, sizes = labels[keys], np.full(len(keys), self.q_edge)
                 pts, w = seg_pts[keys].reshape(-1, 2), seg_w[keys].ravel()
                 eta, xi = self.chart.inverse(pts, xi_anchor=np.repeat(self.bases.xi_c[at], sizes))
@@ -550,20 +538,22 @@ class SpaceSet:
         """Gradients of the bases of elements elems (K,) on their pieces
         (volume) or on the segment rows of their faces: [(index into elems,
         -1 for an element not in it, sides, weights, grads)], one entry per
-        interface stack, read whole without a copy, then one for the plain
-        elements of elems, evaluated on their own rule or rows, each
-        element's in turn."""
+        interface stack, read whole without a copy, then, if elems holds
+        plain elements, one for them, evaluated on their own rule or rows,
+        each element's in turn."""
         tags, at = self.tags.tags, np.full(self.mesh.n_elements, -1)
         at[elems] = np.arange(len(elems))
         stacks = self.interface_stacks(volume) if (tags[elems] == 0).any() else []
         out = [(at[owner], sides, w, grads) for owner, _, _, w, sides, _, grads, _ in stacks]
         plain = elems[tags[elems] != 0]
+        if not len(plain):
+            return out
         if volume:
             rule = gauss_rect(self.mesh.elem_box(plain), self.q_vol)
             f, sides, pts, w = plain, tags[plain], rule.points, rule.weights
         else:
-            _, _, labels, seg_pts, seg_w = self._segments()
-            i, rows = self._face_rows(plain)
+            _, first, labels, seg_pts, seg_w = self._segments()
+            i, rows = self.mesh.face_rows(first, plain)
             f, sides, pts, w = plain[i], labels[rows], seg_pts[rows], seg_w[rows]
         _, grads = TensorBasis(self.mesh.elem_box(f), self.m).evaluate(pts)
         return out + [(at[f], sides, w, grads)]

@@ -79,6 +79,14 @@ class RectMesh:
         return np.stack([np.stack(c, axis=-1) for c in ((xl, yl), (xh, yl), (xh, yh), (xl, yh))],
                         axis=-2)
 
+    def face_rows(self, first, elems):
+        """(index into elems, row) of every row of the four edges of each of
+        elems (K,) in turn, edge k owning rows first[k]:first[k + 1]."""
+        k = self.elem_edges[elems].ravel()
+        count = first[k + 1] - first[k]
+        slot = np.repeat(np.arange(len(k)), count)        # the (element, edge) of each row
+        return slot // 4, first[k][slot] + np.arange(len(slot)) - (np.cumsum(count) - count)[slot]
+
 
 def build_mesh(box, n: int) -> RectMesh:
     """Uniform n-by-n mesh."""
@@ -100,14 +108,10 @@ class InterfaceCuts(NamedTuple):
 class MeshTags:
     """Classification of a mesh against one interface chart."""
 
-    def __init__(self, tags, interface: InterfaceCuts, edge_cuts):
+    def __init__(self, tags, interface: InterfaceCuts, crossings):
         self.tags = tags             # per element: its side +-1 if plain, 0 if cut
         self.interface = interface
-        self.edge_cuts = edge_cuts   # candidate edge id -> sorted crossing parameters t
-
-    def interior_cuts(self, k) -> list:
-        """Crossing parameters strictly inside edge k; corner crossings split nothing."""
-        return [t for t in self.edge_cuts.get(k, []) if 1e-12 < t < 1.0 - 1e-12]
+        self.crossings = crossings   # (edge, t) of every edge crossing, by edge, then by t
 
     @property
     def n_interface(self):
@@ -193,9 +197,7 @@ def _projected_cut(mesh: RectMesh, e: int, chart: FrenetChart, p, tol):
     curve = chart.curve
     xi = float(chart.nearest_parameter_estimate(p[None, :])[0])
     for _ in range(30):
-        g = curve.point(np.asarray(xi, dtype=float))
-        gp = curve.velocity(np.asarray(xi, dtype=float))
-        ga = curve.accel(np.asarray(xi, dtype=float))
+        g, gp, ga = curve.jet(np.asarray(xi, dtype=float))
         r = p - g
         grad = float(r @ gp)
         hess = float(r @ ga) - float(gp @ gp)
@@ -256,6 +258,17 @@ def _one_sided(mesh: RectMesh, chart: FrenetChart, eta_grid, k, zero_tol):
     return same & (np.abs(ends).sum(axis=1) > mesh.edge_length[k] + 2.0 * delta)
 
 
+def _repeats(group, close):
+    """Mask of the rows that close pairs with an earlier row of their group.
+    A group's rows are consecutive; close(d) compares rows d: with rows :-d."""
+    out = np.zeros(len(group), dtype=bool)
+    d = 1
+    while d < len(group) and (same := group[d:] == group[:-d]).any():
+        out[d:] |= same & close(d)
+        d += 1
+    return out
+
+
 def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     """Tag every element as plain or interface and locate all edge crossings.
 
@@ -265,13 +278,13 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     brackets, and the fictitious intervals of all interface elements.  A
     candidate edge is an edge of an element not rejected outright by its
     corners; one that `_one_sided` shows keeps its ends' sign is not sampled,
-    and stands for 33 samples of that sign.  Only the candidates that see
-    both strict signs are checked one by one.
+    and stands for 33 samples of that sign.
 
-    The interface elements come out as one InterfaceCuts record; the
-    intervals are widened, as arrays, to any cut outside them.  Raises
-    TangentialIntersection for grazing cuts and AmbiguousCut when an element
-    sees more than two crossings (interface under-resolved).
+    The crossings come out as arrays, and the interface elements as one
+    InterfaceCuts record that reads its cuts off them; only an element that
+    does not see two is checked on its own.  Raises TangentialIntersection
+    for grazing cuts and AmbiguousCut when an element sees more than two
+    crossings (interface under-resolved).
     """
     curve = chart.curve
     zero_tol = 1e-10 * mesh.h
@@ -293,8 +306,7 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     # offsets at the samples of every candidate edge, one row per edge; the
     # row of a one-sided edge holds its offset at a, which has the sign of
     # all its samples
-    edges = list(dict.fromkeys(mesh.elem_edges[candidates].ravel().tolist()))
-    ids = np.array(edges, dtype=int)
+    ids = np.array(list(dict.fromkeys(mesh.elem_edges[candidates].ravel().tolist())), dtype=int)
     row = np.zeros(mesh.n_edges, dtype=int)
     row[ids] = np.arange(len(ids))
     ts = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
@@ -313,14 +325,12 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     br = np.flatnonzero((r[1:] == r[:-1]) & (f[r[:-1], i[:-1]] * f[r[1:], i[1:]] < 0.0))
     r, i1, i2 = r[br], i[br], i[br + 1]
     t_mid = _bisect(chart, a[r], b[r], ts[i1], ts[i2], f[r, i1])
-    # the crossings (edge, t, xi, point) of every candidate edge, by t
-    crossings = {k: [] for k in edges}
-    for j, t, xi, p in zip(r, *_polish_roots(chart, a[r], b[r], t_mid, ids[r])):
-        found = crossings[edges[j]]
-        if not any(abs(t - c[1]) < 1e-9 for c in found):
-            found.append((edges[j], float(t), float(xi), p))
-    for found in crossings.values():
-        found.sort(key=lambda c: c[1])
+    t, xi, p = _polish_roots(chart, a[r], b[r], t_mid, ids[r])
+    # the crossings: a root within 1e-9 in t of an earlier root of its edge
+    # (the roots of an edge are consecutive) is a repeat
+    keep = np.flatnonzero(~_repeats(r, lambda d: np.abs(t[d:] - t[:-d]) < 1e-9))
+    keep = keep[np.lexsort((t[keep], ids[r[keep]]))]
+    cut_edge, cut_t, xi, p = ids[r[keep]], t[keep], xi[keep], p[keep]
 
     # the samples of each candidate's four edges; a candidate that sees one
     # strict sign at most is plain
@@ -330,20 +340,25 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     plain = candidates[~two_signs]
     tags[plain] = np.where(has_pos[~two_signs] | (eta_c[plain].mean(axis=1) > 0), 1, -1)
 
-    found_cuts = []     # the two crossings of each interface element
-    for e, eta_e in zip(candidates[two_signs].tolist(), eta_all[two_signs]):
-        cuts = [c for k in mesh.elem_edges[e] for c in crossings[k]]
-        # merge crossings that coincide at a shared corner
-        unique = []
-        for c in cuts:
-            if not any(np.linalg.norm(c[3] - u[3]) < 1e-12 * mesh.h for u in unique):
-                unique.append(c)
+    # each interface element's cuts: the crossings of its four edges in
+    # turn, less those within 1e-12 h of an earlier one of the element (a
+    # point lies on two of the edges at most)
+    elements, eta_cut = candidates[two_signs], eta_all[two_signs]
+    owner, rows = mesh.face_rows(np.searchsorted(cut_edge, np.arange(mesh.n_edges + 1)), elements)
+    kept = ~_repeats(owner, lambda d: _bnorm(p[rows[d:]] - p[rows[:-d]]) < 1e-12 * mesh.h)
+    rows, owner = rows[kept], owner[kept]
+    two = np.bincount(owner, minlength=len(elements)) == 2
+    pick = rows[two[owner]].reshape(-1, 2)
+    cuts = [cut_edge[pick], cut_t[pick], xi[pick], p[pick]]   # edge, t, xi, point
+    # the other elements in turn, each inserted at its place
+    for i, e in zip(np.flatnonzero(~two).tolist(), elements[~two].tolist()):
+        unique = [(cut_edge[j], cut_t[j], xi[j], p[j]) for j in rows[owner == i]]
         if len(unique) < 2:
             # a crossing can sit exactly on a corner/node, inside the zero
             # band of the sign filter; recover it by projecting onto the curve
             edge_pts = np.vstack([_edge_point(mesh.edge_a[k], mesh.edge_b[k], ts)
                                   for k in mesh.elem_edges[e]])
-            for idx in np.where(np.abs(eta_e) <= zero_tol)[0]:
+            for idx in np.where(np.abs(eta_cut[i]) <= zero_tol)[0]:
                 cut = _projected_cut(mesh, e, chart, edge_pts[idx], zero_tol)
                 if cut is not None and not any(
                         np.linalg.norm(cut[3] - u[3]) < 1e-9 * mesh.h for u in unique):
@@ -359,19 +374,13 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
                       "the mesh is too coarse for the interface here, refine the mesh")
             raise AmbiguousCut(
                 f"element {e}: {len(unique)} interface crossings, expected 2; {advice}")
-        found_cuts.append(unique)
+        cuts = [np.insert(c, i, v, axis=0) for c, v in zip(cuts, zip(*unique))]
 
-    elements = candidates[two_signs]
     tags[elements] = 0
-    rows = [c for cuts in found_cuts for c in cuts]
-    edge = np.array([c[0] for c in rows], dtype=int).reshape(-1, 2)
-    t, xi = (np.array([c[i] for c in rows], dtype=float).reshape(-1, 2) for i in (1, 2))
-    point = np.array([c[3] for c in rows], dtype=float).reshape(-1, 2, 2)
     lo, hi = chart.fictitious_intervals(mesh.elem_corners(elements))
     if curve.periodic:
-        xi = unwrap_near(xi, 0.5 * (lo + hi)[:, None], curve.period)
-    for x in xi.T:        # widen an interval to a cut outside it, as float min/max do
+        cuts[2] = unwrap_near(cuts[2], 0.5 * (lo + hi)[:, None], curve.period)
+    for x in cuts[2].T:    # widen an interval to a cut outside it, as float min/max do
         lo, hi = np.where(x < lo, x, lo), np.where(x > hi, x, hi)
-    interface = InterfaceCuts(elements, np.stack([lo, hi], axis=1), edge, t, xi, point)
-    edge_cuts = {k: [c[1] for c in found] for k, found in crossings.items()}
-    return MeshTags(tags, interface, edge_cuts)
+    interface = InterfaceCuts(elements, np.stack([lo, hi], axis=1), *cuts)
+    return MeshTags(tags, interface, (cut_edge, cut_t))

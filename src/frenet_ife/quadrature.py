@@ -70,24 +70,20 @@ class EdgeSegment:
     t1: float
 
 
-def edge_spans(cut_ts) -> list[tuple[float, float]]:
-    """(t0, t1) of the pieces of an edge split at parameters `cut_ts`."""
-    knots = [0.0] + sorted(float(t) for t in cut_ts) + [1.0]
-    return [(t0, t1) for t0, t1 in zip(knots[:-1], knots[1:]) if not t1 - t0 < 1e-14]
-
-
 def cut_edge_rule(a, b, cut_ts, q: int) -> list[EdgeSegment]:
-    """Gauss rules on the pieces of edge a->b split at parameters `cut_ts`."""
+    """Gauss rules on the pieces of edge a->b split at parameters `cut_ts`;
+    a piece shorter than 1e-14 in t is dropped."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     length = np.linalg.norm(b - a)
     x, w = _gauss01(q)
+    knots = [0.0] + sorted(float(t) for t in cut_ts) + [1.0]
     segs = []
-    for t0, t1 in edge_spans(cut_ts):
-        tq = t0 + (t1 - t0) * x
-        pts = a + tq[:, None] * (b - a)
-        segs.append(EdgeSegment(points=pts, weights=(t1 - t0) * length * w,
-                                t0=t0, t1=t1))
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        if not t1 - t0 < 1e-14:
+            tq = t0 + (t1 - t0) * x
+            pts = a + tq[:, None] * (b - a)
+            segs.append(EdgeSegment(points=pts, weights=(t1 - t0) * length * w, t0=t0, t1=t1))
     return segs
 
 

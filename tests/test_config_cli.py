@@ -80,7 +80,7 @@ def test_cli_invalid_beta_exits_2(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("override", [
+@pytest.mark.parametrize("override, argv", [pytest.param(o, ["solve"], id=json.dumps(o)) for o in [
     {"quad": {"volume": 0}}, {"quad": {"volume": -1}}, {"quad": {"volume": 2.5}},
     {"quad": None}, {"case": None},
     {"beta_minus": "1"}, {"sigma0": [1]},
@@ -100,12 +100,21 @@ def test_cli_invalid_beta_exits_2(tmp_path):
     {"interface": {"kind": "line", "origin": [0, 0], "direction": [0, 0]}},
     # an interface that is not an object
     {"interface": None}, {"interface": "circle"}, {"interface": [1]},
-], ids=lambda o: json.dumps(o))
-def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, override):
+    # numbers that are not finite, or that no float holds
+    {"beta_plus": float("inf")}, {"beta_minus": float("nan")}, {"sigma0": float("inf")},
+    {"domain": [-1, 1, -1, float("inf")]},
+    {"interface": {"kind": "circle", "radius": 0.6, "center": [float("-inf"), 0.0]}},
+]] + [
+    pytest.param({"interface": {"kind": "circle", "radius": float("nan")}}, ["probe-geometry"],
+                 id="probe-geometry radius NaN"),
+    pytest.param({"beta_plus": 10**400}, ["solve"], id="beta_plus 10**400"),
+    pytest.param({}, ["solve", "--sigma0", "inf"], id="--sigma0 inf"),
+])
+def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, override, argv):
     cfg = tmp_path / "bad.json"
     out = tmp_path / "o"
     cfg.write_text(json.dumps({**override, "out_dir": str(out)}))
-    assert main(["solve", "--config", str(cfg)]) == 2
+    assert main([*argv, "--config", str(cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
 
@@ -344,6 +353,20 @@ def test_interface_through_a_mesh_vertex_names_the_vertex(tmp_path, capsys):
         "element 233: 1 interface crossings, expected 2; the interface passes through "
         "the mesh vertex (-0.375, -0.5), which every refinement keeps; perturb the "
         "domain or the interface")}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                            "ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_nan_solve_residual_is_a_nonconvergence(tmp_path, capsys):
+    # sigma0 = 1e308 overflows the penalty to inf, and the solve to NaN,
+    # whose residual is not above 1e-11 either
+    out = tmp_path / "o"
+    assert main(["solve", "--mesh", "8", "--degree", "1", "--sigma0", "1e308",
+                 "--out", str(out)]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert json.loads(capsys.readouterr().err) == error
+    assert error["error"] == "NonConvergence"
+    assert not (out / "errors.csv").exists()
 
 
 def test_runtime_error_with_an_unwritable_output_still_exits_1(tmp_path, capsys, monkeypatch):

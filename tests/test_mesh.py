@@ -123,12 +123,11 @@ def test_intersection_point_against_bisection_oracle():
     d = np.linalg.norm(pts - np.array([0.5, y_star]), axis=1)
     assert d.min() <= 1e-10
     # every recorded crossing sits on the curve, at its edge parameter
-    cuts = tags.interface
+    cuts, (cut_edge, cut_t) = tags.interface, tags.crossings
     for k, t, xi, p in zip(cuts.edge.ravel(), cuts.t.ravel(), cuts.xi.ravel(), pts):
         assert np.linalg.norm(p - chart.curve.point(np.asarray(xi))) <= 1e-12
-        assert t in tags.edge_cuts[k]
-    assert sorted({int(k) for k in cuts.edge.ravel()}) == \
-        sorted(k for k, found in tags.edge_cuts.items() if found)
+        assert t in cut_t[cut_edge == k]
+    assert sorted({int(k) for k in cuts.edge.ravel()}) == np.unique(cut_edge).tolist()
 
 
 def test_interface_tags_have_two_cuts_and_interval():
@@ -240,9 +239,13 @@ def _assert_same_classification(got, ref):
     for field, g, r in zip(record._fields, got.interface, record):
         assert (g.dtype, g.shape) == (r.dtype, r.shape), field
         assert g.tobytes() == r.tobytes(), field
-    assert [int(k) for k in got.edge_cuts] == [int(k) for k in edge_cuts]
-    for k, ts in edge_cuts.items():
-        assert [_bits(t) for t in got.edge_cuts[k]] == [_bits(t) for t in ts], k
+    # the oracle's crossings, flattened over its edges that hold one, in
+    # ascending edge order
+    keys = sorted(k for k, ts in edge_cuts.items() if ts)
+    cut_edge, cut_t = got.crossings
+    assert cut_edge.dtype == int and cut_t.dtype == float
+    assert cut_edge.tolist() == [int(k) for k in keys for _ in edge_cuts[k]]
+    assert [_bits(t) for t in cut_t] == [_bits(t) for k in keys for t in edge_cuts[k]]
 
 
 ORACLE_CURVES = {

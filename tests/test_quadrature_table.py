@@ -109,6 +109,18 @@ def test_table_matches_element_loops(n, m, relabel):
     _assert_trace_constants_bitwise_equal(spaces, relabel)
 
 
+def _table_sides(spaces, k):
+    # the segment table's labels of the segments of edge k, in turn
+    _, first, labels, _, _ = spaces._segments()
+    return labels[first[k]:first[k + 1]].tolist()
+
+
+def _interior_cuts(tags, k):
+    # the crossing parameters of edge k strictly inside it, by t
+    cut_edge, cut_t = tags.crossings
+    return [t for t in cut_t[cut_edge == k].tolist() if 1e-12 < t < 1.0 - 1e-12]
+
+
 def _assert_trace_constants_bitwise_equal(spaces, relabel):
     # trace constants bit for bit: sigma0 = 4 C_t^2 + 1 enters S.  Every
     # interface element, and plain elements: the first, those with cut faces
@@ -117,7 +129,7 @@ def _assert_trace_constants_bitwise_equal(spaces, relabel):
     mesh = spaces.mesh
     plain = np.flatnonzero(spaces.tags.tags).tolist()
     cut_faced = [e for e in plain
-                 if any(spaces.tags.edge_cuts.get(k) for k in mesh.elem_edges[e])]
+                 if np.isin(mesh.elem_edges[e], spaces.tags.crossings[0]).any()]
     assert len(cut_faced) == int(relabel)
     later = [e for ids, _, _, _, vals, *_ in spaces.volume_groups() if len(vals) < len(ids)
              for e in ids[1:]]
@@ -153,8 +165,8 @@ def test_trace_constant_refuses_repeated_elements():
 def test_trace_probe_is_one_kernel_call_per_level(monkeypatch, m):
     # the penalty probe and the trace study read the level's table in one
     # call each and build no group; each call evaluates the interface bases
-    # once per interface stack and the plain ones once per gradients read,
-    # as often at every n
+    # once per interface stack and the plain ones once per gradients read
+    # that asks for a plain element, as often at every n
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     calls, reads, counts = [], [], []
 
@@ -186,10 +198,11 @@ def test_trace_probe_is_one_kernel_call_per_level(monkeypatch, m):
     study = analysis.trace_probe_study(case, m, (8, 16))
     assert calls == [lv["count"] for lv in study["levels"]]
     # (IfeBasis.evaluate calls, TensorBasis.evaluate calls, gradients reads,
-    # interface stacks) of n=16, then of the study's n=8 and n=16
+    # interface stacks) of n=16, then of the study's n=8 and n=16, which ask
+    # for no plain element
     ife, plain, grads, stacks = counts[0]
     assert ife == stacks > 0 and plain == grads == 2
-    assert counts == [counts[0]] * 3
+    assert counts[1:] == [(ife, 0, grads, stacks)] * 2
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -211,7 +224,7 @@ def test_cut_pieces_and_cut_edge_rows_come_in_a_few_stacked_groups(monkeypatch, 
     monkeypatch.undo()
     assert [name for name, _ in read] == ["volume_groups", "edge_groups"] * 2
     interface = np.append(spaces.tags.tags == 0, False)   # [-1]: no element
-    split = np.array([len(spaces.segment_sides(k)) > 1 for k in range(mesh.n_edges)])
+    split = np.array([len(_table_sides(spaces, k)) > 1 for k in range(mesh.n_edges)])
     assert spaces.tags.n_interface > 7 and split.any()
     for (_, volume), (_, edges) in zip(read[::2], read[1::2]):
         cut = [elems for elems, *_ in volume if interface[elems].any()]
@@ -383,19 +396,20 @@ def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
     for ks, _, pts, w, sides, _, _ in spaces.edge_groups():
         for k, p, wk, side in zip(ks, pts, w, sides):
             rows.setdefault(int(k), []).append((p, wk, side))
-    _, _, labels, seg_pts, seg_w = spaces._segments()
-    segs = zip(*spaces._face_rows(np.arange(mesh.n_elements)))
+    _, first, labels, seg_pts, seg_w = spaces._segments()
+    segs = zip(*mesh.face_rows(first, np.arange(mesh.n_elements)))
     faces = {}
     for e in range(mesh.n_elements):
         for k in mesh.elem_edges[e]:
-            face = [next(segs) for _ in spaces.segment_sides(k)]
+            face = [next(segs) for _ in _table_sides(spaces, k)]
             assert all(i == e for i, _ in face), (e, k)
             faces[e, k] = [(seg_pts[r], seg_w[r], labels[r]) for _, r in face]
     assert sorted(rows) == list(range(mesh.n_edges))
     split = 0
     for k in range(mesh.n_edges):
-        segs = cut_edge_rule(mesh.edge_a[k], mesh.edge_b[k], spaces.tags.interior_cuts(k), q)
-        ref = [(s.points, s.weights, side) for s, side in zip(segs, spaces.segment_sides(k))]
+        a, b = mesh.edge_a[k], mesh.edge_b[k]
+        segs = cut_edge_rule(a, b, _interior_cuts(spaces.tags, k), q)
+        ref = [(s.points, s.weights, side) for s, side in zip(segs, _table_sides(spaces, k))]
         for got in (rows[k], *(faces[e, k] for e in mesh.edge_elems[k] if e >= 0)):
             assert len(got) == len(ref), k
             assert all(np.array_equal(p, rp) and np.array_equal(w, rw) and s == rs
@@ -431,11 +445,10 @@ def _assert_segment_sides_match_one_query_per_segment(mesh, chart, tags):
     split = 0
     for k in range(mesh.n_edges):
         a, b = mesh.edge_a[k], mesh.edge_b[k]
-        ts = [t for t in tags.edge_cuts.get(k, []) if 1e-12 < t < 1.0 - 1e-12]
-        segs = cut_edge_rule(a, b, ts, 2)
+        segs = cut_edge_rule(a, b, _interior_cuts(tags, k), 2)
         ref = [1 if chart.signed_distance_estimate(a[None] + 0.5 * (s.t0 + s.t1) * (b - a))[0] > 0
                else -1 for s in segs]
-        assert spaces.segment_sides(k) == ref, k
+        assert _table_sides(spaces, k) == ref, k
         split += len(segs) > 1
     assert split > 0
 

@@ -58,14 +58,11 @@ ALLOWED = {
     # patches), so they stay while it does; the commands do the same work
     # through the level kernels
     ("assembly", "edge_segments"): (
-        3, "tracer-pinned; the per-edge segments of the tests' reference loops",
+        5, "tracer-pinned; the per-edge segments of the tests' reference loops",
         ["test_quadrature_table.py::test_assembly_bitwise_equal_to_element_loops"]),
     ("quadrature", "cut_edge_rule"): (
-        9, "tracer-pinned; edge_segments is its only caller",
+        10, "tracer-pinned; edge_segments is its only caller",
         ["test_quadrature.py::test_cut_edge_rule_uncut_and_midpoint"]),
-    ("ife_space", "SpaceSet.segment_sides"): (
-        2, "tracer-pinned; edge_segments is its only caller",
-        ["test_quadrature_table.py::test_segment_sides_match_one_query_per_segment"]),
     ("quadrature", "cut_cell_rules"): (
         3, "tracer-pinned; level_cut_cell_rules on one element",
         ["test_quadrature.py::test_cut_cell_tiling_on_thin_crescents"]),

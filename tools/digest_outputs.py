@@ -33,15 +33,15 @@ and standard output; ``resolved_config.json`` is left
 out, since it records the output directory.  Each line
 ``<sha256>  tags-<placement>`` digests the element tags, then each
 interface element's id, interval and its two cuts' edge, t, xi and point,
-then the ids of the candidate edges and their crossing parameters t; each
+then the edges and then the t of the crossing arrays; each
 cut-cell line ``<sha256>  rules-<placement>-q<q>`` digests the bytes of
 each rule's points, weights, eta and xi, element by element, the plus side
 first; each line ``<sha256>  frame-<curve>`` digests the maximum
 curvature, the Jacobians and the three jets, in that order.  The tags and
-rules lines read the record arrays of ``MeshTags.interface`` and of
-``quadrature.level_cut_cell_rules``.  Two trees whose printouts are equal
-on one host wrote byte-identical outputs, classifications, rules and
-frames there.
+rules lines read the record arrays of ``MeshTags.interface``,
+``MeshTags.crossings`` and ``quadrature.level_cut_cell_rules``.  Two trees
+whose printouts are equal on one host wrote byte-identical outputs,
+classifications, rules and frames there.
 The outputs go to a temporary directory, or to ``--work`` when given
 (kept).
 """
@@ -121,9 +121,8 @@ def rule_digests() -> list[str]:
                 sha.update(np.array([cut.edge[i, j]]).tobytes())
                 sha.update(np.array([cut.t[i, j], cut.xi[i, j]]).tobytes())
                 sha.update(np.asarray(cut.point[i, j]).tobytes())
-        sha.update(np.array(list(tags.edge_cuts), dtype=int).tobytes())
-        for ts in tags.edge_cuts.values():
-            sha.update(np.array(ts, dtype=float).tobytes())
+        for part in tags.crossings:       # the edges, then the t
+            sha.update(part.tobytes())
         lines.append(f"{sha.hexdigest()}  tags-{name}")
         for q in (3, 4, 5, 6):
             sha = hashlib.sha256()
