@@ -97,6 +97,11 @@ class RunConfig:
         if not (_numbers([self.beta_minus, self.beta_plus])
                 and self.beta_plus >= self.beta_minus > 0):
             raise ValueError("need finite beta_plus >= beta_minus > 0")
+        with np.errstate(over="ignore"):
+            # gamma of the jump penalty sigma0 * gamma / h, as assembly computes both
+            gamma = np.float64(self.beta_plus) ** 2 / self.beta_minus
+        if not np.isfinite(gamma):
+            raise ValueError("the jump penalty's gamma = beta_plus^2 / beta_minus must be finite")
         x0, x1, y0, y1 = self.domain
         if not _numbers(self.domain):
             raise ValueError("domain entries must be finite numbers")
@@ -132,6 +137,8 @@ class RunConfig:
             kmax = curve.max_curvature
         except DegenerateParametrization as exc:
             raise ValueError(f"degenerate interface: {exc}") from exc
+        if self.sigma0 != "auto" and not (_numbers(self.sigma0) and self.sigma0 > 0):
+            raise ValueError("sigma0 must be a finite positive number or 'auto'")
         for n in self.mesh_sizes:
             if type(n) is not int or n < 1:
                 raise ValueError("mesh sizes must be integers >= 1")
@@ -145,8 +152,11 @@ class RunConfig:
                 raise ValueError(
                     f"mesh n={n}: element diagonal * max curvature >= 1 "
                     "(tubular chart not invertible)")
-        if self.sigma0 != "auto" and not (_numbers(self.sigma0) and self.sigma0 > 0):
-            raise ValueError("sigma0 must be a finite positive number or 'auto'")
+            with np.errstate(over="ignore"):
+                penalty = 0.0 if self.sigma0 == "auto" else self.sigma0 * gamma / diag
+            if not np.isfinite(penalty):
+                raise ValueError(f"mesh n={n}: the jump penalty sigma0 * gamma / h must be "
+                                 "finite; lower sigma0")
         return self
 
     def manufactured_case(self):

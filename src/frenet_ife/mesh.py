@@ -125,10 +125,6 @@ class MeshTags:
         }
 
 
-def _edge_point(a, b, t):
-    return a + np.multiply.outer(np.asarray(t, dtype=float), b - a)
-
-
 def _bisect(chart: FrenetChart, a, b, t_lo, t_hi, f_lo):
     """24 bisection steps of the sign brackets [t_lo, t_hi] of edges a->b,
     all at once: a, b are (n, 2), the rest (n,), f_lo the offsets at t_lo.
@@ -191,33 +187,6 @@ def _polish_roots(chart: FrenetChart, a, b, t, edges):
     return t, xi, points
 
 
-def _projected_cut(mesh: RectMesh, e: int, chart: FrenetChart, p, tol):
-    """Exact curve point nearest to a boundary sample lying in the zero band,
-    as a crossing (edge, t, xi, point), or None."""
-    curve = chart.curve
-    xi = float(chart.nearest_parameter_estimate(p[None, :])[0])
-    for _ in range(30):
-        g, gp, ga = curve.jet(np.asarray(xi, dtype=float))
-        r = p - g
-        grad = float(r @ gp)
-        hess = float(r @ ga) - float(gp @ gp)
-        if abs(hess) < 1e-300:
-            break
-        step = grad / hess
-        xi -= step
-        if abs(step) < 1e-16:
-            break
-    g = curve.point(np.asarray(xi, dtype=float))
-    if np.linalg.norm(p - g) > tol:
-        return None
-    for kid in mesh.elem_edges[e]:
-        a, b = mesh.edge_a[kid], mesh.edge_b[kid]
-        t = float(np.clip((g - a) @ (b - a) / mesh.edge_length[kid] ** 2, 0.0, 1.0))
-        if np.linalg.norm(a + t * (b - a) - g) < tol:
-            return int(kid), t, xi, np.asarray(g)
-    return None
-
-
 def _one_sided(mesh: RectMesh, chart: FrenetChart, eta_grid, k, zero_tol):
     """Which of the edges k (an id array) keep one sign beyond zero_tol at
     every point, shown from the offsets at their ends alone.
@@ -275,16 +244,18 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     Works in level-wide phases, each one chart call for the whole mesh: the
     corner offsets, the samples of the candidate edges whose sign can change
     along them, the bisection steps and the Newton polish of all sign
-    brackets, and the fictitious intervals of all interface elements.  A
-    candidate edge is an edge of an element not rejected outright by its
-    corners; one that `_one_sided` shows keeps its ends' sign is not sampled,
-    and stands for 33 samples of that sign.
+    brackets, the chart's feet of the zero-band samples of the elements that
+    see fewer than two crossings (none when there are none), and the
+    fictitious intervals of all interface elements.  A candidate edge is an
+    edge of an element not rejected outright by its corners; one that
+    `_one_sided` shows keeps its ends' sign is not sampled, and stands for 33
+    samples of that sign.
 
     The crossings come out as arrays, and the interface elements as one
-    InterfaceCuts record that reads its cuts off them; only an element that
-    does not see two is checked on its own.  Raises TangentialIntersection
-    for grazing cuts and AmbiguousCut when an element sees more than two
-    crossings (interface under-resolved).
+    InterfaceCuts record that reads its cuts off one table of crossings and
+    feet.  Raises TangentialIntersection for grazing cuts and AmbiguousCut
+    when an element does not see exactly two cuts (interface
+    under-resolved, or through a mesh vertex).
     """
     curve = chart.curve
     zero_tol = 1e-10 * mesh.h
@@ -347,34 +318,47 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     owner, rows = mesh.face_rows(np.searchsorted(cut_edge, np.arange(mesh.n_edges + 1)), elements)
     kept = ~_repeats(owner, lambda d: _bnorm(p[rows[d:]] - p[rows[:-d]]) < 1e-12 * mesh.h)
     rows, owner = rows[kept], owner[kept]
-    two = np.bincount(owner, minlength=len(elements)) == 2
-    pick = rows[two[owner]].reshape(-1, 2)
-    cuts = [cut_edge[pick], cut_t[pick], xi[pick], p[pick]]   # edge, t, xi, point
-    # the other elements in turn, each inserted at its place
-    for i, e in zip(np.flatnonzero(~two).tolist(), elements[~two].tolist()):
-        unique = [(cut_edge[j], cut_t[j], xi[j], p[j]) for j in rows[owner == i]]
-        if len(unique) < 2:
-            # a crossing can sit exactly on a corner/node, inside the zero
-            # band of the sign filter; recover it by projecting onto the curve
-            edge_pts = np.vstack([_edge_point(mesh.edge_a[k], mesh.edge_b[k], ts)
-                                  for k in mesh.elem_edges[e]])
-            for idx in np.where(np.abs(eta_cut[i]) <= zero_tol)[0]:
-                cut = _projected_cut(mesh, e, chart, edge_pts[idx], zero_tol)
-                if cut is not None and not any(
-                        np.linalg.norm(cut[3] - u[3]) < 1e-9 * mesh.h for u in unique):
-                    unique.append(cut)
-        if len(unique) != 2:
-            # a mesh vertex on the interface stays on it under refinement
-            corners = mesh.elem_corners(e)
-            eta_v, _, inverted = chart._newton(corners)
-            on = corners[inverted & (np.abs(eta_v) <= zero_tol)]
-            advice = (f"the interface passes through the mesh vertex ({on[0, 0]:.6g}, "
-                      f"{on[0, 1]:.6g}), which every refinement keeps; perturb the domain or "
-                      "the interface" if len(on) else
-                      "the mesh is too coarse for the interface here, refine the mesh")
-            raise AmbiguousCut(
-                f"element {e}: {len(unique)} interface crossings, expected 2; {advice}")
-        cuts = [np.insert(c, i, v, axis=0) for c, v in zip(cuts, zip(*unique))]
+    # an element left with fewer than two may be cut at a corner, inside the
+    # zero band of the sign filter: each of its zero-band samples adds the
+    # chart's foot of the sample on the curve when the foot lies within
+    # zero_tol of the sample and of one of the element's edges (the first)
+    few = np.flatnonzero(np.bincount(owner, minlength=len(elements)) < 2)
+    i, j = np.nonzero(np.abs(eta_cut[few]) <= zero_tol)
+    i = few[i]
+    k = mesh.elem_edges[elements[i]]                 # the four edges of each sample's element
+    a, d = mesh.edge_a[k], mesh.edge_b[k] - mesh.edge_a[k]
+    at = (np.arange(len(i)), j // _EDGE_SAMPLES)
+    sample = a[at] + ts[j % _EDGE_SAMPLES][:, None] * d[at]
+    foot_xi = chart._newton(sample)[1] if len(i) else np.zeros(0)
+    g = curve.point(foot_xi) if len(i) else sample
+    t_on = np.clip(_bdot(g[:, None] - a, d) / mesh.edge_length[k] ** 2, 0.0, 1.0)
+    near = _bnorm(a + t_on[..., None] * d - g[:, None]) < zero_tol
+    hit = np.flatnonzero(near.any(axis=1) & (_bnorm(sample - g) <= zero_tol))
+    first = (hit, near[hit].argmax(axis=1))         # each foot's first edge within zero_tol
+    # the candidate table: each element's crossings, then its feet, less a
+    # foot within 1e-9 h of an earlier cut of the element
+    group = np.concatenate([owner, i[hit]])
+    order = np.argsort(group, kind="stable")
+    group, foot = group[order], order >= len(owner)
+    cuts = [np.concatenate(c)[order] for c in (
+        (cut_edge[rows], k[first]), (cut_t[rows], t_on[first]), (xi[rows], foot_xi[hit]),
+        (p[rows], g[hit]))]
+    kept = ~_repeats(group, lambda d: foot[d:] & (
+        _bnorm(cuts[3][d:] - cuts[3][:-d]) < 1e-9 * mesh.h))
+    count = np.bincount(group[kept], minlength=len(elements))
+    if np.any(count != 2):
+        i = np.flatnonzero(count != 2)[0]
+        # a mesh vertex on the interface stays on it under refinement
+        corners = mesh.elem_corners(elements[i])
+        eta_v, _, inverted = chart._newton(corners)
+        on = corners[inverted & (np.abs(eta_v) <= zero_tol)]
+        advice = (f"the interface passes through the mesh vertex ({on[0, 0]:.6g}, "
+                  f"{on[0, 1]:.6g}), which every refinement keeps; perturb the domain or "
+                  "the interface" if len(on) else
+                  "the mesh is too coarse for the interface here, refine the mesh")
+        raise AmbiguousCut(
+            f"element {elements[i]}: {count[i]} interface crossings, expected 2; {advice}")
+    cuts = [c[kept].reshape(len(elements), 2, *c.shape[1:]) for c in cuts]   # edge, t, xi, point
 
     tags[elements] = 0
     lo, hi = chart.fictitious_intervals(mesh.elem_corners(elements))

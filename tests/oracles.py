@@ -661,6 +661,11 @@ def loop_fictitious_interval(chart, corners, samples_per_edge=8):
     return lo - pad, hi + pad
 
 
+def _edge_point(a, b, t):
+    """The points at parameters t of the edge a->b."""
+    return a + np.multiply.outer(np.asarray(t, dtype=float), b - a)
+
+
 def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
     from frenet_ife.errors import AmbiguousCut, TangentialIntersection
 
@@ -704,7 +709,6 @@ def _loop_root_on_edge(chart, a, b, t_lo, t_hi, f_lo, f_hi):
 def loop_polish_root(chart, a, b, t):
     """Newton polish of edge(t) = g(xi) from a bisected t on edge a->b."""
     from frenet_ife.errors import AmbiguousCut, TangentialIntersection
-    from frenet_ife.mesh import _edge_point
 
     curve = chart.curve
     p = _edge_point(a, b, t)
@@ -852,10 +856,20 @@ def loop_classify(mesh, chart, edge_samples=33):
     arrays of classify_elements."""
     from frenet_ife.errors import AmbiguousCut
     from frenet_ife.frenet import unwrap_near
-    from frenet_ife.mesh import _projected_cut
 
-    def edge_point(a, b, t):
-        return a + np.multiply.outer(np.asarray(t, dtype=float), b - a)
+    def projected_cut(e, p):
+        # the chart's foot of the zero-band sample p, from a chart call on p
+        # alone, as a cut of the first of e's edges within zero_tol of it
+        _, xi, _ = chart._newton(p[None, :])
+        g = curve.point(xi)[0]
+        if not np.linalg.norm(p - g) <= zero_tol:
+            return None
+        for kid in mesh.elem_edges[e]:
+            a, b = mesh.edge_a[kid], mesh.edge_b[kid]
+            t = float(np.clip((g - a) @ (b - a) / mesh.edge_length[kid] ** 2, 0.0, 1.0))
+            if np.linalg.norm(a + t * (b - a) - g) < zero_tol:
+                return EdgeCut(edge=int(kid), t=t, xi=float(xi[0]), point=g)
+        return None
 
     curve = chart.curve
     zero_tol = 1e-10 * mesh.h
@@ -873,7 +887,7 @@ def loop_classify(mesh, chart, edge_samples=33):
         if k in edge_cuts:
             return edge_cuts[k]
         a, b = mesh.edge_a[k], mesh.edge_b[k]
-        f = chart.signed_distance_estimate(edge_point(a, b, ts))
+        f = chart.signed_distance_estimate(_edge_point(a, b, ts))
         found = []
         strict = [i for i in range(edge_samples) if abs(f[i]) > zero_tol]
         for i1, i2 in zip(strict[:-1], strict[1:]):
@@ -899,7 +913,7 @@ def loop_classify(mesh, chart, edge_samples=33):
         for c in cuts:
             if not any(np.linalg.norm(c.point - u.point) < 1e-12 * mesh.h for u in unique):
                 unique.append(c)
-        edge_pts = np.vstack([edge_point(mesh.edge_a[k], mesh.edge_b[k], ts)
+        edge_pts = np.vstack([_edge_point(mesh.edge_a[k], mesh.edge_b[k], ts)
                               for k in mesh.elem_edges[e]])
         eta_all = chart.signed_distance_estimate(edge_pts)
         has_pos = bool(np.any(eta_all > zero_tol))
@@ -910,8 +924,7 @@ def loop_classify(mesh, chart, edge_samples=33):
             continue
         if len(unique) < 2:
             for idx in np.where(np.abs(eta_all) <= zero_tol)[0]:
-                cut = _projected_cut(mesh, e, chart, edge_pts[idx], zero_tol)
-                cut = None if cut is None else EdgeCut(*cut)
+                cut = projected_cut(e, edge_pts[idx])
                 if cut is not None and not any(
                         np.linalg.norm(cut.point - u.point) < 1e-9 * mesh.h
                         for u in unique):

@@ -109,6 +109,12 @@ def test_cli_invalid_beta_exits_2(tmp_path):
                  id="probe-geometry radius NaN"),
     pytest.param({"beta_plus": 10**400}, ["solve"], id="beta_plus 10**400"),
     pytest.param({}, ["solve", "--sigma0", "inf"], id="--sigma0 inf"),
+    # a jump penalty sigma0 * gamma / h, gamma = beta_plus^2 / beta_minus,
+    # that no float holds
+    pytest.param({"beta_plus": 1e200}, ["solve", "--mesh", "8", "--degree", "1"],
+                 id="beta_plus 1e200"),
+    pytest.param({}, ["solve", "--mesh", "8", "--degree", "1", "--sigma0", "1e308"],
+                 id="--sigma0 1e308"),
 ])
 def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, override, argv):
     cfg = tmp_path / "bad.json"
@@ -117,6 +123,17 @@ def test_cli_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, overr
     assert main([*argv, "--config", str(cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, why", [
+    ({"beta_plus": 1e200}, "^the jump penalty's gamma = beta_plus\\^2 / beta_minus must be finite$"),
+    ({"beta_plus": 1e150, "beta_minus": 1e-10}, "^the jump penalty's gamma = "),
+    ({"sigma0": 1e308}, "^mesh n=8: the jump penalty sigma0 \\* gamma / h must be finite"),
+    ({"sigma0": 1e305, "mesh_sizes": [8, 4096]}, "^mesh n=4096: the jump penalty"),
+])
+def test_jump_penalty_must_be_finite(override, why):
+    with pytest.raises(ValueError, match=why):
+        RunConfig.from_dict(override).validate()
 
 
 @pytest.mark.parametrize("top", [[1, 2], "solve", None], ids=json.dumps)
@@ -355,13 +372,12 @@ def test_interface_through_a_mesh_vertex_names_the_vertex(tmp_path, capsys):
         "domain or the interface")}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning",
-                            "ignore::scipy.sparse.linalg.MatrixRankWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_solve_residual_is_a_nonconvergence(tmp_path, capsys):
-    # sigma0 = 1e308 overflows the penalty to inf, and the solve to NaN,
-    # whose residual is not above 1e-11 either
+    # sigma0 = 1e300 keeps the penalty finite, but the residual's norm and
+    # the load's overflow to inf, and their quotient, NaN, is not above 1e-11
     out = tmp_path / "o"
-    assert main(["solve", "--mesh", "8", "--degree", "1", "--sigma0", "1e308",
+    assert main(["solve", "--mesh", "8", "--degree", "1", "--sigma0", "1e300",
                  "--out", str(out)]) == 1
     error = json.loads((out / "error.json").read_text())
     assert json.loads(capsys.readouterr().err) == error

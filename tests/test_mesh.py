@@ -299,6 +299,55 @@ def test_classification_random_placements_bitwise_equal_to_loop_oracle(seed):
     assert classified >= 6
 
 
+def _vertex_placements():
+    """(mesh, chart) of curves through grid vertices: circles of radius 0.5
+    and 0.75, ellipse(0.7, 0.5) and flower(0.5, 0.1, 5) at n = 8..64, and the
+    line of the cut-cell rule tests' placements."""
+    for curve in (circle(0.5), circle(0.75), ellipse(0.7, 0.5), flower(0.5, 0.1, 5)):
+        for n in (8, 16, 32, 64):
+            mesh = build_mesh((-1, 1, -1, 1), n)
+            yield mesh, FrenetChart(curve, h=min(mesh.h, 0.5 / curve.max_curvature))
+    yield build_mesh((0, 1, 0, 1), 7), FrenetChart(LineCurve([0.0, 0.1], [1.0, 0.3], -5, 5), h=2.0)
+
+
+def test_cuts_at_mesh_vertices_stay_on_them():
+    # every interface element has two cuts, and a cut within 1e-9 h of a grid
+    # vertex lies on it to rounding; these cuts are the chart's feet of
+    # zero-band samples, bit for bit the loop oracle's
+    at_vertices = 0
+    for mesh, chart in _vertex_placements():
+        got = classify_elements(mesh, chart)
+        _assert_same_classification(got, loop_classify(mesh, chart))
+        cuts = got.interface
+        assert cuts.edge.shape == (len(cuts.elements), 2) and len(cuts.elements) > 0
+        corner = np.array(mesh.box[::2])
+        step = np.array([mesh.dx, mesh.dy])
+        pts = cuts.point.reshape(-1, 2)
+        gap = np.linalg.norm(pts - corner - np.round((pts - corner) / step) * step, axis=1)
+        near = gap < 1e-9 * mesh.h
+        assert np.all(gap[near] <= 1e-14 * mesh.h)
+        at_vertices += int(near.sum())
+    assert at_vertices >= 90
+
+
+def test_corner_feet_come_from_one_chart_call_per_level(monkeypatch):
+    # the zero-band samples of all elements that see fewer than two crossings
+    # go to one chart inverse, and no inverse runs when there are none
+    sizes = []
+
+    def counted(self, pts, _orig=FrenetChart._newton):
+        if inspect.currentframe().f_back.f_globals["__name__"] == mesh_module.__name__:
+            sizes.append(len(pts))
+        return _orig(self, pts)
+
+    monkeypatch.setattr(FrenetChart, "_newton", counted)
+    for radius, calls in ((0.5, 1), (0.6, 0)):
+        sizes.clear()
+        mesh = build_mesh((-1, 1, -1, 1), 16)
+        classify_elements(mesh, FrenetChart(circle(radius), h=mesh.h))
+        assert len(sizes) == calls and all(sizes)
+
+
 def _polish_call(monkeypatch, mesh, chart):
     """The (a, b, t, edges) of the one _polish_roots call of classify_elements."""
     calls = []

@@ -255,6 +255,9 @@ _RULE_CASES = {
     "flower": (flower(0.5, 0.1, 5), (-1, 1, -1, 1), 48, None),
     "lune": (flower(0.5, 0.02, 5), (-1, 1, -1, 1), 12, None),
     "line": (LineCurve([0.0, 0.1], [1.0, 0.3], -5, 5), (0, 1, 0, 1), 7, 2.0),
+    # tangent to the grid lines x = +-0.5 and y = +-0.5 at grid vertices: eight
+    # corner cuts, each a chart foot of a zero-band sample
+    "vertices": (circle(0.5), (-1, 1, -1, 1), 16, None),
 }
 
 

@@ -84,12 +84,6 @@ ALLOWED = {
         ["test_frenet.py::test_inverse_bitwise_equal_to_loop_oracle",
          "test_frenet.py::test_backtracking_give_up_matches_loop_oracle",
          "test_frenet.py::test_newton_divergence_on_iteration_cap"]),
-    ("mesh", "_projected_cut"): (
-        3, "a zero-band sample whose curve point lies outside the band; no "
-        "input reaches the other two: a Newton Hessian of exactly 0, and a "
-        "curve point within the band of a sample on an edge but near none of "
-        "the element's edges",
-        ["test_analysis.py::test_lemma_probes_on_other_interfaces"]),
     # the lines that build an error's message
     ("mesh", "_polish_roots"): (
         2, "a crossing that is tangent, diverged or off its edge",

@@ -18,7 +18,8 @@ checkout, or of a second checkout to compare against) and runs, through
   its interface elements at q = 3..6.  These placements reach every path of
   the cut-cell kernel (vertex anchors and region splits included), which no
   workload does, and curves that no workload classifies (an ellipse, two
-  flowers and an open line);
+  flowers, an open line, and a circle through grid vertices, whose corner
+  cuts are the chart's feet of zero-band samples);
 - on each curve of ``_LEVEL_CURVES`` in ``tests/test_ife_space.py``, the
   curve's ``max_curvature`` and, at fixed parameters, ``FrenetChart.jacobian``
   and ``FrenetLaplacian.coefficient_jets`` to order 2.  These read the
