@@ -147,7 +147,9 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
 def solve(system: SipdgSystem) -> np.ndarray:
     """Direct sparse solve with a residual contract of 1e-11."""
     c = spla.spsolve(system.S, system.F)
-    resid = np.linalg.norm(system.S @ c - system.F) / max(np.linalg.norm(system.F), 1e-300)
+    scale = np.max(np.abs(system.F), initial=0.0) or 1.0    # keeps the norms below overflow
+    resid = (np.linalg.norm((system.S @ c - system.F) / scale)
+             / max(np.linalg.norm(system.F / scale), 1e-300))
     if not resid <= 1e-11:     # a NaN residual fails too
         raise NonConvergence(f"linear solve residual {resid:.2e} > 1e-11")
     return c

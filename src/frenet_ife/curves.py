@@ -44,6 +44,11 @@ class SeedPolyline(NamedTuple):
     tree: cKDTree         # nearest-point tree of `points`
     max_gap: float        # largest distance between consecutive points, the
                           # closing pair of a closed curve included
+    orientation: float    # sign of the closed chain's shoelace area, +1 counterclockwise
+
+    def offset(self, points, idx):
+        """The offsets of points (n, 2) along the normals of their seeds idx (n,)."""
+        return np.einsum("ij,ij->i", points - self.points[idx], self.normals[idx])
 
 
 class InterfaceCurve:
@@ -110,7 +115,8 @@ class InterfaceCurve:
             _, normals, _, _ = frenet_frame(self.velocity(xi), self.accel(xi))
             chain = np.vstack([pts, pts[:1]]) if self.periodic else pts
             gap = float(np.max(np.linalg.norm(np.diff(chain, axis=0), axis=1)))
-            self._seed_polyline = SeedPolyline(xi, pts, normals, cKDTree(pts), gap)
+            area = np.sum(chain[:-1, 0] * chain[1:, 1] - chain[1:, 0] * chain[:-1, 1])
+            self._seed_polyline = SeedPolyline(xi, pts, normals, cKDTree(pts), gap, np.sign(area))
         return self._seed_polyline
 
 

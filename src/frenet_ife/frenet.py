@@ -71,9 +71,7 @@ class FrenetChart:
         eta = np.empty(len(pts))
         for s in range(0, len(pts), _BLOCK):
             block = pts[s:s + _BLOCK]
-            _, idx = seeds.tree.query(block)
-            eta[s:s + _BLOCK] = np.einsum("ij,ij->i", block - seeds.points[idx],
-                                          seeds.normals[idx])
+            eta[s:s + _BLOCK] = seeds.offset(block, seeds.tree.query(block)[1])
         return eta
 
     def nearest_parameter_estimate(self, points):
@@ -112,13 +110,17 @@ class FrenetChart:
         NewtonDivergence
             If any point fails to converge within _MAX_ITER iterations.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        eta, xi = self._converged(np.atleast_2d(np.asarray(points, dtype=float)))
+        return eta, self._unwrap(xi, xi_anchor)
+
+    def _converged(self, pts):
+        """_newton's (eta, xi) at pts, or NewtonDivergence."""
         eta, xi, ok = self._newton(pts)
         if not np.all(ok):
             raise NewtonDivergence(
                 f"{int(np.sum(~ok))} point(s) failed to invert; "
                 "outside the tubular strip or mesh too coarse")
-        return eta, self._unwrap(xi, xi_anchor)
+        return eta, xi
 
     def _newton(self, pts):
         """Damped Newton on P(eta, xi) = pts, (n, 2): (eta, xi, converged),
@@ -201,7 +203,9 @@ class FrenetChart:
         plus edge samples), so the element stays inside P([-h, h] x [xi0,
         xi1]).  Inside the tubular neighbourhood the xi level sets are the
         straight normal lines, so xi is monotone along each straight edge and
-        its extremes over the element are at sampled corners.
+        its extremes over the element are at sampled corners.  One Newton
+        batch inverts all loops; each unwraps near the principal xi of its
+        first point, the element's corner 0.
         """
         corners = np.asarray(corners, dtype=float)
         n_el = len(corners)
@@ -209,13 +213,10 @@ class FrenetChart:
         a = corners[:, :, None, :]
         d = np.roll(corners, -1, axis=1)[:, :, None, :] - a
         n_loop = 4 * (_LOOP_SAMPLES + 1)
-        loops = np.concatenate([a, a + ts[:, None] * d], axis=2).reshape(n_el, n_loop, 2)
-        anchor = None
-        if self.curve.periodic:
-            _, anchor = self.inverse(corners[:, 0])
-        _, xi = self.inverse(loops.reshape(-1, 2),
-                             xi_anchor=None if anchor is None else np.repeat(anchor, n_loop))
-        xi = xi.reshape(n_el, n_loop)
+        loops = np.concatenate([a, a + ts[:, None] * d], axis=2).reshape(-1, 2)
+        _, xi = self._converged(loops)
+        anchor = np.repeat(self._unwrap(xi[::n_loop], None), n_loop)
+        xi = self._unwrap(xi, anchor).reshape(n_el, n_loop)
         lo, hi = xi.min(axis=1), xi.max(axis=1)
         pad = 1e-10 * np.maximum(hi - lo, 1e-30)
         return lo - pad, hi + pad

@@ -227,6 +227,45 @@ def _one_sided(mesh: RectMesh, chart: FrenetChart, eta_grid, k, zero_tol):
     return same & (np.abs(ends).sum(axis=1) > mesh.edge_length[k] + 2.0 * delta)
 
 
+def _corner_offsets(mesh: RectMesh, chart: FrenetChart, reach):
+    """The offsets of all grid corners, (nx + 1, ny + 1): signed_distance_estimate's
+    within `reach` of a seed; on a closed curve, beyond it, +-reach with the
+    sign of the corner's side: the parity of the seed chain's crossings of its
+    grid row left of it, times the chain's orientation.
+
+    With reach = 1.000001*h + h + 2*G, G the largest seed gap, and
+    D - G < |eta| <= D at a distance D from the nearest seed (see
+    `_one_sided`), every corner of a candidate element lies within reach, so
+    every value read for more than its sign is exact: the candidate test,
+    `_one_sided`, the rows of the edge samples and the mean-sign tag.  +-reach
+    is beyond the quick reject and at most D, so `_one_sided` stays sound
+    where the resolution fails.  An open curve has no sides: every corner
+    takes the full query.
+    """
+    x0, _, y0, _ = mesh.box
+    gx = x0 + mesh.dx * np.arange(mesh.nx + 1)
+    gy = y0 + mesh.dy * np.arange(mesh.ny + 1)
+    points = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
+    shape = (mesh.nx + 1, mesh.ny + 1)
+    if not chart.curve.periodic:
+        return chart.signed_distance_estimate(points).reshape(shape)
+    seeds = chart.curve.seed_polyline
+    # the row and x of every crossing of a grid row by a segment of the chain
+    chain = np.vstack([seeds.points, seeds.points[:1]])
+    lo, hi = np.sort([np.searchsorted(gy, chain[:-1, 1]), np.searchsorted(gy, chain[1:, 1])], 0)
+    seg = np.repeat(np.arange(len(lo)), hi - lo)
+    row = np.arange(len(seg)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)
+    (xa, ya), (xb, yb) = chain[seg].T, chain[seg + 1].T
+    x = xa + (gy[row] - ya) * (xb - xa) / (yb - ya)
+    left = np.bincount(np.searchsorted(gx, x, side="right") * shape[1] + row,
+                       minlength=(shape[0] + 1) * shape[1]).reshape(-1, shape[1])
+    eta = np.where(np.cumsum(left[:-1], axis=0) % 2, -reach, reach).ravel() * seeds.orientation
+    _, idx = seeds.tree.query(points, distance_upper_bound=reach)
+    near = np.flatnonzero(idx < len(seeds.points))
+    eta[near] = seeds.offset(points[near], idx[near])
+    return eta.reshape(shape)
+
+
 def _repeats(group, close):
     """Mask of the rows that close pairs with an earlier row of their group.
     A group's rows are consecutive; close(d) compares rows d: with rows :-d."""
@@ -259,20 +298,15 @@ def classify_elements(mesh: RectMesh, chart: FrenetChart) -> MeshTags:
     """
     curve = chart.curve
     zero_tol = 1e-10 * mesh.h
-
-    # signed offsets at all grid corners, vectorized
-    x0, _, y0, _ = mesh.box
-    gx = x0 + mesh.dx * np.arange(mesh.nx + 1)
-    gy = y0 + mesh.dy * np.arange(mesh.ny + 1)
-    gridpts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    eta_grid = chart.signed_distance_estimate(gridpts).reshape(mesh.nx + 1, mesh.ny + 1)
+    reject = 1.000001 * mesh.h
+    eta_grid = _corner_offsets(mesh, chart, reject + mesh.h + 2.0 * curve.seed_polyline.max_gap)
 
     # corner offsets of every element in boundary order; quick reject: all
-    # corners far on one side
+    # corners beyond `reject` on one side
     eta_c = np.stack([eta_grid[:-1, :-1], eta_grid[1:, :-1], eta_grid[1:, 1:],
                       eta_grid[:-1, 1:]], axis=-1).transpose(1, 0, 2).reshape(-1, 4)
     tags = np.where(eta_c[:, 0] > 0, 1, -1)
-    candidates = np.flatnonzero(~(np.min(np.abs(eta_c), axis=1) > 1.000001 * mesh.h))
+    candidates = np.flatnonzero(~(np.min(np.abs(eta_c), axis=1) > reject))
 
     # offsets at the samples of every candidate edge, one row per edge; the
     # row of a one-sided edge holds its offset at a, which has the sign of

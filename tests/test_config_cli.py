@@ -372,17 +372,28 @@ def test_interface_through_a_mesh_vertex_names_the_vertex(tmp_path, capsys):
         "domain or the interface")}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_solve_residual_is_a_nonconvergence(tmp_path, capsys):
-    # sigma0 = 1e300 keeps the penalty finite, but the residual's norm and
-    # the load's overflow to inf, and their quotient, NaN, is not above 1e-11
+def test_nan_solve_residual_is_a_nonconvergence(tmp_path, capsys, monkeypatch):
+    # a sparse solve that returns NaN, as a singular factorization does,
+    # gives a NaN residual, which is not above 1e-11
+    monkeypatch.setattr(assembly.spla, "spsolve", lambda S, F: np.full(len(F), np.nan))
     out = tmp_path / "o"
-    assert main(["solve", "--mesh", "8", "--degree", "1", "--sigma0", "1e300",
-                 "--out", str(out)]) == 1
+    assert main(["solve", "--mesh", "8", "--degree", "1", "--out", str(out)]) == 1
     error = json.loads((out / "error.json").read_text())
     assert json.loads(capsys.readouterr().err) == error
     assert error["error"] == "NonConvergence"
     assert not (out / "errors.csv").exists()
+
+
+def test_huge_penalty_solves_without_overflow_warnings(tmp_path, capsys):
+    # sigma0 = 1e300 keeps the penalty finite and puts entries near 1e302
+    # into S and F; the residual and the load are scaled by max|F| before
+    # their norms, which would overflow to inf otherwise (a RuntimeWarning,
+    # an error under this suite's warning filter)
+    out = tmp_path / "o"
+    assert main(["solve", "--mesh", "8", "--degree", "1", "--sigma0", "1e300",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "errors.csv").exists()
 
 
 def test_runtime_error_with_an_unwritable_output_still_exits_1(tmp_path, capsys, monkeypatch):

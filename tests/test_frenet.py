@@ -232,6 +232,21 @@ def test_fictitious_intervals_are_the_padded_loop_extremes():
         assert (xi0, xi1) == (xi.min() - pad, xi.max() + pad)
 
 
+def test_fictitious_intervals_invert_a_level_in_one_newton_batch(monkeypatch):
+    mesh = build_mesh((-1, 1, -1, 1), 16)
+    chart = FrenetChart(circle(0.6), h=mesh.h)
+    corners = mesh.elem_corners(classify_elements(mesh, chart).interface.elements)
+    batches, inverses = [], []
+    newton, inverse = FrenetChart._newton, FrenetChart.inverse
+    monkeypatch.setattr(FrenetChart, "_newton",
+                        lambda self, pts: batches.append(len(pts)) or newton(self, pts))
+    monkeypatch.setattr(FrenetChart, "inverse",
+                        lambda self, *args, **kw: inverses.append(1) or inverse(self, *args, **kw))
+    chart.fictitious_intervals(corners)
+    assert inverses == [] and batches == [4 * (frenet._LOOP_SAMPLES + 1) * len(corners)]
+    assert batches[0] <= frenet._BLOCK    # one block, so one call
+
+
 @pytest.mark.parametrize("curve, box, n", [(ellipse(1.0, 0.6), 1.5, 32),
                                            (ellipse(1.0, 0.6), 1.5, 64),
                                            (flower(0.5, 0.1, 5), 1.0, 80),

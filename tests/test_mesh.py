@@ -416,9 +416,9 @@ def test_classification_chart_calls_do_not_grow_with_the_mesh(monkeypatch):
 
 def _classify_recording(monkeypatch, mesh, chart):
     """Classify; return the edge ids classify_elements asks `_one_sided`
-    about, its answer, and the number of points of each of the chart's
-    `signed_distance_estimate` calls.  An error of the classification after
-    the test ran is ignored."""
+    about, its answer, and the number of points of the edge samples: the
+    first `signed_distance_estimate` call of the chart after that question.
+    An error of the classification after the test ran is ignored."""
     seen, sizes = [], []
 
     def one_sided(*args, _orig=mesh_module._one_sided):
@@ -426,7 +426,8 @@ def _classify_recording(monkeypatch, mesh, chart):
         return seen[-1][1]
 
     def counted(self, points, _orig=FrenetChart.signed_distance_estimate):
-        sizes.append(len(points))
+        if seen:
+            sizes.append(len(points))
         return _orig(self, points)
 
     monkeypatch.setattr(mesh_module, "_one_sided", one_sided)
@@ -437,7 +438,7 @@ def _classify_recording(monkeypatch, mesh, chart):
         pass
     monkeypatch.undo()
     ((ids, skip),) = seen
-    return ids, skip, sizes
+    return ids, skip, sizes[0]
 
 
 def _assert_skipped_edges_keep_their_sign(monkeypatch, mesh, chart):
@@ -484,14 +485,130 @@ def test_no_edge_is_skipped_for_an_open_curve(monkeypatch):
     curve = LineCurve([0.1, -0.05], [1.0, 0.37], -4.0, 0.4)
     for n in (8, 32):
         mesh = build_mesh((-1, 1, -1, 1), n)
-        ids, skip, sizes = _classify_recording(monkeypatch, mesh, FrenetChart(curve, h=mesh.h))
+        ids, skip, sampled = _classify_recording(monkeypatch, mesh, FrenetChart(curve, h=mesh.h))
         assert len(ids) > 0 and not np.any(skip)
-        assert sizes[1] == _EDGE_SAMPLES * len(ids)
+        assert sampled == _EDGE_SAMPLES * len(ids)
 
 
 def test_classifier_samples_at_most_two_fifths_of_the_candidate_edges(monkeypatch):
-    # the second polyline query of the classifier holds the edge samples
     mesh = build_mesh((-1, 1, -1, 1), 64)
-    ids, skip, sizes = _classify_recording(monkeypatch, mesh, FrenetChart(circle(0.6), h=mesh.h))
-    assert sizes[1] == _EDGE_SAMPLES * int(np.sum(~skip))
-    assert sizes[1] <= 0.4 * _EDGE_SAMPLES * len(ids)
+    ids, skip, sampled = _classify_recording(monkeypatch, mesh, FrenetChart(circle(0.6), h=mesh.h))
+    assert sampled == _EDGE_SAMPLES * int(np.sum(~skip))
+    assert sampled <= 0.4 * _EDGE_SAMPLES * len(ids)
+
+
+def _grid_points(mesh):
+    x0, _, y0, _ = mesh.box
+    gx = x0 + mesh.dx * np.arange(mesh.nx + 1)
+    gy = y0 + mesh.dy * np.arange(mesh.ny + 1)
+    return np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _classify_corner_offsets(monkeypatch, mesh, chart):
+    """Classify; return the reach classify_elements passes to
+    `_corner_offsets` and the corner offsets it gets back.  An error of the
+    classification after the offsets is ignored."""
+    seen = []
+
+    def corner_offsets(*args, _orig=mesh_module._corner_offsets):
+        seen.append((args[2], _orig(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(mesh_module, "_corner_offsets", corner_offsets)
+    try:
+        classify_elements(mesh, chart)
+    except FrenetIfeError:
+        pass
+    monkeypatch.undo()
+    ((reach, eta),) = seen
+    return reach, eta.ravel()
+
+
+def _assert_banded_offsets_match_the_full_query(monkeypatch, mesh, chart):
+    """Within the band every corner offset has signed_distance_estimate's
+    bits, beyond it its sign.  Returns the corner counts (in band, beyond)."""
+    reach, eta = _classify_corner_offsets(monkeypatch, mesh, chart)
+    points = _grid_points(mesh)
+    full = chart.signed_distance_estimate(points)
+    dist, _ = chart.curve.seed_polyline.tree.query(points)
+    near, far = dist < reach, dist > reach
+    assert near.sum() + far.sum() == len(points)
+    assert eta[near].tobytes() == full[near].tobytes()
+    assert np.all(np.abs(eta[far]) == reach)
+    assert np.all(np.sign(eta[far]) == np.sign(full[far]))
+    return int(near.sum()), int(far.sum())
+
+
+BAND_CURVES = {"circle": circle(0.6), "off-centre circle": circle(0.55, (0.1, -0.07)),
+               "ellipse": ellipse(0.7, 0.5), "flower": flower(0.5, 0.1, 5),
+               "enclosing circle": circle(3.0)}
+
+
+@pytest.mark.parametrize("name", sorted(BAND_CURVES))
+def test_banded_corner_offsets_match_the_full_query(name, monkeypatch):
+    curve = BAND_CURVES[name]
+    for n in (8, 16, 32, 64, 128):
+        mesh = build_mesh((-1, 1, -1, 1), n)
+        chart = FrenetChart(curve, h=min(mesh.h, 0.5 / curve.max_curvature))
+        near, far = _assert_banded_offsets_match_the_full_query(monkeypatch, mesh, chart)
+        if name == "enclosing circle":
+            assert near == 0
+        elif n == 128:
+            assert far > near > 0
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_banded_corner_offsets_match_the_full_query_on_random_placements(seed, monkeypatch):
+    for mesh, chart in _random_placements(seed):
+        _assert_banded_offsets_match_the_full_query(monkeypatch, mesh, chart)
+
+
+class _RecordingTree:
+    """A seed tree that records the points and keywords of every query."""
+
+    def __init__(self, tree):
+        self.tree, self.queries = tree, []
+
+    def query(self, points, **kwargs):
+        self.queries.append((np.array(points), kwargs))
+        return self.tree.query(points, **kwargs)
+
+
+def _tree_queries(monkeypatch, mesh, curve):
+    """The seed tree queries of classifying mesh against curve."""
+    seeds = curve.seed_polyline
+    tree = _RecordingTree(seeds.tree)
+    monkeypatch.setattr(curve, "_seed_polyline", seeds._replace(tree=tree))
+    try:
+        classify_elements(mesh, FrenetChart(curve, h=mesh.h))
+    except FrenetIfeError:
+        pass
+    monkeypatch.undo()
+    return tree.queries
+
+
+def _grid_corners_queried(mesh, queries):
+    corners = {p.tobytes() for p in _grid_points(mesh)}
+    return len({p.tobytes() for q, _ in queries for p in q} & corners)
+
+
+def test_no_unbounded_tree_query_covers_the_grid_of_a_closed_curve(monkeypatch):
+    # only the far corners' side is needed, and a bounded query finds them
+    mesh = build_mesh((-1, 1, -1, 1), 64)
+    queries = _tree_queries(monkeypatch, mesh, circle(0.6))
+    bounded = [q for q, kw in queries if "distance_upper_bound" in kw]
+    assert [len(q) for q in bounded] == [(mesh.nx + 1) * (mesh.ny + 1)]
+    unbounded = [(q, kw) for q, kw in queries if "distance_upper_bound" not in kw]
+    assert _grid_corners_queried(mesh, unbounded) < 0.25 * len(bounded[0])
+
+
+def test_an_open_curve_takes_the_full_corner_query(monkeypatch):
+    curve = LineCurve([0.1, -0.05], [1.0, 0.37], -4.0, 0.4)
+    for n in (8, 32):
+        mesh = build_mesh((-1, 1, -1, 1), n)
+        queries = _tree_queries(monkeypatch, mesh, curve)
+        assert all("distance_upper_bound" not in kw for _, kw in queries)
+        assert _grid_corners_queried(mesh, queries) == (n + 1) ** 2
+        _, eta = _classify_corner_offsets(monkeypatch, mesh, FrenetChart(curve, h=mesh.h))
+        assert eta.tobytes() == FrenetChart(curve, h=mesh.h).signed_distance_estimate(
+            _grid_points(mesh)).tobytes()

@@ -20,6 +20,10 @@ checkout, or of a second checkout to compare against) and runs, through
   workload does, and curves that no workload classifies (an ellipse, two
   flowers, an open line, and a circle through grid vertices, whose corner
   cuts are the chart's feet of zero-band samples);
+- ``mesh.classify_elements`` on the placements of ``FAR_CORNERS``: the
+  default circle at n = 128 and 256, and circle(3.0), which encloses the
+  box, at n = 64.  Most of their grid corners lie far from the interface,
+  where the classifier reads a corner's side instead of its offset;
 - on each curve of ``_LEVEL_CURVES`` in ``tests/test_ife_space.py``, the
   curve's ``max_curvature`` and, at fixed parameters, ``FrenetChart.jacobian``
   and ``FrenetLaplacian.coefficient_jets`` to order 2.  These read the
@@ -32,7 +36,8 @@ does not say), since the outputs' bits depend on it; then one line
 ``<sha256>  <run>/<file>`` per output file, and one per command's exit code
 and standard output; ``resolved_config.json`` is left
 out, since it records the output directory.  Each line
-``<sha256>  tags-<placement>`` digests the element tags, then each
+``<sha256>  tags-<placement>`` (``_RULE_CASES`` and ``FAR_CORNERS``
+placements alike) digests the element tags, then each
 interface element's id, interval and its two cuts' edge, t, xi and point,
 then the edges and then the t of the crossing arrays; each
 cut-cell line ``<sha256>  rules-<placement>-q<q>`` digests the bytes of
@@ -65,6 +70,10 @@ GEOMETRY = {
     "geometry-circle": ({"kind": "circle", "radius": 0.6}, [8, 16, 32, 64, 128]),
     "geometry-ellipse": ({"kind": "ellipse", "a": 0.7, "b": 0.5}, [16, 32, 64, 128]),
 }
+# (circle radius, n) of the classifications on the box [-1, 1]^2 whose grid
+# corners lie mostly far from the interface
+FAR_CORNERS = {"circle-n128": (0.6, 128), "circle-n256": (0.6, 256),
+               "enclosing-circle-n64": (3.0, 64)}
 
 
 def runs(workloads, seeds, work: Path):
@@ -99,10 +108,29 @@ def blas_kernel() -> str:
     return get().decode()
 
 
+def tags_digest(tags) -> str:
+    """The sha256 of a MeshTags record, as the tags lines print it."""
+    import numpy as np
+
+    cut = tags.interface
+    sha = hashlib.sha256(tags.tags.tobytes())
+    for i, e in enumerate(cut.elements.tolist()):
+        sha.update(np.array([e]).tobytes())
+        sha.update(np.array(cut.interval[i], dtype=float).tobytes())
+        for j in range(2):
+            sha.update(np.array([cut.edge[i, j]]).tobytes())
+            sha.update(np.array([cut.t[i, j], cut.xi[i, j]]).tobytes())
+            sha.update(np.asarray(cut.point[i, j]).tobytes())
+    for part in tags.crossings:       # the edges, then the t
+        sha.update(part.tobytes())
+    return sha.hexdigest()
+
+
 def rule_digests() -> list[str]:
     """Per _RULE_CASES placement, one line of its classification and one
-    per q of its cut-cell rules."""
+    per q of its cut-cell rules; then one line per FAR_CORNERS placement."""
     import numpy as np
+    from frenet_ife.curves import circle
     from frenet_ife.frenet import FrenetChart
     from frenet_ife.mesh import build_mesh, classify_elements
     from frenet_ife.quadrature import level_cut_cell_rules
@@ -113,25 +141,18 @@ def rule_digests() -> list[str]:
         mesh = build_mesh(box, n)
         chart = FrenetChart(curve, h=h or mesh.h)
         tags = classify_elements(mesh, chart)
-        cut = tags.interface
-        sha = hashlib.sha256(tags.tags.tobytes())
-        for i, e in enumerate(cut.elements.tolist()):
-            sha.update(np.array([e]).tobytes())
-            sha.update(np.array(cut.interval[i], dtype=float).tobytes())
-            for j in range(2):
-                sha.update(np.array([cut.edge[i, j]]).tobytes())
-                sha.update(np.array([cut.t[i, j], cut.xi[i, j]]).tobytes())
-                sha.update(np.asarray(cut.point[i, j]).tobytes())
-        for part in tags.crossings:       # the edges, then the t
-            sha.update(part.tobytes())
-        lines.append(f"{sha.hexdigest()}  tags-{name}")
+        lines.append(f"{tags_digest(tags)}  tags-{name}")
         for q in (3, 4, 5, 6):
             sha = hashlib.sha256()
-            *parts, count = level_cut_cell_rules(mesh, cut, chart, q)
+            *parts, count = level_cut_cell_rules(mesh, tags.interface, chart, q)
             for rule in zip(*(np.split(a, np.cumsum(count)[:-1]) for a in parts)):
                 for part in rule:
                     sha.update(part.tobytes())
             lines.append(f"{sha.hexdigest()}  rules-{name}-q{q}")
+    for name, (radius, n) in FAR_CORNERS.items():
+        mesh = build_mesh((-1, 1, -1, 1), n)
+        tags = classify_elements(mesh, FrenetChart(circle(radius), h=mesh.h))
+        lines.append(f"{tags_digest(tags)}  tags-{name}")
     return lines
 
 
