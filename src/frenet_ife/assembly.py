@@ -43,7 +43,7 @@ def edge_segments(spaces: SpaceSet, k: int, q: int):
     mesh, (edge, t) = spaces.mesh, spaces.tags.crossings
     ts = t[(edge == k) & (t > 1e-12) & (t < 1.0 - 1e-12)]   # corners split nothing
     segs = cut_edge_rule(mesh.edge_a[k], mesh.edge_b[k], ts, q)
-    _, first, sides, _, _ = spaces._segments()
+    _, first, sides, *_ = spaces._segments()
     return [(seg.points, seg.weights, side)
             for seg, side in zip(segs, sides[first[k]:first[k + 1]].tolist())]
 

@@ -69,7 +69,7 @@ def _min_cut_fraction(spaces) -> float:
                 for _, _, _, w, *_ in spaces.interface_stacks(True)), default=1.0)
 
 
-def cmd_solve(cfg: RunConfig, out: Path) -> int:
+def cmd_solve(cfg: RunConfig, out: Path, dump_system: bool = False) -> int:
     case = cfg.manufactured_case()
     n = cfg.mesh_sizes[0]
     spaces = setup_level(case, cfg.domain, n, cfg.degree, cfg.quad)
@@ -78,7 +78,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     if sig == "auto":
         sig, ct = auto_sigma0(spaces)
     system = assemble(spaces, sig, case.f, case.dirichlet)
-    if getattr(cfg, "dump_system", False):
+    if dump_system:
         import scipy.io
 
         scipy.io.mmwrite(str(out / "system_S.mtx"), system.S.tocsr())   # entries row by row, as CSR
@@ -171,22 +171,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sigma0", help="penalty constant or 'auto'")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--dump-system", action="store_true",
-                        help="write the assembled matrix in MatrixMarket format")
+                        help="solve only: write the assembled matrix in MatrixMarket format")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.dump_system and args.command != "solve":
+            raise ValueError(f"--dump-system is read by solve only, not by {args.command}")
         cfg = _load_config(args)
-        cfg.dump_system = args.dump_system
         (cfg.validate_run if args.command == "probe-geometry" else cfg.validate)()
         out = _prepare_out(cfg)
     except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](cfg, out)
+        extra = {"dump_system": True} if args.dump_system else {}   # set for solve only
+        return COMMANDS[args.command](cfg, out, **extra)
     except FrenetIfeError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)

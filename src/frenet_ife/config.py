@@ -157,6 +157,10 @@ class RunConfig:
             if not np.isfinite(penalty):
                 raise ValueError(f"mesh n={n}: the jump penalty sigma0 * gamma / h must be "
                                  "finite; lower sigma0")
+        scale = 0.0 if self.sigma0 == "auto" else self.sigma0 * float(gamma) / self.beta_minus
+        if scale > 1e8:     # Python floats overflow to inf, without numpy's warning
+            raise ValueError(f"sigma0 * (beta_plus / beta_minus)^2 = {scale:.3g} > 1e8, beyond "
+                             "which the solve loses its accuracy; lower sigma0")
         return self
 
     def manufactured_case(self):

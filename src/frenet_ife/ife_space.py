@@ -371,9 +371,12 @@ class SpaceSet:
     def _segments(self):
         """The segment table: every segment of every edge, edge by edge in
         cut_edge_rule order and with its arithmetic at order q_edge: (edge,
-        first row of each edge, side, points (R, q, 2), weights (R, q)), the
-        sides from the tags or from one chart query at the other segments'
-        midpoints."""
+        first row of each edge, side, points (R, q, 2), weights (R, q), the
+        asked rows (A,), and eta and raw xi (A, q) at their points).  The one
+        segment of an edge whose elements are plain and agree takes their
+        side; every other row is asked: one chart Newton pass over them all
+        gives it the sign of eta at its point of largest |eta|, the rule of
+        level_cut_cell_rules for regions."""
         def build():
             mesh, (k, t) = self.mesh, self.tags.crossings
             # the spans of each edge join its knots, 0, its interior crossings
@@ -386,20 +389,17 @@ class SpaceSet:
             keep = ~(t1 - t0 < 1e-14)
             edge, t0, t1 = edge[keep], t0[keep, None], t1[keep, None]
             first = np.searchsorted(edge, np.arange(mesh.n_edges + 1))
-            a, b = mesh.edge_a[edge], mesh.edge_b[edge]
-            # the one segment of an edge whose elements are plain on one side
-            # lies on that side; the other rows ask the chart at their midpoints
-            elems = mesh.edge_elems[edge]
-            side = self.tags.tags[elems[:, 0]]
-            other = np.where(elems[:, 1] < 0, side, self.tags.tags[elems[:, 1]])
-            side = np.where((np.diff(first)[edge] == 1) & (side == other), side, 0)
+            (x, w), a, b = _gauss01(self.q_edge), mesh.edge_a[edge, None], mesh.edge_b[edge, None]
+            pts = a + (t0 + (t1 - t0) * x)[..., None] * (b - a)
+            elems = mesh.edge_elems[edge]          # a boundary edge reads its one element twice
+            both = self.tags.tags[np.where(elems < 0, elems[:, :1], elems)]
+            side = np.where((np.diff(first)[edge] == 1) & (both[:, 0] == both[:, 1]), both[:, 0], 0)
             ask = np.flatnonzero(side == 0)
-            eta = self.chart.signed_distance_estimate(a[ask] + 0.5 * (t0 + t1)[ask] * (b - a)[ask])
-            side[ask] = np.where(eta > 0, 1, -1)
-            (x, w), a, b = _gauss01(self.q_edge), a[:, None], b[:, None]
-            return (edge, first, side,
-                    a + (t0 + (t1 - t0) * x)[..., None] * (b - a),
-                    ((t1 - t0) * mesh.edge_length[edge, None]) * w)
+            eta, xi = (v.reshape(len(ask), self.q_edge)
+                       for v in self.chart._converged(pts[ask].reshape(-1, 2)))
+            side[ask] = np.where(eta[np.arange(len(ask)), np.abs(eta).argmax(axis=1)] > 0, 1, -1)
+            return (edge, first, side, pts, ((t1 - t0) * mesh.edge_length[edge, None]) * w,
+                    ask, eta, xi)
         return self._cached("segments", build)
 
     def interface_stacks(self, volume: bool):
@@ -411,9 +411,10 @@ class SpaceSet:
         (G, nl, P, 2), pos (G,))].  keys is the piece index (0: the plus
         piece, 1: the minus one) or the segment-table row, pos numbers the
         pieces or rows in element order.  Built on the first read and kept:
-        one chart inverse at all their points (for the pieces, the one of
-        level_cut_cell_rules), each anchored at its interval midpoint, one
-        chart Jacobian and one stacked evaluation per size."""
+        the chart coordinates of the pieces from level_cut_cell_rules' inverse
+        and of the segments from the segment table's Newton pass, each xi
+        unwrapped at its element's interval midpoint, then one chart Jacobian
+        and one stacked evaluation per size."""
         def build():
             elems = self.tags.interface.elements
             if not len(elems):
@@ -424,11 +425,12 @@ class SpaceSet:
                 at, keys = np.repeat(np.arange(len(elems)), 2), np.tile([0, 1], len(elems))
                 sides = np.tile([1, -1], len(elems))
             else:
-                _, first, labels, seg_pts, seg_w = self._segments()
+                _, first, labels, seg_pts, seg_w, ask, eta, xi = self._segments()
                 at, keys = self.mesh.face_rows(first, elems)
                 sides, sizes = labels[keys], np.full(len(keys), self.q_edge)
                 pts, w = seg_pts[keys].reshape(-1, 2), seg_w[keys].ravel()
-                eta, xi = self.chart.inverse(pts, xi_anchor=np.repeat(self.bases.xi_c[at], sizes))
+                eta, xi = (a[np.searchsorted(ask, keys)] for a in (eta, xi))   # face rows are asked
+                eta, xi = eta.ravel(), self.chart._unwrap(xi, self.bases.xi_c[at, None]).ravel()
             J = self.chart.jacobian(eta, xi)
             first = np.cumsum(sizes) - sizes
             stacks = []
@@ -442,16 +444,9 @@ class SpaceSet:
             return stacks
         return self._cached(("stacks", volume), build)
 
-    def _grouped_rows(self):
-        """Mask of the segment rows of the one-segment edges whose elements
-        are all plain: the rows of the plain edge groups."""
-        edge, first, _, _, _ = self._segments()
-        plain = np.append(self.tags.tags != 0, True)   # [-1]: no element
-        return (plain[self.mesh.edge_elems].all(axis=1) & (np.diff(first) == 1))[edge]
-
     def _plain_groups(self, volume: bool):
         """[(ids, points (E, nq, 2), weights (E, nq), sides (E,), pos (1,))]:
-        the plain elements (volume) or the segment rows of _grouped_rows,
+        the plain elements (volume) or the segment rows the tags label,
         grouped by the bytes of everything their blocks read (weights, side,
         the reference coordinates and box widths of their elements and, on
         edges, the normal and boundary flag), in their lexicographic order,
@@ -463,8 +458,8 @@ class SpaceSet:
             pts, w, elems, head = rule.points, rule.weights, ids[:, None], []
             sides = self.tags.tags[ids]
         else:
-            edge, _, labels, seg_pts, seg_w = self._segments()
-            ids = np.flatnonzero(self._grouped_rows())
+            edge, _, labels, seg_pts, seg_w, ask, *_ = self._segments()
+            ids = np.delete(np.arange(len(edge)), ask)
             pts, w, sides, k = seg_pts[ids], seg_w[ids], labels[ids], edge[ids]
             elems, head = mesh.edge_elems[k], [mesh.edge_normal[k], mesh.edge_is_boundary[k]]
         key = [w, *head, sides]
@@ -502,9 +497,8 @@ class SpaceSet:
         the element the normal points out of and -1 on the neighbour; one
         per group of plain edges, then one per member count of the others."""
         def build():
-            edge, _, sides, pts, w = self._segments()
+            edge, _, sides, pts, w, cut, *_ = self._segments()
             elems, plain = self.mesh.edge_elems, self._plain_groups(False)
-            cut = np.flatnonzero(~self._grouped_rows())
             inner = elems[edge[cut], 1] >= 0
             groups = plain + [(rows, pts[rows], w[rows], sides[rows], len(plain) + rows)
                               for rows in (cut[~inner], cut[inner]) if len(rows)]
@@ -552,7 +546,7 @@ class SpaceSet:
             rule = gauss_rect(self.mesh.elem_box(plain), self.q_vol)
             f, sides, pts, w = plain, tags[plain], rule.points, rule.weights
         else:
-            _, first, labels, seg_pts, seg_w = self._segments()
+            _, first, labels, seg_pts, seg_w, *_ = self._segments()
             i, rows = self.mesh.face_rows(first, plain)
             f, sides, pts, w = plain[i], labels[rows], seg_pts[rows], seg_w[rows]
         _, grads = TensorBasis(self.mesh.elem_box(f), self.m).evaluate(pts)

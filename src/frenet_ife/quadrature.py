@@ -273,13 +273,11 @@ def level_cut_cell_rules(mesh: RectMesh, cuts: InterfaceCuts, chart: FrenetChart
     One chart inverse at the points of all regions, each xi unwrapped at
     its element's interval midpoint, labels each region by the sign of eta
     at its point of largest |eta|.  The region lies on one side of the
-    interface and that point far beyond the seed polyline's sagitta error
-    (about 2e-7 on the default circle), so the polyline's estimate at its
-    own deepest point gave the same side.  Raises DegeneratePartition naming
-    the first element with a region no anchor sees after _MAX_SPLITS
-    halvings, then NewtonDivergence when a point does not invert, then
-    DegeneratePartition naming the first element with both regions on one
-    side.
+    interface, and that point lies farthest from it.  Raises
+    DegeneratePartition naming the first element with a region no anchor
+    sees after _MAX_SPLITS halvings, then NewtonDivergence when a point does
+    not invert, then DegeneratePartition naming the first element with both
+    regions on one side.
     """
     verts, nv, xi_s, xi_e = _regions(mesh, cuts)
     # each pending region's root region and the place of its leaf in a full

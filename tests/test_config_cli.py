@@ -8,8 +8,8 @@ import pytest
 import scipy.io
 
 from frenet_ife import assembly
-from frenet_ife.analysis import setup_level
-from frenet_ife.assembly import auto_sigma0
+from frenet_ife.analysis import error_norms, setup_level
+from frenet_ife.assembly import assemble, auto_sigma0, solve
 from frenet_ife.cli import COMMANDS, main
 from frenet_ife.config import RunConfig
 from frenet_ife.errors import FrenetIfeError
@@ -384,16 +384,55 @@ def test_nan_solve_residual_is_a_nonconvergence(tmp_path, capsys, monkeypatch):
     assert not (out / "errors.csv").exists()
 
 
-def test_huge_penalty_solves_without_overflow_warnings(tmp_path, capsys):
-    # sigma0 = 1e300 keeps the penalty finite and puts entries near 1e302
-    # into S and F; the residual and the load are scaled by max|F| before
-    # their norms, which would overflow to inf otherwise (a RuntimeWarning,
-    # an error under this suite's warning filter)
+def test_huge_penalty_solves_without_overflow_warnings():
+    # the library does not validate: sigma0 = 1e300 keeps the penalty finite
+    # and puts entries near 1e302 into S and F; the residual and the load
+    # are scaled by max|F| before their norms, which would overflow to inf
+    # otherwise (a RuntimeWarning, an error under this suite's warning filter)
+    case = RunConfig().manufactured_case()
+    spaces = setup_level(case, (-1, 1, -1, 1), 8, 1)
+    coef = solve(assemble(spaces, 1e300, case.f, case.dirichlet))
+    assert np.isfinite(coef).all()
+    assert np.isfinite(list(error_norms(coef, case, spaces, 1e300).values())).all()
+
+
+@pytest.mark.parametrize("override", [{"sigma0": 1.0000001e6}, {"sigma0": 1.0, "beta_plus": 1e5},
+                                      {"sigma0": 2.0, "beta_minus": 1e-300, "beta_plus": 1e-10}])
+def test_penalty_scale_beyond_1e8_is_refused(override):
+    # a huge sigma0 * (beta+/beta-)^2 ruins the solution although the solve's
+    # residual meets its contract; a ratio whose square overflows reads inf
+    with pytest.raises(ValueError, match=r"^sigma0 \* \(beta_plus / beta_minus\)\^2 = .+ > 1e8"):
+        RunConfig.from_dict(override).validate_run()
+    RunConfig.from_dict({**override, "sigma0": "auto"}).validate_run()
+
+
+@pytest.mark.parametrize("sigma0, rc", [("1e150", 2), ("1e6", 0)])
+def test_cli_refuses_a_penalty_scale_beyond_1e8(tmp_path, capsys, sigma0, rc):
+    # 1e6 * (10 / 1)^2 is the bound itself
     out = tmp_path / "o"
-    assert main(["solve", "--mesh", "8", "--degree", "1", "--sigma0", "1e300",
-                 "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    assert (out / "errors.csv").exists()
+    assert main(["solve", "--mesh", "8", "--degree", "1", "--sigma0", sigma0,
+                 "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc == 2:
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "config", "message": (
+            "sigma0 * (beta_plus / beta_minus)^2 = 1e+152 > 1e8, beyond which the solve "
+            "loses its accuracy; lower sigma0")}
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["convergence", "probe-geometry", "probe-trace",
+                                     "probe-coercivity"])
+def test_dump_system_beside_solve_is_a_config_error(tmp_path, capsys, command):
+    # only solve assembles a system to dump
+    out = tmp_path / "o"
+    assert main([command, "--mesh", "8,16", "--degree", "1", "--dump-system",
+                 "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": f"--dump-system is read by solve only, not by {command}"}
+    assert not out.exists()
 
 
 def test_runtime_error_with_an_unwritable_output_still_exits_1(tmp_path, capsys, monkeypatch):

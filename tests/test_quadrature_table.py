@@ -13,9 +13,10 @@ interface stacks whole and evaluates the plain elements it probes on their
 own rules and face rows, without building the groups.  The table keeps the
 segments of every edge (the rules of one cut_edge_rule call per edge), the
 interface basis values, built on first read by any of them from one chart
-inverse and one chart Jacobian for the volume pieces of all interface
-elements and one of each for their edges, and the plain values from one 1D
-Lagrange evaluation each.
+Newton pass and one chart Jacobian for the volume pieces of all interface
+elements and one of each for their edges (the segment table's pass, which
+also labels every segment the tags cannot), and the plain values from one
+1D Lagrange evaluation each.
 """
 
 import inspect
@@ -111,7 +112,7 @@ def test_table_matches_element_loops(n, m, relabel):
 
 def _table_sides(spaces, k):
     # the segment table's labels of the segments of edge k, in turn
-    _, first, labels, _, _ = spaces._segments()
+    _, first, labels, *_ = spaces._segments()
     return labels[first[k]:first[k + 1]].tolist()
 
 
@@ -247,7 +248,7 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
         case = manufactured_circle(0.6, 1.0, 10.0, p=4)
         system = assemble(spaces, 6.0, case.f, case.dirichlet)
         error_norms(solve(system), case, spaces, 6.0)
-        for name in ("inverse", "jacobian"):
+        for name in ("inverse", "_converged", "jacobian"):
             monkeypatch.setattr(spaces.chart, name, None)
     read = []
     for volume in (True, False):
@@ -275,20 +276,24 @@ def test_table_inverts_each_interface_element_twice_per_level(monkeypatch):
     chart = spaces.chart
     calls = []
 
-    def inverse(points, xi_anchor=None):
+    def converged(points):
         calls.append(len(points))
-        return FrenetChart.inverse(chart, points, xi_anchor)
+        return FrenetChart._converged(chart, points)
 
-    monkeypatch.setattr(chart, "inverse", inverse)
+    monkeypatch.setattr(chart, "_converged", converged)
     sigma0, _ = auto_sigma0(spaces)
     system = assemble(spaces, sigma0, case.f, case.dirichlet)
     error_norms(solve(system), case, spaces, sigma0)
-    # one call for the volume pieces of all interface elements, one for the
-    # segments of their edges
-    assert len(calls) == 2
+    monkeypatch.undo()
+    # two chart Newton passes: one for the volume pieces of all interface
+    # elements, one for the segment rows the tags cannot label, which are
+    # the distinct rows of their faces (144 rows for 216 element faces' rows)
     *_, count = quadrature.level_cut_cell_rules(spaces.mesh, spaces.tags.interface, chart,
                                                 spaces.q_vol)
-    assert count.sum() in calls
+    _, first, _, _, _, ask, _, _ = spaces._segments()
+    _, faces = spaces.mesh.face_rows(first, spaces.tags.interface.elements)
+    assert np.array_equal(np.unique(faces), ask) and len(faces) > len(ask)
+    assert calls == [count.sum(), len(ask) * spaces.q_edge]
 
 
 def _plain_lagrange_calls(monkeypatch, n, m):
@@ -322,7 +327,7 @@ def _chart_calls(monkeypatch, n):
     the stacked evaluations of interface values, and the builds of the
     cut-cell rules with their star-test rounds; then the level's number of
     interface elements and of interface stacks."""
-    counts = dict.fromkeys(("inverse", "signed_distance_estimate", "jacobian"), 0)
+    counts = dict.fromkeys(("inverse", "_converged", "signed_distance_estimate", "jacobian"), 0)
     for name in counts:
         def counted(self, *args, _name=name, _orig=getattr(FrenetChart, name), **kwargs):
             counts[_name] += 1
@@ -349,10 +354,12 @@ def _chart_calls(monkeypatch, n):
 def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
     (c16, n16, s16), (c32, n32, s32) = (_chart_calls(monkeypatch, n) for n in (16, 32))
     assert n32 > n16
-    # anchors, boundary loops, table volume, table edges
-    assert c16["inverse"] == c32["inverse"] <= 5
-    # classification, then one query for the sides of all cut-cell regions
-    # and one for those of all edge segments
+    # the cut-cell kernel's inverse of the table's volume pieces; the chart
+    # Newton passes: the boundary loops of the fictitious intervals, that
+    # inverse, and the segment rows the tags cannot label
+    assert c16["inverse"] == c32["inverse"] == 1
+    assert c16["_converged"] == c32["_converged"] == 3
+    # classification's edge samples and bisection steps; no query after it
     assert c16["signed_distance_estimate"] == c32["signed_distance_estimate"]
     # the interface values of volume pieces and of edge segments, each built
     # once for the trace probe and kept for assembly and error norms, from
@@ -365,6 +372,24 @@ def test_chart_calls_per_level_do_not_grow_with_the_mesh(monkeypatch):
     # first round: one star test per build of the rules
     assert c16["level_cut_cell_rules"] == c32["level_cut_cell_rules"] > 0
     assert c16["_anchor_ok"] == c32["_anchor_ok"] == c16["level_cut_cell_rules"]
+
+
+def test_level_chain_makes_no_polyline_query_after_setup(monkeypatch):
+    # the seed polyline's offsets serve classification only: the segment
+    # sides, like the cut-cell regions', come from the chart's Newton
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, BOX, 16, 2)
+    calls = []
+
+    def counted(self, points, _orig=FrenetChart.signed_distance_estimate):
+        calls.append(len(points))
+        return _orig(self, points)
+
+    monkeypatch.setattr(FrenetChart, "signed_distance_estimate", counted)
+    sigma0, _ = auto_sigma0(spaces)
+    system = assemble(spaces, sigma0, case.f, case.dirichlet)
+    error_norms(solve(system), case, spaces, sigma0)
+    assert calls == []
 
 
 def test_solve_factors_the_assembled_matrix_without_a_copy(monkeypatch):
@@ -396,7 +421,7 @@ def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
     for ks, _, pts, w, sides, _, _ in spaces.edge_groups():
         for k, p, wk, side in zip(ks, pts, w, sides):
             rows.setdefault(int(k), []).append((p, wk, side))
-    _, first, labels, seg_pts, seg_w = spaces._segments()
+    _, first, labels, seg_pts, seg_w, *_ = spaces._segments()
     segs = zip(*mesh.face_rows(first, np.arange(mesh.n_elements)))
     faces = {}
     for e in range(mesh.n_elements):
@@ -437,29 +462,46 @@ def test_no_per_edge_rules_in_the_level_chain(monkeypatch):
     assert calls == []
 
 
-def _assert_segment_sides_match_one_query_per_segment(mesh, chart, tags):
+def _assert_segment_sides_match_one_query_per_segment(mesh, chart, tags, circle_at=None):
     # the table's labels, from the tags on one-segment edges between plain
-    # elements of one side, against the sign of the chart's offset at each
-    # segment's own midpoint, queried one segment at a time
+    # elements of one side, against the sign of the chart's eta at each
+    # segment's own point of largest |eta|, from one chart inverse of its
+    # points a segment at a time; on a circle (radius, centre), also against
+    # the sign of |x - centre| - radius there
     spaces = build_spaces(mesh, tags, chart, 1, 1.0, 10.0)
     split = 0
     for k in range(mesh.n_edges):
         a, b = mesh.edge_a[k], mesh.edge_b[k]
-        segs = cut_edge_rule(a, b, _interior_cuts(tags, k), 2)
-        ref = [1 if chart.signed_distance_estimate(a[None] + 0.5 * (s.t0 + s.t1) * (b - a))[0] > 0
-               else -1 for s in segs]
+        segs = cut_edge_rule(a, b, _interior_cuts(tags, k), spaces.q_edge)
+        ref = []
+        for s in segs:
+            eta, _ = chart.inverse(s.points)
+            j = np.argmax(np.abs(eta))
+            ref.append(1 if eta[j] > 0 else -1)
+            if circle_at is not None:
+                r, centre = circle_at
+                assert (np.linalg.norm(s.points[j] - centre) > r) == (eta[j] > 0), k
         assert _table_sides(spaces, k) == ref, k
         split += len(segs) > 1
     assert split > 0
 
 
-@pytest.mark.parametrize("curve, n", [
-    *((circle(0.6), n) for n in (8, 16, 32, 64)), (ellipse(0.7, 0.5), 16),
-    (ellipse(0.7, 0.5), 32), (flower(0.5, 0.1, 5), 48)])
-def test_segment_sides_match_one_query_per_segment(curve, n):
+# (curve, n, circle_at); circle(0.625 - 2.5e-7) passes 2.5e-7 inside grid
+# vertices, beyond the seed polyline's sagitta error (at 1.5e-7 or closer,
+# classification raises AmbiguousCut)
+_SIDE_CASES = [*((circle(0.6), n, (0.6, 0.0)) for n in (8, 16, 32, 64)),
+               (ellipse(0.7, 0.5), 16, None), (ellipse(0.7, 0.5), 32, None),
+               (flower(0.5, 0.1, 5), 48, None),
+               *((circle(0.625 - 2.5e-7), n, (0.625 - 2.5e-7, 0.0)) for n in (16, 32))]
+
+
+@pytest.mark.parametrize("curve, n, circle_at", [pytest.param(*case, id=f"curve{i}-{case[1]}")
+                                                for i, case in enumerate(_SIDE_CASES)])
+def test_segment_sides_match_one_query_per_segment(curve, n, circle_at):
     mesh = build_mesh(BOX, n)
     chart = FrenetChart(curve, h=mesh.h)
-    _assert_segment_sides_match_one_query_per_segment(mesh, chart, classify_elements(mesh, chart))
+    _assert_segment_sides_match_one_query_per_segment(mesh, chart, classify_elements(mesh, chart),
+                                                      circle_at)
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -469,8 +511,10 @@ def test_segment_sides_match_one_query_per_segment_random_placements(seed):
     for n in (8, 16, 32):
         for _ in range(3):
             center = rng.uniform(-0.15, 0.15, 2)
+            circle_at = None
             if rng.uniform() < 0.5:
-                curve = circle(rng.uniform(0.4, 0.7), center)
+                circle_at = (rng.uniform(0.4, 0.7), center)
+                curve = circle(*circle_at)
             else:
                 curve = ellipse(rng.uniform(0.5, 0.75), rng.uniform(0.35, 0.55), center)
             mesh = build_mesh(BOX, n)
@@ -479,7 +523,7 @@ def test_segment_sides_match_one_query_per_segment_random_placements(seed):
                 tags = classify_elements(mesh, chart)
             except FrenetIfeError:
                 continue
-            _assert_segment_sides_match_one_query_per_segment(mesh, chart, tags)
+            _assert_segment_sides_match_one_query_per_segment(mesh, chart, tags, circle_at)
 
 
 def test_no_table_reader_or_study_takes_a_quadrature_order():

@@ -24,6 +24,12 @@ checkout, or of a second checkout to compare against) and runs, through
   default circle at n = 128 and 256, and circle(3.0), which encloses the
   box, at n = 64.  Most of their grid corners lie far from the interface,
   where the classifier reads a corner's side instead of its offset;
+- the segment table of ``ife_space.SpaceSet`` at degree 2 on every
+  ``_RULE_CASES`` and ``FAR_CORNERS`` placement, and on the placements of
+  ``NEAR_VERTEX``: circle(0.625 - 2.5e-7) at n = 16 and 32, which passes
+  2.5e-7 inside grid vertices, closer than the seed polyline's sagitta
+  error, so that the side of the segments beside those vertices tells the
+  chart's sign from the polyline's;
 - on each curve of ``_LEVEL_CURVES`` in ``tests/test_ife_space.py``, the
   curve's ``max_curvature`` and, at fixed parameters, ``FrenetChart.jacobian``
   and ``FrenetLaplacian.coefficient_jets`` to order 2.  These read the
@@ -42,12 +48,15 @@ interface element's id, interval and its two cuts' edge, t, xi and point,
 then the edges and then the t of the crossing arrays; each
 cut-cell line ``<sha256>  rules-<placement>-q<q>`` digests the bytes of
 each rule's points, weights, eta and xi, element by element, the plus side
-first; each line ``<sha256>  frame-<curve>`` digests the maximum
-curvature, the Jacobians and the three jets, in that order.  The tags and
-rules lines read the record arrays of ``MeshTags.interface``,
-``MeshTags.crossings`` and ``quadrature.level_cut_cell_rules``.  Two trees
-whose printouts are equal on one host wrote byte-identical outputs,
-classifications, rules and frames there.
+first; each line ``<sha256>  segments-<placement>`` digests the segment
+table's edge, first, side, points and weights arrays, in that order; each
+line ``<sha256>  frame-<curve>`` digests the maximum
+curvature, the Jacobians and the three jets, in that order.  The tags,
+rules and segments lines read the record arrays of ``MeshTags.interface``,
+``MeshTags.crossings``, ``quadrature.level_cut_cell_rules`` and the first
+five of ``SpaceSet._segments``.  Two trees whose printouts are equal on one
+host wrote byte-identical outputs, classifications, rules, segment tables
+and frames there.
 The outputs go to a temporary directory, or to ``--work`` when given
 (kept).
 """
@@ -74,6 +83,10 @@ GEOMETRY = {
 # corners lie mostly far from the interface
 FAR_CORNERS = {"circle-n128": (0.6, 128), "circle-n256": (0.6, 256),
                "enclosing-circle-n64": (3.0, 64)}
+# (circle radius, n) of the segment tables whose curve passes just inside
+# grid vertices of the box [-1, 1]^2
+NEAR_VERTEX = {"near-vertex-circle-n16": (0.625 - 2.5e-7, 16),
+               "near-vertex-circle-n32": (0.625 - 2.5e-7, 32)}
 
 
 def runs(workloads, seeds, work: Path):
@@ -126,9 +139,22 @@ def tags_digest(tags) -> str:
     return sha.hexdigest()
 
 
+def segments_digest(mesh, tags, chart) -> str:
+    """The sha256 of the degree-2 segment table of a classified level, as
+    the segments lines print it."""
+    from frenet_ife.ife_space import build_spaces
+
+    sha = hashlib.sha256()
+    for part in build_spaces(mesh, tags, chart, 2, 1.0, 10.0)._segments()[:5]:
+        sha.update(part.tobytes())
+    return sha.hexdigest()
+
+
 def rule_digests() -> list[str]:
-    """Per _RULE_CASES placement, one line of its classification and one
-    per q of its cut-cell rules; then one line per FAR_CORNERS placement."""
+    """Per _RULE_CASES placement, one line of its classification, one of
+    its segment table and one per q of its cut-cell rules; then one line of
+    the classification and one of the segment table per FAR_CORNERS
+    placement, and one of the segment table per NEAR_VERTEX placement."""
     import numpy as np
     from frenet_ife.curves import circle
     from frenet_ife.frenet import FrenetChart
@@ -142,6 +168,7 @@ def rule_digests() -> list[str]:
         chart = FrenetChart(curve, h=h or mesh.h)
         tags = classify_elements(mesh, chart)
         lines.append(f"{tags_digest(tags)}  tags-{name}")
+        lines.append(f"{segments_digest(mesh, tags, chart)}  segments-{name}")
         for q in (3, 4, 5, 6):
             sha = hashlib.sha256()
             *parts, count = level_cut_cell_rules(mesh, tags.interface, chart, q)
@@ -149,10 +176,13 @@ def rule_digests() -> list[str]:
                 for part in rule:
                     sha.update(part.tobytes())
             lines.append(f"{sha.hexdigest()}  rules-{name}-q{q}")
-    for name, (radius, n) in FAR_CORNERS.items():
+    for name, (radius, n) in {**FAR_CORNERS, **NEAR_VERTEX}.items():
         mesh = build_mesh((-1, 1, -1, 1), n)
-        tags = classify_elements(mesh, FrenetChart(circle(radius), h=mesh.h))
-        lines.append(f"{tags_digest(tags)}  tags-{name}")
+        chart = FrenetChart(circle(radius), h=mesh.h)
+        tags = classify_elements(mesh, chart)
+        if name in FAR_CORNERS:
+            lines.append(f"{tags_digest(tags)}  tags-{name}")
+        lines.append(f"{segments_digest(mesh, tags, chart)}  segments-{name}")
     return lines
 
 
