@@ -267,14 +267,16 @@ def trace_probe_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
             / min(lv["max"] for lv in levels)}
 
 
-def coercivity_probe(case: ManufacturedCase, m: int, n: int,
+def coercivity_probe(case: ManufacturedCase, m: int, ns,
                      box=(-1, 1, -1, 1), sigma0="auto", quad=None) -> dict:
-    """Assemble a small level and return the coercivity eigenvalue bound."""
-    spaces = setup_level(case, box, n, m, quad)
-    if sigma0 == "auto":
-        sigma0, ct = auto_sigma0(spaces)
-    else:
-        ct = float("nan")
-    system = assemble(spaces, sigma0, case.f, case.dirichlet, with_norm_grams=True)
-    return {"sigma0": float(sigma0), "trace_constant": float(ct),
-            "min_ratio": coercivity_ratio(system), "n": n, "m": m}
+    """Each level's coercivity ratio and their minimum, at one penalty: an "auto"
+    one is probed once on the first level and reused, as in convergence_study."""
+    levels, sig, ct = [], sigma0, float("nan")
+    for n in ns:
+        spaces = setup_level(case, box, n, m, quad)
+        if sig == "auto":
+            sig, ct = auto_sigma0(spaces)
+        system = assemble(spaces, sig, case.f, case.dirichlet, with_norm_grams=True)
+        levels.append({"n": n, "h": spaces.mesh.h, "ratio": coercivity_ratio(system)})
+    return {"sigma0": float(sig), "trace_constant": float(ct), "m": m, "levels": levels,
+            "min_ratio": min(lv["ratio"] for lv in levels)}

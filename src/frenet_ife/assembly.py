@@ -28,7 +28,6 @@ class SipdgSystem:
 
     S: sp.csc_matrix
     F: np.ndarray
-    norm_gram: sp.csr_matrix | None = None
     energy_gram: sp.csr_matrix | None = None
 
 
@@ -95,15 +94,15 @@ def _csr(spaces: SpaceSet, K, terms, block):
 
 def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
              with_norm_grams: bool = False) -> SipdgSystem:
-    """Assemble the penalized system; optionally also the norm Gram matrices.
+    """Assemble the penalized system; optionally also the energy-norm Gram.
 
     f_source(points, side) and g_dirichlet(points, side) return values at
     quadrature points, side +-1 per point; each is called once per level, on
     the points of all its volume groups or boundary segments.
-    The norm Grams realize the broken norm (gradient + penalized jumps) and
-    the energy norm (plus weighted flux averages).  Blocks are computed once
-    per group of plain elements or edges and row by row in the stacked cut
-    groups; S and the Grams are bit-identical to an element-by-element loop.
+    The energy Gram realizes the broken norm (gradient + penalized jumps)
+    plus weighted flux averages.  Blocks are computed once per group of
+    plain elements or edges and row by row in the stacked cut groups; S and
+    the Gram are bit-identical to an element-by-element loop.
     """
     mesh, nl = spaces.mesh, spaces.n_local
     pen = penalty_weight(spaces, sigma0)
@@ -137,10 +136,10 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
 
     system = SipdgSystem(S=_csr(spaces, K, terms, sipdg).tocsc(), F=F)
     if with_norm_grams:
-        system.norm_gram = _csr(spaces, K, terms, lambda w, avg, a, b:
-                                pen * a[0] * b[0] * (a[1] * w) @ b[1].mT)
-        system.energy_gram = system.norm_gram + _csr(spaces, K[:0], terms, lambda w, avg, a, b:
-                                                     (avg * avg / pen) * (a[2] * w) @ b[2].mT)
+        norm_gram = _csr(spaces, K, terms, lambda w, avg, a, b:
+                         pen * a[0] * b[0] * (a[1] * w) @ b[1].mT)
+        system.energy_gram = norm_gram + _csr(spaces, K[:0], terms, lambda w, avg, a, b:
+                                              (avg * avg / pen) * (a[2] * w) @ b[2].mT)
     return system
 
 
@@ -156,9 +155,9 @@ def solve(system: SipdgSystem) -> np.ndarray:
 
 
 def _largest_eigenvalue(b, a) -> float:
-    """scipy.linalg.eigh(b, a, eigvals_only=True)[-1] bit for bit: its LAPACK
-    driver (dsygvd for float64) and arguments, without eigh's per-call
-    driver lookup and checks; a failure of the driver raises LinAlgError."""
+    """Largest eigenvalue of the pencil (b, a), bit for bit as scipy's eigh(b, a,
+    eigvals_only=True)[-1]: its LAPACK driver (dsygvd for float64) and arguments,
+    without eigh's per-call driver lookup and checks; a driver failure raises LinAlgError."""
     w, _, info = scipy.linalg.lapack.dsygvd(b, a, itype=1, jobz="N", uplo="L")
     if info:
         raise np.linalg.LinAlgError(f"generalized eigensolve failed: LAPACK sygvd info = {info}")
@@ -216,12 +215,12 @@ def auto_sigma0(spaces: SpaceSet) -> tuple[float, float]:
 
 
 def coercivity_ratio(system: SipdgSystem) -> float:
-    """min over the discrete space of a_h(v, v) / |||v|||_h^2 (dense probe)."""
+    """min over the discrete space of a_h(v, v) / |||v|||_h^2: the smallest eigenvalue of
+    the symmetrised S against the energy Gram G, from one shift-invert Lanczos at -1.
+    S + G is positive definite, so every ratio exceeds -1; the nearest -1 is the least."""
     if system.energy_gram is None:
         raise ValueError("assemble with with_norm_grams=True first")
-    S = system.S.toarray()
-    G = system.energy_gram.toarray()
-    S = 0.5 * (S + S.T)
-    G = 0.5 * (G + G.T)
-    w = scipy.linalg.eigh(S, G, eigvals_only=True)
+    S, G = (0.5 * (A + A.T) for A in (system.S, system.energy_gram))
+    # ARPACK's default start vector is random; a fixed one repeats the output
+    w = spla.eigsh(S, k=1, M=G, sigma=-1.0, v0=np.ones(S.shape[0]), return_eigenvectors=False)
     return float(w[0])

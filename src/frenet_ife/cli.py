@@ -141,12 +141,11 @@ def cmd_probe_trace(cfg: RunConfig, out: Path) -> int:
 
 def cmd_probe_coercivity(cfg: RunConfig, out: Path) -> int:
     case = cfg.manufactured_case()
-    probes = coercivity_probe(case, cfg.degree, cfg.mesh_sizes[0], cfg.domain,
+    probes = coercivity_probe(case, cfg.degree, cfg.mesh_sizes, cfg.domain,
                               cfg.sigma0, cfg.quad)
     (out / "coercivity_probe.json").write_text(
         json.dumps(probes, indent=2, sort_keys=True))
-    print(f"coercivity min ratio {probes['min_ratio']:.3f} "
-          f"at sigma0={probes['sigma0']:.6g}")
+    print(f"coercivity min ratio {probes['min_ratio']:.3f} at sigma0={probes['sigma0']:.6g}")
     return 0
 
 

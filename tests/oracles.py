@@ -356,6 +356,15 @@ def smallest_eigenvalue(S):
     return float(np.linalg.eigvalsh(S.toarray())[0])
 
 
+def dense_coercivity_ratio(system):
+    """min over the discrete space of a_h(v, v) / |||v|||_h^2: every eigenvalue
+    of the symmetrised S against the energy Gram, from one dense solve."""
+    import scipy.linalg
+
+    S, G = (A.toarray() for A in (system.S, system.energy_gram))
+    return float(scipy.linalg.eigh(0.5 * (S + S.T), 0.5 * (G + G.T), eigvals_only=True)[0])
+
+
 def _triplet_matrix(blocks, n):
     import scipy.sparse as sp
 

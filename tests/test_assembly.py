@@ -1,18 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from frenet_ife import assembly
 from frenet_ife.analysis import manufactured_circle, setup_level
 from frenet_ife.assembly import (assemble, auto_sigma0, coercivity_ratio,
                                  edge_segments, penalty_weight, solve, trace_constant)
 from frenet_ife.curves import circle
-from frenet_ife.errors import SingularGram
+from frenet_ife.errors import NonConvergence, SingularGram
 from frenet_ife.frenet import FrenetChart
 from frenet_ife.ife_space import SpaceSet, build_spaces
 from frenet_ife.mesh import build_mesh, classify_elements
 
-from oracles import element_basis, element_rules, smallest_eigenvalue
+from oracles import dense_coercivity_ratio, element_basis, element_rules, smallest_eigenvalue
 from plaindg import PlainDG
 
 
@@ -106,6 +109,24 @@ def test_solver_residual_contract(bench):
     resid16 = np.linalg.norm(system16.S @ coef16 - system16.F) \
         / np.linalg.norm(system16.F)
     assert resid16 <= 1e-11
+
+
+@pytest.mark.parametrize("target, raises", [(1e-10, True), (1e-12, False)])
+def test_residual_contract_at_its_bound(bench, monkeypatch, target, raises):
+    # a solve off by a constant shift c*1 leaves the residual c*S1: scaled to
+    # a relative residual of 1e-10 it breaks the contract of 1e-11, scaled to
+    # 1e-12 it meets it
+    _, _, system = bench
+    exact = spla.spsolve(system.S, system.F)
+    shift = target * np.linalg.norm(system.F) / np.linalg.norm(system.S @ np.ones(len(exact)))
+    resid = np.linalg.norm(system.S @ (exact + shift) - system.F) / np.linalg.norm(system.F)
+    assert resid == pytest.approx(target, rel=1e-3)
+    monkeypatch.setattr(assembly, "spla", SimpleNamespace(spsolve=lambda S, F: exact + shift))
+    if raises:
+        with pytest.raises(NonConvergence, match=r"^linear solve residual 1\.00e-10 > 1e-11$"):
+            solve(system)
+    else:
+        assert np.array_equal(solve(system), exact + shift)
 
 
 def test_tiny_penalty_not_positive_definite(bench):
@@ -252,3 +273,18 @@ def test_coercivity_fails_below_threshold(bench):
     case, spaces, _ = bench
     system = assemble(spaces, 0.01, case.f, case.dirichlet, with_norm_grams=True)
     assert coercivity_ratio(system) < 0.25
+
+
+@pytest.mark.parametrize("sigma0", ["auto", 0.01])
+@pytest.mark.parametrize("m, n", [(1, 8), (1, 16), (2, 8), (2, 16), (3, 8)])
+def test_coercivity_ratio_equals_the_dense_oracle(m, n, sigma0):
+    # the shift-invert Lanczos at -1 finds the least ratio whether S is
+    # coercive (the auto penalty) or not (0.01, about -0.6); a shift at 0
+    # finds the ratio nearest 0 instead (+1.3e-4 at m=1 n=8 and 0.01)
+    case = manufactured_circle(0.6, 1.0, 10.0, p=4)
+    spaces = setup_level(case, (-1, 1, -1, 1), n, m)
+    sig = auto_sigma0(spaces)[0] if sigma0 == "auto" else sigma0
+    system = assemble(spaces, sig, case.f, case.dirichlet, with_norm_grams=True)
+    ref = dense_coercivity_ratio(system)
+    assert ref > 0.7 if sigma0 == "auto" else ref < -0.5
+    assert coercivity_ratio(system) == pytest.approx(ref, rel=1e-11, abs=0.0)

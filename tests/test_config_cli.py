@@ -9,7 +9,7 @@ import scipy.io
 
 from frenet_ife import assembly
 from frenet_ife.analysis import error_norms, setup_level
-from frenet_ife.assembly import assemble, auto_sigma0, solve
+from frenet_ife.assembly import assemble, auto_sigma0, coercivity_ratio, solve
 from frenet_ife.cli import COMMANDS, main
 from frenet_ife.config import RunConfig
 from frenet_ife.errors import FrenetIfeError
@@ -191,6 +191,21 @@ def test_probe_geometry_refuses_non_numeric_curve_parameters(tmp_path, capsys, i
     assert not out.exists()
 
 
+def test_cell_size_times_curvature_is_bounded_by_one_half(tmp_path, capsys):
+    # at n=8 the cell size is 1/4: circle(0.51) gives 0.490 and is accepted,
+    # circle(0.45) gives 0.556 and is refused
+    RunConfig.from_dict({"interface": {"kind": "circle", "radius": 0.51},
+                         "mesh_sizes": [8]}).validate_run()
+    cfg = tmp_path / "c.json"
+    out = tmp_path / "o"
+    cfg.write_text(json.dumps({"interface": {"kind": "circle", "radius": 0.45}, "out_dir": str(out)}))
+    assert main(["probe-geometry", "--config", str(cfg), "--mesh", "8"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": (
+        "mesh n=8: cell size * max curvature = 0.556 > 1/2; refine the mesh or flatten "
+        "the interface")}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("petals", [2.5, 0, -3, True])
 def test_flower_refuses_petals_that_are_not_integers_of_at_least_one(tmp_path, capsys, petals):
     # a fractional count would be truncated to a flower of another shape
@@ -323,6 +338,21 @@ def test_cli_probe_coercivity_with_given_sigma0_reports_no_trace_constant(tmp_pa
     assert probe["sigma0"] == 20.0
     assert np.isnan(probe["trace_constant"])
     assert probe["min_ratio"] >= 0.25
+
+
+def test_cli_probe_coercivity_reads_every_level_at_one_penalty(tmp_path):
+    # the auto penalty is probed on the first level and reused on the next
+    out = tmp_path / "c"
+    assert main(["probe-coercivity", "--mesh", "8,16", "--degree", "1", "--out", str(out)]) == 0
+    probe = json.loads((out / "coercivity_probe.json").read_text())
+    case, box = RunConfig().manufactured_case(), (-1, 1, -1, 1)
+    sigma0, ct = auto_sigma0(setup_level(case, box, 8, 1))
+    assert (probe["sigma0"], probe["trace_constant"], probe["m"]) == (sigma0, ct, 1)
+    for n, level in zip((8, 16), probe["levels"], strict=True):
+        spaces = setup_level(case, box, n, 1)
+        system = assemble(spaces, sigma0, case.f, case.dirichlet, with_norm_grams=True)
+        assert level == {"n": n, "h": spaces.mesh.h, "ratio": coercivity_ratio(system)}
+    assert probe["min_ratio"] == min(lv["ratio"] for lv in probe["levels"]) >= 0.5
 
 
 def test_cli_probes_build_their_levels_at_the_configured_quad(tmp_path):

@@ -30,7 +30,8 @@ COMMANDS = [
     # a circle that encloses the domain: a level with no interface element
     (["solve", "--mesh", "8", "--degree", "1"], {"interface": {"kind": "circle", "radius": 3.0}}, 0),
     (["probe-trace", "--mesh", "8,16", "--degree", "2"], {}, 0),
-    (["probe-coercivity", "--mesh", "8", "--degree", "2"], {}, 0),
+    # two levels: the second reuses the first's auto penalty
+    (["probe-coercivity", "--mesh", "8,16", "--degree", "2"], {}, 0),
     (["probe-coercivity", "--mesh", "8", "--degree", "1", "--sigma0", "20"], {}, 0),
     (["probe-geometry", "--mesh", "8,16"], {}, 0),
     (["probe-geometry", "--mesh", "16,32"],

@@ -13,6 +13,9 @@ checkout, or of a second checkout to compare against) and runs, through
   ``--dump-system``);
 - ``probe-geometry`` on the default circle (n = 8..128) and on
   ellipse(0.7, 0.5) (n = 16..128);
+- ``probe-coercivity`` on the default circle at n = 8, 16 and degrees 1 and
+  2 (``coercivity-m1``, ``coercivity-m2``), the second level at the penalty
+  the first probed;
 - ``mesh.classify_elements`` on every placement of ``_RULE_CASES`` in
   ``tests/test_quadrature.py``, and ``quadrature.level_cut_cell_rules`` on
   its interface elements at q = 3..6.  These placements reach every path of
@@ -104,6 +107,10 @@ def runs(workloads, seeds, work: Path):
         cfg.write_text(json.dumps({"interface": interface, "mesh_sizes": sizes,
                                    "out_dir": str(out)}))
         yield name, ["probe-geometry", "--config", str(cfg)], out
+    for m in (1, 2):
+        out = work / f"coercivity-m{m}"
+        yield out.name, ["probe-coercivity", "--mesh", "8,16", "--degree", str(m),
+                         "--out", str(out)], out
 
 
 def blas_kernel() -> str:
