@@ -3,7 +3,7 @@ geometric/stability probes backing the method's guarantees."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,32 +138,6 @@ def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet, sigma0: float) -
 # studies
 
 
-@dataclass
-class ErrorReport:
-    """Per-level errors of a refinement chain plus pairwise log2 rates."""
-
-    ns: list = field(default_factory=list)
-    hs: list = field(default_factory=list)
-    n_dofs: list = field(default_factory=list)
-    errors: list = field(default_factory=list)   # dicts: l2 / norm_h / energy
-    sigma0: float = 0.0
-    trace_constant: float = float("nan")   # probed only for an automatic penalty
-
-    def rates(self, key: str):
-        es = [row[key] for row in self.errors]
-        return [float(np.log2(es[i] / es[i + 1])) for i in range(len(es) - 1)]
-
-    def rows(self):
-        out = []
-        for i, n in enumerate(self.ns):
-            row = {"n": n, "h": self.hs[i], "dofs": self.n_dofs[i], **self.errors[i]}
-            for key in ("l2", "norm_h", "energy"):
-                rate = self.rates(key)[i - 1] if i > 0 else float("nan")
-                row[f"rate_{key}"] = rate
-            out.append(row)
-        return out
-
-
 def setup_level(case: ManufacturedCase, box, n: int, m: int, quad: dict | None = None):
     """The level n of the case at degree m, its quadrature orders from the
     config's quad block (None: the degree defaults)."""
@@ -173,29 +147,42 @@ def setup_level(case: ManufacturedCase, box, n: int, m: int, quad: dict | None =
     return build_spaces(mesh, tags, chart, m, case.beta_minus, case.beta_plus, quad)
 
 
-def convergence_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
-                      sigma0="auto", quad=None) -> ErrorReport:
-    """Solve on a 2:1 refinement chain and tabulate errors and rates.
+def level_chain(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
+                sigma0="auto", quad=None):
+    """Yield (spaces, sigma0, C_t) per level n of ns, one level at a time.
 
-    An "auto" penalty is probed once on the coarsest level and reused, so
-    sigma0 stays mesh-independent across the chain.
+    An "auto" penalty is probed once on the first (coarsest) level and
+    reused, so sigma0 stays mesh-independent across the chain; C_t is the
+    probed trace constant, NaN for a given penalty.
     """
-    report = ErrorReport()
-    sig = sigma0
+    ct = float("nan")
     for n in ns:
         spaces = setup_level(case, box, n, m, quad)
-        if sig == "auto":
-            sig, ct = auto_sigma0(spaces)
-            report.trace_constant = ct
-        system = assemble(spaces, sig, case.f, case.dirichlet)
-        coef = solve(system)
-        errs = error_norms(coef, case, spaces, sig)
-        report.ns.append(n)
-        report.hs.append(spaces.mesh.h)
-        report.n_dofs.append(spaces.n_dofs)
-        report.errors.append(errs)
-    report.sigma0 = float(sig)
-    return report
+        if sigma0 == "auto":
+            sigma0, ct = auto_sigma0(spaces)
+        yield spaces, sigma0, ct
+
+
+def convergence_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
+                      sigma0="auto", quad=None) -> dict:
+    """Solve on a 2:1 refinement chain of level_chain and tabulate errors and rates.
+
+    Returns {"sigma0", "trace_constant", "levels", "rates_l2",
+    "rates_energy"}: one row per level with n, h, dofs, the l2 / norm_h /
+    energy errors and their log2 rates against the level before (NaN on the
+    first), and the pairwise L2 and energy rates as lists.
+    """
+    levels = []
+    for spaces, sig, ct in level_chain(case, m, ns, box, sigma0, quad):
+        coef = solve(assemble(spaces, sig, case.f, case.dirichlet))
+        levels.append({"n": spaces.mesh.nx, "h": spaces.mesh.h, "dofs": spaces.n_dofs,
+                       **error_norms(coef, case, spaces, sig)})
+    rates = {key: [float(np.log2(a[key] / b[key])) for a, b in zip(levels, levels[1:])]
+             for key in ("l2", "norm_h", "energy")}
+    for i, row in enumerate(levels):
+        row.update({f"rate_{key}": r[i - 1] if i else float("nan") for key, r in rates.items()})
+    return {"sigma0": float(sig), "trace_constant": ct, "levels": levels,
+            "rates_l2": rates["l2"], "rates_energy": rates["energy"]}
 
 
 _PROBE_GRID = 6   # grid points per axis sampled in each interface element
@@ -269,14 +256,11 @@ def trace_probe_study(case: ManufacturedCase, m: int, ns, box=(-1, 1, -1, 1),
 
 def coercivity_probe(case: ManufacturedCase, m: int, ns,
                      box=(-1, 1, -1, 1), sigma0="auto", quad=None) -> dict:
-    """Each level's coercivity ratio and their minimum, at one penalty: an "auto"
-    one is probed once on the first level and reused, as in convergence_study."""
-    levels, sig, ct = [], sigma0, float("nan")
-    for n in ns:
-        spaces = setup_level(case, box, n, m, quad)
-        if sig == "auto":
-            sig, ct = auto_sigma0(spaces)
+    """Each level_chain level's coercivity ratio and their minimum, at the
+    chain's one penalty."""
+    levels = []
+    for spaces, sig, ct in level_chain(case, m, ns, box, sigma0, quad):
         system = assemble(spaces, sig, case.f, case.dirichlet, with_norm_grams=True)
-        levels.append({"n": n, "h": spaces.mesh.h, "ratio": coercivity_ratio(system)})
+        levels.append({"n": spaces.mesh.nx, "h": spaces.mesh.h, "ratio": coercivity_ratio(system)})
     return {"sigma0": float(sig), "trace_constant": float(ct), "m": m, "levels": levels,
             "min_ratio": min(lv["ratio"] for lv in levels)}

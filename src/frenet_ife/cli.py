@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (coercivity_probe, convergence_study, error_norms,
-                       geometry_probes, setup_level, trace_probe_study)
-from .assembly import assemble, auto_sigma0, solve
+# setup_level and auto_sigma0 are unused here, but perfbench/tracer.py patches them in cli
+from .analysis import (coercivity_probe, convergence_study, error_norms,  # noqa: F401
+                       geometry_probes, level_chain, setup_level, trace_probe_study)
+from .assembly import assemble, auto_sigma0, solve  # noqa: F401
 from .config import RunConfig
 from .errors import FrenetIfeError
 
@@ -52,6 +53,10 @@ def _write_csv(path, rows, fields):
             writer.writerow({k: _fmt(row.get(k)) for k in fields})
 
 
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
+
+
 def _fmt(v):
     if isinstance(v, float):
         return repr(v)
@@ -72,11 +77,7 @@ def _min_cut_fraction(spaces) -> float:
 def cmd_solve(cfg: RunConfig, out: Path, dump_system: bool = False) -> int:
     case = cfg.manufactured_case()
     n = cfg.mesh_sizes[0]
-    spaces = setup_level(case, cfg.domain, n, cfg.degree, cfg.quad)
-    sig = cfg.sigma0
-    ct = float("nan")
-    if sig == "auto":
-        sig, ct = auto_sigma0(spaces)
+    spaces, sig, ct = next(level_chain(case, cfg.degree, [n], cfg.domain, cfg.sigma0, cfg.quad))
     system = assemble(spaces, sig, case.f, case.dirichlet)
     if dump_system:
         import scipy.io
@@ -100,7 +101,7 @@ def cmd_solve(cfg: RunConfig, out: Path, dump_system: bool = False) -> int:
     mesh_summary["min_cut_fraction"] = _min_cut_fraction(spaces)
     report = {"sigma0": float(sig), "trace_constant": ct,
               "mesh": mesh_summary, "errors": errs}
-    (out / "solve_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    _write_json(out / "solve_report.json", report)
     print(f"solve: n={n} m={cfg.degree} sigma0={sig:.6g} "
           f"L2={errs['l2']:.3e} energy={errs['energy']:.3e}")
     return 0
@@ -110,12 +111,10 @@ def cmd_convergence(cfg: RunConfig, out: Path) -> int:
     case = cfg.manufactured_case()
     report = convergence_study(case, cfg.degree, cfg.mesh_sizes, cfg.domain,
                                cfg.sigma0, cfg.quad)
-    _write_csv(out / "errors.csv", report.rows(), REPORT_FIELDS)
-    summary = {"sigma0": report.sigma0, "trace_constant": report.trace_constant,
-               "rates_l2": report.rates("l2"), "rates_energy": report.rates("energy")}
-    (out / "convergence_report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True))
-    for row in report.rows():
+    levels = report.pop("levels")
+    _write_csv(out / "errors.csv", levels, REPORT_FIELDS)
+    _write_json(out / "convergence_report.json", report)
+    for row in levels:
         print(f"n={row['n']:4d} h={row['h']:.4e} L2={row['l2']:.3e} "
               f"energy={row['energy']:.3e} rate_L2={row['rate_l2']:.2f}")
     return 0
@@ -123,8 +122,7 @@ def cmd_convergence(cfg: RunConfig, out: Path) -> int:
 
 def cmd_probe_geometry(cfg: RunConfig, out: Path) -> int:
     probes = geometry_probes(cfg.curve(), cfg.mesh_sizes, cfg.domain)
-    (out / "geometry_probes.json").write_text(
-        json.dumps(probes, indent=2, sort_keys=True))
+    _write_json(out / "geometry_probes.json", probes)
     print(f"slopes: T-id {probes['slope_t_dev']:.2f}, "
           f"DT-I {probes['slope_dt_dev']:.2f}, det {probes['slope_det_dev']:.2f}")
     return 0
@@ -133,8 +131,7 @@ def cmd_probe_geometry(cfg: RunConfig, out: Path) -> int:
 def cmd_probe_trace(cfg: RunConfig, out: Path) -> int:
     case = cfg.manufactured_case()
     probes = trace_probe_study(case, cfg.degree, cfg.mesh_sizes, cfg.domain, cfg.quad)
-    (out / "trace_probes.json").write_text(
-        json.dumps(probes, indent=2, sort_keys=True))
+    _write_json(out / "trace_probes.json", probes)
     print(f"trace constant max/min over levels: {probes['max_ratio']:.3f}")
     return 0
 
@@ -143,8 +140,7 @@ def cmd_probe_coercivity(cfg: RunConfig, out: Path) -> int:
     case = cfg.manufactured_case()
     probes = coercivity_probe(case, cfg.degree, cfg.mesh_sizes, cfg.domain,
                               cfg.sigma0, cfg.quad)
-    (out / "coercivity_probe.json").write_text(
-        json.dumps(probes, indent=2, sort_keys=True))
+    _write_json(out / "coercivity_probe.json", probes)
     print(f"coercivity min ratio {probes['min_ratio']:.3f} at sigma0={probes['sigma0']:.6g}")
     return 0
 

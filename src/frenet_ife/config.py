@@ -86,7 +86,9 @@ class RunConfig:
         for the keys of its block and the type of its p.  Integers must be
         ints (not floats or bools), the other values finite real numbers
         (not bools or strings); nothing is coerced.  An interface whose speed
-        ||g'|| drops below 1e-12 is unusable too.
+        ||g'|| drops below 1e-12 is unusable too, and so are mesh sizes that
+        decrease: a chain probes an auto sigma0 on its first size, and its
+        rates read refinement.
 
         The mesh check bounds only h * max curvature, a local quantity; it
         does not bound the curve's bottleneck distance, so two distant arcs
@@ -139,9 +141,11 @@ class RunConfig:
             raise ValueError(f"degenerate interface: {exc}") from exc
         if self.sigma0 != "auto" and not (_numbers(self.sigma0) and self.sigma0 > 0):
             raise ValueError("sigma0 must be a finite positive number or 'auto'")
-        for n in self.mesh_sizes:
+        for prev, n in zip([1, *self.mesh_sizes], self.mesh_sizes):
             if type(n) is not int or n < 1:
                 raise ValueError("mesh sizes must be integers >= 1")
+            if n < prev:
+                raise ValueError(f"mesh sizes must not decrease: {n} follows {prev}")
             side = max((x1 - x0) / n, (y1 - y0) / n)
             diag = float(np.hypot((x1 - x0) / n, (y1 - y0) / n))
             if kmax > 0 and side * kmax > 0.5:

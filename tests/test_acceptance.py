@@ -44,12 +44,12 @@ def chains(benchmark_case):
 
 def test_criterion_1_convergence(chains):
     rep1, rep2, elapsed = chains
-    r1_l2, r1_en = rep1.rates("l2")[-1], rep1.rates("energy")[-1]
-    r2_l2, r2_en = rep2.rates("l2")[-1], rep2.rates("energy")[-1]
+    r1_l2, r1_en = rep1["rates_l2"][-1], rep1["rates_energy"][-1]
+    r2_l2, r2_en = rep2["rates_l2"][-1], rep2["rates_energy"][-1]
     ok = (r1_l2 >= 1.8 and r1_en >= 0.85 and r2_l2 >= 2.7 and r2_en >= 1.8
           and elapsed <= 300.0)
     # asymptotic-range stability: consecutive rate estimates drift <= 0.4
-    drift = abs(rep1.rates("l2")[-1] - rep1.rates("l2")[-2])
+    drift = abs(rep1["rates_l2"][-1] - rep1["rates_l2"][-2])
     ok = ok and drift <= 0.4
     _report(1, "optimal convergence", ok,
             f"m=1 L2 {r1_l2:.2f} energy {r1_en:.2f}; "

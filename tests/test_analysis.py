@@ -100,10 +100,10 @@ def test_error_norms_against_standalone_edge_oracle():
 def test_convergence_small_chain_rates():
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     rep = convergence_study(case, 1, [8, 16], sigma0="auto")
-    assert rep.sigma0 > rep.trace_constant**2 + 0.5
-    assert rep.rates("l2")[-1] >= 1.6
-    assert rep.rates("energy")[-1] >= 0.8
-    rows = rep.rows()
+    assert rep["sigma0"] > rep["trace_constant"]**2 + 0.5
+    assert rep["rates_l2"][-1] >= 1.6
+    assert rep["rates_energy"][-1] >= 0.8
+    rows = rep["levels"]
     assert rows[0]["dofs"] == 256 and rows[1]["dofs"] == 1024
 
 
@@ -111,16 +111,16 @@ def test_convergence_degree_3():
     # top supported degree exercises the order-1 jets in the weak conditions
     case = manufactured_circle(0.6, 1.0, 10.0, p=4)
     rep = convergence_study(case, 3, [8, 16], sigma0="auto")
-    assert rep.rates("l2")[-1] >= 3.6
-    assert rep.rates("energy")[-1] >= 2.7
+    assert rep["rates_l2"][-1] >= 3.6
+    assert rep["rates_energy"][-1] >= 2.7
 
 
 def test_equal_beta_with_crossing_interface_still_optimal():
     # the curvilinear local spaces on cut elements must not spoil the rate
     case = manufactured_circle(0.6, 1.0, 1.0, p=4)
     rep = convergence_study(case, 1, [8, 16, 32], sigma0="auto")
-    assert rep.rates("l2")[-1] >= 1.8
-    assert rep.rates("energy")[-1] >= 0.85
+    assert rep["rates_l2"][-1] >= 1.8
+    assert rep["rates_energy"][-1] >= 0.85
 
 
 def test_convergence_beta_contrast_sweep():
@@ -132,12 +132,12 @@ def test_convergence_beta_contrast_sweep():
     for beta_plus, (lo_l2, lo_en) in floors.items():
         case = manufactured_circle(0.6, 1.0, beta_plus, p=4)
         rep = convergence_study(case, 1, [8, 16, 32], sigma0="auto")
-        errs = [r["l2"] for r in rep.errors]
+        errs = [r["l2"] for r in rep["levels"]]
         assert errs[0] > errs[1] > errs[2], beta_plus
-        assert rep.rates("l2")[-1] >= lo_l2, beta_plus
-        assert rep.rates("energy")[-1] >= lo_en, beta_plus
+        assert rep["rates_l2"][-1] >= lo_l2, beta_plus
+        assert rep["rates_energy"][-1] >= lo_en, beta_plus
         if beta_plus == 1000.0:
-            assert rep.rates("l2")[1] > rep.rates("l2")[0]
+            assert rep["rates_l2"][1] > rep["rates_l2"][0]
 
 
 def test_geometry_probes_straight_interface_exact():

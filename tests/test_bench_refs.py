@@ -10,7 +10,9 @@ first; it also runs at seed 7, whose circle has the most cut-cell regions
 anchored at their second candidate.  All three read the classification and
 the chart.  The reference files and the workload radii are only read, and
 so is the benchmark's span tracer, whose patches must name functions the
-package still has and whose traced command must run.
+package still has and whose traced command must run.  The benchmark's
+`setup_s` wraps `setup_level` where `cli` and `analysis` look it up, so every
+level of every command must be built through that name.
 """
 
 import csv
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from frenet_ife import cli
+from frenet_ife import analysis, cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFS = PERFBENCH / "refs"
@@ -93,6 +95,35 @@ def test_probe_trace_p2_seed0_matches_benchmark_reference(tmp_path):
     out = _run(tmp_path, "probe-trace", 2, [16, 32, 64])
     rows = json.loads((out / "trace_probes.json").read_text())["levels"]
     _assert_levels(rows, _reference("probe-trace-p2"), ("max",))
+
+
+@pytest.mark.parametrize("argv, levels, probes", [
+    (["solve", "--mesh", "8"], 1, 1),
+    (["convergence", "--mesh", "8,16,32"], 3, 1),
+    (["probe-coercivity", "--mesh", "8,16"], 2, 1),
+    (["probe-trace", "--mesh", "8,16"], 2, 0),
+    (["solve", "--mesh", "8", "--sigma0", "20"], 1, 0),
+    (["convergence", "--mesh", "8,16", "--sigma0", "20"], 2, 0),
+    (["probe-coercivity", "--mesh", "8,16", "--sigma0", "20"], 2, 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_setup_hook_sees_every_level(tmp_path, monkeypatch, argv, levels, probes):
+    # perfbench/worker.py sums setup_s from one wrapper that it sets as both
+    # cli.setup_level and analysis.setup_level; every level of a command must
+    # go through it, and an auto penalty is probed once, on the first level
+    calls = {"levels": 0, "probes": 0}
+
+    def counted(key, orig):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    setup_level = counted("levels", analysis.setup_level)
+    monkeypatch.setattr(cli, "setup_level", setup_level)
+    monkeypatch.setattr(analysis, "setup_level", setup_level)
+    monkeypatch.setattr(analysis, "auto_sigma0", counted("probes", analysis.auto_sigma0))
+    assert cli.main([*argv, "--degree", "1", "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"levels": levels, "probes": probes}
 
 
 def test_tracer_patches_resolve_to_callables():

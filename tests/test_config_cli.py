@@ -136,6 +136,19 @@ def test_jump_penalty_must_be_finite(override, why):
         RunConfig.from_dict(override).validate()
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_decreasing_mesh_sizes_exit_2(tmp_path, capsys, command):
+    # a chain probes an auto sigma0 on its first size and reads rates as refinement
+    out = tmp_path / "o"
+    assert main([command, "--mesh", "16,8", "--degree", "1", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": "mesh sizes must not decrease: 8 follows 16"}
+    assert not out.exists()
+    with pytest.raises(ValueError, match="^mesh sizes must not decrease: 16 follows 32$"):
+        RunConfig(mesh_sizes=[8, 32, 16, 64]).validate_run()
+    RunConfig(mesh_sizes=[8, 16, 16]).validate_run()       # a repeated size is no decrease
+
+
 @pytest.mark.parametrize("top", [[1, 2], "solve", None], ids=json.dumps)
 def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsys, monkeypatch, top):
     cfg = tmp_path / "bad.json"

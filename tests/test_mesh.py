@@ -12,6 +12,7 @@ from frenet_ife.mesh import (_EDGE_SAMPLES, RectMesh, _bisect, _polish_roots, bu
 
 from oracles import (as_level_record, bisect_root, chart_map, loop_classify, loop_polish_root,
                      loop_rect_mesh, sign_sample_interface)
+from test_bench_refs import _perfbench
 
 
 def test_counts_2x2():
@@ -84,6 +85,25 @@ def test_classification_matches_sign_sampling_circle(n):
     for e in range(mesh.n_elements):
         expected = sign_sample_interface(_inside_circle(0.6), mesh.elem_box(e))
         assert (tags.tags[e] == 0) == expected, f"element {e}"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_circle_crossings_match_the_closed_form_on_every_grid_line(seed):
+    # circle(r) meets the grid line x = c, or y = c, at +-sqrt(r^2 - c^2); the
+    # radii are the benchmark's seed circles
+    r = _perfbench("workloads").radius(seed)
+    for n in (8, 16, 32, 64, 128):
+        mesh = build_mesh((-1, 1, -1, 1), n)
+        edge, t = classify_elements(mesh, FrenetChart(circle(r), h=mesh.h)).crossings
+        vert = mesh.edge_a[:, 0] == mesh.edge_b[:, 0]                # on x = c, else on y = c
+        line = np.where(vert, mesh.edge_a[:, 0], mesh.edge_a[:, 1])   # c
+        pts = mesh.edge_a[edge] + t[:, None] * (mesh.edge_b[edge] - mesh.edge_a[edge])
+        along = np.where(vert[edge], pts[:, 1], pts[:, 0])
+        for v, c in set(zip(vert.tolist(), line.tolist())):
+            found = np.sort(along[(vert[edge] == v) & (line[edge] == c)])
+            expected = np.sqrt(r**2 - c**2) * np.array([-1.0, 1.0]) if c**2 < r**2 else []
+            assert len(found) == len(expected), (r, n, v, c)
+            assert np.all(np.abs(found - expected) <= 1e-13), (r, n, v, c)
 
 
 def test_classification_matches_sign_sampling_other_curves():

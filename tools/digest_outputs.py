@@ -16,6 +16,10 @@ checkout, or of a second checkout to compare against) and runs, through
 - ``probe-coercivity`` on the default circle at n = 8, 16 and degrees 1 and
   2 (``coercivity-m1``, ``coercivity-m2``), the second level at the penalty
   the first probed;
+- the given-penalty runs at ``--sigma0 20``, which probe no trace constant:
+  ``solve --mesh 8 --degree 1`` (``given-solve``), ``convergence --mesh
+  8,16 --degree 2`` (``given-convergence``) and ``probe-coercivity --mesh 8
+  --degree 1`` (``given-coercivity``);
 - ``mesh.classify_elements`` on every placement of ``_RULE_CASES`` in
   ``tests/test_quadrature.py``, and ``quadrature.level_cut_cell_rules`` on
   its interface elements at q = 3..6.  These placements reach every path of
@@ -91,6 +95,10 @@ FAR_CORNERS = {"circle-n128": (0.6, 128), "circle-n256": (0.6, 256),
 NEAR_VERTEX = {"near-vertex-circle-n16": (0.625 - 2.5e-7, 16),
                "near-vertex-circle-n32": (0.625 - 2.5e-7, 32)}
 
+# (command, --mesh, --degree) of the runs at the given penalty sigma0 = 20
+GIVEN_PENALTY = [("solve", "8", "1"), ("convergence", "8,16", "2"),
+                 ("probe-coercivity", "8", "1")]
+
 
 def runs(workloads, seeds, work: Path):
     """(name, argv, output directory) of every command, configs written."""
@@ -110,6 +118,10 @@ def runs(workloads, seeds, work: Path):
     for m in (1, 2):
         out = work / f"coercivity-m{m}"
         yield out.name, ["probe-coercivity", "--mesh", "8,16", "--degree", str(m),
+                         "--out", str(out)], out
+    for command, mesh, m in GIVEN_PENALTY:
+        out = work / f"given-{command.removeprefix('probe-')}"
+        yield out.name, [command, "--mesh", mesh, "--degree", m, "--sigma0", "20",
                          "--out", str(out)], out
 
 
