@@ -76,45 +76,33 @@ def manufactured_circle(r0: float, beta_minus: float, beta_plus: float,
 # error norms
 
 
-def _row_sums(x, pos):
-    """Sums of x (E, nq) per value row: of all rows where they share one."""
-    return np.sum(x.reshape(len(pos), -1), axis=-1)
-
-
-def _in_order(parts):
-    """Totals of parts [(pos, sums, ...)], added one at a time in pos order."""
-    pos, *sums = (np.concatenate(x) for x in zip(*parts))
-    return [np.add.accumulate(s[np.argsort(pos)])[-1] for s in sums]
-
-
 def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet, sigma0: float) -> dict:
     """L2, broken and energy norms of u - u_h with cut-aware quadrature.
 
     The flux-average terms use the exact gradients of the case on the
     exact-solution side of the error.  u_h takes one vector-matrix product
     per element, as an element loop would, so no rounding of it is amplified
-    by the cancellation in u - u_h.
+    by the cancellation in u - u_h.  Each term of a group is summed whole
+    into a running total.
     """
     mesh = spaces.mesh
     pen = penalty_weight(spaces, sigma0)
     C = coef.reshape(mesh.n_elements, -1)
 
+    l2_sq = grad_sq = jump_sq = flux_sq = 0.0
     groups = spaces.volume_groups()
     at = [(pts, sides) for _, pts, _, sides, *_ in groups]
-    volume = []
-    for (elems, _, w, sides, vals, grads, pos), u, grad in zip(
+    for (elems, _, w, sides, vals, grads), u, grad in zip(
             groups, at_points(case.u, at), at_points(case.grad, at)):
         c = C[elems]
         du = u - (c[:, None] @ vals)[:, 0]
         dg = grad - np.einsum("eb,ebpk->epk", c, grads)
-        volume.append((pos, _row_sums(w * du**2, pos), spaces.beta_of(sides[:len(pos)])
-                       * _row_sums(w * np.einsum("epk,epk->ep", dg, dg), pos)))
-    l2_sq, grad_sq = _in_order(volume)
+        l2_sq += np.sum(w * du**2)
+        grad_sq += np.sum(spaces.beta_of(sides)[:, None] * w * np.einsum("epk,epk->ep", dg, dg))
 
     groups = spaces.edge_groups()
     at = [(pts, sides) for _, _, pts, _, sides, *_ in groups]
-    edges = []
-    for (ks, _, _, w, sides, members, pos), u, grad in zip(
+    for (ks, _, _, w, sides, members), u, grad in zip(
             groups, at_points(case.u, at), at_points(case.grad, at)):
         beta = spaces.beta_of(sides)[:, None]
         jump = flux = 0.0
@@ -124,8 +112,8 @@ def error_norms(coef, case: ManufacturedCase, spaces: SpaceSet, sigma0: float) -
             flux = flux + beta * np.einsum(
                 "epk,ek->ep", grad - np.einsum("eb,ebpk->epk", c, grads), mesh.edge_normal[ks])
         avg = 1.0 if len(members) == 1 else 0.5
-        edges.append((pos, _row_sums(w * jump**2, pos), _row_sums(w * (avg * flux) ** 2, pos)))
-    jump_sq, flux_sq = _in_order(edges)
+        jump_sq += np.sum(w * jump**2)
+        flux_sq += np.sum(w * (avg * flux) ** 2)
 
     norm_h_sq = grad_sq + pen * jump_sq
     energy_sq = norm_h_sq + flux_sq / pen

@@ -58,10 +58,11 @@ def _edge_terms(spaces: SpaceSet):
     members [(sign, values, beta-weighted normal derivatives)])."""
     normal = spaces.mesh.edge_normal
     terms = []
-    for ks, rows, pts, w, sides, members, pos in spaces.edge_groups():
-        beta = spaces.beta_of(sides[:len(pos)])[:, None, None]
+    for ks, rows, pts, w, sides, members in spaces.edge_groups():
+        lead = len(members[0][1])           # value rows: 1 on a plain group
+        beta = spaces.beta_of(sides[:lead])[:, None, None]
         terms.append((ks, rows, pts, w, sides, 1.0 if len(members) == 1 else 0.5,
-                      [(sign, vals, beta * np.einsum("ebpk,ek->ebp", grads, normal[ks[:len(pos)]]))
+                      [(sign, vals, beta * np.einsum("ebpk,ek->ebp", grads, normal[ks[:lead]]))
                        for sign, vals, grads in members]))
     return terms
 
@@ -112,7 +113,7 @@ def assemble(spaces: SpaceSet, sigma0: float, f_source, g_dirichlet,
     F = np.zeros(spaces.n_dofs)
     groups = spaces.volume_groups()
     sources = at_points(f_source, [(pts, sides) for _, pts, _, sides, *_ in groups])
-    for (elems, _, w, sides, vals, grads, _), f in zip(groups, sources):
+    for (elems, _, w, sides, vals, grads), f in zip(groups, sources):
         np.add.at(K, elems, _stiffness(spaces, sides[:len(vals)], w[:len(vals)], grads))
         x = w * f
         np.add.at(F.reshape(-1, nl), elems, np.matmul(vals, x[..., None])[..., 0])

@@ -326,8 +326,8 @@ class SpaceSet:
 
     - the segment table: every segment of every edge, edge by edge in
       cut_edge_rule order; the one segment of an edge between plain
-      elements of one side takes their side, the others one chart query at
-      their midpoints;
+      elements of one side takes their side, every other row the sign of
+      eta at its point of largest |eta|, from one chart Newton pass;
     - the interface stacks: the pieces of the interface elements, from
       quadrature.level_cut_cell_rules, and the segment rows of their edges,
       as arrays with their basis values;
@@ -336,8 +336,7 @@ class SpaceSet:
       by the bytes their blocks read), then the interface pieces stacked by
       size and the other segment rows stacked by member count.  Values have
       a leading axis L of 1 on a plain group, whose rows share them, else
-      one per row, and pos (L,) numbers them in the order of a loop over the
-      plain groups, then the interface pieces or the segment rows.
+      one per row.
     """
 
     def __init__(self, mesh: RectMesh, tags: MeshTags, chart: FrenetChart,
@@ -408,9 +407,8 @@ class SpaceSet:
         per size P of piece or segment (a fan piece has 2 to 6 cells of q*q
         points; every segment has q_edge): [(elements (G,), keys (G,),
         points (G, P, 2), weights (G, P), sides (G,), vals (G, nl, P), grads
-        (G, nl, P, 2), pos (G,))].  keys is the piece index (0: the plus
-        piece, 1: the minus one) or the segment-table row, pos numbers the
-        pieces or rows in element order.  Built on the first read and kept:
+        (G, nl, P, 2))].  keys is the piece index (0: the plus piece, 1: the
+        minus one) or the segment-table row.  Built on the first read and kept:
         the chart coordinates of the pieces from level_cut_cell_rules' inverse
         and of the segments from the segment table's Newton pass, each xi
         unwrapped at its element's interval midpoint, then one chart Jacobian
@@ -435,22 +433,21 @@ class SpaceSet:
             first = np.cumsum(sizes) - sizes
             stacks = []
             for n in np.unique(sizes):
-                pos = np.flatnonzero(sizes == n)
-                take = first[pos, None] + np.arange(n)
-                vals, grads = self.bases.evaluate(at[pos], sides[pos], eta[take], xi[take],
+                rows = np.flatnonzero(sizes == n)
+                take = first[rows, None] + np.arange(n)
+                vals, grads = self.bases.evaluate(at[rows], sides[rows], eta[take], xi[take],
                                                   J[take])
-                stacks.append((elems[at[pos]], keys[pos], pts[take], w[take], sides[pos],
-                               vals, grads, pos))
+                stacks.append((elems[at[rows]], keys[rows], pts[take], w[take], sides[rows],
+                               vals, grads))
             return stacks
         return self._cached(("stacks", volume), build)
 
     def _plain_groups(self, volume: bool):
-        """[(ids, points (E, nq, 2), weights (E, nq), sides (E,), pos (1,))]:
-        the plain elements (volume) or the segment rows the tags label,
-        grouped by the bytes of everything their blocks read (weights, side,
-        the reference coordinates and box widths of their elements and, on
-        edges, the normal and boundary flag), in their lexicographic order,
-        which pos numbers."""
+        """[(ids, points (E, nq, 2), weights (E, nq), sides (E,))]: the plain
+        elements (volume) or the segment rows the tags label, grouped by the
+        bytes of everything their blocks read (weights, side, the reference
+        coordinates and box widths of their elements and, on edges, the
+        normal and boundary flag), in their lexicographic order."""
         mesh = self.mesh
         if volume:
             ids = np.flatnonzero(self.tags.tags)
@@ -471,44 +468,44 @@ class SpaceSet:
         key = np.column_stack(key).view(np.int64)
         order = np.lexsort(key.T[::-1])                  # first column first, stable
         new = np.flatnonzero(np.any(key[order[1:]] != key[order[:-1]], axis=1)) + 1
-        return [(ids[mem], pts[mem], w[mem], sides[mem], np.array([g]))
-                for g, mem in enumerate(np.split(order, new)) if len(mem)]
+        return [(ids[mem], pts[mem], w[mem], sides[mem])
+                for mem in np.split(order, new) if len(mem)]
 
     def volume_groups(self):
         """Every element piece of the level in groups: [(elements (E,),
         points (E, nq, 2), weights (E, nq), sides (E,), vals (L, nl, nq),
-        grads (L, nl, nq, 2), pos (L,))], one per group of plain elements,
-        then one per size of interface piece."""
+        grads (L, nl, nq, 2))], one per group of plain elements, then one per
+        size of interface piece."""
         def build():
             plain = self._plain_groups(True)
             first = np.array([ids[0] for ids, *_ in plain], dtype=int)
             vals, grads = TensorBasis(self.mesh.elem_box(first), self.m).evaluate(
                 np.reshape([p[0] for _, p, *_ in plain], (len(plain), self.q_vol**2, 2)))
-            return [(*group[:4], vals[g:g + 1], grads[g:g + 1], group[4])
-                    for g, group in enumerate(plain)] + \
-                [(elems, pts, w, sides, vals, grads, len(plain) + pos)
-                 for elems, _, pts, w, sides, vals, grads, pos in self.interface_stacks(True)]
+            return [(*group, vals[g:g + 1], grads[g:g + 1]) for g, group in enumerate(plain)] + \
+                [(elems, pts, w, sides, vals, grads)
+                 for elems, _, pts, w, sides, vals, grads in self.interface_stacks(True)]
         return self._cached(("groups", True), build)
 
     def edge_groups(self):
         """Every edge segment of the level in groups: [(edges, segment-table
-        rows, points, weights, sides, members, pos)], members [(sign, vals,
+        rows, points, weights, sides, members)], members [(sign, vals,
         grads)] of element mesh.edge_elems[edges, j] for member j, sign +1 on
         the element the normal points out of and -1 on the neighbour; one
-        per group of plain edges, then one per member count of the others."""
+        per group of plain edges, then one per member count of the others.
+        The values of a plain group have a leading axis of 1."""
         def build():
             edge, _, sides, pts, w, cut, *_ = self._segments()
             elems, plain = self.mesh.edge_elems, self._plain_groups(False)
             inner = elems[edge[cut], 1] >= 0
-            groups = plain + [(rows, pts[rows], w[rows], sides[rows], len(plain) + rows)
+            groups = plain + [(rows, pts[rows], w[rows], sides[rows])
                               for rows in (cut[~inner], cut[inner]) if len(rows)]
             # every member's values on the rows that carry them, member by
             # member: the plain ones from one Lagrange evaluation, the others
             # gathered from the kept interface stack (one: all segments have
             # q_edge points)
             count = [1 + (elems[edge[rows[0]], 1] >= 0) for rows, *_ in groups]
-            slots = [(rows[:len(pos)], j) for (rows, *_, pos), n in zip(groups, count)
-                     for j in range(n)]
+            slots = [(rows[:1] if g < len(plain) else rows, j)
+                     for g, ((rows, *_), n) in enumerate(zip(groups, count)) for j in range(n)]
             f = np.concatenate([elems[edge[rows], j] for rows, j in slots])
             r = np.concatenate([rows for rows, _ in slots])
             vals = np.empty((len(f), self.n_local, self.q_edge))
@@ -517,15 +514,15 @@ class SpaceSet:
             vals[flat], grads[flat] = TensorBasis(self.mesh.elem_box(f[flat]),
                                                   self.m).evaluate(pts[r[flat]])
             if not flat.all():
-                ((owner, keys, _, _, _, v, g, _),) = self.interface_stacks(False)
+                ((owner, keys, _, _, _, v, g),) = self.interface_stacks(False)
                 known = owner * len(edge) + keys
                 order = np.argsort(known)
                 take = order[np.searchsorted(known[order], (f * len(edge) + r)[~flat])]
                 vals[~flat], grads[~flat] = v[take], g[take]
             at = np.cumsum([len(rows) for rows, _ in slots])[:-1]
             members = iter(zip(np.split(vals, at), np.split(grads, at)))
-            return [(edge[rows], rows, p, wk, s, [(sign, *next(members)) for sign in (1.0, -1.0)[:n]],
-                     pos) for (rows, p, wk, s, pos), n in zip(groups, count)]
+            return [(edge[rows], rows, p, wk, s, [(sign, *next(members)) for sign in (1.0, -1.0)[:n]])
+                    for (rows, p, wk, s), n in zip(groups, count)]
         return self._cached(("groups", False), build)
 
     def gradients(self, elems, volume: bool):
@@ -538,7 +535,7 @@ class SpaceSet:
         tags, at = self.tags.tags, np.full(self.mesh.n_elements, -1)
         at[elems] = np.arange(len(elems))
         stacks = self.interface_stacks(volume) if (tags[elems] == 0).any() else []
-        out = [(at[owner], sides, w, grads) for owner, _, _, w, sides, _, grads, _ in stacks]
+        out = [(at[owner], sides, w, grads) for owner, _, _, w, sides, _, grads in stacks]
         plain = elems[tags[elems] != 0]
         if not len(plain):
             return out

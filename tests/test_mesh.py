@@ -7,8 +7,8 @@ from frenet_ife import mesh as mesh_module
 from frenet_ife.curves import LineCurve, circle, ellipse, flower
 from frenet_ife.errors import AmbiguousCut, FrenetIfeError, TangentialIntersection
 from frenet_ife.frenet import FrenetChart
-from frenet_ife.mesh import (_EDGE_SAMPLES, RectMesh, _bisect, _polish_roots, build_mesh,
-                             classify_elements)
+from frenet_ife.mesh import (_EDGE_SAMPLES, RectMesh, _bisect, _one_sided, _polish_roots,
+                             build_mesh, classify_elements)
 
 from oracles import (as_level_record, bisect_root, chart_map, loop_classify, loop_polish_root,
                      loop_rect_mesh, sign_sample_interface)
@@ -129,6 +129,40 @@ def test_line_on_gridlines_gives_no_interface_elements():
     sides = tags.tags.tolist()
     # normal (0,-1): below the line is the plus side
     assert sides == [1, 1, -1, -1]
+
+
+def test_zero_band_is_one_ten_billionth_of_h():
+    # a line 5e-10 h above grid line 9 (a line's polyline offset is exact):
+    # the corners on that grid line lie five zero bands (1e-10 h) below it,
+    # so they keep their strict sign and every element of row 9 is cut on
+    # its two vertical edges, 5e-10 h above their lower ends
+    mesh = build_mesh((-1, 1, -1, 1), 16)
+    y = -1 + 9 * mesh.dy
+    chart = FrenetChart(LineCurve((0.0, y + 5e-10 * mesh.h), (1.0, 0.0)), h=mesh.h)
+    tags = classify_elements(mesh, chart)
+    assert tags.n_interface == 16
+    assert np.all(mesh.elem_box(tags.interface.elements)[1] == y)
+    edge, t = tags.crossings
+    assert len(edge) == 17 and np.all(mesh.edge_a[edge, 0] == mesh.edge_b[edge, 0])
+    assert t == pytest.approx(np.full(17, 5e-10 * mesh.h / mesh.dy), rel=1e-6)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_sided_margin_is_two_seed_gaps_plus_the_zero_band(sign):
+    # _one_sided passes an edge of length L whose end offsets, of one sign,
+    # add up to more than L + 2 delta, delta = 2 G + zero_tol: on a corner
+    # grid of equal offsets every edge passes just above that bound, and
+    # none just below it
+    mesh = build_mesh((-1, 1, -1, 1), 16)
+    chart = FrenetChart(circle(0.6), h=mesh.h)
+    zero_tol = 1e-10 * mesh.h
+    delta = 2.0 * chart.curve.seed_polyline.max_gap + zero_tol
+    length = mesh.edge_length[0]
+    assert np.all(mesh.edge_length == length)
+    edges = np.arange(mesh.n_edges)
+    for scale, passes in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+        eta = np.full((mesh.nx + 1, mesh.ny + 1), sign * (length + 2.0 * delta) * scale / 2)
+        assert np.all(_one_sided(mesh, chart, eta, edges, zero_tol) == passes)
 
 
 def test_intersection_point_against_bisection_oracle():

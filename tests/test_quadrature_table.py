@@ -252,9 +252,9 @@ def test_table_interface_values_bitwise_equal_to_evaluate(monkeypatch, curve, m,
     read = []
     for volume in (True, False):
         read += [(e, p, side, (v, g))
-                 for elems, _, pts, _, sides, vals, grads, _ in spaces.interface_stacks(volume)
+                 for elems, _, pts, _, sides, vals, grads in spaces.interface_stacks(volume)
                  for e, p, side, v, g in zip(elems, pts, sides, vals, grads)]
-    for ks, _, pts, _, sides, members, _ in spaces.edge_groups():
+    for ks, _, pts, _, sides, members in spaces.edge_groups():
         read += [(mesh.edge_elems[ks[i], j], pts[i], sides[i], (vals[i], grads[i]))
                  for j, (_, vals, grads) in enumerate(members) for i in range(len(vals))]
     monkeypatch.undo()
@@ -417,7 +417,7 @@ def test_segment_table_bitwise_equal_to_cut_edge_rule(curve, relabel, n):
     spaces = _spaces(curve, n, 2, relabel)
     mesh, q = spaces.mesh, spaces.q_edge
     rows = {}
-    for ks, _, pts, w, sides, _, _ in spaces.edge_groups():
+    for ks, _, pts, w, sides, _ in spaces.edge_groups():
         for k, p, wk, side in zip(ks, pts, w, sides):
             rows.setdefault(int(k), []).append((p, wk, side))
     _, first, labels, seg_pts, seg_w, *_ = spaces._segments()

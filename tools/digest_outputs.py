@@ -65,7 +65,8 @@ five of ``SpaceSet._segments``.  Two trees whose printouts are equal on one
 host wrote byte-identical outputs, classifications, rules, segment tables
 and frames there.
 The outputs go to a temporary directory, or to ``--work`` when given
-(kept).
+(kept).  ``tools/compare_outputs.py`` compares two kept trees file by file
+and reports how far the numbers of their CSV and JSON files moved.
 """
 
 from __future__ import annotations
